@@ -24,7 +24,8 @@ environment, so checker environments never see duplicate names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_left
 
 from .diagnostics import SourceSpan
 from .errors import ParseError
@@ -52,154 +53,151 @@ KEYWORDS = frozenset({
     "left", "right", "iter", "bool", "string",
 })
 
-_PUNCT = ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|", "*", "+",
-          "?", "=", ";", ":", "/", "$")
-
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
+_PUNCT = {p: p for p in ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|",
+                          "*", "+", "?", "=", ";", ":", "/")}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, TYPEVAR, VAR, STRING, punctuation text, KEYWORD text, EOF
-    text: str
-    offset: int
-    end: int
-    line: int
-    col: int
+# One lexeme per match, and every character is in one: blanks, a comment,
+# a word, two-character punctuation, a variable, a string literal, or any
+# single character.  ``tokenize`` sorts them by their first character.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\\"nt])*'
+_LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
+                        + _STRING_BODY + '"|.', re.DOTALL)
+_STRING_PREFIX_RE = re.compile(_STRING_BODY)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_NEWLINE_RE = re.compile("\n")
+# A ``--env`` item runs to the next ``;`` outside a string literal.
+_ENV_ITEM_RE = re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
+def _newline_table(text: str) -> list[int]:
+    return [m.start() for m in _NEWLINE_RE.finditer(text)]
 
-    def advance(n: int) -> None:
-        nonlocal i, line, col
-        for _ in range(n):
-            if text[i] == "\n":
-                line += 1
-                col = 1
+
+def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``, counting characters."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
+def _lex_error(text: str, message: str, offset: int) -> ParseError:
+    return ParseError(message, offset, *_line_col(_newline_table(text), offset))
+
+
+def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Parallel lists of token kinds, texts, start and end offsets, ending
+    with an ``EOF`` token.  A kind is ``IDENT``, ``TYPEVAR``, ``VAR``,
+    ``STRING``, a keyword, or the punctuation text itself."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    end = 0
+    for lexeme in _LEXEME_RE.findall(text):
+        start, end = end, end + len(lexeme)
+        kind = _PUNCT.get(lexeme)
+        if kind is None:
+            c = lexeme[0]
+            if c in " \t\r\n#":
+                continue
+            if c.isalpha() or c == "_":
+                kind = (lexeme if lexeme in KEYWORDS
+                        else "TYPEVAR" if c.isupper() else "IDENT")
+            elif c == "$":
+                if not lexeme[1:2].isalpha():
+                    raise _lex_error(text, "expected variable name after $", start)
+                kind, lexeme = "VAR", lexeme[1:]
+            elif c == '"' and end - start > 1:
+                kind = "STRING"
+                lexeme = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
+            elif c == '"':
+                stop = _STRING_PREFIX_RE.match(text, start).end()
+                if stop < len(text) and text[stop] == "\\":
+                    raise _lex_error(text, "bad string escape", stop + 1)
+                raise _lex_error(text, "unterminated string literal", start)
             else:
-                col += 1
-            i += 1
-
-    while i < len(text):
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "#":  # comment to end of line
-            while i < len(text) and text[i] != "\n":
-                advance(1)
-            continue
-        start, start_line, start_col = i, line, col
-        if c == '"':
-            advance(1)
-            chars: list[str] = []
-            while True:
-                if i >= len(text) or text[i] == "\n":
-                    raise ParseError("unterminated string literal",
-                                     start, start_line, start_col)
-                if text[i] == '"':
-                    advance(1)
-                    break
-                if text[i] == "\\":
-                    advance(1)
-                    if i >= len(text) or text[i] not in _ESCAPES:
-                        raise ParseError("bad string escape", i, line, col)
-                    chars.append(_ESCAPES[text[i]])
-                    advance(1)
-                else:
-                    chars.append(text[i])
-                    advance(1)
-            tokens.append(Token("STRING", "".join(chars), start, i,
-                                start_line, start_col))
-            continue
-        if c == "$":
-            advance(1)
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i or not text[i].isalpha():
-                raise ParseError("expected variable name after $",
-                                 start, start_line, start_col)
-            name = text[i:j]
-            advance(j - i)
-            tokens.append(Token("VAR", name, start, i, start_line, start_col))
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            if word in KEYWORDS:
-                kind = word
-            elif word[0].isupper():
-                kind = "TYPEVAR"
-            else:
-                kind = "IDENT"
-            tokens.append(Token(kind, word, start, i, start_line, start_col))
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                advance(len(punct))
-                tokens.append(Token(punct, punct, start, i,
-                                    start_line, start_col))
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i, line, col)
-    tokens.append(Token("EOF", "", len(text), len(text), line, col))
-    return tokens
+                raise _lex_error(text, f"unexpected character {c!r}", start)
+        kinds.append(kind)
+        texts.append(lexeme)
+        starts.append(start)
+        ends.append(end)
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    ends.append(len(text))
+    return kinds, texts, starts, ends
 
 
 class _Parser:
     def __init__(self, text: str, filename: str = "<input>"):
+        self.text = text
         self.filename = filename
-        self.tokens = tokenize(text, filename)
+        self.kinds, self.texts, self.starts, self.ends = tokenize(text)
+        self.last = len(self.kinds) - 1  # the EOF token, never passed
         self.pos = 0
+        self._newlines: list[int] | None = None
         self._sugar_count = 0
 
     # -- token plumbing ------------------------------------------------
+    # Tokens are indices into the parallel lists; ``pos`` is the next one.
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def next(self) -> int:
+        pos = self.pos
+        if pos < self.last:
+            self.pos = pos + 1
+        return pos
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] != kind:
+            return False
+        self.next()
+        return True
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"unexpected {self._describe(tok)}",
-                      expected=(what or kind,))
-        return self.next()
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """Consume a ``kind`` token and return its text."""
+        if self.kinds[self.pos] != kind:
+            self.unexpected(self.pos, "", (what or kind,))
+        return self.texts[self.next()]
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        if self._newlines is None:
+            self._newlines = _newline_table(self.text)
+        return _line_col(self._newlines, offset)
+
+    def error_at(self, tok: int, message: str,
+                 expected: tuple[str, ...] = ()) -> ParseError:
+        offset = self.starts[tok]
+        return ParseError(message, offset, *self.line_col(offset), expected)
 
     def fail(self, message: str, expected: tuple[str, ...] = ()):
-        tok = self.peek()
-        raise ParseError(message, tok.offset, tok.line, tok.col, expected)
+        raise self.error_at(self.pos, message, expected)
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
+    def unexpected(self, tok: int, context: str, expected: tuple[str, ...]):
+        found = "end of input" if tok == self.last else repr(self.texts[tok])
+        raise self.error_at(tok, f"unexpected {found}{context}", expected)
 
-    def span_from(self, start: Token) -> SourceSpan:
-        prev = self.tokens[max(self.pos - 1, 0)]
-        end = prev if prev.end >= start.offset else start
-        return SourceSpan(self.filename, start.offset, end.end,
-                          start.line, start.col, end.line, end.col)
+    def span_from(self, start: int) -> SourceSpan:
+        prev = max(self.pos - 1, 0)
+        end = prev if self.ends[prev] >= self.starts[start] else start
+        return SourceSpan(self.filename, self.starts[start], self.ends[end],
+                          *self.line_col(self.starts[start]),
+                          *self.line_col(self.starts[end]))
+
+    def parse_list(self, parse_item, op: str, node):
+        """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so
+        long lists cannot exhaust the stack; every node's span runs to the
+        end of the list."""
+        items = [(self.pos, parse_item())]
+        while self.accept(op):
+            items.append((self.pos, parse_item()))
+        _, out = items.pop()
+        for start, item in reversed(items):
+            out = node(item, out, span=self.span_from(start))
+        return out
 
     def _fresh_var(self) -> str:
         self._sugar_count += 1
@@ -208,133 +206,105 @@ class _Parser:
     # -- types -----------------------------------------------------------
 
     def parse_type(self) -> Type:
-        start = self.peek()
-        left = self.parse_type_seq()
-        if self.accept("|"):
-            right = self.parse_type()
-            return Or(left, right, span=self.span_from(start))
-        return left
+        return self.parse_list(self.parse_type_seq, "|", Or)
 
     def parse_type_seq(self) -> Type:
-        start = self.peek()
-        left = self.parse_type_postfix()
-        if self.accept(","):
-            right = self.parse_type_seq()
-            return Seq(left, right, span=self.span_from(start))
-        return left
+        return self.parse_list(self.parse_type_postfix, ",", Seq)
 
     def parse_type_postfix(self) -> Type:
-        start = self.peek()
+        start = self.pos
         t = self.parse_type_primary()
         while self.at("*", "+", "?"):
-            op = self.next()
-            if op.kind == "*":
+            op = self.kinds[self.next()]
+            if op == "*":
                 t = Star(t, span=self.span_from(start))
-            elif op.kind == "+":
+            elif op == "+":
                 t = plus(t)
             else:
                 t = optional(t)
         return t
 
     def parse_type_primary(self) -> Type:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        tok = self.next()
+        kind = self.kinds[tok]
+        if kind == "(":
             if self.accept(")"):
                 return Empty(span=self.span_from(tok))
             t = self.parse_type()
             self.expect(")")
             return t
-        if tok.kind == "bool":
-            self.next()
+        if kind == "bool":
             return BoolAtom(span=self.span_from(tok))
-        if tok.kind == "string":
-            self.next()
+        if kind == "string":
             return StringAtom(span=self.span_from(tok))
-        if tok.kind == "TYPEVAR":
-            self.next()
-            return Var(tok.text, span=self.span_from(tok))
-        if tok.kind == "IDENT":
-            self.next()
+        if kind == "TYPEVAR":
+            return Var(self.texts[tok], span=self.span_from(tok))
+        if kind == "IDENT":
             self.expect("[")
             if self.accept("]"):
                 content: Type = EMPTY
             else:
                 content = self.parse_type()
                 self.expect("]")
-            return Element(tok.text, content, span=self.span_from(tok))
-        self.fail(f"unexpected {self._describe(tok)} in type",
-                  expected=("a type",))
+            return Element(self.texts[tok], content, span=self.span_from(tok))
+        self.unexpected(tok, " in type", ("a type",))
 
     # -- values ----------------------------------------------------------
 
     def parse_forest(self) -> Forest:
-        if self.at("(") and self.peek(1).kind == ")":
-            self.next()
-            self.next()
-            trees: list[Tree] = []
-        else:
-            trees = [self.parse_tree()]
-        while self.accept(","):
-            if self.at("(") and self.peek(1).kind == ")":
-                self.next()
-                self.next()
-                continue
-            trees.append(self.parse_tree())
-        return tuple(trees)
+        kinds = self.kinds
+        trees: list[Tree] = []
+        while True:
+            pos = self.pos
+            if kinds[pos] == "(" and kinds[pos + 1] == ")":
+                self.pos = pos + 2
+            else:
+                trees.append(self.parse_tree())
+            if kinds[self.pos] != ",":
+                return tuple(trees)
+            self.pos += 1
 
     def parse_tree(self) -> Tree:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.next()
-            return BoolVal(True)
-        if tok.kind == "false":
-            self.next()
-            return BoolVal(False)
-        if tok.kind == "STRING":
-            self.next()
-            return StrVal(tok.text)
-        if tok.kind == "IDENT":
-            self.next()
+        tok = self.next()
+        kind = self.kinds[tok]
+        if kind == "IDENT":
             self.expect("[")
-            if self.accept("]"):
-                return Node(tok.text, ())
+            if self.kinds[self.pos] == "]":
+                self.pos += 1
+                return Node(self.texts[tok], ())
             children = self.parse_forest()
             self.expect("]")
-            return Node(tok.text, children)
-        self.fail(f"unexpected {self._describe(tok)} in value",
-                  expected=("a value",))
+            return Node(self.texts[tok], children)
+        if kind == "STRING":
+            return StrVal(self.texts[tok])
+        if kind == "true":
+            return BoolVal(True)
+        if kind == "false":
+            return BoolVal(False)
+        self.unexpected(tok, " in value", ("a value",))
 
     # -- query expressions -------------------------------------------------
 
     def parse_expr(self) -> QueryExpr:
-        start = self.peek()
-        left = self.parse_expr_single()
-        if self.accept(","):
-            right = self.parse_expr()
-            return Concat(left, right, span=self.span_from(start))
-        return left
+        return self.parse_list(self.parse_expr_single, ",", Concat)
 
     def parse_expr_single(self) -> QueryExpr:
-        tok = self.peek()
-        if tok.kind == "let":
-            self.next()
-            var = self.expect("VAR", "a variable").text
+        tok = self.pos
+        if self.accept("let"):
+            var = self.expect("VAR", "a variable")
             self.expect("=")
             bound = self.parse_expr_single()
             self.expect("in")
             body = self.parse_expr_single()
             return Let(var, bound, body, span=self.span_from(tok))
-        if tok.kind == "for":
-            self.next()
-            var = self.expect("VAR", "a variable").text
+        if self.accept("for"):
+            var = self.expect("VAR", "a variable")
             self.expect("in")
             source = self.parse_expr_single()
             self.expect("return")
             body = self.parse_expr_single()
             return For(var, source, body, span=self.span_from(tok))
-        if tok.kind == "if":
-            self.next()
+        if self.accept("if"):
             cond = self.parse_expr_single()
             self.expect("then")
             then = self.parse_expr_single()
@@ -344,26 +314,23 @@ class _Parser:
         return self.parse_expr_path()
 
     def parse_expr_path(self) -> QueryExpr:
-        start = self.peek()
+        start = self.pos
         e = self.parse_expr_primary()
         while True:
-            if self.at("::"):
-                self.next()
-                label = self.expect("IDENT", "a label").text
+            if self.accept("::"):
+                label = self.expect("IDENT", "a label")
                 e = LabelFilter(e, label, span=self.span_from(start))
-            elif self.at("/"):
-                self.next()
+            elif self.accept("/"):
                 if self.accept("child"):
                     if not isinstance(e, VarRef):
                         self.fail("child projection applies to a variable")
                     e = Children(e.name, span=self.span_from(start))
-                elif self.at("*"):
-                    self.next()
+                elif self.accept("*"):
                     fresh = self._fresh_var()
                     span = self.span_from(start)
                     e = For(fresh, e, Children(fresh, span=span), span=span)
                 else:
-                    label = self.expect("IDENT", "a label").text
+                    label = self.expect("IDENT", "a label")
                     fresh = self._fresh_var()
                     span = self.span_from(start)
                     e = For(fresh, e,
@@ -373,132 +340,113 @@ class _Parser:
                 return e
 
     def parse_expr_primary(self) -> QueryExpr:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        tok = self.next()
+        kind = self.kinds[tok]
+        if kind == "(":
             if self.accept(")"):
                 return EmptySeq(span=self.span_from(tok))
             e = self.parse_expr()
             self.expect(")")
             return e
-        if tok.kind == "true":
-            self.next()
+        if kind == "true":
             return BoolLit(True, span=self.span_from(tok))
-        if tok.kind == "false":
-            self.next()
+        if kind == "false":
             return BoolLit(False, span=self.span_from(tok))
-        if tok.kind == "STRING":
-            self.next()
-            return StrLit(tok.text, span=self.span_from(tok))
-        if tok.kind == "VAR":
-            self.next()
-            return VarRef(tok.text, span=self.span_from(tok))
-        if tok.kind == "IDENT":
-            self.next()
+        if kind == "STRING":
+            return StrLit(self.texts[tok], span=self.span_from(tok))
+        if kind == "VAR":
+            return VarRef(self.texts[tok], span=self.span_from(tok))
+        if kind == "IDENT":
             if self.accept("["):
                 if self.accept("]"):
                     content: QueryExpr = EmptySeq()
                 else:
                     content = self.parse_expr()
                     self.expect("]")
-                return Elem(tok.text, content, span=self.span_from(tok))
+                return Elem(self.texts[tok], content, span=self.span_from(tok))
             self.expect("(", "( to begin arguments")
-            args: list[QueryExpr] = []
-            if not self.at(")"):
+            return Call(self.texts[tok], self.parse_args(),
+                        span=self.span_from(tok))
+        self.unexpected(tok, " in expression", ("an expression",))
+
+    def parse_args(self) -> tuple[QueryExpr, ...]:
+        """Call arguments after the opening ``(``, through the ``)``."""
+        args: list[QueryExpr] = []
+        if not self.at(")"):
+            args.append(self.parse_expr_single())
+            while self.accept(","):
                 args.append(self.parse_expr_single())
-                while self.accept(","):
-                    args.append(self.parse_expr_single())
-            self.expect(")")
-            return Call(tok.text, tuple(args), span=self.span_from(tok))
-        self.fail(f"unexpected {self._describe(tok)} in expression",
-                  expected=("an expression",))
+        self.expect(")")
+        return tuple(args)
 
     # -- update statements -------------------------------------------------
 
     def parse_stmt(self) -> UpdateStmt:
-        start = self.peek()
-        first = self.parse_stmt_item()
-        if self.accept(";"):
-            second = self.parse_stmt()
-            return SeqStmt(first, second, span=self.span_from(start))
-        return first
+        return self.parse_list(self.parse_stmt_item, ";", SeqStmt)
 
     def parse_stmt_item(self) -> UpdateStmt:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        tok = self.pos
+        kind = self.kinds[tok]
+        if kind in ("bool", "string", "*") or (
+                kind == "IDENT" and self.kinds[tok + 1] == "?"):
+            return self.parse_test()
+        self.next()
+        if kind == "(":
             s = self.parse_stmt()
             self.expect(")")
             return s
-        if tok.kind == "skip":
-            self.next()
+        if kind == "skip":
             return Skip(span=self.span_from(tok))
-        if tok.kind == "delete":
-            self.next()
+        if kind == "delete":
             return Delete(span=self.span_from(tok))
-        if tok.kind == "insert":
-            self.next()
+        if kind == "insert":
             expr = self.parse_expr_single()
             return Insert(expr, span=self.span_from(tok))
-        if tok.kind == "rename":
-            self.next()
-            label = self.expect("IDENT", "a label").text
+        if kind == "rename":
+            label = self.expect("IDENT", "a label")
             return Rename(label, span=self.span_from(tok))
-        if tok.kind == "if":
-            self.next()
+        if kind == "if":
             cond = self.parse_expr_single()
             self.expect("then")
             then = self.parse_stmt_item()
             self.expect("else")
             els = self.parse_stmt_item()
             return IfStmt(cond, then, els, span=self.span_from(tok))
-        if tok.kind == "let":
-            self.next()
-            var = self.expect("VAR", "a variable").text
+        if kind == "let":
+            var = self.expect("VAR", "a variable")
             self.expect("=")
             bound = self.parse_expr_single()
             self.expect("in")
             body = self.parse_stmt_item()
             return LetStmt(var, bound, body, span=self.span_from(tok))
-        if tok.kind == "snapshot":
-            self.next()
-            var = self.expect("VAR", "a variable").text
+        if kind == "snapshot":
+            var = self.expect("VAR", "a variable")
             self.expect("in")
             body = self.parse_stmt_item()
             return Snapshot(var, body, span=self.span_from(tok))
-        if tok.kind in ("left", "right", "children", "iter"):
-            self.next()
+        if kind in ("left", "right", "children", "iter"):
             self.expect("[")
             body = self.parse_stmt()
             self.expect("]")
-            return Nav(Direction(tok.kind), body, span=self.span_from(tok))
-        if tok.kind in ("bool", "string", "*") or (
-                tok.kind == "IDENT" and self.peek(1).kind == "?"):
-            return self.parse_test()
-        if tok.kind == "IDENT":
-            self.next()
+            return Nav(Direction(kind), body, span=self.span_from(tok))
+        if kind == "IDENT":
             self.expect("(", "( to begin arguments")
-            args: list[QueryExpr] = []
-            if not self.at(")"):
-                args.append(self.parse_expr_single())
-                while self.accept(","):
-                    args.append(self.parse_expr_single())
-            self.expect(")")
-            return ProcCall(tok.text, tuple(args), span=self.span_from(tok))
-        self.fail(f"unexpected {self._describe(tok)} in update statement",
-                  expected=("an update statement",))
+            return ProcCall(self.texts[tok], self.parse_args(),
+                            span=self.span_from(tok))
+        self.unexpected(tok, " in update statement", ("an update statement",))
 
     def parse_test(self) -> UpdateStmt:
         tok = self.next()
+        kind = self.kinds[tok]
         test: TestKind
-        if tok.kind == "bool":
+        if kind == "bool":
             test = BoolTest()
-        elif tok.kind == "string":
+        elif kind == "string":
             test = StringTest()
-        elif tok.kind == "*":
+        elif kind == "*":
             test = WildcardTest()
         else:
-            test = LabelTest(tok.text)
+            test = LabelTest(self.texts[tok])
         self.expect("?")
         body = self.parse_stmt_item()
         return Test(test, body, span=self.span_from(tok))
@@ -510,7 +458,7 @@ class _Parser:
         params: list[tuple[str, Type]] = []
         if not self.at(")"):
             while True:
-                name = self.expect("VAR", "a parameter").text
+                name = self.expect("VAR", "a parameter")
                 self.expect(":")
                 t = self.parse_type()
                 if any(name == seen for seen, _ in params):
@@ -526,17 +474,15 @@ class _Parser:
         functions: list[FunctionDecl] = []
         procedures: list[ProcedureDecl] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "type":
-                self.next()
-                name = self.expect("TYPEVAR", "a type variable").text
+            tok = self.pos
+            if self.accept("type"):
+                name = self.expect("TYPEVAR", "a type variable")
                 self.expect("=")
                 body = self.parse_type()
                 sig_entries.append((name, body))
-            elif tok.kind == "declare":
-                self.next()
+            elif self.accept("declare"):
                 if self.accept("function"):
-                    name = self.expect("IDENT", "a function name").text
+                    name = self.expect("IDENT", "a function name")
                     params = self.parse_params()
                     self.expect(":")
                     result = self.parse_type()
@@ -549,7 +495,7 @@ class _Parser:
                     functions.append(FunctionDecl(
                         name, params, result, body, span=self.span_from(tok)))
                 elif self.accept("procedure"):
-                    name = self.expect("IDENT", "a procedure name").text
+                    name = self.expect("IDENT", "a procedure name")
                     params = self.parse_params()
                     self.expect(":")
                     input_t = self.parse_type()
@@ -567,22 +513,19 @@ class _Parser:
                 else:
                     self.fail("expected 'function' or 'procedure'",
                               expected=("function", "procedure"))
-            elif tok.kind == "query":
-                self.next()
+            elif self.accept("query"):
                 main = self.parse_expr()
                 self.expect(":")
                 ascription = self.parse_type()
                 self.expect("EOF", "end of program")
                 if procedures:
-                    raise ParseError(
-                        "query programs cannot declare procedures",
-                        tok.offset, tok.line, tok.col)
+                    raise self.error_at(
+                        tok, "query programs cannot declare procedures")
                 main = rename_bound_expr(main, free_names_expr(main))
                 return (QueryProgram(tuple(functions), main, ascription,
                                      span=self.span_from(tok)),
                         Signature(sig_entries))
-            elif tok.kind == "update":
-                self.next()
+            elif self.accept("update"):
                 main = self.parse_stmt()
                 self.expect(":")
                 input_t = self.parse_type()
@@ -595,14 +538,14 @@ class _Parser:
                                       span=self.span_from(tok)),
                         Signature(sig_entries))
             else:
-                self.fail(f"unexpected {self._describe(tok)} at top level",
-                          expected=("type", "declare", "query", "update"))
+                self.unexpected(self.pos, " at top level",
+                                ("type", "declare", "query", "update"))
 
     def parse_signature(self) -> Signature:
         entries: list[tuple[str, Type]] = []
         while not self.at("EOF"):
             self.expect("type")
-            name = self.expect("TYPEVAR", "a type variable").text
+            name = self.expect("TYPEVAR", "a type variable")
             self.expect("=")
             entries.append((name, self.parse_type()))
         return Signature(entries)
@@ -790,10 +733,11 @@ def parse_signature(text: str, filename: str = "<sig>") -> Signature:
 
 
 def parse_env_bindings(specs: list[str]) -> dict[str, Forest]:
-    """CLI ``--env`` parsing: ``name=VALUE`` items, ``;``-separated."""
+    """CLI ``--env`` parsing: ``name=VALUE`` items, separated by ``;``
+    outside string literals."""
     env: dict[str, Forest] = {}
     for spec in specs:
-        for item in spec.split(";"):
+        for item in _ENV_ITEM_RE.findall(spec):
             item = item.strip()
             if not item:
                 continue

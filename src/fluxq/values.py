@@ -5,6 +5,11 @@ node with a child forest.  Membership matches a forest against a type viewed
 as a regular expression over tree matchers, recursing into element content.
 Star iterations consume nonempty prefixes only, so matching terminates even
 when the star body is nullable.
+
+One ``member`` call keeps one memo, keyed by the identities of the
+subforest, the start position and the type node, so it computes each end
+set once: O(positions × type nodes) entries per subforest, shared between
+trees that share a child tuple.  Atoms and ``()`` are answered directly.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .types import (
-    Atom, BoolAtom, Element, Empty, Or, Seq, Signature, Star, StringAtom,
-    Type, Var,
+    BoolAtom, Element, Empty, Or, Seq, Signature, Star, StringAtom, Type,
 )
 
 
@@ -36,6 +40,7 @@ class Node:
 
 Tree = Union[BoolVal, StrVal, Node]
 Forest = tuple[Tree, ...]
+Ends = Union[tuple[int, ...], set[int]]
 
 EMPTY_FOREST: Forest = ()
 
@@ -68,45 +73,51 @@ def max_width(v: Forest) -> int:
 
 def member(sig: Signature, v: Forest, t: Type) -> bool:
     """Decide ``v`` ∈ the set of values denoted by ``t`` under ``sig``."""
-    memo: dict[tuple[int, Type], frozenset[int]] = {}
+    # Every subforest of ``v`` and every type node reachable from ``t`` or
+    # ``sig`` stays alive for the whole call, so their ids are stable keys.
+    memo: dict[tuple[int, int, int], Ends] = {}
+    definition = sig.definition
 
-    def tree_matches(tree: Tree, atom: Atom) -> bool:
-        if isinstance(atom, BoolAtom):
-            return isinstance(tree, BoolVal)
-        if isinstance(atom, StringAtom):
-            return isinstance(tree, StrVal)
-        assert isinstance(atom, Element)
-        return (isinstance(tree, Node) and tree.label == atom.label
-                and member(sig, tree.children, atom.content))
-
-    def ends(i: int, node: Type) -> frozenset[int]:
-        """End positions j such that v[i:j] matches ``node``."""
-        key = (i, node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Empty):
-            out = frozenset((i,))
-        elif isinstance(node, Atom):
-            out = frozenset((i + 1,)) if i < len(v) and tree_matches(v[i], node) else frozenset()
-        elif isinstance(node, Or):
-            out = ends(i, node.left) | ends(i, node.right)
-        elif isinstance(node, Seq):
-            out = frozenset(k for j in ends(i, node.left) for k in ends(j, node.right))
-        elif isinstance(node, Star):
-            reached = {i}
+    def ends(f: Forest, i: int, node: Type) -> Ends:
+        """End positions j such that f[i:j] matches ``node``."""
+        cls = node.__class__
+        if cls is Element:
+            if i < len(f):
+                tree = f[i]
+                if (tree.__class__ is Node and tree.label == node.label
+                        and len(tree.children) in ends(tree.children, 0, node.content)):
+                    return (i + 1,)
+            return ()
+        if cls is Empty:
+            return (i,)
+        if cls is BoolAtom:
+            return (i + 1,) if i < len(f) and f[i].__class__ is BoolVal else ()
+        if cls is StringAtom:
+            return (i + 1,) if i < len(f) and f[i].__class__ is StrVal else ()
+        key = (id(f), i, id(node))
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if cls is Or:
+            left, right = ends(f, i, node.left), ends(f, i, node.right)
+            out = right if not left else left if not right else {*left, *right}
+        elif cls is Seq:
+            right = node.right
+            outs = [ends(f, j, right) for j in ends(f, i, node.left)]
+            out = outs[0] if len(outs) == 1 else {k for o in outs for k in o}
+        elif cls is Star:
+            inner = node.inner
+            out = {i}
             frontier = [i]
             while frontier:
                 j = frontier.pop()
-                for k in ends(j, node.inner):
-                    if k > j and k not in reached:  # nonempty prefixes only
-                        reached.add(k)
+                for k in ends(f, j, inner):
+                    if k > j and k not in out:  # nonempty prefixes only
+                        out.add(k)
                         frontier.append(k)
-            out = frozenset(reached)
-        else:
-            assert isinstance(node, Var)
-            out = ends(i, sig.definition(node.name))
+        else:  # Var
+            out = ends(f, i, definition(node.name))
         memo[key] = out
         return out
 
-    return len(v) in ends(0, t)
+    return len(v) in ends(v, 0, t)

@@ -58,6 +58,15 @@ class TestCheck:
         assert set(entry["span"]) == {"file", "begin", "end", "begin_line",
                                       "begin_col", "end_line", "end_col"}
 
+    def test_json_diagnostic_span_positions(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("type T = a[]\n\nquery\n  let $x = b[] in\n    $x : T\n")
+        assert main(["--json", "check", str(f)]) == 1
+        span = json.loads(capsys.readouterr().out)["diagnostics"][0]["span"]
+        assert span == {"file": str(f), "begin": 22, "end": 44,
+                        "begin_line": 4, "begin_col": 3,
+                        "end_line": 5, "end_col": 5}
+
     def test_json_ok_report(self, capsys):
         assert main(["--json", "check", LEAVES]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -3,15 +3,17 @@
 ``values_upto`` is cross-checked against an independent brute-force oracle
 that enumerates every forest within bounds and filters by ``member``."""
 
+import re
 from itertools import product
 
 import pytest
 
 from fluxq import (
     BoolVal, Element, EMPTY, EMPTY_SIGNATURE, Node, Signature, StrVal,
-    UndeclaredVariable, Var, member, parse_type, parse_value, values_upto,
-    word_to_type, words_upto,
+    UndeclaredVariable, Var, member, parse_type, parse_value, types_upto,
+    values_upto, word_to_type, words_upto,
 )
+from fluxq.types import Empty, Or, Seq, Star
 from fluxq.values import forest_depth, max_width
 
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
@@ -68,6 +70,56 @@ class TestMember:
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredVariable):
             member(EMPTY_SIGNATURE, (), Var("Nope"))
+
+
+def letter_regex(t):
+    """``t`` as a Python regex over one letter per tree, or None when some
+    element has non-empty content."""
+    if isinstance(t, Empty):
+        return ""
+    if isinstance(t, Element):
+        return t.label if isinstance(t.content, Empty) else None
+    if isinstance(t, Star):
+        inner = letter_regex(t.inner)
+        return None if inner is None else f"(?:{inner})*"
+    left, right = letter_regex(t.left), letter_regex(t.right)
+    if left is None or right is None:
+        return None
+    return f"(?:{left}|{right})" if isinstance(t, Or) else f"(?:{left})(?:{right})"
+
+
+class TestMemberOracle:
+    """``member`` against ``re.fullmatch`` on flat forests spelled as
+    letters, an oracle that shares no code with fluxq."""
+
+    def test_agrees_with_re_on_flat_types(self):
+        words = ["".join(w) for n in range(7) for w in product("ab", repeat=n)]
+        checked = 0
+        for t in types_upto(5, ("a", "b")):
+            pattern = letter_regex(t)
+            if pattern is None:
+                continue
+            compiled = re.compile(pattern)
+            for word in words:
+                v = tuple(Node(c, ()) for c in word)
+                assert member(EMPTY_SIGNATURE, v, t) == bool(
+                    compiled.fullmatch(word)), (t, word)
+                checked += 1
+        assert checked > 10_000
+
+    def test_shared_children_are_checked_per_element(self):
+        kids = (Node("c", ()),)
+        v = (Node("a", kids), Node("b", kids))
+        assert not member(EMPTY_SIGNATURE, v, parse_type("a[c[]],b[d[]]"))
+        assert member(EMPTY_SIGNATURE, v, parse_type("a[c[]],b[c[]]"))
+        assert not member(EMPTY_SIGNATURE, v, parse_type("a[c[]],b[d[]|()]"))
+
+    def test_shared_trees_and_shared_content_types(self):
+        x = Node("a", (Node("c", ()),))
+        content = parse_type("c[]")
+        t = Seq(Element("a", content), Star(Element("a", content)))
+        assert member(EMPTY_SIGNATURE, (x, x, x), t)
+        assert not member(EMPTY_SIGNATURE, (x, Node("a", ()), x), t)
 
 
 class TestValuesUpto:

@@ -47,6 +47,23 @@ class TestTypeSyntax:
         from fluxq import Var
         assert parse_type("Tree*") == Star(Var("Tree"))
 
+    @pytest.mark.parametrize("op, node", [(",", Seq), ("|", Or)])
+    def test_long_lists_parse_without_recursion(self, op, node):
+        n = 5000
+        items = [f"a{i}[]" for i in range(n)]
+        text = op.join(items)
+        t = parse_type(text)
+        expected = parse_type(items[-1])
+        for item in reversed(items[:-1]):
+            expected = node(parse_type(item), expected)
+        begin = 0
+        for item in items[:-1]:  # walk both spines; == would recurse n deep
+            assert type(t) is node and t.left == expected.left, item
+            assert (t.span.begin, t.span.end) == (begin, len(text))
+            begin += len(item) + 1
+            t, expected = t.right, expected.right
+        assert t == expected
+
     def test_type_errors_have_positions(self):
         with pytest.raises(ParseError) as exc:
             parse_type("a[],")
@@ -172,6 +189,60 @@ class TestProgramSyntax:
         assert list(sig) == ["L", "M"]
 
 
+class TestTokenPositions:
+    """Every lexical error carries the offset, line and column of its
+    cause; lines and columns count characters, ``#`` comments, tabs and
+    carriage returns included."""
+
+    @pytest.mark.parametrize("parse, text, message, offset, line, col", [
+        (parse_value, 'a[],\n  "abc', "unterminated string literal", 7, 2, 3),
+        (parse_value, '"ab\nc"', "unterminated string literal", 0, 1, 1),
+        (parse_value, 'x[\n"a\\q"]', "bad string escape", 6, 2, 4),
+        (parse_value, '"a\\', "bad string escape", 3, 1, 4),
+        (parse_value, '"a\\\nb"', "bad string escape", 3, 1, 4),
+        (parse_expr, "let\n  $ = () in ()", "expected variable name after $",
+         6, 2, 3),
+        (parse_expr, "$1", "expected variable name after $", 0, 1, 1),
+        (parse_expr, "$_x", "expected variable name after $", 0, 1, 1),
+        (parse_type, "a[] ,\n\t@", "unexpected character '@'", 7, 2, 2),
+        (parse_type, "# c\r\n\ta[],\r\n  %", "unexpected character '%'",
+         14, 3, 3),
+        (parse_value, "a[], # note, with ] and \"\n\t\t!", "unexpected character '!'",
+         28, 2, 3),
+    ])
+    def test_lexical_error_positions(self, parse, text, message, offset,
+                                     line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(message + " at offset")
+        assert (exc.value.offset, exc.value.line, exc.value.column) == (
+            offset, line, col)
+
+    def test_syntax_error_after_comment_tab_and_crlf(self):
+        with pytest.raises(ParseError) as exc:
+            parse_type("# header\r\n\ta[],\r\n\t\t]")
+        assert (exc.value.offset, exc.value.line, exc.value.column) == (
+            19, 3, 3)
+
+    @pytest.mark.parametrize("label", ["_x", "x1", "\u00e9", "x\u00b2"])
+    def test_identifier_forms_accepted(self, label):
+        assert parse_value(label + "[]")[0].label == label
+
+    @pytest.mark.parametrize("text", ["\u00b2x[]", "1x[]"])
+    def test_identifier_must_start_with_letter_or_underscore(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_value(text)
+        assert str(exc.value).startswith(f"unexpected character {text[0]!r}")
+        assert (exc.value.offset, exc.value.line, exc.value.column) == (0, 1, 1)
+
+    def test_spans_cross_lines(self):
+        e = parse_expr("let $x =\n\t() in\r\n  $x")
+        span = e.span
+        assert (span.begin, span.end) == (0, 21)
+        assert (span.begin_line, span.begin_col) == (1, 1)
+        assert (span.end_line, span.end_col) == (3, 3)
+
+
 class TestEnvBindings:
     def test_multiple_bindings(self):
         env = parse_env_bindings(["x=a[],b[]; y=true"])
@@ -181,6 +252,11 @@ class TestEnvBindings:
     def test_repeated_flags(self):
         env = parse_env_bindings(["x=()", 'y="w"'])
         assert set(env) == {"x", "y"}
+
+    def test_semicolon_inside_string_does_not_split(self):
+        env = parse_env_bindings(['x="a;b"; y=s["c;\\";d"]'])
+        assert env["x"] == parse_value('"a;b"')
+        assert env["y"] == parse_value('s["c;\\";d"]')
 
     def test_bad_binding(self):
         with pytest.raises(ParseError):
