@@ -5,7 +5,8 @@ synthesized type of the main query or update), ``subtype`` (decide inclusion
 of two types), ``eval`` (run a query program), ``run-update`` (apply an
 update program to a value), and ``oracle`` (run the bounded property
 suites).  Exit codes: 0 success, 1 check/suite failure, 2 usage or parse
-errors.
+errors, or input nested or sequenced beyond Python's recursion limit
+(``limit/depth``).
 """
 
 from __future__ import annotations
@@ -299,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     except FluxqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested or sequenced too deeply to process "
+              "(limit/depth)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

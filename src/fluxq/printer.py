@@ -15,32 +15,49 @@ _OR, _SEQ, _POSTFIX, _PRIMARY = range(4)
 
 
 def type_str(t: Type) -> str:
-    return _render(t, _OR)
+    """The concrete syntax of ``t``.
 
+    Synthesized types share subterms, and the text repeats a shared subterm
+    at each of its occurrences, so it can be exponentially longer than the
+    type.  One memo per call, keyed by node identity and precedence level,
+    renders each distinct subterm once per level."""
+    memo: dict[tuple[int, int], str] = {}
 
-def _render(t: Type, level: int) -> str:
-    if isinstance(t, Empty):
-        return "()"
-    if isinstance(t, BoolAtom):
-        return "bool"
-    if isinstance(t, StringAtom):
-        return "string"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Element):
-        if isinstance(t.content, Empty):
-            return f"{t.label}[]"
-        return f"{t.label}[{_render(t.content, _OR)}]"
-    if isinstance(t, Star):
-        return f"{_render(t.inner, _PRIMARY)}*"
-    if isinstance(t, Or):
-        if isinstance(t.right, Empty):
-            return f"{_render(t.left, _PRIMARY)}?"
-        text = f"{_render(t.left, _SEQ)}|{_render(t.right, _OR)}"
-        return text if level <= _OR else f"({text})"
-    assert isinstance(t, Seq)
-    text = f"{_render(t.left, _POSTFIX)},{_render(t.right, _SEQ)}"
-    return text if level <= _SEQ else f"({text})"
+    def render(t: Type, level: int) -> str:
+        key = (id(t), level)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        if isinstance(t, Empty):
+            text = "()"
+        elif isinstance(t, BoolAtom):
+            text = "bool"
+        elif isinstance(t, StringAtom):
+            text = "string"
+        elif isinstance(t, Var):
+            text = t.name
+        elif isinstance(t, Element):
+            if isinstance(t.content, Empty):
+                text = f"{t.label}[]"
+            else:
+                text = f"{t.label}[{render(t.content, _OR)}]"
+        elif isinstance(t, Star):
+            text = f"{render(t.inner, _PRIMARY)}*"
+        elif isinstance(t, Or) and isinstance(t.right, Empty):
+            text = f"{render(t.left, _PRIMARY)}?"
+        elif isinstance(t, Or):
+            text = f"{render(t.left, _SEQ)}|{render(t.right, _OR)}"
+            if level > _OR:
+                text = f"({text})"
+        else:
+            assert isinstance(t, Seq)
+            text = f"{render(t.left, _POSTFIX)},{render(t.right, _SEQ)}"
+            if level > _SEQ:
+                text = f"({text})"
+        memo[key] = text
+        return text
+
+    return render(t, _OR)
 
 
 def escape_string(s: str) -> str:

@@ -17,9 +17,9 @@ from .errors import TypeCheckFailure, UndeclaredVariable
 from .printer import type_str
 from .subtyping import subtype
 from .types import (
-    Atom, BOOL, Element, Empty, EMPTY, ForestBinding, FunctionSig,
-    GlobalDecls, Or, Seq, Signature, Star, STRING, TreeBinding, Type,
-    TypeEnv, Var, check_type_declared,
+    BOOL, Element, EMPTY, ForestBinding, FunctionSig, GlobalDecls, Or, Seq,
+    Signature, STRING, TreeBinding, Type, TypeEnv, check_type_declared,
+    map_atoms,
 )
 
 
@@ -138,22 +138,11 @@ def filter_label(sig: Signature, t: Type, label: str) -> Type:
     """Type-level projection keeping only ``label``-named element atoms.
 
     Every other atom maps to ``()``; the result mirrors the structure of
-    ``t`` and is not simplified.  Total on well-formed inputs.
+    ``t`` and is not simplified, and shares subterms where ``t`` does.
+    Total on well-formed inputs.
     """
-    if isinstance(t, Element):
-        return t if t.label == label else EMPTY
-    if isinstance(t, Atom):
-        return EMPTY
-    if isinstance(t, Empty):
-        return EMPTY
-    if isinstance(t, Or):
-        return Or(filter_label(sig, t.left, label), filter_label(sig, t.right, label))
-    if isinstance(t, Seq):
-        return Seq(filter_label(sig, t.left, label), filter_label(sig, t.right, label))
-    if isinstance(t, Star):
-        return Star(filter_label(sig, t.inner, label))
-    assert isinstance(t, Var)
-    return filter_label(sig, sig.definition(t.name), label)
+    return map_atoms(sig, t, lambda atom: atom if isinstance(atom, Element)
+                     and atom.label == label else EMPTY)
 
 
 def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
@@ -224,22 +213,11 @@ def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
 def synth_for(decls: GlobalDecls, sig: Signature, env: TypeEnv, var: str,
               source_type: Type, body: QueryExpr) -> Type:
     """Iteration typing: recurse structurally over the source type, typing
-    the body once per atomic alternative with the tree variable bound to it."""
-    if isinstance(source_type, Empty):
-        return EMPTY
-    if isinstance(source_type, Atom):
-        inner = {**env, var: TreeBinding(source_type)}
-        return synth_expr(decls, sig, inner, body)
-    if isinstance(source_type, Or):
-        return Or(synth_for(decls, sig, env, var, source_type.left, body),
-                  synth_for(decls, sig, env, var, source_type.right, body))
-    if isinstance(source_type, Seq):
-        return Seq(synth_for(decls, sig, env, var, source_type.left, body),
-                   synth_for(decls, sig, env, var, source_type.right, body))
-    if isinstance(source_type, Star):
-        return Star(synth_for(decls, sig, env, var, source_type.inner, body))
-    assert isinstance(source_type, Var)
-    return synth_for(decls, sig, env, var, sig.definition(source_type.name), body)
+    the body once per atomic alternative with the tree variable bound to it.
+    Each distinct node of the source is typed once, so a shared subterm gets
+    one shared result."""
+    return map_atoms(sig, source_type, lambda atom: synth_expr(
+        decls, sig, {**env, var: TreeBinding(atom)}, body))
 
 
 def check_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv, e: QueryExpr,

@@ -6,10 +6,17 @@
 * decompose the left side into its head atoms with continuations
   (a linear form, unfolding variables at the top);
 * for a head element ``n[c]`` with continuation ``k``, gather the right
-  sides' same-label heads ``n[c_j]`` with continuations ``k_j`` and require,
-  for every subset S of them, that ``c`` is included in the contents chosen
-  by S or ``k`` is included in the continuations of the complement (the
-  standard product decomposition for unions of concatenations);
+  sides' same-label heads ``n[c_j]`` with continuations ``k_j``.  The goal
+  holds iff, for every subset S of them, ``c`` is included in the contents
+  chosen by S or ``k`` is included in the continuations of the complement
+  (the product decomposition for unions of concatenations, after Hosoya,
+  Vouillon & Pierce).  The first disjunct is upward-closed in S and the
+  second downward-closed, so the search grows sets one index at a time and
+  stops growing a set as soon as its contents cover ``c``: all its supersets
+  cover too.  Only sets that do not cover are extended, and each of those
+  must have its complement's continuations cover ``k``.  A union that is
+  covered by one alternative therefore costs one check per alternative,
+  not one per subset;
 * goals already on the call path are assumed to hold (coinduction), which
   makes recursive signatures terminate; refuted goals are memoized.
 
@@ -25,7 +32,6 @@ signatures are outside the contract and no emptiness check is performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .types import (
     Atom, BoolAtom, Element, Empty, EMPTY, ForestBinding, Or, Seq, Signature,
@@ -254,25 +260,31 @@ class _Inclusion:
             if isinstance(a, Element) and a.label == head.label))
         if not same_label:
             return False, _SELF_CONTAINED
+        # P(S) = c ⊆ ∪contents(S) is upward-closed in S, so the search never
+        # extends a set that covers: each superset of it covers as well.  Q(S)
+        # = k ⊆ ∪conts(rest) is downward-closed, and needed only where P fails.
+        # Sets are grown in increasing index order, so each is reached once.
         n = len(same_label)
         low = _SELF_CONTAINED
-        for size in range(n + 1):
-            for chosen in combinations(range(n), size):
-                chosen_set = set(chosen)
-                contents = self.union(same_label[i][0] for i in chosen_set)
-                if contents:
-                    ok, sub_low = self._check(head.content, contents)
-                    if ok:
-                        low = min(low, sub_low)
-                        continue
-                rest = self.union(same_label[i][1] for i in range(n)
-                                  if i not in chosen_set)
-                if rest:
-                    ok, sub_low = self._check(cont, rest)
-                    if ok:
-                        low = min(low, sub_low)
-                        continue
+        stack: list[tuple[int, ...]] = [()]
+        while stack:
+            chosen = stack.pop()
+            contents = self.union(same_label[i][0] for i in chosen)
+            if contents:
+                ok, sub_low = self._check(head.content, contents)
+                if ok:
+                    low = min(low, sub_low)
+                    continue
+            rest = self.union(same_label[i][1] for i in range(n)
+                              if i not in chosen)
+            if not rest:
                 return False, _SELF_CONTAINED
+            ok, sub_low = self._check(cont, rest)
+            if not ok:
+                return False, _SELF_CONTAINED
+            low = min(low, sub_low)
+            start = chosen[-1] + 1 if chosen else 0
+            stack.extend(chosen + (j,) for j in range(start, n))
         return True, low
 
 

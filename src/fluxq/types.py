@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .diagnostics import Diagnostic, SourceSpan, error
 from .errors import UndeclaredVariable
@@ -189,19 +189,27 @@ def _top_level_vars(t: Type) -> Iterator[Var]:
 
 
 def all_vars(t: Type) -> Iterator[Var]:
-    """Every Var occurrence in ``t``, including inside element content."""
+    """Every distinct Var node in ``t``, including inside element content.
+
+    A node shared by several parents is visited once, so the walk is linear
+    in the number of distinct nodes, not in the size of the unshared tree."""
+    seen: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
+        cls = node.__class__
+        if cls is Or or cls is Seq:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.append(node.left)
+                stack.append(node.right)
+        elif cls is Element or cls is Star:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.append(node.content if cls is Element else node.inner)
+        elif cls is Var and id(node) not in seen:
+            seen.add(id(node))
             yield node
-        elif isinstance(node, (Or, Seq)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Star):
-            stack.append(node.inner)
-        elif isinstance(node, Element):
-            stack.append(node.content)
 
 
 def check_signature(sig: Signature) -> list[Diagnostic]:
@@ -229,6 +237,40 @@ def check_type_declared(sig: Signature, t: Type) -> None:
     for v in all_vars(t):
         if v.name not in sig:
             raise UndeclaredVariable(v.name)
+
+
+def map_atoms(sig: Signature, t: Type, f: Callable[[Atom], Type]) -> Type:
+    """The homomorphic image of ``t`` with every atom ``a`` replaced by
+    ``f(a)``: ``()`` stays ``()``, ``|``, ``,`` and ``*`` are rebuilt around
+    the images of their parts, and variables are unfolded (terminating by
+    guardedness).
+
+    One memo per call, keyed by node identity, maps each distinct node of
+    ``t`` once, so ``f`` runs once per distinct atom node and a subterm
+    shared in ``t`` has one shared image."""
+    memo: dict[int, Type] = {}
+
+    def go(t: Type) -> Type:
+        out = memo.get(id(t))
+        if out is not None:
+            return out
+        if isinstance(t, Empty):
+            out = EMPTY
+        elif isinstance(t, Atom):
+            out = f(t)
+        elif isinstance(t, Or):
+            out = Or(go(t.left), go(t.right))
+        elif isinstance(t, Seq):
+            out = Seq(go(t.left), go(t.right))
+        elif isinstance(t, Star):
+            out = Star(go(t.inner))
+        else:
+            assert isinstance(t, Var)
+            out = go(sig.definition(t.name))
+        memo[id(t)] = out
+        return out
+
+    return go(t)
 
 
 def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:

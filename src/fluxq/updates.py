@@ -25,7 +25,7 @@ from .subtyping import (
 )
 from .types import (
     Atom, BOOL, Element, Empty, EMPTY, ForestBinding, GlobalDecls,
-    Or, ProcedureSig, Seq, Signature, Star, Type, TypeEnv, Var,
+    Or, ProcedureSig, Seq, Signature, Type, TypeEnv, map_atoms,
 )
 
 
@@ -255,21 +255,10 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
 def synth_iter(decls: GlobalDecls, sig: Signature, env: TypeEnv, t: Type,
                s: UpdateStmt) -> Type:
     """Iteration typing: apply ``s`` once, singularly, per atomic alternative
-    of the focus type, recombining homomorphically."""
-    if isinstance(t, Empty):
-        return EMPTY
-    if isinstance(t, Atom):
-        return synth_stmt(decls, sig, env, Multiplicity.SINGULAR, t, s)
-    if isinstance(t, Or):
-        return Or(synth_iter(decls, sig, env, t.left, s),
-                  synth_iter(decls, sig, env, t.right, s))
-    if isinstance(t, Seq):
-        return Seq(synth_iter(decls, sig, env, t.left, s),
-                   synth_iter(decls, sig, env, t.right, s))
-    if isinstance(t, Star):
-        return Star(synth_iter(decls, sig, env, t.inner, s))
-    assert isinstance(t, Var)
-    return synth_iter(decls, sig, env, sig.definition(t.name), s)
+    of the focus type, recombining homomorphically.  Each distinct node of
+    the focus is typed once, so a shared subterm gets one shared result."""
+    return map_atoms(sig, t, lambda atom: synth_stmt(
+        decls, sig, env, Multiplicity.SINGULAR, atom, s))
 
 
 def check_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,

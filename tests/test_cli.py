@@ -165,6 +165,35 @@ class TestOracle:
             report["suites"][0])
 
 
+class TestDeepInput:
+    """Input nested or sequenced past Python's recursion limit is rejected
+    with a limit/depth diagnostic and exit 2, never a traceback."""
+
+    @staticmethod
+    def assert_depth_error(capsys):
+        err = capsys.readouterr().err
+        assert "(limit/depth)" in err
+        assert "Traceback" not in err
+
+    def test_check_long_statement_sequence(self, tmp_path, capsys):
+        f = tmp_path / "long.flux"
+        f.write_text("update " + "; ".join(["skip"] * 1200) + " : a[] => a[]\n")
+        assert main(["check", str(f)]) == 2
+        self.assert_depth_error(capsys)
+
+    def test_subtype_deep_type(self, capsys):
+        deep = "a[" * 400 + "]" * 400
+        assert main(["subtype", deep, deep]) == 2
+        self.assert_depth_error(capsys)
+
+    def test_run_update_deep_value(self, tmp_path, capsys):
+        f = tmp_path / "rec.flux"
+        f.write_text("type A = a[A*]\nupdate skip : A => A\n")
+        deep = "a[" * 400 + "]" * 400
+        assert main(["run-update", str(f), "--input", deep]) == 2
+        self.assert_depth_error(capsys)
+
+
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         assert main([]) == 2

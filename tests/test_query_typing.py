@@ -5,9 +5,9 @@ import pytest
 
 from fluxq import (
     BOOL, Element, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding,
-    FunctionSig, GlobalDecls, Signature, STRING, TreeBinding,
+    FunctionSig, GlobalDecls, Or, Signature, STRING, TreeBinding,
     TypeCheckFailure, Var, check_expr, check_query_program, filter_label,
-    parse_expr, parse_program, parse_type, synth_expr, synth_for,
+    parse_expr, parse_program, parse_type, synth_expr, synth_for, type_str,
 )
 
 E = EMPTY_SIGNATURE
@@ -163,6 +163,53 @@ class TestSynthFor:
             got = synth(f"$v/{label}", env)
             content = parse_type(binding).content
             assert got == filter_label(E, content, label)
+
+
+def distinct_nodes(t):
+    """Number of distinct type nodes reachable from ``t``, by identity."""
+    seen = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [getattr(node, f) for f in ("left", "right", "inner", "content")
+                      if hasattr(node, f)]
+    return len(seen)
+
+
+class TestSharedIteration:
+    """n chained ``let``s of an ``if`` double the source type n times, as a
+    DAG of n joins; typing ``for`` and ``::`` over it must keep that sharing
+    rather than walk 2^n copies."""
+
+    ENV = {"x0": ForestBinding(parse_type("(a[]|b[])*"))}
+
+    @staticmethod
+    def lets_then_for(n):
+        lets = "".join(f"let $x{i + 1} = if true then $x{i} else $x{i} in "
+                       for i in range(n))
+        return parse_expr(f"{lets}for $y in $x{n} return $y::a")
+
+    def test_lets_before_for_stay_linear(self):
+        for n in (8, 14, 20):
+            expr = self.lets_then_for(n)
+            got = synth_expr(EMPTY_DECLS, E, self.ENV, expr)
+            assert distinct_nodes(got) <= 2 * n
+            ok, diag = check_expr(EMPTY_DECLS, E, self.ENV, expr,
+                                  parse_type("a[]*"))
+            assert ok and diag is None
+        text = "a[]?*|a[]?*"
+        for _ in range(n - 1):
+            text = f"({text})|{text}"
+        assert type_str(got) == text
+
+    def test_filter_keeps_sharing(self):
+        t = parse_type("a[]|b[]")
+        for n in range(1, 31):
+            t = Or(t, t)
+            if n in (8, 30):
+                assert distinct_nodes(filter_label(E, t, "a")) <= n + 5
 
 
 class TestCheckExpr:

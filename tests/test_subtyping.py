@@ -2,14 +2,16 @@
 oracle, and its preorder laws."""
 
 import random
+import time
 
 from fluxq import (
     BOOL, BoolTest, ConsistentUpTo, Element, EMPTY, EMPTY_SIGNATURE,
     ForestBinding, LabelTest, RefutedWith, Signature, STRING, StringTest,
     TreeBinding, Var, WildcardTest, atom_subtype, env_subtype, parse_type,
-    parse_value, subtype, subtype_oracle, types_upto,
+    parse_value, subtype, subtype_oracle, type_str, types_upto,
     values_upto, member,
 )
+from fluxq import subtyping
 from fluxq import test_subtype as passes_test
 from fluxq.generators import GenConfig, gen_subtype_of, gen_type
 
@@ -171,7 +173,94 @@ class TestPerformanceGuards:
         assert time.perf_counter() - start < 2.0
 
 
+class TestWideSameLabelUnion:
+    def test_covering_alternatives_cost_linear_goals(self, monkeypatch):
+        # every nonempty choice of alternatives covers the content c[], so the
+        # pruned decomposition checks each alternative once, not 2^n subsets
+        goals = []
+        check = subtyping._Inclusion._check
+
+        def counted(self, t, rights):
+            goals.append(t)
+            return check(self, t, rights)
+
+        monkeypatch.setattr(subtyping._Inclusion, "_check", counted)
+        left = parse_type("a[c[]],d0[]")
+        for n in (8, 14, 20):
+            alts = [f"a[b{i}[]|c[]],d{i}[]" for i in range(n)]
+            goals.clear()
+            start = time.perf_counter()
+            assert subtype(E, left, parse_type("|".join(alts)))
+            assert time.perf_counter() - start < 1.0
+            assert len(goals) <= 2 * n
+            assert not subtype(E, left, parse_type("|".join(alts[1:])))
+
+
+# Signatures for the differential test, each with whether its variables may
+# also stand as continuations (only where their bounded values stay few).
+DIFF_SIGS = (
+    (E, False),
+    (Signature({"X": parse_type("a[X*] | b[]")}), False),
+    (Signature({"X": parse_type("a[X?] | b[]"),
+                "Y": parse_type("a[Y?] | b[] | c[]")}), True),
+    (Signature({"X": parse_type("a[X, X?] | b[]"),
+                "Y": parse_type("a[Y*] | b[]")}), False),
+)
+DIFF_CONTENTS = ("()", "b[]", "c[]", "b[]*", "c[]?", "b[],c[]", "b[b[]]",
+                 "(b[]|c[])*")
+DIFF_CONTS = ("()", "d[]", "e[]", "d[]*", "e[]?", "d[],e[]")
+
+
+def same_label_pair(rng):
+    """A left type ``a[c1|c2],(k1|k2)`` (sometimes with a second ``a``
+    alternative) and a right type of 3–6 ``a[...],...`` alternatives whose
+    contents and continuations mix the left's parts, so that covering needs
+    the product decomposition."""
+    sig, vars_in_conts = rng.choice(DIFF_SIGS)
+    names = tuple(sig)
+    contents = DIFF_CONTENTS + names
+    conts = DIFF_CONTS + (names if vars_in_conts else ())
+    c1, c2 = rng.sample(contents, 2)
+    k1, k2 = rng.sample(conts, 2)
+    cs = (c1, c2, f"{c1}|{c2}", rng.choice(contents))
+    ks = (k1, k2, f"{k1}|{k2}", rng.choice(conts))
+    left = f"a[{c1}|{c2}],({k1}|{k2})"
+    if rng.random() < 0.3:
+        left += f"|a[{rng.choice(contents)}],{rng.choice(conts)}"
+    alts = [f"a[{rng.choice(cs)}],({rng.choice(ks)})"
+            for _ in range(rng.randint(3, 6))]
+    if rng.random() < 0.3:
+        alts.append(rng.choice(("b[]",) + names))
+    return sig, parse_type(left), parse_type("|".join(alts))
+
+
 class TestAgreementWithOracle:
+    def test_pruned_decomposition_matches_enumeration(self, monkeypatch):
+        assumed = []
+        check = subtyping._Inclusion._check
+
+        def watched(self, t, rights):
+            ok, low = check(self, t, rights)
+            if ok and low < subtyping._SELF_CONTAINED:
+                assumed.append(t)
+            return ok, low
+
+        monkeypatch.setattr(subtyping._Inclusion, "_check", watched)
+        rng = random.Random(2024)
+        verdicts = []
+        used_assumptions = 0
+        for _ in range(600):
+            sig, left, right = same_label_pair(rng)
+            before = len(assumed)
+            decided = subtype(sig, left, right)
+            used_assumptions += len(assumed) > before
+            refuted = any(not member(sig, v, right)
+                          for v in values_upto(sig, left, 3, 3))
+            assert decided == (not refuted), (type_str(left), type_str(right))
+            verdicts.append(decided)
+        assert 200 <= sum(verdicts) <= 400
+        assert used_assumptions >= 50
+
     def test_exhaustive_small(self):
         corpus = types_upto(3, ("a", "b"))
         for t1 in corpus:

@@ -7,7 +7,7 @@ from fluxq import (
     BOOL, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding, GlobalDecls,
     Multiplicity, ProcedureSig, Signature, Skip, TypeCheckFailure, Var,
     check_stmt, check_update_program, parse_program, parse_stmt, parse_type,
-    synth_iter, synth_stmt,
+    synth_iter, synth_stmt, type_str,
 )
 
 E = EMPTY_SIGNATURE
@@ -163,6 +163,48 @@ class TestSynthIter:
         got = synth_iter(LEAFUPD_DECLS, TREE_SIG, env, parse_type("Tree*"),
                          parse_stmt("leafupd($x)"))
         assert got == parse_type("Tree*")
+
+
+def distinct_nodes(t):
+    """Number of distinct type nodes reachable from ``t``, by identity."""
+    seen = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [getattr(node, f) for f in ("left", "right", "inner", "content")
+                      if hasattr(node, f)]
+    return len(seen)
+
+
+class TestSharedIteration:
+    """n ``if``s double the focus type n times, as a DAG of n joins; typing
+    ``iter`` over it must keep that sharing rather than walk 2^n copies."""
+
+    @staticmethod
+    def ifs_then_iter(n):
+        return parse_stmt("; ".join(["if true then skip else skip"] * n
+                                    + ["iter[a?rename b]"]))
+
+    def test_ifs_before_iter_stay_linear(self):
+        focus = parse_type("(a[]|b[])*")
+        for n in (8, 16, 24):
+            got = synth_stmt(EMPTY_DECLS, E, {}, PLUR, focus, self.ifs_then_iter(n))
+            assert distinct_nodes(got) <= 2 * n
+            ok, diag = check_stmt(EMPTY_DECLS, E, {}, PLUR, focus,
+                                  self.ifs_then_iter(n), parse_type("b[]*"))
+            assert ok and diag is None
+
+    def test_printed_text_has_every_copy(self):
+        # the text itself is 2^n copies long, so it is checked at n = 16
+        # (786,429 characters) rather than n = 24 (about 200 MB)
+        got = synth_stmt(EMPTY_DECLS, E, {}, PLUR, parse_type("(a[]|b[])*"),
+                         self.ifs_then_iter(16))
+        text = "(b[]|b[])*|(b[]|b[])*"
+        for _ in range(15):
+            text = f"({text})|{text}"
+        assert type_str(got) == text
 
 
 class TestCheckStmt:
