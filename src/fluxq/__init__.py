@@ -39,13 +39,14 @@ from .types import (
     Atom, BOOL, BoolAtom, Element, Empty, EMPTY, EMPTY_SIGNATURE, EMPTY_DECLS,
     ForestBinding, FunctionSig, GlobalDecls, Or, ProcedureSig, Seq, Signature,
     Star, STRING, StringAtom, TreeBinding, Type, TypeEnv, Var,
-    check_signature, syntactic_atoms, unfold,
+    check_signature, syntactic_atoms,
 )
 from .unparse import expr_str, program_str, signature_str, stmt_str
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Multiplicity, Nav, ProcCall,
     ProcedureDecl, Rename, SeqStmt, Skip, Snapshot, Test, UpdateProgram,
-    UpdateStmt, check_stmt, check_update_program, synth_iter, synth_stmt,
+    UpdateStmt, check_program, check_stmt, check_update_program, synth_iter,
+    synth_stmt,
 )
 from .values import (
     BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree, forest, member,

@@ -27,13 +27,11 @@ from .parser import (
     parse_value,
 )
 from .printer import type_str, value_str
-from .queries import QueryProgram, check_query_program, collect_function_decls, synth_expr
+from .queries import QueryProgram
 from .subtyping import subtype
 from .suites import run_suites
-from .types import (
-    EMPTY_SIGNATURE, GlobalDecls, ProcedureSig, Signature, check_signature,
-)
-from .updates import Multiplicity, UpdateProgram, check_update_program, synth_stmt
+from .types import EMPTY_SIGNATURE, Signature, check_signature
+from .updates import UpdateProgram, check_program, program_decls, synth_main
 
 
 def _read(path: str) -> str:
@@ -100,55 +98,28 @@ def _parse_type_env(args) -> dict:
     return env
 
 
-def _load_checked(path: str, env: dict) -> tuple[object, Signature, list[Diagnostic]]:
-    prog, sig = parse_program(_read(path), path)
-    diags = list(check_signature(sig))
-    if not diags:
-        if isinstance(prog, QueryProgram):
-            diags += check_query_program(sig, prog, env)
-        else:
-            diags += check_update_program(sig, prog, env)
-    return prog, sig, diags
-
-
-def _synthesize_main(prog, sig: Signature, env: dict) -> str:
-    if isinstance(prog, QueryProgram):
-        headers, _ = collect_function_decls(prog.functions)
-        decls = GlobalDecls(functions=headers)
-        return type_str(synth_expr(decls, sig, env, prog.main))
-    headers, _ = collect_function_decls(prog.functions)
-    procs = {p.name: ProcedureSig(tuple(t for _, t in p.params),
-                                  p.input, p.output)
-             for p in prog.procedures}
-    decls = GlobalDecls(functions=headers, procedures=procs)
-    out = synth_stmt(decls, sig, env, Multiplicity.PLURAL, prog.input,
-                     prog.main)
-    return type_str(out)
-
-
 def cmd_check(args) -> int:
     env = _parse_type_env(args)
-    prog, sig, diags = _load_checked(args.file, env)
-    synthesized = None
-    if not diags:
-        try:
-            synthesized = _synthesize_main(prog, sig, env)
-        except (TypeCheckFailure, UndeclaredVariable):
-            synthesized = None
-    return _report(synthesized, diags, args.json)
+    prog, sig = parse_program(_read(args.file), args.file)
+    diags = check_signature(sig)
+    if diags:
+        return _report(None, diags, args.json)
+    main, diags = check_program(sig, prog, env)
+    return _report(None if main is None else type_str(main), diags, args.json)
 
 
 def cmd_type(args) -> int:
     env = _parse_type_env(args)
     prog, sig = parse_program(_read(args.file), args.file)
-    diags = list(check_signature(sig))
+    diags = check_signature(sig)
     if diags:
         return _report(None, diags, args.json)
+    decls, _, _, _ = program_decls(prog)
     try:
-        synthesized = _synthesize_main(prog, sig, env)
+        main = synth_main(decls, sig, env, prog)
     except TypeCheckFailure as exc:
         return _report(None, [exc.diagnostic], args.json)
-    return _report(synthesized, [], args.json)
+    return _report(type_str(main), [], args.json)
 
 
 def cmd_subtype(args) -> int:

@@ -25,12 +25,11 @@ from .queries import (
 )
 from .subtyping import BoolTest, StringTest, TestKind, WildcardTest
 from .types import (
-    ForestBinding, FunctionSig, GlobalDecls, ProcedureSig, Signature,
-    TreeBinding, TypeEnv,
+    ForestBinding, FunctionSig, GlobalDecls, Signature, TreeBinding, TypeEnv,
 )
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
-    SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt,
+    SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
 )
 from .values import (
     BoolVal, EMPTY_FOREST, FALSE, Forest, Node, StrVal, TRUE, Tree, member,
@@ -56,35 +55,28 @@ class Runtime:
     recursion_limit: int = DEFAULT_RECURSION_LIMIT
 
 
-def runtime_for_query_program(prog: QueryProgram, *,
+def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
                               builtins: Mapping[str, tuple[FunctionSig, Builtin]] | None = None,
                               recursion_limit: int = DEFAULT_RECURSION_LIMIT) -> Runtime:
-    functions = {f.name: FunctionSig(tuple(t for _, t in f.params), f.result)
-                 for f in prog.functions}
-    bodies = {f.name: (tuple(n for n, _ in f.params), f.body)
-              for f in prog.functions}
+    """The runtime of a query or update program, its declarations resolved
+    as ``program_decls`` says; each builtin adds a function that runs
+    natively.  ``runtime_for_update_program`` is the same builder."""
+    decls, functions, procedures, _ = program_decls(prog)
     native: dict[str, Builtin] = {}
-    if builtins:
-        for name, (sig_entry, fn) in builtins.items():
-            functions[name] = sig_entry
-            native[name] = fn
-    return Runtime(GlobalDecls(functions=functions), bodies, {}, native,
-                   recursion_limit)
+    headers = dict(decls.functions)
+    for name, (sig_entry, fn) in (builtins or {}).items():
+        headers[name] = sig_entry
+        native[name] = fn
+    return Runtime(
+        GlobalDecls(functions=headers, procedures=decls.procedures),
+        {name: (tuple(n for n, _ in f.params), f.body)
+         for name, f in functions.items()},
+        {name: (tuple(n for n, _ in p.params), p.body)
+         for name, p in procedures.items()},
+        native, recursion_limit)
 
 
-def runtime_for_update_program(prog: UpdateProgram, *,
-                               recursion_limit: int = DEFAULT_RECURSION_LIMIT) -> Runtime:
-    functions = {f.name: FunctionSig(tuple(t for _, t in f.params), f.result)
-                 for f in prog.functions}
-    fn_bodies = {f.name: (tuple(n for n, _ in f.params), f.body)
-                 for f in prog.functions}
-    procedures = {p.name: ProcedureSig(tuple(t for _, t in p.params),
-                                       p.input, p.output)
-                  for p in prog.procedures}
-    proc_bodies = {p.name: (tuple(n for n, _ in p.params), p.body)
-                   for p in prog.procedures}
-    return Runtime(GlobalDecls(functions=functions, procedures=procedures),
-                   fn_bodies, proc_bodies, {}, recursion_limit)
+runtime_for_update_program = runtime_for_query_program
 
 
 def _children_of(tree: Tree) -> Forest:

@@ -17,9 +17,9 @@ Programs:     ``type X = t`` entries, ``declare function f($x:t,...) : t
               ``update s : t1 => t2``.
 
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
-to ``t|()``, ``n[]`` to ``n[()]``), ``e/n`` and ``e/*`` elaborate to their
-for-loop cores, and bound variables are renamed apart from the ambient
-environment, so checker environments never see duplicate names.
+to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
+their for-loop cores.  Variables keep the names written: an inner binder
+shadows an outer one in the checker's and evaluator's environments.
 """
 
 from __future__ import annotations
@@ -490,8 +490,6 @@ class _Parser:
                     body = self.parse_expr()
                     self.expect("}")
                     self.expect(";")
-                    body = rename_bound_expr(
-                        body, set(n for n, _ in params) | free_names_expr(body))
                     functions.append(FunctionDecl(
                         name, params, result, body, span=self.span_from(tok)))
                 elif self.accept("procedure"):
@@ -505,8 +503,6 @@ class _Parser:
                     body = self.parse_stmt()
                     self.expect("}")
                     self.expect(";")
-                    body = rename_bound_stmt(
-                        body, set(n for n, _ in params) | free_names_stmt(body))
                     procedures.append(ProcedureDecl(
                         name, params, input_t, output_t, body,
                         span=self.span_from(tok)))
@@ -521,7 +517,6 @@ class _Parser:
                 if procedures:
                     raise self.error_at(
                         tok, "query programs cannot declare procedures")
-                main = rename_bound_expr(main, free_names_expr(main))
                 return (QueryProgram(tuple(functions), main, ascription,
                                      span=self.span_from(tok)),
                         Signature(sig_entries))
@@ -532,7 +527,6 @@ class _Parser:
                 self.expect("=>")
                 output_t = self.parse_type()
                 self.expect("EOF", "end of program")
-                main = rename_bound_stmt(main, free_names_stmt(main))
                 return (UpdateProgram(tuple(functions), tuple(procedures),
                                       main, input_t, output_t,
                                       span=self.span_from(tok)),
@@ -549,146 +543,6 @@ class _Parser:
             self.expect("=")
             entries.append((name, self.parse_type()))
         return Signature(entries)
-
-
-# -- binder renaming ---------------------------------------------------
-
-
-def free_names_expr(e: QueryExpr, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(e, VarRef):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, Children):
-        return set() if e.var in bound else {e.var}
-    if isinstance(e, Concat):
-        return free_names_expr(e.left, bound) | free_names_expr(e.right, bound)
-    if isinstance(e, Elem):
-        return free_names_expr(e.content, bound)
-    if isinstance(e, Let):
-        return (free_names_expr(e.bound, bound)
-                | free_names_expr(e.body, bound | {e.var}))
-    if isinstance(e, For):
-        return (free_names_expr(e.source, bound)
-                | free_names_expr(e.body, bound | {e.var}))
-    if isinstance(e, If):
-        return (free_names_expr(e.cond, bound) | free_names_expr(e.then, bound)
-                | free_names_expr(e.els, bound))
-    if isinstance(e, LabelFilter):
-        return free_names_expr(e.source, bound)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_names_expr(a, bound)
-        return out
-    return set()
-
-
-def free_names_stmt(s: UpdateStmt, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(s, SeqStmt):
-        return free_names_stmt(s.first, bound) | free_names_stmt(s.second, bound)
-    if isinstance(s, IfStmt):
-        return (free_names_expr(s.cond, bound) | free_names_stmt(s.then, bound)
-                | free_names_stmt(s.els, bound))
-    if isinstance(s, LetStmt):
-        return (free_names_expr(s.bound, bound)
-                | free_names_stmt(s.body, bound | {s.var}))
-    if isinstance(s, Snapshot):
-        return free_names_stmt(s.body, bound | {s.var})
-    if isinstance(s, Insert):
-        return free_names_expr(s.expr, bound)
-    if isinstance(s, (Test, Nav)):
-        return free_names_stmt(s.body, bound)
-    if isinstance(s, ProcCall):
-        out: set[str] = set()
-        for a in s.args:
-            out |= free_names_expr(a, bound)
-        return out
-    return set()
-
-
-def _pick_fresh(name: str, used: set[str]) -> str:
-    if name not in used:
-        return name
-    n = 2
-    while f"{name}_{n}" in used:
-        n += 1
-    return f"{name}_{n}"
-
-
-def rename_bound_expr(e: QueryExpr, used: set[str],
-                      mapping: dict[str, str] | None = None) -> QueryExpr:
-    """Rename binders so no bound name collides with ``used`` or an
-    enclosing binder; references follow their binder."""
-    mapping = mapping or {}
-    if isinstance(e, VarRef):
-        name = mapping.get(e.name, e.name)
-        return e if name == e.name else VarRef(name, span=e.span)
-    if isinstance(e, Children):
-        name = mapping.get(e.var, e.var)
-        return e if name == e.var else Children(name, span=e.span)
-    if isinstance(e, Concat):
-        return Concat(rename_bound_expr(e.left, used, mapping),
-                      rename_bound_expr(e.right, used, mapping), span=e.span)
-    if isinstance(e, Elem):
-        return Elem(e.label, rename_bound_expr(e.content, used, mapping),
-                    span=e.span)
-    if isinstance(e, If):
-        return If(rename_bound_expr(e.cond, used, mapping),
-                  rename_bound_expr(e.then, used, mapping),
-                  rename_bound_expr(e.els, used, mapping), span=e.span)
-    if isinstance(e, LabelFilter):
-        return LabelFilter(rename_bound_expr(e.source, used, mapping),
-                           e.label, span=e.span)
-    if isinstance(e, Call):
-        return Call(e.name, tuple(rename_bound_expr(a, used, mapping)
-                                  for a in e.args), span=e.span)
-    if isinstance(e, Let):
-        bound = rename_bound_expr(e.bound, used, mapping)
-        fresh = _pick_fresh(e.var, used)
-        body = rename_bound_expr(e.body, used | {fresh},
-                                 {**mapping, e.var: fresh})
-        return Let(fresh, bound, body, span=e.span)
-    if isinstance(e, For):
-        source = rename_bound_expr(e.source, used, mapping)
-        fresh = _pick_fresh(e.var, used)
-        body = rename_bound_expr(e.body, used | {fresh},
-                                 {**mapping, e.var: fresh})
-        return For(fresh, source, body, span=e.span)
-    return e
-
-
-def rename_bound_stmt(s: UpdateStmt, used: set[str],
-                      mapping: dict[str, str] | None = None) -> UpdateStmt:
-    mapping = mapping or {}
-    if isinstance(s, SeqStmt):
-        return SeqStmt(rename_bound_stmt(s.first, used, mapping),
-                       rename_bound_stmt(s.second, used, mapping), span=s.span)
-    if isinstance(s, IfStmt):
-        return IfStmt(rename_bound_expr(s.cond, used, mapping),
-                      rename_bound_stmt(s.then, used, mapping),
-                      rename_bound_stmt(s.els, used, mapping), span=s.span)
-    if isinstance(s, LetStmt):
-        bound = rename_bound_expr(s.bound, used, mapping)
-        fresh = _pick_fresh(s.var, used)
-        body = rename_bound_stmt(s.body, used | {fresh},
-                                 {**mapping, s.var: fresh})
-        return LetStmt(fresh, bound, body, span=s.span)
-    if isinstance(s, Snapshot):
-        fresh = _pick_fresh(s.var, used)
-        body = rename_bound_stmt(s.body, used | {fresh},
-                                 {**mapping, s.var: fresh})
-        return Snapshot(fresh, body, span=s.span)
-    if isinstance(s, Insert):
-        return Insert(rename_bound_expr(s.expr, used, mapping), span=s.span)
-    if isinstance(s, Test):
-        return Test(s.test, rename_bound_stmt(s.body, used, mapping),
-                    span=s.span)
-    if isinstance(s, Nav):
-        return Nav(s.direction, rename_bound_stmt(s.body, used, mapping),
-                   span=s.span)
-    if isinstance(s, ProcCall):
-        return ProcCall(s.name, tuple(rename_bound_expr(a, used, mapping)
-                                      for a in s.args), span=s.span)
-    return s
 
 
 # -- public entry points -----------------------------------------------
@@ -718,14 +572,14 @@ def parse_expr(text: str, filename: str = "<expr>") -> QueryExpr:
     p = _Parser(text, filename)
     e = p.parse_expr()
     p.expect("EOF", "end of expression")
-    return rename_bound_expr(e, free_names_expr(e))
+    return e
 
 
 def parse_stmt(text: str, filename: str = "<stmt>") -> UpdateStmt:
     p = _Parser(text, filename)
     s = p.parse_stmt()
     p.expect("EOF", "end of statement")
-    return rename_bound_stmt(s, free_names_stmt(s))
+    return s
 
 
 def parse_signature(text: str, filename: str = "<sig>") -> Signature:

@@ -11,15 +11,15 @@ tests can compare them structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .diagnostics import Diagnostic, SourceSpan, error
-from .errors import TypeCheckFailure, UndeclaredVariable
+from .errors import TypeCheckFailure
 from .printer import type_str
 from .subtyping import subtype
 from .types import (
-    BOOL, Element, EMPTY, ForestBinding, FunctionSig, GlobalDecls, Or, Seq,
-    Signature, STRING, TreeBinding, Type, TypeEnv, check_type_declared,
-    map_atoms,
+    BOOL, Element, EMPTY, ForestBinding, GlobalDecls, Or, Seq, Signature,
+    STRING, TreeBinding, Type, TypeEnv, map_atoms,
 )
 
 
@@ -220,80 +220,33 @@ def synth_for(decls: GlobalDecls, sig: Signature, env: TypeEnv, var: str,
         decls, sig, {**env, var: TreeBinding(atom)}, body))
 
 
+def _ascribe(sig: Signature, synth: Callable[[], Type], expected: Type,
+             span: SourceSpan | None, kind: str
+             ) -> tuple[Type | None, Diagnostic | None]:
+    """Run ``synth`` and check its type against ``expected`` by one subtype
+    test: the type, or the diagnostic of the synthesis or of the check
+    (rule ``query/ascription`` or ``update/ascription`` by ``kind``)."""
+    try:
+        actual = synth()
+    except TypeCheckFailure as exc:
+        return None, exc.diagnostic
+    if subtype(sig, actual, expected):
+        return actual, None
+    noun = "expression has type" if kind == "query" else "update produces type"
+    return None, error(f"{noun} {type_str(actual)}, which is not a subtype of "
+                       f"{type_str(expected)}", f"{kind}/ascription", span)
+
+
 def check_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv, e: QueryExpr,
                expected: Type) -> tuple[bool, Diagnostic | None]:
     """Synthesize then check against ``expected`` by one subtype test."""
-    try:
-        actual = synth_expr(decls, sig, env, e)
-    except TypeCheckFailure as exc:
-        return False, exc.diagnostic
-    if subtype(sig, actual, expected):
-        return True, None
-    return False, error(
-        f"expression has type {type_str(actual)}, which is not a subtype "
-        f"of {type_str(expected)}", "query/ascription", e.span)
-
-
-def collect_function_decls(functions: tuple[FunctionDecl, ...]) -> tuple[
-        dict[str, FunctionSig], list[Diagnostic]]:
-    """Preprocessing pass: gather function headers, diagnosing duplicates."""
-    headers: dict[str, FunctionSig] = {}
-    diags: list[Diagnostic] = []
-    for fn in functions:
-        if fn.name in headers:
-            diags.append(error(f"function {fn.name} declared twice",
-                               "program/duplicate-function", fn.span))
-            continue
-        headers[fn.name] = FunctionSig(tuple(t for _, t in fn.params), fn.result)
-    return headers, diags
-
-
-def _declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
-    """Every annotation must mention only declared type variables."""
-    out: list[Diagnostic] = []
-    for t, span in types_with_spans:
-        try:
-            check_type_declared(sig, t)
-        except UndeclaredVariable as exc:
-            diag = error(str(exc), "signature/undeclared", span)
-            if diag not in out:
-                out.append(diag)
-    return out
+    _, diag = _ascribe(sig, lambda: synth_expr(decls, sig, env, e), expected,
+                       e.span, "query")
+    return diag is None, diag
 
 
 def check_query_program(sig: Signature, prog: QueryProgram,
                         env: TypeEnv | None = None) -> list[Diagnostic]:
-    """Check all function bodies and the main query against its ascription.
-
-    ``env`` provides types for free variables of the main query (empty by
-    default).  Assumes ``sig`` is well-formed.
-    """
-    env = env or {}
-    headers, diags = collect_function_decls(prog.functions)
-    annotations = [(prog.ascription, prog.span)]
-    for fn in prog.functions:
-        annotations += [(t, fn.span) for _, t in fn.params]
-        annotations.append((fn.result, fn.span))
-    bad = _declared_type_diags(sig, annotations)
-    if bad:
-        return diags + bad
-    decls = GlobalDecls(functions=headers)
-    for fn in prog.functions:
-        fn_env: dict[str, ForestBinding] = {
-            name: ForestBinding(t) for name, t in fn.params}
-        try:
-            ok, diag = check_expr(decls, sig, fn_env, fn.body, fn.result)
-        except UndeclaredVariable as exc:
-            ok, diag = False, error(str(exc), "signature/undeclared", fn.span)
-        if not ok:
-            assert diag is not None
-            diags.append(error(f"in function {fn.name}: {diag.message}",
-                               diag.rule, diag.span or fn.span))
-    try:
-        ok, diag = check_expr(decls, sig, env, prog.main, prog.ascription)
-    except UndeclaredVariable as exc:
-        ok, diag = False, error(str(exc), "signature/undeclared", prog.span)
-    if not ok:
-        assert diag is not None
-        diags.append(diag)
-    return diags
+    """The diagnostics of ``updates.check_program`` for a query program."""
+    from .updates import check_program  # updates imports this module
+    return check_program(sig, prog, env)[1]

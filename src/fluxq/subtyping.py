@@ -61,7 +61,16 @@ class StringTest:
 
 TestKind = LabelTest | WildcardTest | BoolTest | StringTest
 
-WILDCARD = WildcardTest()
+
+def test_str(test: TestKind) -> str:
+    """The test as written before ``?``."""
+    if isinstance(test, LabelTest):
+        return test.label
+    if isinstance(test, BoolTest):
+        return "bool"
+    if isinstance(test, StringTest):
+        return "string"
+    return "*"
 
 
 def test_subtype(atom: Atom, test: TestKind) -> bool:

@@ -169,11 +169,6 @@ class Signature:
 EMPTY_SIGNATURE = Signature()
 
 
-def unfold(sig: Signature, name: str) -> Type:
-    """Look up the definition of a type variable, verbatim."""
-    return sig.definition(name)
-
-
 def _top_level_vars(t: Type) -> Iterator[Var]:
     """Vars reachable without entering element content."""
     stack = [t]
@@ -319,10 +314,6 @@ Binding = Union[TreeBinding, ForestBinding]
 
 # Ordered map from variable name to binding; extended functionally.
 TypeEnv = Mapping[str, Binding]
-
-
-def binding_type(b: Binding) -> Type:
-    return b.atom if isinstance(b, TreeBinding) else b.type
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
     LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
-from .subtyping import BoolTest, LabelTest, StringTest, TestKind
+from .subtyping import test_str
 from .types import Signature
 from .updates import (
     Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl, Rename,
@@ -58,16 +58,6 @@ def _expr(e: QueryExpr, level: int) -> str:
     assert isinstance(e, Call)
     args = ", ".join(_expr(a, _SINGLE) for a in e.args)
     return f"{e.name}({args})"
-
-
-def test_str(test: TestKind) -> str:
-    if isinstance(test, LabelTest):
-        return test.label
-    if isinstance(test, BoolTest):
-        return "bool"
-    if isinstance(test, StringTest):
-        return "string"
-    return "*"
 
 
 _SEQLEVEL, _ITEM = range(2)

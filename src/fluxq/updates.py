@@ -5,7 +5,8 @@ apply to one tree, plural updates to a forest.  Synthesis threads the focus
 type through sequencing, recurses into navigation, and types iteration by
 structural recursion over the focus type (one singular check per atomic
 alternative).  As with queries, subtyping appears only at procedure calls
-and ascriptions, and outputs are never simplified.
+and ascriptions, and outputs are never simplified.  ``check_program``
+checks whole programs, query and update programs alike.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from .diagnostics import Diagnostic, SourceSpan, error
 from .errors import TypeCheckFailure, UndeclaredVariable
 from .printer import type_str
 from .queries import (
-    FunctionDecl, QueryExpr, _declared_type_diags, check_expr,
-    collect_function_decls, synth_expr,
+    FunctionDecl, QueryExpr, QueryProgram, _ascribe, check_expr, synth_expr,
 )
-from .subtyping import (
-    BoolTest, LabelTest, StringTest, TestKind, subtype, test_subtype,
-)
+from .subtyping import TestKind, subtype, test_str, test_subtype
 from .types import (
-    Atom, BOOL, Element, Empty, EMPTY, ForestBinding, GlobalDecls,
-    Or, ProcedureSig, Seq, Signature, Type, TypeEnv, map_atoms,
+    Atom, BOOL, Element, Empty, EMPTY, ForestBinding, FunctionSig,
+    GlobalDecls, Or, ProcedureSig, Seq, Signature, Type, TypeEnv,
+    check_type_declared, map_atoms,
 )
 
 
@@ -147,16 +146,6 @@ def _fail(message: str, rule: str, span: SourceSpan | None = None):
     raise TypeCheckFailure(error(message, rule, span))
 
 
-def _test_str(test: TestKind) -> str:
-    if isinstance(test, LabelTest):
-        return test.label
-    if isinstance(test, BoolTest):
-        return "bool"
-    if isinstance(test, StringTest):
-        return "string"
-    return "*"
-
-
 def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                mult: Multiplicity, t: Type, s: UpdateStmt) -> Type:
     """Synthesize the unique output type of ``s`` applied at multiplicity
@@ -201,10 +190,10 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
         return Element(s.label, t.content)
     if isinstance(s, Test):
         if mult is not Multiplicity.SINGULAR:
-            _fail(f"test {_test_str(s.test)}? requires singular focus",
+            _fail(f"test {test_str(s.test)}? requires singular focus",
                   "update/test-multiplicity", s.span)
         if not isinstance(t, Atom):
-            _fail(f"test {_test_str(s.test)}? applies to an atomic focus, "
+            _fail(f"test {test_str(s.test)}? applies to an atomic focus, "
                   f"but the focus has type {type_str(t)}", "update/test-focus",
                   s.span)
         if test_subtype(t, s.test):
@@ -265,70 +254,113 @@ def check_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                mult: Multiplicity, t: Type, s: UpdateStmt,
                expected: Type) -> tuple[bool, Diagnostic | None]:
     """Synthesize then check against ``expected`` by one subtype test."""
+    _, diag = _ascribe(sig, lambda: synth_stmt(decls, sig, env, mult, t, s),
+                       expected, s.span, "update")
+    return diag is None, diag
+
+
+def program_decls(prog: QueryProgram | UpdateProgram) -> tuple[
+        GlobalDecls, dict[str, FunctionDecl], dict[str, ProcedureDecl],
+        list[Diagnostic]]:
+    """A program's headers, its declarations by name, and a diagnostic for
+    each duplicate: of two declarations with one name the first wins."""
+    diags: list[Diagnostic] = []
+
+    def first_of(declared, kind: str) -> dict:
+        kept = {}
+        for d in declared:
+            if d.name in kept:
+                diags.append(error(f"{kind} {d.name} declared twice",
+                                   f"program/duplicate-{kind}", d.span))
+            else:
+                kept[d.name] = d
+        return kept
+
+    functions = first_of(prog.functions, "function")
+    procedures = first_of(prog.procedures if isinstance(prog, UpdateProgram)
+                          else (), "procedure")
+    decls = GlobalDecls(
+        functions={name: FunctionSig(tuple(t for _, t in f.params), f.result)
+                   for name, f in functions.items()},
+        procedures={name: ProcedureSig(tuple(t for _, t in p.params),
+                                       p.input, p.output)
+                    for name, p in procedures.items()})
+    return decls, functions, procedures, diags
+
+
+def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,
+               prog: QueryProgram | UpdateProgram) -> Type:
+    """The synthesized type of the main query, or of the main update applied
+    plurally to its declared input type."""
+    if isinstance(prog, QueryProgram):
+        return synth_expr(decls, sig, env, prog.main)
+    return synth_stmt(decls, sig, env, Multiplicity.PLURAL, prog.input,
+                      prog.main)
+
+
+def _declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
+    """Every annotation must mention only declared type variables."""
+    out: list[Diagnostic] = []
+    for t, span in types_with_spans:
+        try:
+            check_type_declared(sig, t)
+        except UndeclaredVariable as exc:
+            diag = error(str(exc), "signature/undeclared", span)
+            if diag not in out:
+                out.append(diag)
+    return out
+
+
+def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
+                  env: TypeEnv | None = None
+                  ) -> tuple[Type | None, list[Diagnostic]]:
+    """Check a query or update program: its annotations mention only declared
+    type variables, each function and procedure body (procedures plurally,
+    declared input against declared output) meets its header, and the main
+    meets its ascription.  Returns the main's synthesized type when every
+    check passes, and the diagnostics.  Declarations resolve as
+    ``program_decls`` says; ``env`` types the main's free variables.
+    Assumes ``sig`` is well-formed."""
+    env = env or {}
+    decls, functions, procedures, diags = program_decls(prog)
+    query = isinstance(prog, QueryProgram)
+    annotations = [(t, prog.span) for t in
+                   ((prog.ascription,) if query else (prog.input, prog.output))]
+    for decl in (*functions.values(), *procedures.values()):
+        declared = ((decl.result,) if isinstance(decl, FunctionDecl)
+                    else (decl.input, decl.output))
+        annotations += [(t, decl.span) for _, t in decl.params]
+        annotations += [(t, decl.span) for t in declared]
+    bad = _declared_type_diags(sig, annotations)
+    if bad:
+        return None, diags + bad
+    for decl in (*functions.values(), *procedures.values()):
+        decl_env = {name: ForestBinding(t) for name, t in decl.params}
+        try:
+            if isinstance(decl, FunctionDecl):
+                ok, diag = check_expr(decls, sig, decl_env, decl.body,
+                                      decl.result)
+            else:
+                ok, diag = check_stmt(decls, sig, decl_env, Multiplicity.PLURAL,
+                                      decl.input, decl.body, decl.output)
+        except UndeclaredVariable as exc:
+            ok, diag = False, error(str(exc), "signature/undeclared", decl.span)
+        if not ok:
+            what = "function" if isinstance(decl, FunctionDecl) else "procedure"
+            diags.append(error(f"in {what} {decl.name}: {diag.message}",
+                               diag.rule, diag.span or decl.span))
     try:
-        actual = synth_stmt(decls, sig, env, mult, t, s)
-    except TypeCheckFailure as exc:
-        return False, exc.diagnostic
-    if subtype(sig, actual, expected):
-        return True, None
-    return False, error(
-        f"update produces type {type_str(actual)}, which is not a subtype "
-        f"of {type_str(expected)}", "update/ascription", s.span)
+        main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
+                              prog.ascription if query else prog.output,
+                              prog.main.span, "query" if query else "update")
+    except UndeclaredVariable as exc:
+        main, diag = None, error(str(exc), "signature/undeclared", prog.span)
+    if diag is not None:
+        diags.append(diag)
+    return (None if diags else main), diags
 
 
 def check_update_program(sig: Signature, prog: UpdateProgram,
                          env: TypeEnv | None = None) -> list[Diagnostic]:
-    """Check function bodies, procedure bodies (plural, declared input vs.
-    declared output), and the main update.  Assumes ``sig`` is well-formed."""
-    env = env or {}
-    fn_headers, diags = collect_function_decls(prog.functions)
-    proc_headers: dict[str, ProcedureSig] = {}
-    for proc in prog.procedures:
-        if proc.name in proc_headers:
-            diags.append(error(f"procedure {proc.name} declared twice",
-                               "program/duplicate-procedure", proc.span))
-            continue
-        proc_headers[proc.name] = ProcedureSig(
-            tuple(t for _, t in proc.params), proc.input, proc.output)
-    annotations = [(prog.input, prog.span), (prog.output, prog.span)]
-    for fn in prog.functions:
-        annotations += [(t, fn.span) for _, t in fn.params]
-        annotations.append((fn.result, fn.span))
-    for proc in prog.procedures:
-        annotations += [(t, proc.span) for _, t in proc.params]
-        annotations += [(proc.input, proc.span), (proc.output, proc.span)]
-    bad = _declared_type_diags(sig, annotations)
-    if bad:
-        return diags + bad
-    decls = GlobalDecls(functions=fn_headers, procedures=proc_headers)
-
-    for fn in prog.functions:
-        fn_env = {name: ForestBinding(t) for name, t in fn.params}
-        try:
-            ok, diag = check_expr(decls, sig, fn_env, fn.body, fn.result)
-        except UndeclaredVariable as exc:
-            ok, diag = False, error(str(exc), "signature/undeclared", fn.span)
-        if not ok:
-            assert diag is not None
-            diags.append(error(f"in function {fn.name}: {diag.message}",
-                               diag.rule, diag.span or fn.span))
-    for proc in prog.procedures:
-        proc_env = {name: ForestBinding(t) for name, t in proc.params}
-        try:
-            ok, diag = check_stmt(decls, sig, proc_env, Multiplicity.PLURAL,
-                                  proc.input, proc.body, proc.output)
-        except UndeclaredVariable as exc:
-            ok, diag = False, error(str(exc), "signature/undeclared", proc.span)
-        if not ok:
-            assert diag is not None
-            diags.append(error(f"in procedure {proc.name}: {diag.message}",
-                               diag.rule, diag.span or proc.span))
-    try:
-        ok, diag = check_stmt(decls, sig, env, Multiplicity.PLURAL,
-                              prog.input, prog.main, prog.output)
-    except UndeclaredVariable as exc:
-        ok, diag = False, error(str(exc), "signature/undeclared", prog.span)
-    if not ok:
-        assert diag is not None
-        diags.append(diag)
-    return diags
+    """The diagnostics of ``check_program`` for an update program."""
+    return check_program(sig, prog, env)[1]

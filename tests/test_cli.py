@@ -2,8 +2,10 @@
 schema."""
 
 import json
+import sys
 from pathlib import Path
 
+from fluxq import Elem, Skip, queries, updates
 from fluxq.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -78,6 +80,74 @@ class TestCheck:
         f.write_text("type X = () | a[],X\nquery () : ()\n")
         assert main(["check", str(f)]) == 1
         assert "top-level variable X" in capsys.readouterr().err
+
+
+    def test_shadowed_variable_named_as_written(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query for $x in a[] return let $x = $x in $x/child : ()\n")
+        assert main(["--json", "check", str(f)]) == 1
+        [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["rule"] == "query/child-source"
+        assert diag["message"].startswith("$x is a forest variable")
+
+    def test_main_synthesized_once(self, tmp_path, capsys, monkeypatch):
+        def count_calls(home, name):
+            original, calls = getattr(home, name), []
+
+            def counting(*args):
+                calls.append(args[-1])
+                return original(*args)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("fluxq")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counting)
+            return calls
+
+        exprs = count_calls(queries, "synth_expr")
+        stmts = count_calls(updates, "synth_stmt")
+        q = tmp_path / "q.muxq"
+        q.write_text("query a[] : a[]*\n")
+        assert main(["check", str(q)]) == 0
+        assert [type(e) for e in exprs].count(Elem) == 1
+        u = tmp_path / "u.flux"
+        u.write_text("update skip : a[] => a[]*\n")
+        assert main(["check", str(u)]) == 0
+        assert [type(s) for s in stmts].count(Skip) == 1
+        assert capsys.readouterr().out.split() == ["a[]", "a[]"]
+
+
+class TestDuplicateDeclarations:
+    """Of two declarations with one name the first wins: ``check`` reports
+    the second, and ``type``, ``eval`` and ``run-update`` use the first."""
+
+    def test_duplicate_function(self, tmp_path, capsys):
+        f = tmp_path / "dup.muxq"
+        f.write_text("declare function f() : a[] { a[] };\n"
+                     "declare function f() : b[] { b[] };\n"
+                     "query f() : a[]\n")
+        assert main(["--json", "check", str(f)]) == 1
+        rules = [d["rule"] for d in
+                 json.loads(capsys.readouterr().out)["diagnostics"]]
+        assert rules == ["program/duplicate-function"]
+        assert main(["type", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
+        assert main(["eval", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
+
+    def test_duplicate_procedure(self, tmp_path, capsys):
+        f = tmp_path / "dup.flux"
+        f.write_text("declare procedure p() : () => a[] { insert a[] };\n"
+                     "declare procedure p() : () => b[] { insert b[] };\n"
+                     "update p() : () => a[]\n")
+        assert main(["--json", "check", str(f)]) == 1
+        rules = [d["rule"] for d in
+                 json.loads(capsys.readouterr().out)["diagnostics"]]
+        assert rules == ["program/duplicate-procedure"]
+        assert main(["type", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
+        assert main(["run-update", str(f), "--input", "()"]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
 
 
 class TestType:

@@ -1,5 +1,6 @@
-"""Concrete syntax: parsing, desugaring, binder renaming, spans, error
-positions, and round-trips through the unparser."""
+"""Concrete syntax: parsing, desugaring, spans, error positions, and
+round-trips through the unparser; shadowed binders in typing and
+evaluation."""
 
 import random
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Children, Concat, EMPTY, For, LabelFilter, Let, ParseError,
-    QueryProgram, Star, UpdateProgram, VarRef, parse_expr, parse_program,
-    parse_signature, parse_stmt, parse_type, parse_value, type_str,
-    value_str,
+    Children, Concat, EMPTY, For, Insert, LabelFilter, Let, LetStmt,
+    ParseError, QueryProgram, Runtime, Snapshot, Star, UpdateProgram, VarRef,
+    apply_update, check_program, eval_query, parse_expr, parse_program,
+    parse_signature, parse_stmt, parse_type, parse_value,
+    runtime_for_query_program, runtime_for_update_program, synth_expr,
+    type_str, value_str,
 )
 from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import parse_env_bindings
@@ -118,22 +121,49 @@ class TestExprSyntax:
         assert isinstance(e, Concat)
         assert isinstance(e.left, For)
 
-    def test_shadowed_binder_renamed_apart(self):
+    def test_shadowed_binder_keeps_written_names(self):
         e = parse_expr("let $x = $x in let $x = $x in $x")
-        assert isinstance(e, Let)
-        outer, inner = e, e.body
-        assert outer.bound == VarRef("x")  # free occurrence keeps its name
-        assert outer.var != "x"
-        assert isinstance(inner, Let)
-        assert inner.bound == VarRef(outer.var)
-        assert inner.var not in ("x", outer.var)
-        assert inner.body == VarRef(inner.var)
+        assert e == Let("x", VarRef("x"), Let("x", VarRef("x"), VarRef("x")))
+        s = parse_stmt("snapshot $x in let $x = $x in insert $x")
+        assert s == Snapshot("x", LetStmt("x", VarRef("x"), Insert(VarRef("x"))))
 
     def test_spans_attached(self):
         e = parse_expr("for $y in $x return $y")
         assert e.span is not None
         assert e.span.begin == 0
         assert e.span.end == len("for $y in $x return $y")
+
+
+class TestShadowing:
+    """Binders keep their names; the innermost binding of a name wins in the
+    checker's and the evaluator's environments."""
+
+    def test_let_shadows_let(self):
+        e = parse_expr("let $x = a[] in let $x = b[$x] in $x")
+        assert synth_expr(EMPTY_DECLS, EMPTY_SIGNATURE, {}, e) == parse_type(
+            "b[a[]]")
+        assert eval_query(Runtime(), {}, e) == parse_value("b[a[]]")
+
+    def test_let_shadows_function_parameter(self):
+        prog, sig = parse_program(
+            "declare function f($x : a[]) : b[a[]] { let $x = b[$x] in $x };\n"
+            "query f(a[]), f(a[]) : b[a[]]*")
+        main, diags = check_program(sig, prog)
+        assert diags == []
+        assert main == parse_type("b[a[]],b[a[]]")
+        assert eval_query(runtime_for_query_program(prog), {}, prog.main) == (
+            parse_value("b[a[]],b[a[]]"))
+
+    def test_snapshot_shadows_let(self):
+        prog, sig = parse_program(
+            "update let $x = c[] in iter[children[snapshot $x in "
+            "(delete; insert ($x, $x))]] : a[b[]] => a[b[],b[]]")
+        main, diags = check_program(sig, prog)
+        assert diags == []
+        assert main == parse_type("a[b[],b[]]")
+        assert apply_update(runtime_for_update_program(prog), {},
+                            parse_value("a[b[]]"), prog.main) == parse_value(
+            "a[b[],b[]]")
 
 
 class TestStmtSyntax:

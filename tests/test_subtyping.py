@@ -196,6 +196,21 @@ class TestWideSameLabelUnion:
             assert not subtype(E, left, parse_type("|".join(alts[1:])))
 
 
+class TestDepthFold:
+    def test_covering_subproof_depth_is_folded(self):
+        # the covering subcheck X ⊆ Y holds only by the assumption at depth
+        # 0, so the element head's proof depends on depth 0 as well
+        sig = Signature({"X": parse_type("a[X] | b[]"),
+                         "Y": parse_type("a[Y] | b[]")})
+        inc = subtyping._Inclusion(sig)
+        x, y = Var("X"), Var("Y")
+        inc.path_depth[(inc.canon(x), inc.union([y]))] = 0
+        head = Element("a", x)
+        got = inc._check_element_head(head, EMPTY,
+                                      list(inc.linear_form(inc.canon(y))))
+        assert got == (True, 0)
+
+
 # Signatures for the differential test, each with whether its variables may
 # also stand as continuations (only where their bounded values stay few).
 DIFF_SIGS = (

@@ -5,7 +5,6 @@ import pytest
 from fluxq import (
     BOOL, Element, EMPTY, EMPTY_SIGNATURE, Or, Seq, Signature, Star, STRING,
     UndeclaredVariable, Var, check_signature, parse_type, syntactic_atoms,
-    unfold,
 )
 
 
@@ -52,15 +51,15 @@ class TestCheckSignature:
 
 class TestUnfold:
     def test_returns_definition_verbatim(self):
-        assert unfold(LIST_SIG, "X") == parse_type("nil[] | cons[a[], X]")
+        assert LIST_SIG.definition("X") == parse_type("nil[] | cons[a[], X]")
 
     def test_tree_definition(self):
-        assert unfold(TREE_SIG, "Tree") == parse_type(
+        assert TREE_SIG.definition("Tree") == parse_type(
             "tree[leaf[string] | node[Tree*]]")
 
     def test_absent_variable_raises(self):
         with pytest.raises(UndeclaredVariable):
-            unfold(EMPTY_SIGNATURE, "X")
+            EMPTY_SIGNATURE.definition("X")
 
 
 class TestSyntacticAtoms:

@@ -6,8 +6,8 @@ import pytest
 from fluxq import (
     BOOL, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding, GlobalDecls,
     Multiplicity, ProcedureSig, Signature, Skip, TypeCheckFailure, Var,
-    check_stmt, check_update_program, parse_program, parse_stmt, parse_type,
-    synth_iter, synth_stmt, type_str,
+    check_program, check_stmt, check_update_program, parse_program,
+    parse_stmt, parse_type, synth_iter, synth_stmt, type_str,
 )
 
 E = EMPTY_SIGNATURE
@@ -274,3 +274,32 @@ class TestCheckUpdateProgram:
         prog, sig = parse_program("update skip : Gone => Gone")
         assert [d.rule for d in check_update_program(sig, prog)] == [
             "signature/undeclared"]
+
+
+class TestCheckProgram:
+    """One checker for both program kinds: the main's synthesized type when
+    every check passes, else no type and the diagnostics."""
+
+    def test_query_program_type(self):
+        prog, sig = parse_program("query a[], b[] : (a[]|b[])*")
+        assert check_program(sig, prog) == (parse_type("a[],b[]"), [])
+
+    def test_update_program_type(self):
+        prog, sig = parse_program(LEAFUPD_PROGRAM)
+        main, diags = check_program(sig, prog)
+        assert diags == []
+        assert type_str(main) == "Tree*"
+
+    def test_no_type_when_a_body_fails(self):
+        prog, sig = parse_program(
+            "declare procedure p() : b[] => () { skip };\n"
+            "update skip : () => ()")
+        main, diags = check_program(sig, prog)
+        assert main is None
+        assert [d.rule for d in diags] == ["update/ascription"]
+
+    def test_no_type_when_the_ascription_fails(self):
+        prog, sig = parse_program("query a[] : b[]")
+        main, diags = check_program(sig, prog)
+        assert main is None
+        assert [d.rule for d in diags] == ["query/ascription"]
