@@ -3,8 +3,8 @@
 Subcommands: ``check`` (typecheck a program file), ``type`` (print the
 synthesized type of the main query or update), ``subtype`` (decide inclusion
 of two types), ``eval`` (run a query program), ``run-update`` (apply an
-update program to a value), and ``oracle`` (run the bounded property
-suites).  Exit codes: 0 success, 1 check/suite failure, 2 usage or parse
+update program to a value of its declared input type), and ``oracle`` (run
+the bounded property suites).  Exit codes: 0 success, 1 check/suite failure, 2 usage or parse
 errors, or input nested or sequenced beyond Python's recursion limit
 (``limit/depth``).
 """
@@ -16,7 +16,7 @@ import json
 import sys
 
 from .diagnostics import CheckReport, Diagnostic
-from .errors import EvalError, FluxqError, ParseError, TypeCheckFailure, UndeclaredVariable
+from .errors import FluxqError, ParseError, TypeCheckFailure
 from .evaluator import (
     runtime_for_query_program, runtime_for_update_program, eval_query,
     apply_update,
@@ -30,8 +30,14 @@ from .printer import type_str, value_str
 from .queries import QueryProgram
 from .subtyping import subtype
 from .suites import run_suites
-from .types import EMPTY_SIGNATURE, Signature, check_signature
-from .updates import UpdateProgram, check_program, program_decls, synth_main
+from .types import (
+    EMPTY_SIGNATURE, Signature, check_signature, check_type_declared,
+)
+from .updates import (
+    UpdateProgram, check_program, declared_type_diags, program_decls,
+    synth_main,
+)
+from .values import member
 
 
 def _read(path: str) -> str:
@@ -111,7 +117,8 @@ def cmd_check(args) -> int:
 def cmd_type(args) -> int:
     env = _parse_type_env(args)
     prog, sig = parse_program(_read(args.file), args.file)
-    diags = check_signature(sig)
+    diags = check_signature(sig) or declared_type_diags(
+        sig, [(b.type, prog.span) for b in env.values()])
     if diags:
         return _report(None, diags, args.json)
     decls, _, _, _ = program_decls(prog)
@@ -129,6 +136,8 @@ def cmd_subtype(args) -> int:
         return _report(None, bad, args.json)
     t1 = parse_type(args.left)
     t2 = parse_type(args.right)
+    check_type_declared(sig, t1)
+    check_type_declared(sig, t2)
     result = subtype(sig, t1, t2)
     if args.json:
         print(json.dumps({"left": type_str(t1), "right": type_str(t2),
@@ -158,7 +167,14 @@ def cmd_run_update(args) -> int:
     if not isinstance(prog, UpdateProgram):
         print("run-update expects an update program", file=sys.stderr)
         return 2
+    bad = check_signature(sig)
+    if bad:
+        return _report(None, bad, args.json)
     value = parse_value(args.input)
+    if not member(sig, value, prog.input):
+        print(f"error: the input is not a value of the declared input type "
+              f"{type_str(prog.input)}", file=sys.stderr)
+        return 1
     env = parse_env_bindings(args.env or [])
     rt = runtime_for_update_program(prog, recursion_limit=args.recursion_limit)
     result = apply_update(rt, env, value, prog.main)
@@ -265,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EvalError, UndeclaredVariable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FluxqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,10 +32,10 @@ def word_to_type(word: Word) -> Type:
     return t
 
 
-def values_upto(sig: Signature, t: Type, depth: int, width: int,
-                strings: tuple[str, ...] = DEFAULT_STRINGS) -> frozenset[Forest]:
+def values_upto(sig: Signature, t: Type, depth: int,
+                width: int) -> frozenset[Forest]:
     """All values of ``t`` with nesting depth ≤ depth and every forest length
-    ≤ width, strings drawn from ``strings``.
+    ≤ width, strings drawn from ``DEFAULT_STRINGS``.
 
     Exhaustive within the bounds: a forest is produced iff it conforms to
     ``t`` and respects them.
@@ -49,7 +49,7 @@ def values_upto(sig: Signature, t: Type, depth: int, width: int,
         if isinstance(node, StringAtom):
             if d < 1:
                 return frozenset()
-            return frozenset(((StrVal(s),) for s in strings))
+            return frozenset(((StrVal(s),) for s in DEFAULT_STRINGS))
         if isinstance(node, Element):
             if d < 1:
                 return frozenset()
@@ -122,8 +122,8 @@ def words_upto(sig: Signature, t: Type, k: int,
     return frozenset(w for w in gen(t) if len(w) <= k)
 
 
-def sample_value(sig: Signature, t: Type, depth: int, width: int,
-                 strings: tuple[str, ...] = DEFAULT_STRINGS) -> Forest | None:
+def sample_value(sig: Signature, t: Type, depth: int,
+                 width: int) -> Forest | None:
     """One value of ``t`` within the bounds, or None if none exists there.
 
     Linear in the type size: picks the first viable alternative instead of
@@ -133,29 +133,29 @@ def sample_value(sig: Signature, t: Type, depth: int, width: int,
     if isinstance(t, BoolAtom):
         return (TRUE,) if depth >= 1 and width >= 1 else None
     if isinstance(t, StringAtom):
-        if depth < 1 or width < 1 or not strings:
+        if depth < 1 or width < 1:
             return None
-        return (StrVal(strings[0]),)
+        return (StrVal(DEFAULT_STRINGS[0]),)
     if isinstance(t, Element):
         if depth < 1 or width < 1:
             return None
-        content = sample_value(sig, t.content, depth - 1, width, strings)
+        content = sample_value(sig, t.content, depth - 1, width)
         return None if content is None else (Node(t.label, content),)
     if isinstance(t, Or):
-        left = sample_value(sig, t.left, depth, width, strings)
+        left = sample_value(sig, t.left, depth, width)
         if left is not None:
             return left
-        return sample_value(sig, t.right, depth, width, strings)
+        return sample_value(sig, t.right, depth, width)
     if isinstance(t, Seq):
-        left = sample_value(sig, t.left, depth, width, strings)
-        right = sample_value(sig, t.right, depth, width, strings)
+        left = sample_value(sig, t.left, depth, width)
+        right = sample_value(sig, t.right, depth, width)
         if left is None or right is None or len(left) + len(right) > width:
             return None
         return left + right
     if isinstance(t, Star):
         return ()
     assert isinstance(t, Var)
-    return sample_value(sig, sig.definition(t.name), depth, width, strings)
+    return sample_value(sig, sig.definition(t.name), depth, width)
 
 
 @dataclass(frozen=True)
@@ -174,32 +174,27 @@ class ConsistentUpTo:
 OracleVerdict = RefutedWith | ConsistentUpTo
 
 
-def subtype_oracle(sig: Signature, t1: Type, t2: Type, depth: int, width: int,
-                   strings: tuple[str, ...] = DEFAULT_STRINGS) -> OracleVerdict:
+def subtype_oracle(sig: Signature, t1: Type, t2: Type, depth: int,
+                   width: int) -> OracleVerdict:
     """Exhaustively search ``t1``'s bounded values for one outside ``t2``."""
-    for v in sorted(values_upto(sig, t1, depth, width, strings),
+    for v in sorted(values_upto(sig, t1, depth, width),
                     key=lambda f: (len(f), repr(f))):
         if not member(sig, v, t2):
             return RefutedWith(v)
     return ConsistentUpTo(depth, width)
 
 
-def types_upto(size: int, labels: tuple[str, ...],
-               with_base_atoms: bool = False) -> list[Type]:
+def types_upto(size: int, labels: tuple[str, ...]) -> list[Type]:
     """All types of AST size ≤ ``size`` built from ``()`` and the given labels.
 
     Size counts constructor nodes: ``()`` is 1, ``n[t]`` is 1 + size(t),
-    ``|``/``,`` are 1 + both sides, ``*`` is 1 + inner.  With
-    ``with_base_atoms`` the ``bool``/``string`` atoms (size 1) are included.
+    ``|``/``,`` are 1 + both sides, ``*`` is 1 + inner.
     """
     by_size: dict[int, list[Type]] = {0: []}
     for s in range(1, size + 1):
         out: list[Type] = []
         if s == 1:
             out.append(EMPTY)
-            if with_base_atoms:
-                out.append(BoolAtom())
-                out.append(StringAtom())
         for inner in by_size.get(s - 1, []):
             for lab in labels:
                 out.append(Element(lab, inner))

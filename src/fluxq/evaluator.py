@@ -24,9 +24,7 @@ from .queries import (
     Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
 from .subtyping import BoolTest, StringTest, TestKind, WildcardTest
-from .types import (
-    ForestBinding, FunctionSig, GlobalDecls, Signature, TreeBinding, TypeEnv,
-)
+from .types import FunctionSig, GlobalDecls, Signature, TypeEnv
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
     SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
@@ -160,11 +158,11 @@ def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr,
 def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
                  _depth: int = 0) -> Forest:
     """Apply ``s`` to the focused value ``v`` and return the updated value."""
+    while isinstance(s, SeqStmt):  # the parser nests ``;`` lists rightwards
+        v = apply_update(rt, env, v, s.first, _depth)
+        s = s.second
     if isinstance(s, Skip):
         return v
-    if isinstance(s, SeqStmt):
-        mid = apply_update(rt, env, v, s.first, _depth)
-        return apply_update(rt, env, mid, s.second, _depth)
     if isinstance(s, IfStmt):
         cond = eval_query(rt, env, s.cond, _depth)
         if len(cond) != 1 or not isinstance(cond[0], BoolVal):
@@ -231,16 +229,8 @@ def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
 def conforms(sig: Signature, env: ValueEnv, type_env: TypeEnv) -> bool:
     """Do the bindings of ``env`` inhabit the types declared in ``type_env``?
 
-    Tree bindings must hold exactly one tree belonging to their atom."""
-    if env.keys() != type_env.keys():
-        return False
-    for name, binding in type_env.items():
-        value = env[name]
-        if isinstance(binding, TreeBinding):
-            if len(value) != 1 or not member(sig, value, binding.atom):
-                return False
-        else:
-            assert isinstance(binding, ForestBinding)
-            if not member(sig, value, binding.type):
-                return False
-    return True
+    Tree bindings must hold exactly one tree belonging to their atom, which
+    is what membership in an atom means."""
+    return env.keys() == type_env.keys() and all(
+        member(sig, env[name], binding.type)
+        for name, binding in type_env.items())

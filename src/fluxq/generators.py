@@ -50,9 +50,6 @@ class GenConfig:
         assert self.max_size >= 1 and self.max_nesting >= 0
         assert self.depth >= 0 and self.width >= 0 and self.cases >= 0
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 def gen_atom(rng: random.Random, cfg: GenConfig, size: int, nesting: int,
              elements_only: bool = False) -> Atom:
@@ -143,10 +140,10 @@ def gen_sub_atom(rng: random.Random, sig: Signature, atom: Atom) -> Atom:
     return atom
 
 
-def gen_env(rng: random.Random, cfg: GenConfig, sig: Signature,
-            max_bindings: int = 3) -> dict[str, TreeBinding | ForestBinding]:
+def gen_env(rng: random.Random, cfg: GenConfig,
+            sig: Signature) -> dict[str, TreeBinding | ForestBinding]:
     env: dict[str, TreeBinding | ForestBinding] = {}
-    for i in range(rng.randint(0, max_bindings)):
+    for i in range(rng.randint(0, 3)):
         name = f"v{i}"
         if rng.random() < 0.4:
             env[name] = TreeBinding(gen_atom(rng, cfg, cfg.max_size,

@@ -159,7 +159,7 @@ def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
         binding = env.get(e.name)
         if binding is None:
             _fail(f"unbound variable ${e.name}", "query/var-unbound", e.span)
-        return binding.atom if isinstance(binding, TreeBinding) else binding.type
+        return binding.type
     if isinstance(e, Concat):
         return Seq(synth_expr(decls, sig, env, e.left),
                    synth_expr(decls, sig, env, e.right))

@@ -23,10 +23,15 @@
 The hypothesis set lives inside a single invocation; the functions here are
 pure and safe to call concurrently.
 
-Types are assumed inhabited.  Every type built from ``bool``, ``string``,
-elements, ``()``, ``|``, ``,`` and ``*`` is inhabited unless a recursive
-definition forces infinite values (e.g. ``X = cons[X]``); such vacuous
-signatures are outside the contract and no emptiness check is performed.
+Types are assumed well-formed and inhabited, and nothing here re-checks
+that: ``sig`` has passed ``check_signature``, and every variable in the
+types compared is declared in it (callers validate once, where types enter
+the program).  An undeclared variable that the decision unfolds still raises
+``UndeclaredVariable`` from ``Signature.definition``.  Every type built from
+``bool``, ``string``, elements, ``()``, ``|``, ``,`` and ``*`` is inhabited
+unless a recursive definition forces infinite values (e.g. ``X = cons[X]``);
+such vacuous signatures are outside the contract and no emptiness check is
+performed.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .types import (
-    Atom, BoolAtom, Element, Empty, EMPTY, ForestBinding, Or, Seq, Signature,
-    Star, StringAtom, TreeBinding, Type, TypeEnv, Var, check_type_declared,
+    Atom, BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
+    StringAtom, Type, TypeEnv, Var,
 )
 
 
@@ -298,41 +303,26 @@ class _Inclusion:
 
 
 def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
-    """True iff the set of values of ``t1`` is included in that of ``t2``."""
-    check_type_declared(sig, t1)
-    check_type_declared(sig, t2)
+    """True iff the set of values of ``t1`` is included in that of ``t2``.
+
+    Precondition (not re-checked): ``sig`` has passed ``check_signature``
+    and every variable in ``t1`` and ``t2`` is declared in it."""
     return _Inclusion(sig).check(t1, (t2,))
 
 
 def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:
-    """Subtyping between singular types.
+    """Subtyping between singular types: ``subtype`` itself, since an atom's
+    linear form is the atom followed by ``()``.
 
     Accepts any type on the right so that an atom can be compared against a
     variable naming it (needed for recursive calls through a signature).
     """
-    if isinstance(a2, Atom):
-        if isinstance(a1, BoolAtom):
-            return isinstance(a2, BoolAtom)
-        if isinstance(a1, StringAtom):
-            return isinstance(a2, StringAtom)
-        if not isinstance(a2, Element) or a1.label != a2.label:
-            return False
-        return subtype(sig, a1.content, a2.content)
     return subtype(sig, a1, a2)
 
 
 def env_subtype(sig: Signature, g1: TypeEnv, g2: TypeEnv) -> bool:
-    """Pointwise subtyping of environments with equal domains."""
-    if g1.keys() != g2.keys():
-        return False
-    for name, b1 in g1.items():
-        b2 = g2[name]
-        if isinstance(b1, TreeBinding) and isinstance(b2, TreeBinding):
-            if not atom_subtype(sig, b1.atom, b2.atom):
-                return False
-        elif isinstance(b1, ForestBinding) and isinstance(b2, ForestBinding):
-            if not subtype(sig, b1.type, b2.type):
-                return False
-        else:
-            return False
-    return True
+    """Pointwise subtyping of environments with equal domains; a tree and a
+    forest binding of one name are unrelated."""
+    return g1.keys() == g2.keys() and all(
+        type(b) is type(g2[name]) and subtype(sig, b.type, g2[name].type)
+        for name, b in g1.items())

@@ -549,15 +549,14 @@ def suite_filter_total(cfg: GenConfig, sig: Signature) -> SuiteResult:
     return res
 
 
-def _conforming_envs(sig: Signature, env, depth: int, width: int,
-                     cap: int = 6) -> Iterator[dict[str, Forest]]:
-    """Up to ``cap`` value environments conforming to ``env``."""
+def _conforming_envs(sig: Signature, env, depth: int,
+                     width: int) -> Iterator[dict[str, Forest]]:
+    """Up to six value environments conforming to ``env``."""
     names = list(env)
     pools: list[list[Forest]] = []
     for name in names:
         binding = env[name]
-        t = binding.atom if isinstance(binding, TreeBinding) else binding.type
-        pool = sorted(values_upto(sig, t, depth, width), key=repr)
+        pool = sorted(values_upto(sig, binding.type, depth, width), key=repr)
         if isinstance(binding, TreeBinding):
             pool = [v for v in pool if len(v) == 1]
         if not pool:
@@ -566,7 +565,7 @@ def _conforming_envs(sig: Signature, env, depth: int, width: int,
     count = 0
     def build(i: int, acc: dict[str, Forest]):
         nonlocal count
-        if count >= cap:
+        if count >= 6:
             return
         if i == len(names):
             count += 1
@@ -575,7 +574,7 @@ def _conforming_envs(sig: Signature, env, depth: int, width: int,
         for v in pools[i]:
             acc[names[i]] = v
             yield from build(i + 1, acc)
-            if count >= cap:
+            if count >= 6:
                 return
     yield from build(0, {})
 

@@ -302,6 +302,10 @@ class TreeBinding:
 
     atom: Atom
 
+    @property
+    def type(self) -> Type:
+        return self.atom
+
 
 @dataclass(frozen=True)
 class ForestBinding:

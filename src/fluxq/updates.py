@@ -150,11 +150,11 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                mult: Multiplicity, t: Type, s: UpdateStmt) -> Type:
     """Synthesize the unique output type of ``s`` applied at multiplicity
     ``mult`` to focus type ``t``, or raise TypeCheckFailure."""
+    while isinstance(s, SeqStmt):  # the parser nests ``;`` lists rightwards
+        t = synth_stmt(decls, sig, env, mult, t, s.first)
+        s = s.second
     if isinstance(s, Skip):
         return t
-    if isinstance(s, SeqStmt):
-        mid = synth_stmt(decls, sig, env, mult, t, s.first)
-        return synth_stmt(decls, sig, env, mult, mid, s.second)
     if isinstance(s, IfStmt):
         cond = synth_expr(decls, sig, env, s.cond)
         if not subtype(sig, cond, BOOL):
@@ -298,8 +298,9 @@ def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                       prog.main)
 
 
-def _declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
-    """Every annotation must mention only declared type variables."""
+def declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
+    """One ``signature/undeclared`` diagnostic per type (with its span) that
+    mentions a type variable absent from ``sig``; duplicates are dropped."""
     out: list[Diagnostic] = []
     for t, span in types_with_spans:
         try:
@@ -314,13 +315,15 @@ def _declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
 def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
                   env: TypeEnv | None = None
                   ) -> tuple[Type | None, list[Diagnostic]]:
-    """Check a query or update program: its annotations mention only declared
-    type variables, each function and procedure body (procedures plurally,
+    """Check a query or update program: its annotations and the types of
+    ``env`` (reported at the program's span) mention only declared type
+    variables, each function and procedure body (procedures plurally,
     declared input against declared output) meets its header, and the main
     meets its ascription.  Returns the main's synthesized type when every
     check passes, and the diagnostics.  Declarations resolve as
     ``program_decls`` says; ``env`` types the main's free variables.
-    Assumes ``sig`` is well-formed."""
+    Assumes ``sig`` is well-formed.  The declared-variable check runs once,
+    here: the synthesis and subtype checks after it rely on it."""
     env = env or {}
     decls, functions, procedures, diags = program_decls(prog)
     query = isinstance(prog, QueryProgram)
@@ -331,30 +334,24 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
                     else (decl.input, decl.output))
         annotations += [(t, decl.span) for _, t in decl.params]
         annotations += [(t, decl.span) for t in declared]
-    bad = _declared_type_diags(sig, annotations)
+    annotations += [(b.type, prog.span) for b in env.values()]
+    bad = declared_type_diags(sig, annotations)
     if bad:
         return None, diags + bad
     for decl in (*functions.values(), *procedures.values()):
         decl_env = {name: ForestBinding(t) for name, t in decl.params}
-        try:
-            if isinstance(decl, FunctionDecl):
-                ok, diag = check_expr(decls, sig, decl_env, decl.body,
-                                      decl.result)
-            else:
-                ok, diag = check_stmt(decls, sig, decl_env, Multiplicity.PLURAL,
-                                      decl.input, decl.body, decl.output)
-        except UndeclaredVariable as exc:
-            ok, diag = False, error(str(exc), "signature/undeclared", decl.span)
+        if isinstance(decl, FunctionDecl):
+            ok, diag = check_expr(decls, sig, decl_env, decl.body, decl.result)
+        else:
+            ok, diag = check_stmt(decls, sig, decl_env, Multiplicity.PLURAL,
+                                  decl.input, decl.body, decl.output)
         if not ok:
             what = "function" if isinstance(decl, FunctionDecl) else "procedure"
             diags.append(error(f"in {what} {decl.name}: {diag.message}",
                                diag.rule, diag.span or decl.span))
-    try:
-        main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
-                              prog.ascription if query else prog.output,
-                              prog.main.span, "query" if query else "update")
-    except UndeclaredVariable as exc:
-        main, diag = None, error(str(exc), "signature/undeclared", prog.span)
+    main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
+                          prog.ascription if query else prog.output,
+                          prog.main.span, "query" if query else "update")
     if diag is not None:
         diags.append(diag)
     return (None if diags else main), diags

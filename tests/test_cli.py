@@ -5,13 +5,29 @@ import json
 import sys
 from pathlib import Path
 
-from fluxq import Elem, Skip, queries, updates
+from fluxq import Elem, Skip, queries, types, updates
 from fluxq.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 LEAVES = str(SAMPLES / "leaves.muxq")
 INSERT_AFTER = str(SAMPLES / "insert_after.flux")
 LEAFUPD = str(SAMPLES / "leafupd.flux")
+
+
+def count_calls(monkeypatch, home, name):
+    """Replace ``home.name`` in every fluxq module that imported it with a
+    wrapper; returns the list of each call's last argument."""
+    original, calls = getattr(home, name), []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("fluxq")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestCheck:
@@ -91,21 +107,8 @@ class TestCheck:
         assert diag["message"].startswith("$x is a forest variable")
 
     def test_main_synthesized_once(self, tmp_path, capsys, monkeypatch):
-        def count_calls(home, name):
-            original, calls = getattr(home, name), []
-
-            def counting(*args):
-                calls.append(args[-1])
-                return original(*args)
-
-            for module in list(sys.modules.values()):
-                if (getattr(module, "__name__", "").startswith("fluxq")
-                        and getattr(module, name, None) is original):
-                    monkeypatch.setattr(module, name, counting)
-            return calls
-
-        exprs = count_calls(queries, "synth_expr")
-        stmts = count_calls(updates, "synth_stmt")
+        exprs = count_calls(monkeypatch, queries, "synth_expr")
+        stmts = count_calls(monkeypatch, updates, "synth_stmt")
         q = tmp_path / "q.muxq"
         q.write_text("query a[] : a[]*\n")
         assert main(["check", str(q)]) == 0
@@ -115,6 +118,24 @@ class TestCheck:
         assert main(["check", str(u)]) == 0
         assert [type(s) for s in stmts].count(Skip) == 1
         assert capsys.readouterr().out.split() == ["a[]", "a[]"]
+
+    def test_declared_variables_checked_once_per_annotation(
+            self, capsys, monkeypatch):
+        walks = count_calls(monkeypatch, types, "check_type_declared")
+        for path, annotations in ((LEAVES, 3), (LEAFUPD, 5),
+                                  (INSERT_AFTER, 2)):
+            walks.clear()
+            assert main(["check", path]) == 0
+            assert len(walks) == annotations
+
+    def test_undeclared_environment_type_unread_by_main(self, tmp_path,
+                                                         capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query () : ()\n")
+        assert main(["--json", "check", str(f), "--var", "x=Missing"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["rule"] for d in report["diagnostics"]] == [
+            "signature/undeclared"]
 
 
 class TestDuplicateDeclarations:
@@ -155,6 +176,14 @@ class TestType:
         assert main(["type", INSERT_AFTER]) == 0
         assert capsys.readouterr().out.strip() == "a[(b[],c[])*,c[]],d[]"
 
+    def test_undeclared_environment_type_rejected(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query $x : ()\n")
+        assert main(["type", str(f), "--var", "x=Missing"]) == 1
+        out, err = capsys.readouterr()
+        assert "Missing" not in out
+        assert "signature/undeclared" in err
+
 
 class TestSubtype:
     def test_true_inclusion_exits_zero(self, capsys):
@@ -178,6 +207,10 @@ class TestSubtype:
 
     def test_bad_type_text_exits_two(self, capsys):
         assert main(["subtype", "a[", "b[]"]) == 2
+
+    def test_undeclared_variable_exits_one(self, capsys):
+        assert main(["subtype", "X", "X"]) == 1
+        assert "undeclared type variable 'X'" in capsys.readouterr().err
 
 
 class TestEval:
@@ -216,6 +249,21 @@ class TestRunUpdate:
         f.write_text("update rename n : a[],a[] => a[],a[]\n")
         assert main(["run-update", str(f), "--input", "a[],a[]"]) == 1
 
+    def test_input_outside_declared_type_exits_one(self, capsys):
+        assert main(["run-update", INSERT_AFTER, "--input", "b[]"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:")
+        assert "a[b[]*,c[]],d[]" in line
+
+    def test_unguarded_signature_rejected_before_input_check(self, tmp_path,
+                                                             capsys):
+        f = tmp_path / "u.flux"
+        f.write_text("type X = () | a[],X\nupdate skip : X => X\n")
+        assert main(["run-update", str(f), "--input", "()"]) == 1
+        assert "top-level variable X" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_small_run_exits_zero(self, capsys):
@@ -236,8 +284,9 @@ class TestOracle:
 
 
 class TestDeepInput:
-    """Input nested or sequenced past Python's recursion limit is rejected
-    with a limit/depth diagnostic and exit 2, never a traceback."""
+    """Input nested past Python's recursion limit is rejected with a
+    limit/depth diagnostic and exit 2, never a traceback; long ``;``
+    sequences are processed."""
 
     @staticmethod
     def assert_depth_error(capsys):
@@ -248,8 +297,10 @@ class TestDeepInput:
     def test_check_long_statement_sequence(self, tmp_path, capsys):
         f = tmp_path / "long.flux"
         f.write_text("update " + "; ".join(["skip"] * 1200) + " : a[] => a[]\n")
-        assert main(["check", str(f)]) == 2
-        self.assert_depth_error(capsys)
+        for argv in (["check", str(f)], ["type", str(f)],
+                     ["run-update", str(f), "--input", "a[]"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.strip() == "a[]"
 
     def test_subtype_deep_type(self, capsys):
         deep = "a[" * 400 + "]" * 400

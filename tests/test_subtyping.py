@@ -90,6 +90,18 @@ class TestAtomSubtype:
                             Element("tree", parse_type("leaf[string]|node[Tree*]")),
                             Var("Tree"))
 
+    def test_agrees_with_subtype_on_every_atom_pair(self):
+        rec = Signature({"X": parse_type("a[X*] | b[]")})
+        contents = types_upto(3, ("a", "b"))
+        for sig, extra in ((E, ()), (rec, (Var("X"), parse_type("X*")))):
+            atoms = [BOOL, STRING] + [Element(label, t) for label in ("a", "b")
+                                      for t in (*contents, *extra)]
+            for a1 in atoms:
+                for a2 in atoms:
+                    assert (atom_subtype(sig, a1, a2)
+                            == subtype(sig, a1, a2)), (type_str(a1),
+                                                       type_str(a2))
+
 
 class TestTestSubtype:
     def test_the_four_axioms(self):

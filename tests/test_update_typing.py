@@ -303,3 +303,12 @@ class TestCheckProgram:
         main, diags = check_program(sig, prog)
         assert main is None
         assert [d.rule for d in diags] == ["query/ascription"]
+
+    def test_undeclared_environment_type_reported_at_program_span(self):
+        prog, sig = parse_program("query () : ()")
+        main, diags = check_program(sig, prog,
+                                    {"x": ForestBinding(Var("Missing"))})
+        assert main is None
+        assert [(d.rule, d.span) for d in diags] == [
+            ("signature/undeclared", prog.span)]
+        assert "Missing" in diags[0].message
