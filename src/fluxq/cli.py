@@ -34,7 +34,7 @@ from .types import (
     EMPTY_SIGNATURE, Signature, check_signature, check_type_declared,
 )
 from .updates import (
-    UpdateProgram, check_program, declared_type_diags, program_decls,
+    UpdateProgram, annotation_diags, check_program, program_decls,
     synth_main,
 )
 from .values import member
@@ -117,11 +117,11 @@ def cmd_check(args) -> int:
 def cmd_type(args) -> int:
     env = _parse_type_env(args)
     prog, sig = parse_program(_read(args.file), args.file)
-    diags = check_signature(sig) or declared_type_diags(
-        sig, [(b.type, prog.span) for b in env.values()])
+    decls, functions, procedures, _ = program_decls(prog)
+    diags = check_signature(sig) or annotation_diags(
+        sig, prog, (*functions.values(), *procedures.values()), env)
     if diags:
         return _report(None, diags, args.json)
-    decls, _, _, _ = program_decls(prog)
     try:
         main = synth_main(decls, sig, env, prog)
     except TypeCheckFailure as exc:

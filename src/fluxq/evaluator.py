@@ -24,7 +24,7 @@ from .queries import (
     Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
 from .subtyping import BoolTest, StringTest, TestKind, WildcardTest
-from .types import FunctionSig, GlobalDecls, Signature, TypeEnv
+from .types import Signature, TypeEnv
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
     SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
@@ -42,9 +42,9 @@ DEFAULT_RECURSION_LIMIT = 256
 
 @dataclass(frozen=True)
 class Runtime:
-    """Declarations plus bodies, ready to execute."""
+    """Function and procedure bodies plus native builtins, ready to
+    execute."""
 
-    decls: GlobalDecls = field(default_factory=GlobalDecls)
     function_bodies: Mapping[str, tuple[tuple[str, ...], QueryExpr]] = field(
         default_factory=dict)
     procedure_bodies: Mapping[str, tuple[tuple[str, ...], UpdateStmt]] = field(
@@ -54,24 +54,19 @@ class Runtime:
 
 
 def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
-                              builtins: Mapping[str, tuple[FunctionSig, Builtin]] | None = None,
+                              builtins: Mapping[str, Builtin] | None = None,
                               recursion_limit: int = DEFAULT_RECURSION_LIMIT) -> Runtime:
     """The runtime of a query or update program, its declarations resolved
-    as ``program_decls`` says; each builtin adds a function that runs
-    natively.  ``runtime_for_update_program`` is the same builder."""
-    decls, functions, procedures, _ = program_decls(prog)
-    native: dict[str, Builtin] = {}
-    headers = dict(decls.functions)
-    for name, (sig_entry, fn) in (builtins or {}).items():
-        headers[name] = sig_entry
-        native[name] = fn
+    as ``program_decls`` says; ``builtins`` maps a function name to its
+    native implementation.  ``runtime_for_update_program`` is the same
+    builder."""
+    _, functions, procedures, _ = program_decls(prog)
     return Runtime(
-        GlobalDecls(functions=headers, procedures=decls.procedures),
         {name: (tuple(n for n, _ in f.params), f.body)
          for name, f in functions.items()},
         {name: (tuple(n for n, _ in p.params), p.body)
          for name, p in procedures.items()},
-        native, recursion_limit)
+        dict(builtins or {}), recursion_limit)
 
 
 runtime_for_update_program = runtime_for_query_program

@@ -298,11 +298,25 @@ def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                       prog.main)
 
 
-def declared_type_diags(sig: Signature, types_with_spans) -> list[Diagnostic]:
-    """One ``signature/undeclared`` diagnostic per type (with its span) that
-    mentions a type variable absent from ``sig``; duplicates are dropped."""
+def annotation_diags(sig: Signature, prog: QueryProgram | UpdateProgram,
+                     kept: tuple[FunctionDecl | ProcedureDecl, ...],
+                     env: TypeEnv) -> list[Diagnostic]:
+    """One ``signature/undeclared`` diagnostic per annotation that mentions
+    a type variable absent from ``sig``; duplicates are dropped.  The
+    annotations are the main's, those of the ``kept`` declarations (as
+    ``program_decls`` resolves them) and the types of ``env``, reported at
+    the program's span."""
+    annotations = [(t, prog.span) for t in
+                   ((prog.ascription,) if isinstance(prog, QueryProgram)
+                    else (prog.input, prog.output))]
+    for decl in kept:
+        declared = ((decl.result,) if isinstance(decl, FunctionDecl)
+                    else (decl.input, decl.output))
+        annotations += [(t, decl.span) for _, t in decl.params]
+        annotations += [(t, decl.span) for t in declared]
+    annotations += [(b.type, prog.span) for b in env.values()]
     out: list[Diagnostic] = []
-    for t, span in types_with_spans:
+    for t, span in annotations:
         try:
             check_type_declared(sig, t)
         except UndeclaredVariable as exc:
@@ -316,29 +330,21 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
                   env: TypeEnv | None = None
                   ) -> tuple[Type | None, list[Diagnostic]]:
     """Check a query or update program: its annotations and the types of
-    ``env`` (reported at the program's span) mention only declared type
-    variables, each function and procedure body (procedures plurally,
-    declared input against declared output) meets its header, and the main
-    meets its ascription.  Returns the main's synthesized type when every
-    check passes, and the diagnostics.  Declarations resolve as
-    ``program_decls`` says; ``env`` types the main's free variables.
-    Assumes ``sig`` is well-formed.  The declared-variable check runs once,
-    here: the synthesis and subtype checks after it rely on it."""
+    ``env`` mention only declared type variables (``annotation_diags``),
+    each function and procedure body (procedures plurally, declared input
+    against declared output) meets its header, and the main meets its
+    ascription.  Returns the main's synthesized type when every check
+    passes, and the diagnostics.  Declarations resolve as ``program_decls``
+    says; ``env`` types the main's free variables.  Assumes ``sig`` is
+    well-formed.  The declared-variable check runs once, here: the
+    synthesis and subtype checks after it rely on it."""
     env = env or {}
     decls, functions, procedures, diags = program_decls(prog)
-    query = isinstance(prog, QueryProgram)
-    annotations = [(t, prog.span) for t in
-                   ((prog.ascription,) if query else (prog.input, prog.output))]
-    for decl in (*functions.values(), *procedures.values()):
-        declared = ((decl.result,) if isinstance(decl, FunctionDecl)
-                    else (decl.input, decl.output))
-        annotations += [(t, decl.span) for _, t in decl.params]
-        annotations += [(t, decl.span) for t in declared]
-    annotations += [(b.type, prog.span) for b in env.values()]
-    bad = declared_type_diags(sig, annotations)
+    kept = (*functions.values(), *procedures.values())
+    bad = annotation_diags(sig, prog, kept, env)
     if bad:
         return None, diags + bad
-    for decl in (*functions.values(), *procedures.values()):
+    for decl in kept:
         decl_env = {name: ForestBinding(t) for name, t in decl.params}
         if isinstance(decl, FunctionDecl):
             ok, diag = check_expr(decls, sig, decl_env, decl.body, decl.result)
@@ -349,6 +355,7 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
             what = "function" if isinstance(decl, FunctionDecl) else "procedure"
             diags.append(error(f"in {what} {decl.name}: {diag.message}",
                                diag.rule, diag.span or decl.span))
+    query = isinstance(prog, QueryProgram)
     main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
                           prog.ascription if query else prog.output,
                           prog.main.span, "query" if query else "update")

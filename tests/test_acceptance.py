@@ -19,9 +19,8 @@ from fluxq import (
 from fluxq import test_subtype as passes_test
 from fluxq.cli import main as cli_main
 from fluxq.suites import (
-    filter_commutation, for_homomorphism, iter_homomorphism,
-    oracle_agreement, query_downward_monotonicity, query_soundness,
-    update_downward_monotonicity, update_soundness,
+    QUERY, UPDATE, downward_monotonicity, filter_commutation, homomorphism,
+    oracle_agreement, soundness,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -126,7 +125,8 @@ def test_criterion_05_subtype_spot_checks():
 
 def test_criterion_06_oracle_equivalence():
     with criterion(6, "oracle-equivalence", 300.0):
-        result = oracle_agreement(E, ("a", "b"), size=4, depth=3, width=3)
+        result = oracle_agreement(
+            GenConfig(labels=("a", "b"), depth=3, width=3), E)
         assert result.cases >= 2000  # all pairs over the size-4 corpus
         assert result.failures == [], result.failures[:3]
 
@@ -134,10 +134,10 @@ def test_criterion_06_oracle_equivalence():
 def test_criterion_07_downward_monotonicity():
     with criterion(7, "downward-monotonicity", 120.0):
         cfg = GenConfig(seed=42, cases=1000)
-        queries = query_downward_monotonicity(cfg, E, 1000)
+        queries = downward_monotonicity(QUERY, cfg, E)
         assert queries.cases == 1000
         assert queries.failures == [], queries.failures[:3]
-        updates = update_downward_monotonicity(cfg, E, 1000)
+        updates = downward_monotonicity(UPDATE, cfg, E)
         assert updates.cases == 1000
         assert updates.failures == [], updates.failures[:3]
 
@@ -145,10 +145,10 @@ def test_criterion_07_downward_monotonicity():
 def test_criterion_08_homomorphism_laws():
     with criterion(8, "homomorphism-laws", 60.0):
         cfg = GenConfig(seed=42, cases=500)
-        queries = for_homomorphism(cfg, E, 500)
+        queries = homomorphism(QUERY, cfg, E)
         assert queries.cases == 500
         assert queries.failures == [], queries.failures[:3]
-        updates = iter_homomorphism(cfg, E, 500)
+        updates = homomorphism(UPDATE, cfg, E)
         assert updates.cases == 500
         assert updates.failures == [], updates.failures[:3]
 
@@ -156,10 +156,10 @@ def test_criterion_08_homomorphism_laws():
 def test_criterion_09_empirical_type_soundness():
     with criterion(9, "empirical-type-soundness", 300.0):
         cfg = GenConfig(seed=42, cases=500)
-        queries = query_soundness(cfg, E, 500)
+        queries = soundness(QUERY, cfg, E)
         assert queries.cases == 500
         assert queries.failures == [], queries.failures[:3]
-        updates = update_soundness(cfg, E, 500)
+        updates = soundness(UPDATE, cfg, E)
         assert updates.cases == 500
         assert updates.failures == [], updates.failures[:3]
 

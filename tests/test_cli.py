@@ -184,6 +184,15 @@ class TestType:
         assert "Missing" not in out
         assert "signature/undeclared" in err
 
+    def test_undeclared_annotation_rejected(self, tmp_path, capsys):
+        f = tmp_path / "f.muxq"
+        f.write_text("declare function f() : Missing { () };\n"
+                     "query f() : ()\n")
+        assert main(["type", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "signature/undeclared" in err
+
 
 class TestSubtype:
     def test_true_inclusion_exits_zero(self, capsys):
@@ -281,6 +290,20 @@ class TestOracle:
         assert report["ok"] is True
         assert {"name", "cases", "failures", "skipped"} <= set(
             report["suites"][0])
+        # each suite's random stream is seeded from its name
+        assert [s["name"] for s in report["suites"]] == [
+            "member-respects-subtyping", "values-have-atomic-witnesses",
+            "words-monotone-in-bounds", "atoms-compatible-under-subtyping",
+            "member-terminates-on-recursive-signatures",
+            "types-inhabited-at-small-bounds", "subtype-agrees-with-oracle",
+            "subtype-reflexive", "subtype-transitive",
+            "language-inclusion-matches-subtype", "test-subtype-semantic",
+            "query-synthesis-deterministic", "query-downward-monotone",
+            "for-iteration-homomorphic", "filter-total", "query-soundness",
+            "update-synthesis-deterministic", "update-downward-monotone",
+            "iter-homomorphic", "update-soundness", "evaluator-laws",
+            "filter-commutes-with-language", "generator-self-checks",
+        ]
 
 
 class TestDeepInput:

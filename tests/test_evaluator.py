@@ -4,7 +4,7 @@ conformance, and runtime error behavior."""
 import pytest
 
 from fluxq import (
-    EvalError, ForestBinding, FunctionSig, RecursionLimitExceeded, Runtime,
+    EvalError, ForestBinding, RecursionLimitExceeded, Runtime,
     Signature, StrVal, TreeBinding, Var, apply_update, conforms, eval_query,
     parse_expr, parse_program, parse_stmt, parse_type, parse_value,
     runtime_for_query_program, runtime_for_update_program, EMPTY_SIGNATURE,
@@ -77,9 +77,7 @@ class TestEvalQuery:
         prog, _ = parse_program('query concat("a", "b") : string')
         def concat(x, y):
             return (StrVal(x[0].value + y[0].value),)
-        rt = runtime_for_query_program(prog, builtins={
-            "concat": (FunctionSig((parse_type("string"),) * 2,
-                                   parse_type("string")), concat)})
+        rt = runtime_for_query_program(prog, builtins={"concat": concat})
         assert eval_query(rt, {}, prog.main) == (StrVal("ab"),)
 
 

@@ -1,10 +1,14 @@
 """The property-suite harness itself: everything green at a small case
 count, plus the shrinking machinery."""
 
-from fluxq import EMPTY, EMPTY_SIGNATURE, GenConfig, parse_type, run_suites, subtype
+from fluxq import (
+    EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, parse_type, run_suites,
+    subtype,
+)
+from fluxq import suites
 from fluxq.suites import (
     commutation_case, fixture_signature, greedy_shrink, shrink_type,
-    shrink_type_pair,
+    shrink_type_pair, suite_evaluator_laws,
 )
 
 
@@ -26,6 +30,17 @@ class TestRunSuites:
         assert data["ok"] is True
         assert all({"name", "cases", "failures"} <= set(s)
                    for s in data["suites"])
+
+
+class TestEvaluatorLaws:
+    def test_eval_error_is_a_failure(self, monkeypatch):
+        def crash(*args):
+            raise EvalError("focus-shape violation")
+        monkeypatch.setattr(suites, "apply_update", crash)
+        cfg = GenConfig(cases=3, seed=3)
+        result = suite_evaluator_laws(cfg, fixture_signature(cfg))
+        assert result.failures
+        assert result.failures[0].startswith("well-typed update crashed on")
 
 
 class TestShrinking:
