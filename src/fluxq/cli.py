@@ -31,7 +31,8 @@ from .queries import QueryProgram
 from .subtyping import subtype
 from .suites import run_suites
 from .types import (
-    EMPTY_SIGNATURE, Signature, check_signature, check_type_declared,
+    Atom, Element, EMPTY_SIGNATURE, ForestBinding, Signature, TreeBinding,
+    check_signature, check_type_declared, nodes,
 )
 from .updates import (
     UpdateProgram, annotation_diags, check_program, program_decls,
@@ -46,26 +47,13 @@ def _read(path: str) -> str:
 
 
 def _labels_in(sig: Signature, prog) -> tuple[str, ...]:
-    from .types import Element, Or, Seq, Star
-    labels: set[str] = set()
-
-    def walk_type(t):
-        if isinstance(t, Element):
-            labels.add(t.label)
-            walk_type(t.content)
-        elif isinstance(t, (Or, Seq)):
-            walk_type(t.left)
-            walk_type(t.right)
-        elif isinstance(t, Star):
-            walk_type(t.inner)
-
-    for _, body in sig.items():
-        walk_type(body)
+    roots = [body for _, body in sig.items()]
     if isinstance(prog, QueryProgram):
-        walk_type(prog.ascription)
+        roots.append(prog.ascription)
     elif isinstance(prog, UpdateProgram):
-        walk_type(prog.input)
-        walk_type(prog.output)
+        roots += [prog.input, prog.output]
+    labels = {node.label for root in roots for node in nodes(root)
+              if isinstance(node, Element)}
     return tuple(sorted(labels)) or ("a", "b")
 
 
@@ -89,7 +77,6 @@ def _report(program_type: str | None, diagnostics: list[Diagnostic],
 
 def _parse_type_env(args) -> dict:
     """``--var x=TYPE`` forest bindings and ``--tree x=TYPE`` tree bindings."""
-    from .types import Atom, ForestBinding, TreeBinding
     env: dict = {}
     for spec in args.var or []:
         name, _, text = spec.partition("=")
@@ -115,6 +102,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_type(args) -> int:
+    """Print the main's synthesized type.
+
+    Checks the signature and the declared variables of every annotation and
+    of the environment, then synthesizes the main against the declared
+    headers.  Function and procedure bodies, duplicate declarations and the
+    main's own ascription are not checked; ``check`` checks them."""
     env = _parse_type_env(args)
     prog, sig = parse_program(_read(args.file), args.file)
     decls, functions, procedures, _ = program_decls(prog)

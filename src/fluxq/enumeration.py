@@ -32,6 +32,29 @@ def word_to_type(word: Word) -> Type:
     return t
 
 
+def _concat(lefts: frozenset[tuple], rights: frozenset[tuple],
+            bound: int) -> frozenset[tuple]:
+    """Every ``a + b`` of length ≤ bound: a bounded language's ``,``."""
+    return frozenset(a + b for a in lefts for b in rights
+                     if len(a) + len(b) <= bound)
+
+
+def _closure(parts: frozenset[tuple], bound: int) -> frozenset[tuple]:
+    """``()`` and every concatenation of nonempty parts of length ≤ bound:
+    a bounded language's ``*``."""
+    nonempty = [p for p in parts if p]
+    closure = {(): None}
+    frontier = [()]
+    while frontier:
+        base = frontier.pop()
+        for part in nonempty:
+            ext = base + part
+            if len(ext) <= bound and ext not in closure:
+                closure[ext] = None
+                frontier.append(ext)
+    return frozenset(closure)
+
+
 def values_upto(sig: Signature, t: Type, depth: int,
                 width: int) -> frozenset[Forest]:
     """All values of ``t`` with nesting depth ≤ depth and every forest length
@@ -58,22 +81,9 @@ def values_upto(sig: Signature, t: Type, depth: int,
         if isinstance(node, Or):
             return gen(node.left, d) | gen(node.right, d)
         if isinstance(node, Seq):
-            lefts = gen(node.left, d)
-            rights = gen(node.right, d)
-            return frozenset(a + b for a in lefts for b in rights
-                             if len(a) + len(b) <= width)
+            return _concat(gen(node.left, d), gen(node.right, d), width)
         if isinstance(node, Star):
-            parts = [v for v in gen(node.inner, d) if v]
-            closure = {(): None}
-            frontier = [()]
-            while frontier:
-                base = frontier.pop()
-                for part in parts:
-                    ext = base + part
-                    if len(ext) <= width and ext not in closure:
-                        closure[ext] = None
-                        frontier.append(ext)
-            return frozenset(closure)
+            return _closure(gen(node.inner, d), width)
         assert isinstance(node, Var)
         return gen(sig.definition(node.name), d)
 
@@ -100,22 +110,9 @@ def words_upto(sig: Signature, t: Type, k: int,
         if isinstance(node, Or):
             return gen(node.left) | gen(node.right)
         if isinstance(node, Seq):
-            lefts = gen(node.left)
-            rights = gen(node.right)
-            return frozenset(a + b for a in lefts for b in rights
-                             if len(a) + len(b) <= k)
+            return _concat(gen(node.left), gen(node.right), k)
         if isinstance(node, Star):
-            parts = [w for w in gen(node.inner) if w]
-            closure = {(): None}
-            frontier = [()]
-            while frontier:
-                base = frontier.pop()
-                for part in parts:
-                    ext = base + part
-                    if len(ext) <= k and ext not in closure:
-                        closure[ext] = None
-                        frontier.append(ext)
-            return frozenset(closure)
+            return _closure(gen(node.inner), k)
         assert isinstance(node, Var)
         return gen(sig.definition(node.name))
 

@@ -10,7 +10,6 @@ tests can compare them structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .diagnostics import Diagnostic, SourceSpan, error
@@ -19,115 +18,72 @@ from .printer import type_str
 from .subtyping import subtype
 from .types import (
     BOOL, Element, EMPTY, ForestBinding, GlobalDecls, Or, Seq, Signature,
-    STRING, TreeBinding, Type, TypeEnv, map_atoms,
+    STRING, Struct, TreeBinding, Type, TypeEnv, map_atoms,
 )
 
 
-@dataclass(frozen=True)
-class QueryExpr:
-    pass
+class QueryExpr(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptySeq(QueryExpr):
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Concat(QueryExpr):
-    left: QueryExpr
-    right: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Elem(QueryExpr):
-    label: str
-    content: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("label", "content")
 
 
-@dataclass(frozen=True)
 class StrLit(QueryExpr):
-    value: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class BoolLit(QueryExpr):
-    value: bool
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class VarRef(QueryExpr):
-    name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Let(QueryExpr):
-    var: str
-    bound: QueryExpr
-    body: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("var", "bound", "body")
 
 
-@dataclass(frozen=True)
 class If(QueryExpr):
-    cond: QueryExpr
-    then: QueryExpr
-    els: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("cond", "then", "els")
 
 
-@dataclass(frozen=True)
 class Children(QueryExpr):
     """Child projection of a for-bound tree variable."""
 
-    var: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
 class LabelFilter(QueryExpr):
     """Keep exactly the trees labeled ``label``, in order."""
 
-    source: QueryExpr
-    label: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("source", "label")
 
 
-@dataclass(frozen=True)
 class For(QueryExpr):
-    var: str
-    source: QueryExpr
-    body: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("var", "source", "body")
 
 
-@dataclass(frozen=True)
 class Call(QueryExpr):
-    name: str
-    args: tuple[QueryExpr, ...]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
-class FunctionDecl:
-    name: str
-    params: tuple[tuple[str, Type], ...]
-    result: Type
-    body: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+class FunctionDecl(Struct):
+    __slots__ = ("name", "params", "result", "body")
 
 
-@dataclass(frozen=True)
-class QueryProgram:
-    functions: tuple[FunctionDecl, ...]
-    main: QueryExpr
-    ascription: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+class QueryProgram(Struct):
+    __slots__ = ("functions", "main", "ascription")
 
 
 def _fail(message: str, rule: str, span: SourceSpan | None = None):

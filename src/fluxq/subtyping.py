@@ -36,32 +36,26 @@ performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .types import (
     Atom, BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
-    StringAtom, Type, TypeEnv, Var,
+    StringAtom, Struct, Type, TypeEnv, Var,
 )
 
 
-@dataclass(frozen=True)
-class LabelTest:
-    label: str
+class LabelTest(Struct):
+    __slots__ = ("label",)
 
 
-@dataclass(frozen=True)
-class WildcardTest:
-    pass
+class WildcardTest(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoolTest:
-    pass
+class BoolTest(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StringTest:
-    pass
+class StringTest(Struct):
+    __slots__ = ()
 
 
 TestKind = LabelTest | WildcardTest | BoolTest | StringTest

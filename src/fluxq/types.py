@@ -7,108 +7,121 @@ guarded: walking a definition through ``|``, ``,``, ``*`` and ``()`` without
 entering element content never reaches a variable.  That restriction makes
 every judgment that unfolds variables at the top level terminate.
 
-All nodes are frozen; structural equality is dataclass equality.  Parser
-spans are excluded from comparison so golden tests and round-trips compare
-pure structure.
+Every tree node (types here; query expressions, update statements, values
+and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
+equality, hash and ``repr`` come from its fields.  Parser spans are not
+fields, so golden tests and round-trips compare pure structure.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .diagnostics import Diagnostic, SourceSpan, error
+from .diagnostics import Diagnostic, error
 from .errors import UndeclaredVariable
 
-LABEL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-TYPEVAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+_STRUCT_METHODS = """\
+def __init__(self, {params}*, span=None):
+{sets}    _set_span(self, span)
+    _set_hash(self, None)
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+
+def __hash__(self):
+    value = self._hash
+    if value is None:
+        value = hash(({mine}))
+        _set_hash(self, value)
+    return value
+
+def __repr__(self):
+    return f"{name}({shown})"
+"""
 
 
-def cache_hash(cls):
-    """Memoize the generated structural hash on the instance.
+class Struct:
+    """Base of every immutable tree node.
 
-    Type trees are immutable and get hashed heavily as memo keys; caching
-    turns repeated deep hashes into one field read."""
-    structural = cls.__hash__
+    A subclass lists its fields in ``__slots__``; ``__init_subclass__``
+    builds its ``__init__`` (fields by position, ``span=None`` by keyword),
+    ``__eq__`` (same class, equal fields in order), ``__hash__`` (that of
+    the tuple of fields, cached on first use) and ``__repr__`` once, as
+    dataclasses do.  ``span`` is not a field, so all three ignore it."""
 
-    def cached(self):
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = structural(self)
-            object.__setattr__(self, "_hash", value)
-        return value
+    __slots__ = ("span", "_hash")
+    _fields: tuple[str, ...] = ()
 
-    cls.__hash__ = cached
-    return cls
+    def __init_subclass__(cls):
+        fields = cls._fields + tuple(cls.__dict__["__slots__"])
+        cls._fields = fields
+        namespace = {f"set_{f}": getattr(cls, f).__set__ for f in fields}
+        namespace.update(_set_span=Struct.span.__set__,
+                         _set_hash=Struct._hash.__set__)
+        exec(_STRUCT_METHODS.format(
+            name=cls.__qualname__,
+            params="".join(f"{f}, " for f in fields),
+            sets="".join(f"    set_{f}(self, {f})\n" for f in fields),
+            mine="".join(f"self.{f}, " for f in fields),
+            theirs="".join(f"other.{f}, " for f in fields),
+            shown=", ".join(f"{f}={{self.{f}!r}}" for f in fields),
+        ), namespace)
+        for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, namespace[method])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Type:
-    pass
+class Type(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Type):
     """A singular type: every value of an atom is a single tree."""
 
+    __slots__ = ()
 
-@cache_hash
-@dataclass(frozen=True)
+
 class BoolAtom(Atom):
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@cache_hash
-@dataclass(frozen=True)
 class StringAtom(Atom):
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Element(Atom):
-    label: str
-    content: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("label", "content")
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Empty(Type):
     """The type ``()`` whose only value is the empty forest."""
 
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Or(Type):
-    left: Type
-    right: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Seq(Type):
-    left: Type
-    right: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Star(Type):
-    inner: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("inner",)
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Var(Type):
-    name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name",)
 
 
 BOOL = BoolAtom()
@@ -183,28 +196,27 @@ def _top_level_vars(t: Type) -> Iterator[Var]:
             stack.append(node.inner)
 
 
-def all_vars(t: Type) -> Iterator[Var]:
-    """Every distinct Var node in ``t``, including inside element content.
-
-    A node shared by several parents is visited once, so the walk is linear
-    in the number of distinct nodes, not in the size of the unshared tree."""
+def nodes(t: Type) -> Iterator[Type]:
+    """Every distinct node of ``t``, including inside element content,
+    without unfolding variables.  A node shared by several parents is
+    yielded once, and the walk keeps its own stack: it is linear in the
+    number of distinct nodes and does not recurse."""
     seen: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
         cls = node.__class__
         if cls is Or or cls is Seq:
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.append(node.left)
-                stack.append(node.right)
-        elif cls is Element or cls is Star:
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.append(node.content if cls is Element else node.inner)
-        elif cls is Var and id(node) not in seen:
-            seen.add(id(node))
-            yield node
+            stack.append(node.left)
+            stack.append(node.right)
+        elif cls is Element:
+            stack.append(node.content)
+        elif cls is Star:
+            stack.append(node.inner)
 
 
 def check_signature(sig: Signature) -> list[Diagnostic]:
@@ -215,8 +227,8 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
     for name, body in sig.items():
-        for v in all_vars(body):
-            if v.name not in sig:
+        for v in nodes(body):
+            if isinstance(v, Var) and v.name not in sig:
                 out.append(error(
                     f"type variable {v.name} used in definition of {name} is not declared",
                     rule="signature/undeclared", span=v.span))
@@ -229,8 +241,8 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
 
 def check_type_declared(sig: Signature, t: Type) -> None:
     """Raise UndeclaredVariable if ``t`` mentions a variable absent from ``sig``."""
-    for v in all_vars(t):
-        if v.name not in sig:
+    for v in nodes(t):
+        if isinstance(v, Var) and v.name not in sig:
             raise UndeclaredVariable(v.name)
 
 
@@ -296,22 +308,20 @@ def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:
 # --- typing environments and global declarations ---------------------------
 
 
-@dataclass(frozen=True)
-class TreeBinding:
+class TreeBinding(Struct):
     """A tree variable: always bound to an atom."""
 
-    atom: Atom
+    __slots__ = ("atom",)
 
     @property
     def type(self) -> Type:
         return self.atom
 
 
-@dataclass(frozen=True)
-class ForestBinding:
+class ForestBinding(Struct):
     """A forest variable: bound to an arbitrary (possibly plural) type."""
 
-    type: Type
+    __slots__ = ("type",)
 
 
 Binding = Union[TreeBinding, ForestBinding]
@@ -320,17 +330,12 @@ Binding = Union[TreeBinding, ForestBinding]
 TypeEnv = Mapping[str, Binding]
 
 
-@dataclass(frozen=True)
-class FunctionSig:
-    params: tuple[Type, ...]
-    result: Type
+class FunctionSig(Struct):
+    __slots__ = ("params", "result")
 
 
-@dataclass(frozen=True)
-class ProcedureSig:
-    params: tuple[Type, ...]
-    input: Type
-    output: Type
+class ProcedureSig(Struct):
+    __slots__ = ("params", "input", "output")
 
 
 @dataclass(frozen=True)

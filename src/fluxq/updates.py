@@ -12,18 +12,17 @@ checks whole programs, query and update programs alike.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceSpan, error
 from .errors import TypeCheckFailure, UndeclaredVariable
 from .printer import type_str
 from .queries import (
-    FunctionDecl, QueryExpr, QueryProgram, _ascribe, check_expr, synth_expr,
+    FunctionDecl, QueryProgram, _ascribe, check_expr, synth_expr,
 )
-from .subtyping import TestKind, subtype, test_str, test_subtype
+from .subtyping import subtype, test_str, test_subtype
 from .types import (
     Atom, BOOL, Element, Empty, EMPTY, ForestBinding, FunctionSig,
-    GlobalDecls, Or, ProcedureSig, Seq, Signature, Type, TypeEnv,
+    GlobalDecls, Or, ProcedureSig, Seq, Signature, Struct, Type, TypeEnv,
     check_type_declared, map_atoms,
 )
 
@@ -40,106 +39,64 @@ class Direction(enum.Enum):
     ITER = "iter"
 
 
-@dataclass(frozen=True)
-class UpdateStmt:
-    pass
+class UpdateStmt(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Skip(UpdateStmt):
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SeqStmt(UpdateStmt):
-    first: UpdateStmt
-    second: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True)
 class IfStmt(UpdateStmt):
-    cond: QueryExpr
-    then: UpdateStmt
-    els: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("cond", "then", "els")
 
 
-@dataclass(frozen=True)
 class LetStmt(UpdateStmt):
-    var: str
-    bound: QueryExpr
-    body: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("var", "bound", "body")
 
 
-@dataclass(frozen=True)
 class ProcCall(UpdateStmt):
-    name: str
-    args: tuple[QueryExpr, ...]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
 class Insert(UpdateStmt):
-    expr: QueryExpr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
 class Delete(UpdateStmt):
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Rename(UpdateStmt):
-    label: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("label",)
 
 
-@dataclass(frozen=True)
 class Snapshot(UpdateStmt):
     """Bind a forest variable to the focused value, then update it."""
 
-    var: str
-    body: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Test(UpdateStmt):
     """Run the body only if the focused tree passes the test."""
 
-    test: TestKind
-    body: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("test", "body")
 
 
-@dataclass(frozen=True)
 class Nav(UpdateStmt):
-    direction: Direction
-    body: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("direction", "body")
 
 
-@dataclass(frozen=True)
-class ProcedureDecl:
-    name: str
-    params: tuple[tuple[str, Type], ...]
-    input: Type
-    output: Type
-    body: UpdateStmt
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+class ProcedureDecl(Struct):
+    __slots__ = ("name", "params", "input", "output", "body")
 
 
-@dataclass(frozen=True)
-class UpdateProgram:
-    functions: tuple[FunctionDecl, ...]
-    procedures: tuple[ProcedureDecl, ...]
-    main: UpdateStmt
-    input: Type
-    output: Type
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+class UpdateProgram(Struct):
+    __slots__ = ("functions", "procedures", "main", "input", "output")
 
 
 def _fail(message: str, rule: str, span: SourceSpan | None = None):

@@ -14,28 +14,24 @@ trees that share a child tuple.  Atoms and ``()`` are answered directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .types import (
-    BoolAtom, Element, Empty, Or, Seq, Signature, Star, StringAtom, Type,
+    BoolAtom, Element, Empty, Or, Seq, Signature, Star, StringAtom, Struct,
+    Type,
 )
 
 
-@dataclass(frozen=True)
-class BoolVal:
-    value: bool
+class BoolVal(Struct):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class StrVal:
-    value: str
+class StrVal(Struct):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Node:
-    label: str
-    children: "Forest"
+class Node(Struct):
+    __slots__ = ("label", "children")
 
 
 Tree = Union[BoolVal, StrVal, Node]

@@ -193,6 +193,19 @@ class TestType:
         assert out == ""
         assert "signature/undeclared" in err
 
+    def test_function_body_is_not_checked(self, tmp_path, capsys):
+        f = tmp_path / "f.muxq"
+        f.write_text("declare function f() : a[] { b[] };\n"
+                     "query f() : a[]\n")
+        assert main(["type", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
+
+    def test_main_ascription_is_not_checked(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query a[] : b[]\n")
+        assert main(["type", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "a[]"
+
 
 class TestSubtype:
     def test_true_inclusion_exits_zero(self, capsys):

@@ -1,11 +1,21 @@
-"""Signature well-formedness, unfolding, and syntactic atom extraction."""
+"""Signature well-formedness, unfolding, syntactic atom extraction, and the
+immutable node contract of `Struct`."""
 
 import pytest
 
 from fluxq import (
-    BOOL, Element, EMPTY, EMPTY_SIGNATURE, Or, Seq, Signature, Star, STRING,
-    UndeclaredVariable, Var, check_signature, parse_type, syntactic_atoms,
+    BOOL, BoolAtom, BoolLit, BoolTest, BoolVal, Call, Children, Concat,
+    Delete, Direction, Elem, Element, Empty, EMPTY, EMPTY_SIGNATURE,
+    EmptySeq, For, ForestBinding, FunctionDecl, FunctionSig, If, IfStmt,
+    Insert, LabelFilter, LabelTest, Let, LetStmt, Nav, Node, Or, ProcCall,
+    ProcedureDecl, ProcedureSig, QueryProgram, Rename, Seq, SeqStmt,
+    Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
+    StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
+    UpdateProgram, Var, VarRef, WildcardTest, check_signature, parse_type,
+    parse_value, syntactic_atoms,
 )
+from fluxq import updates
+from fluxq.types import Struct
 
 
 def sig_of(**defs):
@@ -14,6 +24,59 @@ def sig_of(**defs):
 
 LIST_SIG = sig_of(X="nil[] | cons[a[], X]")
 TREE_SIG = sig_of(Tree="tree[leaf[string] | node[Tree*]]")
+
+SPAN = SourceSpan("f", 0, 1, 1, 1, 1, 2)
+
+
+def struct_cases(span=None):
+    """One node of every concrete ``Struct`` class; ``span`` is given to
+    the outermost node only."""
+    x, e, s = VarRef("x"), EmptySeq(), Skip()
+    return [
+        BoolAtom(span=span), StringAtom(span=span), Empty(span=span),
+        Element("a", EMPTY, span=span), Or(BOOL, STRING, span=span),
+        Seq(BOOL, STRING, span=span), Star(BOOL, span=span),
+        Var("X", span=span), TreeBinding(BOOL, span=span),
+        ForestBinding(STRING, span=span),
+        FunctionSig((BOOL,), STRING, span=span),
+        ProcedureSig((BOOL,), EMPTY, STRING, span=span),
+        EmptySeq(span=span), Concat(e, x, span=span),
+        Elem("a", e, span=span), StrLit("s", span=span),
+        BoolLit(True, span=span), VarRef("x", span=span),
+        Let("y", e, x, span=span), If(BoolLit(True), e, x, span=span),
+        Children("x", span=span), LabelFilter(x, "a", span=span),
+        For("y", x, VarRef("y"), span=span), Call("f", (x,), span=span),
+        FunctionDecl("f", (("x", BOOL),), BOOL, x, span=span),
+        QueryProgram((), e, EMPTY, span=span),
+        Skip(span=span), SeqStmt(s, Delete(), span=span),
+        IfStmt(BoolLit(True), s, Delete(), span=span),
+        LetStmt("y", e, s, span=span), ProcCall("p", (x,), span=span),
+        Insert(e, span=span), Delete(span=span), Rename("b", span=span),
+        Snapshot("y", s, span=span), updates.Test(LabelTest("a"), s, span=span),
+        Nav(Direction.LEFT, s, span=span),
+        ProcedureDecl("p", (), EMPTY, EMPTY, s, span=span),
+        UpdateProgram((), (), s, EMPTY, EMPTY, span=span),
+        BoolVal(True, span=span), StrVal("s", span=span),
+        Node("a", (StrVal("s"),), span=span),
+        LabelTest("a", span=span), WildcardTest(span=span),
+        BoolTest(span=span), StringTest(span=span),
+    ]
+
+
+def concrete_structs() -> set[type]:
+    """Every ``Struct`` class that has no subclass."""
+    found, stack = set(), [Struct]
+    while stack:
+        cls = stack.pop()
+        subclasses = cls.__subclasses__()
+        if not subclasses and cls is not Struct:
+            found.add(cls)
+        stack.extend(subclasses)
+    return found
+
+
+def _class_name(node) -> str:
+    return type(node).__name__
 
 
 class TestCheckSignature:
@@ -89,11 +152,43 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             LIST_SIG._defs = {}
 
-    def test_type_nodes_are_frozen_and_hashable(self):
+    def test_every_struct_class_has_a_case(self):
+        assert {type(node) for node in struct_cases()} == concrete_structs()
+
+    @pytest.mark.parametrize("node", struct_cases(), ids=_class_name)
+    def test_fields_cannot_be_assigned_or_deleted(self, node):
+        for name in (*type(node)._fields, "span", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+
+    @pytest.mark.parametrize("plain, spanned",
+                             zip(struct_cases(), struct_cases(SPAN)),
+                             ids=[_class_name(n) for n in struct_cases()])
+    def test_span_is_outside_equality_hash_and_repr(self, plain, spanned):
+        assert plain.span is None and spanned.span is SPAN
+        assert plain == spanned
+        assert hash(plain) == hash(spanned)
+        assert repr(plain) == repr(spanned)
+
+    def test_equality_needs_the_same_class_and_fields(self):
+        assert Element("a", EMPTY) != Element("b", EMPTY)
+        assert Or(BOOL, STRING) != Seq(BOOL, STRING)
+        assert Or(BOOL, STRING) != Or(STRING, BOOL)
+        assert BoolAtom() != StringAtom()
+        assert Skip() != Delete()
+
+    def test_pinned_reprs(self):
         t = parse_type("a[b[]*,c[]?]")
-        with pytest.raises(Exception):
-            t.label = "z"
+        assert repr(t) == (
+            "Element(label='a', content=Seq(left=Star(inner=Element("
+            "label='b', content=Empty())), right=Or(left=Element(label='c', "
+            "content=Empty()), right=Empty())))")
         assert hash(t) == hash(parse_type("a[b[]*,c[]?]"))
+        assert repr(parse_value('a["x",true]')) == (
+            "(Node(label='a', children=(StrVal(value='x'), "
+            "BoolVal(value=True))),)")
 
 
 class TestDerivedForms:
