@@ -119,40 +119,44 @@ def words_upto(sig: Signature, t: Type, k: int,
     return frozenset(w for w in gen(t) if len(w) <= k)
 
 
-def sample_value(sig: Signature, t: Type, depth: int,
-                 width: int) -> Forest | None:
-    """One value of ``t`` within the bounds, or None if none exists there.
+def witness(sig: Signature, t: Type) -> Forest | None:
+    """One value of ``t``, or None if ``t`` has none (as ``X`` has none
+    under ``X = cons[X]``).  No depth or width bound applies.
 
-    Linear in the type size: picks the first viable alternative instead of
-    enumerating."""
-    if isinstance(t, Empty):
-        return ()
-    if isinstance(t, BoolAtom):
-        return (TRUE,) if depth >= 1 and width >= 1 else None
-    if isinstance(t, StringAtom):
-        if depth < 1 or width < 1:
-            return None
-        return (StrVal(DEFAULT_STRINGS[0]),)
-    if isinstance(t, Element):
-        if depth < 1 or width < 1:
-            return None
-        content = sample_value(sig, t.content, depth - 1, width)
-        return None if content is None else (Node(t.label, content),)
-    if isinstance(t, Or):
-        left = sample_value(sig, t.left, depth, width)
-        if left is not None:
-            return left
-        return sample_value(sig, t.right, depth, width)
-    if isinstance(t, Seq):
-        left = sample_value(sig, t.left, depth, width)
-        right = sample_value(sig, t.right, depth, width)
-        if left is None or right is None or len(left) + len(right) > width:
-            return None
-        return left + right
-    if isinstance(t, Star):
-        return ()
-    assert isinstance(t, Var)
-    return sample_value(sig, sig.definition(t.name), depth, width)
+    A least-fixpoint pass over ``sig`` first gives each inhabited variable
+    a value, that of its first inhabited alternative; the value of ``t`` is
+    then built structurally, taking ``()`` for a star."""
+    known: dict[str, Forest] = {}
+
+    def build(node: Type) -> Forest | None:
+        if isinstance(node, (Empty, Star)):
+            return ()
+        if isinstance(node, BoolAtom):
+            return (TRUE,)
+        if isinstance(node, StringAtom):
+            return (StrVal(DEFAULT_STRINGS[0]),)
+        if isinstance(node, Element):
+            content = build(node.content)
+            return None if content is None else (Node(node.label, content),)
+        if isinstance(node, Or):
+            left = build(node.left)
+            return build(node.right) if left is None else left
+        if isinstance(node, Seq):
+            left, right = build(node.left), build(node.right)
+            return None if left is None or right is None else left + right
+        assert isinstance(node, Var)
+        return known.get(node.name)
+
+    grew = True
+    while grew:
+        grew = False
+        for name in sig:
+            if name not in known:
+                value = build(sig.definition(name))
+                if value is not None:
+                    known[name] = value
+                    grew = True
+    return build(t)
 
 
 @dataclass(frozen=True)

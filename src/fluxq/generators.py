@@ -32,6 +32,8 @@ from .updates import (
 )
 
 _RETRIES = 32
+MAX_SIZE = 7      # AST-node budget for random types
+MAX_NESTING = 2   # element nesting in random types
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,12 @@ class GenConfig:
     """Bounds and seed shared by the random suites."""
 
     labels: tuple[str, ...] = ("a", "b", "c")
-    max_size: int = 7        # AST-node budget for random types
-    max_nesting: int = 2     # element nesting in random types
     depth: int = 3           # value enumeration depth bound
     width: int = 3           # value enumeration width bound
     seed: int = 42
     cases: int = 100         # default cases per property suite
 
     def __post_init__(self):
-        assert self.max_size >= 1 and self.max_nesting >= 0
         assert self.depth >= 0 and self.width >= 0 and self.cases >= 0
 
 
@@ -61,13 +60,11 @@ def gen_atom(rng: random.Random, cfg: GenConfig, size: int, nesting: int,
     return Element(label, gen_type(rng, cfg, size - 1, nesting - 1))
 
 
-def gen_type(rng: random.Random, cfg: GenConfig, size: int | None = None,
-             nesting: int | None = None, sig: Signature | None = None) -> Type:
+def gen_type(rng: random.Random, cfg: GenConfig, size: int = MAX_SIZE,
+             nesting: int = MAX_NESTING, sig: Signature | None = None) -> Type:
     """A random type within the size and element-nesting budgets.
 
     When ``sig`` provides definitions, variables occasionally appear."""
-    size = cfg.max_size if size is None else size
-    nesting = cfg.max_nesting if nesting is None else nesting
     names = list(sig) if sig is not None else []
     if names and rng.random() < 0.08:
         return Var(rng.choice(names))
@@ -146,8 +143,7 @@ def gen_env(rng: random.Random, cfg: GenConfig,
     for i in range(rng.randint(0, 3)):
         name = f"v{i}"
         if rng.random() < 0.4:
-            env[name] = TreeBinding(gen_atom(rng, cfg, cfg.max_size,
-                                             cfg.max_nesting))
+            env[name] = TreeBinding(gen_atom(rng, cfg, MAX_SIZE, MAX_NESTING))
         else:
             env[name] = ForestBinding(gen_type(rng, cfg, sig=sig))
     return env

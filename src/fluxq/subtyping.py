@@ -92,8 +92,6 @@ def _seq(left: Type, right: Type) -> Type:
     return Seq(left, right)
 
 
-
-
 _SELF_CONTAINED = 1 << 30
 
 
@@ -118,13 +116,6 @@ class _Inclusion:
         self.pending_low: dict[tuple[Type, frozenset[Type]], int] = {}
         self._nullable: dict[Type, bool] = {}
         self._lf: dict[Type, tuple[tuple[Atom, Type], ...]] = {}
-        # interning tables: memo keys become identical objects, so set and
-        # dict lookups take the identity fast path instead of deep equality
-        self._canon: dict[Type, Type] = {}
-        self._canon_rights: dict[frozenset[Type], frozenset[Type]] = {}
-
-    def canon(self, t: Type) -> Type:
-        return self._canon.setdefault(t, t)
 
     def union(self, types) -> frozenset[Type]:
         """Canonical right-hand side of a goal: alternations flattened into
@@ -137,9 +128,8 @@ class _Inclusion:
                 stack.append(t.left)
                 stack.append(t.right)
             else:
-                out.add(self.canon(t))
-        rights = frozenset(out)
-        return self._canon_rights.setdefault(rights, rights)
+                out.add(t)
+        return frozenset(out)
 
     def nullable(self, t: Type) -> bool:
         cached = self._nullable.get(t)
@@ -173,13 +163,11 @@ class _Inclusion:
             pairs = list(self.linear_form(t.left))
             pairs += [p for p in self.linear_form(t.right) if p not in pairs]
         elif isinstance(t, Seq):
-            pairs = [(a, self.canon(_seq(k, t.right)))
-                     for a, k in self.linear_form(t.left)]
+            pairs = [(a, _seq(k, t.right)) for a, k in self.linear_form(t.left)]
             if self.nullable(t.left):
                 pairs += [p for p in self.linear_form(t.right) if p not in pairs]
         elif isinstance(t, Star):
-            pairs = [(a, self.canon(_seq(k, t)))
-                     for a, k in self.linear_form(t.inner)]
+            pairs = [(a, _seq(k, t)) for a, k in self.linear_form(t.inner)]
         else:
             assert isinstance(t, Var)
             pairs = list(self.linear_form(self.sig.definition(t.name)))
@@ -188,7 +176,7 @@ class _Inclusion:
         return out
 
     def check(self, t: Type, rights) -> bool:
-        return self._check(self.canon(t), self.union(rights))[0]
+        return self._check(t, self.union(rights))[0]
 
     def _check(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
         """Decide the goal; also report the lowest path depth its proof

@@ -9,8 +9,9 @@ counterexample found by greedy shrinking.
 The typing properties are written once for both core languages: a
 ``Language`` record (``QUERY``, ``UPDATE``) draws, types, runs and prints
 terms and iteration bodies, and ``deterministic``, ``downward_monotonicity``,
-``homomorphism`` and ``soundness`` each take one.  A suite's random stream
-is seeded from its name.
+``homomorphism`` and ``soundness`` each take one.  Each random suite is a
+case function that ``run_cases`` calls on a stream seeded from the suite's
+name; a suite that shrinks checks and shrinks with one predicate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import islice, product
 from typing import Callable, Iterator
 
 from .enumeration import (
-    sample_value, types_upto, values_upto, word_to_type, words_upto,
+    types_upto, values_upto, witness, word_to_type, words_upto,
 )
 from .errors import EvalError, GenerationError, TypeCheckFailure
 from .evaluator import Runtime, apply_update, eval_query
@@ -92,6 +93,32 @@ class SuiteReport:
 
 def _suite_rng(cfg: GenConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
+
+
+SKIP = object()
+REDRAW = object()
+
+
+def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
+              n: int | None = None) -> SuiteResult:
+    """Run one random suite: call ``case`` on the stream seeded from the
+    suite's name until ``n`` draws (default ``cfg.cases``) are counted.
+
+    ``case`` draws one case and returns its failure messages (empty when
+    the property holds), ``SKIP`` when no case could be generated (counted
+    as skipped) or ``REDRAW`` when the draw misses the property's
+    precondition (not counted)."""
+    res = SuiteResult(name)
+    rng = _suite_rng(cfg, name)
+    n = cfg.cases if n is None else n
+    while res.cases + res.skipped < n:
+        outcome = case(rng)
+        if outcome is SKIP:
+            res.skipped += 1
+        elif outcome is not REDRAW:
+            res.cases += 1
+            res.failures.extend(outcome)
+    return res
 
 
 # -- greedy shrinking ---------------------------------------------------
@@ -166,86 +193,70 @@ def fixture_signature(cfg: GenConfig) -> Signature:
 
 
 def suite_member_respects_subtyping(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("member-respects-subtyping")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
+    def outside(pair: tuple[Type, Type]) -> Forest | None:
+        """A bounded value of the subtype that the supertype lacks."""
+        t1, t2 = pair
+        if not subtype(sig, t1, t2):
+            return None
+        values = sorted(values_upto(sig, t1, cfg.depth, cfg.width), key=repr)
+        return next((v for v in values[:20] if not member(sig, v, t2)), None)
+
+    def case(rng: random.Random) -> list[str]:
         t2 = gen_type(rng, cfg, sig=sig)
         t1 = gen_subtype_of(rng, sig, t2)
-        values = sorted(values_upto(sig, t1, cfg.depth, cfg.width),
-                        key=repr)[:20]
-        res.cases += 1
-        for v in values:
-            if not member(sig, v, t2):
-                def fails(p):
-                    s, u = p
-                    return (subtype(sig, s, u)
-                            and any(not member(sig, w, u)
-                                    for w in values_upto(sig, s, cfg.depth,
-                                                         cfg.width)))
-                small = shrink_type_pair((t1, t2), fails)
-                res.failures.append(
-                    f"value {value_str(v)} of {type_str(small[0])} is not a "
-                    f"member of supertype {type_str(small[1])}")
-                break
-    return res
+        if outside((t1, t2)) is None:
+            return []
+        small = shrink_type_pair((t1, t2), lambda p: outside(p) is not None)
+        return [f"value {value_str(outside(small))} of {type_str(small[0])} "
+                f"is not a member of supertype {type_str(small[1])}"]
+    return run_cases(cfg, "member-respects-subtyping", case)
 
 
 def suite_values_have_atomic_witnesses(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("values-have-atomic-witnesses")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
-        t = gen_type(rng, cfg, size=min(cfg.max_size, 5), sig=sig)
+    def case(rng: random.Random) -> list[str]:
+        t = gen_type(rng, cfg, size=5, sig=sig)
         universe = syntactic_atoms(sig, t)
         values = sorted(values_upto(sig, t, cfg.depth, cfg.width), key=repr)[:12]
-        res.cases += 1
         for v in values:
             words = [w for w in words_upto(sig, t, len(v), universe)
                      if len(w) == len(v)]
             if not any(member(sig, v, word_to_type(w)) for w in words):
-                res.failures.append(
-                    f"no atomic word of {type_str(t)} covers {value_str(v)}")
-                break
-    return res
+                return [f"no atomic word of {type_str(t)} covers {value_str(v)}"]
+        return []
+    return run_cases(cfg, "values-have-atomic-witnesses", case)
 
 
 def suite_words_monotone(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("words-monotone-in-bounds")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
-        t = gen_type(rng, cfg, size=min(cfg.max_size, 5), sig=sig)
+    def case(rng: random.Random) -> list[str]:
+        t = gen_type(rng, cfg, size=5, sig=sig)
         universe = syntactic_atoms(sig, t)
-        res.cases += 1
+        failures = []
         for k in range(3):
             smaller = words_upto(sig, t, k, universe)
             larger = words_upto(sig, t, k + 1, universe)
             if not smaller <= larger:
-                res.failures.append(
-                    f"words of {type_str(t)} not monotone at k={k}")
+                failures.append(f"words of {type_str(t)} not monotone at k={k}")
                 break
         if universe:
             sub_universe = frozenset(sorted(universe, key=repr)[:-1])
             if not (words_upto(sig, t, 3, sub_universe)
                     <= words_upto(sig, t, 3, universe)):
-                res.failures.append(
-                    f"words of {type_str(t)} not monotone in the universe")
-    return res
+                failures.append(f"words of {type_str(t)} not monotone in the universe")
+        return failures
+    return run_cases(cfg, "words-monotone-in-bounds", case)
 
 
 def suite_atoms_compatible(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("atoms-compatible-under-subtyping")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
+    def case(rng: random.Random) -> list[str]:
         t = gen_type(rng, cfg, sig=sig)
         t_sub = gen_subtype_of(rng, sig, t)
         upper = syntactic_atoms(sig, t)
-        res.cases += 1
         for atom in syntactic_atoms(sig, t_sub):
             if not any(atom_subtype(sig, atom, top) for top in upper):
-                res.failures.append(
-                    f"atom {type_str(atom)} of subtype {type_str(t_sub)} is "
-                    f"below no atom of {type_str(t)}")
-                break
-    return res
+                return [f"atom {type_str(atom)} of subtype {type_str(t_sub)} "
+                        f"is below no atom of {type_str(t)}"]
+        return []
+    return run_cases(cfg, "atoms-compatible-under-subtyping", case)
 
 
 def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteResult:
@@ -268,19 +279,17 @@ def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteRe
 
 
 def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("types-inhabited-at-small-bounds")
-    rng = _suite_rng(cfg, res.name)
-    depth, width = cfg.max_nesting + 1, max(cfg.width, cfg.max_size)
-    for _ in range(cfg.cases):
+    def uninhabited(t: Type) -> bool:
+        value = witness(sig, t)
+        return value is None or not member(sig, value, t)
+
+    def case(rng: random.Random) -> list[str]:
         t = gen_type(rng, cfg, sig=sig)
-        res.cases += 1
-        witness = sample_value(sig, t, depth, width)
-        if witness is None or not member(sig, witness, t):
-            small = greedy_shrink(
-                t, lambda c: sample_value(sig, c, depth, width) is None,
-                shrink_type)
-            res.failures.append(f"no inhabitant found for {type_str(small)}")
-    return res
+        if not uninhabited(t):
+            return []
+        small = greedy_shrink(t, uninhabited, shrink_type)
+        return [f"no inhabitant found for {type_str(small)}"]
+    return run_cases(cfg, "types-inhabited-at-small-bounds", case)
 
 
 # -- subtyping suites -----------------------------------------------------
@@ -315,56 +324,47 @@ def oracle_agreement(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
 
 def suite_subtype_reflexive(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("subtype-reflexive")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(max(cfg.cases, 1000)):
+    def irreflexive(t: Type) -> bool:
+        return not subtype(sig, t, t)
+
+    def case(rng: random.Random) -> list[str]:
         t = gen_type(rng, cfg, sig=sig)
-        res.cases += 1
-        if not subtype(sig, t, t):
-            small = greedy_shrink(t, lambda c: not subtype(sig, c, c),
-                                  shrink_type)
-            res.failures.append(f"{type_str(small)} not <: itself")
-    return res
+        if not irreflexive(t):
+            return []
+        return [f"{type_str(greedy_shrink(t, irreflexive, shrink_type))} "
+                f"not <: itself"]
+    return run_cases(cfg, "subtype-reflexive", case, max(cfg.cases, 1000))
 
 
 def suite_subtype_transitive(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("subtype-transitive")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
+    def case(rng: random.Random) -> list[str]:
         t3 = gen_type(rng, cfg, sig=sig)
         t2 = gen_subtype_of(rng, sig, t3)
         t1 = gen_subtype_of(rng, sig, t2)
-        res.cases += 1
-        if not subtype(sig, t1, t3):
-            res.failures.append(
-                f"chain broke: {type_str(t1)} <: {type_str(t2)} <: "
-                f"{type_str(t3)} but not {type_str(t1)} <: {type_str(t3)}")
-    return res
+        if subtype(sig, t1, t3):
+            return []
+        return [f"chain broke: {type_str(t1)} <: {type_str(t2)} <: "
+                f"{type_str(t3)} but not {type_str(t1)} <: {type_str(t3)}"]
+    return run_cases(cfg, "subtype-transitive", case)
 
 
 def suite_language_inclusion(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """Bounded word languages: t1 <: t2 implies every bounded word of t1 is
     a bounded word of t2; a bounded refutation implies non-subtyping."""
-    res = SuiteResult("language-inclusion-matches-subtype")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
-        t1 = gen_type(rng, cfg, size=min(cfg.max_size, 5), sig=sig)
-        t2 = gen_type(rng, cfg, size=min(cfg.max_size, 5), sig=sig)
+    def disagree(pair: tuple[Type, Type]) -> bool:
+        t1, t2 = pair
         universe = syntactic_atoms(sig, t1) | syntactic_atoms(sig, t2)
-        res.cases += 1
-        w1 = words_upto(sig, t1, 4, universe)
-        w2 = words_upto(sig, t2, 4, universe)
-        if subtype(sig, t1, t2) and not w1 <= w2:
-            def fails(p):
-                a, b = p
-                u = syntactic_atoms(sig, a) | syntactic_atoms(sig, b)
-                return (subtype(sig, a, b)
-                        and not words_upto(sig, a, 4, u) <= words_upto(sig, b, 4, u))
-            small = shrink_type_pair((t1, t2), fails)
-            res.failures.append(
-                f"{type_str(small[0])} <: {type_str(small[1])} but bounded "
-                f"languages disagree")
-    return res
+        return (subtype(sig, t1, t2) and not words_upto(sig, t1, 4, universe)
+                <= words_upto(sig, t2, 4, universe))
+
+    def case(rng: random.Random) -> list[str]:
+        pair = (gen_type(rng, cfg, size=5, sig=sig),
+                gen_type(rng, cfg, size=5, sig=sig))
+        if not disagree(pair):
+            return []
+        t1, t2 = shrink_type_pair(pair, disagree)
+        return [f"{type_str(t1)} <: {type_str(t2)} but bounded languages disagree"]
+    return run_cases(cfg, "language-inclusion-matches-subtype", case)
 
 
 def suite_test_subtype_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
@@ -464,20 +464,16 @@ UPDATE = Language(
 def deterministic(lang: Language, cfg: GenConfig,
                   sig: Signature) -> SuiteResult:
     """Synthesizing one term twice gives one type."""
-    res = SuiteResult(f"{lang.name}-synthesis-deterministic")
-    rng = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
+    def case(rng: random.Random) -> list[str] | object:
         env = lang.closed_env(rng, cfg, sig)
         try:
             term, t = lang.term(rng, cfg, sig, env)
         except GenerationError:
-            res.skipped += 1
-            continue
-        res.cases += 1
-        if lang.synth(sig, env, t, term) != lang.synth(sig, env, t, term):
-            res.failures.append(
-                f"synthesis not deterministic on {lang.show(term)}")
-    return res
+            return SKIP
+        if lang.synth(sig, env, t, term) == lang.synth(sig, env, t, term):
+            return []
+        return [f"synthesis not deterministic on {lang.show(term)}"]
+    return run_cases(cfg, f"{lang.name}-synthesis-deterministic", case)
 
 
 def _narrowing_problem(sig: Signature, narrowed: Callable[[], Type],
@@ -496,40 +492,35 @@ def downward_monotonicity(lang: Language, cfg: GenConfig,
                           sig: Signature) -> SuiteResult:
     """Shrinking the environment, the input type and an iteration's source
     type keeps synthesis defined and shrinks its result."""
-    res = SuiteResult(f"{lang.name}-downward-monotone")
-    rng = _suite_rng(cfg, res.name)
-    while res.cases < cfg.cases:
+    def case(rng: random.Random) -> list[str] | object:
         env = gen_env(rng, cfg, sig)
         try:
             term, t = lang.term(rng, cfg, sig, env)
             original = lang.synth(sig, env, t, term)
         except (GenerationError, TypeCheckFailure):
-            continue
+            return REDRAW
         shrunk_env = gen_sub_env(rng, sig, env)
         narrower = None if t is None else gen_subtype_of(rng, sig, t)
-        res.cases += 1
         problem = _narrowing_problem(
             sig, lambda: lang.synth(sig, shrunk_env, narrower, term), original)
         if problem:
             where = ("" if t is None else
                      f" from {type_str(narrower)} <: {type_str(t)}")
-            res.failures.append(f"{lang.show(term)} under a shrunken "
-                                f"environment{where}: {problem}")
-            continue
-        source = gen_type(rng, cfg, size=min(cfg.max_size, 5), sig=sig)
+            return [f"{lang.show(term)} under a shrunken environment{where}: {problem}"]
+        source = gen_type(rng, cfg, size=5, sig=sig)
         try:
             body = lang.body(rng, cfg, sig, env, source)
             base = lang.iterate(sig, env, source, body)
         except (GenerationError, TypeCheckFailure):
-            continue
+            return []  # no iteration to narrow; the term was checked
         narrower = gen_subtype_of(rng, sig, source)
         problem = _narrowing_problem(
             sig, lambda: lang.iterate(sig, shrunk_env, narrower, body), base)
         if problem:
-            res.failures.append(
-                f"iteration of {lang.show(body)} over {type_str(narrower)} "
-                f"<: {type_str(source)}: {problem}")
-    return res
+            return [f"iteration of {lang.show(body)} over {type_str(narrower)} "
+                    f"<: {type_str(source)}: {problem}"]
+        return []
+    return run_cases(cfg, f"{lang.name}-downward-monotone", case)
 
 
 def homomorphism(lang: Language, cfg: GenConfig,
@@ -537,10 +528,9 @@ def homomorphism(lang: Language, cfg: GenConfig,
     """Iteration typing maps (), concatenation, alternation, star and
     variables homomorphically; checked as structural equalities over the
     fixture signature."""
-    res = SuiteResult(f"{lang.iteration}-homomorphic")
-    rng = _suite_rng(cfg, res.name)
     fix = fixture_signature(cfg)
-    while res.cases < cfg.cases:
+
+    def case(rng: random.Random) -> list[str] | object:
         env = gen_env(rng, cfg, fix)
         t1 = gen_type(rng, cfg, size=4, sig=fix)
         t2 = gen_type(rng, cfg, size=4, sig=fix)
@@ -549,8 +539,7 @@ def homomorphism(lang: Language, cfg: GenConfig,
             h = lambda t: lang.iterate(fix, env, t, body)
             left_1, left_2 = h(t1), h(t2)
         except (GenerationError, TypeCheckFailure):
-            continue
-        res.cases += 1
+            return REDRAW
         checks = [
             (h(Seq(t1, t2)), Seq(left_1, left_2), "concatenation"),
             (h(Or(t1, t2)), Or(left_1, left_2), "alternation"),
@@ -562,11 +551,10 @@ def homomorphism(lang: Language, cfg: GenConfig,
         show = lambda t: "undefined" if t is None else type_str(t)
         for got, want, label in checks:
             if got != want:
-                res.failures.append(
-                    f"{label} not homomorphic for body {lang.show(body)}: "
-                    f"{show(got)} != {show(want)}")
-                break
-    return res
+                return [f"{label} not homomorphic for body {lang.show(body)}: "
+                        f"{show(got)} != {show(want)}"]
+        return []
+    return run_cases(cfg, f"{lang.iteration}-homomorphic", case)
 
 
 def _or_none(synth: Callable[[], Type]) -> Type | None:
@@ -578,16 +566,15 @@ def _or_none(synth: Callable[[], Type]) -> Type | None:
 
 
 def suite_filter_total(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("filter-total")
-    rng = _suite_rng(cfg, res.name)
     fix = fixture_signature(cfg)
-    for _ in range(cfg.cases):
+
+    def case(rng: random.Random) -> list[str]:
         t = gen_type(rng, cfg, sig=sig)
-        res.cases += 1
         filter_label(sig, t, rng.choice(cfg.labels))
         filter_label(fix, Var(rng.choice(("List", "Tree"))),
                      rng.choice(cfg.labels))
-    return res
+        return []
+    return run_cases(cfg, "filter-total", case)
 
 
 def _conforming_envs(sig: Signature, env, t: Type | None, depth: int,
@@ -615,35 +602,30 @@ def soundness(lang: Language, cfg: GenConfig,
               sig: Signature) -> SuiteResult:
     """Running a well-typed term on conforming inputs yields a member of
     its synthesized type."""
-    res = SuiteResult(f"{lang.name}-soundness")
-    rng = _suite_rng(cfg, res.name)
     rt = Runtime()
-    while res.cases < cfg.cases:
+
+    def case(rng: random.Random) -> list[str] | object:
         env = lang.closed_env(rng, cfg, sig)
         try:
             term, t = lang.term(rng, cfg, sig, env)
             synthesized = lang.synth(sig, env, t, term)
         except (GenerationError, TypeCheckFailure):
-            continue
+            return REDRAW
         runs = _conforming_envs(sig, env, t, cfg.depth, cfg.width)
         if not runs:
-            continue
-        res.cases += 1
+            return REDRAW
         for venv, v in runs:
             try:
                 result = lang.run(rt, venv, v, term)
             except EvalError as exc:
-                res.failures.append(
-                    f"well-typed {lang.show(term)} crashed on "
-                    f"{_inputs_str(venv, v)}: {exc}")
-                break
+                return [f"well-typed {lang.show(term)} crashed on "
+                        f"{_inputs_str(venv, v)}: {exc}"]
             if not member(sig, result, synthesized):
-                res.failures.append(
-                    f"{lang.show(term)} mapped {_inputs_str(venv, v)} to "
-                    f"{value_str(result)}, outside its synthesized type "
-                    f"{type_str(synthesized)}")
-                break
-    return res
+                return [f"{lang.show(term)} mapped {_inputs_str(venv, v)} to "
+                        f"{value_str(result)}, outside its synthesized type "
+                        f"{type_str(synthesized)}"]
+        return []
+    return run_cases(cfg, f"{lang.name}-soundness", case)
 
 
 # -- evaluator law suites ---------------------------------------------------
@@ -652,10 +634,9 @@ def soundness(lang: Language, cfg: GenConfig,
 def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """Skip is the identity; sequencing composes effects; iteration
     distributes over concatenation."""
-    res = SuiteResult("evaluator-laws")
-    rng = _suite_rng(cfg, res.name)
     rt = Runtime()
-    while res.cases < cfg.cases:
+
+    def case(rng: random.Random) -> list[str] | object:
         t = gen_type(rng, cfg, size=5, sig=sig)
         try:
             s1 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
@@ -664,23 +645,19 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
             s2 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
                                 Multiplicity.PLURAL, mid_t)
         except (GenerationError, TypeCheckFailure):
-            continue
+            return REDRAW
         values = sorted(values_upto(sig, t, cfg.depth, cfg.width), key=repr)[:4]
         if not values:
-            continue
+            return REDRAW
         atoms = sorted(syntactic_atoms(sig, t), key=repr)
-        res.cases += 1
         for v in values:
             try:
                 if apply_update(rt, {}, v, Skip()) != v:
-                    res.failures.append(f"skip changed {value_str(v)}")
-                    break
+                    return [f"skip changed {value_str(v)}"]
                 composed = apply_update(rt, {}, v, SeqStmt(s1, s2))
                 staged = apply_update(rt, {}, apply_update(rt, {}, v, s1), s2)
                 if composed != staged:
-                    res.failures.append(
-                        f"sequencing is not composition on {value_str(v)}")
-                    break
+                    return [f"sequencing is not composition on {value_str(v)}"]
                 if not atoms:
                     continue
                 try:
@@ -696,15 +673,12 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
                 parts = (apply_update(rt, {}, v[:cut], it)
                          + apply_update(rt, {}, v[cut:], it))
                 if whole != parts:
-                    res.failures.append(
-                        f"iter does not distribute over concatenation "
-                        f"on {value_str(v)}")
-                    break
+                    return [f"iter does not distribute over concatenation "
+                            f"on {value_str(v)}"]
             except EvalError as exc:
-                res.failures.append(
-                    f"well-typed update crashed on {value_str(v)}: {exc}")
-                break
-    return res
+                return [f"well-typed update crashed on {value_str(v)}: {exc}"]
+        return []
+    return run_cases(cfg, "evaluator-laws", case)
 
 
 # -- appendix: language/filter commutation ----------------------------------
@@ -785,24 +759,20 @@ def suite_filter_commutation(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
 
 def suite_generator_self_checks(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("generator-self-checks")
-    rng1 = _suite_rng(cfg, res.name)
-    rng2 = _suite_rng(cfg, res.name)
-    for _ in range(cfg.cases):
-        res.cases += 1
-        t1 = gen_type(rng1, cfg)
-        t2 = gen_type(rng2, cfg)
+    name = "generator-self-checks"
+    twin = _suite_rng(cfg, name)  # draws in step with the runner's stream
+
+    def case(rng: random.Random) -> list[str]:
+        t1, t2 = gen_type(rng, cfg), gen_type(twin, cfg)
         if t1 != t2:
-            res.failures.append("generation is not reproducible under a "
-                                "fixed seed")
-            break
-        narrowed = gen_subtype_of(rng1, sig, t1)
-        gen_subtype_of(rng2, sig, t2)
-        if not subtype(sig, narrowed, t1):
-            res.failures.append(
-                f"gen_subtype_of emitted non-subtype {type_str(narrowed)} "
-                f"of {type_str(t1)}")
-    return res
+            return ["generation is not reproducible under a fixed seed"]
+        narrowed = gen_subtype_of(rng, sig, t1)
+        gen_subtype_of(twin, sig, t2)
+        if subtype(sig, narrowed, t1):
+            return []
+        return [f"gen_subtype_of emitted non-subtype {type_str(narrowed)} "
+                f"of {type_str(t1)}"]
+    return run_cases(cfg, name, case)
 
 
 ALL_SUITES: list[Callable[[GenConfig, Signature], SuiteResult]] = [

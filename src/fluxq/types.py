@@ -16,6 +16,7 @@ fields, so golden tests and round-trips compare pure structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .diagnostics import Diagnostic, error
@@ -78,6 +79,12 @@ class Struct:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the node through its constructor,
+        # since restoring the slots one by one would assign to them
+        fields = tuple(getattr(self, f) for f in self._fields)
+        return partial(self.__class__, span=self.span), fields
 
 
 class Type(Struct):

@@ -297,6 +297,22 @@ class TestOracle:
     def test_with_program_file(self, capsys):
         assert main(["oracle", LEAFUPD, "--cases", "3"]) == 0
 
+    def test_deep_type_has_an_inhabitant(self, tmp_path, capsys):
+        f = tmp_path / "deep.muxq"
+        f.write_text("type A = a[b[c[d[e[]]]]]\nquery () : A*\n")
+        assert main(["oracle", str(f), "--cases", "30"]) == 0
+
+    def test_vacuous_recursion_has_no_inhabitant(self, tmp_path, capsys):
+        f = tmp_path / "vacuous.muxq"
+        f.write_text("type X = cons[X]\nquery () : X*\n")
+        assert main(["--json", "oracle", str(f), "--cases", "100"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = {s["name"]: s["failures"] for s in report["suites"]
+                  if s["failures"]}
+        assert set(failed) == {"types-inhabited-at-small-bounds"}
+        assert set(failed["types-inhabited-at-small-bounds"]) == {
+            "no inhabitant found for X"}
+
     def test_json_report(self, capsys):
         assert main(["--json", "oracle", "--cases", "3"]) == 0
         report = json.loads(capsys.readouterr().out)

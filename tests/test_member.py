@@ -13,6 +13,7 @@ from fluxq import (
     UndeclaredVariable, Var, member, parse_type, parse_value, types_upto,
     values_upto, word_to_type, words_upto,
 )
+from fluxq.enumeration import witness
 from fluxq.types import Empty, Or, Seq, Star
 from fluxq.values import forest_depth, max_width
 
@@ -160,6 +161,31 @@ class TestValuesUpto:
         assert parse_value('tree[leaf[""]]') in vs
         assert parse_value("tree[node[]]") in vs
         assert all(member(TREE_SIG, v, Var("Tree")) for v in vs)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("text", [
+        "()", "bool", "string", "a[b[c[d[e[]]]]]", "a[]*,(b[bool]|c[])",
+    ])
+    def test_closed_types(self, text):
+        t = parse_type(text)
+        assert member(EMPTY_SIGNATURE, witness(EMPTY_SIGNATURE, t), t)
+
+    def test_recursive_signatures(self):
+        sig = Signature({"X": parse_type("cons[X]"),
+                         "Y": parse_type("y[X] | y[Y, Z]"),
+                         "Z": parse_type("z[Y] | ()")})
+        assert witness(sig, Var("X")) is None
+        assert witness(sig, parse_type("a[X]|X*")) == ()
+        assert witness(sig, Var("Y")) is None
+        assert witness(sig, Var("Z")) == ()
+        for t in (Var("Tree"), parse_type("Tree, Tree")):
+            assert member(TREE_SIG, witness(TREE_SIG, t), t)
+        assert witness(LIST_SIG, Var("X")) == parse_value("nil[]")
+        # P is defined first but inhabited only once Q is
+        later = Signature({"P": parse_type("p[P] | p[Q]"),
+                           "Q": parse_type("q[]")})
+        assert witness(later, Var("P")) == parse_value("p[q[]]")
 
 
 class TestWordsUpto:

@@ -216,11 +216,35 @@ class TestDepthFold:
                          "Y": parse_type("a[Y] | b[]")})
         inc = subtyping._Inclusion(sig)
         x, y = Var("X"), Var("Y")
-        inc.path_depth[(inc.canon(x), inc.union([y]))] = 0
+        inc.path_depth[(x, inc.union([y]))] = 0
         head = Element("a", x)
-        got = inc._check_element_head(head, EMPTY,
-                                      list(inc.linear_form(inc.canon(y))))
+        got = inc._check_element_head(head, EMPTY, list(inc.linear_form(y)))
         assert got == (True, 0)
+
+
+class TestSelfContainedProofs:
+    def test_proofs_without_assumptions_are_kept(self, monkeypatch):
+        # J <: J' holds without assumptions and recurs under each subset the
+        # a[...] head search tries: committed to ``proven`` once, the whole
+        # check takes 634 goals at n = m = 6; re-proven each time, 9,190
+        goals = []
+        check = subtyping._Inclusion._check
+
+        def counted(self, t, rights):
+            goals.append(t)
+            return check(self, t, rights)
+
+        monkeypatch.setattr(subtyping._Inclusion, "_check", counted)
+        n = m = 6
+        j = "p[" + "|".join(f"r{k}[]" for k in range(m)) + "],s[]"
+        j_alts = "|".join(f"(p[r{k}[]],s[])" for k in range(m))
+        left = parse_type(f"a[(x[{j}],y0[])|w[]],d[]")
+        right = parse_type("|".join(f"a[x[{j_alts}],(y0[]|y{i}[])],d[]"
+                                    for i in range(1, n + 1)))
+        assert subtype(E, parse_type(j), parse_type(j_alts))
+        goals.clear()
+        assert not subtype(E, left, right)
+        assert len(goals) <= 1000
 
 
 # Signatures for the differential test, each with whether its variables may
@@ -310,10 +334,10 @@ class TestAgreementWithOracle:
     def test_random_algebraic_inclusions(self):
         from fluxq import EMPTY, Element, Or, Seq, Star
         rng = random.Random(8)
-        cfg = GenConfig(seed=8, max_size=5)
+        cfg = GenConfig(seed=8)
         for _ in range(150):
-            t = gen_type(rng, cfg)
-            u = gen_type(rng, cfg)
+            t = gen_type(rng, cfg, size=5)
+            u = gen_type(rng, cfg, size=5)
             assert subtype(E, t, Or(t, u))
             assert subtype(E, t, Star(t))
             assert subtype(E, Seq(Star(t), Star(t)), Star(t))

@@ -1,14 +1,17 @@
 """The property-suite harness itself: everything green at a small case
 count, plus the shrinking machinery."""
 
+import hashlib
+import random
+
 from fluxq import (
     EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, parse_type, run_suites,
     subtype,
 )
 from fluxq import suites
 from fluxq.suites import (
-    commutation_case, fixture_signature, greedy_shrink, shrink_type,
-    shrink_type_pair, suite_evaluator_laws,
+    REDRAW, SKIP, commutation_case, fixture_signature, greedy_shrink,
+    run_cases, shrink_type, shrink_type_pair, suite_evaluator_laws,
 )
 
 
@@ -30,6 +33,81 @@ class TestRunSuites:
         assert data["ok"] is True
         assert all({"name", "cases", "failures"} <= set(s)
                    for s in data["suites"])
+
+
+class TestRunCases:
+    def test_skips_count_towards_n_and_redraws_do_not(self):
+        outcomes = iter([SKIP, REDRAW, ["bad"], [], REDRAW, SKIP, [], []])
+        res = run_cases(GenConfig(cases=5), "probe", lambda rng: next(outcomes))
+        assert (res.cases, res.skipped, res.failures) == (3, 2, ["bad"])
+        assert next(outcomes) == []
+
+
+class _Recording(random.Random):
+    """A random stream that records every value it draws.  Overriding both
+    ``random`` and ``getrandbits`` keeps ``_randbelow`` on its getrandbits
+    path, so the recorded stream is the one an unwrapped generator gives."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def random(self):
+        x = super().random()
+        self.draws.append(x)
+        return x
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        self.draws.append(x)
+        return x
+
+
+# Draw count and digest of the drawn values of each suite's stream at
+# seed 42 and 10 cases.  A suite that draws once more or once less, or in
+# another order, changes its row.
+PINNED_STREAMS = {
+    "member-respects-subtyping": (151, "4dba40ea16f3cd8a"),
+    "values-have-atomic-witnesses": (144, "b86a884fab27de63"),
+    "words-monotone-in-bounds": (142, "e98a2462825c8cfc"),
+    "atoms-compatible-under-subtyping": (181, "d8d66c50d65f47d6"),
+    "types-inhabited-at-small-bounds": (145, "7803ddf6dae7251b"),
+    "subtype-reflexive": (15082, "cc28ac41373039e1"),
+    "subtype-transitive": (183, "d8550f42426d266c"),
+    "language-inclusion-matches-subtype": (284, "416e9c6cfe22382a"),
+    "query-synthesis-deterministic": (550, "8c63f6e2c9abca42"),
+    "query-downward-monotone": (900, "e751ae267e9a8d66"),
+    "for-iteration-homomorphic": (651, "445d24c348f03eb7"),
+    "filter-total": (225, "2817dfcbd3baa1b7"),
+    "query-soundness": (472, "3192152f6a99a7ea"),
+    "update-synthesis-deterministic": (298, "95897d163f85a572"),
+    "update-downward-monotone": (871, "122f52f0366514b5"),
+    "iter-homomorphic": (556, "d5600308b25f22b6"),
+    "update-soundness": (363, "8225f80a9945477e"),
+    "evaluator-laws": (674, "e3e295d3e633c7fa"),
+    "generator-self-checks": (141, "077491c647a9def2"),
+}
+
+
+class TestSuiteStreams:
+    def test_streams_are_pinned(self, monkeypatch):
+        streams: dict[str, list[_Recording]] = {}
+
+        def recording_rng(cfg, name):
+            rng = _Recording(f"{cfg.seed}:{name}")
+            streams.setdefault(name, []).append(rng)
+            return rng
+
+        monkeypatch.setattr(suites, "_suite_rng", recording_rng)
+        run_suites(GenConfig(seed=42, cases=10))
+        assert streams.keys() == PINNED_STREAMS.keys()
+        # generator-self-checks draws a twin stream to compare against
+        assert len(streams["generator-self-checks"]) == 2
+        for name, rngs in streams.items():
+            got = [(len(r.draws),
+                    hashlib.sha256(repr(r.draws).encode()).hexdigest()[:16])
+                   for r in rngs]
+            assert got == [PINNED_STREAMS[name]] * len(rngs), name
 
 
 class TestEvaluatorLaws:

@@ -1,6 +1,9 @@
 """Signature well-formedness, unfolding, syntactic atom extraction, and the
 immutable node contract of `Struct`."""
 
+import copy
+import pickle
+
 import pytest
 
 from fluxq import (
@@ -171,6 +174,17 @@ class TestImmutability:
         assert plain == spanned
         assert hash(plain) == hash(spanned)
         assert repr(plain) == repr(spanned)
+
+    @pytest.mark.parametrize(
+        "node", struct_cases() + struct_cases(SPAN),
+        ids=[f"{kind}-{_class_name(n)}" for kind in ("plain", "spanned")
+             for n in struct_cases()])
+    def test_copy_deepcopy_and_pickle(self, node):
+        for twin in (copy.copy(node), copy.deepcopy(node),
+                     pickle.loads(pickle.dumps(node))):
+            assert type(twin) is type(node)
+            assert twin == node and hash(twin) == hash(node)
+            assert twin.span == node.span
 
     def test_equality_needs_the_same_class_and_fields(self):
         assert Element("a", EMPTY) != Element("b", EMPTY)
