@@ -37,8 +37,8 @@ from .subtyping import (
 from .suites import SuiteReport, SuiteResult, run_suites
 from .types import (
     Atom, BOOL, BoolAtom, Element, Empty, EMPTY, EMPTY_SIGNATURE, EMPTY_DECLS,
-    ForestBinding, FunctionSig, GlobalDecls, Or, ProcedureSig, Seq, Signature,
-    Star, STRING, StringAtom, TreeBinding, Type, TypeEnv, Var,
+    ForestBinding, GlobalDecls, Or, Seq, Signature, Star, STRING, StringAtom,
+    TreeBinding, Type, TypeEnv, Var,
     check_signature, syntactic_atoms,
 )
 from .unparse import expr_str, program_str, signature_str, stmt_str

@@ -110,9 +110,8 @@ def cmd_type(args) -> int:
     main's own ascription are not checked; ``check`` checks them."""
     env = _parse_type_env(args)
     prog, sig = parse_program(_read(args.file), args.file)
-    decls, functions, procedures, _ = program_decls(prog)
-    diags = check_signature(sig) or annotation_diags(
-        sig, prog, (*functions.values(), *procedures.values()), env)
+    decls, _ = program_decls(prog)
+    diags = check_signature(sig) or annotation_diags(sig, prog, decls, env)
     if diags:
         return _report(None, diags, args.json)
     try:

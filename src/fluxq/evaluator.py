@@ -14,8 +14,8 @@ typechecker bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import EvalError, RecursionLimitExceeded
 from .printer import value_str
@@ -24,7 +24,7 @@ from .queries import (
     Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
 from .subtyping import BoolTest, StringTest, TestKind, WildcardTest
-from .types import Signature, TypeEnv
+from .types import EMPTY_DECLS, GlobalDecls, Signature, TypeEnv
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
     SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
@@ -35,38 +35,24 @@ from .values import (
 
 ValueEnv = Mapping[str, Forest]
 
-Builtin = Callable[..., Forest]
-
 DEFAULT_RECURSION_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class Runtime:
-    """Function and procedure bodies plus native builtins, ready to
-    execute."""
+    """A program's declarations, whose bodies calls run, and the limit on
+    the depth of nested calls."""
 
-    function_bodies: Mapping[str, tuple[tuple[str, ...], QueryExpr]] = field(
-        default_factory=dict)
-    procedure_bodies: Mapping[str, tuple[tuple[str, ...], UpdateStmt]] = field(
-        default_factory=dict)
-    builtins: Mapping[str, Builtin] = field(default_factory=dict)
+    decls: GlobalDecls = EMPTY_DECLS
     recursion_limit: int = DEFAULT_RECURSION_LIMIT
 
 
 def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
-                              builtins: Mapping[str, Builtin] | None = None,
                               recursion_limit: int = DEFAULT_RECURSION_LIMIT) -> Runtime:
     """The runtime of a query or update program, its declarations resolved
-    as ``program_decls`` says; ``builtins`` maps a function name to its
-    native implementation.  ``runtime_for_update_program`` is the same
+    as ``program_decls`` says.  ``runtime_for_update_program`` is the same
     builder."""
-    _, functions, procedures, _ = program_decls(prog)
-    return Runtime(
-        {name: (tuple(n for n, _ in f.params), f.body)
-         for name, f in functions.items()},
-        {name: (tuple(n for n, _ in p.params), p.body)
-         for name, p in procedures.items()},
-        dict(builtins or {}), recursion_limit)
+    return Runtime(program_decls(prog)[0], recursion_limit)
 
 
 runtime_for_update_program = runtime_for_query_program
@@ -84,6 +70,35 @@ def _tree_passes(tree: Tree, test: TestKind) -> bool:
     if isinstance(test, WildcardTest):
         return isinstance(tree, Node)
     return isinstance(tree, Node) and tree.label == test.label
+
+
+def _condition(rt: Runtime, env: ValueEnv, cond: QueryExpr,
+               depth: int) -> bool:
+    """The value of an ``if`` condition, which must be one boolean."""
+    value = eval_query(rt, env, cond, depth)
+    if len(value) != 1 or not isinstance(value[0], BoolVal):
+        raise EvalError(
+            f"condition evaluated to {value_str(value)}, not a boolean")
+    return value[0].value
+
+
+def _enter(rt: Runtime, env: ValueEnv, call: Call | ProcCall,
+           declared: Mapping, kind: str, depth: int
+           ) -> tuple[ValueEnv, QueryExpr | UpdateStmt]:
+    """The parameter bindings and the body of a function or procedure
+    ``call``: its arguments are evaluated first, then the callee is looked
+    up in ``declared``, then the depth limit and the arity are checked."""
+    args = [eval_query(rt, env, a, depth) for a in call.args]
+    decl = declared.get(call.name)
+    if decl is None:
+        raise EvalError(f"undeclared {kind} {call.name}")
+    if depth + 1 > rt.recursion_limit:
+        raise RecursionLimitExceeded(
+            f"recursion limit {rt.recursion_limit} exceeded calling {call.name}")
+    if len(decl.params) != len(args):
+        raise EvalError(f"{call.name} expects {len(decl.params)} argument(s), "
+                        f"got {len(args)}")
+    return {name: arg for (name, _), arg in zip(decl.params, args)}, decl.body
 
 
 def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr,
@@ -108,11 +123,7 @@ def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr,
         bound = eval_query(rt, env, e.bound, _depth)
         return eval_query(rt, {**env, e.var: bound}, e.body, _depth)
     if isinstance(e, If):
-        cond = eval_query(rt, env, e.cond, _depth)
-        if len(cond) != 1 or not isinstance(cond[0], BoolVal):
-            raise EvalError(
-                f"condition evaluated to {value_str(cond)}, not a boolean")
-        branch = e.then if cond[0].value else e.els
+        branch = e.then if _condition(rt, env, e.cond, _depth) else e.els
         return eval_query(rt, env, branch, _depth)
     if isinstance(e, Children):
         if e.var not in env:
@@ -133,21 +144,8 @@ def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr,
             out.extend(eval_query(rt, {**env, e.var: (tree,)}, e.body, _depth))
         return tuple(out)
     assert isinstance(e, Call)
-    args = [eval_query(rt, env, a, _depth) for a in e.args]
-    native = rt.builtins.get(e.name)
-    if native is not None:
-        return native(*args)
-    entry = rt.function_bodies.get(e.name)
-    if entry is None:
-        raise EvalError(f"undeclared function {e.name}")
-    if _depth + 1 > rt.recursion_limit:
-        raise RecursionLimitExceeded(
-            f"recursion limit {rt.recursion_limit} exceeded calling {e.name}")
-    params, body = entry
-    if len(params) != len(args):
-        raise EvalError(f"{e.name} expects {len(params)} argument(s), "
-                        f"got {len(args)}")
-    return eval_query(rt, dict(zip(params, args)), body, _depth + 1)
+    inner, body = _enter(rt, env, e, rt.decls.functions, "function", _depth)
+    return eval_query(rt, inner, body, _depth + 1)
 
 
 def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
@@ -159,11 +157,7 @@ def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
     if isinstance(s, Skip):
         return v
     if isinstance(s, IfStmt):
-        cond = eval_query(rt, env, s.cond, _depth)
-        if len(cond) != 1 or not isinstance(cond[0], BoolVal):
-            raise EvalError(
-                f"condition evaluated to {value_str(cond)}, not a boolean")
-        branch = s.then if cond[0].value else s.els
+        branch = s.then if _condition(rt, env, s.cond, _depth) else s.els
         return apply_update(rt, env, v, branch, _depth)
     if isinstance(s, LetStmt):
         bound = eval_query(rt, env, s.bound, _depth)
@@ -207,18 +201,8 @@ def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
             out.extend(apply_update(rt, env, (tree,), s.body, _depth))
         return tuple(out)
     assert isinstance(s, ProcCall)
-    args = [eval_query(rt, env, a, _depth) for a in s.args]
-    entry = rt.procedure_bodies.get(s.name)
-    if entry is None:
-        raise EvalError(f"undeclared procedure {s.name}")
-    if _depth + 1 > rt.recursion_limit:
-        raise RecursionLimitExceeded(
-            f"recursion limit {rt.recursion_limit} exceeded calling {s.name}")
-    params, body = entry
-    if len(params) != len(args):
-        raise EvalError(f"{s.name} expects {len(params)} argument(s), "
-                        f"got {len(args)}")
-    return apply_update(rt, dict(zip(params, args)), v, body, _depth + 1)
+    inner, body = _enter(rt, env, s, rt.decls.procedures, "procedure", _depth)
+    return apply_update(rt, inner, v, body, _depth + 1)
 
 
 def conforms(sig: Signature, env: ValueEnv, type_env: TypeEnv) -> bool:

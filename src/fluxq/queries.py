@@ -90,6 +90,32 @@ def _fail(message: str, rule: str, span: SourceSpan | None = None):
     raise TypeCheckFailure(error(message, rule, span))
 
 
+def _condition(decls: GlobalDecls, sig: Signature, env: TypeEnv, node,
+               kind: str) -> None:
+    """Fail with rule ``if-condition`` of ``kind`` unless the condition of
+    an ``If`` or ``IfStmt`` ``node`` has a subtype of ``bool``."""
+    t = synth_expr(decls, sig, env, node.cond)
+    if not subtype(sig, t, BOOL):
+        _fail(f"condition has type {type_str(t)}, not bool",
+              f"{kind}/if-condition", node.span)
+
+
+def _arguments(decls: GlobalDecls, sig: Signature, env: TypeEnv, call,
+               params: tuple[tuple[str, Type], ...], kind: str) -> None:
+    """Check a ``Call`` or ``ProcCall`` against the declared ``params``:
+    its arity, then each argument by one subtype test (rules
+    ``call-arity`` and ``call-argument`` of ``kind``)."""
+    if len(call.args) != len(params):
+        _fail(f"{call.name} expects {len(params)} argument(s), got "
+              f"{len(call.args)}", f"{kind}/call-arity", call.span)
+    for i, (arg, (_, expected)) in enumerate(zip(call.args, params)):
+        actual = synth_expr(decls, sig, env, arg)
+        if not subtype(sig, actual, expected):
+            _fail(f"argument {i + 1} of {call.name} has type {type_str(actual)}, "
+                  f"expected a subtype of {type_str(expected)}",
+                  f"{kind}/call-argument", arg.span or call.span)
+
+
 def filter_label(sig: Signature, t: Type, label: str) -> Type:
     """Type-level projection keeping only ``label``-named element atoms.
 
@@ -126,10 +152,7 @@ def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
         inner = {**env, e.var: ForestBinding(bound)}
         return synth_expr(decls, sig, inner, e.body)
     if isinstance(e, If):
-        cond = synth_expr(decls, sig, env, e.cond)
-        if not subtype(sig, cond, BOOL):
-            _fail(f"condition has type {type_str(cond)}, not bool",
-                  "query/if-condition", e.span)
+        _condition(decls, sig, env, e, "query")
         return Or(synth_expr(decls, sig, env, e.then),
                   synth_expr(decls, sig, env, e.els))
     if isinstance(e, Children):
@@ -154,15 +177,7 @@ def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
     fn = decls.functions.get(e.name)
     if fn is None:
         _fail(f"undeclared function {e.name}", "query/call-undeclared", e.span)
-    if len(e.args) != len(fn.params):
-        _fail(f"{e.name} expects {len(fn.params)} argument(s), got {len(e.args)}",
-              "query/call-arity", e.span)
-    for i, (arg, expected) in enumerate(zip(e.args, fn.params)):
-        actual = synth_expr(decls, sig, env, arg)
-        if not subtype(sig, actual, expected):
-            _fail(f"argument {i + 1} of {e.name} has type {type_str(actual)}, "
-                  f"expected a subtype of {type_str(expected)}",
-                  "query/call-argument", arg.span or e.span)
+    _arguments(decls, sig, env, e, fn.params, "query")
     return fn.result
 
 

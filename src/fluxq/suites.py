@@ -279,6 +279,8 @@ def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteRe
 
 
 def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
+    """Every declared variable has a value, whatever the draws reach, and
+    so has every drawn type."""
     def uninhabited(t: Type) -> bool:
         value = witness(sig, t)
         return value is None or not member(sig, value, t)
@@ -289,7 +291,10 @@ def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
             return []
         small = greedy_shrink(t, uninhabited, shrink_type)
         return [f"no inhabitant found for {type_str(small)}"]
-    return run_cases(cfg, "types-inhabited-at-small-bounds", case)
+    res = run_cases(cfg, "types-inhabited-at-small-bounds", case)
+    res.failures[:0] = [f"no inhabitant found for {name}" for name in sig
+                        if witness(sig, Var(name)) is None]
+    return res
 
 
 # -- subtyping suites -----------------------------------------------------

@@ -337,20 +337,15 @@ Binding = Union[TreeBinding, ForestBinding]
 TypeEnv = Mapping[str, Binding]
 
 
-class FunctionSig(Struct):
-    __slots__ = ("params", "result")
-
-
-class ProcedureSig(Struct):
-    __slots__ = ("params", "input", "output")
-
-
 @dataclass(frozen=True)
 class GlobalDecls:
-    """Headers for functions and procedures, in separate namespaces."""
+    """A program's ``FunctionDecl`` and ``ProcedureDecl`` nodes by name, in
+    separate namespaces, as ``updates.program_decls`` resolves them.  The
+    checker types calls against their headers; the interpreter runs their
+    bodies."""
 
-    functions: Mapping[str, FunctionSig] = field(default_factory=dict)
-    procedures: Mapping[str, ProcedureSig] = field(default_factory=dict)
+    functions: Mapping[str, Struct] = field(default_factory=dict)
+    procedures: Mapping[str, Struct] = field(default_factory=dict)
 
 
 EMPTY_DECLS = GlobalDecls()

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import enum
 
-from .diagnostics import Diagnostic, SourceSpan, error
-from .errors import TypeCheckFailure, UndeclaredVariable
+from .diagnostics import Diagnostic, error
+from .errors import UndeclaredVariable
 from .printer import type_str
 from .queries import (
-    FunctionDecl, QueryProgram, _ascribe, check_expr, synth_expr,
+    FunctionDecl, QueryProgram, _arguments, _ascribe, _condition, _fail,
+    check_expr, synth_expr,
 )
 from .subtyping import subtype, test_str, test_subtype
 from .types import (
-    Atom, BOOL, Element, Empty, EMPTY, ForestBinding, FunctionSig,
-    GlobalDecls, Or, ProcedureSig, Seq, Signature, Struct, Type, TypeEnv,
-    check_type_declared, map_atoms,
+    Atom, Element, Empty, EMPTY, ForestBinding, GlobalDecls, Or, Seq,
+    Signature, Struct, Type, TypeEnv, check_type_declared, map_atoms,
 )
 
 
@@ -99,10 +99,6 @@ class UpdateProgram(Struct):
     __slots__ = ("functions", "procedures", "main", "input", "output")
 
 
-def _fail(message: str, rule: str, span: SourceSpan | None = None):
-    raise TypeCheckFailure(error(message, rule, span))
-
-
 def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                mult: Multiplicity, t: Type, s: UpdateStmt) -> Type:
     """Synthesize the unique output type of ``s`` applied at multiplicity
@@ -113,10 +109,7 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
     if isinstance(s, Skip):
         return t
     if isinstance(s, IfStmt):
-        cond = synth_expr(decls, sig, env, s.cond)
-        if not subtype(sig, cond, BOOL):
-            _fail(f"condition has type {type_str(cond)}, not bool",
-                  "update/if-condition", s.span)
+        _condition(decls, sig, env, s, "update")
         return Or(synth_stmt(decls, sig, env, mult, t, s.then),
                   synth_stmt(decls, sig, env, mult, t, s.els))
     if isinstance(s, LetStmt):
@@ -186,15 +179,7 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
         _fail(f"focus has type {type_str(t)}, which is not a subtype of "
               f"{s.name}'s input type {type_str(proc.input)}",
               "update/call-input", s.span)
-    if len(s.args) != len(proc.params):
-        _fail(f"{s.name} expects {len(proc.params)} argument(s), got "
-              f"{len(s.args)}", "update/call-arity", s.span)
-    for i, (arg, expected) in enumerate(zip(s.args, proc.params)):
-        actual = synth_expr(decls, sig, env, arg)
-        if not subtype(sig, actual, expected):
-            _fail(f"argument {i + 1} of {s.name} has type {type_str(actual)}, "
-                  f"expected a subtype of {type_str(expected)}",
-                  "update/call-argument", arg.span or s.span)
+    _arguments(decls, sig, env, s, proc.params, "update")
     return proc.output
 
 
@@ -216,11 +201,10 @@ def check_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
     return diag is None, diag
 
 
-def program_decls(prog: QueryProgram | UpdateProgram) -> tuple[
-        GlobalDecls, dict[str, FunctionDecl], dict[str, ProcedureDecl],
-        list[Diagnostic]]:
-    """A program's headers, its declarations by name, and a diagnostic for
-    each duplicate: of two declarations with one name the first wins."""
+def program_decls(prog: QueryProgram | UpdateProgram
+                  ) -> tuple[GlobalDecls, list[Diagnostic]]:
+    """A program's declarations by name, and a diagnostic for each
+    duplicate: of two declarations with one name the first wins."""
     diags: list[Diagnostic] = []
 
     def first_of(declared, kind: str) -> dict:
@@ -233,16 +217,11 @@ def program_decls(prog: QueryProgram | UpdateProgram) -> tuple[
                 kept[d.name] = d
         return kept
 
-    functions = first_of(prog.functions, "function")
-    procedures = first_of(prog.procedures if isinstance(prog, UpdateProgram)
-                          else (), "procedure")
     decls = GlobalDecls(
-        functions={name: FunctionSig(tuple(t for _, t in f.params), f.result)
-                   for name, f in functions.items()},
-        procedures={name: ProcedureSig(tuple(t for _, t in p.params),
-                                       p.input, p.output)
-                    for name, p in procedures.items()})
-    return decls, functions, procedures, diags
+        first_of(prog.functions, "function"),
+        first_of(prog.procedures if isinstance(prog, UpdateProgram) else (),
+                 "procedure"))
+    return decls, diags
 
 
 def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,
@@ -256,17 +235,16 @@ def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,
 
 
 def annotation_diags(sig: Signature, prog: QueryProgram | UpdateProgram,
-                     kept: tuple[FunctionDecl | ProcedureDecl, ...],
-                     env: TypeEnv) -> list[Diagnostic]:
+                     decls: GlobalDecls, env: TypeEnv) -> list[Diagnostic]:
     """One ``signature/undeclared`` diagnostic per annotation that mentions
     a type variable absent from ``sig``; duplicates are dropped.  The
-    annotations are the main's, those of the ``kept`` declarations (as
-    ``program_decls`` resolves them) and the types of ``env``, reported at
-    the program's span."""
+    annotations are the main's, those of ``decls`` (as ``program_decls``
+    resolves them) and the types of ``env``, reported at the program's
+    span."""
     annotations = [(t, prog.span) for t in
                    ((prog.ascription,) if isinstance(prog, QueryProgram)
                     else (prog.input, prog.output))]
-    for decl in kept:
+    for decl in (*decls.functions.values(), *decls.procedures.values()):
         declared = ((decl.result,) if isinstance(decl, FunctionDecl)
                     else (decl.input, decl.output))
         annotations += [(t, decl.span) for _, t in decl.params]
@@ -296,12 +274,11 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
     well-formed.  The declared-variable check runs once, here: the
     synthesis and subtype checks after it rely on it."""
     env = env or {}
-    decls, functions, procedures, diags = program_decls(prog)
-    kept = (*functions.values(), *procedures.values())
-    bad = annotation_diags(sig, prog, kept, env)
+    decls, diags = program_decls(prog)
+    bad = annotation_diags(sig, prog, decls, env)
     if bad:
         return None, diags + bad
-    for decl in kept:
+    for decl in (*decls.functions.values(), *decls.procedures.values()):
         decl_env = {name: ForestBinding(t) for name, t in decl.params}
         if isinstance(decl, FunctionDecl):
             ok, diag = check_expr(decls, sig, decl_env, decl.body, decl.result)

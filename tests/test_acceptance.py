@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from fluxq import (
-    BOOL, Element, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding, FunctionSig,
+    BOOL, Element, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding, FunctionDecl,
     GenConfig, GlobalDecls, Multiplicity, Signature, STRING, TreeBinding,
     Var, WildcardTest, BoolTest, LabelTest, StringTest, atom_subtype,
     check_query_program, check_update_program, parse_expr, parse_program,
@@ -26,8 +26,9 @@ from fluxq.suites import (
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 E = EMPTY_SIGNATURE
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
-LEAVES_DECLS = GlobalDecls(functions={
-    "leaves": FunctionSig((Var("Tree"),), parse_type("leaf[string]*"))})
+LEAVES_DECLS = GlobalDecls(functions={"leaves": FunctionDecl(
+    "leaves", (("x", Var("Tree")),), parse_type("leaf[string]*"),
+    parse_expr("()"))})
 
 
 @contextmanager

@@ -313,6 +313,17 @@ class TestOracle:
         assert set(failed["types-inhabited-at-small-bounds"]) == {
             "no inhabitant found for X"}
 
+    def test_vacuous_recursion_is_found_at_one_case(self, tmp_path, capsys):
+        # each declared variable is checked, whatever the one draw reaches
+        f = tmp_path / "vacuous.muxq"
+        f.write_text("type X = cons[X]\nquery () : X*\n")
+        assert main(["--json", "oracle", str(f), "--cases", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = {s["name"]: s["failures"] for s in report["suites"]
+                  if s["failures"]}
+        assert failed == {"types-inhabited-at-small-bounds": [
+            "no inhabitant found for X"]}
+
     def test_json_report(self, capsys):
         assert main(["--json", "oracle", "--cases", "3"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -73,12 +73,32 @@ class TestEvalQuery:
         with pytest.raises(RecursionLimitExceeded):
             eval_query(rt, {}, prog.main)
 
-    def test_registered_builtin(self):
-        prog, _ = parse_program('query concat("a", "b") : string')
-        def concat(x, y):
-            return (StrVal(x[0].value + y[0].value),)
-        rt = runtime_for_query_program(prog, builtins={"concat": concat})
-        assert eval_query(rt, {}, prog.main) == (StrVal("ab"),)
+    def test_undeclared_function_in_an_unchecked_program(self):
+        prog, _ = parse_program("query f() : ()")
+        with pytest.raises(EvalError, match=r"^undeclared function f$"):
+            eval_query(runtime_for_query_program(prog), {}, prog.main)
+
+    def test_arity_mismatch(self):
+        prog, _ = parse_program(
+            "declare function f($x : a[]) : a[] { $x };\nquery f() : a[]")
+        with pytest.raises(EvalError,
+                           match=r"^f expects 1 argument\(s\), got 0$"):
+            eval_query(runtime_for_query_program(prog), {}, prog.main)
+
+    def test_call_checks_in_order(self):
+        # arguments first, then the declaration, the depth limit, the arity
+        prog, _ = parse_program(
+            "declare function f() : () { () };\nquery f(a[]) : ()")
+        with pytest.raises(EvalError, match="unbound"):
+            run("nope($nope)", rt=runtime_for_query_program(prog))
+        with pytest.raises(EvalError, match="f expects 0"):
+            run("nope(f(a[]))", rt=runtime_for_query_program(prog))
+        with pytest.raises(EvalError, match="undeclared function nope"):
+            run("nope(f())", rt=runtime_for_query_program(prog))
+        rt = runtime_for_query_program(prog, recursion_limit=0)
+        with pytest.raises(RecursionLimitExceeded,
+                           match=r"^recursion limit 0 exceeded calling f$"):
+            eval_query(rt, {}, prog.main)
 
 
 class TestApplyUpdate:
@@ -137,6 +157,26 @@ class TestApplyUpdate:
     def test_children_on_non_element_fails(self):
         with pytest.raises(EvalError, match="children"):
             apply("children[skip]", '"w"')
+
+    def test_undeclared_procedure_in_an_unchecked_program(self):
+        prog, _ = parse_program("update p() : () => ()")
+        with pytest.raises(EvalError, match=r"^undeclared procedure p$"):
+            apply_update(runtime_for_update_program(prog), {}, (), prog.main)
+
+    def test_procedure_arity_mismatch(self):
+        prog, _ = parse_program(
+            "declare procedure p($x : a[]) : () => () { skip };\n"
+            "update p(a[], a[]) : () => ()")
+        with pytest.raises(EvalError,
+                           match=r"^p expects 1 argument\(s\), got 2$"):
+            apply_update(runtime_for_update_program(prog), {}, (), prog.main)
+
+    def test_condition_must_be_single_boolean(self):
+        with pytest.raises(EvalError, match=r'^condition evaluated to "s", '
+                                            r'not a boolean$'):
+            apply('if "s" then skip else skip', "a[]")
+        with pytest.raises(EvalError, match="boolean"):
+            apply("if () then skip else skip", "a[]")
 
     def test_procedure_recursion_limit(self):
         prog, _ = parse_program(

@@ -5,16 +5,16 @@ import pytest
 
 from fluxq import (
     BOOL, Element, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding,
-    FunctionSig, GlobalDecls, Or, Signature, STRING, TreeBinding,
+    FunctionDecl, GlobalDecls, Or, Signature, SourceSpan, STRING, TreeBinding,
     TypeCheckFailure, Var, check_expr, check_query_program, filter_label,
     parse_expr, parse_program, parse_type, synth_expr, synth_for, type_str,
 )
 
 E = EMPTY_SIGNATURE
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
-LEAVES_DECLS = GlobalDecls(functions={
-    "leaves": FunctionSig((parse_type("Tree"),), parse_type("leaf[string]*")),
-})
+LEAVES_DECLS = GlobalDecls(functions={"leaves": FunctionDecl(
+    "leaves", (("x", parse_type("Tree")),), parse_type("leaf[string]*"),
+    parse_expr("()"))})
 
 
 def synth(text, env=None, decls=EMPTY_DECLS, sig=E):
@@ -298,6 +298,58 @@ class TestCheckQueryProgram:
         prog2, sig2 = parse_program("query () : Gone")
         assert [d.rule for d in check_query_program(sig2, prog2)] == [
             "signature/undeclared"]
+
+
+class TestCallAndConditionDiagnostics:
+    """The full message, rule and span of the call and ``if`` diagnostics;
+    of several faults of one call the first in the order undeclared,
+    arity, arguments is reported."""
+
+    HEADER = "declare function f($x : a[]) : b[] { b[] };\n"
+
+    def diags(self, main):
+        prog, sig = parse_program(f"{self.HEADER}query {main} : b[]", "q.muxq")
+        return [(d.message, d.rule, d.span)
+                for d in check_query_program(sig, prog)]
+
+    @staticmethod
+    def span(begin, end, begin_col, end_col):
+        return SourceSpan("q.muxq", begin, end, 2, begin_col, 2, end_col)
+
+    def test_undeclared_before_arity(self):
+        assert self.diags("nope(c[])") == [(
+            "undeclared function nope", "query/call-undeclared",
+            self.span(50, 59, 7, 15))]
+
+    def test_arity(self):
+        assert self.diags("f()") == [(
+            "f expects 1 argument(s), got 0", "query/call-arity",
+            self.span(50, 53, 7, 9))]
+
+    def test_arity_before_arguments(self):
+        assert self.diags("f(c[], c[])") == [(
+            "f expects 1 argument(s), got 2", "query/call-arity",
+            self.span(50, 61, 7, 17))]
+
+    def test_argument_at_its_own_span(self):
+        assert self.diags("f(c[])") == [(
+            "argument 1 of f has type c[], expected a subtype of a[]",
+            "query/call-argument", self.span(52, 55, 9, 11))]
+
+    def test_if_condition(self):
+        assert self.diags('if "s" then b[] else b[]') == [(
+            "condition has type string, not bool", "query/if-condition",
+            self.span(50, 74, 7, 30))]
+
+    def test_in_a_function_body(self):
+        prog, sig = parse_program(
+            "declare function g() : b[] { f(c[]) };\n" + self.HEADER
+            + "query () : ()", "q.muxq")
+        assert [(d.message, d.rule, d.span)
+                for d in check_query_program(sig, prog)] == [(
+            "in function g: argument 1 of f has type c[], expected a subtype "
+            "of a[]", "query/call-argument",
+            SourceSpan("q.muxq", 31, 34, 1, 32, 1, 34))]
 
 
 class TestDeterminism:

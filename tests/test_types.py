@@ -9,9 +9,9 @@ import pytest
 from fluxq import (
     BOOL, BoolAtom, BoolLit, BoolTest, BoolVal, Call, Children, Concat,
     Delete, Direction, Elem, Element, Empty, EMPTY, EMPTY_SIGNATURE,
-    EmptySeq, For, ForestBinding, FunctionDecl, FunctionSig, If, IfStmt,
+    EmptySeq, For, ForestBinding, FunctionDecl, If, IfStmt,
     Insert, LabelFilter, LabelTest, Let, LetStmt, Nav, Node, Or, ProcCall,
-    ProcedureDecl, ProcedureSig, QueryProgram, Rename, Seq, SeqStmt,
+    ProcedureDecl, QueryProgram, Rename, Seq, SeqStmt,
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
     UpdateProgram, Var, VarRef, WildcardTest, check_signature, parse_type,
@@ -41,8 +41,6 @@ def struct_cases(span=None):
         Seq(BOOL, STRING, span=span), Star(BOOL, span=span),
         Var("X", span=span), TreeBinding(BOOL, span=span),
         ForestBinding(STRING, span=span),
-        FunctionSig((BOOL,), STRING, span=span),
-        ProcedureSig((BOOL,), EMPTY, STRING, span=span),
         EmptySeq(span=span), Concat(e, x, span=span),
         Elem("a", e, span=span), StrLit("s", span=span),
         BoolLit(True, span=span), VarRef("x", span=span),

@@ -5,7 +5,8 @@ import pytest
 
 from fluxq import (
     BOOL, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, ForestBinding, GlobalDecls,
-    Multiplicity, ProcedureSig, Signature, Skip, TypeCheckFailure, Var,
+    Multiplicity, ProcedureDecl, Signature, Skip, SourceSpan, TypeCheckFailure,
+    Var,
     check_program, check_stmt, check_update_program, parse_program,
     parse_stmt, parse_type, synth_iter, synth_stmt, type_str,
 )
@@ -14,10 +15,9 @@ E = EMPTY_SIGNATURE
 SING = Multiplicity.SINGULAR
 PLUR = Multiplicity.PLURAL
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
-LEAFUPD_DECLS = GlobalDecls(procedures={
-    "leafupd": ProcedureSig((parse_type("string"),), parse_type("Tree"),
-                            parse_type("Tree")),
-})
+LEAFUPD_DECLS = GlobalDecls(procedures={"leafupd": ProcedureDecl(
+    "leafupd", (("x", parse_type("string")),), parse_type("Tree"),
+    parse_type("Tree"), Skip())})
 
 
 def synth(text, mult, t, env=None, decls=EMPTY_DECLS, sig=E):
@@ -274,6 +274,63 @@ class TestCheckUpdateProgram:
         prog, sig = parse_program("update skip : Gone => Gone")
         assert [d.rule for d in check_update_program(sig, prog)] == [
             "signature/undeclared"]
+
+
+class TestCallAndConditionDiagnostics:
+    """The full message, rule and span of the call and ``if`` diagnostics;
+    of several faults of one call the first in the order undeclared, focus
+    against the input type, arity, arguments is reported."""
+
+    HEADER = "declare procedure p($x : a[]) : b[] => b[] { skip };\n"
+
+    def diags(self, main, focus="b[]"):
+        prog, sig = parse_program(
+            f"{self.HEADER}update {main} : {focus} => b[]", "u.flux")
+        return [(d.message, d.rule, d.span)
+                for d in check_update_program(sig, prog)]
+
+    @staticmethod
+    def span(begin, end, begin_col, end_col):
+        return SourceSpan("u.flux", begin, end, 2, begin_col, 2, end_col)
+
+    def test_undeclared_before_input(self):
+        assert self.diags("nope(c[])", "c[]") == [(
+            "undeclared procedure nope", "update/call-undeclared",
+            self.span(60, 69, 8, 16))]
+
+    def test_input_before_arity(self):
+        assert self.diags("p()", "c[]") == [(
+            "focus has type c[], which is not a subtype of p's input type b[]",
+            "update/call-input", self.span(60, 63, 8, 10))]
+
+    def test_arity(self):
+        assert self.diags("p()") == [(
+            "p expects 1 argument(s), got 0", "update/call-arity",
+            self.span(60, 63, 8, 10))]
+
+    def test_arity_before_arguments(self):
+        assert self.diags("p(c[], c[])") == [(
+            "p expects 1 argument(s), got 2", "update/call-arity",
+            self.span(60, 71, 8, 18))]
+
+    def test_argument_at_its_own_span(self):
+        assert self.diags("p(c[])") == [(
+            "argument 1 of p has type c[], expected a subtype of a[]",
+            "update/call-argument", self.span(62, 65, 10, 12))]
+
+    def test_if_condition(self):
+        assert self.diags('if "s" then skip else skip') == [(
+            "condition has type string, not bool", "update/if-condition",
+            self.span(60, 86, 8, 30))]
+
+    def test_in_a_procedure_body(self):
+        prog, sig = parse_program(
+            "declare procedure q() : b[] => b[] { p() };\n" + self.HEADER
+            + "update skip : () => ()", "u.flux")
+        assert [(d.message, d.rule, d.span)
+                for d in check_update_program(sig, prog)] == [(
+            "in procedure q: p expects 1 argument(s), got 0",
+            "update/call-arity", SourceSpan("u.flux", 37, 40, 1, 38, 1, 40))]
 
 
 class TestCheckProgram:
