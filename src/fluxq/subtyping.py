@@ -20,8 +20,13 @@
 * goals already on the call path are assumed to hold (coinduction), which
   makes recursive signatures terminate; refuted goals are memoized.
 
-The hypothesis set lives inside a single invocation; the functions here are
-pure and safe to call concurrently.
+Each call keeps its own path and verdicts: the goals assumed on the call
+path and the goals proven or refuted.  What depends on the signature alone
+is kept on the ``Signature`` and shared by every call on it: nullability
+and the linear form of each type, and, for each right-hand side, whether a
+member is nullable and its head list.  The functions here stay safe to call
+concurrently: each table entry is a deterministic function of its signature
+and key, so two calls that race to fill one store equal values.
 
 Types are assumed well-formed and inhabited, and nothing here re-checks
 that: ``sig`` has passed ``check_signature``, and every variable in the
@@ -96,7 +101,8 @@ _SELF_CONTAINED = 1 << 30
 
 
 class _Inclusion:
-    """One inclusion check; holds the per-invocation caches.
+    """One inclusion check; holds the per-invocation verdicts and reads and
+    fills the signature's derived tables.
 
     Goals on the call path are assumed to hold (coinduction).  A completed
     goal is cached: refuted goals unconditionally (a failure under
@@ -114,8 +120,10 @@ class _Inclusion:
         # fails, committed when an enclosing goal closes self-contained
         self.pending: list[tuple[tuple[Type, frozenset[Type]], int]] = []
         self.pending_low: dict[tuple[Type, frozenset[Type]], int] = {}
-        self._nullable: dict[Type, bool] = {}
-        self._lf: dict[Type, tuple[tuple[Atom, Type], ...]] = {}
+        # derived from the signature alone, so shared by every check on it
+        self._nullable = sig._nullable
+        self._lf = sig._linear_forms
+        self._right_sides = sig._right_sides
 
     def union(self, types) -> frozenset[Type]:
         """Canonical right-hand side of a goal: alternations flattened into
@@ -175,6 +183,19 @@ class _Inclusion:
         self._lf[t] = out
         return out
 
+    def right_side(self, rights: frozenset[Type]
+                   ) -> tuple[bool, tuple[tuple[Atom, Type], ...]]:
+        """Whether some member of ``rights`` is nullable, and the members'
+        head atoms with continuations, each pair once."""
+        cached = self._right_sides.get(rights)
+        if cached is not None:
+            return cached
+        out = (any(self.nullable(u) for u in rights),
+               tuple(dict.fromkeys(
+                   pair for u in rights for pair in self.linear_form(u))))
+        self._right_sides[rights] = out
+        return out
+
     def check(self, t: Type, rights) -> bool:
         return self._check(t, self.union(rights))[0]
 
@@ -228,13 +249,9 @@ class _Inclusion:
         del self.pending[mark:]
 
     def _check_body(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
-        if self.nullable(t) and not any(self.nullable(u) for u in rights):
+        nullable_rights, right_heads = self.right_side(rights)
+        if not nullable_rights and self.nullable(t):
             return False, _SELF_CONTAINED
-        right_heads: list[tuple[Atom, Type]] = []
-        for u in rights:
-            for pair in self.linear_form(u):
-                if pair not in right_heads:
-                    right_heads.append(pair)
         low = _SELF_CONTAINED
         for head, cont in self.linear_form(t):
             if isinstance(head, Element):
@@ -250,7 +267,8 @@ class _Inclusion:
         return True, low
 
     def _check_element_head(self, head: Element, cont: Type,
-                            right_heads: list[tuple[Atom, Type]]) -> tuple[bool, int]:
+                            right_heads: tuple[tuple[Atom, Type], ...]
+                            ) -> tuple[bool, int]:
         same_label = list(dict.fromkeys(
             (a.content, k) for a, k in right_heads
             if isinstance(a, Element) and a.label == head.label))

@@ -147,9 +147,16 @@ def plus(t: Type) -> Type:
 
 
 class Signature:
-    """Ordered, immutable map from type-variable names to definition types."""
+    """Ordered, immutable map from type-variable names to definition types.
 
-    __slots__ = ("_defs",)
+    A signature also owns the tables that ``subtyping`` derives from it:
+    nullability and linear form by type, and each right-hand side's
+    nullability and head list.  Each entry is a pure function of the
+    signature and its key, so the tables fill as checks run and are never
+    invalidated; they are outside equality, the hash and ``repr``, and a
+    copy starts with them empty."""
+
+    __slots__ = ("_defs", "_nullable", "_linear_forms", "_right_sides")
 
     def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
         if isinstance(defs, Mapping):
@@ -157,9 +164,19 @@ class Signature:
         else:
             items = list(defs)
         object.__setattr__(self, "_defs", dict(items))
+        # filled by subtyping: type -> bool, type -> ((atom, continuation), ...)
+        # and right-hand frozenset -> (any member nullable, its head pairs)
+        object.__setattr__(self, "_nullable", {})
+        object.__setattr__(self, "_linear_forms", {})
+        object.__setattr__(self, "_right_sides", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # also gives the copy empty tables
+        return type(self), (list(self._defs.items()),)
 
     def __contains__(self, name: str) -> bool:
         return name in self._defs
@@ -172,6 +189,10 @@ class Signature:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Signature) and self._defs == other._defs
+
+    def __hash__(self) -> int:
+        # equality ignores the order of the definitions, so the hash does too
+        return hash(frozenset(self._defs.items()))
 
     def __repr__(self) -> str:
         return f"Signature({self._defs!r})"

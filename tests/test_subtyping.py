@@ -247,6 +247,38 @@ class TestSelfContainedProofs:
         assert len(goals) <= 1000
 
 
+class TestSignatureTables:
+    """Nullability, linear forms and right-hand heads are kept on the
+    signature and shared by every check on it; verdicts are per call."""
+
+    def test_tables_belong_to_one_signature(self):
+        # X names a[] in one signature and b[] in the other: a table shared
+        # between them would answer the second check from the first
+        s1 = Signature({"X": parse_type("a[]")})
+        s2 = Signature({"X": parse_type("b[]")})
+        a = parse_type("a[]")
+        for order in ((s1, s2), (s2, s1)):
+            for _ in range(3):
+                for sig in order:
+                    assert subtype(sig, Var("X"), a) == (sig is s1)
+
+    def test_tables_are_reused_and_verdicts_are_not(self):
+        sig = Signature({"X": parse_type("a[X*] | b[]")})
+        left, right = parse_type("a[X*,b[]],X"), parse_type("X*")
+        tables = (sig._nullable, sig._linear_forms, sig._right_sides)
+        assert not any(tables)
+        assert subtype(sig, left, right)
+        sizes = [len(table) for table in tables]
+        assert all(sizes)
+        assert subtype(sig, left, right)
+        assert [len(table) for table in tables] == sizes
+        inc = subtyping._Inclusion(sig)
+        assert not (inc.path_depth or inc.proven or inc.refuted
+                    or inc.pending or inc.pending_low)
+        assert inc.check(left, (right,))
+        assert inc.proven and [len(table) for table in tables] == sizes
+
+
 # Signatures for the differential test, each with whether its variables may
 # also stand as continuations (only where their bounded values stay few).
 DIFF_SIGS = (

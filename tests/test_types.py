@@ -1,5 +1,5 @@
-"""Signature well-formedness, unfolding, syntactic atom extraction, and the
-immutable node contract of `Struct`."""
+"""Signature well-formedness, unfolding, syntactic atom extraction, the
+immutable node contract of `Struct`, and `Signature` as a hashable value."""
 
 import copy
 import pickle
@@ -15,7 +15,7 @@ from fluxq import (
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
     UpdateProgram, Var, VarRef, WildcardTest, check_signature, parse_type,
-    parse_value, syntactic_atoms,
+    parse_value, subtype, syntactic_atoms,
 )
 from fluxq import updates
 from fluxq.types import Struct
@@ -201,6 +201,43 @@ class TestImmutability:
         assert repr(parse_value('a["x",true]')) == (
             "(Node(label='a', children=(StrVal(value='x'), "
             "BoolVal(value=True))),)")
+
+
+class TestSignatureValue:
+    """A signature is a hashable, copyable value; the tables that
+    ``subtyping`` fills on it are outside its equality, hash and ``repr``."""
+
+    def test_hash_agrees_with_equality(self):
+        a, b = parse_type("a[]"), parse_type("b[X?]")
+        forward = Signature([("X", a), ("Y", b)])
+        backward = Signature([("Y", b), ("X", a)])
+        assert forward == backward and hash(forward) == hash(backward)
+        assert {forward: 1}[backward] == 1
+        assert forward != Signature([("X", a)])
+        assert hash(EMPTY_SIGNATURE) == hash(Signature())
+
+    def test_copy_deepcopy_and_pickle_start_with_empty_tables(self):
+        sig = sig_of(X="a[X*] | b[]", Y="c[X]")
+        assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
+        assert sig._linear_forms and sig._right_sides and sig._nullable
+        for twin in (copy.copy(sig), copy.deepcopy(sig),
+                     pickle.loads(pickle.dumps(sig))):
+            assert type(twin) is Signature and twin is not sig
+            assert twin == sig and hash(twin) == hash(sig)
+            assert repr(twin) == repr(sig)
+            assert list(twin.items()) == list(sig.items())
+            assert not (twin._linear_forms or twin._right_sides
+                        or twin._nullable)
+            assert subtype(twin, Var("Y"), parse_type("c[b[]|a[X*]]"))
+
+    def test_filled_tables_leave_equality_hash_and_repr(self):
+        sig = sig_of(X="a[X*] | b[]")
+        before = (hash(sig), repr(sig))
+        assert subtype(sig, parse_type("a[b[]],b[]"), parse_type("X*"))
+        assert sig._linear_forms and sig._right_sides and sig._nullable
+        fresh = sig_of(X="a[X*] | b[]")
+        assert sig == fresh and fresh == sig
+        assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
 
 
 class TestDerivedForms:
