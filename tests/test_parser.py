@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Children, Concat, EMPTY, For, Insert, LabelFilter, Let, LetStmt,
-    ParseError, QueryProgram, Runtime, Snapshot, Star, UpdateProgram, VarRef,
-    apply_update, check_program, eval_query, parse_expr, parse_program,
-    parse_signature, parse_stmt, parse_type, parse_value,
-    runtime_for_query_program, runtime_for_update_program, synth_expr,
-    type_str, value_str,
+    BoolVal, Children, Concat, EMPTY, For, Insert, LabelFilter, Let, LetStmt,
+    Node, ParseError, QueryProgram, Runtime, Snapshot, Star, StrVal,
+    UpdateProgram, VarRef, apply_update, check_program, eval_query,
+    parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
+    parse_value, runtime_for_query_program, runtime_for_update_program,
+    synth_expr, type_str, value_str,
 )
 from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import parse_env_bindings
@@ -89,6 +89,49 @@ class TestValueSyntax:
 
     def test_empty_segments_collapse(self):
         assert parse_value("(),a[],()") == parse_value("a[]")
+
+    @pytest.mark.parametrize("text, message, offset, line, col, expected", [
+        ("", "unexpected end of input in value", 0, 1, 1, ("a value",)),
+        ("a[] b[]", "unexpected 'b'", 4, 1, 5, ("end of value",)),
+        ("a]", "unexpected ']'", 1, 1, 2, ("[",)),
+        ("a] $", "expected variable name after $", 3, 1, 4, ()),
+        ("let[]", "unexpected 'let' in value", 0, 1, 1, ("a value",)),
+        ("a[,]", "unexpected ',' in value", 2, 1, 3, ("a value",)),
+        ("a[", "unexpected end of input in value", 2, 1, 3, ("a value",)),
+        ('"x', "unterminated string literal", 0, 1, 1, ()),
+        ('"a\\q"', "bad string escape", 3, 1, 4, ()),
+        ("a[],", "unexpected end of input in value", 4, 1, 5, ("a value",)),
+        ("a[b[]", "unexpected end of input", 5, 1, 6, ("]",)),
+        ("a[b[]\n c[]", "unexpected 'c'", 7, 2, 2, ("]",)),
+        ("a[]]", "unexpected ']'", 3, 1, 4, ("end of value",)),
+        ("( b[]", "unexpected '(' in value", 0, 1, 1, ("a value",)),
+        ("a[(", "unexpected '(' in value", 2, 1, 3, ("a value",)),
+        ("$x", "unexpected 'x' in value", 0, 1, 1, ("a value",)),
+        ("A[]", "unexpected 'A' in value", 0, 1, 1, ("a value",)),
+        ("a[] ] @", "unexpected character '@'", 6, 1, 7, ()),
+    ])
+    def test_value_errors(self, text, message, offset, line, col, expected):
+        # a lexing error anywhere in the text wins over an earlier syntax error
+        with pytest.raises(ParseError) as exc:
+            parse_value(text)
+        err = exc.value
+        detail = f"{message} at offset {offset} (line {line}, column {col})"
+        if expected:
+            detail += "; expected " + " or ".join(expected)
+        assert str(err) == detail
+        assert (err.offset, err.line, err.column, err.expected) == (
+            offset, line, col, expected)
+
+    @pytest.mark.parametrize("text, value", [
+        ("( )", ()),
+        ("a [ ]", (Node("a", ()),)),
+        ("a[( ),b[]] # note\n, c[\t]", (Node("a", (Node("b", ()),)),
+                                        Node("c", ()))),
+        ('"x\\ny\\t"', (StrVal("x\ny\t"),)),
+        ("true,\r\n\"\",false", (BoolVal(True), StrVal(""), BoolVal(False))),
+    ])
+    def test_value_layout(self, text, value):
+        assert parse_value(text) == value
 
 
 class TestExprSyntax:
