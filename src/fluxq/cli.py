@@ -5,8 +5,8 @@ synthesized type of the main query or update), ``subtype`` (decide inclusion
 of two types), ``eval`` (run a query program), ``run-update`` (apply an
 update program to a value of its declared input type), and ``oracle`` (run
 the bounded property suites).  Exit codes: 0 success, 1 check/suite failure, 2 usage or parse
-errors, or input nested or sequenced beyond Python's recursion limit
-(``limit/depth``).
+errors, or a type or program nested or sequenced beyond Python's recursion
+limit (``limit/depth``); values of any depth are processed.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ Programs:     ``type X = t`` entries, ``declare function f($x:t,...) : t
               declarations, ended by ``query e : t`` or
               ``update s : t1 => t2``.
 
+Values are read by one loop over the lexemes with a stack of the open
+elements, so a value of any depth parses; types, expressions and
+statements are parsed by recursive descent.
+
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
 their for-loop cores.  Variables keep the names written: an inner binder
@@ -44,7 +48,7 @@ from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl,
     Rename, SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt,
 )
-from .values import BoolVal, Forest, Node, StrVal, Tree
+from .values import FALSE, Forest, Node, StrVal, TRUE, Tree
 
 KEYWORDS = frozenset({
     "type", "query", "update", "declare", "function", "procedure",
@@ -60,7 +64,8 @@ _PUNCT = {p: p for p in ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|",
 
 # One lexeme per match, and every character is in one: blanks, a comment,
 # a word, two-character punctuation, a variable, a string literal, or any
-# single character.  ``tokenize`` sorts them by their first character.
+# single character.  ``tokenize`` and ``parse_value`` sort them by their
+# first character.
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\\"nt])*'
 _LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
                         + _STRING_BODY + '"|.', re.DOTALL)
@@ -69,6 +74,11 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _NEWLINE_RE = re.compile("\n")
 # A ``--env`` item runs to the next ``;`` outside a string literal.
 _ENV_ITEM_RE = re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
+
+
+# What ``parse_value`` reads next, and the lexemes it skips.
+_ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
+_BLANK = " \t\r\n#"
 
 
 def _newline_table(text: str) -> list[int]:
@@ -99,7 +109,7 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
         kind = _PUNCT.get(lexeme)
         if kind is None:
             c = lexeme[0]
-            if c in " \t\r\n#":
+            if c in _BLANK:
                 continue
             if c.isalpha() or c == "_":
                 kind = (lexeme if lexeme in KEYWORDS
@@ -248,40 +258,6 @@ class _Parser:
                 self.expect("]")
             return Element(self.texts[tok], content, span=self.span_from(tok))
         self.unexpected(tok, " in type", ("a type",))
-
-    # -- values ----------------------------------------------------------
-
-    def parse_forest(self) -> Forest:
-        kinds = self.kinds
-        trees: list[Tree] = []
-        while True:
-            pos = self.pos
-            if kinds[pos] == "(" and kinds[pos + 1] == ")":
-                self.pos = pos + 2
-            else:
-                trees.append(self.parse_tree())
-            if kinds[self.pos] != ",":
-                return tuple(trees)
-            self.pos += 1
-
-    def parse_tree(self) -> Tree:
-        tok = self.next()
-        kind = self.kinds[tok]
-        if kind == "IDENT":
-            self.expect("[")
-            if self.kinds[self.pos] == "]":
-                self.pos += 1
-                return Node(self.texts[tok], ())
-            children = self.parse_forest()
-            self.expect("]")
-            return Node(self.texts[tok], children)
-        if kind == "STRING":
-            return StrVal(self.texts[tok])
-        if kind == "true":
-            return BoolVal(True)
-        if kind == "false":
-            return BoolVal(False)
-        self.unexpected(tok, " in value", ("a value",))
 
     # -- query expressions -------------------------------------------------
 
@@ -561,11 +537,77 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
     return t
 
 
+def _value_error(text: str, lexemes: list[str], at: int, want: object,
+                 nested: bool):
+    """Raise the error for the ``at``-th lexeme (the end of input past the
+    last), where ``parse_value`` wanted ``want``; a lexing error anywhere in
+    the text wins, as it does for every parser here."""
+    p = _Parser(text)
+    tok = sum(1 for lexeme in lexemes[:at] if lexeme[0] not in _BLANK)
+    if want is _BRACKET:
+        p.unexpected(tok, "", ("[",))
+    if want is _AFTER:
+        p.unexpected(tok, "", ("]" if nested else "end of value",))
+    p.unexpected(tok, " in value", ("a value",))
+
+
 def parse_value(text: str, filename: str = "<value>") -> Forest:
-    p = _Parser(text, filename)
-    v = p.parse_forest()
-    p.expect("EOF", "end of value")
-    return v
+    """A forest, read in one loop over the lexemes with a stack of the open
+    elements, so its depth is not bounded by Python's recursion."""
+    lexemes = _LEXEME_RE.findall(text)
+    stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
+    trees: list[Tree] = []
+    # the next lexeme must be: _ITEM a tree or ``()``, _OPEN one of those or
+    # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
+    # _AFTER a ``,``, a ``]`` or the end
+    want = _ITEM
+    for at, lexeme in enumerate(lexemes):
+        c = lexeme[0]
+        if c in _BLANK:
+            continue
+        if lexeme == "]" and (want is _OPEN or want is _AFTER and stack):
+            label, parent = stack.pop()
+            parent.append(Node(label, tuple(trees)))
+            trees = parent
+            want = _AFTER
+        elif want is _AFTER:
+            if lexeme != ",":
+                break
+            want = _ITEM
+        elif want is _BRACKET:
+            if lexeme != "[":
+                break
+            stack.append((label, trees))
+            trees = []
+            want = _OPEN
+        elif want is _PAREN:
+            if lexeme != ")":
+                at = paren
+                break
+            want = _AFTER
+        elif c == '"' and len(lexeme) > 1:
+            body = lexeme[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
+            trees.append(StrVal(body))
+            want = _AFTER
+        elif lexeme == "true" or lexeme == "false":
+            trees.append(TRUE if lexeme == "true" else FALSE)
+            want = _AFTER
+        elif lexeme == "(":
+            paren = at
+            want = _PAREN
+        elif ((c.isalpha() or c == "_") and not c.isupper()
+              and lexeme not in KEYWORDS):
+            label = lexeme
+            want = _BRACKET
+        else:
+            break
+    else:
+        if want is _AFTER and not stack:
+            return tuple(trees)
+        at = paren if want is _PAREN else len(lexemes)
+    _value_error(text, lexemes, at, want, bool(stack))
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> QueryExpr:

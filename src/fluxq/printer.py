@@ -9,7 +9,7 @@ from __future__ import annotations
 from .types import (
     BoolAtom, Element, Empty, Or, Seq, Star, StringAtom, Type, Var,
 )
-from .values import BoolVal, Forest, Node, StrVal, Tree
+from .values import Forest, Node, StrVal
 
 _OR, _SEQ, _POSTFIX, _PRIMARY = range(4)
 
@@ -65,18 +65,32 @@ def escape_string(s: str) -> str:
             .replace("\n", "\\n").replace("\t", "\\t"))
 
 
-def tree_str(t: Tree) -> str:
-    if isinstance(t, BoolVal):
-        return "true" if t.value else "false"
-    if isinstance(t, StrVal):
-        return f'"{escape_string(t.value)}"'
-    assert isinstance(t, Node)
-    if not t.children:
-        return f"{t.label}[]"
-    return f"{t.label}[{value_str(t.children)}]"
-
-
 def value_str(v: Forest) -> str:
+    """The concrete syntax of ``v``, built with an explicit stack of the
+    open elements, so a value of any depth prints."""
     if not v:
         return "()"
-    return ",".join(tree_str(t) for t in v)
+    parts: list[str] = []
+    stack: list[tuple[Forest, int]] = []  # enclosing forests, next positions
+    f, i = v, 0
+    while True:
+        t = f[i]
+        cls = t.__class__
+        if cls is Node:
+            if t.children:
+                parts.append(f"{t.label}[")
+                stack.append((f, i + 1))
+                f, i = t.children, 0
+                continue
+            parts.append(f"{t.label}[]")
+        elif cls is StrVal:
+            parts.append(f'"{escape_string(t.value)}"')
+        else:
+            parts.append("true" if t.value else "false")
+        i += 1
+        while i == len(f):
+            if not stack:
+                return "".join(parts)
+            parts.append("]")
+            f, i = stack.pop()
+        parts.append(",")

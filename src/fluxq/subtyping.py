@@ -22,11 +22,12 @@
 
 Each call keeps its own path and verdicts: the goals assumed on the call
 path and the goals proven or refuted.  What depends on the signature alone
-is kept on the ``Signature`` and shared by every call on it: nullability
-and the linear form of each type, and, for each right-hand side, whether a
-member is nullable and its head list.  The functions here stay safe to call
-concurrently: each table entry is a deterministic function of its signature
-and key, so two calls that race to fill one store equal values.
+is kept on the ``Signature`` and shared by every call on it and by
+``values.member``: nullability and the linear form of each type, and each
+right-hand side's step row (``Signature.steps``).  The functions here stay
+safe to call concurrently: each table entry is a deterministic function of
+its signature and key, so two calls that race to fill one store equal
+values.
 
 Types are assumed well-formed and inhabited, and nothing here re-checks
 that: ``sig`` has passed ``check_signature``, and every variable in the
@@ -42,8 +43,8 @@ performed.
 from __future__ import annotations
 
 from .types import (
-    Atom, BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
-    StringAtom, Struct, Type, TypeEnv, Var,
+    Atom, BoolAtom, Element, Signature, StringAtom, Struct, Type, TypeEnv,
+    union,
 )
 
 
@@ -88,15 +89,6 @@ def test_subtype(atom: Atom, test: TestKind) -> bool:
     return isinstance(atom, Element) and atom.label == test.label
 
 
-def _seq(left: Type, right: Type) -> Type:
-    """Concatenation with unit elimination, for canonical goal keys."""
-    if isinstance(left, Empty):
-        return right
-    if isinstance(right, Empty):
-        return left
-    return Seq(left, right)
-
-
 _SELF_CONTAINED = 1 << 30
 
 
@@ -120,84 +112,9 @@ class _Inclusion:
         # fails, committed when an enclosing goal closes self-contained
         self.pending: list[tuple[tuple[Type, frozenset[Type]], int]] = []
         self.pending_low: dict[tuple[Type, frozenset[Type]], int] = {}
-        # derived from the signature alone, so shared by every check on it
-        self._nullable = sig._nullable
-        self._lf = sig._linear_forms
-        self._right_sides = sig._right_sides
-
-    def union(self, types) -> frozenset[Type]:
-        """Canonical right-hand side of a goal: alternations flattened into
-        the set, so ``{u|v}`` and ``{u, v}`` share one memo entry."""
-        out: set[Type] = set()
-        stack = list(types)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Or):
-                stack.append(t.left)
-                stack.append(t.right)
-            else:
-                out.add(t)
-        return frozenset(out)
-
-    def nullable(self, t: Type) -> bool:
-        cached = self._nullable.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, (Empty, Star)):
-            out = True
-        elif isinstance(t, Atom):
-            out = False
-        elif isinstance(t, Or):
-            out = self.nullable(t.left) or self.nullable(t.right)
-        elif isinstance(t, Seq):
-            out = self.nullable(t.left) and self.nullable(t.right)
-        else:
-            assert isinstance(t, Var)
-            out = self.nullable(self.sig.definition(t.name))
-        self._nullable[t] = out
-        return out
-
-    def linear_form(self, t: Type) -> tuple[tuple[Atom, Type], ...]:
-        """Head atoms of ``t`` with their continuations."""
-        cached = self._lf.get(t)
-        if cached is not None:
-            return cached
-        pairs: list[tuple[Atom, Type]]
-        if isinstance(t, Empty):
-            pairs = []
-        elif isinstance(t, Atom):
-            pairs = [(t, EMPTY)]
-        elif isinstance(t, Or):
-            pairs = list(self.linear_form(t.left))
-            pairs += [p for p in self.linear_form(t.right) if p not in pairs]
-        elif isinstance(t, Seq):
-            pairs = [(a, _seq(k, t.right)) for a, k in self.linear_form(t.left)]
-            if self.nullable(t.left):
-                pairs += [p for p in self.linear_form(t.right) if p not in pairs]
-        elif isinstance(t, Star):
-            pairs = [(a, _seq(k, t)) for a, k in self.linear_form(t.inner)]
-        else:
-            assert isinstance(t, Var)
-            pairs = list(self.linear_form(self.sig.definition(t.name)))
-        out = tuple(pairs)
-        self._lf[t] = out
-        return out
-
-    def right_side(self, rights: frozenset[Type]
-                   ) -> tuple[bool, tuple[tuple[Atom, Type], ...]]:
-        """Whether some member of ``rights`` is nullable, and the members'
-        head atoms with continuations, each pair once."""
-        cached = self._right_sides.get(rights)
-        if cached is not None:
-            return cached
-        out = (any(self.nullable(u) for u in rights),
-               tuple(dict.fromkeys(
-                   pair for u in rights for pair in self.linear_form(u))))
-        self._right_sides[rights] = out
-        return out
 
     def check(self, t: Type, rights) -> bool:
-        return self._check(t, self.union(rights))[0]
+        return self._check(t, union(rights))[0]
 
     def _check(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
         """Decide the goal; also report the lowest path depth its proof
@@ -249,31 +166,28 @@ class _Inclusion:
         del self.pending[mark:]
 
     def _check_body(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
-        nullable_rights, right_heads = self.right_side(rights)
-        if not nullable_rights and self.nullable(t):
+        sig = self.sig
+        nullable_rights, row = sig.steps(rights)
+        if not nullable_rights and sig.nullable(t):
             return False, _SELF_CONTAINED
         low = _SELF_CONTAINED
-        for head, cont in self.linear_form(t):
-            if isinstance(head, Element):
-                ok, sub_low = self._check_element_head(head, cont, right_heads)
+        for head, cont in sig.linear_form(t):
+            is_element = head.__class__ is Element
+            step = row.get(head.label if is_element else head.__class__)
+            if step is None:
+                return False, _SELF_CONTAINED
+            if is_element:
+                ok, sub_low = self._check_element_head(head, cont, step[0])
             else:
-                kind = type(head)
-                conts = self.union(k for a, k in right_heads if isinstance(a, kind))
-                ok, sub_low = (self._check(cont, conts) if conts
-                               else (False, _SELF_CONTAINED))
+                ok, sub_low = self._check(cont, step[1])
             if not ok:
                 return False, _SELF_CONTAINED
             low = min(low, sub_low)
         return True, low
 
     def _check_element_head(self, head: Element, cont: Type,
-                            right_heads: tuple[tuple[Atom, Type], ...]
+                            same_label: tuple[tuple[frozenset[Type], Type], ...]
                             ) -> tuple[bool, int]:
-        same_label = list(dict.fromkeys(
-            (a.content, k) for a, k in right_heads
-            if isinstance(a, Element) and a.label == head.label))
-        if not same_label:
-            return False, _SELF_CONTAINED
         # P(S) = c ⊆ ∪contents(S) is upward-closed in S, so the search never
         # extends a set that covers: each superset of it covers as well.  Q(S)
         # = k ⊆ ∪conts(rest) is downward-closed, and needed only where P fails.
@@ -283,14 +197,13 @@ class _Inclusion:
         stack: list[tuple[int, ...]] = [()]
         while stack:
             chosen = stack.pop()
-            contents = self.union(same_label[i][0] for i in chosen)
-            if contents:
+            if chosen:
+                contents = frozenset().union(*(same_label[i][0] for i in chosen))
                 ok, sub_low = self._check(head.content, contents)
                 if ok:
                     low = min(low, sub_low)
                     continue
-            rest = self.union(same_label[i][1] for i in range(n)
-                              if i not in chosen)
+            rest = union(same_label[i][1] for i in range(n) if i not in chosen)
             if not rest:
                 return False, _SELF_CONTAINED
             ok, sub_low = self._check(cont, rest)

@@ -7,6 +7,11 @@ guarded: walking a definition through ``|``, ``,``, ``*`` and ``()`` without
 entering element content never reaches a variable.  That restriction makes
 every judgment that unfolds variables at the top level terminate.
 
+A signature owns the tables that ``subtype`` and ``member`` share: for a
+set of alternatives (``union``), its step row is a right-hand side's heads
+grouped by label to the one and an automaton state's transitions to the
+other.
+
 Every tree node (types here; query expressions, update statements, values
 and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
 equality, hash and ``repr`` come from its fields.  Parser spans are not
@@ -146,17 +151,50 @@ def plus(t: Type) -> Type:
     return Seq(t, Star(t))
 
 
+def union(types: Iterable[Type]) -> frozenset[Type]:
+    """The canonical set of alternatives of a union of ``types``, with
+    ``|`` flattened into the set, so ``{u|v}`` and ``{u, v}`` are one key.
+    Such a set is a subtype goal's right-hand side and a state of the
+    membership automaton."""
+    out: set[Type] = set()
+    stack = list(types)
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Or:
+            stack.append(t.left)
+            stack.append(t.right)
+        else:
+            out.add(t)
+    return frozenset(out)
+
+
+def _seq(left: Type, right: Type) -> Type:
+    """Concatenation with unit elimination, for canonical continuations."""
+    if isinstance(left, Empty):
+        return right
+    if isinstance(right, Empty):
+        return left
+    return Seq(left, right)
+
+
+# A state's step for one label or atom kind: the candidates (each content,
+# as the state that starts it, with its continuation), the next state when
+# every candidate's content matches, and the next state for a leaf.
+Step = tuple[tuple[tuple[frozenset[Type], Type], ...], frozenset[Type],
+             frozenset[Type]]
+
+
 class Signature:
     """Ordered, immutable map from type-variable names to definition types.
 
-    A signature also owns the tables that ``subtyping`` derives from it:
-    nullability and linear form by type, and each right-hand side's
-    nullability and head list.  Each entry is a pure function of the
-    signature and its key, so the tables fill as checks run and are never
-    invalidated; they are outside equality, the hash and ``repr``, and a
-    copy starts with them empty."""
+    A signature also owns the tables that ``subtyping`` and ``values``
+    derive from it: nullability and linear form by type, and the step row
+    of each state (a set of alternatives, see ``union``).  Each entry is a
+    pure function of the signature and its key, so the tables fill as
+    checks run and are never invalidated; they are outside equality, the
+    hash and ``repr``, and a copy starts with them empty."""
 
-    __slots__ = ("_defs", "_nullable", "_linear_forms", "_right_sides")
+    __slots__ = ("_defs", "_nullable", "_linear_forms", "_steps")
 
     def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
         if isinstance(defs, Mapping):
@@ -164,11 +202,11 @@ class Signature:
         else:
             items = list(defs)
         object.__setattr__(self, "_defs", dict(items))
-        # filled by subtyping: type -> bool, type -> ((atom, continuation), ...)
-        # and right-hand frozenset -> (any member nullable, its head pairs)
+        # type -> bool, type -> ((atom, continuation), ...), and
+        # state -> (accepts, step row)
         object.__setattr__(self, "_nullable", {})
         object.__setattr__(self, "_linear_forms", {})
-        object.__setattr__(self, "_right_sides", {})
+        object.__setattr__(self, "_steps", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
@@ -205,6 +243,75 @@ class Signature:
             return self._defs[name]
         except KeyError:
             raise UndeclaredVariable(name) from None
+
+    def nullable(self, t: Type) -> bool:
+        """Whether ``()`` is a value of ``t``."""
+        cached = self._nullable.get(t)
+        if cached is not None:
+            return cached
+        if isinstance(t, (Empty, Star)):
+            out = True
+        elif isinstance(t, Atom):
+            out = False
+        elif isinstance(t, Or):
+            out = self.nullable(t.left) or self.nullable(t.right)
+        elif isinstance(t, Seq):
+            out = self.nullable(t.left) and self.nullable(t.right)
+        else:
+            assert isinstance(t, Var)
+            out = self.nullable(self.definition(t.name))
+        self._nullable[t] = out
+        return out
+
+    def linear_form(self, t: Type) -> tuple[tuple[Atom, Type], ...]:
+        """Head atoms of ``t`` with their continuations: the nonempty values
+        of ``t`` are those of some head followed by its continuation."""
+        cached = self._linear_forms.get(t)
+        if cached is not None:
+            return cached
+        pairs: list[tuple[Atom, Type]]
+        if isinstance(t, Empty):
+            pairs = []
+        elif isinstance(t, Atom):
+            pairs = [(t, EMPTY)]
+        elif isinstance(t, Or):
+            pairs = list(self.linear_form(t.left))
+            pairs += [p for p in self.linear_form(t.right) if p not in pairs]
+        elif isinstance(t, Seq):
+            pairs = [(a, _seq(k, t.right)) for a, k in self.linear_form(t.left)]
+            if self.nullable(t.left):
+                pairs += [p for p in self.linear_form(t.right) if p not in pairs]
+        elif isinstance(t, Star):
+            pairs = [(a, _seq(k, t)) for a, k in self.linear_form(t.inner)]
+        else:
+            assert isinstance(t, Var)
+            pairs = list(self.linear_form(self.definition(t.name)))
+        out = tuple(pairs)
+        self._linear_forms[t] = out
+        return out
+
+    def steps(self, state: frozenset[Type]) -> tuple[bool, dict[object, Step]]:
+        """Whether some member of ``state`` is nullable, and its step row: a
+        ``Step`` for each label and atom class that heads some member, and
+        for nothing else.  An atom is read as an element with content
+        ``()``, and candidates appear once each, in first-seen order."""
+        cached = self._steps.get(state)
+        if cached is not None:
+            return cached
+        groups: dict[object, dict[tuple[Type, Type], None]] = {}
+        for u in state:
+            for a, k in self.linear_form(u):
+                if a.__class__ is Element:
+                    groups.setdefault(a.label, {})[a.content, k] = None
+                else:
+                    groups.setdefault(a.__class__, {})[EMPTY, k] = None
+        row = {key: (tuple((union((c,)), k) for c, k in pairs),
+                     union(k for _, k in pairs),
+                     union(k for c, k in pairs if self.nullable(c)))
+               for key, pairs in groups.items()}
+        out = (any(self.nullable(u) for u in state), row)
+        self._steps[state] = out
+        return out
 
 
 EMPTY_SIGNATURE = Signature()

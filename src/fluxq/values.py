@@ -1,15 +1,16 @@
 """XML forest values and semantic membership ``v : t``.
 
 A forest is a tuple of trees; a tree is a boolean, a string, or a labeled
-node with a child forest.  Membership matches a forest against a type viewed
-as a regular expression over tree matchers, recursing into element content.
-Star iterations consume nonempty prefixes only, so matching terminates even
-when the star body is nullable.
+node with a child forest.
 
-One ``member`` call keeps one memo, keyed by the identities of the
-subforest, the start position and the type node, so it computes each end
-set once: O(positions × type nodes) entries per subforest, shared between
-trees that share a child tuple.  Atoms and ``()`` are answered directly.
+``member`` runs a lazy deterministic automaton on the signature's tables,
+the ones ``subtype`` uses.  A state is a set of alternatives
+(``types.union``); its step row (``Signature.steps``) gives, by label or
+atom kind, the next state, so a tree costs about one lookup.  A label that
+heads no alternative fails at once and adds nothing to the row.  Element
+content is matched with an explicit stack, so a value of any depth is
+decided, and one memo per call, keyed by a child tuple's identity and its
+start state, decides a shared child tuple once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from typing import Union
 
 from .types import (
-    BoolAtom, Element, Empty, Or, Seq, Signature, Star, StringAtom, Struct,
-    Type,
+    BoolAtom, Signature, Step, StringAtom, Struct, Type, union,
 )
 
 
@@ -36,7 +36,6 @@ class Node(Struct):
 
 Tree = Union[BoolVal, StrVal, Node]
 Forest = tuple[Tree, ...]
-Ends = Union[tuple[int, ...], set[int]]
 
 EMPTY_FOREST: Forest = ()
 
@@ -67,53 +66,64 @@ def max_width(v: Forest) -> int:
     return w
 
 
+_ATOM_OF = {BoolVal: BoolAtom, StrVal: StringAtom}
+_DEAD: frozenset[Type] = frozenset()  # the state that accepts nothing
+
+
 def member(sig: Signature, v: Forest, t: Type) -> bool:
     """Decide ``v`` ∈ the set of values denoted by ``t`` under ``sig``."""
-    # Every subforest of ``v`` and every type node reachable from ``t`` or
-    # ``sig`` stays alive for the whole call, so their ids are stable keys.
-    memo: dict[tuple[int, int, int], Ends] = {}
-    definition = sig.definition
-
-    def ends(f: Forest, i: int, node: Type) -> Ends:
-        """End positions j such that f[i:j] matches ``node``."""
-        cls = node.__class__
-        if cls is Element:
-            if i < len(f):
-                tree = f[i]
-                if (tree.__class__ is Node and tree.label == node.label
-                        and len(tree.children) in ends(tree.children, 0, node.content)):
-                    return (i + 1,)
-            return ()
-        if cls is Empty:
-            return (i,)
-        if cls is BoolAtom:
-            return (i + 1,) if i < len(f) and f[i].__class__ is BoolVal else ()
-        if cls is StringAtom:
-            return (i + 1,) if i < len(f) and f[i].__class__ is StrVal else ()
-        key = (id(f), i, id(node))
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if cls is Or:
-            left, right = ends(f, i, node.left), ends(f, i, node.right)
-            out = right if not left else left if not right else {*left, *right}
-        elif cls is Seq:
-            right = node.right
-            outs = [ends(f, j, right) for j in ends(f, i, node.left)]
-            out = outs[0] if len(outs) == 1 else {k for o in outs for k in o}
-        elif cls is Star:
-            inner = node.inner
-            out = {i}
-            frontier = [i]
-            while frontier:
-                j = frontier.pop()
-                for k in ends(f, j, inner):
-                    if k > j and k not in out:  # nonempty prefixes only
-                        out.add(k)
-                        frontier.append(k)
-        else:  # Var
-            out = ends(f, i, definition(node.name))
-        memo[key] = out
-        return out
-
-    return len(v) in ends(v, 0, t)
+    table, steps = sig._steps, sig.steps
+    # (id of a child tuple, state that starts it) -> accepted; every child
+    # tuple of ``v`` stays alive for the whole call, so its id is stable
+    memo: dict[tuple[int, frozenset[Type]], bool] = {}
+    # suspended forests: the forest, the position, state and step entry of
+    # the element whose content is being matched, and the content's memo key
+    stack: list[tuple[Forest, int, frozenset[Type], Step,
+                      tuple[int, frozenset[Type]]]] = []
+    f, i, state = v, 0, union((t,))
+    while True:
+        n = len(f)
+        while i < n:
+            tree = f[i]
+            row = (table.get(state) or steps(state))[1]
+            if tree.__class__ is not Node:
+                step = row.get(_ATOM_OF[tree.__class__])
+                if step is None:
+                    break
+                state = step[1]
+            else:
+                step = row.get(tree.label)
+                if step is None:
+                    break
+                children = tree.children
+                if not children:
+                    state = step[2]
+                else:
+                    matched = []
+                    for start, cont in step[0]:
+                        ok = memo.get((id(children), start))
+                        if ok is None:
+                            break
+                        if ok:
+                            matched.append(cont)
+                    else:
+                        state = (step[1] if len(matched) == len(step[0])
+                                 else union(matched))
+                        i += 1
+                        continue
+                    # match the children against the first content not yet
+                    # known, then come back to this element
+                    stack.append((f, i, state, step, (id(children), start)))
+                    f, i, state, n = children, 0, start, len(children)
+                    continue
+            i += 1
+        ok = i == n and (table.get(state) or steps(state))[0]
+        if not stack:
+            return ok
+        f, i, state, step, key = stack.pop()
+        memo[key] = ok
+        if len(step[0]) == 1:
+            # the element's only candidate decides its next state; with
+            # several, the element is read again and the memo answers
+            state = step[1] if ok else _DEAD
+            i += 1

@@ -347,9 +347,10 @@ class TestOracle:
 
 
 class TestDeepInput:
-    """Input nested past Python's recursion limit is rejected with a
-    limit/depth diagnostic and exit 2, never a traceback; long ``;``
-    sequences are processed."""
+    """Values of any depth are parsed, checked and printed; types nested
+    past Python's recursion limit are rejected with a limit/depth
+    diagnostic and exit 2, never a traceback; long ``;`` sequences are
+    processed."""
 
     @staticmethod
     def assert_depth_error(capsys):
@@ -373,9 +374,14 @@ class TestDeepInput:
     def test_run_update_deep_value(self, tmp_path, capsys):
         f = tmp_path / "rec.flux"
         f.write_text("type A = a[A*]\nupdate skip : A => A\n")
-        deep = "a[" * 400 + "]" * 400
-        assert main(["run-update", str(f), "--input", deep]) == 2
-        self.assert_depth_error(capsys)
+        for depth in (400, 100_000):
+            deep = "a[" * depth + "]" * depth
+            assert main(["run-update", str(f), "--input", deep]) == 0
+            assert capsys.readouterr().out == deep + "\n"
+            wrong = "a[" * (depth - 1) + "b[]" + "]" * (depth - 1)
+            assert main(["run-update", str(f), "--input", wrong]) == 1
+            err = capsys.readouterr().err
+            assert "not a value of the declared input type" in err
 
 
 class TestUsage:

@@ -9,9 +9,10 @@ from itertools import product
 import pytest
 
 from fluxq import (
-    BoolVal, Element, EMPTY, EMPTY_SIGNATURE, Node, Signature, StrVal,
-    UndeclaredVariable, Var, member, parse_type, parse_value, types_upto,
-    values_upto, word_to_type, words_upto,
+    BoolAtom, BoolVal, Element, EMPTY, EMPTY_SIGNATURE, Node, Signature,
+    StringAtom, StrVal, UndeclaredVariable, Var, member, parse_type,
+    parse_value, types_upto, value_str, values_upto, word_to_type,
+    words_upto,
 )
 from fluxq.enumeration import witness
 from fluxq.types import Empty, Or, Seq, Star
@@ -121,6 +122,101 @@ class TestMemberOracle:
         t = Seq(Element("a", content), Star(Element("a", content)))
         assert member(EMPTY_SIGNATURE, (x, x, x), t)
         assert not member(EMPTY_SIGNATURE, (x, Node("a", ()), x), t)
+
+
+def printed_regex(t):
+    """A regex for how ``value_str`` prints the nonempty values of the
+    var-free type ``t``, and whether ``()`` is a value of ``t``."""
+    if isinstance(t, Empty):
+        return "(?!)", True
+    if isinstance(t, BoolAtom):
+        return "true|false", False
+    if isinstance(t, StringAtom):
+        return r'"(?:[^"\\]|\\.)*"', False
+    if isinstance(t, Element):
+        inner, nullable = printed_regex(t.content)
+        inner = f"(?:{inner})?" if nullable else f"(?:{inner})"
+        return rf"{re.escape(t.label)}\[{inner}\]", False
+    if isinstance(t, Star):
+        inner, _ = printed_regex(t.inner)
+        return f"(?:{inner})(?:,(?:{inner}))*", True
+    (left, left_null), (right, right_null) = (printed_regex(t.left),
+                                              printed_regex(t.right))
+    if isinstance(t, Or):
+        return f"{left}|{right}", left_null or right_null
+    alts = [f"(?:{left}),(?:{right})"]
+    alts += [left] * right_null + [right] * left_null
+    return "|".join(f"(?:{a})" for a in alts), left_null and right_null
+
+
+class TestMemberAutomaton:
+    """``member`` against an oracle that shares no code with it, on deep,
+    shared and wide values, and the bounds of its step table."""
+
+    # same-label alternatives with different contents, so that an element
+    # can match some of its candidates and not the others
+    SAME_LABEL = ("a[a[]],a[] | a[b[]],b[]", "(a[a[]*] | a[b[]],b[])*",
+                  "a[a[]?],b[] | a[b[]*],a[]", "(a[b[]] | a[a[]],a[])*,b[]?")
+
+    def test_agrees_with_re_on_printed_values(self):
+        types = list(types_upto(5, ("a", "b")))
+        assert len(types) == 257
+        types += [parse_type(text) for text in self.SAME_LABEL]
+        values = set()
+        for t in types:
+            values |= values_upto(EMPTY_SIGNATURE, t, 3, 3)
+        texts = {v: value_str(v) for v in values}
+        assert len(values) > 300
+        for t in types:
+            pattern, nullable = printed_regex(t)
+            compiled = re.compile(pattern)
+            for v, text in texts.items():
+                expected = (nullable if text == "()"
+                            else bool(compiled.fullmatch(text)))
+                assert member(EMPTY_SIGNATURE, v, t) == expected, (t, text)
+
+    def test_deep_chain(self):
+        sig = Signature({"A": parse_type("a[A*]")})
+        inside, outside = (), (Node("b", ()),)
+        for _ in range(100_000):
+            inside, outside = (Node("a", inside),), (Node("a", outside),)
+        assert member(sig, inside, Var("A"))
+        assert not member(sig, outside, Var("A"))
+
+    def test_shared_children_stay_linear(self):
+        # v_{k+1} = a[v_k, v_k] unfolds to 2^60 trees but has 61 nodes
+        sig = Signature({"A": parse_type("a[A*]"),
+                         "B": parse_type("a[(B, B)?]")})
+        v = ()
+        for _ in range(60):
+            v = (Node("a", v + v),)
+        assert member(sig, v, Var("A")) and member(sig, v, Var("B"))
+        assert not member(sig, v, parse_type("a[a[a[]*]*]"))
+
+    def test_step_tables_belong_to_one_signature(self):
+        s1 = Signature({"X": parse_type("a[]")})
+        s2 = Signature({"X": parse_type("b[]")})
+        a = parse_value("a[]")
+        for order in ((s1, s2), (s2, s1)):
+            for _ in range(3):
+                for sig in order:
+                    assert member(sig, a, Var("X")) == (sig is s1)
+
+    def test_unknown_labels_add_no_step_entries(self):
+        sig = Signature()
+        t = parse_type("(a[]|b[])*")
+        assert member(sig, parse_value("a[],b[],a[]"), t)
+
+        def entries():
+            return len(sig._steps) + sum(len(row) for _, row in
+                                         sig._steps.values())
+
+        before = entries()
+        labels = [Node(f"l{k}", ()) for k in range(10_000)]
+        assert not member(sig, tuple(labels), t)
+        assert not any(member(sig, (tree,), t) for tree in labels)
+        assert not member(sig, (Node("a", ()),) + tuple(labels), t)
+        assert entries() == before
 
 
 class TestValuesUpto:

@@ -14,6 +14,7 @@ from fluxq import (
 from fluxq import subtyping
 from fluxq import test_subtype as passes_test
 from fluxq.generators import GenConfig, gen_subtype_of, gen_type
+from fluxq.types import union
 
 E = EMPTY_SIGNATURE
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
@@ -216,9 +217,10 @@ class TestDepthFold:
                          "Y": parse_type("a[Y] | b[]")})
         inc = subtyping._Inclusion(sig)
         x, y = Var("X"), Var("Y")
-        inc.path_depth[(x, inc.union([y]))] = 0
+        inc.path_depth[(x, union([y]))] = 0
         head = Element("a", x)
-        got = inc._check_element_head(head, EMPTY, list(inc.linear_form(y)))
+        same_label = sig.steps(union([y]))[1]["a"][0]
+        got = inc._check_element_head(head, EMPTY, same_label)
         assert got == (True, 0)
 
 
@@ -248,7 +250,7 @@ class TestSelfContainedProofs:
 
 
 class TestSignatureTables:
-    """Nullability, linear forms and right-hand heads are kept on the
+    """Nullability, linear forms and step rows are kept on the
     signature and shared by every check on it; verdicts are per call."""
 
     def test_tables_belong_to_one_signature(self):
@@ -265,7 +267,7 @@ class TestSignatureTables:
     def test_tables_are_reused_and_verdicts_are_not(self):
         sig = Signature({"X": parse_type("a[X*] | b[]")})
         left, right = parse_type("a[X*,b[]],X"), parse_type("X*")
-        tables = (sig._nullable, sig._linear_forms, sig._right_sides)
+        tables = (sig._nullable, sig._linear_forms, sig._steps)
         assert not any(tables)
         assert subtype(sig, left, right)
         sizes = [len(table) for table in tables]

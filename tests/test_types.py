@@ -219,14 +219,14 @@ class TestSignatureValue:
     def test_copy_deepcopy_and_pickle_start_with_empty_tables(self):
         sig = sig_of(X="a[X*] | b[]", Y="c[X]")
         assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
-        assert sig._linear_forms and sig._right_sides and sig._nullable
+        assert sig._linear_forms and sig._steps and sig._nullable
         for twin in (copy.copy(sig), copy.deepcopy(sig),
                      pickle.loads(pickle.dumps(sig))):
             assert type(twin) is Signature and twin is not sig
             assert twin == sig and hash(twin) == hash(sig)
             assert repr(twin) == repr(sig)
             assert list(twin.items()) == list(sig.items())
-            assert not (twin._linear_forms or twin._right_sides
+            assert not (twin._linear_forms or twin._steps
                         or twin._nullable)
             assert subtype(twin, Var("Y"), parse_type("c[b[]|a[X*]]"))
 
@@ -234,7 +234,7 @@ class TestSignatureValue:
         sig = sig_of(X="a[X*] | b[]")
         before = (hash(sig), repr(sig))
         assert subtype(sig, parse_type("a[b[]],b[]"), parse_type("X*"))
-        assert sig._linear_forms and sig._right_sides and sig._nullable
+        assert sig._linear_forms and sig._steps and sig._nullable
         fresh = sig_of(X="a[X*] | b[]")
         assert sig == fresh and fresh == sig
         assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
