@@ -537,20 +537,6 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
     return t
 
 
-def _value_error(text: str, lexemes: list[str], at: int, want: object,
-                 nested: bool):
-    """Raise the error for the ``at``-th lexeme (the end of input past the
-    last), where ``parse_value`` wanted ``want``; a lexing error anywhere in
-    the text wins, as it does for every parser here."""
-    p = _Parser(text)
-    tok = sum(1 for lexeme in lexemes[:at] if lexeme[0] not in _BLANK)
-    if want is _BRACKET:
-        p.unexpected(tok, "", ("[",))
-    if want is _AFTER:
-        p.unexpected(tok, "", ("]" if nested else "end of value",))
-    p.unexpected(tok, " in value", ("a value",))
-
-
 def parse_value(text: str, filename: str = "<value>") -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
     elements, so its depth is not bounded by Python's recursion."""
@@ -607,7 +593,15 @@ def parse_value(text: str, filename: str = "<value>") -> Forest:
         if want is _AFTER and not stack:
             return tuple(trees)
         at = paren if want is _PAREN else len(lexemes)
-    _value_error(text, lexemes, at, want, bool(stack))
+    # report the ``at``-th lexeme (past the last: the end of input), unless
+    # tokenizing finds a lexing error, which wins as in every parser here
+    p = _Parser(text)
+    tok = sum(1 for lexeme in lexemes[:at] if lexeme[0] not in _BLANK)
+    if want is _BRACKET:
+        p.unexpected(tok, "", ("[",))
+    if want is _AFTER:
+        p.unexpected(tok, "", ("]" if stack else "end of value",))
+    p.unexpected(tok, " in value", ("a value",))
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> QueryExpr:

@@ -10,7 +10,8 @@ atom kind, the next state, so a tree costs about one lookup.  A label that
 heads no alternative fails at once and adds nothing to the row.  Element
 content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its
-start state, decides a shared child tuple once.
+start state, decides a shared child tuple once; a lone leaf child, the
+common text-only element, is matched in place.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ from .types import (
 
 class BoolVal(Struct):
     __slots__ = ("value",)
+    # not fields: ``member`` reads every tree by label and children, and
+    # an atom's label is its atom class, the key of its step
+    label, children = BoolAtom, ()
 
 
 class StrVal(Struct):
     __slots__ = ("value",)
+    label, children = StringAtom, ()
 
 
 class Node(Struct):
@@ -66,7 +71,6 @@ def max_width(v: Forest) -> int:
     return w
 
 
-_ATOM_OF = {BoolVal: BoolAtom, StrVal: StringAtom}
 _DEAD: frozenset[Type] = frozenset()  # the state that accepts nothing
 
 
@@ -85,37 +89,39 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
         n = len(f)
         while i < n:
             tree = f[i]
-            row = (table.get(state) or steps(state))[1]
-            if tree.__class__ is not Node:
-                step = row.get(_ATOM_OF[tree.__class__])
-                if step is None:
-                    break
-                state = step[1]
+            step = (table.get(state) or steps(state))[1].get(tree.label)
+            if step is None:
+                break
+            children = tree.children
+            if not children:
+                state = step[2]
+            elif (len(children) == 1 and not children[0].children
+                  and len(step[0]) == 1):
+                # one candidate and one leaf child: match it in place
+                start = step[0][0][0]
+                inner = (table.get(start) or steps(start))[1].get(
+                    children[0].label)
+                ok = inner is not None and (
+                    table.get(inner[2]) or steps(inner[2]))[0]
+                state = step[1] if ok else _DEAD
             else:
-                step = row.get(tree.label)
-                if step is None:
-                    break
-                children = tree.children
-                if not children:
-                    state = step[2]
+                matched = []
+                for start, cont in step[0]:
+                    ok = memo.get((id(children), start))
+                    if ok is None:
+                        break
+                    if ok:
+                        matched.append(cont)
                 else:
-                    matched = []
-                    for start, cont in step[0]:
-                        ok = memo.get((id(children), start))
-                        if ok is None:
-                            break
-                        if ok:
-                            matched.append(cont)
-                    else:
-                        state = (step[1] if len(matched) == len(step[0])
-                                 else union(matched))
-                        i += 1
-                        continue
-                    # match the children against the first content not yet
-                    # known, then come back to this element
-                    stack.append((f, i, state, step, (id(children), start)))
-                    f, i, state, n = children, 0, start, len(children)
+                    state = (step[1] if len(matched) == len(step[0])
+                             else union(matched))
+                    i += 1
                     continue
+                # match the children against the first content not yet
+                # known, then come back to this element
+                stack.append((f, i, state, step, (id(children), start)))
+                f, i, state, n = children, 0, start, len(children)
+                continue
             i += 1
         ok = i == n and (table.get(state) or steps(state))[0]
         if not stack:
