@@ -7,10 +7,10 @@ guarded: walking a definition through ``|``, ``,``, ``*`` and ``()`` without
 entering element content never reaches a variable.  That restriction makes
 every judgment that unfolds variables at the top level terminate.
 
-A signature owns the tables that ``subtype`` and ``member`` share: for a
-set of alternatives (``union``), its step row is a right-hand side's heads
-grouped by label to the one and an automaton state's transitions to the
-other.
+A signature owns the tables that ``subtype`` and ``member`` share.  The
+step row of a set of alternatives (``union``) groups its heads by label:
+``subtype`` reads it as a goal's right-hand side, ``member`` as the
+transitions of an automaton state.
 
 Every tree node (types here; query expressions, update statements, values
 and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
