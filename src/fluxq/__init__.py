@@ -3,7 +3,7 @@ algorithmic typecheckers for a query core and an update core, a reference
 interpreter, and bounded enumeration oracles for validating the type
 system's metatheory at small scale."""
 
-from .diagnostics import CheckReport, Diagnostic, SourceSpan
+from .diagnostics import Diagnostic, SourceSpan
 from .enumeration import (
     ConsistentUpTo, RefutedWith, subtype_oracle, types_upto, values_upto,
     word_to_type, words_upto,

@@ -4,9 +4,10 @@ Subcommands: ``check`` (typecheck a program file), ``type`` (print the
 synthesized type of the main query or update), ``subtype`` (decide inclusion
 of two types), ``eval`` (run a query program), ``run-update`` (apply an
 update program to a value of its declared input type), and ``oracle`` (run
-the bounded property suites).  Exit codes: 0 success, 1 check/suite failure, 2 usage or parse
-errors, or a type or program nested or sequenced beyond Python's recursion
-limit (``limit/depth``); values of any depth are processed.
+the bounded property suites).  Exit codes: 0 success; 1 a check or suite
+failure; 2 a usage error, an unreadable file, a parse error, or a type or
+program nested or sequenced beyond Python's recursion limit
+(``limit/depth``).  Values of any depth are processed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .diagnostics import CheckReport, Diagnostic
+from .diagnostics import Diagnostic
 from .errors import FluxqError, ParseError, TypeCheckFailure
 from .evaluator import (
     runtime_for_query_program, runtime_for_update_program, eval_query,
@@ -23,8 +25,8 @@ from .evaluator import (
 )
 from .generators import GenConfig
 from .parser import (
-    parse_env_bindings, parse_program, parse_signature, parse_type,
-    parse_value,
+    parse_binding, parse_env_bindings, parse_program, parse_signature,
+    parse_type, parse_value,
 )
 from .printer import type_str, value_str
 from .queries import QueryProgram
@@ -42,15 +44,44 @@ from .values import member
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of ``path``; a file that cannot be read or is not UTF-8
+    ends the run with exit 2."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _check_signature(sig: Signature, as_json: bool) -> None:
+    """Report an ill-formed signature and end the run with exit 1."""
+    diags = check_signature(sig)
+    if diags:
+        raise SystemExit(_report(None, diags, as_json))
+
+
+def _load(args, kind: type = object) -> tuple:
+    """The program of ``args.file`` and its checked signature: the one way
+    a subcommand takes in a program.  A program that is not a ``kind``
+    ends the run with exit 2."""
+    prog, sig = parse_program(_read(args.file), args.file)
+    if not isinstance(prog, kind):
+        what = "a query" if kind is QueryProgram else "an update"
+        print(f"{args.command} expects {what} program", file=sys.stderr)
+        raise SystemExit(2)
+    _check_signature(sig, args.json)
+    return prog, sig
 
 
 def _labels_in(sig: Signature, prog) -> tuple[str, ...]:
     roots = [body for _, body in sig.items()]
     if isinstance(prog, QueryProgram):
         roots.append(prog.ascription)
-    elif isinstance(prog, UpdateProgram):
+    else:
         roots += [prog.input, prog.output]
     labels = {node.label for root in roots for node in nodes(root)
               if isinstance(node, Element)}
@@ -61,42 +92,43 @@ def _report(program_type: str | None, diagnostics: list[Diagnostic],
             as_json: bool) -> int:
     ok = not any(d.severity == "error" for d in diagnostics)
     if as_json:
-        report = CheckReport("ok" if ok else "error",
-                             program_type if ok else None,
-                             tuple(diagnostics))
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps({"status": "ok" if ok else "error",
+                          "type": program_type if ok else None,
+                          "diagnostics": [asdict(d) for d in diagnostics]},
+                         indent=2))
     else:
         for d in diagnostics:
             print(d.render(), file=sys.stderr)
-        if ok and program_type is not None:
-            print(program_type)
-        elif ok:
-            print("ok")
+        if ok:
+            print("ok" if program_type is None else program_type)
     return 0 if ok else 1
+
+
+def _print_value(value, as_json: bool) -> int:
+    print(json.dumps({"value": value_str(value)}) if as_json
+          else value_str(value))
+    return 0
 
 
 def _parse_type_env(args) -> dict:
     """``--var x=TYPE`` forest bindings and ``--tree x=TYPE`` tree bindings."""
     env: dict = {}
     for spec in args.var or []:
-        name, _, text = spec.partition("=")
-        env[name.strip().lstrip("$")] = ForestBinding(parse_type(text))
-    for spec in getattr(args, "tree", None) or []:
-        name, _, text = spec.partition("=")
+        name, text = parse_binding(spec, "NAME=TYPE")
+        env[name] = ForestBinding(parse_type(text))
+    for spec in args.tree or []:
+        name, text = parse_binding(spec, "NAME=TYPE")
         atom = parse_type(text)
         if not isinstance(atom, Atom):
             raise ParseError(f"--tree binding for {name} must be an atomic "
                              f"type, got {type_str(atom)}", 0, 1, 1)
-        env[name.strip().lstrip("$")] = TreeBinding(atom)
+        env[name] = TreeBinding(atom)
     return env
 
 
 def cmd_check(args) -> int:
     env = _parse_type_env(args)
-    prog, sig = parse_program(_read(args.file), args.file)
-    diags = check_signature(sig)
-    if diags:
-        return _report(None, diags, args.json)
+    prog, sig = _load(args)
     main, diags = check_program(sig, prog, env)
     return _report(None if main is None else type_str(main), diags, args.json)
 
@@ -109,9 +141,9 @@ def cmd_type(args) -> int:
     headers.  Function and procedure bodies, duplicate declarations and the
     main's own ascription are not checked; ``check`` checks them."""
     env = _parse_type_env(args)
-    prog, sig = parse_program(_read(args.file), args.file)
+    prog, sig = _load(args)
     decls, _ = program_decls(prog)
-    diags = check_signature(sig) or annotation_diags(sig, prog, decls, env)
+    diags = annotation_diags(sig, prog, decls, env)
     if diags:
         return _report(None, diags, args.json)
     try:
@@ -123,9 +155,7 @@ def cmd_type(args) -> int:
 
 def cmd_subtype(args) -> int:
     sig = parse_signature(_read(args.sig), args.sig) if args.sig else EMPTY_SIGNATURE
-    bad = check_signature(sig)
-    if bad:
-        return _report(None, bad, args.json)
+    _check_signature(sig, args.json)
     t1 = parse_type(args.left)
     t2 = parse_type(args.right)
     check_type_declared(sig, t1)
@@ -140,28 +170,14 @@ def cmd_subtype(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    prog, sig = parse_program(_read(args.file), args.file)
-    if not isinstance(prog, QueryProgram):
-        print("eval expects a query program", file=sys.stderr)
-        return 2
+    prog, _ = _load(args, QueryProgram)
     env = parse_env_bindings(args.env or [])
     rt = runtime_for_query_program(prog, recursion_limit=args.recursion_limit)
-    result = eval_query(rt, env, prog.main)
-    if args.json:
-        print(json.dumps({"value": value_str(result)}))
-    else:
-        print(value_str(result))
-    return 0
+    return _print_value(eval_query(rt, env, prog.main), args.json)
 
 
 def cmd_run_update(args) -> int:
-    prog, sig = parse_program(_read(args.file), args.file)
-    if not isinstance(prog, UpdateProgram):
-        print("run-update expects an update program", file=sys.stderr)
-        return 2
-    bad = check_signature(sig)
-    if bad:
-        return _report(None, bad, args.json)
+    prog, sig = _load(args, UpdateProgram)
     value = parse_value(args.input)
     if not member(sig, value, prog.input):
         print(f"error: the input is not a value of the declared input type "
@@ -169,33 +185,29 @@ def cmd_run_update(args) -> int:
         return 1
     env = parse_env_bindings(args.env or [])
     rt = runtime_for_update_program(prog, recursion_limit=args.recursion_limit)
-    result = apply_update(rt, env, value, prog.main)
-    if args.json:
-        print(json.dumps({"value": value_str(result)}))
-    else:
-        print(value_str(result))
-    return 0
+    return _print_value(apply_update(rt, env, value, prog.main), args.json)
 
 
 def cmd_oracle(args) -> int:
+    labels, sig = ("a", "b", "c"), None
     if args.file:
-        prog, sig = parse_program(_read(args.file), args.file)
-        bad = check_signature(sig)
-        if bad:
-            return _report(None, bad, args.json)
+        prog, sig = _load(args)
         labels = _labels_in(sig, prog)
-        use_sig = sig if len(sig) else None
-    else:
-        labels = ("a", "b", "c")
-        use_sig = None
     cfg = GenConfig(labels=labels, depth=args.max_depth, width=args.max_width,
                     seed=args.seed, cases=args.cases)
-    report = run_suites(cfg, use_sig)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.summary())
+    report = run_suites(cfg, sig or None)
+    print(json.dumps(report.to_json(), indent=2) if args.json
+          else report.summary())
     return 0 if report.ok else 1
+
+
+def natural(text: str) -> int:
+    """The argparse type of the numeric flags: an integer of at least 0.
+    argparse reports the ``ValueError`` as ``invalid natural value``."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,27 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "regular-expression types for XML forests.")
     top.add_argument("--json", action="store_true",
                      help="machine-readable output")
-    top.add_argument("--max-depth", type=int, default=3, metavar="N",
+    top.add_argument("--max-depth", type=natural, default=3, metavar="N",
                      help="value enumeration depth bound (default 3)")
-    top.add_argument("--max-width", type=int, default=3, metavar="N",
+    top.add_argument("--max-width", type=natural, default=3, metavar="N",
                      help="forest length bound for enumeration (default 3)")
-    top.add_argument("--recursion-limit", type=int, default=256, metavar="N",
+    top.add_argument("--recursion-limit", type=natural, default=256,
+                     metavar="N",
                      help="call depth limit for evaluation (default 256)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="typecheck a program file")
-    p.add_argument("file")
-    p.add_argument("--var", action="append", metavar="NAME=TYPE",
-                   help="ambient forest-variable binding for the main query")
-    p.add_argument("--tree", action="append", metavar="NAME=TYPE",
-                   help="ambient tree-variable binding (atomic type)")
+    typed = argparse.ArgumentParser(add_help=False)
+    typed.add_argument("file")
+    typed.add_argument("--var", action="append", metavar="NAME=TYPE",
+                       help="ambient forest-variable binding for the main query")
+    typed.add_argument("--tree", action="append", metavar="NAME=TYPE",
+                       help="ambient tree-variable binding (atomic type)")
+
+    p = sub.add_parser("check", parents=[typed],
+                       help="typecheck a program file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("type", help="print the synthesized type of the main "
-                                    "query or update")
-    p.add_argument("file")
-    p.add_argument("--var", action="append", metavar="NAME=TYPE")
-    p.add_argument("--tree", action="append", metavar="NAME=TYPE")
+    p = sub.add_parser("type", parents=[typed],
+                       help="print the synthesized type of the main query or "
+                            "update")
     p.set_defaults(func=cmd_type)
 
     p = sub.add_parser("subtype", help="decide t1 <: t2")
@@ -252,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional program file supplying the signature and "
                         "label universe")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cases", type=int, default=100, metavar="N",
+    p.add_argument("--cases", type=natural, default=100, metavar="N",
                    help="cases per random suite (default 100)")
     p.set_defaults(func=cmd_oracle)
 
@@ -260,18 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors, _read and _load
+        return exc.code or 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FluxqError as exc:
         print(f"error: {exc}", file=sys.stderr)

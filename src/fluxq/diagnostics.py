@@ -1,8 +1,8 @@
-"""Source spans, diagnostics, and the machine-readable check report."""
+"""Source spans and diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -21,17 +21,6 @@ class SourceSpan:
         if self.begin > self.end:
             raise ValueError(f"span begin {self.begin} > end {self.end}")
 
-    def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "begin": self.begin,
-            "end": self.end,
-            "begin_line": self.begin_line,
-            "begin_col": self.begin_col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-        }
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -39,14 +28,6 @@ class Diagnostic:
     message: str
     rule: str  # which judgment or rule rejected the construct
     span: SourceSpan | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "severity": self.severity,
-            "message": self.message,
-            "rule": self.rule,
-            "span": self.span.to_json() if self.span else None,
-        }
 
     def render(self) -> str:
         loc = ""
@@ -57,23 +38,3 @@ class Diagnostic:
 
 def error(message: str, rule: str, span: SourceSpan | None = None) -> Diagnostic:
     return Diagnostic("error", message, rule, span)
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Result of checking one program: status, synthesized type, diagnostics."""
-
-    status: str  # "ok" or "error"
-    type: str | None = None
-    diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.status == "ok":
-            assert not any(d.severity == "error" for d in self.diagnostics)
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "type": self.type,
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-        }

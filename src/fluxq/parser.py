@@ -622,6 +622,17 @@ def parse_signature(text: str, filename: str = "<sig>") -> Signature:
     return _Parser(text, filename).parse_signature()
 
 
+def parse_binding(spec: str, expected: str) -> tuple[str, str]:
+    """The name, without ``$``, and the text of a CLI ``NAME=TEXT``
+    binding; a spec with no ``=`` or no name is a ``ParseError`` that
+    names the ``expected`` form."""
+    name, eq, text = spec.partition("=")
+    name = name.strip().lstrip("$")
+    if not eq or not name:
+        raise ParseError(f"bad binding {spec!r}; expected {expected}", 0, 1, 1)
+    return name, text
+
+
 def parse_env_bindings(specs: list[str]) -> dict[str, Forest]:
     """CLI ``--env`` parsing: ``name=VALUE`` items, separated by ``;``
     outside string literals."""
@@ -629,12 +640,7 @@ def parse_env_bindings(specs: list[str]) -> dict[str, Forest]:
     for spec in specs:
         for item in _ENV_ITEM_RE.findall(spec):
             item = item.strip()
-            if not item:
-                continue
-            name, eq, value_text = item.partition("=")
-            name = name.strip().lstrip("$")
-            if not eq or not name:
-                raise ParseError(f"bad binding {item!r}; expected name=VALUE",
-                                 0, 1, 1)
-            env[name] = parse_value(value_text.strip())
+            if item:
+                name, text = parse_binding(item, "name=VALUE")
+                env[name] = parse_value(text.strip())
     return env

@@ -17,7 +17,7 @@ name; a suite that shrinks checks and shrinks with one predicate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice, product
 from typing import Callable, Iterator
@@ -83,12 +83,7 @@ class SuiteReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "suites": [{"name": r.name, "cases": r.cases,
-                        "failures": r.failures, "skipped": r.skipped}
-                       for r in self.results],
-        }
+        return {"ok": self.ok, "suites": [asdict(r) for r in self.results]}
 
 
 def _suite_rng(cfg: GenConfig, name: str) -> random.Random:

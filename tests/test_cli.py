@@ -2,16 +2,22 @@
 schema."""
 
 import json
+import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from fluxq import Elem, Skip, queries, types, updates
-from fluxq.cli import main
+from fluxq.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 LEAVES = str(SAMPLES / "leaves.muxq")
 INSERT_AFTER = str(SAMPLES / "insert_after.flux")
 LEAFUPD = str(SAMPLES / "leafupd.flux")
+# an input of each update sample's declared type
+INPUTS = {"insert_after.flux": "a[b[],b[],c[]],d[]",
+          "leafupd.flux": 'tree[node[tree[leaf["a"]],tree[leaf["b"]]]]'}
 
 
 def count_calls(monkeypatch, home, name):
@@ -253,6 +259,20 @@ class TestEval:
 
     def test_update_file_rejected(self, capsys):
         assert main(["eval", INSERT_AFTER]) == 2
+        assert capsys.readouterr().err == "eval expects a query program\n"
+
+    def test_unguarded_signature_rejected(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("type X = () | a[],X\nquery () : ()\n")
+        assert main(["eval", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("[signature/guardedness]\n")
+        assert main(["--json", "eval", str(f)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert [d["rule"] for d in report["diagnostics"]] == [
+            "signature/guardedness"]
 
 
 class TestRunUpdate:
@@ -265,6 +285,11 @@ class TestRunUpdate:
         assert main(["run-update", LEAFUPD, "--input",
                      'tree[leaf["old"]]']) == 0
         assert capsys.readouterr().out.strip() == 'tree[leaf["pruned"]]'
+
+    def test_query_file_rejected(self, capsys):
+        assert main(["run-update", LEAVES, "--input", "()"]) == 2
+        assert capsys.readouterr().err == (
+            "run-update expects an update program\n")
 
     def test_focus_shape_violation_exits_one(self, tmp_path, capsys):
         f = tmp_path / "u.flux"
@@ -390,3 +415,144 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def unreadable_files(tmp_path) -> dict[str, str]:
+    """A directory, a file that is not UTF-8 and a missing file, each with
+    the one ``error:`` line that reading it gives."""
+    latin = tmp_path / "latin.muxq"
+    latin.write_bytes(b"query \xff : ()\n")
+    missing = tmp_path / "missing.muxq"
+    return {
+        str(tmp_path): f"error: [Errno 21] Is a directory: '{tmp_path}'\n",
+        str(latin): f"error: {latin}: 'utf-8' codec can't decode byte 0xff "
+                    f"in position 6: invalid start byte\n",
+        str(missing): f"error: [Errno 2] No such file or directory: "
+                      f"'{missing}'\n",
+    }
+
+
+# every subcommand that reads a file, with FILE where the file goes
+READERS = (["check", "FILE"], ["--json", "check", "FILE"], ["type", "FILE"],
+           ["eval", "FILE"], ["run-update", "FILE", "--input", "()"],
+           ["oracle", "FILE", "--cases", "1"],
+           ["subtype", "--sig", "FILE", "a[]", "a[]"])
+
+BAD_FLAGS = (["--max-depth", "-1", "oracle", "--cases", "1"],
+             ["--max-width", "-2", "oracle", "--cases", "1"],
+             ["oracle", "--cases", "-1"],
+             ["--recursion-limit", "-1", "eval", LEAVES],
+             ["--max-depth", "x", "oracle"])
+
+BAD_BINDINGS = (["--var", "=a[]"], ["--tree", "$=bool"], ["--var", "x"],
+                ["--tree", "x"])
+
+
+def flag_value(argv: list[str]) -> tuple[str, str]:
+    """The first flag of ``argv`` and the value given to it."""
+    flag = next(a for a in argv if a.startswith("--"))
+    return flag, argv[argv.index(flag) + 1]
+
+
+class TestUnreadableInput:
+    """A file that cannot be read or decoded exits 2 with one ``error:``
+    line, from every subcommand that reads one."""
+
+    @pytest.mark.parametrize("argv", READERS, ids=lambda a: " ".join(a))
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        for path, line in unreadable_files(tmp_path).items():
+            assert main([path if a == "FILE" else a for a in argv]) == 2
+            assert capsys.readouterr() == ("", line)
+
+
+class TestNumericFlags:
+    """Every numeric flag takes an integer of 0 or more; argparse rejects
+    the rest."""
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS,
+                             ids=lambda a: " ".join(flag_value(a)))
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        flag, value = flag_value(argv)
+        assert out == ""
+        assert err.startswith("usage: fluxq")
+        assert err.endswith(f"error: argument {flag}: invalid natural value: "
+                            f"'{value}'\n")
+
+    def test_zero_is_accepted(self, capsys):
+        args = build_parser().parse_args(
+            ["--max-depth", "0", "--max-width", "0", "oracle", "--cases", "0"])
+        assert (args.max_depth, args.max_width, args.cases) == (0, 0, 0)
+        assert main(["--recursion-limit", "0", "eval", LEAVES]) == 1
+        assert "recursion limit 0 exceeded" in capsys.readouterr().err
+
+
+class TestBindings:
+    """A ``--var`` or ``--tree`` spec needs a name and an ``=``."""
+
+    @pytest.mark.parametrize("binding", BAD_BINDINGS,
+                             ids=lambda b: " ".join(b))
+    def test_malformed_binding_is_a_parse_error(self, binding, capsys):
+        for command in ("check", "type"):
+            assert main([command, LEAVES, *binding]) == 2
+            assert capsys.readouterr() == ("", (
+                f"parse error: bad binding {binding[1]!r}; expected NAME=TYPE"
+                f" at offset 0 (line 1, column 1)\n"))
+
+    def test_dollar_sign_and_spaces_are_dropped(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query $x : a[]*\n")
+        assert main(["check", str(f), "--var", " $x = a[]"]) == 0
+        assert capsys.readouterr().out == "a[]\n"
+
+
+class TestFuzz:
+    """Seeded byte-level mutants of ``samples/`` through ``check``, ``type``
+    and ``eval`` or ``run-update``, and the unreadable-file, flag and
+    binding cases above: every run ends in exit 0, 1 or 2 and none prints a
+    traceback."""
+
+    SEED = 7
+    MUTANTS = 400
+    # inserted whole, so that mutants reach past the lexer
+    PIECES = (b"(", b")", b"[", b"]", b",", b"|", b"*", b"?", b"+", b";",
+              b":", b"=", b"$x", b'"s"', b"()", b"a[]", b"X", b"for ",
+              b"let ", b"iter", b"insert ", b"delete", b"\n", b"\xff")
+
+    @classmethod
+    def mutate(cls, rng: random.Random, data: bytes) -> bytes:
+        data = bytearray(data)
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(data) + 1)
+            op = rng.randrange(4)
+            if op == 0:
+                del data[i:i + rng.randint(1, 6)]
+            elif op == 1:
+                j = rng.randrange(len(data) + 1)
+                data[i:i] = data[j:j + rng.randint(1, 12)]
+            else:
+                data[i:i + op - 2] = rng.choice(cls.PIECES)
+        return bytes(data)
+
+    def test_no_run_ends_in_a_traceback(self, tmp_path, capsys):
+        rng = random.Random(self.SEED)
+        samples = sorted(SAMPLES.iterdir())
+        runs = [[path if a == "FILE" else a for a in argv]
+                for path in unreadable_files(tmp_path) for argv in READERS]
+        runs += BAD_FLAGS
+        runs += [[c, LEAVES, *b] for b in BAD_BINDINGS for c in ("check", "type")]
+        for i in range(self.MUTANTS):
+            sample = rng.choice(samples)
+            mutant = tmp_path / f"m{i}{sample.suffix}"
+            mutant.write_bytes(self.mutate(rng, sample.read_bytes()))
+            run = (["run-update", str(mutant), "--input", INPUTS[sample.name]]
+                   if sample.suffix == ".flux" else ["eval", str(mutant)])
+            runs += [["check", str(mutant)], ["type", str(mutant)], run]
+        codes = set()
+        for argv in runs:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+            codes.add(code)
+        assert codes == {0, 1, 2}
