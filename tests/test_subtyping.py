@@ -249,6 +249,21 @@ class TestSelfContainedProofs:
         assert len(goals) <= 1000
 
 
+class TestClusterDiscard:
+    def test_refuted_goal_discards_proofs_that_assumed_it(self):
+        # refuting L ⊆ R first proves the a[] head's continuation goal
+        # K ⊆ R' by assuming L ⊆ R; that proof must not outlive the refutation
+        inc = subtyping._Inclusion(E)
+        left, right = parse_type("(a[],b[])*, c[]"), parse_type("(a[],b[])*")
+        assert not inc.check(left, (right,))
+        (_, k), = [p for p in E.linear_form(left) if p[0] == Element("a", EMPTY)]
+        (_, k_right), = E.linear_form(right)
+        assert type_str(k) == "(b[],(a[],b[])*),c[]"
+        assert type_str(k_right) == "b[],(a[],b[])*"
+        assert not inc.check(k, (k_right,))
+        assert not inc.pending
+
+
 class TestSignatureTables:
     """Nullability, linear forms and step rows are kept on the
     signature and shared by every check on it; verdicts are per call."""
