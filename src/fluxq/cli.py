@@ -121,7 +121,7 @@ def _parse_type_env(args) -> dict:
         atom = parse_type(text)
         if not isinstance(atom, Atom):
             raise ParseError(f"--tree binding for {name} must be an atomic "
-                             f"type, got {type_str(atom)}", 0, 1, 1)
+                             f"type, got {type_str(atom)}")
         env[name] = TreeBinding(atom)
     return env
 

@@ -16,11 +16,15 @@ class UndeclaredVariable(FluxqError):
 
 
 class ParseError(FluxqError):
-    """Syntax error, carrying the byte offset and the expected-token set."""
+    """Syntax error, carrying its position and the expected-token set; text
+    in no file, such as a command-line flag, has none (offset None)."""
 
-    def __init__(self, message: str, offset: int, line: int, column: int,
+    def __init__(self, message: str, offset: int | None = None,
+                 line: int | None = None, column: int | None = None,
                  expected: tuple[str, ...] = ()):
-        detail = f"{message} at offset {offset} (line {line}, column {column})"
+        detail = message
+        if offset is not None:
+            detail += f" at offset {offset} (line {line}, column {column})"
         if expected:
             detail += "; expected " + " or ".join(expected)
         super().__init__(detail)

@@ -3,8 +3,8 @@
 Evaluation is call-by-value and deterministic.  Variable environments map
 names to forests; a tree variable holds a singleton forest.  Updates operate
 on a focused part of the value: navigation changes the focus, tests check a
-single tree's top-level kind, and iteration maps a singular update over a
-forest, concatenating the results.
+single tree's ``label`` as the checker does (``subtyping.passes``), and
+iteration maps a singular update over a forest, concatenating the results.
 
 Focus-shape violations (rename on a non-singleton focus, insert on a
 non-empty focus, and the like) are runtime errors rather than no-ops:
@@ -23,7 +23,7 @@ from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, If, LabelFilter,
     Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
-from .subtyping import BoolTest, StringTest, TestKind, WildcardTest
+from .subtyping import passes
 from .types import EMPTY_DECLS, GlobalDecls, Signature, TypeEnv
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
@@ -56,20 +56,6 @@ def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
 
 
 runtime_for_update_program = runtime_for_query_program
-
-
-def _children_of(tree: Tree) -> Forest:
-    return tree.children if isinstance(tree, Node) else EMPTY_FOREST
-
-
-def _tree_passes(tree: Tree, test: TestKind) -> bool:
-    if isinstance(test, BoolTest):
-        return isinstance(tree, BoolVal)
-    if isinstance(test, StringTest):
-        return isinstance(tree, StrVal)
-    if isinstance(test, WildcardTest):
-        return isinstance(tree, Node)
-    return isinstance(tree, Node) and tree.label == test.label
 
 
 def _condition(rt: Runtime, env: ValueEnv, cond: QueryExpr,
@@ -132,11 +118,10 @@ def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr,
         if len(v) != 1:
             raise EvalError(f"${e.var} holds a forest of length {len(v)}, "
                             f"not a single tree")
-        return _children_of(v[0])
+        return v[0].children
     if isinstance(e, LabelFilter):
         source = eval_query(rt, env, e.source, _depth)
-        return tuple(t for t in source
-                     if isinstance(t, Node) and t.label == e.label)
+        return tuple(t for t in source if t.label == e.label)
     if isinstance(e, For):
         source = eval_query(rt, env, e.source, _depth)
         out: list[Tree] = []
@@ -178,7 +163,7 @@ def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt,
     if isinstance(s, Test):
         if len(v) != 1:
             raise EvalError(f"test applied to a forest of length {len(v)}")
-        if _tree_passes(v[0], s.test):
+        if passes(v[0].label, s.test):
             return apply_update(rt, env, v, s.body, _depth)
         return v
     if isinstance(s, Nav):

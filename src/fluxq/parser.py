@@ -75,6 +75,8 @@ _NEWLINE_RE = re.compile("\n")
 # A ``--env`` item runs to the next ``;`` outside a string literal.
 _ENV_ITEM_RE = re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
 
+# the ``?`` tests written as a keyword or ``*``; any other is a label test
+_TESTS = {"bool": BoolTest, "string": StringTest, "*": WildcardTest}
 
 # What ``parse_value`` reads next, and the lexemes it skips.
 _ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
@@ -267,12 +269,7 @@ class _Parser:
     def parse_expr_single(self) -> QueryExpr:
         tok = self.pos
         if self.accept("let"):
-            var = self.expect("VAR", "a variable")
-            self.expect("=")
-            bound = self.parse_expr_single()
-            self.expect("in")
-            body = self.parse_expr_single()
-            return Let(var, bound, body, span=self.span_from(tok))
+            return self.parse_let(tok, self.parse_expr_single, Let)
         if self.accept("for"):
             var = self.expect("VAR", "a variable")
             self.expect("in")
@@ -281,13 +278,25 @@ class _Parser:
             body = self.parse_expr_single()
             return For(var, source, body, span=self.span_from(tok))
         if self.accept("if"):
-            cond = self.parse_expr_single()
-            self.expect("then")
-            then = self.parse_expr_single()
-            self.expect("else")
-            els = self.parse_expr_single()
-            return If(cond, then, els, span=self.span_from(tok))
+            return self.parse_if(tok, self.parse_expr_single, If)
         return self.parse_expr_path()
+
+    # ``let`` and ``if`` after the keyword at ``tok``, as expressions or as
+    # statements: ``body`` and ``branch`` parse the parts, ``node`` builds
+
+    def parse_let(self, tok: int, body, node):
+        var = self.expect("VAR", "a variable")
+        self.expect("=")
+        bound = self.parse_expr_single()
+        self.expect("in")
+        return node(var, bound, body(), span=self.span_from(tok))
+
+    def parse_if(self, tok: int, branch, node):
+        cond = self.parse_expr_single()
+        self.expect("then")
+        then = branch()
+        self.expect("else")
+        return node(cond, then, branch(), span=self.span_from(tok))
 
     def parse_expr_path(self) -> QueryExpr:
         start = self.pos
@@ -382,19 +391,9 @@ class _Parser:
             label = self.expect("IDENT", "a label")
             return Rename(label, span=self.span_from(tok))
         if kind == "if":
-            cond = self.parse_expr_single()
-            self.expect("then")
-            then = self.parse_stmt_item()
-            self.expect("else")
-            els = self.parse_stmt_item()
-            return IfStmt(cond, then, els, span=self.span_from(tok))
+            return self.parse_if(tok, self.parse_stmt_item, IfStmt)
         if kind == "let":
-            var = self.expect("VAR", "a variable")
-            self.expect("=")
-            bound = self.parse_expr_single()
-            self.expect("in")
-            body = self.parse_stmt_item()
-            return LetStmt(var, bound, body, span=self.span_from(tok))
+            return self.parse_let(tok, self.parse_stmt_item, LetStmt)
         if kind == "snapshot":
             var = self.expect("VAR", "a variable")
             self.expect("in")
@@ -414,15 +413,8 @@ class _Parser:
     def parse_test(self) -> UpdateStmt:
         tok = self.next()
         kind = self.kinds[tok]
-        test: TestKind
-        if kind == "bool":
-            test = BoolTest()
-        elif kind == "string":
-            test = StringTest()
-        elif kind == "*":
-            test = WildcardTest()
-        else:
-            test = LabelTest(self.texts[tok])
+        test: TestKind = (_TESTS[kind]() if kind in _TESTS
+                          else LabelTest(self.texts[tok]))
         self.expect("?")
         body = self.parse_stmt_item()
         return Test(test, body, span=self.span_from(tok))
@@ -445,6 +437,21 @@ class _Parser:
         self.expect(")")
         return tuple(params)
 
+    def parse_type_decl(self) -> tuple[str, Type]:
+        """``X = t`` after the ``type`` keyword."""
+        name = self.expect("TYPEVAR", "a type variable")
+        self.expect("=")
+        return name, self.parse_type()
+
+    def parse_header(self, update: bool) -> list[Type]:
+        """``: t``, or ``: t1 => t2`` for a procedure or an update."""
+        self.expect(":")
+        header = [self.parse_type()]
+        if update:
+            self.expect("=>")
+            header.append(self.parse_type())
+        return header
+
     def parse_program(self) -> tuple[QueryProgram | UpdateProgram, Signature]:
         sig_entries: list[tuple[str, Type]] = []
         functions: list[FunctionDecl] = []
@@ -452,61 +459,38 @@ class _Parser:
         while True:
             tok = self.pos
             if self.accept("type"):
-                name = self.expect("TYPEVAR", "a type variable")
-                self.expect("=")
-                body = self.parse_type()
-                sig_entries.append((name, body))
+                sig_entries.append(self.parse_type_decl())
             elif self.accept("declare"):
-                if self.accept("function"):
-                    name = self.expect("IDENT", "a function name")
-                    params = self.parse_params()
-                    self.expect(":")
-                    result = self.parse_type()
-                    self.expect("{")
-                    body = self.parse_expr()
-                    self.expect("}")
-                    self.expect(";")
-                    functions.append(FunctionDecl(
-                        name, params, result, body, span=self.span_from(tok)))
-                elif self.accept("procedure"):
-                    name = self.expect("IDENT", "a procedure name")
-                    params = self.parse_params()
-                    self.expect(":")
-                    input_t = self.parse_type()
-                    self.expect("=>")
-                    output_t = self.parse_type()
-                    self.expect("{")
-                    body = self.parse_stmt()
-                    self.expect("}")
-                    self.expect(";")
-                    procedures.append(ProcedureDecl(
-                        name, params, input_t, output_t, body,
-                        span=self.span_from(tok)))
-                else:
+                kind = self.kinds[self.pos]
+                if not (self.accept("function") or self.accept("procedure")):
                     self.fail("expected 'function' or 'procedure'",
                               expected=("function", "procedure"))
-            elif self.accept("query"):
-                main = self.parse_expr()
-                self.expect(":")
-                ascription = self.parse_type()
+                update = kind == "procedure"
+                name = self.expect("IDENT", f"a {kind} name")
+                params = self.parse_params()
+                header = self.parse_header(update)
+                self.expect("{")
+                body = self.parse_stmt() if update else self.parse_expr()
+                self.expect("}")
+                self.expect(";")
+                decl = (ProcedureDecl if update else FunctionDecl)(
+                    name, params, *header, body, span=self.span_from(tok))
+                (procedures if update else functions).append(decl)
+            elif self.accept("query") or self.accept("update"):
+                update = self.kinds[tok] == "update"
+                main = self.parse_stmt() if update else self.parse_expr()
+                header = self.parse_header(update)
                 self.expect("EOF", "end of program")
-                if procedures:
+                if update:
+                    prog = UpdateProgram(tuple(functions), tuple(procedures),
+                                         main, *header, span=self.span_from(tok))
+                elif procedures:
                     raise self.error_at(
                         tok, "query programs cannot declare procedures")
-                return (QueryProgram(tuple(functions), main, ascription,
-                                     span=self.span_from(tok)),
-                        Signature(sig_entries))
-            elif self.accept("update"):
-                main = self.parse_stmt()
-                self.expect(":")
-                input_t = self.parse_type()
-                self.expect("=>")
-                output_t = self.parse_type()
-                self.expect("EOF", "end of program")
-                return (UpdateProgram(tuple(functions), tuple(procedures),
-                                      main, input_t, output_t,
-                                      span=self.span_from(tok)),
-                        Signature(sig_entries))
+                else:
+                    prog = QueryProgram(tuple(functions), main, *header,
+                                        span=self.span_from(tok))
+                return prog, Signature(sig_entries)
             else:
                 self.unexpected(self.pos, " at top level",
                                 ("type", "declare", "query", "update"))
@@ -515,9 +499,7 @@ class _Parser:
         entries: list[tuple[str, Type]] = []
         while not self.at("EOF"):
             self.expect("type")
-            name = self.expect("TYPEVAR", "a type variable")
-            self.expect("=")
-            entries.append((name, self.parse_type()))
+            entries.append(self.parse_type_decl())
         return Signature(entries)
 
 
@@ -530,11 +512,17 @@ def parse_program(text: str, filename: str = "<input>") -> tuple[
     return _Parser(text, filename).parse_program()
 
 
-def parse_type(text: str, filename: str = "<type>") -> Type:
+def _parse_whole(text: str, filename: str, rule, what: str):
+    """The whole of ``text`` read by the ``_Parser`` method ``rule``; input
+    left over is an error that expects the end of ``what``."""
     p = _Parser(text, filename)
-    t = p.parse_type()
-    p.expect("EOF", "end of type")
-    return t
+    out = rule(p)
+    p.expect("EOF", f"end of {what}")
+    return out
+
+
+def parse_type(text: str, filename: str = "<type>") -> Type:
+    return _parse_whole(text, filename, _Parser.parse_type, "type")
 
 
 def parse_value(text: str, filename: str = "<value>") -> Forest:
@@ -605,17 +593,11 @@ def parse_value(text: str, filename: str = "<value>") -> Forest:
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> QueryExpr:
-    p = _Parser(text, filename)
-    e = p.parse_expr()
-    p.expect("EOF", "end of expression")
-    return e
+    return _parse_whole(text, filename, _Parser.parse_expr, "expression")
 
 
 def parse_stmt(text: str, filename: str = "<stmt>") -> UpdateStmt:
-    p = _Parser(text, filename)
-    s = p.parse_stmt()
-    p.expect("EOF", "end of statement")
-    return s
+    return _parse_whole(text, filename, _Parser.parse_stmt, "statement")
 
 
 def parse_signature(text: str, filename: str = "<sig>") -> Signature:
@@ -629,7 +611,7 @@ def parse_binding(spec: str, expected: str) -> tuple[str, str]:
     name, eq, text = spec.partition("=")
     name = name.strip().lstrip("$")
     if not eq or not name:
-        raise ParseError(f"bad binding {spec!r}; expected {expected}", 0, 1, 1)
+        raise ParseError(f"bad binding {spec!r}; expected {expected}")
     return name, text
 
 

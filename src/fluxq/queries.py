@@ -123,8 +123,8 @@ def filter_label(sig: Signature, t: Type, label: str) -> Type:
     ``t`` and is not simplified, and shares subterms where ``t`` does.
     Total on well-formed inputs.
     """
-    return map_atoms(sig, t, lambda atom: atom if isinstance(atom, Element)
-                     and atom.label == label else EMPTY)
+    return map_atoms(sig, t, lambda atom: atom if atom.label == label
+                     else EMPTY)
 
 
 def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,

@@ -5,8 +5,10 @@
 
 * decompose the left side into its head atoms with continuations
   (a linear form, unfolding variables at the top);
-* for a head element ``n[c]`` with continuation ``k``, gather the right
-  sides' same-label heads ``n[c_j]`` with continuations ``k_j``.  The goal
+* for a head ``n[c]`` with continuation ``k``, gather the right sides'
+  same-label heads ``n[c_j]`` with continuations ``k_j``; ``bool`` and
+  ``string`` are heads too, each labelled by its atom class and with
+  content ``()`` (``types.Signature.steps``).  The goal
   holds iff, for every subset S of them, ``c`` is included in the contents
   chosen by S or ``k`` is included in the continuations of the complement
   (the product decomposition for unions of concatenations, after Hosoya,
@@ -43,8 +45,7 @@ performed.
 from __future__ import annotations
 
 from .types import (
-    Atom, BoolAtom, Element, Signature, StringAtom, Struct, Type, TypeEnv,
-    union,
+    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, union,
 )
 
 
@@ -58,10 +59,12 @@ class WildcardTest(Struct):
 
 class BoolTest(Struct):
     __slots__ = ()
+    label = BoolAtom  # not a field: the one label that passes
 
 
 class StringTest(Struct):
     __slots__ = ()
+    label = StringAtom
 
 
 TestKind = LabelTest | WildcardTest | BoolTest | StringTest
@@ -78,15 +81,18 @@ def test_str(test: TestKind) -> str:
     return "*"
 
 
+def passes(label, test: TestKind) -> bool:
+    """Does a tree or an atom with head ``label`` (an element's name, or the
+    atom class of ``bool`` or ``string``) pass ``test``?  The checker and the
+    interpreter both decide ``?`` here, so they cannot disagree."""
+    if test.__class__ is WildcardTest:
+        return isinstance(label, str)
+    return label == test.label
+
+
 def test_subtype(atom: Atom, test: TestKind) -> bool:
-    """Atom-vs-test subtyping: does every value of ``atom`` pass ``test``?"""
-    if isinstance(test, BoolTest):
-        return isinstance(atom, BoolAtom)
-    if isinstance(test, StringTest):
-        return isinstance(atom, StringAtom)
-    if isinstance(test, WildcardTest):
-        return isinstance(atom, Element)
-    return isinstance(atom, Element) and atom.label == test.label
+    """Does every value of ``atom``, all with its label, pass ``test``?"""
+    return passes(atom.label, test)
 
 
 _SELF_CONTAINED = 1 << 30
@@ -107,11 +113,10 @@ class _Inclusion:
         self.path_depth: dict[tuple[Type, frozenset[Type]], int] = {}
         self.proven: set[tuple[Type, frozenset[Type]]] = set()
         self.refuted: set[tuple[Type, frozenset[Type]]] = set()
-        # goals proven under assumptions still on the path, keyed to the
-        # lowest depth they depend on; discarded when an enclosing goal
-        # fails, committed when an enclosing goal closes self-contained
-        self.pending: list[tuple[tuple[Type, frozenset[Type]], int]] = []
-        self.pending_low: dict[tuple[Type, frozenset[Type]], int] = {}
+        # goals proven under assumptions still on the path, in proof order,
+        # with the lowest depth each depends on; a closing goal pops those
+        # above its mark: commits them if self-contained, discards on failure
+        self.pending: dict[tuple[Type, frozenset[Type]], int] = {}
 
     def check(self, t: Type, rights) -> bool:
         return self._check(t, union(rights))[0]
@@ -135,35 +140,29 @@ class _Inclusion:
             return True, _SELF_CONTAINED
         if key in self.refuted:
             return False, _SELF_CONTAINED
-        reusable = self.pending_low.get(key)
+        pending = self.pending
+        reusable = pending.get(key)
         if reusable is not None:
             return True, reusable
         my_depth = len(self.path_depth)
         self.path_depth[key] = my_depth
-        mark = len(self.pending)
+        mark = len(pending)
         try:
             ok, low = self._check_body(t, rights)
         finally:
             del self.path_depth[key]
         if not ok:
-            self._drop_pending(mark)
+            while len(pending) > mark:
+                pending.popitem()
             self.refuted.add(key)
             return False, _SELF_CONTAINED
         if low >= my_depth:
             self.proven.add(key)
-            for done, _ in self.pending[mark:]:
-                self.proven.add(done)
-                del self.pending_low[done]
-            del self.pending[mark:]
+            while len(pending) > mark:
+                self.proven.add(pending.popitem()[0])
             return True, _SELF_CONTAINED
-        self.pending.append((key, low))
-        self.pending_low[key] = low
+        pending[key] = low
         return True, low
-
-    def _drop_pending(self, mark: int) -> None:
-        for done, _ in self.pending[mark:]:
-            del self.pending_low[done]
-        del self.pending[mark:]
 
     def _check_body(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
         sig = self.sig
@@ -172,22 +171,18 @@ class _Inclusion:
             return False, _SELF_CONTAINED
         low = _SELF_CONTAINED
         for head, cont in sig.linear_form(t):
-            is_element = head.__class__ is Element
-            step = row.get(head.label if is_element else head.__class__)
+            step = row.get(head.label)
             if step is None:
                 return False, _SELF_CONTAINED
-            if is_element:
-                ok, sub_low = self._check_element_head(head, cont, step[0])
-            else:
-                ok, sub_low = self._check(cont, step[1])
+            ok, sub_low = self._check_head(head, cont, step[0])
             if not ok:
                 return False, _SELF_CONTAINED
             low = min(low, sub_low)
         return True, low
 
-    def _check_element_head(self, head: Element, cont: Type,
-                            same_label: tuple[tuple[frozenset[Type], Type], ...]
-                            ) -> tuple[bool, int]:
+    def _check_head(self, head: Atom, cont: Type,
+                    same_label: tuple[tuple[frozenset[Type], Type], ...]
+                    ) -> tuple[bool, int]:
         # P(S) = c ⊆ ∪contents(S) is upward-closed in S, so the search never
         # extends a set that covers: each superset of it covers as well.  Q(S)
         # = k ⊆ ∪conts(rest) is downward-closed, and needed only where P fails.

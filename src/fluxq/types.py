@@ -140,6 +140,12 @@ BOOL = BoolAtom()
 STRING = StringAtom()
 EMPTY = Empty()
 
+# Not fields: ``bool`` and ``string`` read like elements with content
+# ``()`` whose label is their own atom class, as their trees do
+# (``values.BoolVal`` and ``StrVal``), so every head is keyed by ``label``
+BoolAtom.label, BoolAtom.content = BoolAtom, EMPTY
+StringAtom.label, StringAtom.content = StringAtom, EMPTY
+
 
 def optional(t: Type) -> Type:
     """The ``t?`` derived form: ``t | ()``."""
@@ -292,19 +298,16 @@ class Signature:
 
     def steps(self, state: frozenset[Type]) -> tuple[bool, dict[object, Step]]:
         """Whether some member of ``state`` is nullable, and its step row: a
-        ``Step`` for each label and atom class that heads some member, and
-        for nothing else.  An atom is read as an element with content
-        ``()``, and candidates appear once each, in first-seen order."""
+        ``Step`` for each ``label`` (an element's name, or the atom class of
+        ``bool`` or ``string``) that heads some member, and for nothing
+        else.  Candidates appear once each, in first-seen order."""
         cached = self._steps.get(state)
         if cached is not None:
             return cached
         groups: dict[object, dict[tuple[Type, Type], None]] = {}
         for u in state:
             for a, k in self.linear_form(u):
-                if a.__class__ is Element:
-                    groups.setdefault(a.label, {})[a.content, k] = None
-                else:
-                    groups.setdefault(a.__class__, {})[EMPTY, k] = None
+                groups.setdefault(a.label, {})[a.content, k] = None
         row = {key: (tuple((union((c,)), k) for c, k in pairs),
                      union(k for _, k in pairs),
                      union(k for c, k in pairs if self.nullable(c)))

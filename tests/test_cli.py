@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fluxq import Elem, Skip, queries, types, updates
+from fluxq import Elem, Skip, parse_program, queries, types, unparse, updates
 from fluxq.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -494,11 +494,18 @@ class TestBindings:
     @pytest.mark.parametrize("binding", BAD_BINDINGS,
                              ids=lambda b: " ".join(b))
     def test_malformed_binding_is_a_parse_error(self, binding, capsys):
+        # a flag is in no file, so the message claims no position
         for command in ("check", "type"):
             assert main([command, LEAVES, *binding]) == 2
             assert capsys.readouterr() == ("", (
-                f"parse error: bad binding {binding[1]!r}; expected NAME=TYPE"
-                f" at offset 0 (line 1, column 1)\n"))
+                f"parse error: bad binding {binding[1]!r}; expected NAME=TYPE\n"))
+
+    def test_plural_tree_binding_is_a_parse_error(self, capsys):
+        for command in ("check", "type"):
+            assert main([command, LEAVES, "--tree", "x=a[]*"]) == 2
+            assert capsys.readouterr() == ("", (
+                "parse error: --tree binding for x must be an atomic type, "
+                "got a[]*\n"))
 
     def test_dollar_sign_and_spaces_are_dropped(self, tmp_path, capsys):
         f = tmp_path / "q.muxq"
@@ -508,10 +515,10 @@ class TestBindings:
 
 
 class TestFuzz:
-    """Seeded byte-level mutants of ``samples/`` through ``check``, ``type``
-    and ``eval`` or ``run-update``, and the unreadable-file, flag and
-    binding cases above: every run ends in exit 0, 1 or 2 and none prints a
-    traceback."""
+    """Seeded byte-level and tree-level mutants of ``samples/`` through
+    ``check``, ``type`` and ``eval`` or ``run-update``, and the
+    unreadable-file, flag and binding cases above: every run ends in exit 0,
+    1 or 2 and none prints a traceback."""
 
     SEED = 7
     MUTANTS = 400
@@ -556,3 +563,88 @@ class TestFuzz:
             assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
             codes.add(code)
         assert codes == {0, 1, 2}
+
+    # Tree-level mutants parse, so they reach the checker and the
+    # interpreter: each is one mutation of a sample's syntax tree, printed
+    # back to concrete syntax
+    AST_SEED = 11
+    AST_MUTANTS = 120
+
+    @staticmethod
+    def subterms(root) -> list:
+        """Every distinct node of ``root``'s tree, ``root`` included."""
+        out, seen, stack = [], set(), [root]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, tuple):
+                stack.extend(x)
+            elif isinstance(x, types.Struct) and id(x) not in seen:
+                seen.add(id(x))
+                out.append(x)
+                stack.extend(getattr(x, f) for f in x._fields)
+        return out
+
+    @classmethod
+    def rebuild(cls, x, new: dict):
+        """``x`` with each node whose id is a key of ``new`` replaced."""
+        if id(x) in new:
+            return new[id(x)]
+        if isinstance(x, tuple):
+            return tuple(cls.rebuild(y, new) for y in x)
+        if isinstance(x, types.Struct):
+            return x.__class__(*(cls.rebuild(getattr(x, f), new)
+                                 for f in x._fields), span=x.span)
+        return x
+
+    @classmethod
+    def mutate_tree(cls, rng: random.Random, prog):
+        """Drop or duplicate a call argument, swap two expressions, two
+        statements or two types, or replace an expression with ``()`` or a
+        statement with ``skip``."""
+        nodes = cls.subterms(prog)
+        calls = [n for n in nodes
+                 if isinstance(n, (queries.Call, updates.ProcCall)) and n.args]
+        op = rng.randrange(3)
+        if op == 0 and calls:
+            call = rng.choice(calls)
+            args = list(call.args)
+            i = rng.randrange(len(args))
+            args[i:i + 1] = [] if rng.random() < 0.5 else [args[i]] * 2
+            return cls.rebuild(prog, {id(call): call.__class__(
+                call.name, tuple(args))})
+        kind = rng.choice((queries.QueryExpr, updates.UpdateStmt, types.Type))
+        same = [n for n in nodes if isinstance(n, kind)]
+        if op == 1 and len(same) >= 2:
+            a, b = rng.sample(same, 2)
+            return cls.rebuild(prog, {id(a): b, id(b): a})
+        terms = [n for n in nodes
+                 if isinstance(n, (queries.QueryExpr, updates.UpdateStmt))]
+        target = rng.choice(terms)
+        return cls.rebuild(prog, {id(target): (
+            queries.EmptySeq() if isinstance(target, queries.QueryExpr)
+            else Skip())})
+
+    def test_tree_mutants_reach_the_interpreter(self, tmp_path, capsys):
+        rng = random.Random(self.AST_SEED)
+        samples = sorted(SAMPLES.iterdir())
+        parsed = {s: parse_program(s.read_text()) for s in samples}
+        codes, errors = set(), []
+        for i in range(self.AST_MUTANTS):
+            sample = rng.choice(samples)
+            prog, sig = parsed[sample]
+            text = unparse.program_str(self.mutate_tree(rng, prog), sig)
+            parse_program(text)  # every mutant parses
+            mutant = tmp_path / f"t{i}{sample.suffix}"
+            mutant.write_text(text)
+            run = (["run-update", str(mutant), "--input", INPUTS[sample.name]]
+                   if sample.suffix == ".flux" else ["eval", str(mutant)])
+            for argv in (["check", str(mutant)], ["type", str(mutant)], run):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and "Traceback" not in err, (
+                    argv, text, err)
+                codes.add(code)
+                errors.append(err)
+        assert codes == {0, 1}
+        # the interpreter's arity check in ``evaluator._enter`` is reached
+        assert any(" argument(s), got " in err for err in errors)
