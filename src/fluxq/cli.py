@@ -13,9 +13,9 @@ program nested or sequenced beyond Python's recursion limit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .diagnostics import Diagnostic
 from .errors import FluxqError, ParseError, TypeCheckFailure
@@ -88,13 +88,19 @@ def _labels_in(sig: Signature, prog) -> tuple[str, ...]:
     return tuple(sorted(labels)) or ("a", "b")
 
 
+def _diagnostic_json(d: Diagnostic) -> dict:
+    return {"severity": d.severity, "message": d.message, "rule": d.rule,
+            "span": None if d.span is None else d.span._asdict()}
+
+
 def _report(program_type: str | None, diagnostics: list[Diagnostic],
             as_json: bool) -> int:
     ok = not any(d.severity == "error" for d in diagnostics)
     if as_json:
         print(json.dumps({"status": "ok" if ok else "error",
                           "type": program_type if ok else None,
-                          "diagnostics": [asdict(d) for d in diagnostics]},
+                          "diagnostics": [_diagnostic_json(d)
+                                          for d in diagnostics]},
                          indent=2))
     else:
         for d in diagnostics:
@@ -210,7 +216,13 @@ def natural(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call of the process.  It holds no per-call state:
+    ``parse_args`` returns a fresh namespace, the ``append`` flags default
+    to ``None``, and usage errors and ``--help`` write to the ``sys.stderr``
+    and ``sys.stdout`` current at the call.  Callers must not change it."""
     top = argparse.ArgumentParser(
         prog="fluxq",
         description="Typecheck, evaluate, and property-test programs over "

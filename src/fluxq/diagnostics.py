@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open byte range in a source file, with line/column endpoints (1-based)."""
-
+class _SpanFields(NamedTuple):
     file: str
     begin: int
     end: int
@@ -17,9 +15,20 @@ class SourceSpan:
     end_line: int
     end_col: int
 
-    def __post_init__(self):
-        if self.begin > self.end:
-            raise ValueError(f"span begin {self.begin} > end {self.end}")
+
+class SourceSpan(_SpanFields):
+    """Half-open character range ``[begin, end)`` in a source file, with the
+    1-based line and column of ``begin`` and of ``end``.  A span is built
+    for every parsed node, so it is a tuple, not a dataclass."""
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, begin: int, end: int, begin_line: int,
+                begin_col: int, end_line: int, end_col: int):
+        if begin > end:
+            raise ValueError(f"span begin {begin} > end {end}")
+        return tuple.__new__(cls, (file, begin, end, begin_line, begin_col,
+                                   end_line, end_col))
 
 
 @dataclass(frozen=True)

@@ -193,11 +193,14 @@ class _Parser:
         raise self.error_at(tok, f"unexpected {found}{context}", expected)
 
     def span_from(self, start: int) -> SourceSpan:
+        """The span from token ``start`` through the last token consumed:
+        ``end`` is the offset past that token, and ``end_line``/``end_col``
+        are the position of ``end``."""
         prev = max(self.pos - 1, 0)
         end = prev if self.ends[prev] >= self.starts[start] else start
         return SourceSpan(self.filename, self.starts[start], self.ends[end],
                           *self.line_col(self.starts[start]),
-                          *self.line_col(self.starts[end]))
+                          *self.line_col(self.ends[end]))
 
     def parse_list(self, parse_item, op: str, node):
         """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so

@@ -1,17 +1,23 @@
 """Command-line surface: subcommands, exit codes, and the JSON report
 schema."""
 
+import contextlib
+import io
 import json
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fluxq import Elem, Skip, parse_program, queries, types, unparse, updates
+from fluxq import (
+    Elem, Skip, cli, parse_program, queries, types, unparse, updates,
+)
 from fluxq.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SRC = Path(__file__).resolve().parent.parent / "src"
 LEAVES = str(SAMPLES / "leaves.muxq")
 INSERT_AFTER = str(SAMPLES / "insert_after.flux")
 LEAFUPD = str(SAMPLES / "leafupd.flux")
@@ -73,14 +79,14 @@ class TestCheck:
         f.write_text("query a[] : b[]\n")
         assert main(["--json", "check", str(f)]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert set(report) == {"status", "type", "diagnostics"}
+        assert list(report) == ["status", "type", "diagnostics"]
         assert report["status"] == "error"
         assert report["type"] is None
         entry = report["diagnostics"][0]
-        assert set(entry) == {"severity", "message", "rule", "span"}
+        assert list(entry) == ["severity", "message", "rule", "span"]
         assert entry["severity"] == "error"
-        assert set(entry["span"]) == {"file", "begin", "end", "begin_line",
-                                      "begin_col", "end_line", "end_col"}
+        assert list(entry["span"]) == ["file", "begin", "end", "begin_line",
+                                       "begin_col", "end_line", "end_col"]
 
     def test_json_diagnostic_span_positions(self, tmp_path, capsys):
         f = tmp_path / "q.muxq"
@@ -89,7 +95,7 @@ class TestCheck:
         span = json.loads(capsys.readouterr().out)["diagnostics"][0]["span"]
         assert span == {"file": str(f), "begin": 22, "end": 44,
                         "begin_line": 4, "begin_col": 3,
-                        "end_line": 5, "end_col": 5}
+                        "end_line": 5, "end_col": 7}
 
     def test_json_ok_report(self, capsys):
         assert main(["--json", "check", LEAVES]) == 0
@@ -417,6 +423,81 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
+class TestParserReuse:
+    """Every ``main`` call of a process shares one argument parser, and no
+    call's flags, defaults or output streams reach the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_built_on_the_first_main_call_only(self):
+        # a fresh process: importing ``fluxq.cli`` builds no parser, the
+        # first call builds them all and later calls build none
+        script = (
+            "import argparse, sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from fluxq.cli import main\n"
+            "counts = [len(built)]\n"
+            "for argv in (['check', sys.argv[1]], ['frobnicate'],\n"
+            "             ['--json', 'check', sys.argv[1]]):\n"
+            "    main(argv)\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n")
+        run = subprocess.run([sys.executable, "-c", script, LEAVES],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        counts = json.loads(run.stdout.splitlines()[-1])
+        assert counts[0] == 0
+        assert counts[1] > 0
+        assert counts[1:] == [counts[1]] * 3
+
+    def test_bindings_do_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        f.write_text("query $x : a[]*\n")
+        assert main(["check", str(f), "--var", "x=a[]"]) == 0
+        assert capsys.readouterr().out == "a[]\n"
+        assert main(["check", str(f)]) == 1
+        assert "unbound variable $x" in capsys.readouterr().err
+
+    def test_defaults_do_not_carry_over(self, monkeypatch, capsys):
+        depths, run_suites = [], cli.run_suites
+
+        def recording(cfg, sig):
+            depths.append(cfg.depth)
+            return run_suites(cfg, sig)
+
+        monkeypatch.setattr(cli, "run_suites", recording)
+        assert main(["--max-depth", "0", "oracle", "--cases", "0"]) == 1
+        assert main(["oracle", "--cases", "0"]) == 0
+        assert depths == [0, 3]
+
+    def test_help_twice(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr()
+        assert first.out.startswith("usage: fluxq") and first.err == ""
+        assert main(["--help"]) == 0
+        assert capsys.readouterr() == first
+
+    def test_usage_errors_reach_the_current_stderr(self, capsys):
+        assert main(["check", LEAVES]) == 0
+        capsys.readouterr()
+        elsewhere = io.StringIO()
+        with contextlib.redirect_stderr(elsewhere):
+            assert main(["frobnicate"]) == 2
+        assert "invalid choice: 'frobnicate'" in elsewhere.getvalue()
+        assert main(["frobnicate"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: fluxq")
+        assert "invalid choice: 'frobnicate'" in err
+
+
 def unreadable_files(tmp_path) -> dict[str, str]:
     """A directory, a file that is not UTF-8 and a missing file, each with
     the one ``error:`` line that reading it gives."""
@@ -648,3 +729,37 @@ class TestFuzz:
         assert codes == {0, 1}
         # the interpreter's arity check in ``evaluator._enter`` is reached
         assert any(" argument(s), got " in err for err in errors)
+
+    @staticmethod
+    def line_col(text: str, offset: int) -> tuple[int, int]:
+        return (text.count("\n", 0, offset) + 1,
+                offset - text.rfind("\n", 0, offset))
+
+    def test_spans_are_half_open(self):
+        # on the samples and the tree mutants above, every span's begin and
+        # end positions are those of its offsets, ``end`` being the offset
+        # past its last token
+        rng = random.Random(self.AST_SEED)
+        samples = sorted(SAMPLES.iterdir())
+        parsed = {s: parse_program(s.read_text()) for s in samples}
+        texts = [s.read_text() for s in samples]
+        for _ in range(self.AST_MUTANTS):
+            prog, sig = parsed[rng.choice(samples)]
+            texts.append(unparse.program_str(self.mutate_tree(rng, prog), sig))
+        one_line = set()
+        for text in texts:
+            prog, sig = parse_program(text)
+            roots = [prog, *(body for _, body in sig.items())]
+            for node in (n for root in roots for n in self.subterms(root)):
+                span = node.span
+                if span is None:
+                    continue
+                begin, end = span.begin, span.end
+                assert (span.begin_line, span.begin_col) == self.line_col(
+                    text, begin), (text, node)
+                assert (span.end_line, span.end_col) == self.line_col(
+                    text, end), (text, node)
+                if span.begin_line == span.end_line:
+                    assert span.end_col - span.begin_col == end - begin
+                one_line.add(span.begin_line == span.end_line)
+        assert one_line == {True, False}

@@ -9,8 +9,8 @@ import pytest
 
 from fluxq import (
     BoolVal, Children, Concat, EMPTY, For, Insert, LabelFilter, Let, LetStmt,
-    Node, ParseError, QueryProgram, Runtime, Snapshot, Star, StrVal,
-    UpdateProgram, VarRef, apply_update, check_program, eval_query,
+    Node, ParseError, QueryProgram, Runtime, Snapshot, SourceSpan, Star,
+    StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
     parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
     parse_value, runtime_for_query_program, runtime_for_update_program,
     synth_expr, type_str, value_str,
@@ -313,7 +313,27 @@ class TestTokenPositions:
         span = e.span
         assert (span.begin, span.end) == (0, 21)
         assert (span.begin_line, span.begin_col) == (1, 1)
-        assert (span.end_line, span.end_col) == (3, 3)
+        assert (span.end_line, span.end_col) == (3, 5)
+
+
+class TestSourceSpan:
+    """The span record: seven fields by position, immutable, and never
+    running backwards."""
+
+    SPAN = SourceSpan("f", 0, 3, 1, 1, 1, 4)
+
+    def test_begin_after_end_is_rejected(self):
+        with pytest.raises(ValueError, match="span begin 2 > end 1"):
+            SourceSpan("f", 2, 1, 1, 3, 1, 2)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.SPAN.end = 4
+
+    def test_repr(self):
+        assert repr(self.SPAN) == (
+            "SourceSpan(file='f', begin=0, end=3, begin_line=1, begin_col=1, "
+            "end_line=1, end_col=4)")
 
 
 class TestEnvBindings:

@@ -319,27 +319,27 @@ class TestCallAndConditionDiagnostics:
     def test_undeclared_before_arity(self):
         assert self.diags("nope(c[])") == [(
             "undeclared function nope", "query/call-undeclared",
-            self.span(50, 59, 7, 15))]
+            self.span(50, 59, 7, 16))]
 
     def test_arity(self):
         assert self.diags("f()") == [(
             "f expects 1 argument(s), got 0", "query/call-arity",
-            self.span(50, 53, 7, 9))]
+            self.span(50, 53, 7, 10))]
 
     def test_arity_before_arguments(self):
         assert self.diags("f(c[], c[])") == [(
             "f expects 1 argument(s), got 2", "query/call-arity",
-            self.span(50, 61, 7, 17))]
+            self.span(50, 61, 7, 18))]
 
     def test_argument_at_its_own_span(self):
         assert self.diags("f(c[])") == [(
             "argument 1 of f has type c[], expected a subtype of a[]",
-            "query/call-argument", self.span(52, 55, 9, 11))]
+            "query/call-argument", self.span(52, 55, 9, 12))]
 
     def test_if_condition(self):
         assert self.diags('if "s" then b[] else b[]') == [(
             "condition has type string, not bool", "query/if-condition",
-            self.span(50, 74, 7, 30))]
+            self.span(50, 74, 7, 31))]
 
     def test_in_a_function_body(self):
         prog, sig = parse_program(
@@ -349,7 +349,7 @@ class TestCallAndConditionDiagnostics:
                 for d in check_query_program(sig, prog)] == [(
             "in function g: argument 1 of f has type c[], expected a subtype "
             "of a[]", "query/call-argument",
-            SourceSpan("q.muxq", 31, 34, 1, 32, 1, 34))]
+            SourceSpan("q.muxq", 31, 34, 1, 32, 1, 35))]
 
 
 class TestDeterminism:

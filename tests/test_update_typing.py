@@ -296,32 +296,32 @@ class TestCallAndConditionDiagnostics:
     def test_undeclared_before_input(self):
         assert self.diags("nope(c[])", "c[]") == [(
             "undeclared procedure nope", "update/call-undeclared",
-            self.span(60, 69, 8, 16))]
+            self.span(60, 69, 8, 17))]
 
     def test_input_before_arity(self):
         assert self.diags("p()", "c[]") == [(
             "focus has type c[], which is not a subtype of p's input type b[]",
-            "update/call-input", self.span(60, 63, 8, 10))]
+            "update/call-input", self.span(60, 63, 8, 11))]
 
     def test_arity(self):
         assert self.diags("p()") == [(
             "p expects 1 argument(s), got 0", "update/call-arity",
-            self.span(60, 63, 8, 10))]
+            self.span(60, 63, 8, 11))]
 
     def test_arity_before_arguments(self):
         assert self.diags("p(c[], c[])") == [(
             "p expects 1 argument(s), got 2", "update/call-arity",
-            self.span(60, 71, 8, 18))]
+            self.span(60, 71, 8, 19))]
 
     def test_argument_at_its_own_span(self):
         assert self.diags("p(c[])") == [(
             "argument 1 of p has type c[], expected a subtype of a[]",
-            "update/call-argument", self.span(62, 65, 10, 12))]
+            "update/call-argument", self.span(62, 65, 10, 13))]
 
     def test_if_condition(self):
         assert self.diags('if "s" then skip else skip') == [(
             "condition has type string, not bool", "update/if-condition",
-            self.span(60, 86, 8, 30))]
+            self.span(60, 86, 8, 34))]
 
     def test_in_a_procedure_body(self):
         prog, sig = parse_program(
@@ -330,7 +330,7 @@ class TestCallAndConditionDiagnostics:
         assert [(d.message, d.rule, d.span)
                 for d in check_update_program(sig, prog)] == [(
             "in procedure q: p expects 1 argument(s), got 0",
-            "update/call-arity", SourceSpan("u.flux", 37, 40, 1, 38, 1, 40))]
+            "update/call-arity", SourceSpan("u.flux", 37, 40, 1, 38, 1, 41))]
 
 
 class TestCheckProgram:
