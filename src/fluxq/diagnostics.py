@@ -1,8 +1,8 @@
-"""Source spans and diagnostics."""
+"""Source spans and diagnostics: named tuples, like every record that is not
+a tree node."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -18,8 +18,7 @@ class _SpanFields(NamedTuple):
 
 class SourceSpan(_SpanFields):
     """Half-open character range ``[begin, end)`` in a source file, with the
-    1-based line and column of ``begin`` and of ``end``.  A span is built
-    for every parsed node, so it is a tuple, not a dataclass."""
+    1-based line and column of ``begin`` and of ``end``."""
 
     __slots__ = ()
 
@@ -31,8 +30,7 @@ class SourceSpan(_SpanFields):
                                    end_line, end_col))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
     rule: str  # which judgment or rule rejected the construct

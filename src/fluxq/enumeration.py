@@ -9,8 +9,8 @@ exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .subtyping import atom_subtype
 from .types import (
@@ -159,15 +159,13 @@ def witness(sig: Signature, t: Type) -> Forest | None:
     return build(t)
 
 
-@dataclass(frozen=True)
-class RefutedWith:
+class RefutedWith(NamedTuple):
     """A concrete value of the left type that is not a value of the right."""
 
     counterexample: Forest
 
 
-@dataclass(frozen=True)
-class ConsistentUpTo:
+class ConsistentUpTo(NamedTuple):
     depth: int
     width: int
 

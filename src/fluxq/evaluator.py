@@ -14,8 +14,7 @@ typechecker bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import EvalError, RecursionLimitExceeded
 from .printer import value_str
@@ -38,8 +37,7 @@ ValueEnv = Mapping[str, Forest]
 DEFAULT_RECURSION_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class Runtime:
+class Runtime(NamedTuple):
     """A program's declarations, whose bodies calls run, and the limit on
     the depth of nested calls."""
 

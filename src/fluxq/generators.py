@@ -11,7 +11,7 @@ same sequence of instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GenerationError, TypeCheckFailure
 from .queries import (
@@ -36,8 +36,7 @@ MAX_SIZE = 7      # AST-node budget for random types
 MAX_NESTING = 2   # element nesting in random types
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     """Bounds and seed shared by the random suites.  The bounds must not be
     negative; ``fluxq`` checks its flags for that when it parses them."""
 

@@ -9,18 +9,18 @@ counterexample found by greedy shrinking.
 The typing properties are written once for both core languages: a
 ``Language`` record (``QUERY``, ``UPDATE``) draws, types, runs and prints
 terms and iteration bodies, and ``deterministic``, ``downward_monotonicity``,
-``homomorphism`` and ``soundness`` each take one.  Each random suite is a
-case function that ``run_cases`` calls on a stream seeded from the suite's
-name; a suite that shrinks checks and shrinks with one predicate.
+``homomorphism`` and ``soundness`` each take one.  Every suite is counted
+by ``tally``.  Each random suite is a case function that ``run_cases``
+calls on a stream seeded from the suite's name; a suite that shrinks checks
+and shrinks with one predicate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice, product
-from typing import Callable, Iterator
+from itertools import chain, count, islice, product, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import (
     types_upto, values_upto, witness, word_to_type, words_upto,
@@ -46,12 +46,13 @@ from .updates import Multiplicity, Nav, Direction, SeqStmt, Skip, synth_iter, sy
 from .values import BoolVal, Forest, Node, StrVal, member
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """One suite's tally, as ``tally`` builds it."""
+
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    skipped: int = 0
+    cases: int
+    failures: list[str]
+    skipped: int
 
     @property
     def ok(self) -> bool:
@@ -66,8 +67,7 @@ class SuiteResult:
         return out
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     results: list[SuiteResult]
 
     @property
@@ -83,7 +83,7 @@ class SuiteReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "suites": [asdict(r) for r in self.results]}
+        return {"ok": self.ok, "suites": [r._asdict() for r in self.results]}
 
 
 def _suite_rng(cfg: GenConfig, name: str) -> random.Random:
@@ -94,26 +94,35 @@ SKIP = object()
 REDRAW = object()
 
 
-def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
-              n: int | None = None) -> SuiteResult:
-    """Run one random suite: call ``case`` on the stream seeded from the
-    suite's name until ``n`` draws (default ``cfg.cases``) are counted.
-
-    ``case`` draws one case and returns its failure messages (empty when
-    the property holds), ``SKIP`` when no case could be generated (counted
-    as skipped) or ``REDRAW`` when the draw misses the property's
-    precondition (not counted)."""
-    res = SuiteResult(name)
-    rng = _suite_rng(cfg, name)
-    n = cfg.cases if n is None else n
-    while res.cases + res.skipped < n:
-        outcome = case(rng)
+def tally(name: str, outcomes: Iterable[list[str] | object],
+          uncounted: Iterable[str] = ()) -> SuiteResult:
+    """The one way a suite is counted.  Each outcome is one case: its
+    failure messages (empty when the property holds), or ``SKIP`` when no
+    case could be generated (counted as skipped).  ``uncounted`` are the
+    failures of checks on the whole suite, which are not cases; they are
+    listed first."""
+    cases = skipped = 0
+    failures = list(uncounted)
+    for outcome in outcomes:
         if outcome is SKIP:
-            res.skipped += 1
-        elif outcome is not REDRAW:
-            res.cases += 1
-            res.failures.extend(outcome)
-    return res
+            skipped += 1
+        else:
+            cases += 1
+            failures.extend(outcome)
+    return SuiteResult(name, cases, failures, skipped)
+
+
+def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
+              n: int | None = None, uncounted: Iterable[str] = ()) -> SuiteResult:
+    """Run one random suite: call ``case`` on the stream seeded from the
+    suite's name and tally its first ``n`` outcomes (default ``cfg.cases``).
+    ``case`` draws one case and returns its outcome, or ``REDRAW`` when the
+    draw misses the property's precondition (not counted)."""
+    rng = _suite_rng(cfg, name)
+    draws = (case(rng) for _ in count())
+    counted = (outcome for outcome in draws if outcome is not REDRAW)
+    return tally(name, islice(counted, cfg.cases if n is None else n),
+                 uncounted)
 
 
 # -- greedy shrinking ---------------------------------------------------
@@ -255,22 +264,21 @@ def suite_atoms_compatible(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
 
 def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    res = SuiteResult("member-terminates-on-recursive-signatures")
     fix = fixture_signature(cfg)
-    tree = Var("Tree")
+    tree, lst = Var("Tree"), Var("List")
     samples = sorted(values_upto(fix, tree, 4, 3), key=repr)[:20]
     samples += [(), (BoolVal(True),), (Node("tree", ()),)]
-    for v in samples:
-        res.cases += 1
+
+    def terminates(v: Forest) -> list[str]:
         member(fix, v, tree)  # must terminate; result value irrelevant here
-        member(fix, v, Var("List"))
-    lst = Var("List")
+        member(fix, v, lst)
+        return []
     good = (Node(cfg.labels[0], ()),)
-    if not member(fix, good, lst):
-        res.failures.append(f"{value_str(good)} should inhabit List")
+    wrong = [] if member(fix, good, lst) else [f"{value_str(good)} should inhabit List"]
     if member(fix, (), lst):
-        res.failures.append("() should not inhabit List")
-    return res
+        wrong.append("() should not inhabit List")
+    return tally("member-terminates-on-recursive-signatures",
+                 map(terminates, samples), wrong)
 
 
 def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
@@ -286,10 +294,10 @@ def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
             return []
         small = greedy_shrink(t, uninhabited, shrink_type)
         return [f"no inhabitant found for {type_str(small)}"]
-    res = run_cases(cfg, "types-inhabited-at-small-bounds", case)
-    res.failures[:0] = [f"no inhabitant found for {name}" for name in sig
-                        if witness(sig, Var(name)) is None]
-    return res
+    declared = [f"no inhabitant found for {name}" for name in sig
+                if witness(sig, Var(name)) is None]
+    return run_cases(cfg, "types-inhabited-at-small-bounds", case,
+                     uncounted=declared)
 
 
 # -- subtyping suites -----------------------------------------------------
@@ -299,28 +307,26 @@ def oracle_agreement(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """Exhaustive: the subtype decision never disagrees with brute-force
     value enumeration within ``cfg``'s depth and width bounds, over all
     type pairs up to AST size 4 on the first two labels."""
-    res = SuiteResult("subtype-agrees-with-oracle")
     depth, width = cfg.depth, cfg.width
     corpus = types_upto(4, cfg.labels[:2])
     value_cache = {t: sorted(values_upto(sig, t, depth, width),
                              key=lambda f: (len(f), repr(f)))
                    for t in corpus}
-    for t1 in corpus:
-        for t2 in corpus:
-            res.cases += 1
-            decided = subtype(sig, t1, t2)
-            refuted = next((v for v in value_cache[t1]
-                            if not member(sig, v, t2)), None)
-            if decided and refuted is not None:
-                res.failures.append(
-                    f"subtype said {type_str(t1)} <: {type_str(t2)} but "
-                    f"{value_str(refuted)} refutes it")
-            elif not decided and refuted is None:
-                res.failures.append(
-                    f"subtype refused {type_str(t1)} <: {type_str(t2)} but "
+
+    def case(t1: Type, t2: Type) -> list[str]:
+        decided = subtype(sig, t1, t2)
+        refuted = next((v for v in value_cache[t1]
+                        if not member(sig, v, t2)), None)
+        if decided and refuted is not None:
+            return [f"subtype said {type_str(t1)} <: {type_str(t2)} but "
+                    f"{value_str(refuted)} refutes it"]
+        if not decided and refuted is None:
+            return [f"subtype refused {type_str(t1)} <: {type_str(t2)} but "
                     f"enumeration found no counterexample at depth {depth}, "
-                    f"width {width}")
-    return res
+                    f"width {width}"]
+        return []
+    return tally("subtype-agrees-with-oracle",
+                 starmap(case, product(corpus, corpus)))
 
 
 def suite_subtype_reflexive(cfg: GenConfig, sig: Signature) -> SuiteResult:
@@ -369,7 +375,6 @@ def suite_language_inclusion(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
 def suite_test_subtype_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """test_subtype(a, phi) iff every enumerated value of ``a`` passes phi."""
-    res = SuiteResult("test-subtype-semantic")
     a, b = cfg.labels[0], cfg.labels[1 % len(cfg.labels)]
     atoms: list[Atom] = [BOOL, STRING, Element(a, EMPTY),
                          Element(a, Element(b, EMPTY)),
@@ -386,24 +391,21 @@ def suite_test_subtype_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
             return isinstance(tree, Node)
         return isinstance(tree, Node) and tree.label == test.label
 
-    for atom in atoms:
-        for test in tests:
-            res.cases += 1
-            decided = test_subtype(atom, test)
-            semantic = all(passes(v[0], test)
-                           for v in values_upto(sig, atom, 3, 3))
-            if decided != semantic:
-                res.failures.append(
-                    f"test_subtype({type_str(atom)}, {test!r}) = {decided} "
-                    f"but semantics says {semantic}")
-    return res
+    def case(atom: Atom, test) -> list[str]:
+        decided = test_subtype(atom, test)
+        semantic = all(passes(v[0], test)
+                       for v in values_upto(sig, atom, 3, 3))
+        if decided == semantic:
+            return []
+        return [f"test_subtype({type_str(atom)}, {test!r}) = {decided} "
+                f"but semantics says {semantic}"]
+    return tally("test-subtype-semantic", starmap(case, product(atoms, tests)))
 
 
 # -- typing properties, written once for both languages --------------------
 
 
-@dataclass(frozen=True)
-class Language:
+class Language(NamedTuple):
     """What the typing properties need from one core language.
 
     ``term`` draws a well-typed term under an environment and returns it
@@ -732,27 +734,24 @@ def commutation_case(sig: Signature, t: Type, label: str, k: int,
 
 
 def filter_commutation(sig: Signature, labels: tuple[str, ...], size: int,
-                       k: int) -> SuiteResult:
-    res = SuiteResult("filter-commutes-with-language")
-    for t in types_upto(size, labels[:2]):
-        for label in labels[:2]:
-            res.cases += 1
-            ok, message = commutation_case(sig, t, label, k)
-            if not ok:
-                res.failures.append(message)
-    return res
+                       k: int, *worked: tuple) -> SuiteResult:
+    """``commutation_case`` at bound ``k`` for every type up to AST size
+    ``size`` on the first two labels and each of those labels, then for
+    each ``worked`` (type, label, universe) triple."""
+    def case(t: Type, label: str, universe=None) -> list[str]:
+        ok, message = commutation_case(sig, t, label, k, universe)
+        return [] if ok else [message]
+    cases = ((t, label) for t in types_upto(size, labels[:2])
+             for label in labels[:2])
+    return tally("filter-commutes-with-language",
+                 starmap(case, chain(cases, worked)))
 
 
 def suite_filter_commutation(cfg: GenConfig, sig: Signature) -> SuiteResult:
     from .parser import parse_type
-    res = filter_commutation(sig, cfg.labels, 4, 3)
-    worked = parse_type("b[]*,c[]?")
     universe = frozenset((Element("b", EMPTY), Element("c", EMPTY)))
-    res.cases += 1
-    ok, message = commutation_case(sig, worked, "b", 3, universe)
-    if not ok:
-        res.failures.append(message)
-    return res
+    return filter_commutation(sig, cfg.labels, 4, 3,
+                              (parse_type("b[]*,c[]?"), "b", universe))
 
 
 # -- generator self-checks ---------------------------------------------------

@@ -15,14 +15,15 @@ transitions of an automaton state.
 Every tree node (types here; query expressions, update statements, values
 and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
 equality, hash and ``repr`` come from its fields.  Parser spans are not
-fields, so golden tests and round-trips compare pure structure.
+fields, so golden tests and round-trips compare pure structure.  Every
+other record, such as ``GlobalDecls``, is a ``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .diagnostics import Diagnostic, error
 from .errors import UndeclaredVariable
@@ -55,8 +56,8 @@ class Struct:
     A subclass lists its fields in ``__slots__``; ``__init_subclass__``
     builds its ``__init__`` (fields by position, ``span=None`` by keyword),
     ``__eq__`` (same class, equal fields in order), ``__hash__`` (that of
-    the tuple of fields, cached on first use) and ``__repr__`` once, as
-    dataclasses do.  ``span`` is not a field, so all three ignore it."""
+    the tuple of fields, cached on first use) and ``__repr__`` once per
+    class, by ``exec``.  ``span`` is not a field, so all three ignore it."""
 
     __slots__ = ("span", "_hash")
     _fields: tuple[str, ...] = ()
@@ -468,15 +469,14 @@ Binding = Union[TreeBinding, ForestBinding]
 TypeEnv = Mapping[str, Binding]
 
 
-@dataclass(frozen=True)
-class GlobalDecls:
+class GlobalDecls(NamedTuple):
     """A program's ``FunctionDecl`` and ``ProcedureDecl`` nodes by name, in
     separate namespaces, as ``updates.program_decls`` resolves them.  The
     checker types calls against their headers; the interpreter runs their
     bodies."""
 
-    functions: Mapping[str, Struct] = field(default_factory=dict)
-    procedures: Mapping[str, Struct] = field(default_factory=dict)
+    functions: Mapping[str, Struct] = MappingProxyType({})
+    procedures: Mapping[str, Struct] = MappingProxyType({})
 
 
 EMPTY_DECLS = GlobalDecls()

@@ -359,8 +359,8 @@ class TestOracle:
         assert main(["--json", "oracle", "--cases", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        assert {"name", "cases", "failures", "skipped"} <= set(
-            report["suites"][0])
+        assert list(report["suites"][0]) == [
+            "name", "cases", "failures", "skipped"]
         # each suite's random stream is seeded from its name
         assert [s["name"] for s in report["suites"]] == [
             "member-respects-subtyping", "values-have-atomic-witnesses",
@@ -496,6 +496,23 @@ class TestParserReuse:
         assert out == ""
         assert err.startswith("usage: fluxq")
         assert "invalid choice: 'frobnicate'" in err
+
+
+class TestImports:
+    """Records are named tuples, so importing the package stays clear of
+    ``dataclasses`` and the ``inspect`` it pulls in."""
+
+    @pytest.mark.parametrize("module", ["fluxq.cli", "fluxq"])
+    def test_import_loads_no_dataclasses(self, module):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            f"import {module}\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 def unreadable_files(tmp_path) -> dict[str, str]:

@@ -4,14 +4,17 @@ count, plus the shrinking machinery."""
 import hashlib
 import random
 
+import pytest
+
 from fluxq import (
     EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, parse_type, run_suites,
     subtype,
 )
 from fluxq import suites
 from fluxq.suites import (
-    REDRAW, SKIP, commutation_case, fixture_signature, greedy_shrink,
-    run_cases, shrink_type, shrink_type_pair, suite_evaluator_laws,
+    REDRAW, SKIP, SuiteReport, commutation_case, fixture_signature,
+    greedy_shrink, run_cases, shrink_type, shrink_type_pair,
+    suite_evaluator_laws, tally,
 )
 
 
@@ -41,6 +44,54 @@ class TestRunCases:
         res = run_cases(GenConfig(cases=5), "probe", lambda rng: next(outcomes))
         assert (res.cases, res.skipped, res.failures) == (3, 2, ["bad"])
         assert next(outcomes) == []
+
+
+class TestTally:
+    def test_counts_each_outcome_once(self):
+        res = tally("probe", iter([[], SKIP, ["x", "y"], []]), ["whole"])
+        assert tuple(res) == ("probe", 3, ["whole", "x", "y"], 1)
+        assert not res.ok
+
+    def test_uncounted_failures_come_first(self):
+        res = run_cases(GenConfig(cases=2), "probe", lambda rng: ["drawn"],
+                        uncounted=["declared"])
+        assert (res.cases, res.failures) == (2, ["declared", "drawn", "drawn"])
+
+    def test_results_cannot_be_reassigned(self):
+        res = tally("probe", [[]])
+        with pytest.raises(AttributeError):
+            res.cases = 2
+        assert res.failures == [] and res.ok
+
+    def test_json_key_order(self):
+        report = SuiteReport([tally("probe", [SKIP, ["bad"]])])
+        assert report.to_json() == {"ok": False, "suites": [
+            {"name": "probe", "cases": 1, "failures": ["bad"], "skipped": 1}]}
+        assert list(report.to_json()["suites"][0]) == [
+            "name", "cases", "failures", "skipped"]
+
+
+class TestExhaustiveTallies:
+    """The exhaustive suites count one case per checked instance, whatever
+    the case count asks for."""
+
+    def test_counts_are_pinned(self):
+        cfg = GenConfig(seed=42, cases=3)
+        sig = fixture_signature(cfg)
+        tallies = {r.name: (r.cases, r.skipped) for r in (
+            suites.suite_member_recursive_regression(cfg, sig),
+            suites.oracle_agreement(cfg, sig),
+            suites.suite_test_subtype_semantic(cfg, sig),
+            suites.suite_filter_commutation(cfg, sig),
+        )}
+        assert tallies == {
+            # the two checks on List stay uncounted
+            "member-terminates-on-recursive-signatures": (9, 0),
+            "subtype-agrees-with-oracle": (3600, 0),
+            "test-subtype-semantic": (30, 0),
+            # 120 bounded types and labels, plus the worked example
+            "filter-commutes-with-language": (121, 0),
+        }
 
 
 class _Recording(random.Random):

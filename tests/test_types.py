@@ -1,5 +1,6 @@
 """Signature well-formedness, unfolding, syntactic atom extraction, the
-immutable node contract of `Struct`, and `Signature` as a hashable value."""
+immutable node contract of `Struct`, `Signature` as a hashable value, and
+the read-only empty declarations."""
 
 import copy
 import pickle
@@ -8,8 +9,9 @@ import pytest
 
 from fluxq import (
     BOOL, BoolAtom, BoolLit, BoolTest, BoolVal, Call, Children, Concat,
-    Delete, Direction, Elem, Element, Empty, EMPTY, EMPTY_SIGNATURE,
-    EmptySeq, For, ForestBinding, FunctionDecl, If, IfStmt,
+    Delete, Direction, Elem, Element, Empty, EMPTY, EMPTY_DECLS,
+    EMPTY_SIGNATURE, EmptySeq, For, ForestBinding, FunctionDecl,
+    GlobalDecls, If, IfStmt,
     Insert, LabelFilter, LabelTest, Let, LetStmt, Nav, Node, Or, ProcCall,
     ProcedureDecl, QueryProgram, Rename, Seq, SeqStmt,
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
@@ -238,6 +240,27 @@ class TestSignatureValue:
         fresh = sig_of(X="a[X*] | b[]")
         assert sig == fresh and fresh == sig
         assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
+
+
+class TestGlobalDecls:
+    """The shared empty declarations cannot be changed; a program's own
+    declarations are whatever mappings it is built with."""
+
+    def test_empty_decls_are_read_only(self):
+        decl = FunctionDecl("f", (), EMPTY, EmptySeq())
+        with pytest.raises(TypeError):
+            EMPTY_DECLS.functions["f"] = decl
+        with pytest.raises(TypeError):
+            EMPTY_DECLS.procedures["p"] = decl
+        with pytest.raises(AttributeError):
+            EMPTY_DECLS.functions = {}
+        assert GlobalDecls().functions == {} == GlobalDecls().procedures
+
+    def test_built_with_given_mappings(self):
+        proc = ProcedureDecl("p", (), EMPTY, EMPTY, Skip())
+        decls = GlobalDecls(procedures={"p": proc})
+        assert decls.procedures["p"] is proc
+        assert decls.functions == {}
 
 
 class TestDerivedForms:
