@@ -18,7 +18,11 @@ Programs:     ``type X = t`` entries, ``declare function f($x:t,...) : t
 
 Values are read by one loop over the lexemes with a stack of the open
 elements, so a value of any depth parses; types, expressions and
-statements are parsed by recursive descent.
+statements are parsed by recursive descent.  A value lexeme is a program
+lexeme, except that a word may run on as a blank-free run of up to 256
+empty elements, ``n[],m[],...``, split with one ``str.split``.  The cap
+bounds the backtracking state ``sre`` keeps for each repeat (Python 3.10
+has no possessive ``*+``), so a long flat forest is read as many runs.
 
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
@@ -69,6 +73,10 @@ _PUNCT = {p: p for p in ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|",
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\\"nt])*'
 _LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
                         + _STRING_BODY + '"|.', re.DOTALL)
+# ``parse_value``'s lexemes: the same, but a word may run on as a run of
+# empty elements, capped at 256 (see the module docstring).
+_VALUE_LEXEME_RE = re.compile(_LEXEME_RE.pattern.replace(
+    r"|\w+|", r"|\w+(?:\[\](?:,\w+\[\]){0,255})?|", 1), re.DOTALL)
 _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
 _NEWLINE_RE = re.compile("\n")
@@ -91,6 +99,14 @@ def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
     """1-based line and column of ``offset``, counting characters."""
     line = bisect_left(newlines, offset)
     return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
+def _is_label(word: str) -> bool:
+    """``word`` can label an element: a lowercase-initial identifier that is
+    not a keyword."""
+    c = word[0]
+    return ((c.isalpha() or c == "_") and not c.isupper()
+            and word not in KEYWORDS)
 
 
 def _lex_error(text: str, message: str, offset: int) -> ParseError:
@@ -530,14 +546,18 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
 
 def parse_value(text: str, filename: str = "<value>") -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
-    elements, so its depth is not bounded by Python's recursion."""
-    lexemes = _LEXEME_RE.findall(text)
+    elements, so its depth is not bounded by Python's recursion.  A run of
+    empty elements is one lexeme, and each distinct ``n[]`` in the text is
+    one ``Node`` shared by all its occurrences."""
+    lexemes = _VALUE_LEXEME_RE.findall(text)
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
+    leaves: dict[str, Node] = {}  # ``n[]`` text -> its one node
     # the next lexeme must be: _ITEM a tree or ``()``, _OPEN one of those or
     # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
     # _AFTER a ``,``, a ``]`` or the end
     want = _ITEM
+    within = 0  # offset of the error in the ``at``-th lexeme
     for at, lexeme in enumerate(lexemes):
         c = lexeme[0]
         if c in _BLANK:
@@ -574,20 +594,45 @@ def parse_value(text: str, filename: str = "<value>") -> Forest:
         elif lexeme == "(":
             paren = at
             want = _PAREN
-        elif ((c.isalpha() or c == "_") and not c.isupper()
-              and lexeme not in KEYWORDS):
-            label = lexeme
-            want = _BRACKET
+        elif _is_label(lexeme):
+            # a label, or a run of empty elements that starts like one; the
+            # run's labels are each tested below
+            if lexeme[-1] != "]":
+                label = lexeme
+                want = _BRACKET
+                continue
+            items = lexeme.split(",")
+            for item in set(items).difference(leaves):
+                label = item[:-2]
+                if not _is_label(label):
+                    break
+                leaves[item] = Node(label, ())
+            else:
+                trees += map(leaves.__getitem__, items)
+                want = _AFTER
+                continue
+            # the first item that is no leaf fails at its label, or, as
+            # ``true`` or ``false`` read as atoms, at the ``[`` after it
+            for item in items:
+                label = item[:-2]
+                if not _is_label(label):
+                    break
+                within += len(item) + 1
+            if label == "true" or label == "false":
+                within += len(label)
+                want = _AFTER
+            break
         else:
             break
     else:
         if want is _AFTER and not stack:
             return tuple(trees)
         at = paren if want is _PAREN else len(lexemes)
-    # report the ``at``-th lexeme (past the last: the end of input), unless
-    # tokenizing finds a lexing error, which wins as in every parser here
+    # report the token at the error's offset (the end of input past the
+    # last), unless tokenizing finds a lexing error, which wins as in every
+    # parser here
     p = _Parser(text)
-    tok = sum(1 for lexeme in lexemes[:at] if lexeme[0] not in _BLANK)
+    tok = bisect_left(p.starts, sum(map(len, lexemes[:at])) + within)
     if want is _BRACKET:
         p.unexpected(tok, "", ("[",))
     if want is _AFTER:

@@ -3,6 +3,7 @@ round-trips through the unparser; shadowed binders in typing and
 evaluation."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,15 @@ class TestValueSyntax:
         ("$x", "unexpected 'x' in value", 0, 1, 1, ("a value",)),
         ("A[]", "unexpected 'A' in value", 0, 1, 1, ("a value",)),
         ("a[] ] @", "unexpected character '@'", 6, 1, 7, ()),
+        # inside a run of empty elements, read as one lexeme
+        ("a[],let[]", "unexpected 'let' in value", 4, 1, 5, ("a value",)),
+        ("a[],true[]", "unexpected '['", 8, 1, 9, ("end of value",)),
+        ("x[a[],false[]]", "unexpected '['", 11, 1, 12, ("]",)),
+        ("a[],A[]", "unexpected 'A' in value", 4, 1, 5, ("a value",)),
+        ("a[],b[]c[]", "unexpected 'c'", 7, 1, 8, ("end of value",)),
+        ("a[],1x[]", "unexpected character '1'", 4, 1, 5, ()),
+        ("a[],b[", "unexpected end of input in value", 6, 1, 7, ("a value",)),
+        ("x[a[],b[]", "unexpected end of input", 9, 1, 10, ("]",)),
     ])
     def test_value_errors(self, text, message, offset, line, col, expected):
         # a lexing error anywhere in the text wins over an earlier syntax error
@@ -132,6 +142,36 @@ class TestValueSyntax:
     ])
     def test_value_layout(self, text, value):
         assert parse_value(text) == value
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    @pytest.mark.parametrize("sep, leaf", [
+        (", ", "{} [ ]"), (", # c\r\n ", "{}[]"), (",\n", "{}[ ]"),
+    ])
+    def test_runs_match_spaced_layouts(self, n, sep, leaf):
+        # a blank-free run is one lexeme of at most 256 elements; blanks or
+        # comments read every element lexeme by lexeme
+        labels = [("a", "b", "c")[i % 3] for i in range(n)]
+        run = ",".join(f"{label}[]" for label in labels)
+        spaced = sep.join(leaf.format(label) for label in labels)
+        value = tuple(Node(label, ()) for label in labels)
+        assert parse_value(run) == parse_value(spaced) == value
+        assert parse_value(f"x[{run}]") == parse_value(f"x[ {spaced} ]") == (
+            Node("x", value),)
+        assert parse_value(value_str(value)) == value
+
+    def test_equal_leaves_share_a_node(self):
+        v = parse_value("a[],b[],a[]")
+        assert v[0] is v[2] and v[0] is not v[1]
+
+    def test_long_run_stays_small(self):
+        text = ",".join(["a[]"] * 50000)
+        tracemalloc.start()
+        try:
+            v = parse_value(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(v) == 50000 and peak < 2_000_000, peak
 
 
 class TestExprSyntax:
