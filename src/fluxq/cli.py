@@ -5,9 +5,9 @@ synthesized type of the main query or update), ``subtype`` (decide inclusion
 of two types), ``eval`` (run a query program), ``run-update`` (apply an
 update program to a value of its declared input type), and ``oracle`` (run
 the bounded property suites).  Exit codes: 0 success; 1 a check or suite
-failure; 2 a usage error, an unreadable file, a parse error, or a type or
-program nested or sequenced beyond Python's recursion limit
-(``limit/depth``).  Values of any depth are processed.
+failure; 2 a usage error, an unreadable file, a closed stdout, a parse error,
+or a type, program or recursive evaluation nested past Python's recursion
+limit (``limit/depth``).  Values of any depth are processed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .diagnostics import Diagnostic
@@ -288,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
     except SystemExit as exc:  # argparse's usage errors, _read and _load
         return exc.code or 0
     except ParseError as exc:
@@ -297,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except FluxqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # later writes, at shutdown too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except RecursionError:
         print("error: input nested or sequenced too deeply to process "
               "(limit/depth)", file=sys.stderr)

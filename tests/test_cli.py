@@ -4,6 +4,7 @@ schema."""
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -263,6 +264,14 @@ class TestEval:
         f.write_text("query $x : ()\n")
         assert main(["eval", str(f)]) == 1
 
+    def test_long_comma_list(self, tmp_path, capsys):
+        # a ``,`` list runs as a loop, however long
+        items = ["a[]"] * 10_000
+        f = tmp_path / "long.muxq"
+        f.write_text("query " + ", ".join(items) + " : a[]*\n")
+        assert main(["eval", str(f)]) == 0
+        assert capsys.readouterr().out == ",".join(items) + "\n"
+
     def test_update_file_rejected(self, capsys):
         assert main(["eval", INSERT_AFTER]) == 2
         assert capsys.readouterr().err == "eval expects a query program\n"
@@ -402,6 +411,16 @@ class TestDeepInput:
         assert main(["subtype", deep, deep]) == 2
         self.assert_depth_error(capsys)
 
+    def test_deep_recursive_update(self, capsys):
+        # each call level of ``leafupd`` takes several Python frames, so a
+        # tree 400 ``node``s deep runs out of stack before the call-depth
+        # limit of 256: exit 2, not a traceback
+        value = 'tree[leaf["a"]]'
+        for _ in range(400):
+            value = f"tree[node[{value}]]"
+        assert main(["run-update", LEAFUPD, "--input", value]) == 2
+        self.assert_depth_error(capsys)
+
     def test_run_update_deep_value(self, tmp_path, capsys):
         f = tmp_path / "rec.flux"
         f.write_text("type A = a[A*]\nupdate skip : A => A\n")
@@ -413,6 +432,28 @@ class TestDeepInput:
             assert main(["run-update", str(f), "--input", wrong]) == 1
             err = capsys.readouterr().err
             assert "not a value of the declared input type" in err
+
+
+class TestClosedStdout:
+    """A reader that goes away before the output is written ends the run
+    with exit 2 and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", LEAVES],
+        ["run-update", INSERT_AFTER, "--input", INPUTS["insert_after.flux"]],
+    ])
+    def test_closed_pipe_exits_two(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # closed before the child writes
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "fluxq.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+        finally:
+            os.close(write)
+        assert run.returncode == 2
+        assert run.stderr == ""
 
 
 class TestUsage:

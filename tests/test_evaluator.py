@@ -1,13 +1,16 @@
 """Reference interpreter: query evaluation, update application, environment
 conformance, and runtime error behavior."""
 
+import re
+
 import pytest
 
 from fluxq import (
-    EvalError, ForestBinding, RecursionLimitExceeded, Runtime,
-    Signature, StrVal, TreeBinding, Var, apply_update, conforms, eval_query,
-    parse_expr, parse_program, parse_stmt, parse_type, parse_value,
-    runtime_for_query_program, runtime_for_update_program, EMPTY_SIGNATURE,
+    Concat, Direction, Elem, EmptySeq, EvalError, ForestBinding, Insert, Nav,
+    RecursionLimitExceeded, Runtime, SeqStmt, Signature, StrVal, TreeBinding,
+    Var, apply_update, conforms, eval_query, parse_expr, parse_program,
+    parse_stmt, parse_type, parse_value, runtime_for_query_program,
+    runtime_for_update_program, EMPTY_SIGNATURE,
 )
 
 RT = Runtime()
@@ -21,6 +24,11 @@ def run(text, env=None, rt=RT):
 def apply(text, value_text, env=None, rt=RT):
     return apply_update(rt, env or {}, parse_value(value_text),
                         parse_stmt(text))
+
+
+def fails(message, kind=EvalError):
+    """Expect ``kind`` with exactly ``message``, the whole of its text."""
+    return pytest.raises(kind, match="^" + re.escape(message) + "$")
 
 
 class TestEvalQuery:
@@ -57,20 +65,29 @@ class TestEvalQuery:
             'leaf["u"],leaf["v"]')
 
     def test_unbound_variable(self):
-        with pytest.raises(EvalError, match="unbound"):
+        with fails("unbound variable $nope"):
             run("$nope")
+        with fails("unbound variable $nope"):
+            run("$nope/child")
+
+    def test_child_of_a_forest_variable(self):
+        with fails("$x holds a forest of length 2, not a single tree"):
+            run("$x/child", {"x": parse_value("a[],b[]")})
+        with fails("$x holds a forest of length 0, not a single tree"):
+            run("$x/child", {"x": ()})
 
     def test_condition_must_be_single_boolean(self):
-        with pytest.raises(EvalError, match="boolean"):
+        with fails('condition evaluated to "s", not a boolean'):
             run('if "s" then () else ()')
-        with pytest.raises(EvalError, match="boolean"):
+        with fails("condition evaluated to true,true, not a boolean"):
             run("if (true, true) then () else ()")
 
     def test_recursion_limit(self):
         prog, _ = parse_program(
             "declare function loop() : () { loop() };\nquery loop() : ()")
         rt = runtime_for_query_program(prog, recursion_limit=32)
-        with pytest.raises(RecursionLimitExceeded):
+        with fails("recursion limit 32 exceeded calling loop",
+                   RecursionLimitExceeded):
             eval_query(rt, {}, prog.main)
 
     def test_undeclared_function_in_an_unchecked_program(self):
@@ -89,11 +106,11 @@ class TestEvalQuery:
         # arguments first, then the declaration, the depth limit, the arity
         prog, _ = parse_program(
             "declare function f() : () { () };\nquery f(a[]) : ()")
-        with pytest.raises(EvalError, match="unbound"):
+        with fails("unbound variable $nope"):
             run("nope($nope)", rt=runtime_for_query_program(prog))
-        with pytest.raises(EvalError, match="f expects 0"):
+        with fails("f expects 0 argument(s), got 1"):
             run("nope(f(a[]))", rt=runtime_for_query_program(prog))
-        with pytest.raises(EvalError, match="undeclared function nope"):
+        with fails("undeclared function nope"):
             run("nope(f())", rt=runtime_for_query_program(prog))
         rt = runtime_for_query_program(prog, recursion_limit=0)
         with pytest.raises(RecursionLimitExceeded,
@@ -145,18 +162,26 @@ class TestApplyUpdate:
             'tree[node[tree[leaf["n"]],tree[node[tree[leaf["n"]]]]]]')
 
     def test_insert_on_non_empty_focus_fails(self):
-        with pytest.raises(EvalError, match="non-empty"):
+        with fails("insert applied to non-empty focus a[]"):
             apply("insert c[]", "a[]")
 
     def test_rename_on_forest_fails(self):
-        with pytest.raises(EvalError, match="rename"):
+        with fails("rename applied to a[],b[], not a single element"):
             apply("rename n", "a[],b[]")
-        with pytest.raises(EvalError, match="rename"):
+        with fails("rename applied to true, not a single element"):
             apply("rename n", "true")
 
     def test_children_on_non_element_fails(self):
-        with pytest.raises(EvalError, match="children"):
+        with fails('children[...] applied to "w", not a single element'):
             apply("children[skip]", '"w"')
+        with fails("children[...] applied to (), not a single element"):
+            apply("children[skip]", "()")
+
+    def test_test_on_a_forest_fails(self):
+        with fails("test applied to a forest of length 2"):
+            apply("b?delete", "a[],b[]")
+        with fails("test applied to a forest of length 0"):
+            apply("*?delete", "()")
 
     def test_undeclared_procedure_in_an_unchecked_program(self):
         prog, _ = parse_program("update p() : () => ()")
@@ -175,15 +200,67 @@ class TestApplyUpdate:
         with pytest.raises(EvalError, match=r'^condition evaluated to "s", '
                                             r'not a boolean$'):
             apply('if "s" then skip else skip', "a[]")
-        with pytest.raises(EvalError, match="boolean"):
+        with fails("condition evaluated to (), not a boolean"):
             apply("if () then skip else skip", "a[]")
 
     def test_procedure_recursion_limit(self):
         prog, _ = parse_program(
             "declare procedure p() : () => () { p() };\nupdate p() : () => ()")
         rt = runtime_for_update_program(prog, recursion_limit=16)
-        with pytest.raises(RecursionLimitExceeded):
+        with fails("recursion limit 16 exceeded calling p",
+                   RecursionLimitExceeded):
             apply_update(rt, {}, (), prog.main)
+
+
+class TestLongChains:
+    """``,`` and ``;`` chains run as loops, so their length is not bounded
+    by Python's recursion limit."""
+
+    N = 10_000
+
+    def test_concat_chain(self):
+        e = Elem("a", EmptySeq())
+        for _ in range(self.N - 1):
+            e = Concat(Elem("a", EmptySeq()), e)
+        assert eval_query(RT, {}, e) == parse_value("a[]") * self.N
+
+    def test_seq_chain(self):
+        step = Nav(Direction.RIGHT, Insert(Elem("a", EmptySeq())))
+        s = step
+        for _ in range(self.N - 1):
+            s = SeqStmt(step, s)
+        assert apply_update(RT, {}, (), s) == parse_value("a[]") * self.N
+
+
+class TestScoping:
+    def test_inner_binders_do_not_leak(self):
+        assert run("let $x = a[] in ((for $x in (b[], c[]) return $x), $x)") == (
+            parse_value("b[],c[],a[]"))
+        assert run("let $x = a[] in ((let $x = b[] in $x), $x)") == (
+            parse_value("b[],a[]"))
+        got = apply("let $x = a[] in ((let $x = b[] in right[insert $x]); "
+                    "right[insert $x])", "()")
+        assert got == parse_value("b[],a[]")
+
+    def test_snapshot_in_iter_sees_each_tree(self):
+        got = apply("iter[snapshot $t in children[right[insert $t]]]",
+                    "a[],b[c[]]")
+        assert got == parse_value("a[a[]],b[c[],b[c[]]]")
+
+    def test_recursive_function_twice(self):
+        prog, _ = parse_program('''
+        type Tree = tree[leaf[string] | node[Tree*]]
+        declare function leaves($x : Tree) : leaf[string]* {
+          $x/leaf, for $z in $x/node/* return leaves($z)
+        };
+        query leaves($t) : leaf[string]*
+        ''')
+        env = {"t": parse_value(
+            'tree[node[tree[leaf["u"]],tree[node[tree[leaf["v"]]]]]]')}
+        rt = runtime_for_query_program(prog)
+        first = eval_query(rt, env, prog.main)
+        assert first == parse_value('leaf["u"],leaf["v"]')
+        assert eval_query(rt, env, prog.main) == first
 
 
 class TestEffectLaws:
