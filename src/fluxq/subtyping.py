@@ -19,11 +19,13 @@
   must have its complement's continuations cover ``k``.  A union that is
   covered by one alternative therefore costs one check per alternative,
   not one per subset;
-* goals already on the call path are assumed to hold (coinduction), which
-  makes recursive signatures terminate; refuted goals are memoized.
+* goals already on the path are assumed to hold (coinduction), which
+  makes recursive signatures terminate; refuted goals are memoized.  The
+  path is an explicit stack of goal frames run by one loop, not Python's
+  call stack, so a proof's path may be as long as memory allows.
 
-Each call keeps its own path and verdicts: the goals assumed on the call
-path and the goals proven or refuted.  What depends on the signature alone
+Each call keeps its own path and verdicts: the goals assumed on the path
+and the goals proven or refuted.  What depends on the signature alone
 is kept on the ``Signature`` and shared by every call on it and by
 ``values.member``: nullability and the linear form of each type, and each
 right-hand side's step row (``Signature.steps``).  The functions here stay
@@ -45,7 +47,8 @@ performed.
 from __future__ import annotations
 
 from .types import (
-    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, union,
+    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, state_of,
+    union,
 )
 
 
@@ -102,11 +105,14 @@ class _Inclusion:
     """One inclusion check; holds the per-invocation verdicts and reads and
     fills the signature's derived tables.
 
-    Goals on the call path are assumed to hold (coinduction).  A completed
-    goal is cached: refuted goals unconditionally (a failure under
-    optimistic assumptions is a genuine failure), proven goals only when
-    their proof never reached back into the call path, tracked by the
-    lowest path depth a subproof touched."""
+    Goals on the path (the stack of open goals) are assumed to hold
+    (coinduction).  A completed goal is cached: refuted goals
+    unconditionally (a failure under optimistic assumptions is a genuine
+    failure), proven goals only when their proof never reached back into
+    the path, tracked by the lowest path depth a subproof touched.  When
+    ``check`` returns, ``goals``, ``longest`` and ``leaned`` count the goals
+    it issued, the longest path one was issued from, and the goals that
+    held by an assumption."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -118,96 +124,113 @@ class _Inclusion:
         # above its mark: commits them if self-contained, discards on failure
         self.pending: dict[tuple[Type, frozenset[Type]], int] = {}
 
-    def check(self, t: Type, rights) -> bool:
-        return self._check(t, union(rights))[0]
+    def check(self, t: Type, rights: frozenset[Type]) -> bool:
+        """Decide ``t ⊆ rights`` in one loop over an explicit stack of goal
+        frames, so a proof's path is not bounded by Python's stack.
 
-    def _check(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
-        """Decide the goal; also report the lowest path depth its proof
-        reached (``_SELF_CONTAINED`` when it used no assumption).
-
-        Every successful subproof's depth is folded into the caller's, so
-        when a goal closes at its own depth the whole strongly connected
-        cluster proven beneath it is committed at once; a failing goal
-        discards the cluster instead, since those proofs may have assumed
-        it."""
-        if t in rights:
-            return True, _SELF_CONTAINED
-        key = (t, rights)
-        depth = self.path_depth.get(key)
-        if depth is not None:
-            return True, depth
-        if key in self.proven:
-            return True, _SELF_CONTAINED
-        if key in self.refuted:
-            return False, _SELF_CONTAINED
-        pending = self.pending
-        reusable = pending.get(key)
-        if reusable is not None:
-            return True, reusable
-        my_depth = len(self.path_depth)
-        self.path_depth[key] = my_depth
-        mark = len(pending)
-        try:
-            ok, low = self._check_body(t, rights)
-        finally:
-            del self.path_depth[key]
-        if not ok:
-            while len(pending) > mark:
-                pending.popitem()
-            self.refuted.add(key)
-            return False, _SELF_CONTAINED
-        if low >= my_depth:
-            self.proven.add(key)
-            while len(pending) > mark:
-                self.proven.add(pending.popitem()[0])
-            return True, _SELF_CONTAINED
-        pending[key] = low
-        return True, low
-
-    def _check_body(self, t: Type, rights: frozenset[Type]) -> tuple[bool, int]:
-        sig = self.sig
-        nullable_rights, row = sig.steps(rights)
-        if not nullable_rights and sig.nullable(t):
-            return False, _SELF_CONTAINED
-        low = _SELF_CONTAINED
-        for head, cont in sig.linear_form(t):
-            step = row.get(head.label)
-            if step is None:
-                return False, _SELF_CONTAINED
-            ok, sub_low = self._check_head(head, cont, step[0])
-            if not ok:
-                return False, _SELF_CONTAINED
-            low = min(low, sub_low)
-        return True, low
-
-    def _check_head(self, head: Atom, cont: Type,
-                    same_label: tuple[tuple[frozenset[Type], Type], ...]
-                    ) -> tuple[bool, int]:
-        # P(S) = c ⊆ ∪contents(S) is upward-closed in S, so the search never
-        # extends a set that covers: each superset of it covers as well.  Q(S)
-        # = k ⊆ ∪conts(rest) is downward-closed, and needed only where P fails.
-        # Sets are grown in increasing index order, so each is reached once.
-        n = len(same_label)
-        low = _SELF_CONTAINED
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            chosen = stack.pop()
-            if chosen:
-                contents = frozenset().union(*(same_label[i][0] for i in chosen))
-                ok, sub_low = self._check(head.content, contents)
+        The top frame lives in locals: the goal's key, depth, pending mark
+        and ``low`` (the lowest depth its subproofs reached), its linear
+        form ``pairs`` and next head ``i``, and the head's content, ``cont``,
+        candidates, subset stack and set ``chosen``, whose content goal P
+        or continuation goal Q is awaited (``want_q``; ``None`` before the
+        first head).  Each answer, ``ok`` and the depth ``sub`` its proof
+        reached, is delivered to the frame below."""
+        sig, path, pending = self.sig, self.path_depth, self.pending
+        proven, refuted = self.proven, self.refuted
+        step_rows, linear_forms = sig._steps, sig._linear_forms
+        frames: list[tuple] = [(None,) * 14]  # what the first goal returns to
+        goals = leaned = 0
+        longest = len(path)
+        key = depth = mark = low = pairs = i = row = None
+        content = cont = cands = n = subsets = chosen = want_q = None
+        while True:
+            goals += 1
+            # an empty table is not asked: each lookup hashes the goal's type
+            goal = (t, rights)
+            if t in rights:
+                ok, sub = True, _SELF_CONTAINED
+            elif path and (sub := path.get(goal)) is not None:
+                ok = True
+                leaned += 1
+            elif proven and goal in proven:
+                ok, sub = True, _SELF_CONTAINED
+            elif refuted and goal in refuted:
+                ok, sub = False, _SELF_CONTAINED
+            elif pending and (sub := pending.get(goal)) is not None:
+                ok = True
+                leaned += 1
+            else:
+                # open a frame for the goal; the one below waits on the stack
+                if key is not None:
+                    frames.append((key, depth, mark, low, pairs, i, row,
+                                   content, cont, cands, n, subsets, chosen,
+                                   want_q))
+                key, depth, mark = goal, len(path), len(pending)
+                path[key] = depth
+                low = sub = _SELF_CONTAINED
+                subsets, want_q = [], None
+                nullable_rights, row = step_rows.get(rights) or sig.steps(rights)
+                ok = nullable_rights or not sig.nullable(t)
+                pairs, i = linear_forms.get(t), 0
+                if pairs is None:
+                    pairs = sig.linear_form(t)
+            while True:
+                if key is None:
+                    self.goals, self.longest, self.leaned = goals, longest, leaned
+                    return ok
+                if ok and sub < low:
+                    low = sub
+                if want_q:
+                    # Q(S) = k ⊆ ∪conts(rest) holds: grow S, in increasing
+                    # index order so that each set is reached once
+                    if ok:
+                        for j in range(chosen[-1] + 1 if chosen else 0, n):
+                            subsets.append(chosen + (j,))
+                elif want_q is not None and not ok and len(chosen) < n:
+                    # P(S) = c ⊆ ∪contents(S) fails, so Q(S) is needed; P is
+                    # upward-closed in S, so a set that covers is not grown
+                    t, want_q = cont, True
+                    rights = union(cands[j][1] for j in range(n)
+                                   if j not in chosen)
+                    break
                 if ok:
-                    low = min(low, sub_low)
-                    continue
-            rest = union(same_label[i][1] for i in range(n) if i not in chosen)
-            if not rest:
-                return False, _SELF_CONTAINED
-            ok, sub_low = self._check(cont, rest)
-            if not ok:
-                return False, _SELF_CONTAINED
-            low = min(low, sub_low)
-            start = chosen[-1] + 1 if chosen else 0
-            stack.extend(chosen + (j,) for j in range(start, n))
-        return True, low
+                    if subsets:
+                        chosen = subsets.pop()
+                        t, want_q = content, False
+                        rights = (cands[chosen[0]][0] if len(chosen) == 1
+                                  else frozenset().union(
+                                      *(cands[j][0] for j in chosen)))
+                        break
+                    if i < len(pairs):
+                        head, cont = pairs[i]
+                        i += 1
+                        step = row.get(head.label)
+                        if step is not None:
+                            longest = max(longest, depth + 1)
+                            content, cands = head.content, step[0]
+                            n, chosen = len(cands), ()
+                            t, rights, want_q = cont, step[1], True
+                            break
+                        ok = False
+                    sub = low
+                # close the top frame: closing at its own depth it commits the
+                # cluster proven above it; failing, it discards that cluster
+                del path[key]
+                if not ok:
+                    while len(pending) > mark:
+                        pending.popitem()
+                    refuted.add(key)
+                    sub = _SELF_CONTAINED
+                elif low >= depth:
+                    proven.add(key)
+                    while len(pending) > mark:
+                        proven.add(pending.popitem()[0])
+                    sub = _SELF_CONTAINED
+                else:
+                    pending[key] = low
+                    leaned += 1
+                (key, depth, mark, low, pairs, i, row, content, cont, cands,
+                 n, subsets, chosen, want_q) = frames.pop()
 
 
 def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
@@ -215,7 +238,7 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
 
     Precondition (not re-checked): ``sig`` has passed ``check_signature``
     and every variable in ``t1`` and ``t2`` is declared in it."""
-    return _Inclusion(sig).check(t1, (t2,))
+    return _Inclusion(sig).check(t1, state_of(t2))
 
 
 def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:

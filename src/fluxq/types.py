@@ -175,6 +175,12 @@ def union(types: Iterable[Type]) -> frozenset[Type]:
     return frozenset(out)
 
 
+def state_of(t: Type) -> frozenset[Type]:
+    """``union((t,))``, the state of the one type ``t``, built without the
+    flattening walk unless ``t`` is a ``|``."""
+    return union((t,)) if t.__class__ is Or else frozenset((t,))
+
+
 def _seq(left: Type, right: Type) -> Type:
     """Concatenation with unit elimination, for canonical continuations."""
     if isinstance(left, Empty):
@@ -309,7 +315,7 @@ class Signature:
         for u in state:
             for a, k in self.linear_form(u):
                 groups.setdefault(a.label, {})[a.content, k] = None
-        row = {key: (tuple((union((c,)), k) for c, k in pairs),
+        row = {key: (tuple((state_of(c), k) for c, k in pairs),
                      union(k for _, k in pairs),
                      union(k for c, k in pairs if self.nullable(c)))
                for key, pairs in groups.items()}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Union
 
 from .types import (
-    BoolAtom, Signature, Step, StringAtom, Struct, Type, union,
+    BoolAtom, Signature, Step, StringAtom, Struct, Type, state_of, union,
 )
 
 
@@ -87,7 +87,7 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
     # the element whose content is being matched, and the content's memo key
     stack: list[tuple[Forest, int, frozenset[Type], Step,
                       tuple[int, frozenset[Type]]]] = []
-    f, i, state = v, 0, union((t,))
+    f, i, state = v, 0, state_of(t)
     while True:
         n = len(f)
         while i < n:

@@ -406,6 +406,34 @@ class TestDeepInput:
             assert main(argv) == 0
             assert capsys.readouterr().out.strip() == "a[]"
 
+    def test_check_long_sequence_against_star(self, tmp_path, capsys):
+        # the proof of a[], ..., a[] <: a[]* opens one goal per item; the
+        # goals wait on subtyping's own stack, not on Python's
+        f = tmp_path / "flat.muxq"
+        f.write_text("query " + ", ".join(["a[]"] * 450) + " : a[]*\n")
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == ",".join(["a[]"] * 450)
+
+    def test_long_proof_paths(self, tmp_path, capsys):
+        # family (c): the proof path holds 1,033 goals at n = 10 and 2,058
+        # at n = 11
+        def family(n, alts):
+            return ", ".join([f"({alts})*", "a[]"] + [f"({alts})"] * (n - 1))
+
+        assert main(["subtype", family(10, "a[]|b[]"),
+                     family(10, "b[]|a[]")]) == 0
+        f = tmp_path / "family.muxq"
+        f.write_text(f"query $x : {family(11, 'b[]|a[]')}\n")
+        assert main(["check", str(f), "--var",
+                     f"x={family(11, 'a[]|b[]')}"]) == 0
+
+    def test_very_long_sequence_ends_cleanly(self, tmp_path, capsys):
+        # hashing a type node still recurses down a Seq, so this may exit 2
+        f = tmp_path / "flat.muxq"
+        f.write_text("query " + ", ".join(["a[]"] * 2000) + " : a[]*\n")
+        assert main(["check", str(f)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_subtype_deep_type(self, capsys):
         deep = "a[" * 400 + "]" * 400
         assert main(["subtype", deep, deep]) == 2

@@ -1,6 +1,7 @@
 """The subtype decision procedure against spot checks, the brute-force
 oracle, and its preorder laws."""
 
+import hashlib
 import random
 import time
 
@@ -186,57 +187,51 @@ class TestPerformanceGuards:
         assert time.perf_counter() - start < 2.0
 
 
+def decide(sig, t1, t2):
+    """The verdict on ``t1 <: t2`` and the check that reached it, whose
+    counters say how many goals it issued, how long its goal stack grew and
+    how many goals held by an assumption."""
+    inc = subtyping._Inclusion(sig)
+    return inc.check(t1, union([t2])), inc
+
+
 class TestWideSameLabelUnion:
-    def test_covering_alternatives_cost_linear_goals(self, monkeypatch):
+    def test_covering_alternatives_cost_linear_goals(self):
         # every nonempty choice of alternatives covers the content c[], so the
         # pruned decomposition checks each alternative once, not 2^n subsets
-        goals = []
-        check = subtyping._Inclusion._check
-
-        def counted(self, t, rights):
-            goals.append(t)
-            return check(self, t, rights)
-
-        monkeypatch.setattr(subtyping._Inclusion, "_check", counted)
         left = parse_type("a[c[]],d0[]")
         for n in (8, 14, 20):
             alts = [f"a[b{i}[]|c[]],d{i}[]" for i in range(n)]
-            goals.clear()
             start = time.perf_counter()
-            assert subtype(E, left, parse_type("|".join(alts)))
+            ok, inc = decide(E, left, parse_type("|".join(alts)))
+            assert ok
             assert time.perf_counter() - start < 1.0
-            assert len(goals) <= 2 * n
+            assert inc.goals <= 2 * n
             assert not subtype(E, left, parse_type("|".join(alts[1:])))
 
 
 class TestDepthFold:
     def test_covering_subproof_depth_is_folded(self):
-        # the covering subcheck X ⊆ Y holds only by the assumption at depth
-        # 0, so the element head's proof depends on depth 0 as well
+        # with X ⊆ Y assumed at depth 0, the goal a[X] ⊆ a[Y] opens at depth
+        # 1 and its head's covering subcheck X ⊆ Y holds only by that
+        # assumption: the head's proof depends on depth 0, so the goal waits
+        # in ``pending`` at 0 instead of being proven on its own
         sig = Signature({"X": parse_type("a[X] | b[]"),
                          "Y": parse_type("a[Y] | b[]")})
         inc = subtyping._Inclusion(sig)
         x, y = Var("X"), Var("Y")
         inc.path_depth[(x, union([y]))] = 0
-        head = Element("a", x)
-        same_label = sig.steps(union([y]))[1]["a"][0]
-        got = inc._check_head(head, EMPTY, same_label)
-        assert got == (True, 0)
+        goal = (Element("a", x), union([Element("a", y)]))
+        assert inc.check(*goal)
+        assert inc.pending == {goal: 0}
+        assert not inc.proven and inc.leaned == 2
 
 
 class TestSelfContainedProofs:
-    def test_proofs_without_assumptions_are_kept(self, monkeypatch):
+    def test_proofs_without_assumptions_are_kept(self):
         # J <: J' holds without assumptions and recurs under each subset the
         # a[...] head search tries: committed to ``proven`` once, the whole
         # check takes 634 goals at n = m = 6; re-proven each time, 9,190
-        goals = []
-        check = subtyping._Inclusion._check
-
-        def counted(self, t, rights):
-            goals.append(t)
-            return check(self, t, rights)
-
-        monkeypatch.setattr(subtyping._Inclusion, "_check", counted)
         n = m = 6
         j = "p[" + "|".join(f"r{k}[]" for k in range(m)) + "],s[]"
         j_alts = "|".join(f"(p[r{k}[]],s[])" for k in range(m))
@@ -244,9 +239,47 @@ class TestSelfContainedProofs:
         right = parse_type("|".join(f"a[x[{j_alts}],(y0[]|y{i}[])],d[]"
                                     for i in range(1, n + 1)))
         assert subtype(E, parse_type(j), parse_type(j_alts))
-        goals.clear()
-        assert not subtype(E, left, right)
-        assert len(goals) <= 1000
+        ok, inc = decide(E, left, right)
+        assert not ok
+        assert inc.goals <= 1000
+
+
+class TestGoalStack:
+    """Family (c): L_n = (a[]|b[])*, a[], (a[]|b[]) repeated n-1 times, and
+    M_n the same with (b[]|a[]).  L_n <: M_n holds, and its proof path grows
+    with the subset states explored, not with nesting."""
+
+    @staticmethod
+    def family(n, alts):
+        return parse_type(", ".join([f"({alts})*", "a[]"]
+                                    + [f"({alts})"] * (n - 1)))
+
+    def test_goal_counts_are_pinned(self):
+        expected = {2: (53, 5), 3: (153, 10), 4: (417, 19), 5: (1089, 36),
+                    6: (2753, 69), 7: (6785, 134), 8: (16385, 263)}
+        for n, counts in expected.items():
+            ok, inc = decide(E, self.family(n, "a[]|b[]"),
+                             self.family(n, "b[]|a[]"))
+            assert ok
+            assert (inc.goals, inc.longest) == counts, n
+
+    def test_long_proof_paths_need_no_recursion(self):
+        # the longest path is 520 goals at n = 9 and 2,058 at n = 11, past
+        # the default recursion limit once a goal costs a Python frame
+        for n, longest in ((9, 520), (10, 1033), (11, 2058)):
+            ok, inc = decide(E, self.family(n, "a[]|b[]"),
+                             self.family(n, "b[]|a[]"))
+            assert ok and inc.longest == longest
+
+    def test_every_small_verdict_is_pinned(self):
+        # all 66,049 pairs of AST size <= 5: the count of true verdicts and
+        # a digest of the verdict matrix, row by row in corpus order
+        corpus = types_upto(5, ("a", "b"))
+        bits = "".join("1" if subtype(E, t1, t2) else "0"
+                       for t1 in corpus for t2 in corpus)
+        assert (len(bits), bits.count("1")) == (66049, 7855)
+        assert hashlib.sha256(bits.encode()).hexdigest() == (
+            "ba64799722cc8581bb26ca09b2486997c025d35d1381e0052bfc36cbed3b0f6c")
 
 
 class TestClusterDiscard:
@@ -255,12 +288,12 @@ class TestClusterDiscard:
         # K ⊆ R' by assuming L ⊆ R; that proof must not outlive the refutation
         inc = subtyping._Inclusion(E)
         left, right = parse_type("(a[],b[])*, c[]"), parse_type("(a[],b[])*")
-        assert not inc.check(left, (right,))
+        assert not inc.check(left, union([right]))
         (_, k), = [p for p in E.linear_form(left) if p[0] == Element("a", EMPTY)]
         (_, k_right), = E.linear_form(right)
         assert type_str(k) == "(b[],(a[],b[])*),c[]"
         assert type_str(k_right) == "b[],(a[],b[])*"
-        assert not inc.check(k, (k_right,))
+        assert not inc.check(k, union([k_right]))
         assert not inc.pending
 
 
@@ -292,7 +325,7 @@ class TestSignatureTables:
         inc = subtyping._Inclusion(sig)
         assert not (inc.path_depth or inc.proven or inc.refuted
                     or inc.pending)
-        assert inc.check(left, (right,))
+        assert inc.check(left, union([right]))
         assert inc.proven and [len(table) for table in tables] == sizes
 
 
@@ -335,25 +368,14 @@ def same_label_pair(rng):
 
 
 class TestAgreementWithOracle:
-    def test_pruned_decomposition_matches_enumeration(self, monkeypatch):
-        assumed = []
-        check = subtyping._Inclusion._check
-
-        def watched(self, t, rights):
-            ok, low = check(self, t, rights)
-            if ok and low < subtyping._SELF_CONTAINED:
-                assumed.append(t)
-            return ok, low
-
-        monkeypatch.setattr(subtyping._Inclusion, "_check", watched)
+    def test_pruned_decomposition_matches_enumeration(self):
         rng = random.Random(2024)
         verdicts = []
         used_assumptions = 0
         for _ in range(600):
             sig, left, right = same_label_pair(rng)
-            before = len(assumed)
-            decided = subtype(sig, left, right)
-            used_assumptions += len(assumed) > before
+            decided, inc = decide(sig, left, right)
+            used_assumptions += inc.leaned > 0
             refuted = any(not member(sig, v, right)
                           for v in values_upto(sig, left, 3, 3))
             assert decided == (not refuted), (type_str(left), type_str(right))
