@@ -5,8 +5,7 @@ system's metatheory at small scale."""
 
 from .diagnostics import Diagnostic, SourceSpan
 from .enumeration import (
-    ConsistentUpTo, RefutedWith, subtype_oracle, types_upto, values_upto,
-    word_to_type, words_upto,
+    refute, types_upto, values_upto, witness, word_to_type, words_upto,
 )
 from .errors import (
     EvalError, FluxqError, GenerationError, ParseError,

@@ -1,23 +1,23 @@
-"""Bounded enumeration: values of a type, words of atoms, and the
-brute-force subtyping oracle built from them.
+"""Bounded enumeration of values, words and types, and unbounded witnesses.
 
 The semantic language and atom set of a type are infinite (they are closed
-under subtyping), so every function here is parameterized by explicit finite
-bounds and universes and computes the corresponding finite restriction,
-exhaustively.
+under subtyping), so ``values_upto``, ``words_upto`` and ``types_upto`` take
+explicit finite bounds and universes and compute the corresponding finite
+restriction, exhaustively.  ``witness`` gives one value of a type, and
+``refute`` one value of a type outside another whenever ``subtype`` refuses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable
 
-from .subtyping import atom_subtype
+from .subtyping import _Inclusion, atom_subtype
 from .types import (
     Atom, BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
-    StringAtom, Type, Var,
+    StringAtom, Type, Var, state_of, union,
 )
-from .values import FALSE, Forest, Node, StrVal, TRUE, member
+from .values import FALSE, Forest, Node, StrVal, TRUE
 
 DEFAULT_STRINGS: tuple[str, ...] = ("", "a")
 
@@ -119,33 +119,37 @@ def words_upto(sig: Signature, t: Type, k: int,
     return frozenset(w for w in gen(t) if len(w) <= k)
 
 
-def witness(sig: Signature, t: Type) -> Forest | None:
-    """One value of ``t``, or None if ``t`` has none (as ``X`` has none
-    under ``X = cons[X]``).  No depth or width bound applies.
+def _inhabitants(sig: Signature) -> Callable[[Type], Forest | None]:
+    """A function giving one value of a type, or None if it has none (as
+    ``X`` has none under ``X = cons[X]``).  No depth or width bound applies.
 
     A least-fixpoint pass over ``sig`` first gives each inhabited variable
-    a value, that of its first inhabited alternative; the value of ``t`` is
-    then built structurally, taking ``()`` for a star."""
+    a value, that of its first inhabited alternative; the value of a type is
+    then built structurally, taking ``()`` for a star, and a ``,`` chain
+    along its right spine in a loop."""
     known: dict[str, Forest] = {}
 
     def build(node: Type) -> Forest | None:
-        if isinstance(node, (Empty, Star)):
-            return ()
-        if isinstance(node, BoolAtom):
-            return (TRUE,)
-        if isinstance(node, StringAtom):
-            return (StrVal(DEFAULT_STRINGS[0]),)
-        if isinstance(node, Element):
-            content = build(node.content)
-            return None if content is None else (Node(node.label, content),)
-        if isinstance(node, Or):
+        trees: Forest = ()
+        while isinstance(node, Seq):
             left = build(node.left)
-            return build(node.right) if left is None else left
-        if isinstance(node, Seq):
-            left, right = build(node.left), build(node.right)
-            return None if left is None or right is None else left + right
-        assert isinstance(node, Var)
-        return known.get(node.name)
+            if left is None:
+                return None
+            trees, node = trees + left, node.right
+        last: Forest | None = ()
+        if isinstance(node, BoolAtom):
+            last = (TRUE,)
+        elif isinstance(node, StringAtom):
+            last = (StrVal(DEFAULT_STRINGS[0]),)
+        elif isinstance(node, Element):
+            content = build(node.content)
+            last = None if content is None else (Node(node.label, content),)
+        elif isinstance(node, Or):
+            left = build(node.left)
+            last = build(node.right) if left is None else left
+        elif isinstance(node, Var):
+            last = known.get(node.name)
+        return None if last is None else trees + last
 
     grew = True
     while grew:
@@ -156,31 +160,65 @@ def witness(sig: Signature, t: Type) -> Forest | None:
                 if value is not None:
                     known[name] = value
                     grew = True
-    return build(t)
+    return build
 
 
-class RefutedWith(NamedTuple):
-    """A concrete value of the left type that is not a value of the right."""
-
-    counterexample: Forest
-
-
-class ConsistentUpTo(NamedTuple):
-    depth: int
-    width: int
+def witness(sig: Signature, t: Type) -> Forest | None:
+    """One value of ``t``, or None if ``t`` has none (see ``_inhabitants``)."""
+    return _inhabitants(sig)(t)
 
 
-OracleVerdict = RefutedWith | ConsistentUpTo
+def refute(sig: Signature, t1: Type, t2: Type) -> Forest | None:
+    """None if ``subtype(sig, t1, t2)`` holds, else a value of ``t1`` outside
+    ``t2``, found at no bound, from the reasons ``subtyping._Inclusion``
+    records for its refuted goals (after Hosoya, Vouillon & Pierce):
 
+    * a nullable left side with a right side that is not ends the forest;
+    * a head with no same-label head on the right gives a value of the
+      head, then one of its continuation;
+    * a set S whose goals P(S) and Q(S) both failed gives ``n[w_P], w_Q``,
+      where ``w_P`` refutes P(S) (any value of the content when S is empty)
+      and ``w_Q`` refutes Q(S) (any value of the continuation when S holds
+      every candidate): ``n[w_P]`` matches no candidate in S, and no other
+      candidate's continuation holds ``w_Q``.
 
-def subtype_oracle(sig: Signature, t1: Type, t2: Type, depth: int,
-                   width: int) -> OracleVerdict:
-    """Exhaustively search ``t1``'s bounded values for one outside ``t2``."""
-    for v in sorted(values_upto(sig, t1, depth, width),
-                    key=lambda f: (len(f), repr(f))):
-        if not member(sig, v, t2):
-            return RefutedWith(v)
-    return ConsistentUpTo(depth, width)
+    A reason names only goals refuted before it, so the value is finite.
+    Continuations are followed in a loop and element contents on a stack,
+    and inhabitants are built once per call.  Same precondition as
+    ``subtype``, and the types must be inhabited."""
+    inc = _Inclusion(sig)
+    goal: tuple[Type, frozenset[Type]] | None = (t1, state_of(t2))
+    if inc.check(*goal):
+        return None
+    value = _inhabitants(sig)
+    trees: list = []
+    open_: list[tuple] = []  # (trees, label, Q(S) or None, continuation)
+    while True:
+        why = None if goal is None else inc.refuted[goal]
+        if why is None:  # the forest ends here, with () or a whole value
+            if not open_:
+                return tuple(trees)
+            parent, label, goal, cont = open_.pop()
+            parent.append(Node(label, tuple(trees)))
+            trees = parent
+            if goal is None:
+                trees += value(cont)
+            continue
+        (head, cont), chosen = why
+        if chosen is None:
+            trees += value(head) + value(cont)
+            goal = None
+            continue
+        cands = sig.steps(goal[1])[1][head.label][0]
+        rest = [k for j, (_, k) in enumerate(cands) if j not in chosen]
+        q = (cont, union(rest)) if rest else None
+        if not chosen:
+            trees += value(head)
+            goal = q
+            continue
+        open_.append((trees, head.label, q, cont))
+        trees, goal = [], (head.content, frozenset().union(
+            *(cands[j][0] for j in chosen)))
 
 
 def types_upto(size: int, labels: tuple[str, ...]) -> list[Type]:

@@ -20,9 +20,10 @@
   covered by one alternative therefore costs one check per alternative,
   not one per subset;
 * goals already on the path are assumed to hold (coinduction), which
-  makes recursive signatures terminate; refuted goals are memoized.  The
-  path is an explicit stack of goal frames run by one loop, not Python's
-  call stack, so a proof's path may be as long as memory allows.
+  makes recursive signatures terminate; refuted goals are memoized with
+  why they failed, so ``enumeration.refute`` can show a counterexample.
+  The path is an explicit stack of goal frames run by one loop, not
+  Python's call stack, so a proof's path may be as long as memory allows.
 
 Each call keeps its own path and verdicts: the goals assumed on the path
 and the goals proven or refuted.  What depends on the signature alone
@@ -112,13 +113,17 @@ class _Inclusion:
     the path, tracked by the lowest path depth a subproof touched.  When
     ``check`` returns, ``goals``, ``longest`` and ``leaned`` count the goals
     it issued, the longest path one was issued from, and the goals that
-    held by an assumption."""
+    held by an assumption.  ``refuted`` keeps why each refuted goal failed,
+    recorded as it fails: None when ``t`` is nullable and ``rights`` is
+    not, else the head and continuation of ``t`` it failed at, with None
+    (no same-label head on the right) or the set S of candidates whose
+    goals P(S) and Q(S) both failed (P(∅) and Q(all) fail unissued)."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.path_depth: dict[tuple[Type, frozenset[Type]], int] = {}
         self.proven: set[tuple[Type, frozenset[Type]]] = set()
-        self.refuted: set[tuple[Type, frozenset[Type]]] = set()
+        self.refuted: dict[tuple[Type, frozenset[Type]], tuple | None] = {}
         # goals proven under assumptions still on the path, in proof order,
         # with the lowest depth each depends on; a closing goal pops those
         # above its mark: commits them if self-contained, discards on failure
@@ -211,7 +216,7 @@ class _Inclusion:
                             n, chosen = len(cands), ()
                             t, rights, want_q = cont, step[1], True
                             break
-                        ok = False
+                        ok, chosen = False, None
                     sub = low
                 # close the top frame: closing at its own depth it commits the
                 # cluster proven above it; failing, it discards that cluster
@@ -219,7 +224,7 @@ class _Inclusion:
                 if not ok:
                     while len(pending) > mark:
                         pending.popitem()
-                    refuted.add(key)
+                    refuted[key] = (pairs[i - 1], chosen) if i else None
                     sub = _SELF_CONTAINED
                 elif low >= depth:
                     proven.add(key)
