@@ -10,25 +10,29 @@ every judgment that unfolds variables at the top level terminate.
 A signature owns the tables that ``subtype`` and ``member`` share.  The
 step row of a set of alternatives (``union``) groups its heads by label:
 ``subtype`` reads it as a goal's right-hand side, ``member`` as the
-transitions of an automaton state.
+transitions of an automaton state.  Every state a row names is one
+canonical object per set, so following a row finds its key by identity.
 
 Every tree node (types here; query expressions, update statements, values
 and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
-equality, hash and ``repr`` come from its fields.  Parser spans are not
-fields, so golden tests and round-trips compare pure structure.  Every
-other record, such as ``GlobalDecls``, is a ``NamedTuple``.
+equality, hash and ``repr`` come from its fields.  Its methods are copies
+of code compiled once per number of fields, so defining a node class
+compiles nothing.  Parser spans are not fields, so golden tests and
+round-trips compare pure structure.  Every other record, such as
+``GlobalDecls``, is a ``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from types import MappingProxyType
+import builtins
+from functools import cache, partial
+from types import FunctionType, MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .diagnostics import Diagnostic, error
 from .errors import UndeclaredVariable
 
-_STRUCT_METHODS = """\
+_ARITY_METHODS = """\
 def __init__(self, {params}*, span=None):
 {sets}    _set_span(self, span)
     _set_hash(self, None)
@@ -46,18 +50,44 @@ def __hash__(self):
     return value
 
 def __repr__(self):
-    return f"{name}({shown})"
+    return f"\\x00({shown})"
 """
+
+
+@cache
+def _struct_template(arity: int) -> dict[str, FunctionType]:
+    """The four methods of a ``Struct`` class with ``arity`` fields, compiled
+    once per arity and only ever copied.  In their code field ``i`` is the
+    parameter and attribute ``_f{i}``, set through the global ``_set_f{i}``,
+    and is written ``chr(i + 1)`` in the text of the ``repr``, where the
+    class name is ``chr(0)``."""
+    fields = [f"_f{i}" for i in range(arity)]
+    namespace: dict[str, object] = {}
+    exec(compile(_ARITY_METHODS.format(
+        params="".join(f"{f}, " for f in fields),
+        sets="".join(f"    _set{f}(self, {f})\n" for f in fields),
+        mine="".join(f"self.{f}, " for f in fields),
+        theirs="".join(f"other.{f}, " for f in fields),
+        shown=", ".join(f"\\x{i + 1:02x}={{self.{f}!r}}"
+                        for i, f in enumerate(fields)),
+    ), "<Struct methods>", "exec"), namespace)
+    return {m: namespace[m]
+            for m in ("__init__", "__eq__", "__hash__", "__repr__")}
 
 
 class Struct:
     """Base of every immutable tree node.
 
     A subclass lists its fields in ``__slots__``; ``__init_subclass__``
-    builds its ``__init__`` (fields by position, ``span=None`` by keyword),
+    gives it an ``__init__`` (fields by position, ``span=None`` by keyword),
     ``__eq__`` (same class, equal fields in order), ``__hash__`` (that of
-    the tuple of fields, cached on first use) and ``__repr__`` once per
-    class, by ``exec``.  ``span`` is not a field, so all three ignore it."""
+    the tuple of fields, cached on first use) and ``__repr__``.  No source
+    is compiled per class: the class copies the code compiled once for its
+    number of fields (``_struct_template``) with ``code.replace``, renaming
+    the fields and the class name in, and binds the copies to its own slot
+    descriptors.  Each class has its own code objects, so the attribute
+    caches of CPython's specializing interpreter stay monomorphic.
+    ``span`` is not a field, so equality, the hash and ``repr`` ignore it."""
 
     __slots__ = ("span", "_hash")
     _fields: tuple[str, ...] = ()
@@ -65,20 +95,23 @@ class Struct:
     def __init_subclass__(cls):
         fields = cls._fields + tuple(cls.__dict__["__slots__"])
         cls._fields = fields
-        namespace = {f"set_{f}": getattr(cls, f).__set__ for f in fields}
-        namespace.update(_set_span=Struct.span.__set__,
+        renamed = {f"_f{i}": f for i, f in enumerate(fields)}
+        shown = dict(enumerate((cls.__qualname__, *fields)))
+        namespace = {f"_set_f{i}": getattr(cls, f).__set__
+                     for i, f in enumerate(fields)}
+        namespace.update(__builtins__=builtins, _set_span=Struct.span.__set__,
                          _set_hash=Struct._hash.__set__)
-        exec(_STRUCT_METHODS.format(
-            name=cls.__qualname__,
-            params="".join(f"{f}, " for f in fields),
-            sets="".join(f"    set_{f}(self, {f})\n" for f in fields),
-            mine="".join(f"self.{f}, " for f in fields),
-            theirs="".join(f"other.{f}, " for f in fields),
-            shown=", ".join(f"{f}={{self.{f}!r}}" for f in fields),
-        ), namespace)
-        for method in ("__init__", "__eq__", "__hash__", "__repr__"):
-            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, namespace[method])
+        for method, fn in _struct_template(len(fields)).items():
+            code = fn.__code__
+            bound = FunctionType(code.replace(
+                co_varnames=tuple(renamed.get(n, n) for n in code.co_varnames),
+                co_names=tuple(renamed.get(n, n) for n in code.co_names),
+                co_consts=tuple(c.translate(shown) if isinstance(c, str) else c
+                                for c in code.co_consts),
+            ), namespace, method)
+            bound.__kwdefaults__ = fn.__kwdefaults__
+            bound.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, bound)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -201,13 +234,14 @@ class Signature:
     """Ordered, immutable map from type-variable names to definition types.
 
     A signature also owns the tables that ``subtyping`` and ``values``
-    derive from it: nullability and linear form by type, and the step row
-    of each state (a set of alternatives, see ``union``).  Each entry is a
+    derive from it: nullability and linear form by type, the step row
+    of each state (a set of alternatives, see ``union``), and one canonical
+    object per state those rows name.  Each entry is a
     pure function of the signature and its key, so the tables fill as
     checks run and are never invalidated; they are outside equality, the
     hash and ``repr``, and a copy starts with them empty."""
 
-    __slots__ = ("_defs", "_nullable", "_linear_forms", "_steps")
+    __slots__ = ("_defs", "_nullable", "_linear_forms", "_steps", "_states")
 
     def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
         if isinstance(defs, Mapping):
@@ -215,11 +249,12 @@ class Signature:
         else:
             items = list(defs)
         object.__setattr__(self, "_defs", dict(items))
-        # type -> bool, type -> ((atom, continuation), ...), and
-        # state -> (accepts, step row)
+        # type -> bool, type -> ((atom, continuation), ...),
+        # state -> (accepts, step row), and state -> its canonical object
         object.__setattr__(self, "_nullable", {})
         object.__setattr__(self, "_linear_forms", {})
         object.__setattr__(self, "_steps", {})
+        object.__setattr__(self, "_states", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
@@ -307,20 +342,30 @@ class Signature:
         """Whether some member of ``state`` is nullable, and its step row: a
         ``Step`` for each ``label`` (an element's name, or the atom class of
         ``bool`` or ``string``) that heads some member, and for nothing
-        else.  Candidates appear once each, in first-seen order."""
+        else.  Candidates appear once each, in first-seen order.
+
+        Every state the table holds, as a key or in a row, is one canonical
+        object per distinct set (``_states``), so the lookups of ``member``
+        and ``subtype`` that follow a row match their key by identity
+        instead of comparing equal sets member by member."""
         cached = self._steps.get(state)
         if cached is not None:
             return cached
+        states = self._states
+
+        def canonical(s: frozenset[Type]) -> frozenset[Type]:
+            return states.setdefault(s, s)
+
         groups: dict[object, dict[tuple[Type, Type], None]] = {}
         for u in state:
             for a, k in self.linear_form(u):
                 groups.setdefault(a.label, {})[a.content, k] = None
-        row = {key: (tuple((state_of(c), k) for c, k in pairs),
-                     union(k for _, k in pairs),
-                     union(k for c, k in pairs if self.nullable(c)))
+        row = {key: (tuple((canonical(state_of(c)), k) for c, k in pairs),
+                     canonical(union(k for _, k in pairs)),
+                     canonical(union(k for c, k in pairs if self.nullable(c))))
                for key, pairs in groups.items()}
         out = (any(self.nullable(u) for u in state), row)
-        self._steps[state] = out
+        self._steps[canonical(state)] = out
         return out
 
 

@@ -9,7 +9,8 @@ forest from ``parse_value`` holds one node per distinct empty element
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives
 (``types.union``); its step row (``Signature.steps``) gives, by label or
-atom kind, the next state, so a tree costs about one lookup.  A label that
+atom kind, the next state, so a tree costs about one lookup, which finds
+the canonical state the row names by identity.  A label that
 heads no alternative fails at once and adds nothing to the row.  Element
 content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its

@@ -4,6 +4,9 @@ the read-only empty declarations."""
 
 import copy
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,8 @@ from fluxq import (
     ProcedureDecl, QueryProgram, Rename, Seq, SeqStmt,
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
-    UpdateProgram, Var, VarRef, WildcardTest, check_signature, parse_type,
-    parse_value, subtype, syntactic_atoms,
+    UpdateProgram, Var, VarRef, WildcardTest, check_signature, member,
+    parse_type, parse_value, subtype, syntactic_atoms,
 )
 from fluxq import updates
 from fluxq.types import Struct
@@ -31,6 +34,7 @@ LIST_SIG = sig_of(X="nil[] | cons[a[], X]")
 TREE_SIG = sig_of(Tree="tree[leaf[string] | node[Tree*]]")
 
 SPAN = SourceSpan("f", 0, 1, 1, 1, 1, 2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def struct_cases(span=None):
@@ -205,6 +209,77 @@ class TestImmutability:
             "BoolVal(value=True))),)")
 
 
+class TestConstruction:
+    """How each ``Struct`` class's methods behave, and that building them
+    compiles no source per class."""
+
+    def test_fields_by_position_and_span_by_keyword(self):
+        for cls, args in ((Empty, (EMPTY,)), (Var, ()), (Var, ("X", "Y")),
+                          (Element, ("a",)), (Or, (BOOL, STRING, EMPTY)),
+                          (Var, ("X", SPAN)), (Empty, (SPAN,))):
+            with pytest.raises(TypeError):
+                cls(*args)
+        with pytest.raises(TypeError):
+            Var("X", spam=SPAN)
+        assert Element(content=EMPTY, label="a") == Element("a", EMPTY)
+        assert Var("X", span=SPAN).span is SPAN
+
+    @pytest.mark.parametrize("node, fields", [
+        (EMPTY, ()), (Var("X"), ("X",)), (Element("a", STRING), ("a", STRING)),
+        (Node("a", ()), ("a", ())), (FunctionDecl("f", (), BOOL, EmptySeq()),
+                                     ("f", (), BOOL, EmptySeq())),
+    ], ids=lambda x: _class_name(x) if isinstance(x, Struct) else "")
+    def test_hash_is_that_of_the_field_tuple(self, node, fields):
+        assert hash(node) == hash(fields)
+        assert hash(node) == hash(fields)  # the cached value
+
+    def test_each_class_has_its_own_code(self):
+        # CPython specializes attribute access per code object, so code
+        # shared by Or, Seq, Element... would see many classes
+        classes = concrete_structs()
+        for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+            assert getattr(Or, method).__code__ is not getattr(
+                Seq, method).__code__
+            codes = {id(getattr(cls, method).__code__) for cls in classes}
+            assert len(codes) == len(classes), method
+            assert getattr(Or, method).__qualname__ == f"Or.{method}"
+
+    def test_import_compiles_no_source_per_class(self):
+        # counts every compile of source text that the package itself asks
+        # for: compile() calls, and exec/eval of a string
+        script = f"""\
+import builtins, sys
+sys.path.insert(0, {str(SRC)!r})
+sources = []
+def counting(real, is_source):
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.partition(".")[0] == "fluxq" and is_source(args[0]):
+            sources.append(caller)
+        return real(*args, **kwargs)
+    return wrapper
+reals = builtins.compile, builtins.exec, builtins.eval
+builtins.compile = counting(builtins.compile, lambda source: True)
+builtins.exec, builtins.eval = (counting(real, lambda source: isinstance(
+    source, (str, bytes))) for real in reals[1:])
+import fluxq.cli
+builtins.compile, builtins.exec, builtins.eval = reals
+from fluxq.types import Struct
+classes, stack = [], [Struct]
+while stack:
+    subclasses = stack.pop().__subclasses__()
+    classes += subclasses
+    stack += subclasses
+print(len(sources), len({{cls._fields for cls in classes}}), len(classes))
+"""
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        compiles, field_tuples, classes = map(int, run.stdout.split())
+        assert classes >= 48 and field_tuples < classes
+        assert compiles <= field_tuples
+
+
 class TestSignatureValue:
     """A signature is a hashable, copyable value; the tables that
     ``subtyping`` fills on it are outside its equality, hash and ``repr``."""
@@ -221,7 +296,8 @@ class TestSignatureValue:
     def test_copy_deepcopy_and_pickle_start_with_empty_tables(self):
         sig = sig_of(X="a[X*] | b[]", Y="c[X]")
         assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
-        assert sig._linear_forms and sig._steps and sig._nullable
+        assert (sig._linear_forms and sig._steps and sig._nullable
+                and sig._states)
         for twin in (copy.copy(sig), copy.deepcopy(sig),
                      pickle.loads(pickle.dumps(sig))):
             assert type(twin) is Signature and twin is not sig
@@ -229,17 +305,38 @@ class TestSignatureValue:
             assert repr(twin) == repr(sig)
             assert list(twin.items()) == list(sig.items())
             assert not (twin._linear_forms or twin._steps
-                        or twin._nullable)
+                        or twin._nullable or twin._states)
             assert subtype(twin, Var("Y"), parse_type("c[b[]|a[X*]]"))
 
     def test_filled_tables_leave_equality_hash_and_repr(self):
         sig = sig_of(X="a[X*] | b[]")
         before = (hash(sig), repr(sig))
         assert subtype(sig, parse_type("a[b[]],b[]"), parse_type("X*"))
-        assert sig._linear_forms and sig._steps and sig._nullable
+        assert (sig._linear_forms and sig._steps and sig._nullable
+                and sig._states)
         fresh = sig_of(X="a[X*] | b[]")
         assert sig == fresh and fresh == sig
         assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
+
+    def test_step_rows_name_canonical_states(self):
+        # every state a row names, and every key, is the one object the
+        # signature keeps for its set, so a lookup that follows a row
+        # finds its key by identity
+        sig = sig_of(Tree="tree[leaf[string] | node[Tree*]]")
+        doc = parse_value('tree[node[tree[leaf["a"]],tree[leaf["b"]]]]')
+        assert member(sig, doc, Var("Tree"))
+        assert subtype(sig, parse_type("tree[leaf[string]]"), Var("Tree"))
+        named = list(sig._steps)
+        for _, row in sig._steps.values():
+            for starts, nexts, leaf in row.values():
+                named += [start for start, _ in starts] + [nexts, leaf]
+        states = sig._states
+        assert len(named) > len(states)
+        assert all(states[state] is state for state in named)
+        assert {id(state) for state in named} == set(map(id, states.values()))
+        twin = frozenset([STRING])
+        assert states[twin] is not twin
+        assert sig.steps(twin) is sig._steps[twin]
 
 
 class TestGlobalDecls:
