@@ -4,9 +4,7 @@ interpreter, and bounded enumeration oracles for validating the type
 system's metatheory at small scale."""
 
 from .diagnostics import Diagnostic, SourceSpan
-from .enumeration import (
-    refute, types_upto, values_upto, witness, word_to_type, words_upto,
-)
+from .enumeration import refute, types_upto, values_upto, witness
 from .errors import (
     EvalError, FluxqError, GenerationError, ParseError,
     RecursionLimitExceeded, TypeCheckFailure, UndeclaredVariable,

@@ -1,35 +1,24 @@
-"""Bounded enumeration of values, words and types, and unbounded witnesses.
+"""Bounded enumeration of values and types, and unbounded witnesses.
 
-The semantic language and atom set of a type are infinite (they are closed
-under subtyping), so ``values_upto``, ``words_upto`` and ``types_upto`` take
-explicit finite bounds and universes and compute the corresponding finite
-restriction, exhaustively.  ``witness`` gives one value of a type, and
-``refute`` one value of a type outside another whenever ``subtype`` refuses.
+The values of a type, like the types themselves, are infinitely many, so
+``values_upto`` and ``types_upto`` take explicit finite bounds and compute
+the corresponding finite restriction, exhaustively.  ``witness`` gives one
+value of a type, and ``refute`` one value of a type outside another
+whenever ``subtype`` refuses.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
-from .subtyping import _Inclusion, atom_subtype
+from .subtyping import _Inclusion
 from .types import (
-    Atom, BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
+    BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
     StringAtom, Type, Var, state_of, union,
 )
 from .values import FALSE, Forest, Node, StrVal, TRUE
 
 DEFAULT_STRINGS: tuple[str, ...] = ("", "a")
-
-Word = tuple[Atom, ...]
-
-
-def word_to_type(word: Word) -> Type:
-    """A word of atoms viewed as a type: their concatenation."""
-    t: Type = EMPTY
-    for atom in reversed(word):
-        t = atom if isinstance(t, Empty) else Seq(atom, t)
-    return t
 
 
 def _concat(lefts: frozenset[tuple], rights: frozenset[tuple],
@@ -88,35 +77,6 @@ def values_upto(sig: Signature, t: Type, depth: int,
         return gen(sig.definition(node.name), d)
 
     return frozenset(v for v in gen(t, depth) if len(v) <= width)
-
-
-def words_upto(sig: Signature, t: Type, k: int,
-               universe: frozenset[Atom]) -> frozenset[Word]:
-    """Words over ``universe`` of length ≤ k that are subtypes of ``t``.
-
-    This is the bounded, universe-restricted language of ``t``: the letters
-    of a word may be any universe atoms below the syntactic atoms of ``t``.
-    """
-
-    @lru_cache(maxsize=None)
-    def below(atom: Atom) -> tuple[Atom, ...]:
-        return tuple(u for u in universe if atom_subtype(sig, u, atom))
-
-    def gen(node: Type) -> frozenset[Word]:
-        if isinstance(node, Empty):
-            return frozenset(((),))
-        if isinstance(node, Atom):
-            return frozenset((u,) for u in below(node))
-        if isinstance(node, Or):
-            return gen(node.left) | gen(node.right)
-        if isinstance(node, Seq):
-            return _concat(gen(node.left), gen(node.right), k)
-        if isinstance(node, Star):
-            return _closure(gen(node.inner), k)
-        assert isinstance(node, Var)
-        return gen(sig.definition(node.name))
-
-    return frozenset(w for w in gen(t) if len(w) <= k)
 
 
 def _inhabitants(sig: Signature) -> Callable[[Type], Forest | None]:

@@ -11,8 +11,7 @@ import pytest
 from fluxq import (
     BoolAtom, BoolVal, Element, EMPTY, EMPTY_SIGNATURE, Node, Signature,
     StringAtom, StrVal, UndeclaredVariable, Var, member, parse_type,
-    parse_value, types_upto, value_str, values_upto, word_to_type,
-    words_upto,
+    parse_value, types_upto, value_str, values_upto,
 )
 from fluxq.enumeration import witness
 from fluxq.types import Empty, Or, Seq, Star
@@ -282,34 +281,3 @@ class TestWitness:
         later = Signature({"P": parse_type("p[P] | p[Q]"),
                            "Q": parse_type("q[]")})
         assert witness(later, Var("P")) == parse_value("p[q[]]")
-
-
-class TestWordsUpto:
-    U = frozenset({Element("b", EMPTY), Element("c", EMPTY)})
-
-    def test_single_atom(self):
-        a = Element("a", EMPTY)
-        assert words_upto(EMPTY_SIGNATURE, a, 1, frozenset({a})) == {(a,)}
-
-    def test_star_closure_truncated(self):
-        a = Element("a", EMPTY)
-        words = words_upto(EMPTY_SIGNATURE, parse_type("a[]*"), 2,
-                           frozenset({a}))
-        assert words == {(), (a,), (a, a)}
-
-    def test_enumerates_all_short_subtype_words(self):
-        b, c = Element("b", EMPTY), Element("c", EMPTY)
-        words = words_upto(EMPTY_SIGNATURE, parse_type("b[]*,c[]?"), 2, self.U)
-        assert words == {(), (b,), (c,), (b, b), (b, c)}
-
-    def test_universe_atoms_below_syntactic_atoms(self):
-        narrow = Element("a", parse_type("b[]"))
-        wide = Element("a", parse_type("b[]|c[]"))
-        words = words_upto(EMPTY_SIGNATURE, wide, 1, frozenset({narrow}))
-        assert words == {(), (narrow,)} - {()}
-
-    def test_word_to_type_round_trip_membership(self):
-        b, c = Element("b", EMPTY), Element("c", EMPTY)
-        t = word_to_type((b, c))
-        assert member(EMPTY_SIGNATURE, parse_value("b[],c[]"), t)
-        assert not member(EMPTY_SIGNATURE, parse_value("c[],b[]"), t)

@@ -1,6 +1,7 @@
 """Signature well-formedness, unfolding, syntactic atom extraction, the
-immutable node contract of `Struct`, `Signature` as a hashable value, and
-the read-only empty declarations."""
+immutable node contract of `Struct`, `Signature` as a hashable value, the
+laws of its nullability and linear-form tables, and the read-only empty
+declarations."""
 
 import copy
 import pickle
@@ -20,7 +21,8 @@ from fluxq import (
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
     UpdateProgram, Var, VarRef, WildcardTest, check_signature, member,
-    parse_type, parse_value, subtype, syntactic_atoms,
+    parse_type, parse_value, subtype, syntactic_atoms, types_upto,
+    values_upto,
 )
 from fluxq import updates
 from fluxq.types import Struct
@@ -337,6 +339,46 @@ class TestSignatureValue:
         twin = frozenset([STRING])
         assert states[twin] is not twin
         assert sig.steps(twin) is sig._steps[twin]
+
+
+REC_SIG = sig_of(X="a[X*] | b[]")
+TABLE_CASES = ([(EMPTY_SIGNATURE, t) for t in types_upto(4, ("a", "b"))]
+               + [(REC_SIG, parse_type(text))
+                  for text in ("X", "X*", "a[X]", "X,X")])
+
+
+class TestTableLaws:
+    """``Signature.nullable`` and ``Signature.linear_form``, which
+    ``subtype`` and ``member`` both read, agree with the values
+    ``values_upto`` enumerates; neither ``subtype`` nor ``member`` judges
+    them.  Each law is exact within the bounds, since every value it
+    splits or joins stays inside them."""
+
+    DEPTH, WIDTH = 3, 2  # X* has 5,551 values here
+
+    def values(self, sig, t):
+        return values_upto(sig, t, self.DEPTH, self.WIDTH)
+
+    def test_nullable_iff_the_empty_forest_is_a_value(self):
+        for sig, t in TABLE_CASES:
+            assert sig.nullable(t) == (() in self.values(sig, t)), t
+
+    def test_linear_form_splits_and_joins_the_values(self):
+        for sig, t in TABLE_CASES:
+            values = self.values(sig, t)
+            parts = [(self.values(sig, head), self.values(sig, cont))
+                     for head, cont in sig.linear_form(t)]
+            # every nonempty value is one tree of a head, then a value of
+            # that head's continuation
+            for v in values - {()}:
+                assert any(v[:1] in heads and v[1:] in conts
+                           for heads, conts in parts), (t, v)
+            # and every such concatenation within the bounds is a value
+            for heads, conts in parts:
+                for tree in heads:
+                    for rest in conts:
+                        if len(rest) < self.WIDTH:
+                            assert tree + rest in values, (t, tree, rest)
 
 
 class TestGlobalDecls:
