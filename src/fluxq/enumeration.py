@@ -81,7 +81,8 @@ def values_upto(sig: Signature, t: Type, depth: int,
 
 def _inhabitants(sig: Signature) -> Callable[[Type], Forest | None]:
     """A function giving one value of a type, or None if it has none (as
-    ``X`` has none under ``X = cons[X]``).  No depth or width bound applies.
+    ``X`` has none under ``X = cons[X]``, which ``check_signature`` reports
+    by it).  No depth or width bound applies.
 
     A least-fixpoint pass over ``sig`` first gives each inhabited variable
     a value, that of its first inhabited alternative; the value of a type is

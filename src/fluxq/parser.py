@@ -45,8 +45,8 @@ from .subtyping import (
     BoolTest, LabelTest, StringTest, TestKind, WildcardTest,
 )
 from .types import (
-    BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star, StringAtom,
-    Type, Var, optional, plus,
+    BOOL, Declared, Element, EMPTY, Or, Seq, Signature, Star, STRING, Type,
+    Var, optional, plus,
 )
 from .updates import (
     Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl,
@@ -166,6 +166,12 @@ class _Parser:
         self.pos = 0
         self._newlines: list[int] | None = None
         self._sugar_count = 0
+        # the variable uses read so far in the ``type`` declaration being
+        # parsed (see ``types.Declared``), and how deep in element content
+        # the reader is
+        self._uses: list[tuple[str, SourceSpan]] = []
+        self._top: list[tuple[str, SourceSpan]] = []
+        self._content_depth = 0
 
     # -- token plumbing ------------------------------------------------
     # Tokens are indices into the parallel lists; ``pos`` is the next one.
@@ -221,11 +227,15 @@ class _Parser:
     def parse_list(self, parse_item, op: str, node):
         """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so
         long lists cannot exhaust the stack; every node's span runs to the
-        end of the list."""
+        end of the list, unless the node is a type, which has none."""
         items = [(self.pos, parse_item())]
         while self.accept(op):
             items.append((self.pos, parse_item()))
         _, out = items.pop()
+        if issubclass(node, Type):
+            for _, item in reversed(items):
+                out = node(item, out)
+            return out
         for start, item in reversed(items):
             out = node(item, out, span=self.span_from(start))
         return out
@@ -243,14 +253,16 @@ class _Parser:
         return self.parse_list(self.parse_type_postfix, ",", Seq)
 
     def parse_type_postfix(self) -> Type:
-        start = self.pos
+        mark = len(self._top)
         t = self.parse_type_primary()
         while self.at("*", "+", "?"):
             op = self.kinds[self.next()]
             if op == "*":
-                t = Star(t, span=self.span_from(start))
+                t = Star(t)
             elif op == "+":
                 t = plus(t)
+                # ``t, t*`` holds the top-level uses of ``t`` twice
+                self._top += self._top[mark:]
             else:
                 t = optional(t)
         return t
@@ -260,24 +272,30 @@ class _Parser:
         kind = self.kinds[tok]
         if kind == "(":
             if self.accept(")"):
-                return Empty(span=self.span_from(tok))
+                return EMPTY
             t = self.parse_type()
             self.expect(")")
             return t
         if kind == "bool":
-            return BoolAtom(span=self.span_from(tok))
+            return BOOL
         if kind == "string":
-            return StringAtom(span=self.span_from(tok))
+            return STRING
         if kind == "TYPEVAR":
-            return Var(self.texts[tok], span=self.span_from(tok))
+            use = (self.texts[tok], self.span_from(tok))
+            self._uses.append(use)
+            if not self._content_depth:
+                self._top.append(use)
+            return Var(use[0])
         if kind == "IDENT":
             self.expect("[")
             if self.accept("]"):
                 content: Type = EMPTY
             else:
+                self._content_depth += 1
                 content = self.parse_type()
+                self._content_depth -= 1
                 self.expect("]")
-            return Element(self.texts[tok], content, span=self.span_from(tok))
+            return Element(self.texts[tok], content)
         self.unexpected(tok, " in type", ("a type",))
 
     # -- query expressions -------------------------------------------------
@@ -456,11 +474,18 @@ class _Parser:
         self.expect(")")
         return tuple(params)
 
-    def parse_type_decl(self) -> tuple[str, Type]:
-        """``X = t`` after the ``type`` keyword."""
+    def parse_type_decl(self, decls: dict[str, tuple[Type, Declared]]) -> None:
+        """A ``type X = t`` declaration, entered in ``decls`` with what
+        ``check_signature`` reads of its text; a later one of the same
+        name replaces it in place, as in ``Signature``."""
+        tok = self.pos
+        self.expect("type")
         name = self.expect("TYPEVAR", "a type variable")
         self.expect("=")
-        return name, self.parse_type()
+        self._uses, self._top = [], []
+        t = self.parse_type()
+        decls[name] = t, Declared(self.span_from(tok), tuple(self._uses),
+                                  tuple(self._top))
 
     def parse_header(self, update: bool) -> list[Type]:
         """``: t``, or ``: t1 => t2`` for a procedure or an update."""
@@ -472,13 +497,13 @@ class _Parser:
         return header
 
     def parse_program(self) -> tuple[QueryProgram | UpdateProgram, Signature]:
-        sig_entries: list[tuple[str, Type]] = []
+        decls: dict[str, tuple[Type, Declared]] = {}
         functions: list[FunctionDecl] = []
         procedures: list[ProcedureDecl] = []
         while True:
             tok = self.pos
-            if self.accept("type"):
-                sig_entries.append(self.parse_type_decl())
+            if self.at("type"):
+                self.parse_type_decl(decls)
             elif self.accept("declare"):
                 kind = self.kinds[self.pos]
                 if not (self.accept("function") or self.accept("procedure")):
@@ -509,17 +534,21 @@ class _Parser:
                 else:
                     prog = QueryProgram(tuple(functions), main, *header,
                                         span=self.span_from(tok))
-                return prog, Signature(sig_entries)
+                return prog, _signature(decls)
             else:
                 self.unexpected(self.pos, " at top level",
                                 ("type", "declare", "query", "update"))
 
     def parse_signature(self) -> Signature:
-        entries: list[tuple[str, Type]] = []
+        decls: dict[str, tuple[Type, Declared]] = {}
         while not self.at("EOF"):
-            self.expect("type")
-            entries.append(self.parse_type_decl())
-        return Signature(entries)
+            self.parse_type_decl(decls)
+        return _signature(decls)
+
+
+def _signature(decls: dict[str, tuple[Type, Declared]]) -> Signature:
+    return Signature([(name, t) for name, (t, _) in decls.items()],
+                     {name: text for name, (_, text) in decls.items()})
 
 
 # -- public entry points -----------------------------------------------

@@ -35,14 +35,11 @@ its signature and key, so two calls that race to fill one store equal
 values.
 
 Types are assumed well-formed and inhabited, and nothing here re-checks
-that: ``sig`` has passed ``check_signature``, and every variable in the
+that: ``sig`` has passed ``check_signature``, which rejects a variable
+with no value (e.g. ``X`` under ``X = cons[X]``), and every variable in the
 types compared is declared in it (callers validate once, where types enter
 the program).  An undeclared variable that the decision unfolds still raises
-``UndeclaredVariable`` from ``Signature.definition``.  Every type built from
-``bool``, ``string``, elements, ``()``, ``|``, ``,`` and ``*`` is inhabited
-unless a recursive definition forces infinite values (e.g. ``X = cons[X]``);
-such vacuous signatures are outside the contract and no emptiness check is
-performed.
+``UndeclaredVariable`` from ``Signature.definition``.
 """
 
 from __future__ import annotations

@@ -100,16 +100,25 @@ def tally(name: str, outcomes: Iterable[list[str] | object],
     failure messages (empty when the property holds), or ``SKIP`` when no
     case could be generated (counted as skipped).  ``uncounted`` are the
     failures of checks on the whole suite, which are not cases; they are
-    listed first."""
+    listed first.  A case that raises is one failure, naming the
+    exception, and the suite's last case: the other suites still run."""
     cases = skipped = 0
     failures = list(uncounted)
-    for outcome in outcomes:
+    for outcome in _raising_fails(outcomes):
         if outcome is SKIP:
             skipped += 1
         else:
             cases += 1
             failures.extend(outcome)
     return SuiteResult(name, cases, failures, skipped)
+
+
+def _raising_fails(outcomes: Iterable) -> Iterator:
+    """``outcomes``, ended by a failure if drawing the next one raises."""
+    try:
+        yield from outcomes
+    except Exception as exc:
+        yield [f"raised {type(exc).__name__}: {exc}"]
 
 
 def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
@@ -197,13 +206,24 @@ def fixture_signature(cfg: GenConfig) -> Signature:
 
 
 def suite_member_respects_subtyping(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    def outside(pair: tuple[Type, Type]) -> Forest | None:
-        """A bounded value of the subtype that the supertype lacks."""
+    """Each "yes" of ``subtype`` on a drawn pair is an inclusion of the
+    values ``values_upto`` enumerates within ``cfg``'s bounds, exact within
+    them, so neither ``member`` nor the signature's tables, which
+    ``subtype`` reads too, judge it.  Then ``member`` must accept the
+    subtype's first 20 values (by ``repr``) as members of the supertype."""
+    def outside(pair: tuple[Type, Type]) -> tuple[Forest, str] | None:
+        """A bounded value of the subtype that the supertype's values lack,
+        or else one that ``member`` rejects, with which of the two."""
         t1, t2 = pair
         if not subtype(sig, t1, t2):
             return None
-        values = sorted(values_upto(sig, t1, cfg.depth, cfg.width), key=repr)
-        return next((v for v in values[:20] if not member(sig, v, t2)), None)
+        values = values_upto(sig, t1, cfg.depth, cfg.width)
+        lacked = _first(values - values_upto(sig, t2, cfg.depth, cfg.width))
+        if lacked is not None:
+            return lacked, "a value"
+        rejected = next((v for v in sorted(values, key=repr)[:20]
+                         if not member(sig, v, t2)), None)
+        return None if rejected is None else (rejected, "a member")
 
     def case(rng: random.Random) -> list[str]:
         t2 = gen_type(rng, cfg, sig=sig)
@@ -211,8 +231,9 @@ def suite_member_respects_subtyping(cfg: GenConfig, sig: Signature) -> SuiteResu
         if outside((t1, t2)) is None:
             return []
         small = shrink_type_pair((t1, t2), lambda p: outside(p) is not None)
-        return [f"value {value_str(outside(small))} of {type_str(small[0])} "
-                f"is not a member of supertype {type_str(small[1])}"]
+        value, what = outside(small)
+        return [f"value {value_str(value)} of {type_str(small[0])} "
+                f"is not {what} of supertype {type_str(small[1])}"]
     return run_cases(cfg, "member-respects-subtyping", case)
 
 

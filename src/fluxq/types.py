@@ -13,11 +13,14 @@ step row of a set of alternatives (``union``) groups its heads by label:
 transitions of an automaton state.  Every state a row names is one
 canonical object per set, so following a row finds its key by identity.
 
-Every tree node (types here; query expressions, update statements, values
-and ``?`` tests elsewhere) is a slotted, immutable ``Struct`` whose
-equality, hash and ``repr`` come from its fields.  Its methods are copies
-of code compiled once per number of fields, so defining a node class
-compiles nothing.  Parser spans are not fields, so golden tests and
+Every tree node is slotted and immutable, and its methods are copies of
+code compiled once per number of fields, so defining a node class compiles
+nothing.  Types are interned (``Type``): building a type returns the one
+live node with its class and fields, so equal types are one object, and
+equality and the hash are identity's; a type has no span.  Every other
+node (query expressions, update statements, values, ``?`` tests and
+bindings) is a structural ``Struct``, whose equality, hash and ``repr``
+come from its fields; its parser span is not a field, so golden tests and
 round-trips compare pure structure.  Every other record, such as
 ``GlobalDecls``, is a ``NamedTuple``.
 """
@@ -25,74 +28,96 @@ round-trips compare pure structure.  Every other record, such as
 from __future__ import annotations
 
 import builtins
+import weakref
 from functools import cache, partial
+from itertools import count
+from operator import attrgetter
 from types import FunctionType, MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .diagnostics import Diagnostic, error
+from .diagnostics import Diagnostic, SourceSpan, error
 from .errors import UndeclaredVariable
 
-_ARITY_METHODS = """\
+# The source of each method a node class copies, for any number of fields
+# (see ``_node_template``)
+_METHOD_SOURCES = {
+    "__init__": """\
 def __init__(self, {params}*, span=None):
 {sets}    _set_span(self, span)
     _set_hash(self, None)
-
+""",
+    "__new__": """\
+def __new__(cls, {params}):
+    key = (cls, {params})
+    ref = _get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    self = _new(cls)
+{sets}    return _intern(key, self)
+""",
+    "__eq__": """\
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
     return NotImplemented
-
+""",
+    "__hash__": """\
 def __hash__(self):
     value = self._hash
     if value is None:
         value = hash(({mine}))
         _set_hash(self, value)
     return value
-
+""",
+    "__repr__": """\
 def __repr__(self):
     return f"\\x00({shown})"
-"""
+""",
+}
 
 
 @cache
-def _struct_template(arity: int) -> dict[str, FunctionType]:
-    """The four methods of a ``Struct`` class with ``arity`` fields, compiled
-    once per arity and only ever copied.  In their code field ``i`` is the
-    parameter and attribute ``_f{i}``, set through the global ``_set_f{i}``,
-    and is written ``chr(i + 1)`` in the text of the ``repr``, where the
-    class name is ``chr(0)``."""
+def _node_template(arity: int, methods: tuple[str, ...]
+                   ) -> dict[str, FunctionType]:
+    """The ``methods`` of a node class with ``arity`` fields, compiled once
+    per arity and family and only ever copied.  In their code field ``i``
+    is the parameter and attribute ``_f{i}``, set through the global
+    ``_set_f{i}``, and is written ``chr(i + 1)`` in the text of the
+    ``repr``, where the class name is ``chr(0)``."""
     fields = [f"_f{i}" for i in range(arity)]
     namespace: dict[str, object] = {}
-    exec(compile(_ARITY_METHODS.format(
+    exec(compile("\n".join(_METHOD_SOURCES[m] for m in methods).format(
         params="".join(f"{f}, " for f in fields),
         sets="".join(f"    _set{f}(self, {f})\n" for f in fields),
         mine="".join(f"self.{f}, " for f in fields),
         theirs="".join(f"other.{f}, " for f in fields),
         shown=", ".join(f"\\x{i + 1:02x}={{self.{f}!r}}"
                         for i, f in enumerate(fields)),
-    ), "<Struct methods>", "exec"), namespace)
-    return {m: namespace[m]
-            for m in ("__init__", "__eq__", "__hash__", "__repr__")}
+    ), "<node methods>", "exec"), namespace)
+    return namespace
 
 
-class Struct:
-    """Base of every immutable tree node.
+class _Node:
+    """What ``Struct`` and ``Type`` share: fields listed in ``__slots__``,
+    methods copied from templates, and no assignment.
 
-    A subclass lists its fields in ``__slots__``; ``__init_subclass__``
-    gives it an ``__init__`` (fields by position, ``span=None`` by keyword),
-    ``__eq__`` (same class, equal fields in order), ``__hash__`` (that of
-    the tuple of fields, cached on first use) and ``__repr__``.  No source
-    is compiled per class: the class copies the code compiled once for its
-    number of fields (``_struct_template``) with ``code.replace``, renaming
-    the fields and the class name in, and binds the copies to its own slot
-    descriptors.  Each class has its own code objects, so the attribute
-    caches of CPython's specializing interpreter stay monomorphic.
-    ``span`` is not a field, so equality, the hash and ``repr`` ignore it."""
+    A class below ``Struct`` or ``Type`` copies the methods its root names
+    in ``_methods`` from the code compiled once for its number of fields
+    (``_node_template``), with ``code.replace``, renaming the fields and
+    the class name in, and binds the copies to its own slot descriptors.
+    No source is compiled per class, and each class has its own code
+    objects, so the attribute caches of CPython's specializing interpreter
+    stay monomorphic."""
 
-    __slots__ = ("span", "_hash")
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _methods: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        if _Node in cls.__bases__:
+            return  # ``Struct`` or ``Type`` itself
         fields = cls._fields + tuple(cls.__dict__["__slots__"])
         cls._fields = fields
         renamed = {f"_f{i}": f for i, f in enumerate(fields)}
@@ -100,8 +125,11 @@ class Struct:
         namespace = {f"_set_f{i}": getattr(cls, f).__set__
                      for i, f in enumerate(fields)}
         namespace.update(__builtins__=builtins, _set_span=Struct.span.__set__,
-                         _set_hash=Struct._hash.__set__)
-        for method, fn in _struct_template(len(fields)).items():
+                         _set_hash=Struct._hash.__set__, _get=_TYPES.get,
+                         _new=object.__new__, _intern=_intern)
+        template = _node_template(len(fields), cls._methods)
+        for method in cls._methods:
+            fn = template[method]
             code = fn.__code__
             bound = FunctionType(code.replace(
                 co_varnames=tuple(renamed.get(n, n) for n in code.co_varnames),
@@ -111,13 +139,29 @@ class Struct:
             ), namespace, method)
             bound.__kwdefaults__ = fn.__kwdefaults__
             bound.__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, bound)
+            setattr(cls, method, staticmethod(bound) if method == "__new__"
+                    else bound)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Struct(_Node):
+    """Base of every structural tree node: query expressions, update
+    statements, values, ``?`` tests and bindings.
+
+    A subclass lists its fields in ``__slots__`` and gets an ``__init__``
+    (fields by position, ``span=None`` by keyword), ``__eq__`` (same class,
+    equal fields in order), ``__hash__`` (that of the tuple of fields,
+    cached on first use) and ``__repr__``.  ``span`` is not a field, so
+    equality, the hash and ``repr`` ignore it.  Types are not ``Struct``s:
+    they are interned, carry no span and compare by identity (``Type``)."""
+
+    __slots__ = ("span", "_hash")
+    _methods = ("__init__", "__eq__", "__hash__", "__repr__")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild the node through its constructor,
@@ -126,8 +170,64 @@ class Struct:
         return partial(self.__class__, span=self.span), fields
 
 
-class Type(Struct):
-    __slots__ = ()
+class Type(_Node):
+    """Base of the type nodes, which are hash-consed: building a type whose
+    class and fields (by identity) are those of a live one returns that
+    one, so equal types are one object, and equality and the hash are
+    identity's, at C speed and with no walk down the type.  Each class gets
+    a ``__new__`` (fields by position) that looks its node up in one table,
+    which holds the nodes weakly, and a ``__repr__``.  A node's
+    ``_serial`` numbers it in construction order: iterating over a set of
+    types in serial order is the same in every process.  A type has no
+    span, since it outlives the text it was parsed from; a copy of it is
+    the node itself."""
+
+    __slots__ = ("_serial", "__weakref__")
+    _methods = ("__new__", "__repr__")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the node through its constructor, which
+        # finds it, or interns it in another process
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __deepcopy__(self, memo):
+        # through ``__reduce__`` it would copy every field first, all the
+        # way down the type, to find the same node
+        return self
+
+
+class _Ref(weakref.ref):
+    """The table's reference to a type, which knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> the live node with them; an entry leaves with its node
+_TYPES: dict[tuple, _Ref] = {}
+_serials = count()
+_set_serial = Type._serial.__set__
+_serial_of = attrgetter("_serial")
+
+
+def _forget(ref: _Ref, table=_TYPES) -> None:
+    # a node built again after this one died may hold the key by now
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _intern(key: tuple, node: Type) -> Type:
+    """Enter the new ``node`` in the table under ``key``, unless another
+    thread entered a live node there first, which is then returned."""
+    _set_serial(node, next(_serials))
+    ref = _Ref(node, _forget)
+    ref.key = key
+    held = _TYPES.setdefault(key, ref)
+    if held is not ref:
+        other = held()
+        if other is not None:
+            return other
+        _TYPES[key] = ref
+    return node
 
 
 class Atom(Type):
@@ -230,8 +330,25 @@ Step = tuple[tuple[tuple[frozenset[Type], Type], ...], frozenset[Type],
              frozenset[Type]]
 
 
+class Declared(NamedTuple):
+    """What the parser read of a ``type X = t`` declaration, which
+    ``check_signature`` reports at: the declaration's span, every variable
+    use written in ``t`` with its span, in written order, and the uses at
+    the top level (outside element content), those of a ``t+`` repeated as
+    its ``t, t*`` repeats them."""
+
+    span: SourceSpan
+    uses: tuple[tuple[str, SourceSpan], ...]
+    top: tuple[tuple[str, SourceSpan], ...]
+
+
 class Signature:
     """Ordered, immutable map from type-variable names to definition types.
+
+    ``declared`` maps a name to what the parser read of its declaration
+    (``Declared``); a signature built in code has none, and types carry no
+    spans.  Like the tables below, it is outside equality, the hash and
+    ``repr``.
 
     A signature also owns the tables that ``subtyping`` and ``values``
     derive from it: nullability and linear form by type, the step row
@@ -241,14 +358,17 @@ class Signature:
     checks run and are never invalidated; they are outside equality, the
     hash and ``repr``, and a copy starts with them empty."""
 
-    __slots__ = ("_defs", "_nullable", "_linear_forms", "_steps", "_states")
+    __slots__ = ("_defs", "_declared", "_nullable", "_linear_forms",
+                 "_steps", "_states")
 
-    def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
+    def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = (),
+                 declared: Mapping[str, Declared] | None = None):
         if isinstance(defs, Mapping):
             items = list(defs.items())
         else:
             items = list(defs)
         object.__setattr__(self, "_defs", dict(items))
+        object.__setattr__(self, "_declared", dict(declared or ()))
         # type -> bool, type -> ((atom, continuation), ...),
         # state -> (accepts, step row), and state -> its canonical object
         object.__setattr__(self, "_nullable", {})
@@ -262,7 +382,7 @@ class Signature:
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, which
         # also gives the copy empty tables
-        return type(self), (list(self._defs.items()),)
+        return type(self), (list(self._defs.items()), self._declared)
 
     def __contains__(self, name: str) -> bool:
         return name in self._defs
@@ -342,7 +462,8 @@ class Signature:
         """Whether some member of ``state`` is nullable, and its step row: a
         ``Step`` for each ``label`` (an element's name, or the atom class of
         ``bool`` or ``string``) that heads some member, and for nothing
-        else.  Candidates appear once each, in first-seen order.
+        else.  Candidates appear once each, in first-seen order over the
+        members taken in serial order.
 
         Every state the table holds, as a key or in a row, is one canonical
         object per distinct set (``_states``), so the lookups of ``member``
@@ -357,7 +478,9 @@ class Signature:
             return states.setdefault(s, s)
 
         groups: dict[object, dict[tuple[Type, Type], None]] = {}
-        for u in state:
+        # identity hashes order a set by address; serials order it the same
+        # in every process, and so the goals and witnesses read off the row
+        for u in sorted(state, key=_serial_of):
             for a, k in self.linear_form(u):
                 groups.setdefault(a.label, {})[a.content, k] = None
         row = {key: (tuple((canonical(state_of(c)), k) for c, k in pairs),
@@ -410,23 +533,46 @@ def nodes(t: Type) -> Iterator[Type]:
 
 
 def check_signature(sig: Signature) -> list[Diagnostic]:
-    """Well-formedness diagnostics: undeclared references and unguarded definitions.
+    """Well-formedness diagnostics: undeclared references, unguarded
+    definitions and, in a signature with neither, variables with no value
+    (as ``X`` has none under ``X = cons[X]``).
 
-    Returns one diagnostic per violation; an empty list means the signature
-    satisfies both invariants.
+    One diagnostic per violation, at the spans the parser recorded
+    (``Declared``): for each definition its undeclared variable uses, then
+    its top-level ones, each in reverse written order, and last each
+    variable with no value, at its declaration.  A definition built in code
+    has no record: it reports each distinct undeclared variable once, all
+    without a span.  An empty list means the signature satisfies every
+    invariant.
     """
     out: list[Diagnostic] = []
+    spans: dict[str, SourceSpan | None] = {}
     for name, body in sig.items():
-        for v in nodes(body):
-            if isinstance(v, Var) and v.name not in sig:
+        text = sig._declared.get(name)
+        if text is None:
+            spans[name] = None
+            uses = [(v.name, None) for v in nodes(body) if v.__class__ is Var]
+            top = [(v.name, None) for v in _top_level_vars(body)]
+        else:
+            spans[name] = text.span
+            uses, top = text.uses[::-1], text.top[::-1]
+        for v, span in uses:
+            if v not in sig:
                 out.append(error(
-                    f"type variable {v.name} used in definition of {name} is not declared",
-                    rule="signature/undeclared", span=v.span))
-        for v in _top_level_vars(body):
+                    f"type variable {v} used in definition of {name} is not declared",
+                    rule="signature/undeclared", span=span))
+        for v, span in top:
             out.append(error(
-                f"top-level variable {v.name} in definition of {name}",
-                rule="signature/guardedness", span=v.span))
-    return out
+                f"top-level variable {v} in definition of {name}",
+                rule="signature/guardedness", span=span))
+    if out:
+        return out
+    from .enumeration import _inhabitants  # enumeration imports this module
+    value = _inhabitants(sig)
+    return [error(f"type variable {name} has no value: its definition "
+                  f"admits only infinite trees",
+                  rule="signature/uninhabited", span=span)
+            for name, span in spans.items() if value(Var(name)) is None]
 
 
 def check_type_declared(sig: Signature, t: Type) -> None:

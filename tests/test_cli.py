@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Elem, Skip, cli, parse_program, queries, types, unparse, updates,
+    Elem, Skip, cli, parse_program, queries, suites, types, unparse, updates,
 )
 from fluxq.cli import build_parser, main
 
@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LEAVES = str(SAMPLES / "leaves.muxq")
 INSERT_AFTER = str(SAMPLES / "insert_after.flux")
 LEAFUPD = str(SAMPLES / "leafupd.flux")
+# every syntax-tree node: structural ones, and the interned types
+NODES = (types.Struct, types.Type)
 # an input of each update sample's declared type
 INPUTS = {"insert_after.flux": "a[b[],b[],c[]],d[]",
           "leafupd.flux": 'tree[node[tree[leaf["a"]],tree[leaf["b"]]]]'}
@@ -109,6 +111,45 @@ class TestCheck:
         f.write_text("type X = () | a[],X\nquery () : ()\n")
         assert main(["check", str(f)]) == 1
         assert "top-level variable X" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sig, diags", [
+        ("type A = a[Y], b[Z] | c[Y]+, Y",
+         [("undeclared", "Y", 29, 30), ("undeclared", "Y", 24, 25),
+          ("undeclared", "Z", 17, 18), ("undeclared", "Y", 11, 12),
+          ("guardedness", "Y", 29, 30)]),
+        ("type X = Y | Y\ntype Y = a[]",
+         [("guardedness", "Y", 13, 14), ("guardedness", "Y", 9, 10)]),
+        ("type X = (Y, Z)+\ntype Y = a[]\ntype Z = b[]",
+         [("guardedness", "Z", 13, 14), ("guardedness", "Y", 10, 11),
+          ("guardedness", "Z", 13, 14), ("guardedness", "Y", 10, 11)]),
+        ("type A = a[Q]?, b[Q]",
+         [("undeclared", "Q", 18, 19), ("undeclared", "Q", 11, 12)]),
+    ], ids=["undeclared-and-plus", "twice", "plus-repeats", "optional"])
+    def test_signature_diagnostics_at_written_uses(self, tmp_path, capsys,
+                                                   sig, diags):
+        # types are interned and carry no span, so each diagnostic's span
+        # is that of the use as the parser recorded it: per definition,
+        # undeclared uses and then top-level ones, in reverse written order
+        f = tmp_path / "sig.muxq"
+        f.write_text(sig + "\nquery () : ()\n")
+        for command in ("check", "type"):
+            assert main(["--json", command, str(f)]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert [(d["rule"].split("/")[1], d["message"].split()[2],
+                     d["span"]["begin"], d["span"]["end"])
+                    for d in report["diagnostics"]] == diags
+
+    def test_uninhabited_signature_reported(self, tmp_path, capsys):
+        f = tmp_path / "vacuous.muxq"
+        f.write_text("type L = nil[] | cons[L]\ntype X = cons[X]\n"
+                     "query () : X\n")
+        assert main(["--json", "check", str(f)]) == 1
+        [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["rule"] == "signature/uninhabited"
+        assert diag["message"].startswith("type variable X has no value")
+        assert (diag["span"]["begin"], diag["span"]["end"]) == (25, 41)
+        assert main(["check", str(f)]) == 1
+        assert capsys.readouterr().err.endswith("[signature/uninhabited]\n")
 
 
     def test_shadowed_variable_named_as_written(self, tmp_path, capsys):
@@ -353,6 +394,22 @@ class TestOracle:
         assert set(failed["types-inhabited-at-small-bounds"]) == {
             "no inhabitant found for X"}
 
+    def test_raising_suite_is_reported(self, monkeypatch, capsys):
+        # a suite whose case raises is one failure, and the other suites
+        # still report, instead of a traceback and no report
+        def broken(sig, t1, t2):
+            raise KeyError("no such goal")
+
+        monkeypatch.setattr(suites, "refute", broken)
+        assert main(["--json", "oracle", "--cases", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert len(report["suites"]) == 19
+        assert {s["name"]: s["failures"] for s in report["suites"]
+                if s["failures"]} == {"subtype-agrees-with-oracle": [
+                    "raised KeyError: 'no such goal'"]}
+
     def test_vacuous_recursion_is_found_at_one_case(self, tmp_path, capsys):
         # each declared variable is checked, whatever the one draw reaches
         f = tmp_path / "vacuous.muxq"
@@ -426,11 +483,20 @@ class TestDeepInput:
                      f"x={family(11, 'a[]|b[]')}"]) == 0
 
     def test_very_long_sequence_ends_cleanly(self, tmp_path, capsys):
-        # hashing a type node still recurses down a Seq, so this may exit 2
+        # synthesis still recurses down a ``,`` list, so this may exit 2
         f = tmp_path / "flat.muxq"
         f.write_text("query " + ", ".join(["a[]"] * 2000) + " : a[]*\n")
         assert main(["check", str(f)]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_subtype_long_flat_type(self, capsys):
+        # a type is one interned node, hashed by identity: nothing walks
+        # down its 10,000-item ``,`` spine
+        flat = ", ".join(["a[]"] * 10_000)
+        assert main(["subtype", flat, "a[]*"]) == 0
+        assert capsys.readouterr().out == "subtype\n"
+        assert main(["subtype", "a[]*", flat]) == 1
+        assert capsys.readouterr().out == "not a subtype\n"
 
     def test_subtype_deep_type(self, capsys):
         deep = "a[" * 400 + "]" * 400
@@ -743,7 +809,7 @@ class TestFuzz:
             x = stack.pop()
             if isinstance(x, tuple):
                 stack.extend(x)
-            elif isinstance(x, types.Struct) and id(x) not in seen:
+            elif isinstance(x, NODES) and id(x) not in seen:
                 seen.add(id(x))
                 out.append(x)
                 stack.extend(getattr(x, f) for f in x._fields)
@@ -756,6 +822,9 @@ class TestFuzz:
             return new[id(x)]
         if isinstance(x, tuple):
             return tuple(cls.rebuild(y, new) for y in x)
+        if isinstance(x, types.Type):  # a type has no span
+            return x.__class__(*(cls.rebuild(getattr(x, f), new)
+                                 for f in x._fields))
         if isinstance(x, types.Struct):
             return x.__class__(*(cls.rebuild(getattr(x, f), new)
                                  for f in x._fields), span=x.span)
@@ -835,7 +904,7 @@ class TestFuzz:
             prog, sig = parse_program(text)
             roots = [prog, *(body for _, body in sig.items())]
             for node in (n for root in roots for n in self.subterms(root)):
-                span = node.span
+                span = getattr(node, "span", None)  # a type has none
                 if span is None:
                     continue
                 begin, end = span.begin, span.end

@@ -60,13 +60,16 @@ class TestTypeSyntax:
         expected = parse_type(items[-1])
         for item in reversed(items[:-1]):
             expected = node(parse_type(item), expected)
-        begin = 0
-        for item in items[:-1]:  # walk both spines; == would recurse n deep
-            assert type(t) is node and t.left == expected.left, item
-            assert (t.span.begin, t.span.end) == (begin, len(text))
-            begin += len(item) + 1
-            t, expected = t.right, expected.right
-        assert t == expected
+        # types are interned, so the same list is the same object
+        assert t is expected and parse_type(text) is t
+        assert type(t) is node and type(t.right) is node
+
+    def test_long_flat_type_is_one_object(self):
+        # neither interning nor the hash walks down the ``,`` spine
+        text = ", ".join(["a[]"] * 10_000)
+        t = parse_type(text)
+        assert parse_type(text) is t
+        assert {t: 1}[parse_type(text)] == 1
 
     def test_type_errors_have_positions(self):
         with pytest.raises(ParseError) as exc:
@@ -215,6 +218,20 @@ class TestExprSyntax:
         assert e.span is not None
         assert e.span.begin == 0
         assert e.span.end == len("for $y in $x return $y")
+
+    def test_long_lists_span_to_the_end(self):
+        n = 5000
+        items = [f"a{i}[]" for i in range(n)]
+        text = ", ".join(items)
+        e = parse_expr(text)
+        begin = 0
+        for item in items[:-1]:  # walk the spine; == would recurse n deep
+            assert type(e) is Concat and e.left == parse_expr(item), item
+            assert (e.span.begin, e.span.end) == (begin, len(text))
+            begin += len(item) + 2
+            e = e.right
+        assert e == parse_expr(items[-1])
+        assert (e.span.begin, e.span.end) == (begin, len(text))
 
 
 class TestShadowing:

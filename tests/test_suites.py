@@ -7,8 +7,8 @@ import random
 import pytest
 
 from fluxq import (
-    EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, parse_type, parse_value,
-    run_suites, subtype,
+    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, Or, parse_type,
+    parse_value, run_suites, subtype,
 )
 from fluxq import suites
 from fluxq.suites import (
@@ -136,6 +136,36 @@ class TestOracleCertificate:
         result = suites.oracle_agreement(self.CFG, EMPTY_SIGNATURE)
         assert result.failures == ["subtype refused a[]* <: a[] but its "
                                    "witness a[] does not separate them"]
+
+
+class TestMemberRespectsSubtyping:
+    def test_judged_by_values_not_by_member(self, monkeypatch):
+        # a drawn pair that is no subtype pair, which ``subtype`` accepts
+        # and so does a ``member`` that reads the same broken tables, is
+        # refuted by the enumerated values
+        monkeypatch.setattr(suites, "gen_subtype_of",
+                            lambda rng, sig, t: Or(t, BOOL))
+        monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: True)
+        monkeypatch.setattr(suites, "member", lambda sig, v, t: True)
+        cfg = GenConfig(cases=5, seed=1)
+        result = suites.suite_member_respects_subtyping(
+            cfg, fixture_signature(cfg))
+        assert result.cases == 5 and len(result.failures) == 5
+        assert all(" is not a value of supertype " in f
+                   for f in result.failures)
+
+
+class TestRaisingSuite:
+    # ``fluxq oracle`` with a raising suite: tests/test_cli.py, TestOracle
+    def test_the_failing_case_ends_its_suite(self):
+        def outcomes():
+            yield []
+            yield SKIP
+            raise ValueError("bad draw")
+
+        res = tally("probe", outcomes(), ["whole"])
+        assert tuple(res) == ("probe", 2, ["whole",
+                                           "raised ValueError: bad draw"], 1)
 
 
 class _Recording(random.Random):

@@ -1,9 +1,10 @@
 """Signature well-formedness, unfolding, syntactic atom extraction, the
-immutable node contract of `Struct`, `Signature` as a hashable value, the
-laws of its nullability and linear-form tables, and the read-only empty
-declarations."""
+immutable node contracts of `Struct` and of the interned `Type`,
+`Signature` as a hashable value, the laws of its nullability and
+linear-form tables, and the read-only empty declarations."""
 
 import copy
+import gc
 import pickle
 import subprocess
 import sys
@@ -24,8 +25,8 @@ from fluxq import (
     parse_type, parse_value, subtype, syntactic_atoms, types_upto,
     values_upto,
 )
-from fluxq import updates
-from fluxq.types import Struct
+from fluxq import types, updates
+from fluxq.types import Struct, Type
 
 
 def sig_of(**defs):
@@ -40,14 +41,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def struct_cases(span=None):
-    """One node of every concrete ``Struct`` class; ``span`` is given to
-    the outermost node only."""
+    """One node of every concrete node class; ``span`` is given to the
+    outermost node only, unless it is a type, which takes none."""
     x, e, s = VarRef("x"), EmptySeq(), Skip()
     return [
-        BoolAtom(span=span), StringAtom(span=span), Empty(span=span),
-        Element("a", EMPTY, span=span), Or(BOOL, STRING, span=span),
-        Seq(BOOL, STRING, span=span), Star(BOOL, span=span),
-        Var("X", span=span), TreeBinding(BOOL, span=span),
+        BoolAtom(), StringAtom(), Empty(), Element("a", EMPTY),
+        Or(BOOL, STRING), Seq(BOOL, STRING), Star(BOOL), Var("X"),
+        TreeBinding(BOOL, span=span),
         ForestBinding(STRING, span=span),
         EmptySeq(span=span), Concat(e, x, span=span),
         Elem("a", e, span=span), StrLit("s", span=span),
@@ -73,12 +73,12 @@ def struct_cases(span=None):
 
 
 def concrete_structs() -> set[type]:
-    """Every ``Struct`` class that has no subclass."""
-    found, stack = set(), [Struct]
+    """Every ``Struct`` or ``Type`` class that has no subclass."""
+    found, stack = set(), [Struct, Type]
     while stack:
         cls = stack.pop()
         subclasses = cls.__subclasses__()
-        if not subclasses and cls is not Struct:
+        if not subclasses and cls not in (Struct, Type):
             found.add(cls)
         stack.extend(subclasses)
     return found
@@ -176,6 +176,9 @@ class TestImmutability:
                              zip(struct_cases(), struct_cases(SPAN)),
                              ids=[_class_name(n) for n in struct_cases()])
     def test_span_is_outside_equality_hash_and_repr(self, plain, spanned):
+        if isinstance(plain, Type):  # a type has no span: it is one node
+            assert plain is spanned and not hasattr(plain, "span")
+            return
         assert plain.span is None and spanned.span is SPAN
         assert plain == spanned
         assert hash(plain) == hash(spanned)
@@ -190,7 +193,10 @@ class TestImmutability:
                      pickle.loads(pickle.dumps(node))):
             assert type(twin) is type(node)
             assert twin == node and hash(twin) == hash(node)
-            assert twin.span == node.span
+            if isinstance(node, Type):
+                assert twin is node
+            else:
+                assert twin.span == node.span
 
     def test_equality_needs_the_same_class_and_fields(self):
         assert Element("a", EMPTY) != Element("b", EMPTY)
@@ -218,16 +224,22 @@ class TestConstruction:
     def test_fields_by_position_and_span_by_keyword(self):
         for cls, args in ((Empty, (EMPTY,)), (Var, ()), (Var, ("X", "Y")),
                           (Element, ("a",)), (Or, (BOOL, STRING, EMPTY)),
-                          (Var, ("X", SPAN)), (Empty, (SPAN,))):
+                          (Var, ("X", SPAN)), (Empty, (SPAN,)),
+                          (VarRef, ()), (VarRef, ("x", SPAN))):
             with pytest.raises(TypeError):
                 cls(*args)
-        with pytest.raises(TypeError):
-            Var("X", spam=SPAN)
-        assert Element(content=EMPTY, label="a") == Element("a", EMPTY)
-        assert Var("X", span=SPAN).span is SPAN
+        for cls in (Var, VarRef):
+            with pytest.raises(TypeError):
+                cls("X", spam=SPAN)
+        assert Element(content=EMPTY, label="a") is Element("a", EMPTY)
+        assert Elem(content=EmptySeq(), label="a") == Elem("a", EmptySeq())
+        assert VarRef("x", span=SPAN).span is SPAN
+        with pytest.raises(TypeError):  # a type takes no span
+            Var("X", span=SPAN)
 
     @pytest.mark.parametrize("node, fields", [
-        (EMPTY, ()), (Var("X"), ("X",)), (Element("a", STRING), ("a", STRING)),
+        (EmptySeq(), ()), (VarRef("x"), ("x",)),
+        (Elem("a", StrLit("s")), ("a", StrLit("s"))),
         (Node("a", ()), ("a", ())), (FunctionDecl("f", (), BOOL, EmptySeq()),
                                      ("f", (), BOOL, EmptySeq())),
     ], ids=lambda x: _class_name(x) if isinstance(x, Struct) else "")
@@ -235,16 +247,54 @@ class TestConstruction:
         assert hash(node) == hash(fields)
         assert hash(node) == hash(fields)  # the cached value
 
+    @pytest.mark.parametrize("build", [
+        lambda: Empty(), lambda: Var("X"), lambda: Element("a", STRING),
+        lambda: Star(Or(Seq(BOOL, Var("X")), EMPTY)),
+    ], ids=["Empty", "Var", "Element", "Star"])
+    def test_a_type_is_one_node_hashed_by_identity(self, build):
+        node = build()
+        assert build() is node
+        assert hash(node) == object.__hash__(node)
+        assert node == build() and node != Var("Y")
+
+    def test_the_table_holds_types_weakly(self):
+        t = Element("held_weakly", STRING)
+        key = (Element, "held_weakly", STRING)
+        assert types._TYPES[key]() is t
+        serial = t._serial
+        del t
+        gc.collect()
+        assert key not in types._TYPES
+        again = Element("held_weakly", STRING)
+        assert types._TYPES[key]() is again and again._serial > serial
+        # a parent holds its fields, so they stay interned while it lives
+        parent = Star(Element("held_by_a_parent", EMPTY))
+        gc.collect()
+        assert parent.inner is Element("held_by_a_parent", EMPTY)
+
+    def test_serials_follow_construction(self):
+        first = Element("built_first", EMPTY)
+        second = Seq(first, Element("built_second", EMPTY))
+        assert first._serial < second.right._serial < second._serial
+
     def test_each_class_has_its_own_code(self):
         # CPython specializes attribute access per code object, so code
         # shared by Or, Seq, Element... would see many classes
         classes = concrete_structs()
-        for method in ("__init__", "__eq__", "__hash__", "__repr__"):
-            assert getattr(Or, method).__code__ is not getattr(
-                Seq, method).__code__
-            codes = {id(getattr(cls, method).__code__) for cls in classes}
-            assert len(codes) == len(classes), method
-            assert getattr(Or, method).__qualname__ == f"Or.{method}"
+        kinds = ((Struct, ("__init__", "__eq__", "__hash__", "__repr__")),
+                 (Type, ("__new__", "__repr__")))
+        for root, methods in kinds:
+            family = {cls for cls in classes if issubclass(cls, root)}
+            for method in methods:
+                codes = {id(getattr(cls, method).__code__) for cls in family}
+                assert len(codes) == len(family), method
+            assert getattr(Or, methods[-1]).__qualname__ == "Or.__repr__"
+        assert Or.__new__.__code__ is not Seq.__new__.__code__
+        # a type's equality and hash are object's, which run in C
+        for cls in classes - {cls for cls in classes if issubclass(cls, Struct)}:
+            assert cls.__eq__ is object.__eq__, cls
+            assert cls.__hash__ is object.__hash__, cls
+            assert not {"_hash", "span"} & set(dir(cls))
 
     def test_import_compiles_no_source_per_class(self):
         # counts every compile of source text that the package itself asks
@@ -266,8 +316,8 @@ builtins.exec, builtins.eval = (counting(real, lambda source: isinstance(
     source, (str, bytes))) for real in reals[1:])
 import fluxq.cli
 builtins.compile, builtins.exec, builtins.eval = reals
-from fluxq.types import Struct
-classes, stack = [], [Struct]
+from fluxq.types import _Node
+classes, stack = [], [_Node]
 while stack:
     subclasses = stack.pop().__subclasses__()
     classes += subclasses
