@@ -14,7 +14,7 @@ from typing import Callable
 from .subtyping import _Inclusion
 from .types import (
     BoolAtom, Element, Empty, EMPTY, Or, Seq, Signature, Star,
-    StringAtom, Type, Var, state_of, union,
+    StringAtom, Type, Var, union,
 )
 from .values import FALSE, Forest, Node, StrVal, TRUE
 
@@ -148,7 +148,7 @@ def refute(sig: Signature, t1: Type, t2: Type) -> Forest | None:
     and inhabitants are built once per call.  Same precondition as
     ``subtype``, and the types must be inhabited."""
     inc = _Inclusion(sig)
-    goal: tuple[Type, frozenset[Type]] | None = (t1, state_of(t2))
+    goal: tuple[Type, frozenset[Type]] | None = (t1, sig.state(t2))
     if inc.check(*goal):
         return None
     value = _inhabitants(sig)

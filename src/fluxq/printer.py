@@ -20,7 +20,10 @@ def type_str(t: Type) -> str:
     Synthesized types share subterms, and the text repeats a shared subterm
     at each of its occurrences, so it can be exponentially longer than the
     type.  One memo per call, keyed by node identity and precedence level,
-    renders each distinct subterm once per level."""
+    renders each distinct subterm once per level.  A ``|`` or ``,`` chain
+    is rendered down its right operands in a loop, so a list of any length
+    prints; only the suffix where the loop stops is looked up in the memo,
+    and the chain's text is stored under its first node."""
     memo: dict[tuple[int, int], str] = {}
 
     def render(t: Type, level: int) -> str:
@@ -28,31 +31,42 @@ def type_str(t: Type) -> str:
         text = memo.get(key)
         if text is not None:
             return text
-        if isinstance(t, Empty):
+        cls = t.__class__
+        if cls is Empty:
             text = "()"
-        elif isinstance(t, BoolAtom):
+        elif cls is BoolAtom:
             text = "bool"
-        elif isinstance(t, StringAtom):
+        elif cls is StringAtom:
             text = "string"
-        elif isinstance(t, Var):
+        elif cls is Var:
             text = t.name
-        elif isinstance(t, Element):
-            if isinstance(t.content, Empty):
+        elif cls is Element:
+            if t.content.__class__ is Empty:
                 text = f"{t.label}[]"
             else:
                 text = f"{t.label}[{render(t.content, _OR)}]"
-        elif isinstance(t, Star):
+        elif cls is Star:
             text = f"{render(t.inner, _PRIMARY)}*"
-        elif isinstance(t, Or) and isinstance(t.right, Empty):
+        elif cls is Or and t.right.__class__ is Empty:
             text = f"{render(t.left, _PRIMARY)}?"
-        elif isinstance(t, Or):
-            text = f"{render(t.left, _SEQ)}|{render(t.right, _OR)}"
-            if level > _OR:
-                text = f"({text})"
         else:
-            assert isinstance(t, Seq)
-            text = f"{render(t.left, _POSTFIX)},{render(t.right, _SEQ)}"
-            if level > _SEQ:
+            assert cls is Or or cls is Seq
+            # each left operand binds tighter than the chain, and the chain
+            # continues through right operands of its own kind, but not
+            # into a ``t?``, which prints as a postfix form
+            sep, inner, own = ("|", _SEQ, _OR) if cls is Or else (
+                ",", _POSTFIX, _SEQ)
+            parts = []
+            node = t
+            while True:
+                parts.append(render(node.left, inner))
+                node = node.right
+                if (node.__class__ is not cls or (id(node), own) in memo
+                        or cls is Or and node.right.__class__ is Empty):
+                    break
+            parts.append(render(node, own))
+            text = sep.join(parts)
+            if level > own:
                 text = f"({text})"
         memo[key] = text
         return text

@@ -28,8 +28,10 @@
 Each call keeps its own path and verdicts: the goals assumed on the path
 and the goals proven or refuted.  What depends on the signature alone
 is kept on the ``Signature`` and shared by every call on it and by
-``values.member``: nullability and the linear form of each type, and each
-right-hand side's step row (``Signature.steps``).  The functions here stay
+``values.member``: nullability and the linear form of each type, each
+right-hand side's step row (``Signature.steps``), and the canonical state
+of each type (``Signature.state``), through which ``subtype`` enters with
+its right side.  No verdict outlives its call.  The functions here stay
 safe to call concurrently: each table entry is a deterministic function of
 its signature and key, so two calls that race to fill one store equal
 values.
@@ -45,8 +47,7 @@ the program).  An undeclared variable that the decision unfolds still raises
 from __future__ import annotations
 
 from .types import (
-    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, state_of,
-    union,
+    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, union,
 )
 
 
@@ -240,7 +241,7 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
 
     Precondition (not re-checked): ``sig`` has passed ``check_signature``
     and every variable in ``t1`` and ``t2`` is declared in it."""
-    return _Inclusion(sig).check(t1, state_of(t2))
+    return _Inclusion(sig).check(t1, sig.state(t2))
 
 
 def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:

@@ -308,12 +308,6 @@ def union(types: Iterable[Type]) -> frozenset[Type]:
     return frozenset(out)
 
 
-def state_of(t: Type) -> frozenset[Type]:
-    """``union((t,))``, the state of the one type ``t``, built without the
-    flattening walk unless ``t`` is a ``|``."""
-    return union((t,)) if t.__class__ is Or else frozenset((t,))
-
-
 def _seq(left: Type, right: Type) -> Type:
     """Concatenation with unit elimination, for canonical continuations."""
     if isinstance(left, Empty):
@@ -350,16 +344,17 @@ class Signature:
     spans.  Like the tables below, it is outside equality, the hash and
     ``repr``.
 
-    A signature also owns the tables that ``subtyping`` and ``values``
-    derive from it: nullability and linear form by type, the step row
-    of each state (a set of alternatives, see ``union``), and one canonical
-    object per state those rows name.  Each entry is a
+    A signature also owns the tables that ``subtyping``, ``values`` and
+    ``enumeration`` derive from it: nullability and linear form by type,
+    the step row of each state (a set of alternatives, see ``union``), one
+    canonical object per state, and the state of each type that a call
+    starts from or a row names as a content (``state``).  Each entry is a
     pure function of the signature and its key, so the tables fill as
     checks run and are never invalidated; they are outside equality, the
     hash and ``repr``, and a copy starts with them empty."""
 
     __slots__ = ("_defs", "_declared", "_nullable", "_linear_forms",
-                 "_steps", "_states")
+                 "_steps", "_states", "_type_states")
 
     def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = (),
                  declared: Mapping[str, Declared] | None = None):
@@ -370,11 +365,13 @@ class Signature:
         object.__setattr__(self, "_defs", dict(items))
         object.__setattr__(self, "_declared", dict(declared or ()))
         # type -> bool, type -> ((atom, continuation), ...),
-        # state -> (accepts, step row), and state -> its canonical object
+        # state -> (accepts, step row), state -> its canonical object, and
+        # type -> the canonical object of its state
         object.__setattr__(self, "_nullable", {})
         object.__setattr__(self, "_linear_forms", {})
         object.__setattr__(self, "_steps", {})
         object.__setattr__(self, "_states", {})
+        object.__setattr__(self, "_type_states", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
@@ -458,6 +455,19 @@ class Signature:
         self._linear_forms[t] = out
         return out
 
+    def state(self, t: Type) -> frozenset[Type]:
+        """The state of the one type ``t``, ``union((t,))``, as the one
+        canonical object the signature keeps for that set (``_states``).
+        ``subtype``, ``member`` and ``refute`` enter through it, so a call
+        starts with one lookup by the type's identity, and its first step
+        row lookup matches its key by identity too."""
+        state = self._type_states.get(t)
+        if state is None:
+            state = union((t,))
+            state = self._states.setdefault(state, state)
+            self._type_states[t] = state
+        return state
+
     def steps(self, state: frozenset[Type]) -> tuple[bool, dict[object, Step]]:
         """Whether some member of ``state`` is nullable, and its step row: a
         ``Step`` for each ``label`` (an element's name, or the atom class of
@@ -483,7 +493,7 @@ class Signature:
         for u in sorted(state, key=_serial_of):
             for a, k in self.linear_form(u):
                 groups.setdefault(a.label, {})[a.content, k] = None
-        row = {key: (tuple((canonical(state_of(c)), k) for c, k in pairs),
+        row = {key: (tuple((self.state(c), k) for c, k in pairs),
                      canonical(union(k for _, k in pairs)),
                      canonical(union(k for c, k in pairs if self.nullable(c))))
                for key, pairs in groups.items()}

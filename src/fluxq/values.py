@@ -8,9 +8,10 @@ forest from ``parse_value`` holds one node per distinct empty element
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives
-(``types.union``); its step row (``Signature.steps``) gives, by label or
-atom kind, the next state, so a tree costs about one lookup, which finds
-the canonical state the row names by identity.  A label that
+(``types.union``); the start state is the type's canonical state
+(``Signature.state``), and a state's step row (``Signature.steps``) gives,
+by label or atom kind, the next state, so a tree costs about one lookup,
+which finds the canonical state the row names by identity.  A label that
 heads no alternative fails at once and adds nothing to the row.  Element
 content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Union
 
 from .types import (
-    BoolAtom, Signature, Step, StringAtom, Struct, Type, state_of, union,
+    BoolAtom, Signature, Step, StringAtom, Struct, Type, union,
 )
 
 
@@ -88,7 +89,7 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
     # the element whose content is being matched, and the content's memo key
     stack: list[tuple[Forest, int, frozenset[Type], Step,
                       tuple[int, frozenset[Type]]]] = []
-    f, i, state = v, 0, state_of(t)
+    f, i, state = v, 0, sig.state(t)
     while True:
         n = len(f)
         while i < n:

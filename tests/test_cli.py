@@ -410,6 +410,22 @@ class TestOracle:
                 if s["failures"]} == {"subtype-agrees-with-oracle": [
                     "raised KeyError: 'no such goal'"]}
 
+    def test_raising_set_up_is_reported(self, monkeypatch, capsys):
+        # a suite that raises before its cases are drawn reports the
+        # exception as its one failure, under its own name
+        def broken(sig, t):
+            raise RuntimeError("no witness")
+
+        monkeypatch.setattr(suites, "witness", broken)
+        assert main(["--json", "oracle", "--cases", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert [s["name"] for s in report["suites"]] == list(suites.ALL_SUITES)
+        assert [s for s in report["suites"] if s["failures"]] == [{
+            "name": "types-inhabited-at-small-bounds", "cases": 0,
+            "failures": ["raised RuntimeError: no witness"], "skipped": 0}]
+
     def test_vacuous_recursion_is_found_at_one_case(self, tmp_path, capsys):
         # each declared variable is checked, whatever the one draw reaches
         f = tmp_path / "vacuous.muxq"
@@ -491,12 +507,16 @@ class TestDeepInput:
 
     def test_subtype_long_flat_type(self, capsys):
         # a type is one interned node, hashed by identity: nothing walks
-        # down its 10,000-item ``,`` spine
+        # down its 10,000-item ``,`` spine recursively
         flat = ", ".join(["a[]"] * 10_000)
         assert main(["subtype", flat, "a[]*"]) == 0
         assert capsys.readouterr().out == "subtype\n"
         assert main(["subtype", "a[]*", flat]) == 1
         assert capsys.readouterr().out == "not a subtype\n"
+        # and ``type_str`` prints the spine in a loop
+        assert main(["--json", "subtype", flat, "a[]*"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "left": flat.replace(" ", ""), "right": "a[]*", "subtype": True}
 
     def test_subtype_deep_type(self, capsys):
         deep = "a[" * 400 + "]" * 400

@@ -14,12 +14,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = f"""\
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
-from fluxq import EMPTY_SIGNATURE as E, parse_type, refute, value_str
+from fluxq import EMPTY_SIGNATURE as E, parse_type, refute, subtype, value_str
 from fluxq.subtyping import _Inclusion
-from fluxq.types import state_of
-inc = _Inclusion(E)
-verdict = inc.check(parse_type("a[c[]],d[]"), state_of(parse_type(
-    "a[b[]],d[] | a[c[]],e[] | a[c[]|b[]],f[]")))
+left = parse_type("a[c[]],d[]")
+right = parse_type("a[b[]],d[] | a[c[]],e[] | a[c[]|b[]],f[]")
+verdict = subtype(E, left, right)
+inc = _Inclusion(E)  # entered as ``subtype`` enters, to count its goals
+assert inc.check(left, E.state(right)) == verdict
 witness = refute(E, parse_type("a[b[]|c[]],(d[]|e[])"),
                  parse_type("a[b[]],d[] | a[c[]],e[]"))
 print(json.dumps([verdict, inc.goals, value_str(witness)]))

@@ -207,8 +207,9 @@ class TestMemberAutomaton:
         assert member(sig, parse_value("a[],b[],a[]"), t)
 
         def entries():
-            return len(sig._steps) + len(sig._states) + sum(
-                len(row) for _, row in sig._steps.values())
+            return (len(sig._steps) + len(sig._states)
+                    + len(sig._type_states)
+                    + sum(len(row) for _, row in sig._steps.values()))
 
         before = entries()
         labels = [Node(f"l{k}", ()) for k in range(10_000)]

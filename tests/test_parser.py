@@ -2,6 +2,7 @@
 round-trips through the unparser; shadowed binders in typing and
 evaluation."""
 
+import hashlib
 import random
 import tracemalloc
 from pathlib import Path
@@ -14,7 +15,7 @@ from fluxq import (
     StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
     parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
     parse_value, runtime_for_query_program, runtime_for_update_program,
-    synth_expr, type_str, value_str,
+    synth_expr, type_str, types_upto, value_str,
 )
 from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import parse_env_bindings
@@ -63,6 +64,31 @@ class TestTypeSyntax:
         # types are interned, so the same list is the same object
         assert t is expected and parse_type(text) is t
         assert type(t) is node and type(t.right) is node
+
+    @pytest.mark.parametrize("op", [",", "|"])
+    def test_long_lists_print_without_recursion(self, op):
+        # ``type_str`` renders a chain in a loop, also as an operand and
+        # when two chains share a suffix
+        text = op.join(f"a{i}[]" for i in range(10_000))
+        t = parse_type(text)
+        assert type_str(t) == text
+        assert type_str(Star(t)) == f"({text})*"
+        for u in (parse_type(f"b[{text}]"),
+                  parse_type(f"b[],({text}) | c[],(a[]{op}{text})")):
+            assert parse_type(type_str(u)) is u
+
+    def test_text_of_small_types_is_pinned(self):
+        # the text of every type of AST size <= 5 over a and b, and of
+        # size <= 7 over a, as the recursive printer gave it
+        for size, labels, count, digest in (
+                (5, ("a", "b"), 257, "0a3e9f74051a00b65edacbe7ee4c3ec8"
+                                     "8a58763da7f7b112315c81829c1b53b9"),
+                (7, ("a",), 1437, "4d98452b37e070d538cf61b95e5d11fa"
+                                  "b291b9a90885cb742ca2664fecfec533")):
+            texts = [type_str(t) for t in types_upto(size, labels)]
+            assert len(texts) == count
+            assert hashlib.sha256(
+                "\n".join(texts).encode()).hexdigest() == digest
 
     def test_long_flat_type_is_one_object(self):
         # neither interning nor the hash walks down the ``,`` spine

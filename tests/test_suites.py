@@ -3,6 +3,7 @@ count, plus the shrinking machinery."""
 
 import hashlib
 import random
+from itertools import cycle
 
 import pytest
 
@@ -22,6 +23,7 @@ class TestRunSuites:
     def test_all_suites_green(self):
         report = run_suites(GenConfig(cases=10, seed=3))
         assert report.ok, report.summary()
+        assert [r.name for r in report.results] == list(suites.ALL_SUITES)
         assert len(report.results) == 19
         assert all(r.cases > 0 for r in report.results)
 
@@ -142,7 +144,11 @@ class TestMemberRespectsSubtyping:
     def test_judged_by_values_not_by_member(self, monkeypatch):
         # a drawn pair that is no subtype pair, which ``subtype`` accepts
         # and so does a ``member`` that reads the same broken tables, is
-        # refuted by the enumerated values
+        # refuted by the enumerated values; two draws in a row differ, so
+        # a pair drawn apart is no subtype pair either
+        drawn = cycle([parse_type("a[]"), parse_type("b[]")])
+        monkeypatch.setattr(suites, "gen_type",
+                            lambda *args, **kwargs: next(drawn))
         monkeypatch.setattr(suites, "gen_subtype_of",
                             lambda rng, sig, t: Or(t, BOOL))
         monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: True)
@@ -151,6 +157,17 @@ class TestMemberRespectsSubtyping:
         result = suites.suite_member_respects_subtyping(
             cfg, fixture_signature(cfg))
         assert result.cases == 5 and len(result.failures) == 5
+        assert all(" is not a value of supertype " in f
+                   for f in result.failures)
+
+    def test_sees_a_wrong_yes_on_pairs_drawn_apart(self, monkeypatch):
+        # with the real draws, a ``subtype`` that says "yes" to every pair
+        # is refuted on pairs whose left type is drawn apart from the right
+        monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: True)
+        cfg = GenConfig(cases=10, seed=1)
+        result = suites.suite_member_respects_subtyping(
+            cfg, fixture_signature(cfg))
+        assert result.cases == 10 and len(result.failures) >= 3
         assert all(" is not a value of supertype " in f
                    for f in result.failures)
 
@@ -192,7 +209,7 @@ class _Recording(random.Random):
 # seed 42 and 10 cases.  A suite that draws once more or once less, or in
 # another order, changes its row.
 PINNED_STREAMS = {
-    "member-respects-subtyping": (151, "4dba40ea16f3cd8a"),
+    "member-respects-subtyping": (258, "49b33e3c9179b8fd"),
     "atoms-compatible-under-subtyping": (181, "d8d66c50d65f47d6"),
     "types-inhabited-at-small-bounds": (145, "7803ddf6dae7251b"),
     "subtype-reflexive": (15082, "cc28ac41373039e1"),

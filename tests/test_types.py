@@ -22,11 +22,11 @@ from fluxq import (
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StringTest, StrLit, StrVal, TreeBinding, UndeclaredVariable,
     UpdateProgram, Var, VarRef, WildcardTest, check_signature, member,
-    parse_type, parse_value, subtype, syntactic_atoms, types_upto,
+    parse_type, parse_value, refute, subtype, syntactic_atoms, types_upto,
     values_upto,
 )
 from fluxq import types, updates
-from fluxq.types import Struct, Type
+from fluxq.types import Struct, Type, union
 
 
 def sig_of(**defs):
@@ -349,7 +349,7 @@ class TestSignatureValue:
         sig = sig_of(X="a[X*] | b[]", Y="c[X]")
         assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
         assert (sig._linear_forms and sig._steps and sig._nullable
-                and sig._states)
+                and sig._states and sig._type_states)
         for twin in (copy.copy(sig), copy.deepcopy(sig),
                      pickle.loads(pickle.dumps(sig))):
             assert type(twin) is Signature and twin is not sig
@@ -357,7 +357,8 @@ class TestSignatureValue:
             assert repr(twin) == repr(sig)
             assert list(twin.items()) == list(sig.items())
             assert not (twin._linear_forms or twin._steps
-                        or twin._nullable or twin._states)
+                        or twin._nullable or twin._states
+                        or twin._type_states)
             assert subtype(twin, Var("Y"), parse_type("c[b[]|a[X*]]"))
 
     def test_filled_tables_leave_equality_hash_and_repr(self):
@@ -365,7 +366,7 @@ class TestSignatureValue:
         before = (hash(sig), repr(sig))
         assert subtype(sig, parse_type("a[b[]],b[]"), parse_type("X*"))
         assert (sig._linear_forms and sig._steps and sig._nullable
-                and sig._states)
+                and sig._states and sig._type_states)
         fresh = sig_of(X="a[X*] | b[]")
         assert sig == fresh and fresh == sig
         assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
@@ -389,6 +390,25 @@ class TestSignatureValue:
         twin = frozenset([STRING])
         assert states[twin] is not twin
         assert sig.steps(twin) is sig._steps[twin]
+
+    def test_a_type_has_one_canonical_state(self):
+        # ``subtype``, ``member`` and ``refute`` enter through ``state``:
+        # the set ``union((t,))``, as the one object ``_states`` keeps
+        sig = sig_of(X="a[X*] | b[]")
+        for text in ("X", "a[]", "a[]|b[]|X", "(a[]|b[])*", "()"):
+            t = parse_type(text)
+            state = sig.state(t)
+            assert state == union([t]) and sig.state(t) is state
+            assert sig._states[state] is state
+            assert sig._type_states[t] is state
+        assert sig.state(parse_type("b[]|a[]|X")) is sig.state(
+            parse_type("a[]|b[]|X"))
+        fresh = sig_of(X="a[X*] | b[]")
+        rights = [parse_type(text) for text in ("a[]|X", "(a[]|b[])*", "c[]")]
+        assert subtype(fresh, parse_type("a[]"), rights[0])
+        assert member(fresh, parse_value("b[]"), rights[1])
+        assert refute(fresh, parse_type("b[]"), rights[2]) is not None
+        assert set(rights) <= set(fresh._type_states)
 
 
 REC_SIG = sig_of(X="a[X*] | b[]")
