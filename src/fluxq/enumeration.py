@@ -30,18 +30,21 @@ def _concat(lefts: frozenset[tuple], rights: frozenset[tuple],
 
 def _closure(parts: frozenset[tuple], bound: int) -> frozenset[tuple]:
     """``()`` and every concatenation of nonempty parts of length ≤ bound:
-    a bounded language's ``*``."""
-    nonempty = [p for p in parts if p]
-    closure = {(): None}
-    frontier = [()]
-    while frontier:
-        base = frontier.pop()
-        for part in nonempty:
-            ext = base + part
-            if len(ext) <= bound and ext not in closure:
-                closure[ext] = None
-                frontier.append(ext)
-    return frozenset(closure)
+    a bounded language's ``*``.
+
+    Built one length at a time: the members of length n are those of
+    length n - k, each followed by a part of length k.  So nothing longer
+    than the bound is ever formed, and the cost follows the closure's
+    members and the parts that fit, not their product."""
+    by_length: dict[int, list[tuple]] = {}
+    for part in parts:
+        if 0 < len(part) <= bound:
+            by_length.setdefault(len(part), []).append(part)
+    layers: list[set[tuple]] = [{()}]
+    for n in range(1, bound + 1):
+        layers.append({base + part for k, same in by_length.items() if k <= n
+                       for base in layers[n - k] for part in same})
+    return frozenset().union(*layers)
 
 
 def values_upto(sig: Signature, t: Type, depth: int,

@@ -25,6 +25,14 @@
   The path is an explicit stack of goal frames run by one loop, not
   Python's call stack, so a proof's path may be as long as memory allows.
 
+``subtype`` first answers the calls that the signature's tables settle
+before any subgoal exists, with no per-call state: yes when the left type
+is one of the right's alternatives, no when the left is nullable and the
+right is not, or when a head of the left has a label absent from the
+right's step row.  Only the other calls enter ``_Inclusion``.
+``enumeration.refute`` always enters it, since it builds its witness from
+the reasons the engine records for the goals it refutes.
+
 Each call keeps its own path and verdicts: the goals assumed on the path
 and the goals proven or refuted.  What depends on the signature alone
 is kept on the ``Signature`` and shared by every call on it and by
@@ -239,9 +247,29 @@ class _Inclusion:
 def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
     """True iff the set of values of ``t1`` is included in that of ``t2``.
 
+    Most calls are settled by the signature's tables before any subgoal
+    exists, so they are answered here without entering ``_Inclusion``: yes
+    when ``t1`` is an alternative of ``t2``; no when ``t1`` is nullable
+    and ``t2`` is not, or when a head of ``t1`` has a label that no head
+    of ``t2`` has (that head's goal fails for every subset, since every
+    type is inhabited).  The engine runs only when none of these applies,
+    and its verdict is the same on every call that they settle.
+
     Precondition (not re-checked): ``sig`` has passed ``check_signature``
     and every variable in ``t1`` and ``t2`` is declared in it."""
-    return _Inclusion(sig).check(t1, sig.state(t2))
+    rights = sig.state(t2)
+    if t1 in rights:
+        return True
+    nullable_rights, row = sig._steps.get(rights) or sig.steps(rights)
+    if not nullable_rights and sig.nullable(t1):
+        return False
+    pairs = sig._linear_forms.get(t1)
+    if pairs is None:
+        pairs = sig.linear_form(t1)
+    for head, _ in pairs:
+        if head.label not in row:
+            return False
+    return _Inclusion(sig).check(t1, rights)
 
 
 def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:

@@ -410,49 +410,78 @@ class Signature:
             raise UndeclaredVariable(name) from None
 
     def nullable(self, t: Type) -> bool:
-        """Whether ``()`` is a value of ``t``."""
-        cached = self._nullable.get(t)
-        if cached is not None:
-            return cached
+        """Whether ``()`` is a value of ``t``.
+
+        A ``|`` whose left side is not nullable, or a ``,`` whose left side
+        is, has its right side's answer, so a chain's right spine is walked
+        in a loop, and every node walked gets the answer at its end."""
+        table = self._nullable
+        out = table.get(t)
+        if out is not None:
+            return out
         if isinstance(t, (Empty, Star)):
             out = True
         elif isinstance(t, Atom):
             out = False
-        elif isinstance(t, Or):
-            out = self.nullable(t.left) or self.nullable(t.right)
-        elif isinstance(t, Seq):
-            out = self.nullable(t.left) and self.nullable(t.right)
-        else:
-            assert isinstance(t, Var)
+        elif isinstance(t, Var):
             out = self.nullable(self.definition(t.name))
-        self._nullable[t] = out
+        else:
+            spine = []
+            node = t
+            while True:
+                out = self.nullable(node.left)
+                if out is (node.__class__ is Or):
+                    break
+                node = node.right
+                if node.__class__ is not Or and node.__class__ is not Seq:
+                    out = self.nullable(node)
+                    break
+                spine.append(node)
+            for node in spine:
+                table[node] = out
+        table[t] = out
         return out
 
     def linear_form(self, t: Type) -> tuple[tuple[Atom, Type], ...]:
         """Head atoms of ``t`` with their continuations: the nonempty values
-        of ``t`` are those of some head followed by its continuation."""
-        cached = self._linear_forms.get(t)
-        if cached is not None:
-            return cached
-        pairs: list[tuple[Atom, Type]]
+        of ``t`` are those of some head followed by its continuation.
+
+        The pairs of a ``|`` chain, and of a ``,`` chain up to its first
+        item that is not nullable, are gathered along its right spine in a
+        loop, each pair once, in first-seen order."""
+        table = self._linear_forms
+        out = table.get(t)
+        if out is not None:
+            return out
         if isinstance(t, Empty):
-            pairs = []
+            out = ()
         elif isinstance(t, Atom):
-            pairs = [(t, EMPTY)]
-        elif isinstance(t, Or):
-            pairs = list(self.linear_form(t.left))
-            pairs += [p for p in self.linear_form(t.right) if p not in pairs]
-        elif isinstance(t, Seq):
-            pairs = [(a, _seq(k, t.right)) for a, k in self.linear_form(t.left)]
-            if self.nullable(t.left):
-                pairs += [p for p in self.linear_form(t.right) if p not in pairs]
+            out = ((t, EMPTY),)
         elif isinstance(t, Star):
-            pairs = [(a, _seq(k, t)) for a, k in self.linear_form(t.inner)]
+            out = tuple((a, _seq(k, t)) for a, k in self.linear_form(t.inner))
+        elif isinstance(t, Var):
+            out = self.linear_form(self.definition(t.name))
         else:
-            assert isinstance(t, Var)
-            pairs = list(self.linear_form(self.definition(t.name)))
-        out = tuple(pairs)
-        self._linear_forms[t] = out
+            pairs: dict[tuple[Atom, Type], None] = {}
+            node = t
+            while True:
+                if node.__class__ is Or:
+                    for pair in self.linear_form(node.left):
+                        pairs[pair] = None
+                    node = node.right
+                elif node.__class__ is Seq:
+                    right = node.right
+                    for a, k in self.linear_form(node.left):
+                        pairs[a, _seq(k, right)] = None
+                    if not self.nullable(node.left):
+                        break
+                    node = right
+                else:
+                    for pair in self.linear_form(node):
+                        pairs[pair] = None
+                    break
+            out = tuple(pairs)
+        table[t] = out
         return out
 
     def state(self, t: Type) -> frozenset[Type]:

@@ -518,6 +518,20 @@ class TestDeepInput:
         assert json.loads(capsys.readouterr().out) == {
             "left": flat.replace(" ", ""), "right": "a[]*", "subtype": True}
 
+    def test_subtype_long_union(self, capsys):
+        # nullability and linear forms walk a ``|`` spine in a loop
+        alts = " | ".join(f"a{i}[]" for i in range(10_000))
+        assert main(["subtype", alts, "a0[]"]) == 1
+        assert capsys.readouterr().out == "not a subtype\n"
+        for right in (alts, f"({alts})*"):
+            assert main(["subtype", alts, right]) == 0
+            assert capsys.readouterr().out == "subtype\n"
+        assert main(["--json", "subtype", alts, "a0[]"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "left": alts.replace(" ", ""), "right": "a0[]", "subtype": False}
+        assert err == ""
+
     def test_subtype_deep_type(self, capsys):
         deep = "a[" * 400 + "]" * 400
         assert main(["subtype", deep, deep]) == 2

@@ -4,6 +4,7 @@
 that enumerates every forest within bounds and filters by ``member``."""
 
 import re
+import time
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from fluxq import (
     StringAtom, StrVal, UndeclaredVariable, Var, member, parse_type,
     parse_value, types_upto, value_str, values_upto,
 )
-from fluxq.enumeration import witness
+from fluxq.enumeration import _closure, witness
 from fluxq.types import Empty, Or, Seq, Star
 from fluxq.values import forest_depth, max_width
 
@@ -257,6 +258,38 @@ class TestValuesUpto:
         assert parse_value('tree[leaf[""]]') in vs
         assert parse_value("tree[node[]]") in vs
         assert all(member(TREE_SIG, v, Var("Tree")) for v in vs)
+
+    @staticmethod
+    def frontier_closure(parts, bound):
+        """The star by a frontier search: every member extended by every
+        nonempty part, keeping what fits the bound."""
+        nonempty = [p for p in parts if p]
+        closure, frontier = {()}, [()]
+        while frontier:
+            base = frontier.pop()
+            for part in nonempty:
+                ext = base + part
+                if len(ext) <= bound and ext not in closure:
+                    closure.add(ext)
+                    frontier.append(ext)
+        return closure
+
+    def test_closure_agrees_with_a_frontier_search(self):
+        words = [(), ("a",), ("b",), ("a", "b"), ("b", "b"), ("a", "a", "b")]
+        for mask in range(1 << len(words)):
+            parts = [w for j, w in enumerate(words) if mask >> j & 1]
+            for bound in range(-1, 6):
+                assert _closure(frozenset(parts), bound) == \
+                    self.frontier_closure(parts, bound), (parts, bound)
+
+    def test_nested_stars_stay_within_the_bound(self):
+        # the outer star's parts are the inner star's 3,616 values; the star
+        # is built one length at a time, never by extending every member by
+        # every part
+        start = time.perf_counter()
+        vs = values_upto(EMPTY_SIGNATURE, parse_type("a[string**]**"), 2, 3)
+        assert len(vs) == 3616
+        assert time.perf_counter() - start < 0.5
 
 
 class TestWitness:

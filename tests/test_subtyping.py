@@ -194,6 +194,36 @@ class TestRefute:
         assert w == parse_value(",".join(["a[]"] * 450))
 
 
+class TestEntry:
+    """``subtype`` answers from the signature's tables the calls that they
+    settle, and enters ``_Inclusion`` for the rest."""
+
+    def test_agrees_with_the_engine(self):
+        x_sig = Signature({"X": parse_type("a[X*] | b[]")})
+        small = types_upto(4, ("a", "b"))
+        for sig, corpus in ((E, small), (x_sig, small + [
+                parse_type(text) for text in ("X", "X*", "a[X]", "X,X")])):
+            for t1 in corpus:
+                for t2 in corpus:
+                    assert subtype(sig, t1, t2) == subtyping._Inclusion(
+                        sig).check(t1, sig.state(t2)), (t1, t2)
+
+    def test_engine_runs_only_where_the_tables_do_not_settle(self, monkeypatch):
+        # 289 pairs hold by an alternative and 43,062 fail by nullability or
+        # a missing head label: the engine is entered for the other 22,698
+        entered = []
+
+        class Counted(subtyping._Inclusion):
+            def __init__(self, sig):
+                entered.append(sig)
+                super().__init__(sig)
+
+        monkeypatch.setattr(subtyping, "_Inclusion", Counted)
+        corpus = types_upto(5, ("a", "b"))
+        yes = sum(subtype(E, t1, t2) for t1 in corpus for t2 in corpus)
+        assert (yes, len(entered)) == (7855, 22698)
+
+
 class TestPerformanceGuards:
     def test_nested_star_alternations_decide_quickly(self):
         import time

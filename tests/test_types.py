@@ -450,6 +450,50 @@ class TestTableLaws:
                         if len(rest) < self.WIDTH:
                             assert tree + rest in values, (t, tree, rest)
 
+    @staticmethod
+    def recursive_linear_form(sig, t):
+        """The linear form by structural recursion, with each side's pairs
+        once, in first-seen order."""
+        go = TestTableLaws.recursive_linear_form
+        if isinstance(t, Empty):
+            return []
+        if isinstance(t, (BoolAtom, StringAtom, Element)):
+            return [(t, EMPTY)]
+        if isinstance(t, Or):
+            pairs = go(sig, t.left)
+            return pairs + [p for p in go(sig, t.right) if p not in pairs]
+        if isinstance(t, Seq):
+            pairs = [(a, types._seq(k, t.right)) for a, k in go(sig, t.left)]
+            if sig.nullable(t.left):
+                pairs += [p for p in go(sig, t.right) if p not in pairs]
+            return pairs
+        if isinstance(t, Star):
+            return [(a, types._seq(k, t)) for a, k in go(sig, t.inner)]
+        return go(sig, sig.definition(t.name))
+
+    def test_linear_form_keeps_the_recursive_order(self):
+        # goal counts and witnesses read the pairs in this order
+        for sig, t in TABLE_CASES + [
+                (REC_SIG, parse_type("(a[] | X | b[]), (X | a[]*), X*"))]:
+            assert list(sig.linear_form(t)) == self.recursive_linear_form(
+                sig, t), t
+
+    def test_long_chains_are_walked_in_a_loop(self):
+        sig = Signature()
+        optional = parse_type(", ".join(["a[]?"] * 10_000))
+        assert sig.nullable(optional)
+        pairs = sig.linear_form(optional)
+        assert len(pairs) == 10_000
+        # in written order: each continuation is one item shorter
+        node = optional
+        for head, cont in pairs:
+            assert head == Element("a", EMPTY) and cont is node.right
+            node = cont
+        alts = parse_type(" | ".join(f"a{i}[]" for i in range(10_000)))
+        assert not sig.nullable(alts)
+        assert [head.label for head, _ in sig.linear_form(alts)] == [
+            f"a{i}" for i in range(10_000)]
+
 
 class TestGlobalDecls:
     """The shared empty declarations cannot be changed; a program's own
