@@ -8,6 +8,10 @@ the bounded property suites).  Exit codes: 0 success; 1 a check or suite
 failure; 2 a usage error, an unreadable file, a closed stdout, a parse error,
 or a type, program or recursive evaluation nested past Python's recursion
 limit (``limit/depth``).  Values of any depth are processed.
+
+Importing the module loads what ``check``, ``type`` and ``subtype`` run;
+the evaluator (``eval``, ``run-update``) and the random suites
+(``oracle``) are imported by their commands.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ import json
 import os
 import sys
 
+# ``check_signature`` imports ``enumeration`` in its body, since
+# enumeration imports types; it is loaded here, with the rest of ``check``
+from . import enumeration  # noqa: F401
 from .diagnostics import Diagnostic
 from .errors import FluxqError, ParseError, TypeCheckFailure
-from .evaluator import (
-    runtime_for_query_program, runtime_for_update_program, eval_query,
-    apply_update,
-)
-from .generators import GenConfig
 from .parser import (
     parse_binding, parse_env_bindings, parse_program, parse_signature,
     parse_type, parse_value,
@@ -32,7 +34,6 @@ from .parser import (
 from .printer import type_str, value_str
 from .queries import QueryProgram
 from .subtyping import subtype
-from .suites import run_suites
 from .types import (
     Atom, Element, EMPTY_SIGNATURE, ForestBinding, Signature, TreeBinding,
     check_signature, check_type_declared, nodes,
@@ -179,6 +180,7 @@ def cmd_subtype(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluator import eval_query, runtime_for_query_program
     prog, _ = _load(args, QueryProgram)
     env = parse_env_bindings(args.env or [])
     rt = runtime_for_query_program(prog, recursion_limit=args.recursion_limit)
@@ -186,6 +188,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run_update(args) -> int:
+    from .evaluator import apply_update, runtime_for_update_program
     prog, sig = _load(args, UpdateProgram)
     value = parse_value(args.input)
     if not member(sig, value, prog.input):
@@ -198,6 +201,8 @@ def cmd_run_update(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .generators import GenConfig
+    from .suites import run_suites
     labels, sig = ("a", "b", "c"), None
     if args.file:
         # a variable with no value is reported by the suite that looks for

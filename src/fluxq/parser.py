@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from functools import cache
 
 from .diagnostics import SourceSpan
 from .errors import ParseError
@@ -73,15 +74,9 @@ _PUNCT = {p: p for p in ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|",
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\\"nt])*'
 _LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
                         + _STRING_BODY + '"|.', re.DOTALL)
-# ``parse_value``'s lexemes: the same, but a word may run on as a run of
-# empty elements, capped at 256 (see the module docstring).
-_VALUE_LEXEME_RE = re.compile(_LEXEME_RE.pattern.replace(
-    r"|\w+|", r"|\w+(?:\[\](?:,\w+\[\]){0,255})?|", 1), re.DOTALL)
 _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
 _NEWLINE_RE = re.compile("\n")
-# A ``--env`` item runs to the next ``;`` outside a string literal.
-_ENV_ITEM_RE = re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
 
 # the ``?`` tests written as a keyword or ``*``; any other is a label test
 _TESTS = {"bool": BoolTest, "string": StringTest, "*": WildcardTest}
@@ -89,6 +84,22 @@ _TESTS = {"bool": BoolTest, "string": StringTest, "*": WildcardTest}
 # What ``parse_value`` reads next, and the lexemes it skips.
 _ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
 _BLANK = " \t\r\n#"
+
+
+@cache
+def _value_lexeme_re() -> re.Pattern:
+    """``parse_value``'s lexemes: those of ``_LEXEME_RE``, but a word may run
+    on as a run of empty elements, capped at 256 (see the module
+    docstring).  Compiled on first use, as ``check`` reads no value."""
+    return re.compile(_LEXEME_RE.pattern.replace(
+        r"|\w+|", r"|\w+(?:\[\](?:,\w+\[\]){0,255})?|", 1), re.DOTALL)
+
+
+@cache
+def _env_item_re() -> re.Pattern:
+    """A ``--env`` item: it runs to the next ``;`` outside a string
+    literal.  Compiled on first use."""
+    return re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
 
 
 def _newline_table(text: str) -> list[int]:
@@ -578,7 +589,7 @@ def parse_value(text: str, filename: str = "<value>") -> Forest:
     elements, so its depth is not bounded by Python's recursion.  A run of
     empty elements is one lexeme, and each distinct ``n[]`` in the text is
     one ``Node`` shared by all its occurrences."""
-    lexemes = _VALUE_LEXEME_RE.findall(text)
+    lexemes = _value_lexeme_re().findall(text)
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
     leaves: dict[str, Node] = {}  # ``n[]`` text -> its one node
@@ -697,7 +708,7 @@ def parse_env_bindings(specs: list[str]) -> dict[str, Forest]:
     outside string literals."""
     env: dict[str, Forest] = {}
     for spec in specs:
-        for item in _ENV_ITEM_RE.findall(spec):
+        for item in _env_item_re().findall(spec):
             item = item.strip()
             if item:
                 name, text = parse_binding(item, "name=VALUE")

@@ -278,6 +278,8 @@ def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:
 
     Accepts any type on the right so that an atom can be compared against a
     variable naming it (needed for recursive calls through a signature).
+    Not exported, and fluxq calls ``subtype``; the benchmark's tracer
+    (``bench/tracing.py``) still names it as an entry point.
     """
     return subtype(sig, a1, a2)
 

@@ -14,10 +14,11 @@ transitions of an automaton state.  Every state a row names is one
 canonical object per set, so following a row finds its key by identity.
 
 Every tree node is slotted and immutable, and its methods are copies of
-code compiled once per number of fields, so defining a node class compiles
-nothing.  Types are interned (``Type``): building a type returns the one
-live node with its class and fields, so equal types are one object, and
-equality and the hash are identity's; a type has no span.  Every other
+plain functions written once per number of fields, so defining a node
+class compiles nothing, and importing the module compiles nothing either.
+Types are interned (``Type``): building a type returns the one live node
+with its class and fields, so equal types are one object, and equality
+and the hash are identity's; a type has no span.  Every other
 node (query expressions, update statements, values, ``?`` tests and
 bindings) is a structural ``Struct``, whose equality, hash and ``repr``
 come from its fields; its parser span is not a field, so golden tests and
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import builtins
 import weakref
-from functools import cache, partial
+from functools import partial
 from itertools import count
 from operator import attrgetter
 from types import FunctionType, MappingProxyType
@@ -38,65 +39,197 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from .diagnostics import Diagnostic, SourceSpan, error
 from .errors import UndeclaredVariable
 
-# The source of each method a node class copies, for any number of fields
-# (see ``_node_template``)
-_METHOD_SOURCES = {
-    "__init__": """\
-def __init__(self, {params}*, span=None):
-{sets}    _set_span(self, span)
-    _set_hash(self, None)
-""",
-    "__new__": """\
-def __new__(cls, {params}):
-    key = (cls, {params})
-    ref = _get(key)
-    if ref is not None:
-        self = ref()
-        if self is not None:
-            return self
-    self = _new(cls)
-{sets}    return _intern(key, self)
-""",
-    "__eq__": """\
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine}) == ({theirs})
-    return NotImplemented
-""",
-    "__hash__": """\
-def __hash__(self):
-    value = self._hash
-    if value is None:
-        value = hash(({mine}))
-        _set_hash(self, value)
-    return value
-""",
-    "__repr__": """\
-def __repr__(self):
-    return f"\\x00({shown})"
-""",
-}
+# The methods a node class copies (see ``_Node``), one class of them per
+# number of fields; these classes are never instantiated.  In their code
+# field ``i`` is the parameter and attribute ``_f{i}``, set through the
+# global ``_set_f{i}``, and is written ``chr(i + 1)`` in the text of the
+# ``repr``, where the class name is ``chr(0)``.  ``Type`` classes have at
+# most two fields, so only the first three hold a ``__new__``, and
+# ``Struct`` classes at most five.
+class _Fields0:
+    def __new__(cls):
+        key = (cls,)
+        ref = _get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
+        return _intern(key, self)
+
+    def __init__(self, *, span=None):
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return () == ()
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(())
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return "\x00()"
 
 
-@cache
-def _node_template(arity: int, methods: tuple[str, ...]
-                   ) -> dict[str, FunctionType]:
-    """The ``methods`` of a node class with ``arity`` fields, compiled once
-    per arity and family and only ever copied.  In their code field ``i``
-    is the parameter and attribute ``_f{i}``, set through the global
-    ``_set_f{i}``, and is written ``chr(i + 1)`` in the text of the
-    ``repr``, where the class name is ``chr(0)``."""
-    fields = [f"_f{i}" for i in range(arity)]
-    namespace: dict[str, object] = {}
-    exec(compile("\n".join(_METHOD_SOURCES[m] for m in methods).format(
-        params="".join(f"{f}, " for f in fields),
-        sets="".join(f"    _set{f}(self, {f})\n" for f in fields),
-        mine="".join(f"self.{f}, " for f in fields),
-        theirs="".join(f"other.{f}, " for f in fields),
-        shown=", ".join(f"\\x{i + 1:02x}={{self.{f}!r}}"
-                        for i, f in enumerate(fields)),
-    ), "<node methods>", "exec"), namespace)
-    return namespace
+class _Fields1:
+    def __new__(cls, _f0):
+        key = (cls, _f0)
+        ref = _get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
+        _set_f0(self, _f0)
+        return _intern(key, self)
+
+    def __init__(self, _f0, *, span=None):
+        _set_f0(self, _f0)
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._f0,) == (other._f0,)
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self._f0,))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return f"\x00(\x01={self._f0!r})"
+
+
+class _Fields2:
+    def __new__(cls, _f0, _f1):
+        key = (cls, _f0, _f1)
+        ref = _get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
+        _set_f0(self, _f0)
+        _set_f1(self, _f1)
+        return _intern(key, self)
+
+    def __init__(self, _f0, _f1, *, span=None):
+        _set_f0(self, _f0)
+        _set_f1(self, _f1)
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._f0, self._f1) == (other._f0, other._f1)
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self._f0, self._f1))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return f"\x00(\x01={self._f0!r}, \x02={self._f1!r})"
+
+
+class _Fields3:
+    def __init__(self, _f0, _f1, _f2, *, span=None):
+        _set_f0(self, _f0)
+        _set_f1(self, _f1)
+        _set_f2(self, _f2)
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2)
+                    == (other._f0, other._f1, other._f2))
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self._f0, self._f1, self._f2))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
+                f"\x03={self._f2!r})")
+
+
+class _Fields4:
+    def __init__(self, _f0, _f1, _f2, _f3, *, span=None):
+        _set_f0(self, _f0)
+        _set_f1(self, _f1)
+        _set_f2(self, _f2)
+        _set_f3(self, _f3)
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3)
+                    == (other._f0, other._f1, other._f2, other._f3))
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self._f0, self._f1, self._f2, self._f3))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
+                f"\x03={self._f2!r}, \x04={self._f3!r})")
+
+
+class _Fields5:
+    def __init__(self, _f0, _f1, _f2, _f3, _f4, *, span=None):
+        _set_f0(self, _f0)
+        _set_f1(self, _f1)
+        _set_f2(self, _f2)
+        _set_f3(self, _f3)
+        _set_f4(self, _f4)
+        _set_span(self, span)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3, self._f4)
+                    == (other._f0, other._f1, other._f2, other._f3,
+                        other._f4))
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self._f0, self._f1, self._f2, self._f3,
+                          self._f4))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
+                f"\x03={self._f2!r}, \x04={self._f3!r}, "
+                f"\x05={self._f4!r})")
+
+
+_TEMPLATES = (_Fields0, _Fields1, _Fields2, _Fields3, _Fields4, _Fields5)
 
 
 class _Node:
@@ -104,10 +237,11 @@ class _Node:
     methods copied from templates, and no assignment.
 
     A class below ``Struct`` or ``Type`` copies the methods its root names
-    in ``_methods`` from the code compiled once for its number of fields
-    (``_node_template``), with ``code.replace``, renaming the fields and
-    the class name in, and binds the copies to its own slot descriptors.
-    No source is compiled per class, and each class has its own code
+    in ``_methods`` from the plain functions written for its number of
+    fields (``_Fields0`` to ``_Fields5``), with ``code.replace``, renaming
+    the fields and the class name in, and binds the copies to its own slot
+    descriptors.  No source is compiled at all: the templates' code comes
+    from the bytecode cache with the module.  Each class has its own code
     objects, so the attribute caches of CPython's specializing interpreter
     stay monomorphic."""
 
@@ -127,9 +261,9 @@ class _Node:
         namespace.update(__builtins__=builtins, _set_span=Struct.span.__set__,
                          _set_hash=Struct._hash.__set__, _get=_TYPES.get,
                          _new=object.__new__, _intern=_intern)
-        template = _node_template(len(fields), cls._methods)
+        template = _TEMPLATES[len(fields)]
         for method in cls._methods:
-            fn = template[method]
+            fn = getattr(template, method)
             code = fn.__code__
             bound = FunctionType(code.replace(
                 co_varnames=tuple(renamed.get(n, n) for n in code.co_varnames),

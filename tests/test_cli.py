@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Elem, Skip, cli, parse_program, queries, suites, types, unparse, updates,
+    Elem, Skip, parse_program, queries, suites, types, unparse, updates,
 )
 from fluxq.cli import build_parser, main
 
@@ -633,13 +633,14 @@ class TestParserReuse:
         assert "unbound variable $x" in capsys.readouterr().err
 
     def test_defaults_do_not_carry_over(self, monkeypatch, capsys):
-        depths, run_suites = [], cli.run_suites
+        depths, run_suites = [], suites.run_suites
 
         def recording(cfg, sig):
             depths.append(cfg.depth)
             return run_suites(cfg, sig)
 
-        monkeypatch.setattr(cli, "run_suites", recording)
+        # ``cmd_oracle`` looks ``run_suites`` up in ``suites`` at each call
+        monkeypatch.setattr(suites, "run_suites", recording)
         assert main(["--max-depth", "0", "oracle", "--cases", "0"]) == 0
         assert main(["oracle", "--cases", "0"]) == 0
         assert depths == [0, 3]

@@ -8,10 +8,11 @@ import time
 from fluxq import (
     BOOL, BoolTest, Element, EMPTY, EMPTY_SIGNATURE, ForestBinding,
     LabelTest, Signature, STRING, StringTest, TreeBinding, Var, WildcardTest,
-    atom_subtype, env_subtype, parse_type, parse_value, refute, subtype,
+    env_subtype, parse_type, parse_value, refute, subtype,
     type_str, types_upto, value_str, values_upto, member,
 )
 from fluxq import subtyping
+from fluxq.subtyping import atom_subtype
 from fluxq import test_subtype as passes_test
 from fluxq.generators import GenConfig, gen_subtype_of, gen_type
 from fluxq.types import union
