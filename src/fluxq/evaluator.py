@@ -9,6 +9,8 @@ iteration maps a singular update over a forest, concatenating the results.
 Each ``eval_query`` or ``apply_update`` call compiles its program to closures
 once, then runs them; a function or procedure body is compiled on its first
 call and reused after.  ``,`` and ``;`` chains run as loops, not recursion.
+A ``for`` loop copies its environment once and rebinds its variable in the
+copy for each tree; no closure keeps an environment after it returns.
 
 Focus-shape violations (rename on a non-singleton focus, insert on a
 non-empty focus, and the like) are runtime errors rather than no-ops:
@@ -95,8 +97,10 @@ class _Compiler(tuple):
     def Call(self, node):  # and ProcCall: arguments, callee, depth limit, arity
         (decls, limit), bodies = self
         kind = "function" if type(node) is Call else "procedure"
-        decl = getattr(decls, kind + "s").get(node.name)  # .functions or .procedures
-        args, name = [self.compile(a) for a in node.args], node.name
+        name, args = node.name, [self.compile(a) for a in node.args]
+        decl = getattr(decls, kind + "s").get(name)  # .functions or .procedures
+        params = [p for p, _ in decl.params] if decl is not None else []
+        key = kind, name
 
         def call(env, depth, *v):
             values = [arg(env, depth) for arg in args]
@@ -105,13 +109,13 @@ class _Compiler(tuple):
             if depth + 1 > limit:
                 raise RecursionLimitExceeded(
                     f"recursion limit {limit} exceeded calling {name}")
-            if len(decl.params) != len(values):
-                _fail(f"{name} expects {len(decl.params)} argument(s), got "
+            if len(params) != len(values):
+                _fail(f"{name} expects {len(params)} argument(s), got "
                       f"{len(values)}")
-            if (kind, name) not in bodies:
-                bodies[kind, name] = self.compile(decl.body)
-            inner = {p: value for (p, _), value in zip(decl.params, values)}
-            return bodies[kind, name](inner, depth + 1, *v)
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = self.compile(decl.body)
+            return body(dict(zip(params, values)), depth + 1, *v)
         return call
 
     def StrLit(self, node):  # and BoolLit
@@ -168,8 +172,10 @@ class _Compiler(tuple):
 
         def loop(env, depth):
             out: list[Tree] = []
+            inner = dict(env)  # the loop's one environment (see above)
             for tree in source(env, depth):
-                out += body({**env, var: (tree,)}, depth)
+                inner[var] = (tree,)
+                out += body(inner, depth)
             return tuple(out)
         return loop
 

@@ -19,10 +19,14 @@ Programs:     ``type X = t`` entries, ``declare function f($x:t,...) : t
 Values are read by one loop over the lexemes with a stack of the open
 elements, so a value of any depth parses; types, expressions and
 statements are parsed by recursive descent.  A value lexeme is a program
-lexeme, except that a word may run on as a blank-free run of up to 256
-empty elements, ``n[],m[],...``, split with one ``str.split``.  The cap
-bounds the backtracking state ``sre`` keeps for each repeat (Python 3.10
-has no possessive ``*+``), so a long flat forest is read as many runs.
+lexeme, except that a word may run on, with no blank: as a text-only
+element ``n["w"]``, as a run of up to 256 empty elements ``n[],m[],...``,
+split with one ``str.split``, or as the ``[`` that opens its element.  The
+cap bounds the backtracking state ``sre`` keeps for each repeat (Python
+3.10 has no possessive ``*+``), so a long flat forest is read as many runs.
+Each distinct empty or text-only element is built once and shared.  A
+compound lexeme whose label is no label fails where reading it lexeme by
+lexeme would, so blanks and comments change no value and no error.
 
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
@@ -89,10 +93,12 @@ _BLANK = " \t\r\n#"
 @cache
 def _value_lexeme_re() -> re.Pattern:
     """``parse_value``'s lexemes: those of ``_LEXEME_RE``, but a word may run
-    on as a run of empty elements, capped at 256 (see the module
-    docstring).  Compiled on first use, as ``check`` reads no value."""
+    on as a text-only element, a run of empty elements capped at 256, or a
+    ``[`` (see the module docstring).  Compiled on first use, as ``check``
+    reads no value."""
     return re.compile(_LEXEME_RE.pattern.replace(
-        r"|\w+|", r"|\w+(?:\[\](?:,\w+\[\]){0,255})?|", 1), re.DOTALL)
+        r"|\w+|", r'|\w+(?:\[' + _STRING_BODY
+        + r'"\]|\[\](?:,\w+\[\]){0,255}|\[)?|', 1), re.DOTALL)
 
 
 @cache
@@ -110,6 +116,13 @@ def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
     """1-based line and column of ``offset``, counting characters."""
     line = bisect_left(newlines, offset)
     return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
+def _unescape(body: str) -> str:
+    """A string literal's body, its escapes decoded."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
 
 
 def _is_label(word: str) -> bool:
@@ -149,7 +162,7 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
                 kind, lexeme = "VAR", lexeme[1:]
             elif c == '"' and end - start > 1:
                 kind = "STRING"
-                lexeme = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
+                lexeme = _unescape(lexeme[1:-1])
             elif c == '"':
                 stop = _STRING_PREFIX_RE.match(text, start).end()
                 if stop < len(text) and text[stop] == "\\":
@@ -586,84 +599,118 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
 
 def parse_value(text: str, filename: str = "<value>") -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
-    elements, so its depth is not bounded by Python's recursion.  A run of
-    empty elements is one lexeme, and each distinct ``n[]`` in the text is
+    elements, so its depth is not bounded by Python's recursion.  A label
+    and its ``[``, a text-only element and a run of empty elements are
+    each one lexeme, and each distinct ``n[]`` or ``n["w"]`` in the text is
     one ``Node`` shared by all its occurrences."""
     lexemes = _value_lexeme_re().findall(text)
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
-    leaves: dict[str, Node] = {}  # ``n[]`` text -> its one node
+    leaves: dict[str, Node] = {}  # ``n[]`` or ``n["w"]`` text -> its one node
     # the next lexeme must be: _ITEM a tree or ``()``, _OPEN one of those or
     # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
     # _AFTER a ``,``, a ``]`` or the end
     want = _ITEM
     within = 0  # offset of the error in the ``at``-th lexeme
     for at, lexeme in enumerate(lexemes):
-        c = lexeme[0]
-        if c in _BLANK:
-            continue
-        if lexeme == "]" and (want is _OPEN or want is _AFTER and stack):
-            label, parent = stack.pop()
-            parent.append(Node(label, tuple(trees)))
-            trees = parent
-            want = _AFTER
-        elif want is _AFTER:
-            if lexeme != ",":
+        # blanks and comments are looked for only where nothing else fits
+        if want is _AFTER:
+            if lexeme == ",":
+                want = _ITEM
+                continue
+            if lexeme != "]" or not stack:
+                if lexeme[0] in _BLANK:
+                    continue
                 break
-            want = _ITEM
         elif want is _BRACKET:
-            if lexeme != "[":
+            if lexeme == "[":
+                stack.append((label, trees))
+                trees = []
+                want = _OPEN
+            elif lexeme[0] not in _BLANK:
                 break
-            stack.append((label, trees))
-            trees = []
-            want = _OPEN
+            continue
         elif want is _PAREN:
-            if lexeme != ")":
+            if lexeme == ")":
+                want = _AFTER
+            elif lexeme[0] not in _BLANK:
                 at = paren
                 break
-            want = _AFTER
-        elif c == '"' and len(lexeme) > 1:
-            body = lexeme[1:-1]
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
-            trees.append(StrVal(body))
-            want = _AFTER
-        elif lexeme == "true" or lexeme == "false":
-            trees.append(TRUE if lexeme == "true" else FALSE)
-            want = _AFTER
-        elif lexeme == "(":
-            paren = at
-            want = _PAREN
-        elif _is_label(lexeme):
-            # a label, or a run of empty elements that starts like one; the
-            # run's labels are each tested below
-            if lexeme[-1] != "]":
+            continue
+        elif lexeme != "]" or want is _ITEM:
+            # a tree or ``()``
+            if lexeme in leaves:
+                # an empty or text-only element read before
+                trees.append(leaves[lexeme])
+                want = _AFTER
+                continue
+            c = lexeme[0]
+            if not _is_label(lexeme):
+                if c == '"' and len(lexeme) > 1:
+                    trees.append(StrVal(_unescape(lexeme[1:-1])))
+                    want = _AFTER
+                elif lexeme == "true" or lexeme == "false":
+                    trees.append(TRUE if lexeme == "true" else FALSE)
+                    want = _AFTER
+                elif lexeme == "(":
+                    paren = at
+                    want = _PAREN
+                elif c not in _BLANK:
+                    break
+                continue
+            # a label, alone or with its ``[``, or a text-only element or a
+            # run of empty elements read for the first time; ``_is_label``
+            # read the first character of a compound lexeme's label, and
+            # the rest of the label is tested here
+            last = lexeme[-1]
+            if last == "[":
+                label = lexeme[:-1]
+                if label not in KEYWORDS:
+                    stack.append((label, trees))
+                    trees = []
+                    want = _OPEN
+                    continue
+            elif last != "]":
                 label = lexeme
                 want = _BRACKET
                 continue
-            items = lexeme.split(",")
-            for item in set(items).difference(leaves):
-                label = item[:-2]
-                if not _is_label(label):
-                    break
-                leaves[item] = Node(label, ())
+            elif lexeme[-2] == '"':
+                i = lexeme.index("[")
+                label = lexeme[:i]
+                if label not in KEYWORDS:
+                    leaves[lexeme] = tree = Node(
+                        label, (StrVal(_unescape(lexeme[i + 2:-2])),))
+                    trees.append(tree)
+                    want = _AFTER
+                    continue
             else:
-                trees += map(leaves.__getitem__, items)
-                want = _AFTER
-                continue
-            # the first item that is no leaf fails at its label, or, as
-            # ``true`` or ``false`` read as atoms, at the ``[`` after it
-            for item in items:
-                label = item[:-2]
-                if not _is_label(label):
-                    break
-                within += len(item) + 1
+                items = lexeme.split(",")
+                for item in set(items).difference(leaves):
+                    label = item[:-2]
+                    if not _is_label(label):
+                        break
+                    leaves[item] = Node(label, ())
+                else:
+                    trees += map(leaves.__getitem__, items)
+                    want = _AFTER
+                    continue
+                # the first item that is no leaf fails at its label
+                for item in items:
+                    label = item[:-2]
+                    if not _is_label(label):
+                        break
+                    within += len(item) + 1
+            # the lexeme fails at that label, or, as ``true`` or ``false``
+            # read as atoms, at the ``[`` after it
             if label == "true" or label == "false":
                 within += len(label)
                 want = _AFTER
             break
-        else:
-            break
+        # a ``]`` closes the innermost element
+        label, parent = stack.pop()
+        parent.append(Node(label, tuple(trees)))
+        trees = parent
+        want = _AFTER
     else:
         if want is _AFTER and not stack:
             return tuple(trees)

@@ -2,8 +2,8 @@
 
 A forest is a tuple of trees; a tree is a boolean, a string, or a labeled
 node with a child forest.  Trees are immutable, so they may be shared: a
-forest from ``parse_value`` holds one node per distinct empty element
-(``n[]``) in its text.  Nothing may depend on a tree's identity, beyond
+forest from ``parse_value`` holds one node per distinct empty or text-only
+element (``n[]`` or ``n["w"]``) in its text.  Nothing may depend on a tree's identity, beyond
 ``member``'s memo keyed by the identity of child tuples.
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,

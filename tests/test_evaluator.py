@@ -64,6 +64,27 @@ class TestEvalQuery:
         assert eval_query(rt, {}, prog.main) == parse_value(
             'leaf["u"],leaf["v"]')
 
+    def test_loop_variable_scoping(self):
+        # an inner ``for`` over the same variable, a ``let`` that shadows it
+        # and a call that reads it see their own bindings, and the outer
+        # loop's binding holds again once the inner loop is done
+        prog, _ = parse_program('''
+        declare function wrap($y : a[] | b[] | c[]) : w[a[] | b[] | c[]] {
+          w[$y]
+        };
+        query for $y in $x/child return
+          (wrap($y),
+           for $y in ($y, c[]) return ($y, let $y = d[] in $y, wrap($y)),
+           $y)
+        : (w[a[] | b[] | c[]] | a[] | b[] | c[] | d[])*
+        ''')
+        env = {"x": parse_value("p[a[],b[]]")}
+        got = eval_query(runtime_for_query_program(prog), env, prog.main)
+        assert got == parse_value(
+            "w[a[]], a[],d[],w[a[]], c[],d[],w[c[]], a[],"
+            "w[b[]], b[],d[],w[b[]], c[],d[],w[c[]], b[]")
+        assert env == {"x": parse_value("p[a[],b[]]")}
+
     def test_unbound_variable(self):
         with fails("unbound variable $nope"):
             run("$nope")

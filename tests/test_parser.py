@@ -4,7 +4,9 @@ evaluation."""
 
 import hashlib
 import random
+import re
 import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,122 @@ from fluxq import (
     StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
     parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
     parse_value, runtime_for_query_program, runtime_for_update_program,
-    synth_expr, type_str, types_upto, value_str,
+    synth_expr, type_str, types_upto, value_str, values_upto,
 )
 from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
-from fluxq.parser import parse_env_bindings
+from fluxq.parser import (
+    _LEXEME_RE, _Parser, _is_label, _unescape, parse_env_bindings,
+)
 from fluxq.types import EMPTY_SIGNATURE, EMPTY_DECLS, Or, Seq
 from fluxq.unparse import expr_str, program_str, stmt_str
 from fluxq.updates import Multiplicity
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# The value reader as it was when a word ran on only as a run of empty
+# elements, kept to check the reader against: every label, ``[``, text and
+# ``]`` is a lexeme of its own, and only runs of ``n[]`` are shared.
+_REFERENCE_LEXEME_RE = re.compile(_LEXEME_RE.pattern.replace(
+    r"|\w+|", r"|\w+(?:\[\](?:,\w+\[\]){0,255})?|", 1), re.DOTALL)
+_ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
+
+
+def reference_parse_value(text):
+    lexemes = _REFERENCE_LEXEME_RE.findall(text)
+    stack = []
+    trees = []
+    leaves = {}
+    want = _ITEM
+    within = 0
+    for at, lexeme in enumerate(lexemes):
+        c = lexeme[0]
+        if c in " \t\r\n#":
+            continue
+        if lexeme == "]" and (want is _OPEN or want is _AFTER and stack):
+            label, parent = stack.pop()
+            parent.append(Node(label, tuple(trees)))
+            trees = parent
+            want = _AFTER
+        elif want is _AFTER:
+            if lexeme != ",":
+                break
+            want = _ITEM
+        elif want is _BRACKET:
+            if lexeme != "[":
+                break
+            stack.append((label, trees))
+            trees = []
+            want = _OPEN
+        elif want is _PAREN:
+            if lexeme != ")":
+                at = paren
+                break
+            want = _AFTER
+        elif c == '"' and len(lexeme) > 1:
+            trees.append(StrVal(_unescape(lexeme[1:-1])))
+            want = _AFTER
+        elif lexeme == "true" or lexeme == "false":
+            trees.append(BoolVal(lexeme == "true"))
+            want = _AFTER
+        elif lexeme == "(":
+            paren = at
+            want = _PAREN
+        elif _is_label(lexeme):
+            if lexeme[-1] != "]":
+                label = lexeme
+                want = _BRACKET
+                continue
+            items = lexeme.split(",")
+            for item in set(items).difference(leaves):
+                label = item[:-2]
+                if not _is_label(label):
+                    break
+                leaves[item] = Node(label, ())
+            else:
+                trees += map(leaves.__getitem__, items)
+                want = _AFTER
+                continue
+            for item in items:
+                label = item[:-2]
+                if not _is_label(label):
+                    break
+                within += len(item) + 1
+            if label == "true" or label == "false":
+                within += len(label)
+                want = _AFTER
+            break
+        else:
+            break
+    else:
+        if want is _AFTER and not stack:
+            return tuple(trees)
+        at = paren if want is _PAREN else len(lexemes)
+    p = _Parser(text)
+    tok = bisect_left(p.starts, sum(map(len, lexemes[:at])) + within)
+    if want is _BRACKET:
+        p.unexpected(tok, "", ("[",))
+    if want is _AFTER:
+        p.unexpected(tok, "", ("]" if stack else "end of value",))
+    p.unexpected(tok, " in value", ("a value",))
+
+
+def read_value(parse, text):
+    """What ``parse`` makes of ``text``: the value, or the error's text,
+    position and expected forms."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.offset, err.line, err.column, err.expected
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTypeSyntax:
@@ -148,6 +257,14 @@ class TestValueSyntax:
         ("a[],1x[]", "unexpected character '1'", 4, 1, 5, ()),
         ("a[],b[", "unexpected end of input in value", 6, 1, 7, ("a value",)),
         ("x[a[],b[]", "unexpected end of input", 9, 1, 10, ("]",)),
+        # a text-only element or a label with its ``[``, read as one lexeme
+        ('true["x"]', "unexpected '['", 4, 1, 5, ("end of value",)),
+        ('let["x"]', "unexpected 'let' in value", 0, 1, 1, ("a value",)),
+        ('A["x"]', "unexpected 'A' in value", 0, 1, 1, ("a value",)),
+        ('a["x"]b', "unexpected 'b'", 6, 1, 7, ("end of value",)),
+        ('a["x\\q"]', "bad string escape", 5, 1, 6, ()),
+        ('a["x"', "unexpected end of input", 5, 1, 6, ("]",)),
+        ('x[a["y"],false["z"]]', "unexpected '['", 14, 1, 15, ("]",)),
     ])
     def test_value_errors(self, text, message, offset, line, col, expected):
         # a lexing error anywhere in the text wins over an earlier syntax error
@@ -168,6 +285,9 @@ class TestValueSyntax:
                                         Node("c", ()))),
         ('"x\\ny\\t"', (StrVal("x\ny\t"),)),
         ("true,\r\n\"\",false", (BoolVal(True), StrVal(""), BoolVal(False))),
+        ('a [ "x" ]', (Node("a", (StrVal("x"),)),)),
+        ('a[ "x"]', (Node("a", (StrVal("x"),)),)),
+        ('a["x" ]', (Node("a", (StrVal("x"),)),)),
     ])
     def test_value_layout(self, text, value):
         assert parse_value(text) == value
@@ -191,16 +311,75 @@ class TestValueSyntax:
     def test_equal_leaves_share_a_node(self):
         v = parse_value("a[],b[],a[]")
         assert v[0] is v[2] and v[0] is not v[1]
+        v = parse_value('leaf["w"],leaf["v"],leaf["w"]')
+        assert v[0] is v[2] and v[0] is not v[1]
 
     def test_long_run_stays_small(self):
         text = ",".join(["a[]"] * 50000)
-        tracemalloc.start()
-        try:
-            v = parse_value(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        v, peak = traced_peak(parse_value, text)
         assert len(v) == 50000 and peak < 2_000_000, peak
+
+    def test_long_text_forest_stays_small(self):
+        # 50,000 equal text-only elements are one node; the list of lexemes
+        # is most of the peak
+        text = ",".join(['leaf["w"]'] * 50000)
+        v, peak = traced_peak(parse_value, text)
+        assert len(v) == 50000 and peak < 6_000_000, peak
+
+    def test_distinct_texts_cost_little_more(self):
+        # the table holds one entry per distinct text-only element
+        text = ",".join(f'leaf["w{i}"]' for i in range(50000))
+        v, peak = traced_peak(parse_value, text)
+        ref, ref_peak = traced_peak(reference_parse_value, text)
+        assert v == ref and peak < 1.3 * ref_peak, (peak, ref_peak)
+
+
+class TestValueReaderAgainstReference:
+    """``parse_value`` reads a label with its ``[``, and a text-only
+    element, as one lexeme, yet gives what the reference reader gives: the
+    same value, or the same error at the same place."""
+
+    TYPES = (
+        ("", "(a[string] | b[a[string]*, c[]] | string | bool)*", 3, 3),
+        ("", "x[(leaf[string] | y[])*], (leaf[string] | z[bool])?", 3, 3),
+        ("type Tree = tree[leaf[string] | node[Tree*]]", "Tree*", 5, 2),
+    )
+    SEPARATORS = ("", "", "", " ", "\n", "\t", "\r\n", " # c\n")
+    CORPUS = (
+        'x[a["y\\n"],b[],c["z"]],d["w"]',
+        't[rue["x"]],fa[lse["y"]],le[t["z"]]',
+        't[rue[a[]]],fals[e[b["c"]]],le[t[d[],e[]]]',
+        'n[_A["v"],a["\\"\\\\"],"s",true,()]',
+        'a [ "x" ] , b[ "y" ] # c\n, c[(),d["e"]]',
+        'a[],b["x"],c[],c[],b["x"]',
+    )
+
+    @staticmethod
+    def agree(text):
+        assert read_value(parse_value, text) == read_value(
+            reference_parse_value, text), text
+
+    def test_enumerated_values(self):
+        # each value as printed, with escapes in its strings, and with
+        # blanks and comments between its lexemes
+        rng = random.Random(2008)
+        for sig, text, depth, width in self.TYPES:
+            values = values_upto(parse_signature(sig), parse_type(text),
+                                 depth, width)
+            for printed in sorted(map(value_str, values)):
+                assert parse_value(printed) == reference_parse_value(printed)
+                escaped = printed.replace('"a"', r'"a\"\\\n"')
+                for t in (escaped, "".join(
+                        lexeme + rng.choice(self.SEPARATORS)
+                        for lexeme in _LEXEME_RE.findall(escaped))):
+                    self.agree(t)
+
+    def test_prefixes_and_deletions(self):
+        for text in self.CORPUS:
+            self.agree(text)
+            for i in range(len(text)):
+                self.agree(text[:i])
+                self.agree(text[:i] + text[i + 1:])
 
 
 class TestExprSyntax:
