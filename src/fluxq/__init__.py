@@ -11,10 +11,10 @@ import sys as _sys
 
 # each public name's home module, by module
 _EXPORTS = {
-    "diagnostics": "Diagnostic SourceSpan",
-    "enumeration": "refute types_upto values_upto witness",
-    "errors": "EvalError FluxqError GenerationError ParseError "
-              "RecursionLimitExceeded TypeCheckFailure UndeclaredVariable",
+    "diagnostics": "Diagnostic SourceSpan EvalError FluxqError "
+                   "GenerationError ParseError RecursionLimitExceeded "
+                   "TypeCheckFailure UndeclaredVariable",
+    "enumeration": "types_upto values_upto",
     "evaluator": "Runtime ValueEnv apply_update conforms eval_query "
                  "runtime_for_query_program runtime_for_update_program",
     "generators": "GenConfig gen_env gen_sub_env gen_subtype_of gen_type "
@@ -27,7 +27,7 @@ _EXPORTS = {
                "check_expr check_query_program filter_label synth_expr "
                "synth_for",
     "subtyping": "BoolTest LabelTest StringTest TestKind WildcardTest "
-                 "env_subtype subtype test_subtype",
+                 "env_subtype refute subtype test_subtype",
     "suites": "SuiteReport SuiteResult run_suites",
     "types": "Atom BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE "
              "EMPTY_DECLS ForestBinding GlobalDecls Or Seq Signature Star "
@@ -38,7 +38,8 @@ _EXPORTS = {
                "ProcCall ProcedureDecl Rename SeqStmt Skip Snapshot Test "
                "UpdateProgram UpdateStmt check_program check_stmt "
                "check_update_program synth_iter synth_stmt",
-    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree forest member",
+    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree forest member "
+              "witness",
 }
 # public name -> the module that defines it; a module is its own home
 _HOME = {name: module for module, names in _EXPORTS.items()

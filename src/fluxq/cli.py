@@ -9,9 +9,10 @@ failure; 2 a usage error, an unreadable file, a closed stdout, a parse error,
 or a type, program or recursive evaluation nested past Python's recursion
 limit (``limit/depth``).  Values of any depth are processed.
 
-Importing the module loads what ``check``, ``type`` and ``subtype`` run;
-the evaluator (``eval``, ``run-update``) and the random suites
-(``oracle``) are imported by their commands.
+Importing the module loads what ``check``, ``type`` and ``subtype`` run,
+ten modules of the package; the evaluator (``eval``, ``run-update``) and
+the random suites with their bounded enumeration (``oracle``) are
+imported by their commands.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ import json
 import os
 import sys
 
-# ``check_signature`` imports ``enumeration`` in its body, since
-# enumeration imports types; it is loaded here, with the rest of ``check``
-from . import enumeration  # noqa: F401
-from .diagnostics import Diagnostic
-from .errors import FluxqError, ParseError, TypeCheckFailure
+from .diagnostics import Diagnostic, FluxqError, ParseError, TypeCheckFailure
 from .parser import (
     parse_binding, parse_env_bindings, parse_program, parse_signature,
     parse_type, parse_value,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
-from .errors import EvalError, RecursionLimitExceeded
+from .diagnostics import EvalError, RecursionLimitExceeded
 from .printer import value_str
 from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, If, LabelFilter,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .errors import GenerationError, TypeCheckFailure
+from .diagnostics import GenerationError, TypeCheckFailure
 from .queries import (
     BoolLit, Children, Concat, Elem, EmptySeq, For, If, LabelFilter, Let,
     QueryExpr, StrLit, VarRef, synth_expr,

@@ -40,8 +40,7 @@ import re
 from bisect import bisect_left
 from functools import cache
 
-from .diagnostics import SourceSpan
-from .errors import ParseError
+from .diagnostics import ParseError, SourceSpan
 from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
     LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,

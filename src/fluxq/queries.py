@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .diagnostics import Diagnostic, SourceSpan, error
-from .errors import TypeCheckFailure
+from .diagnostics import Diagnostic, SourceSpan, TypeCheckFailure, error
 from .printer import type_str
 from .subtyping import subtype
 from .types import (

@@ -21,7 +21,7 @@
   not one per subset;
 * goals already on the path are assumed to hold (coinduction), which
   makes recursive signatures terminate; refuted goals are memoized with
-  why they failed, so ``enumeration.refute`` can show a counterexample.
+  why they failed, so ``refute`` can show a counterexample.
   The path is an explicit stack of goal frames run by one loop, not
   Python's call stack, so a proof's path may be as long as memory allows.
 
@@ -30,8 +30,9 @@ before any subgoal exists, with no per-call state: yes when the left type
 is one of the right's alternatives, no when the left is nullable and the
 right is not, or when a head of the left has a label absent from the
 right's step row.  Only the other calls enter ``_Inclusion``.
-``enumeration.refute`` always enters it, since it builds its witness from
-the reasons the engine records for the goals it refutes.
+``refute`` always enters it, since it builds its witness from the reasons
+the engine records for the goals it refutes, with values from
+``values.inhabitants``.
 
 Each call keeps its own path and verdicts: the goals assumed on the path
 and the goals proven or refuted.  What depends on the signature alone
@@ -57,6 +58,7 @@ from __future__ import annotations
 from .types import (
     Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, union,
 )
+from .values import Forest, Node, inhabitants
 
 
 class LabelTest(Struct):
@@ -270,6 +272,59 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
         if head.label not in row:
             return False
     return _Inclusion(sig).check(t1, rights)
+
+
+def refute(sig: Signature, t1: Type, t2: Type) -> Forest | None:
+    """None if ``subtype(sig, t1, t2)`` holds, else a value of ``t1`` outside
+    ``t2``, found at no bound, from the reasons ``_Inclusion`` records for
+    its refuted goals (after Hosoya, Vouillon & Pierce):
+
+    * a nullable left side with a right side that is not ends the forest;
+    * a head with no same-label head on the right gives a value of the
+      head, then one of its continuation;
+    * a set S whose goals P(S) and Q(S) both failed gives ``n[w_P], w_Q``,
+      where ``w_P`` refutes P(S) (any value of the content when S is empty)
+      and ``w_Q`` refutes Q(S) (any value of the continuation when S holds
+      every candidate): ``n[w_P]`` matches no candidate in S, and no other
+      candidate's continuation holds ``w_Q``.
+
+    A reason names only goals refuted before it, so the value is finite.
+    Continuations are followed in a loop and element contents on a stack,
+    and inhabitants are built once per call.  Same precondition as
+    ``subtype``, and the types must be inhabited."""
+    inc = _Inclusion(sig)
+    goal: tuple[Type, frozenset[Type]] | None = (t1, sig.state(t2))
+    if inc.check(*goal):
+        return None
+    value = inhabitants(sig)
+    trees: list = []
+    open_: list[tuple] = []  # (trees, label, Q(S) or None, continuation)
+    while True:
+        why = None if goal is None else inc.refuted[goal]
+        if why is None:  # the forest ends here, with () or a whole value
+            if not open_:
+                return tuple(trees)
+            parent, label, goal, cont = open_.pop()
+            parent.append(Node(label, tuple(trees)))
+            trees = parent
+            if goal is None:
+                trees += value(cont)
+            continue
+        (head, cont), chosen = why
+        if chosen is None:
+            trees += value(head) + value(cont)
+            goal = None
+            continue
+        cands = sig.steps(goal[1])[1][head.label][0]
+        rest = [k for j, (_, k) in enumerate(cands) if j not in chosen]
+        q = (cont, union(rest)) if rest else None
+        if not chosen:
+            trees += value(head)
+            goal = q
+            continue
+        open_.append((trees, head.label, q, cont))
+        trees, goal = [], (head.content, frozenset().union(
+            *(cands[j][0] for j in chosen)))
 
 
 def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:

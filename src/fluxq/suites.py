@@ -23,8 +23,8 @@ from functools import partial
 from itertools import chain, count, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .enumeration import refute, types_upto, values_upto, witness
-from .errors import EvalError, GenerationError, TypeCheckFailure
+from .diagnostics import EvalError, GenerationError, TypeCheckFailure
+from .enumeration import types_upto, values_upto
 from .evaluator import Runtime, apply_update, eval_query
 from .generators import (
     GenConfig, gen_env, gen_sub_env, gen_subtype_of, gen_type,
@@ -34,7 +34,8 @@ from .parser import parse_type
 from .printer import type_str, value_str
 from .queries import filter_label, synth_expr, synth_for
 from .subtyping import (
-    BoolTest, LabelTest, StringTest, WildcardTest, subtype, test_subtype,
+    BoolTest, LabelTest, StringTest, WildcardTest, refute, subtype,
+    test_subtype,
 )
 from .types import (
     Atom, BOOL, Element, Empty, EMPTY, EMPTY_DECLS, Or, Seq, Signature, Star,
@@ -42,7 +43,7 @@ from .types import (
 )
 from .unparse import expr_str, stmt_str
 from .updates import Multiplicity, Nav, Direction, SeqStmt, Skip, synth_iter, synth_stmt
-from .values import BoolVal, Forest, Node, StrVal, max_width, member
+from .values import BoolVal, Forest, Node, StrVal, max_width, member, witness
 
 
 class SuiteResult(NamedTuple):

@@ -36,8 +36,7 @@ from operator import attrgetter
 from types import FunctionType, MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .diagnostics import Diagnostic, SourceSpan, error
-from .errors import UndeclaredVariable
+from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable, error
 
 # The methods a node class copies (see ``_Node``), one class of them per
 # number of fields; these classes are never instantiated.  In their code
@@ -478,14 +477,14 @@ class Signature:
     spans.  Like the tables below, it is outside equality, the hash and
     ``repr``.
 
-    A signature also owns the tables that ``subtyping``, ``values`` and
-    ``enumeration`` derive from it: nullability and linear form by type,
-    the step row of each state (a set of alternatives, see ``union``), one
-    canonical object per state, and the state of each type that a call
-    starts from or a row names as a content (``state``).  Each entry is a
-    pure function of the signature and its key, so the tables fill as
-    checks run and are never invalidated; they are outside equality, the
-    hash and ``repr``, and a copy starts with them empty."""
+    A signature also owns the tables that ``subtyping`` and ``values``
+    derive from it: nullability and linear form by type, the step row of
+    each state (a set of alternatives, see ``union``), one canonical object
+    per state, and the state of each type that a call starts from or a row
+    names as a content (``state``).  Each entry is a pure function of the
+    signature and its key, so the tables fill as checks run and are never
+    invalidated; they are outside equality, the hash and ``repr``, and a
+    copy starts with them empty."""
 
     __slots__ = ("_defs", "_declared", "_nullable", "_linear_forms",
                  "_steps", "_states", "_type_states")
@@ -740,8 +739,8 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
                 rule="signature/guardedness", span=span))
     if out:
         return out
-    from .enumeration import _inhabitants  # enumeration imports this module
-    value = _inhabitants(sig)
+    from .values import inhabitants  # values imports this module
+    value = inhabitants(sig)
     return [error(f"type variable {name} has no value: its definition "
                   f"admits only infinite trees",
                   rule="signature/uninhabited", span=span)
@@ -790,27 +789,10 @@ def map_atoms(sig: Signature, t: Type, f: Callable[[Atom], Type]) -> Type:
 
 
 def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:
-    """Atoms reachable at the top level of ``t``, unfolding variables.
-
-    Does not enter element content; terminates by guardedness.
-    """
+    """Atoms reachable at the top level of ``t``, unfolding variables: the
+    atoms ``map_atoms`` visits.  Does not enter element content."""
     found: set[Atom] = set()
-    seen_vars: set[str] = set()
-
-    def walk(node: Type) -> None:
-        if isinstance(node, Atom):
-            found.add(node)
-        elif isinstance(node, (Or, Seq)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Star):
-            walk(node.inner)
-        elif isinstance(node, Var):
-            if node.name not in seen_vars:
-                seen_vars.add(node.name)
-                walk(sig.definition(node.name))
-
-    walk(t)
+    map_atoms(sig, t, lambda atom: found.add(atom) or atom)
     return frozenset(found)
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .diagnostics import Diagnostic, error
-from .errors import UndeclaredVariable
+from .diagnostics import Diagnostic, UndeclaredVariable, error
 from .printer import type_str
 from .queries import (
     FunctionDecl, QueryProgram, _arguments, _ascribe, _condition, _fail,

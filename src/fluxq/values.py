@@ -1,4 +1,4 @@
-"""XML forest values and semantic membership ``v : t``.
+"""XML forest values, semantic membership ``v : t``, and inhabitants.
 
 A forest is a tuple of trees; a tree is a boolean, a string, or a labeled
 node with a child forest.  Trees are immutable, so they may be shared: a
@@ -17,14 +17,20 @@ content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its
 start state, decides a shared child tuple once; a lone leaf child, the
 common text-only element, is matched in place.
+
+``inhabitants`` gives one value of each type at no bound, or None for a
+type with none: ``check_signature`` reports a variable with no value by
+it, ``witness`` is one such value, and ``subtyping.refute`` builds its
+counterexamples from them.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Union
 
 from .types import (
-    BoolAtom, Signature, Step, StringAtom, Struct, Type, union,
+    BoolAtom, Element, Or, Seq, Signature, Step, StringAtom, Struct, Type,
+    Var, union,
 )
 
 
@@ -55,16 +61,6 @@ FALSE = BoolVal(False)
 
 def forest(*trees: Tree) -> Forest:
     return tuple(trees)
-
-
-def tree_depth(t: Tree) -> int:
-    if isinstance(t, Node):
-        return 1 + forest_depth(t.children)
-    return 1
-
-
-def forest_depth(v: Forest) -> int:
-    return max((tree_depth(t) for t in v), default=0)
 
 
 def max_width(v: Forest) -> int:
@@ -138,3 +134,53 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
             # several, the element is read again and the memo answers
             state = step[1] if ok else _DEAD
             i += 1
+
+
+def inhabitants(sig: Signature) -> Callable[[Type], Forest | None]:
+    """A function giving one value of a type, or None if it has none (as
+    ``X`` has none under ``X = cons[X]``, which ``check_signature`` reports
+    by it).  No depth or width bound applies.
+
+    A least-fixpoint pass over ``sig`` first gives each inhabited variable
+    a value, that of its first inhabited alternative; the value of a type is
+    then built structurally, taking ``()`` for a star, and a ``,`` chain
+    along its right spine in a loop."""
+    known: dict[str, Forest] = {}
+
+    def build(node: Type) -> Forest | None:
+        trees: Forest = ()
+        while isinstance(node, Seq):
+            left = build(node.left)
+            if left is None:
+                return None
+            trees, node = trees + left, node.right
+        last: Forest | None = ()
+        if isinstance(node, BoolAtom):
+            last = (TRUE,)
+        elif isinstance(node, StringAtom):
+            last = (StrVal(""),)
+        elif isinstance(node, Element):
+            content = build(node.content)
+            last = None if content is None else (Node(node.label, content),)
+        elif isinstance(node, Or):
+            left = build(node.left)
+            last = build(node.right) if left is None else left
+        elif isinstance(node, Var):
+            last = known.get(node.name)
+        return None if last is None else trees + last
+
+    grew = True
+    while grew:
+        grew = False
+        for name in sig:
+            if name not in known:
+                value = build(sig.definition(name))
+                if value is not None:
+                    known[name] = value
+                    grew = True
+    return build
+
+
+def witness(sig: Signature, t: Type) -> Forest | None:
+    """One value of ``t``, or None if ``t`` has none (see ``inhabitants``)."""
+    return inhabitants(sig)(t)

@@ -8,7 +8,7 @@ from fluxq import (
     gen_sub_env, gen_subtype_of, gen_type, gen_typed_expr, gen_typed_stmt,
     env_subtype, subtype, synth_expr, synth_stmt, parse_type,
 )
-from fluxq.errors import GenerationError
+from fluxq.diagnostics import GenerationError
 
 E = EMPTY_SIGNATURE
 CFG = GenConfig(seed=5)

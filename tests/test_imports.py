@@ -1,8 +1,11 @@
 """What a cold ``fluxq`` process imports.  ``import fluxq.cli`` loads the
 modules that ``check`` runs and no others, compiles no source, and
 ``fluxq`` resolves its public names on first access.  Each probe runs in a
-fresh ``python -S`` interpreter, so no site hook preloads a module."""
+fresh ``python -S`` interpreter, so no site hook preloads a module.  No
+module of the package takes a private name from another, but for the
+checker helpers that ``updates`` shares with ``queries``."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -17,7 +20,14 @@ CHECK_ARGS = {"leaves.muxq": [], "children.muxq": ["--tree", "x=a[b[]*,c[]?]"],
               "insert_after.flux": [], "leafupd.flux": []}
 # what ``check`` does not run
 UNUSED = ("fluxq.suites", "fluxq.generators", "fluxq.evaluator",
-          "fluxq.unparse", "random")
+          "fluxq.unparse", "fluxq.enumeration", "random")
+# the package's modules that ``import fluxq.cli`` loads
+CHECK_MODULES = ["fluxq", "fluxq.cli", "fluxq.diagnostics", "fluxq.parser",
+                 "fluxq.printer", "fluxq.queries", "fluxq.subtyping",
+                 "fluxq.types", "fluxq.updates", "fluxq.values"]
+# the private names one module may import from another, by importer
+SHARED_PRIVATE = {("updates", "queries"): {"_arguments", "_ascribe",
+                                           "_condition", "_fail"}}
 # the public names of ``fluxq`` (``atom_subtype`` left the list; it is
 # ``subtype`` itself)
 EXPORTS = """
@@ -58,7 +68,15 @@ def test_cli_import_leaves_out_what_check_does_not_run():
     loaded = probe("import json\nimport fluxq.cli\n"
                    "print(json.dumps(sorted(sys.modules)))")
     assert not set(UNUSED) & set(loaded), sorted(set(UNUSED) & set(loaded))
-    assert "fluxq.enumeration" in loaded  # ``check_signature`` runs it
+    # ``check_signature`` finds inhabitants in ``values``, not ``enumeration``
+    assert [m for m in loaded if m.split(".")[0] == "fluxq"] == CHECK_MODULES
+
+
+def test_enumeration_does_not_load_subtyping():
+    loaded = probe("import json\nimport fluxq.enumeration\n"
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert "fluxq.enumeration" in loaded
+    assert "fluxq.subtyping" not in loaded
 
 
 @pytest.mark.parametrize("sample", sorted(CHECK_ARGS))
@@ -124,8 +142,11 @@ print(json.dumps([first, missing, sorted(set(names) - set(dir(fluxq)))]))
 
 def test_names_resolve_to_their_home_modules():
     import fluxq
-    from fluxq import parser, subtyping, suites
+    from fluxq import diagnostics, parser, subtyping, suites, values
     assert fluxq.subtype is subtyping.subtype
+    assert fluxq.refute is subtyping.refute
+    assert fluxq.witness is values.witness
+    assert fluxq.ParseError is diagnostics.ParseError
     assert fluxq.parse_type is parser.parse_type
     assert fluxq.run_suites is suites.run_suites
     assert fluxq.suites is suites
@@ -141,3 +162,21 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(ImportError):
         from fluxq import no_such_name  # noqa: F401
     assert not hasattr(fluxq, "cli_main")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {}
+    for path in sorted((ROOT / "src" / "fluxq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                home = node.module or ""
+            elif (node.module or "").split(".")[0] == "fluxq":
+                home = node.module.partition(".")[2]
+            else:
+                continue
+            private = {a.name for a in node.names if a.name.startswith("_")}
+            if private:
+                found.setdefault((path.stem, home), set()).update(private)
+    assert found == SHARED_PRIVATE

@@ -14,12 +14,19 @@ from fluxq import (
     StringAtom, StrVal, UndeclaredVariable, Var, member, parse_type,
     parse_value, types_upto, value_str, values_upto,
 )
-from fluxq.enumeration import _closure, witness
+from fluxq.enumeration import _closure
 from fluxq.types import Empty, Or, Seq, Star
-from fluxq.values import forest_depth, max_width
+from fluxq.values import max_width, witness
 
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
 LIST_SIG = Signature({"X": parse_type("nil[] | cons[a[], X]")})
+
+
+def forest_depth(v):
+    """The nesting depth of a forest: 0 for ``()``, 1 for a forest of
+    leaves."""
+    return max((1 + forest_depth(t.children) if isinstance(t, Node) else 1
+                for t in v), default=0)
 
 
 def brute_forests(labels, strings, depth, width):
