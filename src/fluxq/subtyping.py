@@ -29,9 +29,13 @@
 before any subgoal exists, with no per-call state: yes when the left type
 is one of the right's alternatives, no when the left is nullable and the
 right is not, or when a head of the left has a label absent from the
-right's step row.  Only the other calls enter ``_Inclusion``.
-``refute`` always enters it, since it builds its witness from the reasons
-the engine records for the goals it refutes, with values from
+right's step row.  Only the other calls enter ``_Inclusion``, which
+settles its goals alike where it issues them: a goal whose left side is
+nullable while its right is not, whose first head's label is absent from
+the right's row, or whose left side has no heads opens no frame; it is
+recorded refuted, with the reason its frame would have given, or proven.
+``refute`` always enters the engine, since it builds its witness from the
+reasons the engine records for the goals it refutes, with values from
 ``values.inhabitants``.
 
 Each call keeps its own path and verdicts: the goals assumed on the path
@@ -108,6 +112,7 @@ def test_subtype(atom: Atom, test: TestKind) -> bool:
 
 
 _SELF_CONTAINED = 1 << 30
+_BOTTOM = (None,) * 14  # the frame the first goal returns to
 
 
 class _Inclusion:
@@ -125,7 +130,16 @@ class _Inclusion:
     recorded as it fails: None when ``t`` is nullable and ``rights`` is
     not, else the head and continuation of ``t`` it failed at, with None
     (no same-label head on the right) or the set S of candidates whose
-    goals P(S) and Q(S) both failed (P(∅) and Q(all) fail unissued)."""
+    goals P(S) and Q(S) both failed (P(∅) and Q(all) fail unissued).
+
+    A goal that misses the caches opens a frame, and enters the path,
+    only if the tables leave it open.  It is settled where it is issued,
+    with what its frame would have recorded, when it fails by nullability
+    (None), when its first head's label is absent from the row of
+    ``rights`` (that head, None), or when ``t`` has no heads (proven)."""
+
+    __slots__ = ("sig", "path_depth", "proven", "refuted", "pending",
+                 "goals", "longest", "leaned")
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -151,7 +165,8 @@ class _Inclusion:
         sig, path, pending = self.sig, self.path_depth, self.pending
         proven, refuted = self.proven, self.refuted
         step_rows, linear_forms = sig._steps, sig._linear_forms
-        frames: list[tuple] = [(None,) * 14]  # what the first goal returns to
+        nullables = sig._nullable
+        frames: list[tuple] = [_BOTTOM]
         goals = leaned = 0
         longest = len(path)
         key = depth = mark = low = pairs = i = row = None
@@ -173,20 +188,31 @@ class _Inclusion:
                 ok = True
                 leaned += 1
             else:
-                # open a frame for the goal; the one below waits on the stack
-                if key is not None:
-                    frames.append((key, depth, mark, low, pairs, i, row,
-                                   content, cont, cands, n, subsets, chosen,
-                                   want_q))
-                key, depth, mark = goal, len(path), len(pending)
-                path[key] = depth
-                low = sub = _SELF_CONTAINED
-                subsets, want_q = [], None
-                nullable_rights, row = step_rows.get(rights) or sig.steps(rights)
-                ok = nullable_rights or not sig.nullable(t)
-                pairs, i = linear_forms.get(t), 0
-                if pairs is None:
-                    pairs = sig.linear_form(t)
+                sub = _SELF_CONTAINED
+                nullable_rights, goal_row = (step_rows.get(rights)
+                                             or sig.steps(rights))
+                heads = linear_forms.get(t)
+                if heads is None:
+                    heads = sig.linear_form(t)
+                # settled by the tables: record what its frame would have
+                if not nullable_rights and (
+                        nullables[t] if t in nullables else sig.nullable(t)):
+                    ok, refuted[goal] = False, None
+                elif not heads:
+                    ok = True
+                    proven.add(goal)
+                elif heads[0][0].label not in goal_row:
+                    ok, refuted[goal] = False, (heads[0], None)
+                else:
+                    # open a frame; the one below waits on the stack
+                    if key is not None:
+                        frames.append((key, depth, mark, low, pairs, i, row,
+                                       content, cont, cands, n, subsets,
+                                       chosen, want_q))
+                    key, depth, mark = goal, len(path), len(pending)
+                    path[key] = depth
+                    low, ok, subsets, want_q = _SELF_CONTAINED, True, [], None
+                    pairs, i, row = heads, 0, goal_row
             while True:
                 if key is None:
                     self.goals, self.longest, self.leaned = goals, longest, leaned
@@ -259,11 +285,13 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
 
     Precondition (not re-checked): ``sig`` has passed ``check_signature``
     and every variable in ``t1`` and ``t2`` is declared in it."""
-    rights = sig.state(t2)
+    rights = sig._type_states.get(t2) or sig.state(t2)
     if t1 in rights:
         return True
     nullable_rights, row = sig._steps.get(rights) or sig.steps(rights)
-    if not nullable_rights and sig.nullable(t1):
+    nullables = sig._nullable
+    if not nullable_rights and (
+            nullables[t1] if t1 in nullables else sig.nullable(t1)):
         return False
     pairs = sig._linear_forms.get(t1)
     if pairs is None:

@@ -762,27 +762,32 @@ def map_atoms(sig: Signature, t: Type, f: Callable[[Atom], Type]) -> Type:
 
     One memo per call, keyed by node identity, maps each distinct node of
     ``t`` once, so ``f`` runs once per distinct atom node and a subterm
-    shared in ``t`` has one shared image."""
+    shared in ``t`` has one shared image.  A ``|``/``,`` chain's right
+    spine is walked in a loop, its left sides mapped in written order."""
     memo: dict[int, Type] = {}
 
     def go(t: Type) -> Type:
-        out = memo.get(id(t))
-        if out is not None:
-            return out
-        if isinstance(t, Empty):
-            out = EMPTY
-        elif isinstance(t, Atom):
-            out = f(t)
-        elif isinstance(t, Or):
-            out = Or(go(t.left), go(t.right))
-        elif isinstance(t, Seq):
-            out = Seq(go(t.left), go(t.right))
-        elif isinstance(t, Star):
-            out = Star(go(t.inner))
-        else:
-            assert isinstance(t, Var)
-            out = go(sig.definition(t.name))
-        memo[id(t)] = out
+        spine: list[tuple[Type, Type]] = []  # (node, image of its left)
+        while (out := memo.get(id(t))) is None:
+            cls = t.__class__
+            if cls is Or or cls is Seq:
+                spine.append((t, go(t.left)))
+                t = t.right
+                continue
+            if cls is Empty:
+                out = EMPTY
+            elif cls is Star:
+                out = Star(go(t.inner))
+            elif cls is Var:
+                out = go(sig.definition(t.name))
+            else:
+                out = f(t)
+            memo[id(t)] = out
+            break
+        while spine:
+            node, left = spine.pop()
+            out = node.__class__(left, out)
+            memo[id(node)] = out
         return out
 
     return go(t)

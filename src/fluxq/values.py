@@ -16,7 +16,9 @@ heads no alternative fails at once and adds nothing to the row.  Element
 content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its
 start state, decides a shared child tuple once; a lone leaf child, the
-common text-only element, is matched in place.
+common text-only element, is matched in place.  The stack and the memo
+are built at the first element whose content needs them, so a call on a
+flat value reads the tables and allocates nothing.
 
 ``inhabitants`` gives one value of each type at no bound, or None for a
 type with none: ``check_signature`` reports a variable with no value by
@@ -64,11 +66,13 @@ def forest(*trees: Tree) -> Forest:
 
 
 def max_width(v: Forest) -> int:
-    """Largest forest length anywhere in ``v``, including nested child lists."""
-    w = len(v)
-    for t in v:
-        if isinstance(t, Node):
-            w = max(w, max_width(t.children))
+    """Largest forest length anywhere in ``v``, including nested child
+    lists; the walk keeps its own stack, so ``v`` may be of any depth."""
+    w, stack = 0, [v]
+    while stack:
+        f = stack.pop()
+        w = max(w, len(f))
+        stack.extend(t.children for t in f if t.children)
     return w
 
 
@@ -77,20 +81,21 @@ _DEAD: frozenset[Type] = frozenset()  # the state that accepts nothing
 
 def member(sig: Signature, v: Forest, t: Type) -> bool:
     """Decide ``v`` ∈ the set of values denoted by ``t`` under ``sig``."""
-    table, steps = sig._steps, sig.steps
+    table = sig._steps
     # (id of a child tuple, state that starts it) -> accepted; every child
     # tuple of ``v`` stays alive for the whole call, so its id is stable
-    memo: dict[tuple[int, frozenset[Type]], bool] = {}
+    memo: dict[tuple[int, frozenset[Type]], bool] | None = None
     # suspended forests: the forest, the position, state and step entry of
-    # the element whose content is being matched, and the content's memo key
+    # the element whose content is being matched, and the content's memo
+    # key; both are built at the first element that needs them
     stack: list[tuple[Forest, int, frozenset[Type], Step,
-                      tuple[int, frozenset[Type]]]] = []
-    f, i, state = v, 0, sig.state(t)
+                      tuple[int, frozenset[Type]]]] | None = None
+    f, i, state = v, 0, sig._type_states.get(t) or sig.state(t)
     while True:
         n = len(f)
         while i < n:
             tree = f[i]
-            step = (table.get(state) or steps(state))[1].get(tree.label)
+            step = (table.get(state) or sig.steps(state))[1].get(tree.label)
             if step is None:
                 break
             children = tree.children
@@ -100,12 +105,14 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
                   and len(step[0]) == 1):
                 # one candidate and one leaf child: match it in place
                 start = step[0][0][0]
-                inner = (table.get(start) or steps(start))[1].get(
+                inner = (table.get(start) or sig.steps(start))[1].get(
                     children[0].label)
                 ok = inner is not None and (
-                    table.get(inner[2]) or steps(inner[2]))[0]
+                    table.get(inner[2]) or sig.steps(inner[2]))[0]
                 state = step[1] if ok else _DEAD
             else:
+                if memo is None:
+                    memo, stack = {}, []
                 matched = []
                 for start, cont in step[0]:
                     ok = memo.get((id(children), start))
@@ -124,7 +131,7 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
                 f, i, state, n = children, 0, start, len(children)
                 continue
             i += 1
-        ok = i == n and (table.get(state) or steps(state))[0]
+        ok = i == n and (table.get(state) or sig.steps(state))[0]
         if not stack:
             return ok
         f, i, state, step, key = stack.pop()

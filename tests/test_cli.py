@@ -498,6 +498,19 @@ class TestDeepInput:
         assert main(["check", str(f), "--var",
                      f"x={family(11, 'a[]|b[]')}"]) == 0
 
+    def test_long_union_filters_and_iterates(self, tmp_path, capsys):
+        # label filtering and ``for`` map a 3,000-alternative union: the
+        # ``|`` spine is walked in a loop, not once per alternative
+        alts = " | ".join(f"a{i}[]" for i in range(3000))
+        label, loop = tmp_path / "label.muxq", tmp_path / "for.muxq"
+        label.write_text("query $x::a : a[]*\n")
+        loop.write_text(f"query for $y in $x return $y : ({alts})*\n")
+        for f in (label, loop):
+            assert main(["check", str(f), "--var", f"x=({alts})*"]) == 0
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+        assert out.startswith("(a0[]|a1[]|")
+
     def test_very_long_sequence_ends_cleanly(self, tmp_path, capsys):
         # synthesis still recurses down a ``,`` list, so this may exit 2
         f = tmp_path / "flat.muxq"

@@ -227,6 +227,17 @@ class TestMemberAutomaton:
         assert entries() == before
 
 
+class TestMaxWidth:
+    def test_widest_forest_at_any_depth(self):
+        assert max_width(parse_value("a[b[c[],c[],c[],c[]]],a[]")) == 4
+        # the walk keeps its own stack, so depth costs no Python frames
+        v = ()
+        for _ in range(100_000):
+            v = (Node("a", v),)
+        assert max_width(v) == 1
+        assert max_width((Node("b", v), Node("b", v))) == 2
+
+
 class TestValuesUpto:
     def test_empty_type(self):
         assert values_upto(EMPTY_SIGNATURE, EMPTY, 2, 2) == {()}
