@@ -13,9 +13,11 @@ step row of a set of alternatives (``union``) groups its heads by label:
 transitions of an automaton state.  Every state a row names is one
 canonical object per set, so following a row finds its key by identity.
 
-Every tree node is slotted and immutable, and its methods are copies of
-plain functions written once per number of fields, so defining a node
-class compiles nothing, and importing the module compiles nothing either.
+Every tree node is slotted and immutable.  Its class copies one method,
+its constructor, from a plain function written once per number of fields,
+so defining a node class compiles nothing, and importing the module
+compiles nothing either.  The other methods are written once, on the
+base classes, which only trees override (see ``values``).
 Types are interned (``Type``): building a type returns the one live node
 with its class and fields, so equal types are one object, and equality
 and the hash are identity's; a type has no span.  Every other
@@ -38,215 +40,109 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable, error
 
-# The methods a node class copies (see ``_Node``), one class of them per
-# number of fields; these classes are never instantiated.  In their code
-# field ``i`` is the parameter and attribute ``_f{i}``, set through the
-# global ``_set_f{i}``, and is written ``chr(i + 1)`` in the text of the
-# ``repr``, where the class name is ``chr(0)``.  ``Type`` classes have at
-# most two fields, so only the first three hold a ``__new__``, and
-# ``Struct`` classes at most five.
-class _Fields0:
-    def __new__(cls):
-        key = (cls,)
-        ref = _get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
-        self = _new(cls)
-        return _intern(key, self)
-
-    def __init__(self, *, span=None):
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return () == ()
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash(())
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return "\x00()"
+# The constructors a node class copies (see ``_Node``), one per number of
+# fields: ``Struct.__init__`` for up to five, and ``Type.__new__`` for up to
+# two.  In their code field ``i`` is the parameter ``_f{i}``, set through
+# the global ``_set_f{i}``; the copy renames the parameter to the field.
 
 
-class _Fields1:
-    def __new__(cls, _f0):
-        key = (cls, _f0)
-        ref = _get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
-        self = _new(cls)
-        _set_f0(self, _f0)
-        return _intern(key, self)
-
-    def __init__(self, _f0, *, span=None):
-        _set_f0(self, _f0)
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._f0,) == (other._f0,)
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self._f0,))
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return f"\x00(\x01={self._f0!r})"
+def _init0(self, *, span=None):
+    _set_span(self, span)
+    _set_hash(self, None)
 
 
-class _Fields2:
-    def __new__(cls, _f0, _f1):
-        key = (cls, _f0, _f1)
-        ref = _get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
-        self = _new(cls)
-        _set_f0(self, _f0)
-        _set_f1(self, _f1)
-        return _intern(key, self)
-
-    def __init__(self, _f0, _f1, *, span=None):
-        _set_f0(self, _f0)
-        _set_f1(self, _f1)
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._f0, self._f1) == (other._f0, other._f1)
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self._f0, self._f1))
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return f"\x00(\x01={self._f0!r}, \x02={self._f1!r})"
+def _init1(self, _f0, *, span=None):
+    _set_f0(self, _f0)
+    _set_span(self, span)
+    _set_hash(self, None)
 
 
-class _Fields3:
-    def __init__(self, _f0, _f1, _f2, *, span=None):
-        _set_f0(self, _f0)
-        _set_f1(self, _f1)
-        _set_f2(self, _f2)
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._f0, self._f1, self._f2)
-                    == (other._f0, other._f1, other._f2))
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self._f0, self._f1, self._f2))
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
-                f"\x03={self._f2!r})")
+def _init2(self, _f0, _f1, *, span=None):
+    _set_f0(self, _f0)
+    _set_f1(self, _f1)
+    _set_span(self, span)
+    _set_hash(self, None)
 
 
-class _Fields4:
-    def __init__(self, _f0, _f1, _f2, _f3, *, span=None):
-        _set_f0(self, _f0)
-        _set_f1(self, _f1)
-        _set_f2(self, _f2)
-        _set_f3(self, _f3)
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._f0, self._f1, self._f2, self._f3)
-                    == (other._f0, other._f1, other._f2, other._f3))
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self._f0, self._f1, self._f2, self._f3))
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
-                f"\x03={self._f2!r}, \x04={self._f3!r})")
+def _init3(self, _f0, _f1, _f2, *, span=None):
+    _set_f0(self, _f0)
+    _set_f1(self, _f1)
+    _set_f2(self, _f2)
+    _set_span(self, span)
+    _set_hash(self, None)
 
 
-class _Fields5:
-    def __init__(self, _f0, _f1, _f2, _f3, _f4, *, span=None):
-        _set_f0(self, _f0)
-        _set_f1(self, _f1)
-        _set_f2(self, _f2)
-        _set_f3(self, _f3)
-        _set_f4(self, _f4)
-        _set_span(self, span)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._f0, self._f1, self._f2, self._f3, self._f4)
-                    == (other._f0, other._f1, other._f2, other._f3,
-                        other._f4))
-        return NotImplemented
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self._f0, self._f1, self._f2, self._f3,
-                          self._f4))
-            _set_hash(self, value)
-        return value
-
-    def __repr__(self):
-        return (f"\x00(\x01={self._f0!r}, \x02={self._f1!r}, "
-                f"\x03={self._f2!r}, \x04={self._f3!r}, "
-                f"\x05={self._f4!r})")
+def _init4(self, _f0, _f1, _f2, _f3, *, span=None):
+    _set_f0(self, _f0)
+    _set_f1(self, _f1)
+    _set_f2(self, _f2)
+    _set_f3(self, _f3)
+    _set_span(self, span)
+    _set_hash(self, None)
 
 
-_TEMPLATES = (_Fields0, _Fields1, _Fields2, _Fields3, _Fields4, _Fields5)
+def _init5(self, _f0, _f1, _f2, _f3, _f4, *, span=None):
+    _set_f0(self, _f0)
+    _set_f1(self, _f1)
+    _set_f2(self, _f2)
+    _set_f3(self, _f3)
+    _set_f4(self, _f4)
+    _set_span(self, span)
+    _set_hash(self, None)
+
+
+def _new0(cls):
+    key = (cls,)
+    ref = _get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    return _intern(key, _new(cls))
+
+
+def _new1(cls, _f0):
+    key = (cls, _f0)
+    ref = _get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    self = _new(cls)
+    _set_f0(self, _f0)
+    return _intern(key, self)
+
+
+def _new2(cls, _f0, _f1):
+    key = (cls, _f0, _f1)
+    ref = _get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    self = _new(cls)
+    _set_f0(self, _f0)
+    _set_f1(self, _f1)
+    return _intern(key, self)
 
 
 class _Node:
     """What ``Struct`` and ``Type`` share: fields listed in ``__slots__``,
-    methods copied from templates, and no assignment.
+    a constructor copied per class, one ``repr``, and no assignment.
 
-    A class below ``Struct`` or ``Type`` copies the methods its root names
-    in ``_methods`` from the plain functions written for its number of
-    fields (``_Fields0`` to ``_Fields5``), with ``code.replace``, renaming
-    the fields and the class name in, and binds the copies to its own slot
-    descriptors.  No source is compiled at all: the templates' code comes
-    from the bytecode cache with the module.  Each class has its own code
-    objects, so the attribute caches of CPython's specializing interpreter
-    stay monomorphic."""
+    A class below ``Struct`` or ``Type`` copies the constructor its root
+    lists in ``_constructors`` for its number of fields, with
+    ``code.replace`` renaming the parameters to the fields, so keyword
+    arguments and arity errors name them; the copy's globals bind
+    ``_set_f{i}`` to the class's own slot descriptors.  No source is
+    compiled: the constructors' code comes from the bytecode cache with
+    the module.  Each class has its own constructor code, so the caches of
+    CPython's specializing interpreter stay monomorphic where nodes are
+    built; the other node methods are cold (see ``values`` for trees)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _methods: tuple[str, ...] = ()
+    _constructors: tuple[FunctionType, ...] = ()
 
     def __init_subclass__(cls):
         if _Node in cls.__bases__:
@@ -254,26 +150,23 @@ class _Node:
         fields = cls._fields + tuple(cls.__dict__["__slots__"])
         cls._fields = fields
         renamed = {f"_f{i}": f for i, f in enumerate(fields)}
-        shown = dict(enumerate((cls.__qualname__, *fields)))
         namespace = {f"_set_f{i}": getattr(cls, f).__set__
                      for i, f in enumerate(fields)}
-        namespace.update(__builtins__=builtins, _set_span=Struct.span.__set__,
-                         _set_hash=Struct._hash.__set__, _get=_TYPES.get,
+        namespace.update(__builtins__=builtins, _set_span=_set_span,
+                         _set_hash=_set_hash, _get=_TYPES.get,
                          _new=object.__new__, _intern=_intern)
-        template = _TEMPLATES[len(fields)]
-        for method in cls._methods:
-            fn = getattr(template, method)
-            code = fn.__code__
-            bound = FunctionType(code.replace(
-                co_varnames=tuple(renamed.get(n, n) for n in code.co_varnames),
-                co_names=tuple(renamed.get(n, n) for n in code.co_names),
-                co_consts=tuple(c.translate(shown) if isinstance(c, str) else c
-                                for c in code.co_consts),
-            ), namespace, method)
-            bound.__kwdefaults__ = fn.__kwdefaults__
-            bound.__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, staticmethod(bound) if method == "__new__"
-                    else bound)
+        template = cls._constructors[len(fields)]
+        name = "__new__" if issubclass(cls, Type) else "__init__"
+        code = template.__code__
+        copy = FunctionType(code.replace(co_varnames=tuple(
+            renamed.get(n, n) for n in code.co_varnames)), namespace, name)
+        copy.__kwdefaults__ = template.__kwdefaults__
+        copy.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, staticmethod(copy) if name == "__new__" else copy)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -287,14 +180,28 @@ class Struct(_Node):
     statements, values, ``?`` tests and bindings.
 
     A subclass lists its fields in ``__slots__`` and gets an ``__init__``
-    (fields by position, ``span=None`` by keyword), ``__eq__`` (same class,
-    equal fields in order), ``__hash__`` (that of the tuple of fields,
-    cached on first use) and ``__repr__``.  ``span`` is not a field, so
-    equality, the hash and ``repr`` ignore it.  Types are not ``Struct``s:
-    they are interned, carry no span and compare by identity (``Type``)."""
+    (fields by position, ``span=None`` by keyword).  ``__eq__`` (same class,
+    equal fields in order) and ``__hash__`` (that of the tuple of fields,
+    cached in ``_hash`` on first use) are written once here, and read
+    ``_fields``.  ``span`` is not a field, so equality, the hash and
+    ``repr`` ignore it.  Types are not ``Struct``s: they are interned,
+    carry no span and compare by identity (``Type``)."""
 
     __slots__ = ("span", "_hash")
-    _methods = ("__init__", "__eq__", "__hash__", "__repr__")
+    _constructors = (_init0, _init1, _init2, _init3, _init4, _init5)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ([getattr(self, f) for f in self._fields]
+                    == [getattr(other, f) for f in other._fields])
+        return NotImplemented
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple([getattr(self, f) for f in self._fields]))
+            _set_hash(self, value)
+        return value
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild the node through its constructor,
@@ -303,20 +210,22 @@ class Struct(_Node):
         return partial(self.__class__, span=self.span), fields
 
 
+_set_span, _set_hash = Struct.span.__set__, Struct._hash.__set__
+
+
 class Type(_Node):
     """Base of the type nodes, which are hash-consed: building a type whose
     class and fields (by identity) are those of a live one returns that
     one, so equal types are one object, and equality and the hash are
-    identity's, at C speed and with no walk down the type.  Each class gets
-    a ``__new__`` (fields by position) that looks its node up in one table,
-    which holds the nodes weakly, and a ``__repr__``.  A node's
-    ``_serial`` numbers it in construction order: iterating over a set of
-    types in serial order is the same in every process.  A type has no
-    span, since it outlives the text it was parsed from; a copy of it is
-    the node itself."""
+    ``object``'s, at C speed and with no walk down the type.  Each class
+    gets a ``__new__`` (fields by position) that looks its node up in one
+    table, which holds the nodes weakly.  A node's ``_serial`` numbers it
+    in construction order: iterating over a set of types in serial order
+    is the same in every process.  A type has no span, since it outlives
+    the text it was parsed from; a copy of it is the node itself."""
 
     __slots__ = ("_serial", "__weakref__")
-    _methods = ("__new__", "__repr__")
+    _constructors = (_new0, _new1, _new2)
 
     def __reduce__(self):
         # copy and pickle rebuild the node through its constructor, which

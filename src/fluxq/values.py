@@ -36,20 +36,57 @@ from .types import (
 )
 
 
+# Trees write out ``__hash__`` and ``__repr__``, where other nodes take
+# ``Struct``'s, which read ``_fields``: ``values_upto`` hashes trees in
+# bulk and the oracle sorts them by ``repr``, and the generic methods
+# raised the oracle's tail.  Both agree with ``Struct``'s.
+_set_hash = Struct._hash.__set__
+
+
 class BoolVal(Struct):
     __slots__ = ("value",)
     # not fields: ``member`` reads every tree by label and children, and
     # an atom's label is its atom class, the key of its step
     label, children = BoolAtom, ()
 
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self.value,))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return f"BoolVal(value={self.value!r})"
+
 
 class StrVal(Struct):
     __slots__ = ("value",)
     label, children = StringAtom, ()
 
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self.value,))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return f"StrVal(value={self.value!r})"
+
 
 class Node(Struct):
     __slots__ = ("label", "children")
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash((self.label, self.children))
+            _set_hash(self, value)
+        return value
+
+    def __repr__(self):
+        return f"Node(label={self.label!r}, children={self.children!r})"
 
 
 Tree = Union[BoolVal, StrVal, Node]

@@ -26,7 +26,7 @@ from fluxq import (
     values_upto,
 )
 from fluxq import types, updates
-from fluxq.types import Struct, Type, union
+from fluxq.types import Struct, Type, _Node, union
 
 
 def sig_of(**defs):
@@ -86,6 +86,10 @@ def concrete_structs() -> set[type]:
 
 def _class_name(node) -> str:
     return type(node).__name__
+
+
+def field_values(node) -> tuple:
+    return tuple(getattr(node, f) for f in type(node)._fields)
 
 
 class TestCheckSignature:
@@ -216,6 +220,14 @@ class TestImmutability:
             "(Node(label='a', children=(StrVal(value='x'), "
             "BoolVal(value=True))),)")
 
+    @pytest.mark.parametrize("node", struct_cases(), ids=_class_name)
+    def test_repr_names_each_field(self, node):
+        # the value classes write out their ``__repr__``; it must not drift
+        # from the one every other node takes
+        shown = ", ".join(f"{f}={v!r}" for f, v in
+                          zip(type(node)._fields, field_values(node)))
+        assert repr(node) == f"{_class_name(node)}({shown})"
+
 
 class TestConstruction:
     """How each ``Struct`` class's methods behave, and that building them
@@ -242,7 +254,10 @@ class TestConstruction:
         (Elem("a", StrLit("s")), ("a", StrLit("s"))),
         (Node("a", ()), ("a", ())), (FunctionDecl("f", (), BOOL, EmptySeq()),
                                      ("f", (), BOOL, EmptySeq())),
-    ], ids=lambda x: _class_name(x) if isinstance(x, Struct) else "")
+    ] + [(node, field_values(node)) for node in struct_cases()
+         if isinstance(node, Struct) and type(node) not in
+         (EmptySeq, VarRef, Elem, Node, FunctionDecl)],
+        ids=lambda x: _class_name(x) if isinstance(x, Struct) else "")
     def test_hash_is_that_of_the_field_tuple(self, node, fields):
         assert hash(node) == hash(fields)
         assert hash(node) == hash(fields)  # the cached value
@@ -278,23 +293,29 @@ class TestConstruction:
         assert first._serial < second.right._serial < second._serial
 
     def test_each_class_has_its_own_code(self):
-        # CPython specializes attribute access per code object, so code
-        # shared by Or, Seq, Element... would see many classes
+        # CPython specializes attribute access per code object, so a
+        # constructor shared by Or, Seq, Element... would see many classes
         classes = concrete_structs()
-        kinds = ((Struct, ("__init__", "__eq__", "__hash__", "__repr__")),
-                 (Type, ("__new__", "__repr__")))
-        for root, methods in kinds:
+        for root, name in ((Struct, "__init__"), (Type, "__new__")):
             family = {cls for cls in classes if issubclass(cls, root)}
-            for method in methods:
-                codes = {id(getattr(cls, method).__code__) for cls in family}
-                assert len(codes) == len(family), method
-            assert getattr(Or, methods[-1]).__qualname__ == "Or.__repr__"
-        assert Or.__new__.__code__ is not Seq.__new__.__code__
-        # a type's equality and hash are object's, which run in C
-        for cls in classes - {cls for cls in classes if issubclass(cls, Struct)}:
-            assert cls.__eq__ is object.__eq__, cls
-            assert cls.__hash__ is object.__hash__, cls
-            assert not {"_hash", "span"} & set(dir(cls))
+            codes = {id(getattr(cls, name).__code__) for cls in family}
+            assert len(codes) == len(family), name
+            for cls in family:
+                assert (getattr(cls, name).__qualname__
+                        == f"{cls.__qualname__}.{name}")
+        # the other methods are written once, on the base, except where
+        # trees write out their hash and ``repr``
+        written_out = {BoolVal, StrVal, Node}
+        for cls in classes:
+            own = cls in written_out
+            base = Struct if issubclass(cls, Struct) else object
+            assert cls.__eq__ is base.__eq__, cls
+            assert cls.__hash__ is (cls.__dict__["__hash__"] if own
+                                    else base.__hash__), cls
+            assert cls.__repr__ is (cls.__dict__["__repr__"] if own
+                                    else _Node.__repr__), cls
+            if base is object:  # a type's equality and hash run in C
+                assert not {"_hash", "span"} & set(dir(cls)), cls
 
     def test_import_compiles_no_source_per_class(self):
         # counts every compile of source text that the package itself asks
