@@ -133,7 +133,8 @@ class _Node:
     A class below ``Struct`` or ``Type`` copies the constructor its root
     lists in ``_constructors`` for its number of fields, with
     ``code.replace`` renaming the parameters to the fields, so keyword
-    arguments and arity errors name them; the copy's globals bind
+    arguments and arity errors name them, and the code to ``__init__`` or
+    ``__new__``, so frames do too; the copy's globals bind
     ``_set_f{i}`` to the class's own slot descriptors.  No source is
     compiled: the constructors' code comes from the bytecode cache with
     the module.  Each class has its own constructor code, so the caches of
@@ -158,7 +159,7 @@ class _Node:
         template = cls._constructors[len(fields)]
         name = "__new__" if issubclass(cls, Type) else "__init__"
         code = template.__code__
-        copy = FunctionType(code.replace(co_varnames=tuple(
+        copy = FunctionType(code.replace(co_name=name, co_varnames=tuple(
             renamed.get(n, n) for n in code.co_varnames)), namespace, name)
         copy.__kwdefaults__ = template.__kwdefaults__
         copy.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -36,10 +36,10 @@ from .types import (
 )
 
 
-# Trees write out ``__hash__`` and ``__repr__``, where other nodes take
-# ``Struct``'s, which read ``_fields``: ``values_upto`` hashes trees in
-# bulk and the oracle sorts them by ``repr``, and the generic methods
-# raised the oracle's tail.  Both agree with ``Struct``'s.
+# Trees write out ``__repr__``, and ``Node`` its ``__hash__``, where other
+# nodes take ``Struct``'s, which read ``_fields``: ``values_upto`` hashes
+# nodes in bulk and the oracle sorts trees by ``repr``, and the generic
+# methods raised the oracle's tail.  Both agree with ``Struct``'s.
 _set_hash = Struct._hash.__set__
 
 
@@ -49,13 +49,6 @@ class BoolVal(Struct):
     # an atom's label is its atom class, the key of its step
     label, children = BoolAtom, ()
 
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self.value,))
-            _set_hash(self, value)
-        return value
-
     def __repr__(self):
         return f"BoolVal(value={self.value!r})"
 
@@ -63,13 +56,6 @@ class BoolVal(Struct):
 class StrVal(Struct):
     __slots__ = ("value",)
     label, children = StringAtom, ()
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self.value,))
-            _set_hash(self, value)
-        return value
 
     def __repr__(self):
         return f"StrVal(value={self.value!r})"

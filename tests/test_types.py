@@ -301,19 +301,19 @@ class TestConstruction:
             codes = {id(getattr(cls, name).__code__) for cls in family}
             assert len(codes) == len(family), name
             for cls in family:
-                assert (getattr(cls, name).__qualname__
-                        == f"{cls.__qualname__}.{name}")
+                method = getattr(cls, name)
+                assert method.__qualname__ == f"{cls.__qualname__}.{name}"
+                assert method.__code__.co_name == name  # as frames show it
         # the other methods are written once, on the base, except where
-        # trees write out their hash and ``repr``
-        written_out = {BoolVal, StrVal, Node}
+        # trees write out their ``repr`` and ``Node`` its hash
+        own_hash, own_repr = {Node}, {BoolVal, StrVal, Node}
         for cls in classes:
-            own = cls in written_out
             base = Struct if issubclass(cls, Struct) else object
             assert cls.__eq__ is base.__eq__, cls
-            assert cls.__hash__ is (cls.__dict__["__hash__"] if own
-                                    else base.__hash__), cls
-            assert cls.__repr__ is (cls.__dict__["__repr__"] if own
-                                    else _Node.__repr__), cls
+            assert cls.__hash__ is (cls.__dict__["__hash__"]
+                                    if cls in own_hash else base.__hash__), cls
+            assert cls.__repr__ is (cls.__dict__["__repr__"]
+                                    if cls in own_repr else _Node.__repr__), cls
             if base is object:  # a type's equality and hash run in C
                 assert not {"_hash", "span"} & set(dir(cls)), cls
 
