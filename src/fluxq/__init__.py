@@ -26,20 +26,18 @@ _EXPORTS = {
                "If LabelFilter Let QueryExpr QueryProgram StrLit VarRef "
                "check_expr check_query_program filter_label synth_expr "
                "synth_for",
-    "subtyping": "BoolTest LabelTest StringTest TestKind WildcardTest "
-                 "env_subtype refute subtype test_subtype",
+    "subtyping": "env_subtype refute subtype",
     "suites": "SuiteReport SuiteResult run_suites",
     "types": "Atom BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE "
              "EMPTY_DECLS ForestBinding GlobalDecls Or Seq Signature Star "
              "STRING StringAtom TreeBinding Type TypeEnv Var "
-             "check_signature syntactic_atoms",
+             "check_signature passes syntactic_atoms",
     "unparse": "expr_str program_str signature_str stmt_str",
-    "updates": "Delete Direction IfStmt Insert LetStmt Multiplicity Nav "
+    "updates": "Delete IfStmt Insert LetStmt Multiplicity Nav "
                "ProcCall ProcedureDecl Rename SeqStmt Skip Snapshot Test "
                "UpdateProgram UpdateStmt check_program check_stmt "
                "check_update_program synth_iter synth_stmt",
-    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree forest member "
-              "witness",
+    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree member witness",
 }
 # public name -> the module that defines it; a module is its own home
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -90,13 +90,13 @@ def _labels_in(sig: Signature, prog) -> tuple[str, ...]:
 
 
 def _diagnostic_json(d: Diagnostic) -> dict:
-    return {"severity": d.severity, "message": d.message, "rule": d.rule,
+    return {"severity": "error", "message": d.message, "rule": d.rule,
             "span": None if d.span is None else d.span._asdict()}
 
 
 def _report(program_type: str | None, diagnostics: list[Diagnostic],
             as_json: bool) -> int:
-    ok = not any(d.severity == "error" for d in diagnostics)
+    ok = not diagnostics
     if as_json:
         print(json.dumps({"status": "ok" if ok else "error",
                           "type": program_type if ok else None,

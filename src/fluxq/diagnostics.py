@@ -32,7 +32,8 @@ class SourceSpan(_SpanFields):
 
 
 class Diagnostic(NamedTuple):
-    severity: str  # "error" or "warning"
+    """An error: fluxq reports no other kind of diagnostic."""
+
     message: str
     rule: str  # which judgment or rule rejected the construct
     span: SourceSpan | None = None
@@ -41,11 +42,7 @@ class Diagnostic(NamedTuple):
         loc = ""
         if self.span:
             loc = f"{self.span.file}:{self.span.begin_line}:{self.span.begin_col}: "
-        return f"{loc}{self.severity}: {self.message} [{self.rule}]"
-
-
-def error(message: str, rule: str, span: SourceSpan | None = None) -> Diagnostic:
-    return Diagnostic("error", message, rule, span)
+        return f"{loc}error: {self.message} [{self.rule}]"
 
 
 class FluxqError(Exception):

@@ -3,7 +3,7 @@
 Evaluation is call-by-value and deterministic.  Variable environments map
 names to forests; a tree variable holds a singleton forest.  Updates operate
 on a focused part of the value: navigation changes the focus, tests check a
-single tree's ``label`` as the checker does (``subtyping.passes``), and
+single tree's ``label`` as the checker does (``types.passes``), and
 iteration maps a singular update over a forest, concatenating the results.
 
 Each ``eval_query`` or ``apply_update`` call compiles its program to closures
@@ -28,18 +28,14 @@ from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, If, LabelFilter,
     Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
-from .subtyping import passes
-from .types import EMPTY_DECLS, GlobalDecls, Signature, TypeEnv
+from .types import EMPTY_DECLS, GlobalDecls, Signature, TypeEnv, passes
 from .updates import (
-    Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename,
-    SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
+    Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename, SeqStmt, Skip,
+    Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
 )
-from .values import (
-    BoolVal, EMPTY_FOREST, FALSE, Forest, Node, StrVal, TRUE, Tree, member,
-)
+from .values import BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree, member
 
 ValueEnv = Mapping[str, Forest]
-_LEFT, _RIGHT, _CHILDREN = Direction.LEFT, Direction.RIGHT, Direction.CHILDREN
 
 DEFAULT_RECURSION_LIMIT = 256
 
@@ -123,7 +119,7 @@ class _Compiler(tuple):
                  else StrVal(node.value),)
         return lambda env, depth: value
 
-    def Delete(self, node, run=lambda env, depth, *v: EMPTY_FOREST):  # and EmptySeq
+    def Delete(self, node, run=lambda env, depth, *v: ()):  # and EmptySeq
         return run
 
     def Skip(self, node, run=lambda env, depth, v: v):
@@ -199,7 +195,7 @@ class _Compiler(tuple):
     def Insert(self, node):
         expr = self.compile(node.expr)
         return lambda env, depth, v: (
-            expr(env, depth) if v == EMPTY_FOREST
+            expr(env, depth) if v == ()
             else _fail(f"insert applied to non-empty focus {value_str(v)}"))
 
     def Rename(self, node):
@@ -216,11 +212,11 @@ class _Compiler(tuple):
 
     def Nav(self, node):
         body, direction = self.compile(node.body), node.direction
-        if direction is _LEFT:
-            return lambda env, depth, v: body(env, depth, EMPTY_FOREST) + v
-        if direction is _RIGHT:
-            return lambda env, depth, v: v + body(env, depth, EMPTY_FOREST)
-        if direction is _CHILDREN:
+        if direction == "left":
+            return lambda env, depth, v: body(env, depth, ()) + v
+        if direction == "right":
+            return lambda env, depth, v: v + body(env, depth, ())
+        if direction == "children":
             return lambda env, depth, v: (
                 (Node(v[0].label, body(env, depth, v[0].children)),)
                 if len(v) == 1 and isinstance(v[0], Node) else _fail(

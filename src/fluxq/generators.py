@@ -18,16 +18,14 @@ from .queries import (
     BoolLit, Children, Concat, Elem, EmptySeq, For, If, LabelFilter, Let,
     QueryExpr, StrLit, VarRef, synth_expr,
 )
-from .subtyping import (
-    BoolTest, LabelTest, StringTest, WildcardTest, subtype, test_subtype,
-)
+from .subtyping import subtype
 from .types import (
-    Atom, BOOL, Element, Empty, EMPTY, ForestBinding, GlobalDecls, Or, Seq,
-    Signature, Star, STRING, TreeBinding, Type, TypeEnv, Var,
-    syntactic_atoms,
+    Atom, BOOL, BoolAtom, Element, Empty, EMPTY, ForestBinding, GlobalDecls,
+    Or, Seq, Signature, Star, STRING, StringAtom, TreeBinding, Type, TypeEnv,
+    Var, passes, syntactic_atoms,
 )
 from .updates import (
-    Delete, Direction, IfStmt, Insert, LetStmt, Multiplicity, Nav, Rename,
+    Delete, IfStmt, Insert, LetStmt, Multiplicity, Nav, Rename,
     SeqStmt, Skip, Snapshot, Test, UpdateStmt, synth_stmt,
 )
 
@@ -251,7 +249,7 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     if roll < 0.7:
         body = _stmt_candidate(rng, cfg, decls, sig, env, Multiplicity.PLURAL,
                                EMPTY, budget - 1)
-        direction = Direction.LEFT if rng.random() < 0.5 else Direction.RIGHT
+        direction = "left" if rng.random() < 0.5 else "right"
         return Nav(direction, body)
     if mult is Multiplicity.PLURAL:
         if isinstance(t, Empty) and roll < 0.85:
@@ -260,21 +258,20 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
         focus = rng.choice(atoms) if atoms else BOOL
         body = _stmt_candidate(rng, cfg, decls, sig, env,
                                Multiplicity.SINGULAR, focus, budget - 1)
-        return Nav(Direction.ITER, body)
+        return Nav("iter", body)
     # singular focus
     if isinstance(t, Element) and roll < 0.8:
         if rng.random() < 0.5:
             return Rename(rng.choice(cfg.labels))
         body = _stmt_candidate(rng, cfg, decls, sig, env, Multiplicity.PLURAL,
                                t.content, budget - 1)
-        return Nav(Direction.CHILDREN, body)
+        return Nav("children", body)
     if isinstance(t, Atom):
-        tests = [WildcardTest(), BoolTest(), StringTest(),
-                 LabelTest(rng.choice(cfg.labels))]
+        tests = ["*", BoolAtom, StringAtom, rng.choice(cfg.labels)]
         if isinstance(t, Element):
-            tests.append(LabelTest(t.label))
+            tests.append(t.label)
         test = rng.choice(tests)
-        if test_subtype(t, test):
+        if passes(t.label, test):
             body = _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1)
         else:
             body = rng.choice(simple)

@@ -45,15 +45,12 @@ from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
     LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
-from .subtyping import (
-    BoolTest, LabelTest, StringTest, TestKind, WildcardTest,
-)
 from .types import (
-    BOOL, Declared, Element, EMPTY, Or, Seq, Signature, Star, STRING, Type,
-    Var, optional, plus,
+    BOOL, BoolAtom, Declared, Element, EMPTY, Or, Seq, Signature, Star,
+    STRING, StringAtom, Type, Var, optional, plus,
 )
 from .updates import (
-    Delete, Direction, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl,
+    Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl,
     Rename, SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt,
 )
 from .values import FALSE, Forest, Node, StrVal, TRUE, Tree
@@ -81,8 +78,9 @@ _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
 _NEWLINE_RE = re.compile("\n")
 
-# the ``?`` tests written as a keyword or ``*``; any other is a label test
-_TESTS = {"bool": BoolTest, "string": StringTest, "*": WildcardTest}
+# the ``?`` tests written as a keyword: each admits its atom class; any
+# other test (a label or ``*``) admits the label it is written as
+_TESTS = {"bool": BoolAtom, "string": StringAtom}
 
 # What ``parse_value`` reads next, and the lexemes it skips.
 _ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
@@ -463,7 +461,7 @@ class _Parser:
             self.expect("[")
             body = self.parse_stmt()
             self.expect("]")
-            return Nav(Direction(kind), body, span=self.span_from(tok))
+            return Nav(kind, body, span=self.span_from(tok))
         if kind == "IDENT":
             self.expect("(", "( to begin arguments")
             return ProcCall(self.texts[tok], self.parse_args(),
@@ -473,8 +471,7 @@ class _Parser:
     def parse_test(self) -> UpdateStmt:
         tok = self.next()
         kind = self.kinds[tok]
-        test: TestKind = (_TESTS[kind]() if kind in _TESTS
-                          else LabelTest(self.texts[tok]))
+        test = _TESTS.get(kind, self.texts[tok])
         self.expect("?")
         body = self.parse_stmt_item()
         return Test(test, body, span=self.span_from(tok))

@@ -12,6 +12,7 @@ from .types import (
 from .values import Forest, Node, StrVal
 
 _OR, _SEQ, _POSTFIX, _PRIMARY = range(4)
+_TEST_KEYWORDS = {BoolAtom: "bool", StringAtom: "string"}
 
 
 def type_str(t: Type) -> str:
@@ -72,6 +73,12 @@ def type_str(t: Type) -> str:
         return text
 
     return render(t, _OR)
+
+
+def test_str(test) -> str:
+    """A ``?`` test as written before the ``?``: a label, ``*``, or the
+    keyword of the atom class it admits."""
+    return _TEST_KEYWORDS.get(test, test)
 
 
 def escape_string(s: str) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .diagnostics import Diagnostic, SourceSpan, TypeCheckFailure, error
+from .diagnostics import Diagnostic, SourceSpan, TypeCheckFailure
 from .printer import type_str
 from .subtyping import subtype
 from .types import (
@@ -86,7 +86,7 @@ class QueryProgram(Struct):
 
 
 def _fail(message: str, rule: str, span: SourceSpan | None = None):
-    raise TypeCheckFailure(error(message, rule, span))
+    raise TypeCheckFailure(Diagnostic(message, rule, span))
 
 
 def _condition(decls: GlobalDecls, sig: Signature, env: TypeEnv, node,
@@ -203,8 +203,9 @@ def _ascribe(sig: Signature, synth: Callable[[], Type], expected: Type,
     if subtype(sig, actual, expected):
         return actual, None
     noun = "expression has type" if kind == "query" else "update produces type"
-    return None, error(f"{noun} {type_str(actual)}, which is not a subtype of "
-                       f"{type_str(expected)}", f"{kind}/ascription", span)
+    return None, Diagnostic(f"{noun} {type_str(actual)}, which is not a "
+                            f"subtype of {type_str(expected)}",
+                            f"{kind}/ascription", span)
 
 
 def check_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv, e: QueryExpr,

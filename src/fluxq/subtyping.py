@@ -59,56 +59,8 @@ the program).  An undeclared variable that the decision unfolds still raises
 
 from __future__ import annotations
 
-from .types import (
-    Atom, BoolAtom, Signature, StringAtom, Struct, Type, TypeEnv, union,
-)
+from .types import Atom, Signature, Type, TypeEnv, union
 from .values import Forest, Node, inhabitants
-
-
-class LabelTest(Struct):
-    __slots__ = ("label",)
-
-
-class WildcardTest(Struct):
-    __slots__ = ()
-
-
-class BoolTest(Struct):
-    __slots__ = ()
-    label = BoolAtom  # not a field: the one label that passes
-
-
-class StringTest(Struct):
-    __slots__ = ()
-    label = StringAtom
-
-
-TestKind = LabelTest | WildcardTest | BoolTest | StringTest
-
-
-def test_str(test: TestKind) -> str:
-    """The test as written before ``?``."""
-    if isinstance(test, LabelTest):
-        return test.label
-    if isinstance(test, BoolTest):
-        return "bool"
-    if isinstance(test, StringTest):
-        return "string"
-    return "*"
-
-
-def passes(label, test: TestKind) -> bool:
-    """Does a tree or an atom with head ``label`` (an element's name, or the
-    atom class of ``bool`` or ``string``) pass ``test``?  The checker and the
-    interpreter both decide ``?`` here, so they cannot disagree."""
-    if test.__class__ is WildcardTest:
-        return isinstance(label, str)
-    return label == test.label
-
-
-def test_subtype(atom: Atom, test: TestKind) -> bool:
-    """Does every value of ``atom``, all with its label, pass ``test``?"""
-    return passes(atom.label, test)
 
 
 _SELF_CONTAINED = 1 << 30

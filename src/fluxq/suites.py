@@ -31,18 +31,16 @@ from .generators import (
     gen_typed_expr, gen_typed_stmt,
 )
 from .parser import parse_type
-from .printer import type_str, value_str
+from .printer import test_str, type_str, value_str
 from .queries import filter_label, synth_expr, synth_for
-from .subtyping import (
-    BoolTest, LabelTest, StringTest, WildcardTest, refute, subtype,
-    test_subtype,
-)
+from .subtyping import refute, subtype
 from .types import (
-    Atom, BOOL, Element, Empty, EMPTY, EMPTY_DECLS, Or, Seq, Signature, Star,
-    STRING, TreeBinding, Type, Var, syntactic_atoms,
+    Atom, BOOL, BoolAtom, Element, Empty, EMPTY, EMPTY_DECLS, Or, Seq,
+    Signature, Star, STRING, StringAtom, TreeBinding, Type, Var, passes,
+    syntactic_atoms,
 )
 from .unparse import expr_str, stmt_str
-from .updates import Multiplicity, Nav, Direction, SeqStmt, Skip, synth_iter, synth_stmt
+from .updates import Multiplicity, Nav, SeqStmt, Skip, synth_iter, synth_stmt
 from .values import BoolVal, Forest, Node, StrVal, max_width, member, witness
 
 
@@ -368,32 +366,31 @@ def suite_subtype_transitive(cfg: GenConfig, sig: Signature) -> SuiteResult:
     return run_cases(cfg, "subtype-transitive", case)
 
 
-def suite_test_subtype_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    """test_subtype(a, phi) iff every enumerated value of ``a`` passes phi."""
+def suite_test_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
+    """``passes(a.label, phi)`` iff every enumerated value of the atom ``a``
+    passes the test phi, read by a predicate of its own."""
     a, b = cfg.labels[0], cfg.labels[1 % len(cfg.labels)]
     atoms: list[Atom] = [BOOL, STRING, Element(a, EMPTY),
                          Element(a, Element(b, EMPTY)),
                          Element(b, Or(EMPTY, Element(a, EMPTY))),
                          Element(b, STRING)]
-    tests = [BoolTest(), StringTest(), WildcardTest(), LabelTest(a), LabelTest(b)]
+    tests = [BoolAtom, StringAtom, "*", a, b]
 
-    def passes(tree, test) -> bool:
-        if isinstance(test, BoolTest):
+    def admits(tree, test) -> bool:
+        if test is BoolAtom:
             return isinstance(tree, BoolVal)
-        if isinstance(test, StringTest):
+        if test is StringAtom:
             return isinstance(tree, StrVal)
-        if isinstance(test, WildcardTest):
-            return isinstance(tree, Node)
-        return isinstance(tree, Node) and tree.label == test.label
+        return isinstance(tree, Node) and test in ("*", tree.label)
 
     def case(atom: Atom, test) -> list[str]:
-        decided = test_subtype(atom, test)
-        semantic = all(passes(v[0], test)
+        decided = passes(atom.label, test)
+        semantic = all(admits(v[0], test)
                        for v in values_upto(sig, atom, 3, 3))
         if decided == semantic:
             return []
-        return [f"test_subtype({type_str(atom)}, {test!r}) = {decided} "
-                f"but semantics says {semantic}"]
+        return [f"{test_str(test)}? on {type_str(atom)}: passes says "
+                f"{decided} but semantics says {semantic}"]
     return tally("test-subtype-semantic", starmap(case, product(atoms, tests)))
 
 
@@ -665,7 +662,7 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
                     synth_iter(EMPTY_DECLS, sig, {}, t, body)
                 except (GenerationError, TypeCheckFailure):
                     continue  # no body typed over all of t: no law to check
-                it = Nav(Direction.ITER, body)
+                it = Nav("iter", body)
                 whole = apply_update(rt, {}, v, it)
                 parts = (apply_update(rt, {}, v[:cut], it)
                          + apply_update(rt, {}, v[cut:], it))
@@ -755,7 +752,7 @@ ALL_SUITES: dict[str, Callable[[GenConfig, Signature], SuiteResult]] = {
     "subtype-agrees-with-oracle": oracle_agreement,
     "subtype-reflexive": suite_subtype_reflexive,
     "subtype-transitive": suite_subtype_transitive,
-    "test-subtype-semantic": suite_test_subtype_semantic,
+    "test-subtype-semantic": suite_test_semantic,
     "query-synthesis-deterministic": partial(deterministic, QUERY),
     "query-downward-monotone": partial(downward_monotonicity, QUERY),
     "for-iteration-homomorphic": partial(homomorphism, QUERY),

@@ -20,11 +20,11 @@ compiles nothing either.  The other methods are written once, on the
 base classes, which only trees override (see ``values``).
 Types are interned (``Type``): building a type returns the one live node
 with its class and fields, so equal types are one object, and equality
-and the hash are identity's; a type has no span.  Every other
-node (query expressions, update statements, values, ``?`` tests and
-bindings) is a structural ``Struct``, whose equality, hash and ``repr``
-come from its fields; its parser span is not a field, so golden tests and
-round-trips compare pure structure.  Every other record, such as
+and the hash are identity's; a type has no span.  Every other node
+(query expressions, update statements, values and bindings) is a
+structural ``Struct``, whose equality, hash and ``repr`` come from its
+fields; its parser span is not a field, so golden tests and round-trips
+compare pure structure.  Every other record, such as
 ``GlobalDecls``, is a ``NamedTuple``.
 """
 
@@ -38,7 +38,7 @@ from operator import attrgetter
 from types import FunctionType, MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable, error
+from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable
 
 # The constructors a node class copies (see ``_Node``), one per number of
 # fields: ``Struct.__init__`` for up to five, and ``Type.__new__`` for up to
@@ -322,6 +322,15 @@ EMPTY = Empty()
 # (``values.BoolVal`` and ``StrVal``), so every head is keyed by ``label``
 BoolAtom.label, BoolAtom.content = BoolAtom, EMPTY
 StringAtom.label, StringAtom.content = StringAtom, EMPTY
+
+
+def passes(label, test) -> bool:
+    """Does a tree or an atom with head ``label`` pass the ``?`` test
+    ``test``, which holds the label it admits (an element's name, ``"*"``
+    for any name, or the atom class of ``bool`` or ``string``)?  The
+    checker and the interpreter both decide ``?`` here, so they cannot
+    disagree."""
+    return label == test or test == "*" and label.__class__ is str
 
 
 def optional(t: Type) -> Type:
@@ -640,20 +649,20 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
             uses, top = text.uses[::-1], text.top[::-1]
         for v, span in uses:
             if v not in sig:
-                out.append(error(
+                out.append(Diagnostic(
                     f"type variable {v} used in definition of {name} is not declared",
                     rule="signature/undeclared", span=span))
         for v, span in top:
-            out.append(error(
+            out.append(Diagnostic(
                 f"top-level variable {v} in definition of {name}",
                 rule="signature/guardedness", span=span))
     if out:
         return out
     from .values import inhabitants  # values imports this module
     value = inhabitants(sig)
-    return [error(f"type variable {name} has no value: its definition "
-                  f"admits only infinite trees",
-                  rule="signature/uninhabited", span=span)
+    return [Diagnostic(f"type variable {name} has no value: its definition "
+                       f"admits only infinite trees",
+                       rule="signature/uninhabited", span=span)
             for name, span in spans.items() if value(Var(name)) is None]
 
 

@@ -4,12 +4,11 @@ structurally identical to ast."""
 
 from __future__ import annotations
 
-from .printer import escape_string, type_str
+from .printer import escape_string, test_str, type_str
 from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
     LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
 )
-from .subtyping import test_str
 from .types import Signature
 from .updates import (
     Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl, Rename,
@@ -90,7 +89,7 @@ def _stmt(s: UpdateStmt, level: int) -> str:
     if isinstance(s, Test):
         return f"{test_str(s.test)}?{_stmt(s.body, _ITEM)}"
     if isinstance(s, Nav):
-        return f"{s.direction.value}[{_stmt(s.body, _SEQLEVEL)}]"
+        return f"{s.direction}[{_stmt(s.body, _SEQLEVEL)}]"
     assert isinstance(s, ProcCall)
     args = ", ".join(_expr(a, _SINGLE) for a in s.args)
     return f"{s.name}({args})"

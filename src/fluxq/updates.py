@@ -13,29 +13,22 @@ from __future__ import annotations
 
 import enum
 
-from .diagnostics import Diagnostic, UndeclaredVariable, error
-from .printer import type_str
+from .diagnostics import Diagnostic, UndeclaredVariable
+from .printer import test_str, type_str
 from .queries import (
     FunctionDecl, QueryProgram, _arguments, _ascribe, _condition, _fail,
     check_expr, synth_expr,
 )
-from .subtyping import subtype, test_str, test_subtype
+from .subtyping import subtype
 from .types import (
     Atom, Element, Empty, EMPTY, ForestBinding, GlobalDecls, Or, Seq,
-    Signature, Struct, Type, TypeEnv, check_type_declared, map_atoms,
+    Signature, Struct, Type, TypeEnv, check_type_declared, map_atoms, passes,
 )
 
 
 class Multiplicity(enum.Enum):
     SINGULAR = "1"
     PLURAL = "*"
-
-
-class Direction(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    CHILDREN = "children"
-    ITER = "iter"
 
 
 class UpdateStmt(Struct):
@@ -81,12 +74,15 @@ class Snapshot(UpdateStmt):
 
 
 class Test(UpdateStmt):
-    """Run the body only if the focused tree passes the test."""
+    """Run the body only if the focused tree passes the test: ``test`` is
+    the label it admits, as ``types.passes`` reads it."""
 
     __slots__ = ("test", "body")
 
 
 class Nav(UpdateStmt):
+    """``direction`` is the keyword: left, right, children or iter."""
+
     __slots__ = ("direction", "body")
 
 
@@ -145,17 +141,17 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
             _fail(f"test {test_str(s.test)}? applies to an atomic focus, "
                   f"but the focus has type {type_str(t)}", "update/test-focus",
                   s.span)
-        if test_subtype(t, s.test):
+        if passes(t.label, s.test):
             return synth_stmt(decls, sig, env, Multiplicity.SINGULAR, t, s.body)
         return t
     if isinstance(s, Nav):
-        if s.direction is Direction.LEFT:
+        if s.direction == "left":
             grown = synth_stmt(decls, sig, env, Multiplicity.PLURAL, EMPTY, s.body)
             return Seq(grown, t)
-        if s.direction is Direction.RIGHT:
+        if s.direction == "right":
             grown = synth_stmt(decls, sig, env, Multiplicity.PLURAL, EMPTY, s.body)
             return Seq(t, grown)
-        if s.direction is Direction.CHILDREN:
+        if s.direction == "children":
             if mult is not Multiplicity.SINGULAR:
                 _fail("children[...] requires singular focus",
                       "update/children-multiplicity", s.span)
@@ -165,7 +161,7 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
             inner = synth_stmt(decls, sig, env, Multiplicity.PLURAL,
                                t.content, s.body)
             return Element(t.label, inner)
-        assert s.direction is Direction.ITER
+        assert s.direction == "iter"
         if mult is not Multiplicity.PLURAL:
             _fail("iter[...] requires plural focus", "update/iter-multiplicity",
                   s.span)
@@ -210,8 +206,8 @@ def program_decls(prog: QueryProgram | UpdateProgram
         kept = {}
         for d in declared:
             if d.name in kept:
-                diags.append(error(f"{kind} {d.name} declared twice",
-                                   f"program/duplicate-{kind}", d.span))
+                diags.append(Diagnostic(f"{kind} {d.name} declared twice",
+                                        f"program/duplicate-{kind}", d.span))
             else:
                 kept[d.name] = d
         return kept
@@ -254,7 +250,7 @@ def annotation_diags(sig: Signature, prog: QueryProgram | UpdateProgram,
         try:
             check_type_declared(sig, t)
         except UndeclaredVariable as exc:
-            diag = error(str(exc), "signature/undeclared", span)
+            diag = Diagnostic(str(exc), "signature/undeclared", span)
             if diag not in out:
                 out.append(diag)
     return out
@@ -286,8 +282,8 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
                                   decl.input, decl.body, decl.output)
         if not ok:
             what = "function" if isinstance(decl, FunctionDecl) else "procedure"
-            diags.append(error(f"in {what} {decl.name}: {diag.message}",
-                               diag.rule, diag.span or decl.span))
+            diags.append(Diagnostic(f"in {what} {decl.name}: {diag.message}",
+                                    diag.rule, diag.span or decl.span))
     query = isinstance(prog, QueryProgram)
     main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
                           prog.ascription if query else prog.output,

@@ -78,14 +78,8 @@ class Node(Struct):
 Tree = Union[BoolVal, StrVal, Node]
 Forest = tuple[Tree, ...]
 
-EMPTY_FOREST: Forest = ()
-
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)
-
-
-def forest(*trees: Tree) -> Forest:
-    return tuple(trees)
 
 
 def max_width(v: Forest) -> int:

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from fluxq import (
-    Concat, Direction, Elem, EmptySeq, EvalError, ForestBinding, Insert, Nav,
+    Concat, Elem, EmptySeq, EvalError, ForestBinding, Insert, Nav,
     RecursionLimitExceeded, Runtime, SeqStmt, Signature, StrVal, TreeBinding,
     Var, apply_update, conforms, eval_query, parse_expr, parse_program,
     parse_stmt, parse_type, parse_value, runtime_for_query_program,
@@ -246,7 +246,7 @@ class TestLongChains:
         assert eval_query(RT, {}, e) == parse_value("a[]") * self.N
 
     def test_seq_chain(self):
-        step = Nav(Direction.RIGHT, Insert(Elem("a", EmptySeq())))
+        step = Nav("right", Insert(Elem("a", EmptySeq())))
         s = step
         for _ in range(self.N - 1):
             s = SeqStmt(step, s)

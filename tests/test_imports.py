@@ -40,16 +40,15 @@ EXPORTS = """
     parse_type parse_value type_str value_str BoolLit Call Children Concat
     Elem EmptySeq For FunctionDecl If LabelFilter Let QueryExpr QueryProgram
     StrLit VarRef check_expr check_query_program filter_label synth_expr
-    synth_for BoolTest LabelTest StringTest TestKind WildcardTest
-    env_subtype subtype test_subtype SuiteReport SuiteResult run_suites Atom
+    synth_for env_subtype subtype SuiteReport SuiteResult run_suites Atom
     BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE EMPTY_DECLS
     ForestBinding GlobalDecls Or Seq Signature Star STRING StringAtom
-    TreeBinding Type TypeEnv Var check_signature syntactic_atoms expr_str
-    program_str signature_str stmt_str Delete Direction IfStmt Insert
-    LetStmt Multiplicity Nav ProcCall ProcedureDecl Rename SeqStmt Skip
-    Snapshot Test UpdateProgram UpdateStmt check_program check_stmt
+    TreeBinding Type TypeEnv Var check_signature passes syntactic_atoms
+    expr_str program_str signature_str stmt_str Delete IfStmt Insert LetStmt
+    Multiplicity Nav ProcCall ProcedureDecl Rename SeqStmt Skip Snapshot
+    Test UpdateProgram UpdateStmt check_program check_stmt
     check_update_program synth_iter synth_stmt BoolVal FALSE Forest Node
-    StrVal TRUE Tree forest member __version__
+    StrVal TRUE Tree member __version__
 """.split()
 
 

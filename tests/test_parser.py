@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    BoolVal, Children, Concat, EMPTY, For, Insert, LabelFilter, Let, LetStmt,
-    Node, ParseError, QueryProgram, Runtime, Snapshot, SourceSpan, Star,
-    StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
+    BoolAtom, BoolVal, Children, Concat, EMPTY, For, Insert, LabelFilter, Let,
+    LetStmt, Node, ParseError, QueryProgram, Runtime, Snapshot, SourceSpan,
+    Star, StringAtom, StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
     parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
     parse_value, runtime_for_query_program, runtime_for_update_program,
     synth_expr, type_str, types_upto, value_str, values_upto,
@@ -485,12 +485,25 @@ class TestStmtSyntax:
         assert isinstance(s.body, SeqStmt)
 
     def test_all_test_kinds(self):
-        for text in ("b?skip", "*?skip", "bool?skip", "string?skip"):
-            parse_stmt(text)
+        for text, admits in (("b?skip", "b"), ("*?skip", "*"),
+                             ("bool?skip", BoolAtom),
+                             ("string?skip", StringAtom)):
+            s = parse_stmt(text)
+            assert s.test == admits
+            assert stmt_str(s) == text
+            assert parse_stmt(stmt_str(s)) == s
 
     def test_nested_navigation(self):
-        s = parse_stmt("iter[a?children[iter[b? right[insert c[]]]]]")
-        assert stmt_str(s) == "iter[a?children[iter[b?right[insert c[]]]]]"
+        for text, written in (
+                ("iter[a?children[iter[b? right[insert c[]]]]]",
+                 "iter[a?children[iter[b?right[insert c[]]]]]"),
+                ("left[ insert a[] ]", "left[insert a[]]"),
+                ("right[left[skip]]", "right[left[skip]]"),
+                ("children[ b?children[delete] ]", "children[b?children[delete]]")):
+            s = parse_stmt(text)
+            assert s.direction == text[:text.index("[")]
+            assert stmt_str(s) == written
+            assert parse_stmt(written) == s
 
 
 class TestProgramSyntax:

@@ -6,14 +6,13 @@ import random
 import time
 
 from fluxq import (
-    BOOL, BoolTest, Element, EMPTY, EMPTY_SIGNATURE, ForestBinding,
-    LabelTest, Signature, STRING, StringTest, TreeBinding, Var, WildcardTest,
-    env_subtype, parse_type, parse_value, refute, subtype,
+    BOOL, BoolAtom, Element, EMPTY, EMPTY_SIGNATURE, ForestBinding,
+    Signature, STRING, StringAtom, TreeBinding, Var, env_subtype, passes,
+    parse_type, parse_value, refute, subtype,
     type_str, types_upto, value_str, values_upto, member,
 )
 from fluxq import subtyping
 from fluxq.subtyping import atom_subtype
-from fluxq import test_subtype as passes_test
 from fluxq.generators import GenConfig, gen_subtype_of, gen_type
 from fluxq.types import union
 
@@ -107,18 +106,18 @@ class TestAtomSubtype:
 
 class TestTestSubtype:
     def test_the_four_axioms(self):
-        assert passes_test(BOOL, BoolTest())
-        assert passes_test(STRING, StringTest())
-        assert passes_test(Element("b", EMPTY), LabelTest("b"))
-        assert passes_test(Element("b", parse_type("a[]*")), WildcardTest())
+        assert passes(BOOL.label, BoolAtom)
+        assert passes(STRING.label, StringAtom)
+        assert passes(Element("b", EMPTY).label, "b")
+        assert passes(Element("b", parse_type("a[]*")).label, "*")
 
     def test_everything_else_false(self):
-        assert not passes_test(BOOL, LabelTest("b"))
-        assert not passes_test(BOOL, WildcardTest())
-        assert not passes_test(STRING, BoolTest())
-        assert not passes_test(Element("b", EMPTY), LabelTest("c"))
-        assert not passes_test(Element("b", EMPTY), BoolTest())
-        assert not passes_test(STRING, WildcardTest())
+        assert not passes(BOOL.label, "b")
+        assert not passes(BOOL.label, "*")
+        assert not passes(STRING.label, BoolAtom)
+        assert not passes(Element("b", EMPTY).label, "c")
+        assert not passes(Element("b", EMPTY).label, BoolAtom)
+        assert not passes(STRING.label, "*")
 
 
 class TestEnvSubtype:

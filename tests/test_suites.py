@@ -83,7 +83,7 @@ class TestExhaustiveTallies:
         tallies = {r.name: (r.cases, r.skipped) for r in (
             suites.suite_member_recursive_regression(cfg, sig),
             suites.oracle_agreement(cfg, sig),
-            suites.suite_test_subtype_semantic(cfg, sig),
+            suites.suite_test_semantic(cfg, sig),
             suites.suite_filter_commutation(cfg, sig),
         )}
         assert tallies == {
