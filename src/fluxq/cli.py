@@ -43,17 +43,18 @@ from .values import member
 
 
 def _read(path: str) -> str:
-    """The text of ``path``; a file that cannot be read or is not UTF-8
-    ends the run with exit 2."""
+    """The text of ``path``, read unbuffered, line ends as in text mode; a
+    file that cannot be read or is not UTF-8 ends the run with exit 2."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except UnicodeDecodeError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _check_signature(sig: Signature, as_json: bool,

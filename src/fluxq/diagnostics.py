@@ -1,9 +1,11 @@
-"""What went wrong and where: source spans and diagnostics, named tuples
-like every record that is not a tree node, and the exceptions the package
-raises."""
+"""What went wrong and where: the parsed text, whose spans resolve their
+lines and columns on demand; spans and diagnostics, named tuples like every
+record that is not a tree node; and the exceptions the package raises."""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from typing import NamedTuple
 
 
@@ -29,6 +31,51 @@ class SourceSpan(_SpanFields):
             raise ValueError(f"span begin {begin} > end {end}")
         return tuple.__new__(cls, (file, begin, end, begin_line, begin_col,
                                    end_line, end_col))
+
+
+class SourceText:
+    """A parsed file's name and text, shared by the spans of its nodes, and
+    its newline table, built at the first lookup of a line and column."""
+
+    def __init__(self, text: str, file: str = "<input>"):
+        self.file, self.text, self._newlines = file, text, None
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of ``offset``, counting characters."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self._newlines, offset)
+        return line + 1, offset - (self._newlines[line - 1] if line else -1)
+
+
+class LazySpan:
+    """A parsed node's span: offsets into a ``SourceText``, read, compared,
+    hashed, shown and copied as the ``SourceSpan`` they resolve to."""
+
+    __slots__ = ("_begin", "_end", "_source")
+
+    def __init__(self, begin: int, end: int, source: SourceText):
+        self._begin, self._end, self._source = begin, end, source
+
+    def resolve(self) -> SourceSpan:
+        source, begin, end = self._source, self._begin, self._end
+        return SourceSpan(source.file, begin, end, *source.line_col(begin),
+                          *source.line_col(end))
+
+    def __getattr__(self, name: str):  # the fields, ``_fields``, ``_asdict``
+        return getattr(self.resolve(), name)
+
+    def __eq__(self, other):
+        return self.resolve() == other
+
+    def __hash__(self):
+        return hash(self.resolve())
+
+    def __repr__(self):
+        return repr(self.resolve())
+
+    def __reduce__(self):
+        return SourceSpan, tuple(self.resolve())
 
 
 class Diagnostic(NamedTuple):

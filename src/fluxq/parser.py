@@ -31,7 +31,9 @@ lexeme would, so blanks and comments change no value and no error.
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
 their for-loop cores.  Variables keep the names written: an inner binder
-shadows an outer one in the checker's and evaluator's environments.
+shadows an outer one in the checker's and evaluator's environments.  A
+node's span holds its offsets and the parse's one ``SourceText``, so no
+line or column is computed unless a span or a ``ParseError`` is reported.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import re
 from bisect import bisect_left
 from functools import cache
 
-from .diagnostics import ParseError, SourceSpan
+from .diagnostics import LazySpan, ParseError, SourceSpan, SourceText
 from .queries import (
     BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
     LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
@@ -76,7 +78,6 @@ _LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
                         + _STRING_BODY + '"|.', re.DOTALL)
 _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
-_NEWLINE_RE = re.compile("\n")
 
 # the ``?`` tests written as a keyword: each admits its atom class; any
 # other test (a label or ``*``) admits the label it is written as
@@ -105,16 +106,6 @@ def _env_item_re() -> re.Pattern:
     return re.compile(r'(?:' + _STRING_BODY + r'"|[^;])+')
 
 
-def _newline_table(text: str) -> list[int]:
-    return [m.start() for m in _NEWLINE_RE.finditer(text)]
-
-
-def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
-    """1-based line and column of ``offset``, counting characters."""
-    line = bisect_left(newlines, offset)
-    return line + 1, offset - (newlines[line - 1] if line else -1)
-
-
 def _unescape(body: str) -> str:
     """A string literal's body, its escapes decoded."""
     if "\\" not in body:
@@ -131,7 +122,7 @@ def _is_label(word: str) -> bool:
 
 
 def _lex_error(text: str, message: str, offset: int) -> ParseError:
-    return ParseError(message, offset, *_line_col(_newline_table(text), offset))
+    return ParseError(message, offset, *SourceText(text).line_col(offset))
 
 
 def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
@@ -180,12 +171,10 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
 
 class _Parser:
     def __init__(self, text: str, filename: str = "<input>"):
-        self.text = text
-        self.filename = filename
+        self.source = SourceText(text, filename)  # shared by the spans
         self.kinds, self.texts, self.starts, self.ends = tokenize(text)
-        self.last = len(self.kinds) - 1  # the EOF token, never passed
+        self.last = len(self.kinds) - 1  # EOF, passed only to fail
         self.pos = 0
-        self._newlines: list[int] | None = None
         self._sugar_count = 0
         # the variable uses read so far in the ``type`` declaration being
         # parsed (see ``types.Declared``), and how deep in element content
@@ -197,59 +186,47 @@ class _Parser:
     # -- token plumbing ------------------------------------------------
     # Tokens are indices into the parallel lists; ``pos`` is the next one.
 
-    def next(self) -> int:
-        pos = self.pos
-        if pos < self.last:
-            self.pos = pos + 1
-        return pos
-
-    def at(self, *kinds: str) -> bool:
-        return self.kinds[self.pos] in kinds
-
     def accept(self, kind: str) -> bool:
-        if self.kinds[self.pos] != kind:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             return False
-        self.next()
+        self.pos = pos + 1
         return True
 
     def expect(self, kind: str, what: str | None = None) -> str:
         """Consume a ``kind`` token and return its text."""
-        if self.kinds[self.pos] != kind:
-            self.unexpected(self.pos, "", (what or kind,))
-        return self.texts[self.next()]
-
-    def line_col(self, offset: int) -> tuple[int, int]:
-        if self._newlines is None:
-            self._newlines = _newline_table(self.text)
-        return _line_col(self._newlines, offset)
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.unexpected(pos, "", (what or kind,))
+        if pos < self.last:  # ``EOF`` is never passed
+            self.pos = pos + 1
+        return self.texts[pos]
 
     def error_at(self, tok: int, message: str,
                  expected: tuple[str, ...] = ()) -> ParseError:
         offset = self.starts[tok]
-        return ParseError(message, offset, *self.line_col(offset), expected)
-
-    def fail(self, message: str, expected: tuple[str, ...] = ()):
-        raise self.error_at(self.pos, message, expected)
+        return ParseError(message, offset, *self.source.line_col(offset),
+                          expected)
 
     def unexpected(self, tok: int, context: str, expected: tuple[str, ...]):
         found = "end of input" if tok == self.last else repr(self.texts[tok])
         raise self.error_at(tok, f"unexpected {found}{context}", expected)
 
     def span_from(self, start: int) -> SourceSpan:
-        """The span from token ``start`` through the last token consumed:
-        ``end`` is the offset past that token, and ``end_line``/``end_col``
-        are the position of ``end``."""
+        """The span from token ``start`` through the last token consumed,
+        ``end`` being the offset past that token."""
         prev = max(self.pos - 1, 0)
         end = prev if self.ends[prev] >= self.starts[start] else start
-        return SourceSpan(self.filename, self.starts[start], self.ends[end],
-                          *self.line_col(self.starts[start]),
-                          *self.line_col(self.ends[end]))
+        return LazySpan(self.starts[start], self.ends[end], self.source)
 
     def parse_list(self, parse_item, op: str, node):
         """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so
         long lists cannot exhaust the stack; every node's span runs to the
         end of the list, unless the node is a type, which has none."""
-        items = [(self.pos, parse_item())]
+        start, first = self.pos, parse_item()
+        if self.kinds[self.pos] != op:
+            return first
+        items = [(start, first)]
         while self.accept(op):
             items.append((self.pos, parse_item()))
         _, out = items.pop()
@@ -276,8 +253,8 @@ class _Parser:
     def parse_type_postfix(self) -> Type:
         mark = len(self._top)
         t = self.parse_type_primary()
-        while self.at("*", "+", "?"):
-            op = self.kinds[self.next()]
+        while (op := self.kinds[self.pos]) in {"*", "+", "?"}:
+            self.pos += 1
             if op == "*":
                 t = Star(t)
             elif op == "+":
@@ -289,8 +266,9 @@ class _Parser:
         return t
 
     def parse_type_primary(self) -> Type:
-        tok = self.next()
+        tok = self.pos
         kind = self.kinds[tok]
+        self.pos = tok + 1
         if kind == "(":
             if self.accept(")"):
                 return EMPTY
@@ -326,18 +304,20 @@ class _Parser:
 
     def parse_expr_single(self) -> QueryExpr:
         tok = self.pos
-        if self.accept("let"):
+        kind = self.kinds[tok]
+        if kind != "let" and kind != "for" and kind != "if":
+            return self.parse_expr_path()
+        self.pos = tok + 1
+        if kind == "let":
             return self.parse_let(tok, self.parse_expr_single, Let)
-        if self.accept("for"):
+        if kind == "for":
             var = self.expect("VAR", "a variable")
             self.expect("in")
             source = self.parse_expr_single()
             self.expect("return")
             body = self.parse_expr_single()
             return For(var, source, body, span=self.span_from(tok))
-        if self.accept("if"):
-            return self.parse_if(tok, self.parse_expr_single, If)
-        return self.parse_expr_path()
+        return self.parse_if(tok, self.parse_expr_single, If)
 
     # ``let`` and ``if`` after the keyword at ``tok``, as expressions or as
     # statements: ``body`` and ``branch`` parse the parts, ``node`` builds
@@ -360,41 +340,42 @@ class _Parser:
         start = self.pos
         e = self.parse_expr_primary()
         while True:
-            if self.accept("::"):
+            kind = self.kinds[self.pos]
+            if kind != "::" and kind != "/":
+                return e
+            self.pos += 1
+            if kind == "::":
                 label = self.expect("IDENT", "a label")
                 e = LabelFilter(e, label, span=self.span_from(start))
-            elif self.accept("/"):
-                if self.accept("child"):
-                    if not isinstance(e, VarRef):
-                        self.fail("child projection applies to a variable")
-                    e = Children(e.name, span=self.span_from(start))
-                elif self.accept("*"):
-                    fresh = self._fresh_var()
-                    span = self.span_from(start)
-                    e = For(fresh, e, Children(fresh, span=span), span=span)
-                else:
-                    label = self.expect("IDENT", "a label")
-                    fresh = self._fresh_var()
-                    span = self.span_from(start)
-                    e = For(fresh, e,
-                            LabelFilter(Children(fresh, span=span), label,
-                                        span=span), span=span)
+            elif self.accept("child"):
+                if not isinstance(e, VarRef):
+                    raise self.error_at(
+                        self.pos, "child projection applies to a variable")
+                e = Children(e.name, span=self.span_from(start))
+            elif self.accept("*"):
+                fresh = self._fresh_var()
+                span = self.span_from(start)
+                e = For(fresh, e, Children(fresh, span=span), span=span)
             else:
-                return e
+                label = self.expect("IDENT", "a label")
+                fresh = self._fresh_var()
+                span = self.span_from(start)
+                e = For(fresh, e,
+                        LabelFilter(Children(fresh, span=span), label,
+                                    span=span), span=span)
 
     def parse_expr_primary(self) -> QueryExpr:
-        tok = self.next()
+        tok = self.pos
         kind = self.kinds[tok]
+        self.pos = tok + 1
         if kind == "(":
             if self.accept(")"):
                 return EmptySeq(span=self.span_from(tok))
             e = self.parse_expr()
             self.expect(")")
             return e
-        if kind == "true":
-            return BoolLit(True, span=self.span_from(tok))
-        if kind == "false":
-            return BoolLit(False, span=self.span_from(tok))
+        if kind == "true" or kind == "false":
+            return BoolLit(kind == "true", span=self.span_from(tok))
         if kind == "STRING":
             return StrLit(self.texts[tok], span=self.span_from(tok))
         if kind == "VAR":
@@ -415,7 +396,7 @@ class _Parser:
     def parse_args(self) -> tuple[QueryExpr, ...]:
         """Call arguments after the opening ``(``, through the ``)``."""
         args: list[QueryExpr] = []
-        if not self.at(")"):
+        if self.kinds[self.pos] != ")":
             args.append(self.parse_expr_single())
             while self.accept(","):
                 args.append(self.parse_expr_single())
@@ -430,10 +411,13 @@ class _Parser:
     def parse_stmt_item(self) -> UpdateStmt:
         tok = self.pos
         kind = self.kinds[tok]
+        self.pos = tok + 1
         if kind in ("bool", "string", "*") or (
                 kind == "IDENT" and self.kinds[tok + 1] == "?"):
-            return self.parse_test()
-        self.next()
+            test = _TESTS.get(kind, self.texts[tok])
+            self.expect("?")
+            body = self.parse_stmt_item()
+            return Test(test, body, span=self.span_from(tok))
         if kind == "(":
             s = self.parse_stmt()
             self.expect(")")
@@ -468,26 +452,18 @@ class _Parser:
                             span=self.span_from(tok))
         self.unexpected(tok, " in update statement", ("an update statement",))
 
-    def parse_test(self) -> UpdateStmt:
-        tok = self.next()
-        kind = self.kinds[tok]
-        test = _TESTS.get(kind, self.texts[tok])
-        self.expect("?")
-        body = self.parse_stmt_item()
-        return Test(test, body, span=self.span_from(tok))
-
     # -- programs ----------------------------------------------------------
 
     def parse_params(self) -> tuple[tuple[str, Type], ...]:
         self.expect("(")
         params: list[tuple[str, Type]] = []
-        if not self.at(")"):
+        if self.kinds[self.pos] != ")":
             while True:
                 name = self.expect("VAR", "a parameter")
                 self.expect(":")
                 t = self.parse_type()
                 if any(name == seen for seen, _ in params):
-                    self.fail(f"duplicate parameter ${name}")
+                    raise self.error_at(self.pos, f"duplicate parameter ${name}")
                 params.append((name, t))
                 if not self.accept(","):
                     break
@@ -522,13 +498,14 @@ class _Parser:
         procedures: list[ProcedureDecl] = []
         while True:
             tok = self.pos
-            if self.at("type"):
+            if self.kinds[tok] == "type":
                 self.parse_type_decl(decls)
             elif self.accept("declare"):
                 kind = self.kinds[self.pos]
                 if not (self.accept("function") or self.accept("procedure")):
-                    self.fail("expected 'function' or 'procedure'",
-                              expected=("function", "procedure"))
+                    raise self.error_at(
+                        self.pos, "expected 'function' or 'procedure'",
+                        ("function", "procedure"))
                 update = kind == "procedure"
                 name = self.expect("IDENT", f"a {kind} name")
                 params = self.parse_params()
@@ -561,7 +538,7 @@ class _Parser:
 
     def parse_signature(self) -> Signature:
         decls: dict[str, tuple[Type, Declared]] = {}
-        while not self.at("EOF"):
+        while self.kinds[self.pos] != "EOF":
             self.parse_type_decl(decls)
         return _signature(decls)
 

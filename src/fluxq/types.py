@@ -206,9 +206,11 @@ class Struct(_Node):
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild the node through its constructor,
-        # since restoring the slots one by one would assign to them
+        # since restoring the slots one by one would assign to them; the
+        # copy's span has its seven fields and not the parsed text
         fields = tuple(getattr(self, f) for f in self._fields)
-        return partial(self.__class__, span=self.span), fields
+        span = self.span and SourceSpan(**self.span._asdict())
+        return partial(self.__class__, span=span), fields
 
 
 _set_span, _set_hash = Struct.span.__set__, Struct._hash.__set__

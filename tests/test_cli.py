@@ -16,6 +16,7 @@ from fluxq import (
     Elem, Skip, parse_program, queries, suites, types, unparse, updates,
 )
 from fluxq.cli import build_parser, main
+from fluxq.diagnostics import LazySpan, SourceText
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -701,11 +702,20 @@ def unreadable_files(tmp_path) -> dict[str, str]:
     the one ``error:`` line that reading it gives."""
     latin = tmp_path / "latin.muxq"
     latin.write_bytes(b"query \xff : ()\n")
+    # a byte's position counts the file's bytes, CRs too
+    crlf = tmp_path / "crlf.muxq"
+    crlf.write_bytes(b"type T = a[]\r\nquery \xff : T\r\n")
+    cut = tmp_path / "cut.muxq"
+    cut.write_bytes(b"query () : ()\r\n\xe2\x82")
     missing = tmp_path / "missing.muxq"
     return {
         str(tmp_path): f"error: [Errno 21] Is a directory: '{tmp_path}'\n",
         str(latin): f"error: {latin}: 'utf-8' codec can't decode byte 0xff "
                     f"in position 6: invalid start byte\n",
+        str(crlf): f"error: {crlf}: 'utf-8' codec can't decode byte 0xff "
+                   f"in position 20: invalid start byte\n",
+        str(cut): f"error: {cut}: 'utf-8' codec can't decode bytes in "
+                  f"position 15-16: unexpected end of data\n",
         str(missing): f"error: [Errno 2] No such file or directory: "
                       f"'{missing}'\n",
     }
@@ -742,6 +752,63 @@ class TestUnreadableInput:
         for path, line in unreadable_files(tmp_path).items():
             assert main([path if a == "FILE" else a for a in argv]) == 2
             assert capsys.readouterr() == ("", line)
+
+
+class TestReadPath:
+    """``_read`` decodes the file's bytes itself and reads its line ends as
+    text mode reads them."""
+
+    PROGRAM = ('type T = a[]\n\ndeclare function f() : T { b[] };\nquery\n'
+               '  let $x = b[] in\n    $x : T\n')
+
+    def test_line_ends_give_the_same_report(self, tmp_path, capsys):
+        f = tmp_path / "q.muxq"
+        outputs = []
+        for end in ("\n", "\r\n", "\r"):
+            f.write_bytes(self.PROGRAM.replace("\n", end).encode())
+            assert main(["--json", "check", str(f)]) == 1
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        spans = [d["span"] for d in json.loads(outputs[0].out)["diagnostics"]]
+        assert [(s["begin_line"], s["begin_col"], s["end_line"], s["end_col"])
+                for s in spans] == [(3, 28, 3, 31), (5, 3, 6, 7)]
+
+
+class TestSpansOnDemand:
+    """A span's lines and columns are looked up only when it is reported."""
+
+    SAMPLES = ([LEAVES], [INSERT_AFTER], [LEAFUPD],
+               [str(SAMPLES / "children.muxq"), "--tree", "x=a[b[]*,c[]?]"])
+    ILL = ('declare function f($x : a[]) : b[] { $x };\nquery\n'
+           '  let $y = f(a[]) in\n    if "s" then $y else $y : b[]\n')
+
+    def test_passing_check_builds_no_newline_table(self, monkeypatch,
+                                                   capsys):
+        lookups = []
+        original = SourceText.line_col
+        monkeypatch.setattr(SourceText, "line_col", lambda source, offset: (
+            lookups.append(offset) or original(source, offset)))
+        for args in self.SAMPLES:
+            assert main(["--json", "check", *args]) == 0
+        assert lookups == []
+
+    def test_only_reported_spans_are_resolved(self, tmp_path, monkeypatch,
+                                              capsys):
+        f = tmp_path / "ill.muxq"
+        f.write_text(self.ILL)
+        resolved = set()
+        original = LazySpan.resolve
+        monkeypatch.setattr(LazySpan, "resolve", lambda span: (
+            resolved.add((span._begin, span._end)) or original(span)))
+        assert main(["--json", "check", str(f)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        reported = {(d["span"]["begin"], d["span"]["end"])
+                    for d in report["diagnostics"]}
+        assert reported == {(37, 39), (74, 96)} and resolved == reported
+        resolved.clear()
+        assert main(["check", str(f)]) == 1
+        assert capsys.readouterr().err.count(f"{f}:") == 2
+        assert resolved == reported
 
 
 class TestNumericFlags:

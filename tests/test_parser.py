@@ -2,7 +2,10 @@
 round-trips through the unparser; shadowed binders in typing and
 evaluation."""
 
+import copy
 import hashlib
+import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -19,6 +22,7 @@ from fluxq import (
     parse_value, runtime_for_query_program, runtime_for_update_program,
     synth_expr, type_str, types_upto, value_str, values_upto,
 )
+from fluxq.diagnostics import LazySpan, SourceText
 from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import (
     _LEXEME_RE, _Parser, _is_label, _unescape, parse_env_bindings,
@@ -609,6 +613,57 @@ class TestSourceSpan:
         assert repr(self.SPAN) == (
             "SourceSpan(file='f', begin=0, end=3, begin_line=1, begin_col=1, "
             "end_line=1, end_col=4)")
+
+
+class TestLazySpan:
+    """A parsed node's span holds its offsets and the parse's one
+    ``SourceText``, and is used as the ``SourceSpan`` of its seven fields."""
+
+    TEXT = "# no node holds this comment\nlet $x =\n  b[] in $x"
+
+    def test_used_as_its_eager_twin(self):
+        lazy = parse_expr(self.TEXT, "f").span
+        eager = SourceSpan("f", 29, 49, 2, 1, 3, 12)
+        assert isinstance(lazy, LazySpan)
+        assert lazy == eager and eager == lazy and not lazy != eager
+        assert hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager)
+        assert lazy._fields == eager._fields
+        assert lazy._asdict() == eager._asdict()
+        assert list(lazy._asdict()) == list(eager._asdict())
+        assert json.dumps(lazy._asdict()) == json.dumps(eager._asdict())
+        assert [getattr(lazy, f) for f in eager._fields] == list(eager)
+
+    def test_fields_cannot_be_assigned(self):
+        span = parse_expr(self.TEXT).span
+        for field in SourceSpan._fields:
+            with pytest.raises(AttributeError):
+                setattr(span, field, 0)
+
+    def test_one_source_per_parse(self):
+        e = parse_expr(self.TEXT)
+        spans = (e.span, e.bound.span, e.body.span)
+        assert len({id(span._source) for span in spans}) == 1
+
+    def test_newline_table_built_once_on_first_lookup(self):
+        source = _Parser(self.TEXT).source
+        assert source._newlines is None
+        assert source.line_col(29) == (2, 1)
+        table = source._newlines
+        assert table == [28, 37]
+        assert source.line_col(49) == (3, 12)
+        assert source._newlines is table
+
+    @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
+                                      lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_hold_seven_fields_and_no_text(self, twin):
+        node = parse_expr(self.TEXT)
+        for x in (node, node.span):
+            span = getattr(twin(x), "span", twin(x))
+            assert type(span) is SourceSpan and span == node.span
+            assert all(type(v) in (str, int) for v in span)
+        assert b"comment" not in pickle.dumps(node)
 
 
 class TestEnvBindings:
