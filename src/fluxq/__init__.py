@@ -17,26 +17,26 @@ _EXPORTS = {
     "enumeration": "types_upto values_upto",
     "evaluator": "Runtime ValueEnv apply_update conforms eval_query "
                  "runtime_for_query_program runtime_for_update_program",
-    "generators": "GenConfig gen_env gen_sub_env gen_subtype_of gen_type "
-                  "gen_typed_expr gen_typed_stmt",
     "parser": "parse_expr parse_program parse_signature parse_stmt "
               "parse_type parse_value",
     "printer": "type_str value_str",
-    "queries": "BoolLit Call Children Concat Elem EmptySeq For FunctionDecl "
-               "If LabelFilter Let QueryExpr QueryProgram StrLit VarRef "
-               "check_expr check_query_program filter_label synth_expr "
+    "queries": "check_expr check_query_program filter_label synth_expr "
                "synth_for",
     "subtyping": "env_subtype refute subtype",
-    "suites": "SuiteReport SuiteResult run_suites",
+    "suites": "GenConfig SuiteReport SuiteResult gen_env gen_sub_env "
+              "gen_subtype_of gen_type gen_typed_expr gen_typed_stmt "
+              "run_suites",
     "types": "Atom BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE "
              "EMPTY_DECLS ForestBinding GlobalDecls Or Seq Signature Star "
              "STRING StringAtom TreeBinding Type TypeEnv Var "
-             "check_signature passes syntactic_atoms",
+             "check_signature passes syntactic_atoms "
+             "BoolLit Call Children Concat Elem EmptySeq For FunctionDecl "
+             "If LabelFilter Let QueryExpr QueryProgram StrLit VarRef "
+             "Delete IfStmt Insert LetStmt Nav ProcCall ProcedureDecl "
+             "Rename SeqStmt Skip Snapshot Test UpdateProgram UpdateStmt",
     "unparse": "expr_str program_str signature_str stmt_str",
-    "updates": "Delete IfStmt Insert LetStmt Multiplicity Nav "
-               "ProcCall ProcedureDecl Rename SeqStmt Skip Snapshot Test "
-               "UpdateProgram UpdateStmt check_program check_stmt "
-               "check_update_program synth_iter synth_stmt",
+    "updates": "Multiplicity check_program check_stmt check_update_program "
+               "synth_iter synth_stmt",
     "values": "BoolVal FALSE Forest Node StrVal TRUE Tree member witness",
 }
 # public name -> the module that defines it; a module is its own home

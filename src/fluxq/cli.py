@@ -29,16 +29,13 @@ from .parser import (
     parse_type, parse_value,
 )
 from .printer import type_str, value_str
-from .queries import QueryProgram
 from .subtyping import subtype
 from .types import (
-    Atom, Element, EMPTY_SIGNATURE, ForestBinding, Signature, TreeBinding,
-    check_signature, check_type_declared, nodes,
+    Atom, Element, EMPTY_SIGNATURE, ForestBinding, QueryProgram, Signature,
+    TreeBinding, UpdateProgram, check_signature, check_type_declared, nodes,
+    program_decls,
 )
-from .updates import (
-    UpdateProgram, annotation_diags, check_program, program_decls,
-    synth_main,
-)
+from .updates import annotation_diags, check_program, synth_main
 from .values import member
 
 
@@ -199,8 +196,7 @@ def cmd_run_update(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .generators import GenConfig
-    from .suites import run_suites
+    from .suites import GenConfig, run_suites
     labels, sig = ("a", "b", "c"), None
     if args.file:
         # a variable with no value is reported by the suite that looks for

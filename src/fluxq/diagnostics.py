@@ -1,6 +1,7 @@
 """What went wrong and where: the parsed text, whose spans resolve their
 lines and columns on demand; spans and diagnostics, named tuples like every
-record that is not a tree node; and the exceptions the package raises."""
+record that is not a tree node, a diagnostic's span resolved when it is
+made; and the exceptions the package raises."""
 
 from __future__ import annotations
 
@@ -78,12 +79,22 @@ class LazySpan:
         return SourceSpan, tuple(self.resolve())
 
 
-class Diagnostic(NamedTuple):
-    """An error: fluxq reports no other kind of diagnostic."""
-
+class _DiagnosticFields(NamedTuple):
     message: str
     rule: str  # which judgment or rule rejected the construct
-    span: SourceSpan | None = None
+    span: SourceSpan | None
+
+
+class Diagnostic(_DiagnosticFields):
+    """An error: fluxq reports no other kind of diagnostic.  A node's
+    ``LazySpan`` is resolved here, once, to the ``SourceSpan`` reported."""
+
+    __slots__ = ()
+
+    def __new__(cls, message: str, rule: str, span=None):
+        if span.__class__ is LazySpan:
+            span = span.resolve()
+        return tuple.__new__(cls, (message, rule, span))
 
     def render(self) -> str:
         loc = ""

@@ -24,14 +24,12 @@ from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .diagnostics import EvalError, RecursionLimitExceeded
 from .printer import value_str
-from .queries import (
-    BoolLit, Call, Children, Concat, Elem, EmptySeq, For, If, LabelFilter,
-    Let, QueryExpr, QueryProgram, StrLit, VarRef,
-)
-from .types import EMPTY_DECLS, GlobalDecls, Signature, TypeEnv, passes
-from .updates import (
-    Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, Rename, SeqStmt, Skip,
-    Snapshot, Test, UpdateProgram, UpdateStmt, program_decls,
+from .types import (
+    BoolLit, Call, Children, Concat, Delete, Elem, EMPTY_DECLS, EmptySeq,
+    For, GlobalDecls, If, IfStmt, Insert, LabelFilter, Let, LetStmt, Nav,
+    ProcCall, QueryExpr, QueryProgram, Rename, SeqStmt, Signature, Skip,
+    Snapshot, StrLit, Test, TypeEnv, UpdateProgram, UpdateStmt, VarRef,
+    passes, program_decls,
 )
 from .values import BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree, member
 

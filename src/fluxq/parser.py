@@ -34,6 +34,9 @@ their for-loop cores.  Variables keep the names written: an inner binder
 shadows an outer one in the checker's and evaluator's environments.  A
 node's span holds its offsets and the parse's one ``SourceText``, so no
 line or column is computed unless a span or a ``ParseError`` is reported.
+
+The syntax trees are those of ``types``, so parsing loads no typechecker:
+only ``diagnostics``, ``types`` and ``values``.
 """
 
 from __future__ import annotations
@@ -43,17 +46,13 @@ from bisect import bisect_left
 from functools import cache
 
 from .diagnostics import LazySpan, ParseError, SourceSpan, SourceText
-from .queries import (
-    BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
-    LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
-)
 from .types import (
-    BOOL, BoolAtom, Declared, Element, EMPTY, Or, Seq, Signature, Star,
-    STRING, StringAtom, Type, Var, optional, plus,
-)
-from .updates import (
-    Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl,
-    Rename, SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt,
+    BOOL, BoolLit, Call, Children, Concat, Declared, Delete, Elem, Element,
+    EMPTY, EmptySeq, For, FunctionDecl, If, IfStmt, Insert, LabelFilter, Let,
+    LetStmt, Nav, Or, ProcCall, ProcedureDecl, QueryExpr, QueryProgram,
+    Rename, Seq, SeqStmt, Signature, Skip, Snapshot, Star, STRING, StrLit,
+    Test, TEST_KEYWORDS, Type, UpdateProgram, UpdateStmt, Var, VarRef,
+    optional, plus,
 )
 from .values import FALSE, Forest, Node, StrVal, TRUE, Tree
 
@@ -78,10 +77,6 @@ _LEXEME_RE = re.compile(r'[ \t\r\n]+|#[^\n]*|\w+|::|=>|\$\w*|'
                         + _STRING_BODY + '"|.', re.DOTALL)
 _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
-
-# the ``?`` tests written as a keyword: each admits its atom class; any
-# other test (a label or ``*``) admits the label it is written as
-_TESTS = {"bool": BoolAtom, "string": StringAtom}
 
 # What ``parse_value`` reads next, and the lexemes it skips.
 _ITEM, _OPEN, _BRACKET, _PAREN, _AFTER = (object() for _ in range(5))
@@ -414,7 +409,7 @@ class _Parser:
         self.pos = tok + 1
         if kind in ("bool", "string", "*") or (
                 kind == "IDENT" and self.kinds[tok + 1] == "?"):
-            test = _TESTS.get(kind, self.texts[tok])
+            test = TEST_KEYWORDS.get(kind, self.texts[tok])
             self.expect("?")
             body = self.parse_stmt_item()
             return Test(test, body, span=self.span_from(tok))

@@ -7,12 +7,14 @@ then ``,``, then ``|``; ``t | ()`` prints as ``t?``.
 from __future__ import annotations
 
 from .types import (
-    BoolAtom, Element, Empty, Or, Seq, Star, StringAtom, Type, Var,
+    BoolAtom, Element, Empty, Or, Seq, Star, StringAtom, TEST_KEYWORDS, Type,
+    Var,
 )
 from .values import Forest, Node, StrVal
 
 _OR, _SEQ, _POSTFIX, _PRIMARY = range(4)
-_TEST_KEYWORDS = {BoolAtom: "bool", StringAtom: "string"}
+# the keyword of each atom class a ``?`` test admits
+_TEST_WORDS = {atom: word for word, atom in TEST_KEYWORDS.items()}
 
 
 def type_str(t: Type) -> str:
@@ -78,7 +80,7 @@ def type_str(t: Type) -> str:
 def test_str(test) -> str:
     """A ``?`` test as written before the ``?``: a label, ``*``, or the
     keyword of the atom class it admits."""
-    return _TEST_KEYWORDS.get(test, test)
+    return _TEST_WORDS.get(test, test)
 
 
 def escape_string(s: str) -> str:

@@ -1,4 +1,5 @@
-"""Query expressions and their algorithmic typechecker.
+"""The algorithmic typechecker of query expressions, whose syntax is in
+``types``.
 
 Synthesis is subsumption-free and deterministic: every expression either has
 a unique synthesized type or fails with a diagnostic.  Subtyping enters in
@@ -16,73 +17,11 @@ from .diagnostics import Diagnostic, SourceSpan, TypeCheckFailure
 from .printer import type_str
 from .subtyping import subtype
 from .types import (
-    BOOL, Element, EMPTY, ForestBinding, GlobalDecls, Or, Seq, Signature,
-    STRING, Struct, TreeBinding, Type, TypeEnv, map_atoms,
+    BOOL, BoolLit, Call, Children, Concat, Elem, Element, EMPTY, EmptySeq,
+    For, ForestBinding, GlobalDecls, If, LabelFilter, Let, Or, QueryExpr,
+    QueryProgram, Seq, Signature, STRING, StrLit, TreeBinding, Type, TypeEnv,
+    VarRef, map_atoms,
 )
-
-
-class QueryExpr(Struct):
-    __slots__ = ()
-
-
-class EmptySeq(QueryExpr):
-    __slots__ = ()
-
-
-class Concat(QueryExpr):
-    __slots__ = ("left", "right")
-
-
-class Elem(QueryExpr):
-    __slots__ = ("label", "content")
-
-
-class StrLit(QueryExpr):
-    __slots__ = ("value",)
-
-
-class BoolLit(QueryExpr):
-    __slots__ = ("value",)
-
-
-class VarRef(QueryExpr):
-    __slots__ = ("name",)
-
-
-class Let(QueryExpr):
-    __slots__ = ("var", "bound", "body")
-
-
-class If(QueryExpr):
-    __slots__ = ("cond", "then", "els")
-
-
-class Children(QueryExpr):
-    """Child projection of a for-bound tree variable."""
-
-    __slots__ = ("var",)
-
-
-class LabelFilter(QueryExpr):
-    """Keep exactly the trees labeled ``label``, in order."""
-
-    __slots__ = ("source", "label")
-
-
-class For(QueryExpr):
-    __slots__ = ("var", "source", "body")
-
-
-class Call(QueryExpr):
-    __slots__ = ("name", "args")
-
-
-class FunctionDecl(Struct):
-    __slots__ = ("name", "params", "result", "body")
-
-
-class QueryProgram(Struct):
-    __slots__ = ("functions", "main", "ascription")
 
 
 def _fail(message: str, rule: str, span: SourceSpan | None = None):

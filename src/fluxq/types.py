@@ -1,4 +1,5 @@
-"""Regular-expression types over XML forests, and recursive type signatures.
+"""Regular-expression types over XML forests, recursive type signatures, and
+the syntax trees of the query and update cores.
 
 A type is a regular expression whose letters are atoms: ``bool``, ``string``,
 or an element ``n[t]`` with a nested content type.  Signatures bind type
@@ -26,6 +27,9 @@ structural ``Struct``, whose equality, hash and ``repr`` come from its
 fields; its parser span is not a field, so golden tests and round-trips
 compare pure structure.  Every other record, such as
 ``GlobalDecls``, is a ``NamedTuple``.
+
+The query and update syntax lives here too, with ``program_decls``, so the
+parser, the interpreter and the printers load no typechecker.
 """
 
 from __future__ import annotations
@@ -324,15 +328,6 @@ EMPTY = Empty()
 # (``values.BoolVal`` and ``StrVal``), so every head is keyed by ``label``
 BoolAtom.label, BoolAtom.content = BoolAtom, EMPTY
 StringAtom.label, StringAtom.content = StringAtom, EMPTY
-
-
-def passes(label, test) -> bool:
-    """Does a tree or an atom with head ``label`` pass the ``?`` test
-    ``test``, which holds the label it admits (an element's name, ``"*"``
-    for any name, or the atom class of ``bool`` or ``string``)?  The
-    checker and the interpreter both decide ``?`` here, so they cannot
-    disagree."""
-    return label == test or test == "*" and label.__class__ is str
 
 
 def optional(t: Type) -> Type:
@@ -722,7 +717,7 @@ def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:
     return frozenset(found)
 
 
-# --- typing environments and global declarations ---------------------------
+# --- typing environments ----------------------------------------------------
 
 
 class TreeBinding(Struct):
@@ -747,14 +742,181 @@ Binding = Union[TreeBinding, ForestBinding]
 TypeEnv = Mapping[str, Binding]
 
 
+# --- query and update syntax, and a program's declarations -----------------
+
+
+class QueryExpr(Struct):
+    __slots__ = ()
+
+
+class EmptySeq(QueryExpr):
+    __slots__ = ()
+
+
+class Concat(QueryExpr):
+    __slots__ = ("left", "right")
+
+
+class Elem(QueryExpr):
+    __slots__ = ("label", "content")
+
+
+class StrLit(QueryExpr):
+    __slots__ = ("value",)
+
+
+class BoolLit(QueryExpr):
+    __slots__ = ("value",)
+
+
+class VarRef(QueryExpr):
+    __slots__ = ("name",)
+
+
+class Let(QueryExpr):
+    __slots__ = ("var", "bound", "body")
+
+
+class If(QueryExpr):
+    __slots__ = ("cond", "then", "els")
+
+
+class Children(QueryExpr):
+    """Child projection of a for-bound tree variable."""
+
+    __slots__ = ("var",)
+
+
+class LabelFilter(QueryExpr):
+    """Keep exactly the trees labeled ``label``, in order."""
+
+    __slots__ = ("source", "label")
+
+
+class For(QueryExpr):
+    __slots__ = ("var", "source", "body")
+
+
+class Call(QueryExpr):
+    __slots__ = ("name", "args")
+
+
+class FunctionDecl(Struct):
+    __slots__ = ("name", "params", "result", "body")
+
+
+class QueryProgram(Struct):
+    __slots__ = ("functions", "main", "ascription")
+
+
+class UpdateStmt(Struct):
+    __slots__ = ()
+
+
+class Skip(UpdateStmt):
+    __slots__ = ()
+
+
+class SeqStmt(UpdateStmt):
+    __slots__ = ("first", "second")
+
+
+class IfStmt(UpdateStmt):
+    __slots__ = ("cond", "then", "els")
+
+
+class LetStmt(UpdateStmt):
+    __slots__ = ("var", "bound", "body")
+
+
+class ProcCall(UpdateStmt):
+    __slots__ = ("name", "args")
+
+
+class Insert(UpdateStmt):
+    __slots__ = ("expr",)
+
+
+class Delete(UpdateStmt):
+    __slots__ = ()
+
+
+class Rename(UpdateStmt):
+    __slots__ = ("label",)
+
+
+class Snapshot(UpdateStmt):
+    """Bind a forest variable to the focused value, then update it."""
+
+    __slots__ = ("var", "body")
+
+
+class Test(UpdateStmt):
+    """Run the body only if the focused tree passes the test: ``test`` is
+    the label it admits, as ``passes`` reads it."""
+
+    __slots__ = ("test", "body")
+
+
+# the ``?`` tests written as a keyword, each admitting its atom class; any
+# other test (a label or ``*``) admits the label it is written as
+TEST_KEYWORDS = {"bool": BoolAtom, "string": StringAtom}
+
+
+def passes(label, test) -> bool:
+    """Does a tree or an atom with head ``label`` pass the ``?`` test
+    ``test``, which holds the label it admits (an element's name, ``"*"``
+    for any name, or the atom class of ``bool`` or ``string``)?  The
+    checker and the interpreter both decide ``?`` here, so they cannot
+    disagree."""
+    return label == test or test == "*" and label.__class__ is str
+
+
+class Nav(UpdateStmt):
+    """``direction`` is the keyword: left, right, children or iter."""
+
+    __slots__ = ("direction", "body")
+
+
+class ProcedureDecl(Struct):
+    __slots__ = ("name", "params", "input", "output", "body")
+
+
+class UpdateProgram(Struct):
+    __slots__ = ("functions", "procedures", "main", "input", "output")
+
+
 class GlobalDecls(NamedTuple):
     """A program's ``FunctionDecl`` and ``ProcedureDecl`` nodes by name, in
-    separate namespaces, as ``updates.program_decls`` resolves them.  The
-    checker types calls against their headers; the interpreter runs their
+    separate namespaces, as ``program_decls`` resolves them.  The checker
+    types calls against their headers; the interpreter runs their
     bodies."""
 
-    functions: Mapping[str, Struct] = MappingProxyType({})
-    procedures: Mapping[str, Struct] = MappingProxyType({})
+    functions: Mapping[str, FunctionDecl] = MappingProxyType({})
+    procedures: Mapping[str, ProcedureDecl] = MappingProxyType({})
 
 
 EMPTY_DECLS = GlobalDecls()
+
+
+def program_decls(prog: QueryProgram | UpdateProgram
+                  ) -> tuple[GlobalDecls, list[Diagnostic]]:
+    """A program's declarations by name, and a diagnostic for each
+    duplicate: of two declarations with one name the first wins."""
+    diags: list[Diagnostic] = []
+
+    def first_of(declared, kind: str) -> dict:
+        kept = {}
+        for d in declared:
+            if d.name in kept:
+                diags.append(Diagnostic(f"{kind} {d.name} declared twice",
+                                        f"program/duplicate-{kind}", d.span))
+            else:
+                kept[d.name] = d
+        return kept
+
+    decls = GlobalDecls(
+        first_of(prog.functions, "function"),
+        first_of(prog.procedures if isinstance(prog, UpdateProgram) else (),
+                 "procedure"))
+    return decls, diags

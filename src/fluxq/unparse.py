@@ -1,18 +1,17 @@
 """Rendering of expressions, statements, and programs back to concrete
 syntax.  Inverse of the parser up to desugaring: parse(unparse(ast)) is
-structurally identical to ast."""
+structurally identical to ast.  A ``,`` or ``;`` list is printed down its
+right spine in a loop, as ``printer.type_str`` prints a type's, so a list
+of any length prints."""
 
 from __future__ import annotations
 
 from .printer import escape_string, test_str, type_str
-from .queries import (
-    BoolLit, Call, Children, Concat, Elem, EmptySeq, For, FunctionDecl, If,
-    LabelFilter, Let, QueryExpr, QueryProgram, StrLit, VarRef,
-)
-from .types import Signature
-from .updates import (
-    Delete, IfStmt, Insert, LetStmt, Nav, ProcCall, ProcedureDecl, Rename,
-    SeqStmt, Skip, Snapshot, Test, UpdateProgram, UpdateStmt,
+from .types import (
+    BoolLit, Call, Children, Concat, Delete, Elem, EmptySeq, For, If, IfStmt,
+    Insert, LabelFilter, Let, LetStmt, Nav, ProcCall, QueryExpr, QueryProgram,
+    Rename, SeqStmt, Signature, Skip, Snapshot, StrLit, Test, UpdateProgram,
+    UpdateStmt, VarRef,
 )
 
 _COMMA, _SINGLE, _PATH = range(3)
@@ -36,7 +35,12 @@ def _expr(e: QueryExpr, level: int) -> str:
             return f"{e.label}[]"
         return f"{e.label}[{_expr(e.content, _COMMA)}]"
     if isinstance(e, Concat):
-        text = f"{_expr(e.left, _SINGLE)}, {_expr(e.right, _COMMA)}"
+        parts = []
+        while isinstance(e, Concat):
+            parts.append(_expr(e.left, _SINGLE))
+            e = e.right
+        parts.append(_expr(e, _COMMA))
+        text = ", ".join(parts)
         return text if level <= _COMMA else f"({text})"
     if isinstance(e, Let):
         text = (f"let ${e.var} = {_expr(e.bound, _SINGLE)} "
@@ -76,7 +80,12 @@ def _stmt(s: UpdateStmt, level: int) -> str:
     if isinstance(s, Rename):
         return f"rename {s.label}"
     if isinstance(s, SeqStmt):
-        text = f"{_stmt(s.first, _ITEM)}; {_stmt(s.second, _SEQLEVEL)}"
+        parts = []
+        while isinstance(s, SeqStmt):
+            parts.append(_stmt(s.first, _ITEM))
+            s = s.second
+        parts.append(_stmt(s, _SEQLEVEL))
+        text = "; ".join(parts)
         return text if level <= _SEQLEVEL else f"({text})"
     if isinstance(s, IfStmt):
         return (f"if {_expr(s.cond, _SINGLE)} then {_stmt(s.then, _ITEM)} "
@@ -104,29 +113,22 @@ def _params_str(params: tuple[tuple[str, object], ...]) -> str:
     return ", ".join(f"${name} : {type_str(t)}" for name, t in params)
 
 
-def function_str(fn: FunctionDecl) -> str:
-    return (f"declare function {fn.name}({_params_str(fn.params)}) : "
-            f"{type_str(fn.result)} {{\n  {expr_str(fn.body)}\n}};")
-
-
-def procedure_str(proc: ProcedureDecl) -> str:
-    return (f"declare procedure {proc.name}({_params_str(proc.params)}) : "
-            f"{type_str(proc.input)} => {type_str(proc.output)} {{\n"
-            f"  {stmt_str(proc.body)}\n}};")
-
-
 def program_str(prog: QueryProgram | UpdateProgram,
                 sig: Signature | None = None) -> str:
     parts: list[str] = []
     if sig is not None and len(sig):
         parts.append(signature_str(sig))
     for fn in prog.functions:
-        parts.append(function_str(fn))
+        parts.append(f"declare function {fn.name}({_params_str(fn.params)}) : "
+                     f"{type_str(fn.result)} {{\n  {expr_str(fn.body)}\n}};")
     if isinstance(prog, QueryProgram):
         parts.append(f"query {expr_str(prog.main)} : {type_str(prog.ascription)}")
     else:
         for proc in prog.procedures:
-            parts.append(procedure_str(proc))
+            parts.append(f"declare procedure {proc.name}("
+                         f"{_params_str(proc.params)}) : {type_str(proc.input)}"
+                         f" => {type_str(proc.output)} {{\n"
+                         f"  {stmt_str(proc.body)}\n}};")
         parts.append(f"update {stmt_str(prog.main)} : {type_str(prog.input)} "
                      f"=> {type_str(prog.output)}")
     return "\n\n".join(parts) + "\n"

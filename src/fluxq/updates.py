@@ -1,4 +1,5 @@
-"""Update statements and their algorithmic typechecker.
+"""The algorithmic typechecker of update statements, whose syntax is in
+``types``.
 
 A statement judgment is parameterized by a multiplicity: singular updates
 apply to one tree, plural updates to a forest.  Synthesis threads the focus
@@ -16,82 +17,21 @@ import enum
 from .diagnostics import Diagnostic, UndeclaredVariable
 from .printer import test_str, type_str
 from .queries import (
-    FunctionDecl, QueryProgram, _arguments, _ascribe, _condition, _fail,
-    check_expr, synth_expr,
+    _arguments, _ascribe, _condition, _fail, check_expr, synth_expr,
 )
 from .subtyping import subtype
 from .types import (
-    Atom, Element, Empty, EMPTY, ForestBinding, GlobalDecls, Or, Seq,
-    Signature, Struct, Type, TypeEnv, check_type_declared, map_atoms, passes,
+    Atom, Delete, Element, Empty, EMPTY, ForestBinding, FunctionDecl,
+    GlobalDecls, IfStmt, Insert, LetStmt, Nav, Or, ProcCall, QueryProgram,
+    Rename, Seq, SeqStmt, Signature, Skip, Snapshot, Test, Type, TypeEnv,
+    UpdateProgram, UpdateStmt, check_type_declared, map_atoms, passes,
+    program_decls,
 )
 
 
 class Multiplicity(enum.Enum):
     SINGULAR = "1"
     PLURAL = "*"
-
-
-class UpdateStmt(Struct):
-    __slots__ = ()
-
-
-class Skip(UpdateStmt):
-    __slots__ = ()
-
-
-class SeqStmt(UpdateStmt):
-    __slots__ = ("first", "second")
-
-
-class IfStmt(UpdateStmt):
-    __slots__ = ("cond", "then", "els")
-
-
-class LetStmt(UpdateStmt):
-    __slots__ = ("var", "bound", "body")
-
-
-class ProcCall(UpdateStmt):
-    __slots__ = ("name", "args")
-
-
-class Insert(UpdateStmt):
-    __slots__ = ("expr",)
-
-
-class Delete(UpdateStmt):
-    __slots__ = ()
-
-
-class Rename(UpdateStmt):
-    __slots__ = ("label",)
-
-
-class Snapshot(UpdateStmt):
-    """Bind a forest variable to the focused value, then update it."""
-
-    __slots__ = ("var", "body")
-
-
-class Test(UpdateStmt):
-    """Run the body only if the focused tree passes the test: ``test`` is
-    the label it admits, as ``types.passes`` reads it."""
-
-    __slots__ = ("test", "body")
-
-
-class Nav(UpdateStmt):
-    """``direction`` is the keyword: left, right, children or iter."""
-
-    __slots__ = ("direction", "body")
-
-
-class ProcedureDecl(Struct):
-    __slots__ = ("name", "params", "input", "output", "body")
-
-
-class UpdateProgram(Struct):
-    __slots__ = ("functions", "procedures", "main", "input", "output")
 
 
 def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
@@ -194,29 +134,6 @@ def check_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
     _, diag = _ascribe(sig, lambda: synth_stmt(decls, sig, env, mult, t, s),
                        expected, s.span, "update")
     return diag is None, diag
-
-
-def program_decls(prog: QueryProgram | UpdateProgram
-                  ) -> tuple[GlobalDecls, list[Diagnostic]]:
-    """A program's declarations by name, and a diagnostic for each
-    duplicate: of two declarations with one name the first wins."""
-    diags: list[Diagnostic] = []
-
-    def first_of(declared, kind: str) -> dict:
-        kept = {}
-        for d in declared:
-            if d.name in kept:
-                diags.append(Diagnostic(f"{kind} {d.name} declared twice",
-                                        f"program/duplicate-{kind}", d.span))
-            else:
-                kept[d.name] = d
-        return kept
-
-    decls = GlobalDecls(
-        first_of(prog.functions, "function"),
-        first_of(prog.procedures if isinstance(prog, UpdateProgram) else (),
-                 "procedure"))
-    return decls, diags
 
 
 def synth_main(decls: GlobalDecls, sig: Signature, env: TypeEnv,

@@ -19,12 +19,18 @@ SAMPLES = ROOT / "samples"
 CHECK_ARGS = {"leaves.muxq": [], "children.muxq": ["--tree", "x=a[b[]*,c[]?]"],
               "insert_after.flux": [], "leafupd.flux": []}
 # what ``check`` does not run
-UNUSED = ("fluxq.suites", "fluxq.generators", "fluxq.evaluator",
-          "fluxq.unparse", "fluxq.enumeration", "random")
+UNUSED = ("fluxq.suites", "fluxq.evaluator", "fluxq.unparse",
+          "fluxq.enumeration", "random")
 # the package's modules that ``import fluxq.cli`` loads
 CHECK_MODULES = ["fluxq", "fluxq.cli", "fluxq.diagnostics", "fluxq.parser",
                  "fluxq.printer", "fluxq.queries", "fluxq.subtyping",
                  "fluxq.types", "fluxq.updates", "fluxq.values"]
+# the typecheckers, and the inclusion decision they call
+CHECKERS = ("fluxq.queries", "fluxq.updates", "fluxq.subtyping")
+# the package's modules that ``import fluxq.parser`` loads: the syntax
+# lives in ``types``, beside the types
+PARSER_MODULES = ["fluxq", "fluxq.diagnostics", "fluxq.parser",
+                  "fluxq.types", "fluxq.values"]
 # the private names one module may import from another, by importer
 SHARED_PRIVATE = {("updates", "queries"): {"_arguments", "_ascribe",
                                            "_condition", "_fail"}}
@@ -69,6 +75,25 @@ def test_cli_import_leaves_out_what_check_does_not_run():
     assert not set(UNUSED) & set(loaded), sorted(set(UNUSED) & set(loaded))
     # ``check_signature`` finds inhabitants in ``values``, not ``enumeration``
     assert [m for m in loaded if m.split(".")[0] == "fluxq"] == CHECK_MODULES
+
+
+def loaded_by(module: str) -> list[str]:
+    """The ``fluxq`` modules a fresh ``import module`` loads, sorted."""
+    loaded = probe(f"import json\nimport {module}\n"
+                   "print(json.dumps(sorted(sys.modules)))")
+    return [m for m in loaded if m.split(".")[0] == "fluxq"]
+
+
+def test_parser_loads_only_the_syntax():
+    assert loaded_by("fluxq.parser") == PARSER_MODULES
+
+
+@pytest.mark.parametrize("module", ["fluxq.parser", "fluxq.evaluator",
+                                    "fluxq.unparse"])
+def test_parser_interpreter_and_unparser_load_no_checker(module):
+    loaded = loaded_by(module)
+    assert module in loaded
+    assert not set(CHECKERS) & set(loaded), sorted(set(CHECKERS) & set(loaded))
 
 
 def test_enumeration_does_not_load_subtyping():
@@ -141,7 +166,7 @@ print(json.dumps([first, missing, sorted(set(names) - set(dir(fluxq)))]))
 
 def test_names_resolve_to_their_home_modules():
     import fluxq
-    from fluxq import diagnostics, parser, subtyping, suites, values
+    from fluxq import diagnostics, parser, subtyping, suites, types, values
     assert fluxq.subtype is subtyping.subtype
     assert fluxq.refute is subtyping.refute
     assert fluxq.witness is values.witness
@@ -149,6 +174,8 @@ def test_names_resolve_to_their_home_modules():
     assert fluxq.parse_type is parser.parse_type
     assert fluxq.run_suites is suites.run_suites
     assert fluxq.suites is suites
+    assert fluxq.Concat is types.Concat
+    assert fluxq.GenConfig is suites.GenConfig
     assert set(fluxq.__all__) == set(EXPORTS) - {"__version__"}
 
 

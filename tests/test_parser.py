@@ -18,12 +18,13 @@ from fluxq import (
     BoolAtom, BoolVal, Children, Concat, EMPTY, For, Insert, LabelFilter, Let,
     LetStmt, Node, ParseError, QueryProgram, Runtime, Snapshot, SourceSpan,
     Star, StringAtom, StrVal, UpdateProgram, VarRef, apply_update, check_program, eval_query,
+    check_signature,
     parse_expr, parse_program, parse_signature, parse_stmt, parse_type,
     parse_value, runtime_for_query_program, runtime_for_update_program,
     synth_expr, type_str, types_upto, value_str, values_upto,
 )
 from fluxq.diagnostics import LazySpan, SourceText
-from fluxq.generators import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
+from fluxq.suites import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import (
     _LEXEME_RE, _Parser, _is_label, _unescape, parse_env_bindings,
 )
@@ -664,6 +665,72 @@ class TestLazySpan:
             assert type(span) is SourceSpan and span == node.span
             assert all(type(v) in (str, int) for v in span)
         assert b"comment" not in pickle.dumps(node)
+
+
+class TestDiagnosticSpans:
+    """A diagnostic's span is a ``SourceSpan``, read as the tuple of its
+    seven fields: a node's ``LazySpan`` is resolved when the diagnostic is
+    made.  The node's own span stays lazy."""
+
+    @staticmethod
+    def spans(diags):
+        for d in diags:
+            assert isinstance(d.span, SourceSpan)
+            assert len(d.span) == 7 and d.span[1] == d.span.begin
+        return [tuple(d.span) for d in diags]
+
+    def test_ill_typed_program(self):
+        prog, sig = parse_program(
+            "declare function f() : b[] { a[] };\n"
+            "declare function f() : a[] { a[] };\n"
+            'query "s" : bool\n', "p")
+        _, diags = check_program(sig, prog)
+        assert self.spans(diags) == [("p", 36, 71, 2, 1, 2, 36),
+                                     ("p", 29, 32, 1, 30, 1, 33),
+                                     ("p", 78, 81, 3, 7, 3, 10)]
+        assert isinstance(prog.main.span, LazySpan)
+
+    def test_ill_formed_signature(self):
+        sig = parse_signature("type X = a[] | Y\ntype Z = z[Z] | Z\n", "s")
+        assert self.spans(check_signature(sig)) == [
+            ("s", 15, 16, 1, 16, 1, 17), ("s", 15, 16, 1, 16, 1, 17),
+            ("s", 33, 34, 2, 17, 2, 18)]
+
+
+class TestLongLists:
+    """A ``,`` or ``;`` list of any length prints, down its right spine in
+    a loop, and its text parses back to a list that prints the same.  The
+    texts are compared, not the trees, since ``==`` on a parsed list
+    recurses once per item."""
+
+    @pytest.mark.parametrize("text", [
+        "update " + "; ".join(["skip"] * 5000) + " : a[] => a[]",
+        "query " + ", ".join(["a[]"] * 5000) + " : a[]*",
+        "update children[" + "; ".join(["delete"] * 5000) + "]; iter[skip]"
+        " : a[] => a[]",
+        "query a[" + ", ".join(["b[]"] * 5000) + "], f(" + ", ".join(
+            ["()"] * 5000) + ") : a[]",
+    ], ids=["statements", "items", "nested-statements", "nested-items"])
+    def test_5000_items_print_parse_and_print_again(self, text):
+        printed = program_str(*parse_program(text))
+        assert printed == text + "\n"
+        assert program_str(*parse_program(printed)) == printed
+
+    @pytest.mark.parametrize("text", [
+        "a[], (b[], c[]), d[]", "let $x = (a[], b[]) in ($x, $x), ()",
+        "f((a[], b[]), c[]), x[a[], b[]]",
+        "for $y in ($x, $x) return ($y, $y), $x::a"])
+    def test_nested_items_print_as_written(self, text):
+        assert expr_str(parse_expr(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "skip; (delete; skip); iter[skip; delete]",
+        "a?(skip; delete); b?skip",
+        "if true then (skip; skip) else delete; "
+        "left[insert (a[], b[]); skip]",
+        "p((a[], b[])); snapshot $s in (skip; skip)"])
+    def test_nested_statements_print_as_written(self, text):
+        assert stmt_str(parse_stmt(text)) == text
 
 
 class TestEnvBindings:

@@ -13,7 +13,7 @@ from fluxq import (
 )
 from fluxq import subtyping
 from fluxq.subtyping import atom_subtype
-from fluxq.generators import GenConfig, gen_subtype_of, gen_type
+from fluxq.suites import GenConfig, gen_subtype_of, gen_type
 from fluxq.types import union
 
 E = EMPTY_SIGNATURE
