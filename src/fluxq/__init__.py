@@ -19,7 +19,8 @@ _EXPORTS = {
                  "runtime_for_query_program runtime_for_update_program",
     "parser": "parse_expr parse_program parse_signature parse_stmt "
               "parse_type parse_value",
-    "printer": "type_str value_str",
+    "printer": "expr_str program_str signature_str stmt_str type_str "
+               "value_str",
     "queries": "check_expr check_query_program filter_label synth_expr "
                "synth_for",
     "subtyping": "env_subtype refute subtype",
@@ -34,7 +35,6 @@ _EXPORTS = {
              "If LabelFilter Let QueryExpr QueryProgram StrLit VarRef "
              "Delete IfStmt Insert LetStmt Nav ProcCall ProcedureDecl "
              "Rename SeqStmt Skip Snapshot Test UpdateProgram UpdateStmt",
-    "unparse": "expr_str program_str signature_str stmt_str",
     "updates": "Multiplicity check_program check_stmt check_update_program "
                "synth_iter synth_stmt",
     "values": "BoolVal FALSE Forest Node StrVal TRUE Tree member witness",

@@ -1,7 +1,8 @@
-"""What went wrong and where: the parsed text, whose spans resolve their
-lines and columns on demand; spans and diagnostics, named tuples like every
-record that is not a tree node, a diagnostic's span resolved when it is
-made; and the exceptions the package raises."""
+"""What went wrong and where: spans and diagnostics, named tuples like every
+record that is not a tree node; the parsed text, which resolves a parsed
+node's offsets to a span when the span is read, so lines and columns are
+looked up only for what is reported; and the exceptions the package
+raises."""
 
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class SourceSpan(_SpanFields):
 
 
 class SourceText:
-    """A parsed file's name and text, shared by the spans of its nodes, and
-    its newline table, built at the first lookup of a line and column."""
+    """A parsed file's name and text, which every node of the parse holds
+    with its offsets, and its newline table, built at the first lookup of a
+    line and column."""
 
     def __init__(self, text: str, file: str = "<input>"):
         self.file, self.text, self._newlines = file, text, None
@@ -48,53 +50,18 @@ class SourceText:
         line = bisect_left(self._newlines, offset)
         return line + 1, offset - (self._newlines[line - 1] if line else -1)
 
-
-class LazySpan:
-    """A parsed node's span: offsets into a ``SourceText``, read, compared,
-    hashed, shown and copied as the ``SourceSpan`` they resolve to."""
-
-    __slots__ = ("_begin", "_end", "_source")
-
-    def __init__(self, begin: int, end: int, source: SourceText):
-        self._begin, self._end, self._source = begin, end, source
-
-    def resolve(self) -> SourceSpan:
-        source, begin, end = self._source, self._begin, self._end
-        return SourceSpan(source.file, begin, end, *source.line_col(begin),
-                          *source.line_col(end))
-
-    def __getattr__(self, name: str):  # the fields, ``_fields``, ``_asdict``
-        return getattr(self.resolve(), name)
-
-    def __eq__(self, other):
-        return self.resolve() == other
-
-    def __hash__(self):
-        return hash(self.resolve())
-
-    def __repr__(self):
-        return repr(self.resolve())
-
-    def __reduce__(self):
-        return SourceSpan, tuple(self.resolve())
+    def span(self, begin: int, end: int) -> SourceSpan:
+        """The span of ``[begin, end)``, with its lines and columns."""
+        return SourceSpan(self.file, begin, end, *self.line_col(begin),
+                          *self.line_col(end))
 
 
-class _DiagnosticFields(NamedTuple):
+class Diagnostic(NamedTuple):
+    """An error: fluxq reports no other kind of diagnostic."""
+
     message: str
     rule: str  # which judgment or rule rejected the construct
-    span: SourceSpan | None
-
-
-class Diagnostic(_DiagnosticFields):
-    """An error: fluxq reports no other kind of diagnostic.  A node's
-    ``LazySpan`` is resolved here, once, to the ``SourceSpan`` reported."""
-
-    __slots__ = ()
-
-    def __new__(cls, message: str, rule: str, span=None):
-        if span.__class__ is LazySpan:
-            span = span.resolve()
-        return tuple.__new__(cls, (message, rule, span))
+    span: SourceSpan | None = None
 
     def render(self) -> str:
         loc = ""

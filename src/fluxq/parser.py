@@ -32,8 +32,8 @@ The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
 their for-loop cores.  Variables keep the names written: an inner binder
 shadows an outer one in the checker's and evaluator's environments.  A
-node's span holds its offsets and the parse's one ``SourceText``, so no
-line or column is computed unless a span or a ``ParseError`` is reported.
+node records its offsets and the parse's one ``SourceText``, so no line
+or column is computed unless a span or a ``ParseError`` is reported.
 
 The syntax trees are those of ``types``, so parsing loads no typechecker:
 only ``diagnostics``, ``types`` and ``values``.
@@ -45,7 +45,7 @@ import re
 from bisect import bisect_left
 from functools import cache
 
-from .diagnostics import LazySpan, ParseError, SourceSpan, SourceText
+from .diagnostics import ParseError, SourceText
 from .types import (
     BOOL, BoolLit, Call, Children, Concat, Declared, Delete, Elem, Element,
     EMPTY, EmptySeq, For, FunctionDecl, If, IfStmt, Insert, LabelFilter, Let,
@@ -174,8 +174,8 @@ class _Parser:
         # the variable uses read so far in the ``type`` declaration being
         # parsed (see ``types.Declared``), and how deep in element content
         # the reader is
-        self._uses: list[tuple[str, SourceSpan]] = []
-        self._top: list[tuple[str, SourceSpan]] = []
+        self._uses: list[tuple[str, tuple]] = []
+        self._top: list[tuple[str, tuple]] = []
         self._content_depth = 0
 
     # -- token plumbing ------------------------------------------------
@@ -207,12 +207,12 @@ class _Parser:
         found = "end of input" if tok == self.last else repr(self.texts[tok])
         raise self.error_at(tok, f"unexpected {found}{context}", expected)
 
-    def span_from(self, start: int) -> SourceSpan:
+    def span_from(self, start: int) -> tuple[int, int, SourceText]:
         """The span from token ``start`` through the last token consumed,
-        ``end`` being the offset past that token."""
+        ``end`` being the offset past that token, as a node records it."""
         prev = max(self.pos - 1, 0)
         end = prev if self.ends[prev] >= self.starts[start] else start
-        return LazySpan(self.starts[start], self.ends[end], self.source)
+        return self.starts[start], self.ends[end], self.source
 
     def parse_list(self, parse_item, op: str, node):
         """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so

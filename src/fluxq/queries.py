@@ -19,8 +19,8 @@ from .subtyping import subtype
 from .types import (
     BOOL, BoolLit, Call, Children, Concat, Elem, Element, EMPTY, EmptySeq,
     For, ForestBinding, GlobalDecls, If, LabelFilter, Let, Or, QueryExpr,
-    QueryProgram, Seq, Signature, STRING, StrLit, TreeBinding, Type, TypeEnv,
-    VarRef, map_atoms,
+    QueryProgram, Seq, Signature, STRING, StrLit, Struct, TreeBinding, Type,
+    TypeEnv, VarRef, map_atoms,
 )
 
 
@@ -130,11 +130,10 @@ def synth_for(decls: GlobalDecls, sig: Signature, env: TypeEnv, var: str,
 
 
 def _ascribe(sig: Signature, synth: Callable[[], Type], expected: Type,
-             span: SourceSpan | None, kind: str
-             ) -> tuple[Type | None, Diagnostic | None]:
+             at: Struct, kind: str) -> tuple[Type | None, Diagnostic | None]:
     """Run ``synth`` and check its type against ``expected`` by one subtype
-    test: the type, or the diagnostic of the synthesis or of the check
-    (rule ``query/ascription`` or ``update/ascription`` by ``kind``)."""
+    test: the type, or the diagnostic of the synthesis or of the check, at
+    ``at`` (rule ``query/ascription`` or ``update/ascription`` by ``kind``)."""
     try:
         actual = synth()
     except TypeCheckFailure as exc:
@@ -144,14 +143,14 @@ def _ascribe(sig: Signature, synth: Callable[[], Type], expected: Type,
     noun = "expression has type" if kind == "query" else "update produces type"
     return None, Diagnostic(f"{noun} {type_str(actual)}, which is not a "
                             f"subtype of {type_str(expected)}",
-                            f"{kind}/ascription", span)
+                            f"{kind}/ascription", at.span)
 
 
 def check_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv, e: QueryExpr,
                expected: Type) -> tuple[bool, Diagnostic | None]:
     """Synthesize then check against ``expected`` by one subtype test."""
     _, diag = _ascribe(sig, lambda: synth_expr(decls, sig, env, e), expected,
-                       e.span, "query")
+                       e, "query")
     return diag is None, diag
 
 

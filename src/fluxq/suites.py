@@ -33,7 +33,7 @@ from .diagnostics import EvalError, GenerationError, TypeCheckFailure
 from .enumeration import types_upto, values_upto
 from .evaluator import Runtime, apply_update, eval_query
 from .parser import parse_type
-from .printer import test_str, type_str, value_str
+from .printer import expr_str, stmt_str, test_str, type_str, value_str
 from .queries import filter_label, synth_expr, synth_for
 from .subtyping import refute, subtype
 from .types import (
@@ -44,7 +44,6 @@ from .types import (
     StrLit, Test, TreeBinding, Type, TypeEnv, UpdateStmt, Var, VarRef,
     passes, syntactic_atoms,
 )
-from .unparse import expr_str, stmt_str
 from .updates import Multiplicity, synth_iter, synth_stmt
 from .values import BoolVal, Forest, Node, StrVal, max_width, member, witness
 

@@ -24,9 +24,9 @@ with its class and fields, so equal types are one object, and equality
 and the hash are identity's; a type has no span.  Every other node
 (query expressions, update statements, values and bindings) is a
 structural ``Struct``, whose equality, hash and ``repr`` come from its
-fields; its parser span is not a field, so golden tests and round-trips
-compare pure structure.  Every other record, such as
-``GlobalDecls``, is a ``NamedTuple``.
+fields; its span is not a field, so golden tests and round-trips compare
+pure structure, and a parsed node's span is resolved only when read.
+Every other record, such as ``GlobalDecls``, is a ``NamedTuple``.
 
 The query and update syntax lives here too, with ``program_decls``, so the
 parser, the interpreter and the printers load no typechecker.
@@ -187,25 +187,53 @@ class Struct(_Node):
     A subclass lists its fields in ``__slots__`` and gets an ``__init__``
     (fields by position, ``span=None`` by keyword).  ``__eq__`` (same class,
     equal fields in order) and ``__hash__`` (that of the tuple of fields,
-    cached in ``_hash`` on first use) are written once here, and read
-    ``_fields``.  ``span`` is not a field, so equality, the hash and
-    ``repr`` ignore it.  Types are not ``Struct``s: they are interned,
-    carry no span and compare by identity (``Type``)."""
+    cached in ``_hash`` on first use) are written once here, read
+    ``_fields``, and keep their own stack, so no tree is too deep or long
+    for them.  ``span`` is not a field, so equality, the hash and ``repr``
+    ignore it.  Types are not ``Struct``s: they are interned, carry no span
+    and compare by identity (``Type``)."""
 
-    __slots__ = ("span", "_hash")
+    __slots__ = ("_span", "_hash")
     _constructors = (_init0, _init1, _init2, _init3, _init4, _init5)
 
+    @property
+    def span(self) -> SourceSpan | None:
+        """None, a ``SourceSpan``, or the parser's record resolved to one."""
+        return _resolve_span(self._span)
+
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ([getattr(self, f) for f in self._fields]
-                    == [getattr(other, f) for f in other._fields])
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Struct) and a.__class__ is b.__class__:
+                stack += [(getattr(a, f), getattr(b, f)) for f in a._fields]
+            elif a.__class__ is b.__class__ is tuple and len(a) == len(b):
+                stack += zip(a, b)
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self):
         value = self._hash
         if value is None:
-            value = hash(tuple([getattr(self, f) for f in self._fields]))
-            _set_hash(self, value)
+            # the nodes below, in the fields or in a tuple there, are hashed
+            # first, so hashing a node's fields reads cached hashes only
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                fields = [getattr(node, f) for f in node._fields]
+                pending = [x for v in fields
+                           for x in (v if v.__class__ is tuple else (v,))
+                           if isinstance(x, Struct) and x._hash is None]
+                if pending:
+                    stack += pending
+                else:
+                    _set_hash(stack.pop(), hash(tuple(fields)))
+            value = self._hash
         return value
 
     def __reduce__(self):
@@ -213,11 +241,20 @@ class Struct(_Node):
         # since restoring the slots one by one would assign to them; the
         # copy's span has its seven fields and not the parsed text
         fields = tuple(getattr(self, f) for f in self._fields)
-        span = self.span and SourceSpan(**self.span._asdict())
-        return partial(self.__class__, span=span), fields
+        return partial(self.__class__, span=self.span), fields
 
 
-_set_span, _set_hash = Struct.span.__set__, Struct._hash.__set__
+def _resolve_span(span) -> SourceSpan | None:
+    """A recorded span as read: the parser records the plain tuple
+    ``(begin, end, source)``, which ``source.span`` resolves, and None and
+    a ``SourceSpan`` given in code read as they are."""
+    if span.__class__ is tuple:
+        begin, end, source = span
+        return source.span(begin, end)
+    return span
+
+
+_set_span, _set_hash = Struct._span.__set__, Struct._hash.__set__
 
 
 class Type(_Node):
@@ -378,11 +415,11 @@ class Declared(NamedTuple):
     ``check_signature`` reports at: the declaration's span, every variable
     use written in ``t`` with its span, in written order, and the uses at
     the top level (outside element content), those of a ``t+`` repeated as
-    its ``t, t*`` repeats them."""
+    its ``t, t*`` repeats them, each span recorded as a node records it."""
 
-    span: SourceSpan
-    uses: tuple[tuple[str, SourceSpan], ...]
-    top: tuple[tuple[str, SourceSpan], ...]
+    span: tuple
+    uses: tuple[tuple[str, tuple], ...]
+    top: tuple[tuple[str, tuple], ...]
 
 
 class Signature:
@@ -634,7 +671,7 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
     invariant.
     """
     out: list[Diagnostic] = []
-    spans: dict[str, SourceSpan | None] = {}
+    spans: dict[str, tuple | None] = {}  # as ``Declared`` records them
     for name, body in sig.items():
         text = sig._declared.get(name)
         if text is None:
@@ -648,18 +685,18 @@ def check_signature(sig: Signature) -> list[Diagnostic]:
             if v not in sig:
                 out.append(Diagnostic(
                     f"type variable {v} used in definition of {name} is not declared",
-                    rule="signature/undeclared", span=span))
+                    rule="signature/undeclared", span=_resolve_span(span)))
         for v, span in top:
             out.append(Diagnostic(
                 f"top-level variable {v} in definition of {name}",
-                rule="signature/guardedness", span=span))
+                rule="signature/guardedness", span=_resolve_span(span)))
     if out:
         return out
     from .values import inhabitants  # values imports this module
     value = inhabitants(sig)
     return [Diagnostic(f"type variable {name} has no value: its definition "
                        f"admits only infinite trees",
-                       rule="signature/uninhabited", span=span)
+                       rule="signature/uninhabited", span=_resolve_span(span))
             for name, span in spans.items() if value(Var(name)) is None]
 
 

@@ -132,7 +132,7 @@ def check_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                expected: Type) -> tuple[bool, Diagnostic | None]:
     """Synthesize then check against ``expected`` by one subtype test."""
     _, diag = _ascribe(sig, lambda: synth_stmt(decls, sig, env, mult, t, s),
-                       expected, s.span, "update")
+                       expected, s, "update")
     return diag is None, diag
 
 
@@ -151,23 +151,23 @@ def annotation_diags(sig: Signature, prog: QueryProgram | UpdateProgram,
     """One ``signature/undeclared`` diagnostic per annotation that mentions
     a type variable absent from ``sig``; duplicates are dropped.  The
     annotations are the main's, those of ``decls`` (as ``program_decls``
-    resolves them) and the types of ``env``, reported at the program's
-    span."""
-    annotations = [(t, prog.span) for t in
+    resolves them) and the types of ``env``, reported at the span of the
+    program or the declaration."""
+    annotations = [(t, prog) for t in
                    ((prog.ascription,) if isinstance(prog, QueryProgram)
                     else (prog.input, prog.output))]
     for decl in (*decls.functions.values(), *decls.procedures.values()):
         declared = ((decl.result,) if isinstance(decl, FunctionDecl)
                     else (decl.input, decl.output))
-        annotations += [(t, decl.span) for _, t in decl.params]
-        annotations += [(t, decl.span) for t in declared]
-    annotations += [(b.type, prog.span) for b in env.values()]
+        annotations += [(t, decl) for _, t in decl.params]
+        annotations += [(t, decl) for t in declared]
+    annotations += [(b.type, prog) for b in env.values()]
     out: list[Diagnostic] = []
-    for t, span in annotations:
+    for t, at in annotations:
         try:
             check_type_declared(sig, t)
         except UndeclaredVariable as exc:
-            diag = Diagnostic(str(exc), "signature/undeclared", span)
+            diag = Diagnostic(str(exc), "signature/undeclared", at.span)
             if diag not in out:
                 out.append(diag)
     return out
@@ -204,7 +204,7 @@ def check_program(sig: Signature, prog: QueryProgram | UpdateProgram,
     query = isinstance(prog, QueryProgram)
     main, diag = _ascribe(sig, lambda: synth_main(decls, sig, env, prog),
                           prog.ascription if query else prog.output,
-                          prog.main.span, "query" if query else "update")
+                          prog.main, "query" if query else "update")
     if diag is not None:
         diags.append(diag)
     return (None if diags else main), diags

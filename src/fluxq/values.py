@@ -39,7 +39,8 @@ from .types import (
 # Trees write out ``__repr__``, and ``Node`` its ``__hash__``, where other
 # nodes take ``Struct``'s, which read ``_fields``: ``values_upto`` hashes
 # nodes in bulk and the oracle sorts trees by ``repr``, and the generic
-# methods raised the oracle's tail.  Both agree with ``Struct``'s.
+# methods raised the oracle's tail.  Both agree with ``Struct``'s, whose
+# walk ``Node`` takes for an unhashed child element.
 _set_hash = Struct._hash.__set__
 
 
@@ -67,6 +68,9 @@ class Node(Struct):
     def __hash__(self):
         value = self._hash
         if value is None:
+            for t in self.children:
+                if t._hash is None and t.children:
+                    return Struct.__hash__(self)  # hashes ``t`` first
             value = hash((self.label, self.children))
             _set_hash(self, value)
         return value

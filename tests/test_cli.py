@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Elem, Skip, parse_program, queries, suites, types, unparse, updates,
+    Elem, Skip, parse_program, printer, queries, suites, types, updates,
 )
 from fluxq.cli import build_parser, main
-from fluxq.diagnostics import LazySpan, SourceText
+from fluxq.diagnostics import SourceText
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -797,9 +797,9 @@ class TestSpansOnDemand:
         f = tmp_path / "ill.muxq"
         f.write_text(self.ILL)
         resolved = set()
-        original = LazySpan.resolve
-        monkeypatch.setattr(LazySpan, "resolve", lambda span: (
-            resolved.add((span._begin, span._end)) or original(span)))
+        original = SourceText.span
+        monkeypatch.setattr(SourceText, "span", lambda source, begin, end: (
+            resolved.add((begin, end)) or original(source, begin, end)))
         assert main(["--json", "check", str(f)]) == 1
         report = json.loads(capsys.readouterr().out)
         reported = {(d["span"]["begin"], d["span"]["end"])
@@ -981,7 +981,7 @@ class TestFuzz:
         for i in range(self.AST_MUTANTS):
             sample = rng.choice(samples)
             prog, sig = parsed[sample]
-            text = unparse.program_str(self.mutate_tree(rng, prog), sig)
+            text = printer.program_str(self.mutate_tree(rng, prog), sig)
             parse_program(text)  # every mutant parses
             mutant = tmp_path / f"t{i}{sample.suffix}"
             mutant.write_text(text)
@@ -1013,7 +1013,7 @@ class TestFuzz:
         texts = [s.read_text() for s in samples]
         for _ in range(self.AST_MUTANTS):
             prog, sig = parsed[rng.choice(samples)]
-            texts.append(unparse.program_str(self.mutate_tree(rng, prog), sig))
+            texts.append(printer.program_str(self.mutate_tree(rng, prog), sig))
         one_line = set()
         for text in texts:
             prog, sig = parse_program(text)

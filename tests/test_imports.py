@@ -19,8 +19,7 @@ SAMPLES = ROOT / "samples"
 CHECK_ARGS = {"leaves.muxq": [], "children.muxq": ["--tree", "x=a[b[]*,c[]?]"],
               "insert_after.flux": [], "leafupd.flux": []}
 # what ``check`` does not run
-UNUSED = ("fluxq.suites", "fluxq.evaluator", "fluxq.unparse",
-          "fluxq.enumeration", "random")
+UNUSED = ("fluxq.suites", "fluxq.evaluator", "fluxq.enumeration", "random")
 # the package's modules that ``import fluxq.cli`` loads
 CHECK_MODULES = ["fluxq", "fluxq.cli", "fluxq.diagnostics", "fluxq.parser",
                  "fluxq.printer", "fluxq.queries", "fluxq.subtyping",
@@ -31,6 +30,10 @@ CHECKERS = ("fluxq.queries", "fluxq.updates", "fluxq.subtyping")
 # lives in ``types``, beside the types
 PARSER_MODULES = ["fluxq", "fluxq.diagnostics", "fluxq.parser",
                   "fluxq.types", "fluxq.values"]
+# the package's modules that ``import fluxq.printer`` loads: it writes
+# every form the parser reads, from the same syntax
+PRINTER_MODULES = ["fluxq", "fluxq.diagnostics", "fluxq.printer",
+                   "fluxq.types", "fluxq.values"]
 # the private names one module may import from another, by importer
 SHARED_PRIVATE = {("updates", "queries"): {"_arguments", "_ascribe",
                                            "_condition", "_fail"}}
@@ -88,8 +91,12 @@ def test_parser_loads_only_the_syntax():
     assert loaded_by("fluxq.parser") == PARSER_MODULES
 
 
+def test_printer_loads_only_the_syntax():
+    assert loaded_by("fluxq.printer") == PRINTER_MODULES
+
+
 @pytest.mark.parametrize("module", ["fluxq.parser", "fluxq.evaluator",
-                                    "fluxq.unparse"])
+                                    "fluxq.printer"])
 def test_parser_interpreter_and_unparser_load_no_checker(module):
     loaded = loaded_by(module)
     assert module in loaded

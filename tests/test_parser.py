@@ -1,5 +1,5 @@
 """Concrete syntax: parsing, desugaring, spans, error positions, and
-round-trips through the unparser; shadowed binders in typing and
+round-trips through the printer; shadowed binders in typing and
 evaluation."""
 
 import copy
@@ -23,13 +23,13 @@ from fluxq import (
     parse_value, runtime_for_query_program, runtime_for_update_program,
     synth_expr, type_str, types_upto, value_str, values_upto,
 )
-from fluxq.diagnostics import LazySpan, SourceText
+from fluxq.diagnostics import SourceText
 from fluxq.suites import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed_stmt
 from fluxq.parser import (
     _LEXEME_RE, _Parser, _is_label, _unescape, parse_env_bindings,
 )
 from fluxq.types import EMPTY_SIGNATURE, EMPTY_DECLS, Or, Seq
-from fluxq.unparse import expr_str, program_str, stmt_str
+from fluxq.printer import expr_str, program_str, stmt_str
 from fluxq.updates import Multiplicity
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -617,23 +617,18 @@ class TestSourceSpan:
 
 
 class TestLazySpan:
-    """A parsed node's span holds its offsets and the parse's one
-    ``SourceText``, and is used as the ``SourceSpan`` of its seven fields."""
+    """A parsed node records its offsets and the parse's one ``SourceText``,
+    and its ``span`` is the ``SourceSpan`` they resolve to when read."""
 
     TEXT = "# no node holds this comment\nlet $x =\n  b[] in $x"
 
     def test_used_as_its_eager_twin(self):
         lazy = parse_expr(self.TEXT, "f").span
         eager = SourceSpan("f", 29, 49, 2, 1, 3, 12)
-        assert isinstance(lazy, LazySpan)
-        assert lazy == eager and eager == lazy and not lazy != eager
-        assert hash(lazy) == hash(eager)
-        assert repr(lazy) == repr(eager)
-        assert lazy._fields == eager._fields
-        assert lazy._asdict() == eager._asdict()
-        assert list(lazy._asdict()) == list(eager._asdict())
+        assert type(lazy) is SourceSpan and lazy == eager
+        assert tuple(lazy) == tuple(eager) and len(lazy) == 7
+        assert lazy[1] == lazy.begin == 29
         assert json.dumps(lazy._asdict()) == json.dumps(eager._asdict())
-        assert [getattr(lazy, f) for f in eager._fields] == list(eager)
 
     def test_fields_cannot_be_assigned(self):
         span = parse_expr(self.TEXT).span
@@ -643,8 +638,8 @@ class TestLazySpan:
 
     def test_one_source_per_parse(self):
         e = parse_expr(self.TEXT)
-        spans = (e.span, e.bound.span, e.body.span)
-        assert len({id(span._source) for span in spans}) == 1
+        records = (e._span, e.bound._span, e.body._span)
+        assert len({id(source) for _, _, source in records}) == 1
 
     def test_newline_table_built_once_on_first_lookup(self):
         source = _Parser(self.TEXT).source
@@ -669,8 +664,7 @@ class TestLazySpan:
 
 class TestDiagnosticSpans:
     """A diagnostic's span is a ``SourceSpan``, read as the tuple of its
-    seven fields: a node's ``LazySpan`` is resolved when the diagnostic is
-    made.  The node's own span stays lazy."""
+    seven fields, as a node's span is when read."""
 
     @staticmethod
     def spans(diags):
@@ -688,7 +682,7 @@ class TestDiagnosticSpans:
         assert self.spans(diags) == [("p", 36, 71, 2, 1, 2, 36),
                                      ("p", 29, 32, 1, 30, 1, 33),
                                      ("p", 78, 81, 3, 7, 3, 10)]
-        assert isinstance(prog.main.span, LazySpan)
+        assert type(prog.main.span) is SourceSpan
 
     def test_ill_formed_signature(self):
         sig = parse_signature("type X = a[] | Y\ntype Z = z[Z] | Z\n", "s")
@@ -697,24 +691,47 @@ class TestDiagnosticSpans:
             ("s", 33, 34, 2, 17, 2, 18)]
 
 
+LONG_PROGRAMS = [
+    "update " + "; ".join(["skip"] * 5000) + " : a[] => a[]",
+    "query " + ", ".join(["a[]"] * 5000) + " : a[]*",
+    "update children[" + "; ".join(["delete"] * 5000) + "]; iter[skip]"
+    " : a[] => a[]",
+    "query a[" + ", ".join(["b[]"] * 5000) + "], f(" + ", ".join(
+        ["()"] * 5000) + ") : a[]",
+]
+LONG_IDS = ["statements", "items", "nested-statements", "nested-items"]
+
+
 class TestLongLists:
     """A ``,`` or ``;`` list of any length prints, down its right spine in
-    a loop, and its text parses back to a list that prints the same.  The
-    texts are compared, not the trees, since ``==`` on a parsed list
-    recurses once per item."""
+    a loop, and its text parses back to a list that prints the same and
+    is the same tree: ``==`` and ``hash`` walk a list with their own
+    stack."""
 
-    @pytest.mark.parametrize("text", [
-        "update " + "; ".join(["skip"] * 5000) + " : a[] => a[]",
-        "query " + ", ".join(["a[]"] * 5000) + " : a[]*",
-        "update children[" + "; ".join(["delete"] * 5000) + "]; iter[skip]"
-        " : a[] => a[]",
-        "query a[" + ", ".join(["b[]"] * 5000) + "], f(" + ", ".join(
-            ["()"] * 5000) + ") : a[]",
-    ], ids=["statements", "items", "nested-statements", "nested-items"])
+    @pytest.mark.parametrize("text", LONG_PROGRAMS, ids=LONG_IDS)
     def test_5000_items_print_parse_and_print_again(self, text):
         printed = program_str(*parse_program(text))
         assert printed == text + "\n"
         assert program_str(*parse_program(printed)) == printed
+
+    @pytest.mark.parametrize("text", LONG_PROGRAMS, ids=LONG_IDS)
+    def test_5000_items_parse_back_to_an_equal_tree(self, text):
+        prog = parse_program(text)[0]
+        again = parse_program(program_str(prog))[0]
+        assert again == prog and not again != prog
+        assert hash(again) == hash(prog)
+
+    @pytest.mark.parametrize("parse, sep, item, other", [
+        (parse_stmt, "; ", "skip", "delete"), (parse_expr, ", ", "a[]", "b[]")],
+        ids=["statements", "items"])
+    def test_5000_item_lists_compare_and_hash(self, parse, sep, item, other):
+        items = [item] * 5000
+        a, b = parse(sep.join(items)), parse(sep.join(items))
+        changed = parse(sep.join(items[:-1] + [other]))
+        assert a == b and hash(a) == hash(b)
+        assert a != changed and not a == changed
+        assert changed == parse(sep.join(items[:-1] + [other]))
+        assert len({a, b, changed}) == 2
 
     @pytest.mark.parametrize("text", [
         "a[], (b[], c[]), d[]", "let $x = (a[], b[]) in ($x, $x), ()",

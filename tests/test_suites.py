@@ -255,6 +255,31 @@ class TestEvaluatorLaws:
         assert result.failures[0].startswith("well-typed update crashed on")
 
 
+class TestSoundnessReports:
+    """A failing soundness case names the term, its inputs (the variables
+    of a query's environment, an update's input value) and its result."""
+
+    @pytest.mark.parametrize("name, failures", [
+        ("query-soundness", [
+            'false mapped $v0 = "" to false, outside its synthesized type '
+            'bool',
+            "(), c[c[$v0]::a] mapped $v0 = () to c[], outside its "
+            "synthesized type (),c[]"]),
+        ("update-soundness", [
+            'if true then iter[let $l2 = (c[], "a", ()) in left[skip]] else '
+            "iter[a?skip] mapped () to (), outside its synthesized type "
+            "((),()|(),string)*|((),()|string)*",
+            "iter[a?skip; string?skip] mapped false to false, outside its "
+            "synthesized type bool"]),
+    ], ids=["query", "update"])
+    def test_result_outside_the_synthesized_type(self, monkeypatch, name,
+                                                 failures):
+        monkeypatch.setattr(suites, "member", lambda sig, v, t: False)
+        cfg = GenConfig(cases=2, seed=4)
+        result = suites.ALL_SUITES[name](cfg, fixture_signature(cfg))
+        assert result.failures == failures
+
+
 class TestShrinking:
     def test_shrinks_non_subtype_pair_to_local_minimum(self):
         big = (parse_type("(a[],a[])|b[]"), parse_type("a[]|b[]"))

@@ -351,6 +351,48 @@ print(len(sources), len({{cls._fields for cls in classes}}), len(classes))
         assert compiles <= field_tuples
 
 
+class TestDeepTrees:
+    """``==`` and ``hash`` walk a tree with their own stack, so trees of any
+    depth compare and hash, and a hash is still that of the field tuple."""
+
+    DEPTH = 10_000
+
+    def deep(self, leaf: str = "b[]"):
+        return parse_value("a[" * self.DEPTH + leaf + "]" * self.DEPTH)
+
+    def test_10000_deep_values_compare_and_hash(self):
+        v, w, other = self.deep(), self.deep(), self.deep('"b"')
+        assert v == w and not v != w and hash(v) == hash(w)
+        assert v != other and not v == other
+        assert other == self.deep('"b"')
+        assert len({v[0], w[0], other[0]}) == 2
+
+    def test_a_deep_hash_is_that_of_the_field_tuple(self):
+        (v,) = self.deep()
+        inner = v
+        for _ in range(self.DEPTH // 2):
+            (inner,) = inner.children
+        assert hash(inner) == hash((inner.label, inner.children))
+        assert hash(v) == hash((v.label, v.children))
+
+    def test_10000_deep_queries_compare_and_hash(self):
+        def nest(leaf):
+            e = leaf
+            for _ in range(self.DEPTH):
+                e = Elem("a", e)
+            return e
+        e, f = nest(EmptySeq()), nest(EmptySeq())
+        assert e == f and hash(e) == hash(f)
+        assert e != nest(StrLit("s"))
+
+    def test_shared_subtrees_are_hashed_once(self):
+        # 60 levels of ``a[x, x]``: 2^60 paths, 61 distinct nodes
+        v = Node("b", ())
+        for _ in range(60):
+            v = Node("a", (v, v))
+        assert hash(v) == hash(("a", v.children))
+
+
 class TestSignatureValue:
     """A signature is a hashable, copyable value; the tables that
     ``subtyping`` fills on it are outside its equality, hash and ``repr``."""
