@@ -25,15 +25,22 @@
   The path is an explicit stack of goal frames run by one loop, not
   Python's call stack, so a proof's path may be as long as memory allows.
 
-``subtype`` first answers the calls that the signature's tables settle
-before any subgoal exists, with no per-call state: yes when the left type
-is one of the right's alternatives, no when the left is nullable and the
-right is not, or when a head of the left has a label absent from the
-right's step row.  Only the other calls enter ``_Inclusion``, which
-settles its goals alike where it issues them: a goal whose left side is
-nullable while its right is not, whose first head's label is absent from
-the right's row, or whose left side has no heads opens no frame; it is
-recorded refuted, with the reason its frame would have given, or proven.
+The signature's tables settle many goals with no subgoal (``_settled``):
+a goal holds when its left type is one of the right's alternatives or has
+no heads, and fails when the left is nullable and the right is not, or
+when the left's first head has a label absent from the right's step row.
+For a head whose label has exactly one candidate ``(c', k')``, the product
+decomposition has two subgoals to decide, Q(∅) = ``k ⊆ k'`` and P({0}) =
+``c ⊆ c'``: P(∅) and Q({0}) fail because every type is inhabited, so the
+head holds iff both hold.  ``subtype`` therefore walks the left's linear
+form with no per-call state, and answers from the tables alone when a head
+has no step or a subgoal is refuted, or when every head has one candidate
+and both its subgoals hold.  Over the 66,049 pairs of types of AST size at
+most 5 on labels ``a`` and ``b``, that answers 62,785 calls; the other
+3,264 enter ``_Inclusion``, which settles its goals by the same rules
+where it issues them: a settled goal opens no frame, and a refuted one is
+recorded with the reason its frame would have given.  Those calls open
+6,588 frames.
 ``refute`` always enters the engine, since it builds its witness from the
 reasons the engine records for the goals it refutes, with values from
 ``values.inhabitants``.
@@ -84,11 +91,12 @@ class _Inclusion:
     (no same-label head on the right) or the set S of candidates whose
     goals P(S) and Q(S) both failed (P(∅) and Q(all) fail unissued).
 
-    A goal that misses the caches opens a frame, and enters the path,
-    only if the tables leave it open.  It is settled where it is issued,
-    with what its frame would have recorded, when it fails by nullability
-    (None), when its first head's label is absent from the row of
-    ``rights`` (that head, None), or when ``t`` has no heads (proven)."""
+    A goal opens a frame, and enters the path, only if ``_settled`` leaves
+    it open and it misses the caches.  A goal the tables settle is answered
+    where it is issued: a refusal is recorded with the reason its frame
+    would have given, None for nullability and (first head, None) for a
+    label absent from the row of ``rights``; a goal that holds is not
+    recorded, since the tables settle it again at once."""
 
     __slots__ = ("sig", "path_depth", "proven", "refuted", "pending",
                  "goals", "longest", "leaned")
@@ -125,10 +133,16 @@ class _Inclusion:
         content = cont = cands = n = subsets = chosen = want_q = None
         while True:
             goals += 1
-            # an empty table is not asked: each lookup hashes the goal's type
             goal = (t, rights)
-            if t in rights:
-                ok, sub = True, _SELF_CONTAINED
+            ok = _settled(sig, t, rights)
+            if ok is not None:
+                sub = _SELF_CONTAINED
+                if not ok:  # the reason its frame would give: None for
+                    # nullability, else its first head, with no candidate
+                    refuted[goal] = ((linear_forms[t][0], None)
+                                     if step_rows[rights][0]
+                                     or not nullables[t] else None)
+            # an empty table is not asked: each lookup hashes the goal's type
             elif path and (sub := path.get(goal)) is not None:
                 ok = True
                 leaned += 1
@@ -140,31 +154,16 @@ class _Inclusion:
                 ok = True
                 leaned += 1
             else:
+                # open a frame; the one below waits on the stack
                 sub = _SELF_CONTAINED
-                nullable_rights, goal_row = (step_rows.get(rights)
-                                             or sig.steps(rights))
-                heads = linear_forms.get(t)
-                if heads is None:
-                    heads = sig.linear_form(t)
-                # settled by the tables: record what its frame would have
-                if not nullable_rights and (
-                        nullables[t] if t in nullables else sig.nullable(t)):
-                    ok, refuted[goal] = False, None
-                elif not heads:
-                    ok = True
-                    proven.add(goal)
-                elif heads[0][0].label not in goal_row:
-                    ok, refuted[goal] = False, (heads[0], None)
-                else:
-                    # open a frame; the one below waits on the stack
-                    if key is not None:
-                        frames.append((key, depth, mark, low, pairs, i, row,
-                                       content, cont, cands, n, subsets,
-                                       chosen, want_q))
-                    key, depth, mark = goal, len(path), len(pending)
-                    path[key] = depth
-                    low, ok, subsets, want_q = _SELF_CONTAINED, True, [], None
-                    pairs, i, row = heads, 0, goal_row
+                if key is not None:
+                    frames.append((key, depth, mark, low, pairs, i, row,
+                                   content, cont, cands, n, subsets,
+                                   chosen, want_q))
+                key, depth, mark = goal, len(path), len(pending)
+                path[key] = depth
+                low, ok, subsets, want_q = _SELF_CONTAINED, True, [], None
+                pairs, i, row = linear_forms[t], 0, step_rows[rights][1]
             while True:
                 if key is None:
                     self.goals, self.longest, self.leaned = goals, longest, leaned
@@ -224,33 +223,73 @@ class _Inclusion:
                  n, subsets, chosen, want_q) = frames.pop()
 
 
-def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
-    """True iff the set of values of ``t1`` is included in that of ``t2``.
-
-    Most calls are settled by the signature's tables before any subgoal
-    exists, so they are answered here without entering ``_Inclusion``: yes
-    when ``t1`` is an alternative of ``t2``; no when ``t1`` is nullable
-    and ``t2`` is not, or when a head of ``t1`` has a label that no head
-    of ``t2`` has (that head's goal fails for every subset, since every
-    type is inhabited).  The engine runs only when none of these applies,
-    and its verdict is the same on every call that they settle.
-
-    Precondition (not re-checked): ``sig`` has passed ``check_signature``
-    and every variable in ``t1`` and ``t2`` is declared in it."""
-    rights = sig._type_states.get(t2) or sig.state(t2)
-    if t1 in rights:
+def _settled(sig: Signature, t: Type, rights: frozenset[Type]) -> bool | None:
+    """``t ⊆ rights`` as far as the signature's tables settle it, with no
+    subgoal: True when ``t`` is an alternative of ``rights`` or has no heads
+    (so it is ``()`` under a nullable ``rights``), False when ``t`` is
+    nullable and ``rights`` is not, or when the first head of ``t`` has a
+    label absent from the step row of ``rights`` (its goal fails for every
+    subset, since every type is inhabited), None (open) otherwise.  The
+    rules are tried in that order, which fixes the reason the engine
+    records for a refusal."""
+    if t in rights:
         return True
     nullable_rights, row = sig._steps.get(rights) or sig.steps(rights)
     nullables = sig._nullable
     if not nullable_rights and (
-            nullables[t1] if t1 in nullables else sig.nullable(t1)):
+            nullables[t] if t in nullables else sig.nullable(t)):
         return False
-    pairs = sig._linear_forms.get(t1)
-    if pairs is None:
-        pairs = sig.linear_form(t1)
-    for head, _ in pairs:
-        if head.label not in row:
+    heads = sig._linear_forms.get(t)
+    if heads is None:
+        heads = sig.linear_form(t)
+    if not heads:
+        return True
+    if heads[0][0].label not in row:
+        return False
+    return None
+
+
+def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
+    """True iff the set of values of ``t1`` is included in that of ``t2``.
+
+    Most calls are answered here from the signature's tables, without
+    entering ``_Inclusion``.  The top goal goes to ``_settled``; if it stays
+    open, each head ``n[c]`` of ``t1``, with continuation ``k``, is looked
+    up in the step row of ``t2``.  A head with no step fails the call.  A
+    head with one candidate ``(c', k')`` needs P(∅) or Q(∅), and P({0})
+    or Q({0}); P(∅) = ``c ⊆ ∅`` and Q({0}) = ``k ⊆ ∅`` fail because every
+    type is inhabited, so it holds iff Q(∅) = ``k ⊆ k'`` and P({0}) =
+    ``c ⊆ c'`` both hold.  A subgoal that
+    ``_settled`` refutes fails the call.  The call is True when every head
+    has one candidate and both its subgoals settle true; any open subgoal,
+    or any step with two or more candidates, hands the whole goal to the
+    engine, whose verdict is the same on every call settled here.
+
+    Precondition (not re-checked): ``sig`` has passed ``check_signature``
+    and every variable in ``t1`` and ``t2`` is declared in it."""
+    rights = sig._type_states.get(t2) or sig.state(t2)
+    ok = _settled(sig, t1, rights)
+    if ok is not None:
+        return ok
+    row, ok = sig._steps[rights][1], True
+    for head, cont in sig._linear_forms[t1]:
+        step = row.get(head.label)
+        if step is None:
             return False
+        if len(step[0]) != 1:
+            ok = None
+            continue
+        (content, _), = step[0]
+        q = _settled(sig, cont, step[1])
+        if q is False:
+            return False
+        p = _settled(sig, head.content, content)
+        if p is False:
+            return False
+        if q is None or p is None:
+            ok = None
+    if ok:
+        return True
     return _Inclusion(sig).check(t1, rights)
 
 

@@ -415,7 +415,8 @@ class Declared(NamedTuple):
     ``check_signature`` reports at: the declaration's span, every variable
     use written in ``t`` with its span, in written order, and the uses at
     the top level (outside element content), those of a ``t+`` repeated as
-    its ``t, t*`` repeats them, each span recorded as a node records it."""
+    its ``t, t*`` repeats them, each span recorded as a node records it
+    (resolved in a copy of its ``Signature``)."""
 
     span: tuple
     uses: tuple[tuple[str, tuple], ...]
@@ -464,8 +465,15 @@ class Signature:
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, which
-        # also gives the copy empty tables
-        return type(self), (list(self._defs.items()), self._declared)
+        # also gives the copy empty tables; as a node's, each recorded span
+        # is resolved, so the copy holds seven fields and not the parsed text
+        def resolved(uses):
+            return tuple((v, _resolve_span(span)) for v, span in uses)
+
+        declared = {name: Declared(_resolve_span(d.span), resolved(d.uses),
+                                   resolved(d.top))
+                    for name, d in self._declared.items()}
+        return type(self), (list(self._defs.items()), declared)
 
     def __contains__(self, name: str) -> bool:
         return name in self._defs

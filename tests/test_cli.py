@@ -277,6 +277,16 @@ class TestSubtype:
         assert main(["subtype", "tree[leaf[string]|node[Tree*]]", "Tree",
                      "--sig", str(sig)]) == 0
 
+    def test_recursive_signature_file(self, tmp_path, capsys):
+        # X and Y name one language; a[b[]],b[] is two trees of X
+        sig = tmp_path / "rec.sig"
+        sig.write_text("type X = a[X*] | b[]\ntype Y = a[Y*] | b[]\n")
+        for left, right, code in (("X", "Y", 0), ("Y", "X", 0),
+                                  ("a[b[]],b[]", "X*", 0), ("X", "b[]", 1)):
+            assert main(["subtype", "--sig", str(sig), left, right]) == code
+            assert capsys.readouterr().out == (
+                "subtype\n" if code == 0 else "not a subtype\n")
+
     def test_json_output(self, capsys):
         assert main(["--json", "subtype", "()", "a[]*"]) == 0
         out = json.loads(capsys.readouterr().out)

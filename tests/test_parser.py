@@ -690,6 +690,24 @@ class TestDiagnosticSpans:
             ("s", 15, 16, 1, 16, 1, 17), ("s", 15, 16, 1, 16, 1, 17),
             ("s", 33, 34, 2, 17, 2, 18)]
 
+    @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
+                                      lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copied_signature_holds_no_text_and_reports_alike(self, twin):
+        # a declaration's recorded spans are resolved in the copy, as a
+        # node's are: the pickle holds no comment, and the diagnostics of
+        # an ill-formed signature keep their spans
+        comment = "# " + "comment " * 600 + "\n"
+        for text in ("type X = a[] | Y\ntype Z = z[Z] | Z\n",
+                     "type L = cons[L]\ntype T = a[]\n"):
+            sig = parse_signature(comment + text, "s")
+            assert b"comment" not in pickle.dumps(sig)
+            copied = twin(sig)
+            assert copied == sig and b"comment" not in pickle.dumps(copied)
+            assert check_signature(copied) == check_signature(sig)
+            assert self.spans(check_signature(copied)) == self.spans(
+                check_signature(sig))
+
 
 LONG_PROGRAMS = [
     "update " + "; ".join(["skip"] * 5000) + " : a[] => a[]",

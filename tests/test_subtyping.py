@@ -201,16 +201,45 @@ class TestEntry:
     def test_agrees_with_the_engine(self):
         x_sig = Signature({"X": parse_type("a[X*] | b[]")})
         small = types_upto(4, ("a", "b"))
-        for sig, corpus in ((E, small), (x_sig, small + [
-                parse_type(text) for text in ("X", "X*", "a[X]", "X,X")])):
+        for sig, corpus in ((E, types_upto(5, ("a", "b"))), (x_sig, small + [
+                parse_type(text)
+                for text in ("X", "X*", "a[X]", "X,X", "a[b[]],b[]")])):
             for t1 in corpus:
                 for t2 in corpus:
                     assert subtype(sig, t1, t2) == subtyping._Inclusion(
                         sig).check(t1, sig.state(t2)), (t1, t2)
 
+    def test_one_candidate_heads_settle_at_the_entry(self, monkeypatch):
+        # under X = a[X*] | b[] each head meets one candidate: X <: X* holds
+        # and a[b[]],b[] <: a[X] fails at Q(∅) with no engine, while the
+        # content goal X ⊆ X* of a[X] and the continuation goal b[] ⊆ X* of
+        # a[b[]],b[] are left open by the tables, so those calls enter it;
+        # a head that meets two candidates always enters it
+        entered = []
+
+        class Counted(subtyping._Inclusion):
+            def __init__(self, sig):
+                entered.append(sig)
+                super().__init__(sig)
+
+        monkeypatch.setattr(subtyping, "_Inclusion", Counted)
+        sig = Signature({"X": parse_type("a[X*] | b[]")})
+        for left, right, verdict, engine in (
+                ("X", "X*", True, 0), ("a[b[]],b[]", "a[X]", False, 0),
+                ("a[X]", "X*", True, 1), ("a[b[]],b[]", "X*", True, 1),
+                ("a[X],b[]", "a[X]", False, 0),
+                ("a[c[]]", "a[b[]] | a[c[]],d[]?", True, 1)):
+            entered.clear()
+            assert subtype(sig, parse_type(left),
+                           parse_type(right)) is verdict, (left, right)
+            assert len(entered) == engine, (left, right)
+
     def test_engine_runs_only_where_the_tables_do_not_settle(self, monkeypatch):
-        # 289 pairs hold by an alternative and 43,062 fail by nullability or
-        # a missing head label: the engine is entered for the other 22,698
+        # the top goal settles 46,663 pairs: 289 hold by an alternative and
+        # 3,534 by a left side with no heads, 16,132 fail by nullability and
+        # 26,708 by the first head's label; the walk over one-candidate heads
+        # settles 16,122 more (2,656 hold, 12,112 fail at P({0}), 1,240 at
+        # Q(∅), 114 at a later head's label): the engine is entered 3,264 times
         entered = []
 
         class Counted(subtyping._Inclusion):
@@ -221,12 +250,12 @@ class TestEntry:
         monkeypatch.setattr(subtyping, "_Inclusion", Counted)
         corpus = types_upto(5, ("a", "b"))
         yes = sum(subtype(E, t1, t2) for t1 in corpus for t2 in corpus)
-        assert (yes, len(entered)) == (7855, 22698)
+        assert (yes, len(entered)) == (7855, 3264)
 
     def test_goals_the_tables_settle_open_no_frame(self, monkeypatch):
         # a goal opens a frame, and enters the path, only when the tables
-        # leave it open: over the size-5 pairs, 22,698 frames hold the
-        # engine's first goals and 238 its subgoals
+        # leave it open: over the size-5 pairs, 3,264 frames hold the
+        # engine's first goals and 3,324 its subgoals
         opened = []
 
         class Path(dict):
@@ -242,7 +271,7 @@ class TestEntry:
         monkeypatch.setattr(subtyping, "_Inclusion", Counted)
         corpus = types_upto(5, ("a", "b"))
         yes = sum(subtype(E, t1, t2) for t1 in corpus for t2 in corpus)
-        assert (yes, len(opened)) == (7855, 22936)
+        assert (yes, len(opened)) == (7855, 6588)
 
 
 class TestPerformanceGuards:
