@@ -15,7 +15,7 @@ _EXPORTS = {
                    "GenerationError ParseError RecursionLimitExceeded "
                    "TypeCheckFailure UndeclaredVariable",
     "enumeration": "types_upto values_upto",
-    "evaluator": "Runtime ValueEnv apply_update conforms eval_query "
+    "evaluator": "Runtime ValueEnv apply_update eval_query "
                  "runtime_for_query_program runtime_for_update_program",
     "parser": "parse_expr parse_program parse_signature parse_stmt "
               "parse_type parse_value",
@@ -23,7 +23,7 @@ _EXPORTS = {
                "value_str",
     "queries": "check_expr check_query_program filter_label synth_expr "
                "synth_for",
-    "subtyping": "env_subtype refute subtype",
+    "subtyping": "refute subtype",
     "suites": "GenConfig SuiteReport SuiteResult gen_env gen_sub_env "
               "gen_subtype_of gen_type gen_typed_expr gen_typed_stmt "
               "run_suites",

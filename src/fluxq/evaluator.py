@@ -27,11 +27,10 @@ from .printer import value_str
 from .types import (
     BoolLit, Call, Children, Concat, Delete, Elem, EMPTY_DECLS, EmptySeq,
     For, GlobalDecls, If, IfStmt, Insert, LabelFilter, Let, LetStmt, Nav,
-    ProcCall, QueryExpr, QueryProgram, Rename, SeqStmt, Signature, Skip,
-    Snapshot, StrLit, Test, TypeEnv, UpdateProgram, UpdateStmt, VarRef,
-    passes, program_decls,
+    ProcCall, QueryExpr, QueryProgram, Rename, SeqStmt, Skip, Snapshot,
+    StrLit, Test, UpdateProgram, UpdateStmt, VarRef, passes, program_decls,
 )
-from .values import BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree, member
+from .values import BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree
 
 ValueEnv = Mapping[str, Forest]
 
@@ -240,13 +239,3 @@ def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr) -> Forest:
 def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt) -> Forest:
     """Apply ``s`` to the focused value ``v`` and return the updated value."""
     return _Compiler((rt, {})).compile(s)(env, 0, v)
-
-
-def conforms(sig: Signature, env: ValueEnv, type_env: TypeEnv) -> bool:
-    """Do the bindings of ``env`` inhabit the types declared in ``type_env``?
-
-    Tree bindings must hold exactly one tree belonging to their atom, which
-    is what membership in an atom means."""
-    return env.keys() == type_env.keys() and all(
-        member(sig, env[name], binding.type)
-        for name, binding in type_env.items())

@@ -66,7 +66,7 @@ the program).  An undeclared variable that the decision unfolds still raises
 
 from __future__ import annotations
 
-from .types import Atom, Signature, Type, TypeEnv, union
+from .types import Atom, Signature, Type, union
 from .values import Forest, Node, inhabitants
 
 
@@ -356,11 +356,3 @@ def atom_subtype(sig: Signature, a1: Atom, a2: Type) -> bool:
     (``bench/tracing.py``) still names it as an entry point.
     """
     return subtype(sig, a1, a2)
-
-
-def env_subtype(sig: Signature, g1: TypeEnv, g2: TypeEnv) -> bool:
-    """Pointwise subtyping of environments with equal domains; a tree and a
-    forest binding of one name are unrelated."""
-    return g1.keys() == g2.keys() and all(
-        type(b) is type(g2[name]) and subtype(sig, b.type, g2[name].type)
-        for name, b in g1.items())

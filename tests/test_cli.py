@@ -62,6 +62,8 @@ class TestCheck:
         bad.write_text("query (")
         assert main(["check", str(bad)]) == 2
         assert "offset 7" in capsys.readouterr().err
+        bad.write_text("query ( : ()\n")
+        assert main(["check", str(bad)]) == 2
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "no/such/file.muxq"]) == 2
@@ -231,6 +233,17 @@ class TestType:
         assert main(["type", INSERT_AFTER]) == 0
         assert capsys.readouterr().out.strip() == "a[(b[],c[])*,c[]],d[]"
 
+    @pytest.mark.parametrize("args, printed", [
+        ([LEAVES], "leaf[string]*"), ([INSERT_AFTER], "a[(b[],c[])*,c[]],d[]"),
+        ([LEAFUPD], "Tree*"),
+        ([str(SAMPLES / "children.muxq"), "--tree", "x=a[b[]*,c[]?]"],
+         "b[]*,c[]?"),
+    ], ids=["leaves", "insert_after", "leafupd", "children"])
+    def test_samples_check_and_type(self, args, printed, capsys):
+        for command in ("check", "type"):
+            assert main([command, *args]) == 0
+            assert capsys.readouterr().out == printed + "\n"
+
     def test_undeclared_environment_type_rejected(self, tmp_path, capsys):
         f = tmp_path / "q.muxq"
         f.write_text("query $x : ()\n")
@@ -324,6 +337,15 @@ class TestEval:
         assert main(["eval", str(f)]) == 0
         assert capsys.readouterr().out == ",".join(items) + "\n"
 
+    def test_label_filter_drops_atoms_and_other_labels(self, tmp_path,
+                                                       capsys):
+        f = tmp_path / "label.muxq"
+        f.write_text("query $x::a : a[]*\n")
+        assert main(["check", str(f), "--var", "x=(a[]|bool|string)*"]) == 0
+        assert capsys.readouterr().out == "(a[]|()?)*\n"
+        assert main(["eval", str(f), "--env", 'x=a[],true,"s",b[],a[]']) == 0
+        assert capsys.readouterr().out == "a[],a[]\n"
+
     def test_update_file_rejected(self, capsys):
         assert main(["eval", INSERT_AFTER]) == 2
         assert capsys.readouterr().err == "eval expects a query program\n"
@@ -352,6 +374,41 @@ class TestRunUpdate:
         assert main(["run-update", LEAFUPD, "--input",
                      'tree[leaf["old"]]']) == 0
         assert capsys.readouterr().out.strip() == 'tree[leaf["pruned"]]'
+        assert main(["run-update", LEAFUPD, "--input",
+                     INPUTS["leafupd.flux"]]) == 0
+        assert capsys.readouterr().out == (
+            'tree[node[tree[leaf["pruned"]],tree[leaf["pruned"]]]]\n')
+
+    def test_recursive_procedure_on_a_wide_document(self, capsys):
+        def document(word):
+            return "tree[node[" + ",".join(
+                f'tree[leaf["{word.format(i % 7)}"]]'
+                for i in range(1066)) + "]]"
+
+        assert main(["run-update", LEAFUPD, "--input", document("w{}")]) == 0
+        assert capsys.readouterr().out == document("pruned") + "\n"
+        # ``true`` is an atom, not a label
+        assert main(["run-update", LEAFUPD, "--input",
+                     'tree[true["x"]]']) == 2
+
+    def test_atom_and_label_tests(self, tmp_path, capsys):
+        f = tmp_path / "tests.flux"
+        f.write_text("update iter[*?rename b]; iter[bool?delete]; "
+                     "iter[string?delete] : (a[] | bool | string)* => b[]*\n")
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out == "(b[]|()?)*\n"
+        assert main(["run-update", str(f), "--input", 'a[],true,"s",a[]']) == 0
+        assert capsys.readouterr().out == "b[],b[]\n"
+
+    def test_every_navigation_keyword(self, tmp_path, capsys):
+        f = tmp_path / "nav.flux"
+        f.write_text("update iter[a?children[insert d[]]; b?rename c]; "
+                     "left[insert s[]]; right[insert e[]] : (a[] | b[])* "
+                     "=> s[], (a[d[]] | c[])*, e[]\n")
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out == "(s[],(a[d[]]|c[])*),e[]\n"
+        assert main(["run-update", str(f), "--input", "a[],b[],a[]"]) == 0
+        assert capsys.readouterr().out == "s[],a[d[]],c[],a[d[]],e[]\n"
 
     def test_query_file_rejected(self, capsys):
         assert main(["run-update", LEAVES, "--input", "()"]) == 2
@@ -389,10 +446,15 @@ class TestOracle:
     def test_with_program_file(self, capsys):
         assert main(["oracle", LEAFUPD, "--cases", "3"]) == 0
 
+    def test_default_case_count_exits_zero(self, capsys):
+        assert main(["oracle", "--cases", "100"]) == 0
+        assert main(["oracle", LEAVES, "--cases", "50"]) == 0
+
     def test_deep_type_has_an_inhabitant(self, tmp_path, capsys):
         f = tmp_path / "deep.muxq"
         f.write_text("type A = a[b[c[d[e[]]]]]\nquery () : A*\n")
-        assert main(["oracle", str(f), "--cases", "30"]) == 0
+        for cases in ("20", "30"):
+            assert main(["oracle", str(f), "--cases", cases]) == 0
 
     def test_vacuous_recursion_has_no_inhabitant(self, tmp_path, capsys):
         f = tmp_path / "vacuous.muxq"
@@ -454,6 +516,9 @@ class TestOracle:
         assert report["ok"] is True
         assert list(report["suites"][0]) == [
             "name", "cases", "failures", "skipped"]
+        # the exhaustive suite counts its pairs, not the case count
+        assert {s["name"]: s["cases"] for s in report["suites"]}[
+            "subtype-agrees-with-oracle"] == 3602
         # each suite's random stream is seeded from its name
         assert [s["name"] for s in report["suites"]] == [
             "member-respects-subtyping", "atoms-compatible-under-subtyping",
@@ -571,10 +636,24 @@ class TestDeepInput:
         assert main(["run-update", LEAFUPD, "--input", value]) == 2
         self.assert_depth_error(capsys)
 
+    def test_run_update_long_flat_value(self, tmp_path, capsys):
+        f = tmp_path / "flat.flux"
+        f.write_text("update skip : (a[]|b[])* => (a[]|b[])*\n")
+        flat = ",".join("ab"[i % 3 == 0] + "[]" for i in range(20_000))
+        assert main(["run-update", str(f), "--input", flat]) == 0
+        assert capsys.readouterr().out == flat + "\n"
+        # ``let`` is a keyword, not a label
+        assert main(["run-update", str(f), "--input", "a[],a[],let[]"]) == 2
+        # 50,000 elements, more than one command-line argument may hold
+        f.write_text("update skip : leaf[string]* => leaf[string]*\n")
+        leaves = ",".join('leaf["w%d"]' % (i % 100) for i in range(50_000))
+        assert main(["run-update", str(f), "--input", leaves]) == 0
+        assert capsys.readouterr().out == leaves + "\n"
+
     def test_run_update_deep_value(self, tmp_path, capsys):
         f = tmp_path / "rec.flux"
         f.write_text("type A = a[A*]\nupdate skip : A => A\n")
-        for depth in (400, 100_000):
+        for depth in (400, 10_000, 100_000):
             deep = "a[" * depth + "]" * depth
             assert main(["run-update", str(f), "--input", deep]) == 0
             assert capsys.readouterr().out == deep + "\n"
@@ -585,8 +664,8 @@ class TestDeepInput:
 
 
 class TestClosedStdout:
-    """A reader that goes away before the output is written ends the run
-    with exit 2 and no traceback."""
+    """A reader that goes away before or while the output is written ends
+    the run with exit 2 and no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["eval", LEAVES],
@@ -604,6 +683,22 @@ class TestClosedStdout:
             os.close(write)
         assert run.returncode == 2
         assert run.stderr == ""
+
+    def test_pipe_closed_while_writing_exits_two(self, tmp_path):
+        # the output outgrows the pipe's buffer, so the child is still
+        # writing when the reader goes
+        f = tmp_path / "echo.muxq"
+        f.write_text("query $x : a[]*\n")
+        with subprocess.Popen(
+                [sys.executable, "-m", "fluxq.cli", "eval", str(f), "--env",
+                 "x=" + ",".join(["a[]"] * 20_000)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC)}) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read().decode()
+        assert child.returncode == 2
+        assert err == ""
 
 
 class TestUsage:
@@ -647,6 +742,15 @@ class TestParserReuse:
         assert counts[0] == 0
         assert counts[1] > 0
         assert counts[1:] == [counts[1]] * 3
+
+    def test_report_does_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "ill.muxq"
+        f.write_text('query "s" : bool\n')
+        assert main(["--json", "check", str(f)]) == 1
+        span = json.loads(capsys.readouterr().out)["diagnostics"][0]["span"]
+        assert (span["begin_col"], span["end_col"]) == (7, 10)
+        assert main(["check", LEAVES]) == 0
+        assert capsys.readouterr().out == "leaf[string]*\n"
 
     def test_bindings_do_not_carry_over(self, tmp_path, capsys):
         f = tmp_path / "q.muxq"
@@ -835,6 +939,10 @@ class TestNumericFlags:
         assert err.startswith("usage: fluxq")
         assert err.endswith(f"error: argument {flag}: invalid natural value: "
                             f"'{value}'\n")
+
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-width"])
+    def test_one_is_accepted(self, flag, capsys):
+        assert main([flag, "1", "oracle", "--cases", "0"]) == 0
 
     def test_zero_is_accepted(self, capsys):
         args = build_parser().parse_args(

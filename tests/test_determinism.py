@@ -1,7 +1,9 @@
 """Answers that must not depend on the process.  Types hash by identity, so
 a set of them iterates in address order; the step rows walk a state's
 members in serial (construction) order instead, so candidate order, goal
-counts and ``refute`` witnesses are one answer under every hash seed."""
+counts and ``refute`` witnesses are one answer under every hash seed.  The
+suites draw in the ``repr`` order of values, so the oracle's report is
+one text under every hash seed too."""
 
 import json
 import os
@@ -9,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+LEAFUPD = str(SRC.parent / "samples" / "leafupd.flux")
 
 SCRIPT = f"""\
 import json, sys
@@ -39,3 +44,18 @@ def test_goal_counts_and_witnesses_agree_across_hash_seeds():
         answers.add(run.stdout)
     [answer] = answers
     assert json.loads(answer) == [False, 6, "a[b[]],e[]"]
+
+
+@pytest.mark.parametrize("args", [[], [LEAFUPD, "--cases", "50"]],
+                         ids=["defaults", "leafupd"])
+def test_oracle_report_agrees_across_hash_seeds(args):
+    reports = []
+    for seed in (0, 1):
+        run = subprocess.run(
+            [sys.executable, "-m", "fluxq.cli", "--json", "oracle", *args],
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed),
+                 "PYTHONPATH": str(SRC)})
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]

@@ -1,20 +1,18 @@
-"""Reference interpreter: query evaluation, update application, environment
-conformance, and runtime error behavior."""
+"""Reference interpreter: query evaluation, update application, and runtime
+error behavior."""
 
 import re
 
 import pytest
 
 from fluxq import (
-    Concat, Elem, EmptySeq, EvalError, ForestBinding, Insert, Nav,
-    RecursionLimitExceeded, Runtime, SeqStmt, Signature, StrVal, TreeBinding,
-    Var, apply_update, conforms, eval_query, parse_expr, parse_program,
-    parse_stmt, parse_type, parse_value, runtime_for_query_program,
-    runtime_for_update_program, EMPTY_SIGNATURE,
+    Concat, Elem, EmptySeq, EvalError, Insert, Nav, RecursionLimitExceeded,
+    Runtime, SeqStmt, StrVal, apply_update, eval_query, parse_expr,
+    parse_program, parse_stmt, parse_value, runtime_for_query_program,
+    runtime_for_update_program,
 )
 
 RT = Runtime()
-TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
 
 
 def run(text, env=None, rt=RT):
@@ -298,29 +296,6 @@ class TestEffectLaws:
         right = parse_value("b[]")
         assert (apply_update(RT, {}, left + right, s)
                 == apply_update(RT, {}, left, s) + apply_update(RT, {}, right, s))
-
-
-class TestConforms:
-    def test_tree_binding_wants_single_member_tree(self):
-        env = {"x": parse_value("b[]")}
-        assert conforms(EMPTY_SIGNATURE, env,
-                        {"x": TreeBinding(parse_type("b[]"))})
-
-    def test_forest_mismatch(self):
-        assert not conforms(EMPTY_SIGNATURE, {"x": ()},
-                            {"x": ForestBinding(parse_type("a[]"))})
-
-    def test_recursive_membership(self):
-        env = {"x": parse_value('tree[leaf["x"]]')}
-        assert conforms(TREE_SIG, env, {"x": ForestBinding(Var("Tree"))})
-
-    def test_domain_mismatch(self):
-        assert not conforms(EMPTY_SIGNATURE, {"x": ()}, {})
-
-    def test_tree_binding_rejects_forest(self):
-        env = {"x": parse_value("b[],b[]")}
-        assert not conforms(EMPTY_SIGNATURE, env,
-                            {"x": TreeBinding(parse_type("b[]"))})
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ checker helpers that ``updates`` shares with ``queries``."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,13 +44,13 @@ EXPORTS = """
     Diagnostic SourceSpan refute types_upto values_upto witness EvalError
     FluxqError GenerationError ParseError RecursionLimitExceeded
     TypeCheckFailure UndeclaredVariable Runtime ValueEnv apply_update
-    conforms eval_query runtime_for_query_program runtime_for_update_program
+    eval_query runtime_for_query_program runtime_for_update_program
     GenConfig gen_env gen_sub_env gen_subtype_of gen_type gen_typed_expr
     gen_typed_stmt parse_expr parse_program parse_signature parse_stmt
     parse_type parse_value type_str value_str BoolLit Call Children Concat
     Elem EmptySeq For FunctionDecl If LabelFilter Let QueryExpr QueryProgram
     StrLit VarRef check_expr check_query_program filter_label synth_expr
-    synth_for env_subtype subtype SuiteReport SuiteResult run_suites Atom
+    synth_for subtype SuiteReport SuiteResult run_suites Atom
     BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE EMPTY_DECLS
     ForestBinding GlobalDecls Or Seq Signature Star STRING StringAtom
     TreeBinding Type TypeEnv Var check_signature passes syntactic_atoms
@@ -78,6 +79,15 @@ def test_cli_import_leaves_out_what_check_does_not_run():
     assert not set(UNUSED) & set(loaded), sorted(set(UNUSED) & set(loaded))
     # ``check_signature`` finds inhabitants in ``values``, not ``enumeration``
     assert [m for m in loaded if m.split(".")[0] == "fluxq"] == CHECK_MODULES
+
+
+def test_cli_runs_as_a_module_without_site():
+    run = subprocess.run(
+        [sys.executable, "-S", "-m", "fluxq.cli", "check",
+         str(SAMPLES / "leaves.muxq")], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, "leaf[string]*\n", "")
 
 
 def loaded_by(module: str) -> list[str]:

@@ -731,6 +731,7 @@ class TestLongLists:
         printed = program_str(*parse_program(text))
         assert printed == text + "\n"
         assert program_str(*parse_program(printed)) == printed
+        assert program_str(parse_program(printed)[0]) == printed
 
     @pytest.mark.parametrize("text", LONG_PROGRAMS, ids=LONG_IDS)
     def test_5000_items_parse_back_to_an_equal_tree(self, text):

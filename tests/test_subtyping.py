@@ -6,8 +6,8 @@ import random
 import time
 
 from fluxq import (
-    BOOL, BoolAtom, Element, EMPTY, EMPTY_SIGNATURE, ForestBinding,
-    Signature, STRING, StringAtom, TreeBinding, Var, env_subtype, passes,
+    BOOL, BoolAtom, Element, EMPTY, EMPTY_SIGNATURE, Signature, STRING,
+    StringAtom, Var, passes,
     parse_type, parse_value, refute, subtype,
     type_str, types_upto, value_str, values_upto, member,
 )
@@ -118,26 +118,6 @@ class TestTestSubtype:
         assert not passes(Element("b", EMPTY).label, "c")
         assert not passes(Element("b", EMPTY).label, BoolAtom)
         assert not passes(STRING.label, "*")
-
-
-class TestEnvSubtype:
-    def test_identical_envs(self):
-        g = {"x": TreeBinding(Element("b", EMPTY))}
-        assert env_subtype(E, g, g)
-
-    def test_pointwise_widening(self):
-        g1 = {"x": ForestBinding(parse_type("b[]"))}
-        g2 = {"x": ForestBinding(parse_type("b[]|c[]"))}
-        assert env_subtype(E, g1, g2)
-        assert not env_subtype(E, g2, g1)
-
-    def test_domain_mismatch(self):
-        assert not env_subtype(E, {"x": ForestBinding(parse_type("b[]"))},
-                               {"y": ForestBinding(parse_type("b[]"))})
-
-    def test_binding_kind_mismatch(self):
-        assert not env_subtype(E, {"x": TreeBinding(Element("b", EMPTY))},
-                               {"x": ForestBinding(parse_type("b[]"))})
 
 
 def certified(sig, t1, t2):
