@@ -8,7 +8,7 @@ iteration maps a singular update over a forest, concatenating the results.
 
 Each ``eval_query`` or ``apply_update`` call compiles its program to closures
 once, then runs them; a function or procedure body is compiled on its first
-call and reused after.  ``,`` and ``;`` chains run as loops, not recursion.
+call and reused after.  A ``,`` or ``;`` list runs as one loop over its items.
 A ``for`` loop copies its environment once and rebinds its variable in the
 copy for each tree; no closure keeps an environment after it returns.
 
@@ -25,10 +25,10 @@ from typing import Callable, Mapping, NamedTuple, NoReturn
 from .diagnostics import EvalError, RecursionLimitExceeded
 from .printer import value_str
 from .types import (
-    BoolLit, Call, Children, Concat, Delete, Elem, EMPTY_DECLS, EmptySeq,
-    For, GlobalDecls, If, IfStmt, Insert, LabelFilter, Let, LetStmt, Nav,
-    ProcCall, QueryExpr, QueryProgram, Rename, SeqStmt, Skip, Snapshot,
-    StrLit, Test, UpdateProgram, UpdateStmt, VarRef, passes, program_decls,
+    BoolLit, Call, Children, Delete, Elem, EMPTY_DECLS, EmptySeq, For,
+    GlobalDecls, If, IfStmt, Insert, LabelFilter, Let, LetStmt, Nav,
+    ProcCall, QueryExpr, QueryProgram, Rename, Skip, Snapshot, StrLit, Test,
+    UpdateProgram, UpdateStmt, VarRef, passes, program_decls,
 )
 from .values import BoolVal, FALSE, Forest, Node, StrVal, TRUE, Tree
 
@@ -63,7 +63,8 @@ def _fail(message: str) -> NoReturn:
 class _Compiler(tuple):
     """One evaluation's runtime and compiled bodies, by kind and name.  A
     method named after a node class compiles it to a closure taking ``(env,
-    depth)`` and a statement's focus; ``depth`` counts the calls running."""
+    depth)`` and a statement's focus; ``depth`` counts the calls running.
+    A ``Concat`` or ``SeqStmt`` compiles each of its items."""
 
     __slots__ = ()
 
@@ -137,11 +138,7 @@ class _Compiler(tuple):
                        f"single tree"))
 
     def Concat(self, node):
-        parts = []  # the parser nests a ``,`` list rightwards; read it by a loop
-        while type(node) is Concat:
-            parts.append(self.compile(node.left))
-            node = node.right
-        parts.append(self.compile(node))
+        parts = [self.compile(item) for item in node.items]
 
         def concat(env, depth):
             out: list[Tree] = []
@@ -173,11 +170,7 @@ class _Compiler(tuple):
         return loop
 
     def SeqStmt(self, node):
-        steps = []  # and a ``;`` list
-        while type(node) is SeqStmt:
-            steps.append(self.compile(node.first))
-            node = node.second
-        steps.append(self.compile(node))
+        steps = [self.compile(item) for item in node.items]
 
         def seq(env, depth, v):
             for step in steps:

@@ -215,23 +215,22 @@ class _Parser:
         return self.starts[start], self.ends[end], self.source
 
     def parse_list(self, parse_item, op: str, node):
-        """``a op b op c`` as ``node(a, node(b, c))``, parsed with a loop so
-        long lists cannot exhaust the stack; every node's span runs to the
-        end of the list, unless the node is a type, which has none."""
+        """``a op b op c``, parsed with a loop so long lists cannot exhaust
+        the stack: a list of one item is that item; a type list folds to
+        ``node(a, node(b, c))``, and any other is ``node((a, b, c))``, whose
+        span covers the list."""
         start, first = self.pos, parse_item()
         if self.kinds[self.pos] != op:
             return first
-        items = [(start, first)]
+        items = [first]
         while self.accept(op):
-            items.append((self.pos, parse_item()))
-        _, out = items.pop()
+            items.append(parse_item())
         if issubclass(node, Type):
-            for _, item in reversed(items):
+            out = items.pop()
+            for item in reversed(items):
                 out = node(item, out)
             return out
-        for start, item in reversed(items):
-            out = node(item, out, span=self.span_from(start))
-        return out
+        return node(tuple(items), span=self.span_from(start))
 
     def _fresh_var(self) -> str:
         self._sugar_count += 1

@@ -3,8 +3,10 @@ expressions, statements, signatures and programs.
 
 Output round-trips through the parser, up to desugaring: postfix
 quantifiers bind tightest, then ``,``, then ``|``; ``t | ()`` prints as
-``t?``.  Lists print down their right spine in a loop, and values with an
-explicit stack, so each prints at any length or depth.
+``t?``.  A type's ``,`` or ``|`` chain prints down its right spine in a
+loop, and values with an explicit stack.  A ``,`` or ``;`` list of
+expressions or statements prints each of its items at item precedence, so
+a nested list keeps its parentheses.  Each prints at any length or depth.
 """
 
 from __future__ import annotations
@@ -146,12 +148,7 @@ def _expr(e: QueryExpr, level: int) -> str:
             return f"{e.label}[]"
         return f"{e.label}[{_expr(e.content, _COMMA)}]"
     if isinstance(e, Concat):
-        parts = []
-        while isinstance(e, Concat):
-            parts.append(_expr(e.left, _SINGLE))
-            e = e.right
-        parts.append(_expr(e, _COMMA))
-        text = ", ".join(parts)
+        text = ", ".join(_expr(item, _SINGLE) for item in e.items)
         return text if level <= _COMMA else f"({text})"
     if isinstance(e, Let):
         text = (f"let ${e.var} = {_expr(e.bound, _SINGLE)} "
@@ -191,12 +188,7 @@ def _stmt(s: UpdateStmt, level: int) -> str:
     if isinstance(s, Rename):
         return f"rename {s.label}"
     if isinstance(s, SeqStmt):
-        parts = []
-        while isinstance(s, SeqStmt):
-            parts.append(_stmt(s.first, _ITEM))
-            s = s.second
-        parts.append(_stmt(s, _SEQLEVEL))
-        text = "; ".join(parts)
+        text = "; ".join(_stmt(item, _ITEM) for item in s.items)
         return text if level <= _SEQLEVEL else f"({text})"
     if isinstance(s, IfStmt):
         return (f"if {_expr(s.cond, _SINGLE)} then {_stmt(s.then, _ITEM)} "

@@ -81,8 +81,10 @@ def synth_expr(decls: GlobalDecls, sig: Signature, env: TypeEnv,
             _fail(f"unbound variable ${e.name}", "query/var-unbound", e.span)
         return binding.type
     if isinstance(e, Concat):
-        return Seq(synth_expr(decls, sig, env, e.left),
-                   synth_expr(decls, sig, env, e.right))
+        *lefts, t = [synth_expr(decls, sig, env, item) for item in e.items]
+        for left in reversed(lefts):
+            t = Seq(left, t)
+        return t
     if isinstance(e, Elem):
         return Element(e.label, synth_expr(decls, sig, env, e.content))
     if isinstance(e, Let):

@@ -158,9 +158,9 @@ class GenConfig(NamedTuple):
     cases: int = 100         # default cases per property suite
 
 
-def gen_atom(rng: random.Random, cfg: GenConfig, size: int, nesting: int,
-             elements_only: bool = False) -> Atom:
-    if not elements_only and rng.random() < 0.3:
+def gen_atom(rng: random.Random, cfg: GenConfig, size: int,
+             nesting: int) -> Atom:
+    if rng.random() < 0.3:
         return BOOL if rng.random() < 0.5 else STRING
     label = rng.choice(cfg.labels)
     if nesting <= 0 or size <= 1:
@@ -283,7 +283,7 @@ def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     if roll < 0.25:
         return rng.choice(leaves)
     if roll < 0.4:
-        return Concat(sub(), sub())
+        return Concat((sub(), sub()))
     if roll < 0.5:
         return Elem(rng.choice(cfg.labels), sub())
     if roll < 0.6:
@@ -340,7 +340,7 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
         except TypeCheckFailure:
             return first
         second = _stmt_candidate(rng, cfg, decls, sig, env, mult, mid, budget - 1)
-        return SeqStmt(first, second)
+        return SeqStmt((first, second))
     if roll < 0.35:
         return IfStmt(BoolLit(rng.random() < 0.5),
                       _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1),
@@ -917,7 +917,7 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
             try:
                 if apply_update(rt, {}, v, Skip()) != v:
                     return [f"skip changed {value_str(v)}"]
-                composed = apply_update(rt, {}, v, SeqStmt(s1, s2))
+                composed = apply_update(rt, {}, v, SeqStmt((s1, s2)))
                 staged = apply_update(rt, {}, apply_update(rt, {}, v, s1), s2)
                 if composed != staged:
                     return [f"sequencing is not composition on {value_str(v)}"]

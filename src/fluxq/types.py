@@ -211,7 +211,9 @@ class Struct(_Node):
                 continue
             if isinstance(a, Struct) and a.__class__ is b.__class__:
                 stack += [(getattr(a, f), getattr(b, f)) for f in a._fields]
-            elif a.__class__ is b.__class__ is tuple and len(a) == len(b):
+            elif a.__class__ is b.__class__ is tuple:
+                if len(a) != len(b):
+                    return False
                 stack += zip(a, b)
             elif a != b:
                 return False
@@ -799,7 +801,9 @@ class EmptySeq(QueryExpr):
 
 
 class Concat(QueryExpr):
-    __slots__ = ("left", "right")
+    """A ``,`` list: ``items`` is a tuple of two or more expressions."""
+
+    __slots__ = ("items",)
 
 
 class Elem(QueryExpr):
@@ -863,7 +867,9 @@ class Skip(UpdateStmt):
 
 
 class SeqStmt(UpdateStmt):
-    __slots__ = ("first", "second")
+    """A ``;`` list: ``items`` is a tuple of two or more statements."""
+
+    __slots__ = ("items",)
 
 
 class IfStmt(UpdateStmt):

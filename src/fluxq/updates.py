@@ -38,9 +38,10 @@ def synth_stmt(decls: GlobalDecls, sig: Signature, env: TypeEnv,
                mult: Multiplicity, t: Type, s: UpdateStmt) -> Type:
     """Synthesize the unique output type of ``s`` applied at multiplicity
     ``mult`` to focus type ``t``, or raise TypeCheckFailure."""
-    while isinstance(s, SeqStmt):  # the parser nests ``;`` lists rightwards
-        t = synth_stmt(decls, sig, env, mult, t, s.first)
-        s = s.second
+    if isinstance(s, SeqStmt):
+        for item in s.items:
+            t = synth_stmt(decls, sig, env, mult, t, item)
+        return t
     if isinstance(s, Skip):
         return t
     if isinstance(s, IfStmt):

@@ -232,22 +232,17 @@ class TestApplyUpdate:
 
 
 class TestLongChains:
-    """``,`` and ``;`` chains run as loops, so their length is not bounded
-    by Python's recursion limit."""
+    """A ``,`` or ``;`` list runs as one loop over its items, so its length
+    is not bounded by Python's recursion limit."""
 
     N = 10_000
 
     def test_concat_chain(self):
-        e = Elem("a", EmptySeq())
-        for _ in range(self.N - 1):
-            e = Concat(Elem("a", EmptySeq()), e)
+        e = Concat((Elem("a", EmptySeq()),) * self.N)
         assert eval_query(RT, {}, e) == parse_value("a[]") * self.N
 
     def test_seq_chain(self):
-        step = Nav("right", Insert(Elem("a", EmptySeq())))
-        s = step
-        for _ in range(self.N - 1):
-            s = SeqStmt(step, s)
+        s = SeqStmt((Nav("right", Insert(Elem("a", EmptySeq()))),) * self.N)
         assert apply_update(RT, {}, (), s) == parse_value("a[]") * self.N
 
 

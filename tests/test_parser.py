@@ -415,7 +415,7 @@ class TestExprSyntax:
     def test_comma_binds_loosest(self):
         e = parse_expr("for $y in $x return $y, b[]")
         assert isinstance(e, Concat)
-        assert isinstance(e.left, For)
+        assert isinstance(e.items[0], For)
 
     def test_shadowed_binder_keeps_written_names(self):
         e = parse_expr("let $x = $x in let $x = $x in $x")
@@ -434,14 +434,14 @@ class TestExprSyntax:
         items = [f"a{i}[]" for i in range(n)]
         text = ", ".join(items)
         e = parse_expr(text)
+        assert type(e) is Concat and len(e.items) == n
+        assert (e.span.begin, e.span.end) == (0, len(text))
         begin = 0
-        for item in items[:-1]:  # walk the spine; == would recurse n deep
-            assert type(e) is Concat and e.left == parse_expr(item), item
-            assert (e.span.begin, e.span.end) == (begin, len(text))
+        for item, node in zip(items, e.items):
+            assert node == parse_expr(item), item
+            assert (node.span.begin, node.span.end) == (
+                begin, begin + len(item))
             begin += len(item) + 2
-            e = e.right
-        assert e == parse_expr(items[-1])
-        assert (e.span.begin, e.span.end) == (begin, len(text))
 
 
 class TestShadowing:
@@ -481,7 +481,7 @@ class TestStmtSyntax:
         from fluxq import SeqStmt, Test
         s = parse_stmt("b?skip; delete")
         assert isinstance(s, SeqStmt)
-        assert isinstance(s.first, Test)
+        assert isinstance(s.items[0], Test)
 
     def test_parenthesized_sequence_as_body(self):
         from fluxq import Test, SeqStmt
@@ -721,8 +721,8 @@ LONG_IDS = ["statements", "items", "nested-statements", "nested-items"]
 
 
 class TestLongLists:
-    """A ``,`` or ``;`` list of any length prints, down its right spine in
-    a loop, and its text parses back to a list that prints the same and
+    """A ``,`` or ``;`` list of any length prints, one item after another
+    in a loop, and its text parses back to a list that prints the same and
     is the same tree: ``==`` and ``hash`` walk a list with their own
     stack."""
 
@@ -749,24 +749,71 @@ class TestLongLists:
         changed = parse(sep.join(items[:-1] + [other]))
         assert a == b and hash(a) == hash(b)
         assert a != changed and not a == changed
+        assert a != parse(sep.join(items[:-1]))
         assert changed == parse(sep.join(items[:-1] + [other]))
         assert len({a, b, changed}) == 2
 
     @pytest.mark.parametrize("text", [
         "a[], (b[], c[]), d[]", "let $x = (a[], b[]) in ($x, $x), ()",
         "f((a[], b[]), c[]), x[a[], b[]]",
-        "for $y in ($x, $x) return ($y, $y), $x::a"])
+        "for $y in ($x, $x) return ($y, $y), $x::a",
+        "a[], (b[], c[])", "(a[], b[]), c[]"])
     def test_nested_items_print_as_written(self, text):
-        assert expr_str(parse_expr(text)) == text
+        e = parse_expr(text)
+        assert expr_str(e) == text
+        assert parse_expr(expr_str(e)) == e
 
     @pytest.mark.parametrize("text", [
         "skip; (delete; skip); iter[skip; delete]",
         "a?(skip; delete); b?skip",
         "if true then (skip; skip) else delete; "
         "left[insert (a[], b[]); skip]",
-        "p((a[], b[])); snapshot $s in (skip; skip)"])
+        "p((a[], b[])); snapshot $s in (skip; skip)",
+        "skip; (delete; skip)", "b?(skip; delete)"])
     def test_nested_statements_print_as_written(self, text):
-        assert stmt_str(parse_stmt(text)) == text
+        s = parse_stmt(text)
+        assert stmt_str(s) == text
+        assert parse_stmt(stmt_str(s)) == s
+
+
+class TestListNodes:
+    """A ``,`` or ``;`` list is one node holding its items: a list that is
+    an item of another prints in parentheses and parses back to itself,
+    and the checker reads the items in written order."""
+
+    def test_a_generated_right_nested_list_round_trips(self):
+        cfg = GenConfig(seed=12, cases=0)
+        rng = random.Random(12)
+        for _ in range(400):
+            env = gen_env(rng, cfg, EMPTY_SIGNATURE)
+            try:
+                e = gen_typed_expr(rng, cfg, EMPTY_DECLS, EMPTY_SIGNATURE, env)
+            except Exception:
+                continue
+            if type(e) is Concat and type(e.items[-1]) is Concat:
+                break
+        else:
+            pytest.fail("no list ending in a list in 400 draws")
+        text = expr_str(e)
+        assert text.endswith(")")
+        assert parse_expr(text) == e
+
+    @pytest.mark.parametrize("text, rule, span", [
+        ("query a[], $y, $z : a[]*", "query/var-unbound", (11, 13)),
+        ('query a[], (if "s" then a[] else b[]), c[] : a[]*',
+         "query/if-condition", (12, 36)),
+        ("query a[], b[], c[] : a[]", "query/ascription", (6, 19)),
+        ("update skip; rename b; rename c : a[] => a[]",
+         "update/rename-multiplicity", (13, 21)),
+        ("update skip; iter[insert a[]]; skip : a[] => a[]",
+         "update/insert-multiplicity", (18, 28)),
+        ("update skip; delete; skip : a[] => a[]", "update/ascription",
+         (7, 25))])
+    def test_an_ill_typed_list_reports_its_first_failure(self, text, rule,
+                                                         span):
+        prog, sig = parse_program(text)
+        [diag] = check_program(sig, prog)[1]
+        assert (diag.rule, diag.span.begin, diag.span.end) == (rule, *span)
 
 
 class TestEnvBindings:

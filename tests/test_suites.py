@@ -266,7 +266,8 @@ class TestSoundnessReports:
             "(), c[c[$v0]::a] mapped $v0 = () to c[], outside its "
             "synthesized type (),c[]"]),
         ("update-soundness", [
-            'if true then iter[let $l2 = (c[], "a", ()) in left[skip]] else '
+            'if true then iter[let $l2 = (c[], ("a", ())) in left[skip]] '
+            'else '
             "iter[a?skip] mapped () to (), outside its synthesized type "
             "((),()|(),string)*|((),()|string)*",
             "iter[a?skip; string?skip] mapped false to false, outside its "

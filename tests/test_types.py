@@ -49,7 +49,7 @@ def struct_cases(span=None):
         Or(BOOL, STRING), Seq(BOOL, STRING), Star(BOOL), Var("X"),
         TreeBinding(BOOL, span=span),
         ForestBinding(STRING, span=span),
-        EmptySeq(span=span), Concat(e, x, span=span),
+        EmptySeq(span=span), Concat((e, x), span=span),
         Elem("a", e, span=span), StrLit("s", span=span),
         BoolLit(True, span=span), VarRef("x", span=span),
         Let("y", e, x, span=span), If(BoolLit(True), e, x, span=span),
@@ -57,7 +57,7 @@ def struct_cases(span=None):
         For("y", x, VarRef("y"), span=span), Call("f", (x,), span=span),
         FunctionDecl("f", (("x", BOOL),), BOOL, x, span=span),
         QueryProgram((), e, EMPTY, span=span),
-        Skip(span=span), SeqStmt(s, Delete(), span=span),
+        Skip(span=span), SeqStmt((s, Delete()), span=span),
         IfStmt(BoolLit(True), s, Delete(), span=span),
         LetStmt("y", e, s, span=span), ProcCall("p", (x,), span=span),
         Insert(e, span=span), Delete(span=span), Rename("b", span=span),
