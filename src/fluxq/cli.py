@@ -39,11 +39,13 @@ from .updates import annotation_diags, check_program, synth_main
 from .values import member
 
 
-def _read(path: str) -> str:
-    """The text of ``path``, read unbuffered, line ends as in text mode; a
-    file that cannot be read or is not UTF-8 ends the run with exit 2."""
+def _read(path: str, fd: int | None = None) -> str:
+    """The text of ``path``, or of the open descriptor ``fd`` that ``path``
+    then names, read unbuffered, line ends as in text mode; a file that
+    cannot be read or is not UTF-8 ends the run with exit 2."""
     try:
-        with open(path, "rb", buffering=0) as handle:
+        with open(path if fd is None else fd, "rb", buffering=0,
+                  closefd=fd is None) as handle:
             text = handle.read().decode()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -52,6 +54,15 @@ def _read(path: str) -> str:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _input_text(spec: str) -> str:
+    """The text of ``run-update``'s ``--input``: ``@FILE`` reads FILE and
+    ``-`` standard input, as ``_read`` reads; any other is the value
+    itself.  No value starts with ``@`` or is ``-``."""
+    if spec == "-":
+        return _read("<stdin>", 0)
+    return _read(spec[1:]) if spec.startswith("@") else spec
 
 
 def _check_signature(sig: Signature, as_json: bool,
@@ -185,7 +196,7 @@ def cmd_eval(args) -> int:
 def cmd_run_update(args) -> int:
     from .evaluator import apply_update, runtime_for_update_program
     prog, sig = _load(args, UpdateProgram)
-    value = parse_value(args.input)
+    value = parse_value(_input_text(args.input))
     if not member(sig, value, prog.input):
         print(f"error: the input is not a value of the declared input type "
               f"{type_str(prog.input)}", file=sys.stderr)
@@ -273,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-update", help="apply an update program to a value")
     p.add_argument("file")
-    p.add_argument("--input", required=True, metavar="VALUE")
+    p.add_argument("--input", required=True, metavar="VALUE",
+                   help="the input value, @FILE to read it from FILE, or - "
+                        "to read it from standard input")
     p.add_argument("--env", action="append", metavar="BINDINGS")
     p.set_defaults(func=cmd_run_update)
 

@@ -8,9 +8,14 @@ iteration maps a singular update over a forest, concatenating the results.
 
 Each ``eval_query`` or ``apply_update`` call compiles its program to closures
 once, then runs them; a function or procedure body is compiled on its first
-call and reused after.  A ``,`` or ``;`` list runs as one loop over its items.
-A ``for`` loop copies its environment once and rebinds its variable in the
-copy for each tree; no closure keeps an environment after it returns.
+call, and each call site keeps the compiled body after its first call.  A
+``,`` or ``;`` list runs as one loop over its items.  A ``for`` loop copies
+its environment once and rebinds its variable in the copy for each tree; no
+closure keeps an environment after it returns.  A child step ``e/n`` or
+``e/*``, which the parser builds as a ``for`` whose body projects the loop's
+own variable, runs as one comprehension over the children of each tree of
+``e``, with no environment: the variable holds one tree, and an atom has no
+children.
 
 Focus-shape violations (rename on a non-singleton focus, insert on a
 non-empty focus, and the like) are runtime errors rather than no-ops:
@@ -64,7 +69,10 @@ class _Compiler(tuple):
     """One evaluation's runtime and compiled bodies, by kind and name.  A
     method named after a node class compiles it to a closure taking ``(env,
     depth)`` and a statement's focus; ``depth`` counts the calls running.
-    A ``Concat`` or ``SeqStmt`` compiles each of its items."""
+    A ``Concat`` or ``SeqStmt`` compiles each of its items.  A ``For``
+    whose body is ``Children(v)`` or ``LabelFilter(Children(v), n)`` of its
+    own variable ``v`` compiles to one comprehension, not a loop over the
+    body; a ``Call`` keeps the body it looked up on its first call."""
 
     __slots__ = ()
 
@@ -94,9 +102,10 @@ class _Compiler(tuple):
         name, args = node.name, [self.compile(a) for a in node.args]
         decl = getattr(decls, kind + "s").get(name)  # .functions or .procedures
         params = [p for p, _ in decl.params] if decl is not None else []
-        key = kind, name
+        key, body = (kind, name), None
 
         def call(env, depth, *v):
+            nonlocal body
             values = [arg(env, depth) for arg in args]
             if decl is None:
                 _fail(f"undeclared {kind} {name}")
@@ -106,9 +115,10 @@ class _Compiler(tuple):
             if len(params) != len(values):
                 _fail(f"{name} expects {len(params)} argument(s), got "
                       f"{len(values)}")
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = self.compile(decl.body)
+            if body is None:  # this call site's first call
+                body = bodies.get(key)
+                if body is None:
+                    body = bodies[key] = self.compile(decl.body)
             return body(dict(zip(params, values)), depth + 1, *v)
         return call
 
@@ -157,8 +167,19 @@ class _Compiler(tuple):
             t for t in source(env, depth) if t.label == label)
 
     def For(self, node):
-        var, source = node.var, self.compile(node.source)
-        body = self.compile(node.body)
+        var, source, body = node.var, self.compile(node.source), node.body
+        # ``e/n`` and ``e/*``: the loop variable holds one tree, whose
+        # children are read directly (an atom's are ``()``)
+        label = body.label if type(body) is LabelFilter else None
+        step = body.source if label is not None else body
+        if type(step) is Children and step.var == var:
+            if label is None:
+                return lambda env, depth: tuple(
+                    [c for t in source(env, depth) for c in t.children])
+            return lambda env, depth: tuple(
+                [c for t in source(env, depth) for c in t.children
+                 if c.label == label])
+        body = self.compile(body)
 
         def loop(env, depth):
             out: list[Tree] = []

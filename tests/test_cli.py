@@ -436,6 +436,52 @@ class TestRunUpdate:
         assert "top-level variable X" in capsys.readouterr().err
 
 
+class TestRunUpdateInputFile:
+    """``--input @FILE`` reads the value from FILE as ``_read`` reads a
+    program, and ``--input -`` from standard input: a forest too long for
+    one command-line argument (capped at 128 KiB) still runs."""
+
+    N = 20_000
+
+    def forest(self, word):
+        return ",".join(f'tree[leaf["{word.format(i)}"]]'
+                        for i in range(self.N))
+
+    def test_input_from_a_file(self, tmp_path, capsys):
+        f = tmp_path / "input.txt"
+        f.write_text(self.forest("w{}") + "\n")
+        assert len(f.read_bytes()) > 128 * 1024
+        assert main(["run-update", LEAFUPD, "--input", f"@{f}"]) == 0
+        assert capsys.readouterr() == (self.forest("pruned") + "\n", "")
+
+    def run_on_stdin(self, **stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "fluxq.cli", "run-update", LEAFUPD,
+             "--input", "-"], capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, **stdin)
+
+    def test_input_from_stdin(self):
+        run = self.run_on_stdin(input=self.forest("w{}").encode())
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == (self.forest("pruned") + "\n").encode()
+
+    def test_missing_file_exits_two_with_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["run-update", LEAFUPD, "--input", f"@{missing}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    @pytest.mark.parametrize("stdin, line", [
+        ({"input": b'tree[leaf["\xff"]]'},
+         b"error: <stdin>: 'utf-8' codec can't decode byte 0xff in position "
+         b"11: invalid start byte\n"),
+        ({"preexec_fn": lambda: os.close(0)},
+         b"error: [Errno 9] Bad file descriptor\n")], ids=("latin", "closed"))
+    def test_unreadable_stdin_exits_two_with_one_line(self, stdin, line):
+        run = self.run_on_stdin(**stdin)
+        assert (run.returncode, run.stdout, run.stderr) == (2, b"", line)
+
+
 class TestOracle:
     def test_small_run_exits_zero(self, capsys):
         assert main(["oracle", "--cases", "5"]) == 0

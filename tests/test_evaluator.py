@@ -1,16 +1,21 @@
 """Reference interpreter: query evaluation, update application, and runtime
 error behavior."""
 
+import random
 import re
+from pathlib import Path
 
 import pytest
 
 from fluxq import (
-    Concat, Elem, EmptySeq, EvalError, Insert, Nav, RecursionLimitExceeded,
-    Runtime, SeqStmt, StrVal, apply_update, eval_query, parse_expr,
+    Concat, Elem, EmptySeq, EvalError, Insert, Nav, Node,
+    RecursionLimitExceeded, Runtime, SeqStmt, StrVal, apply_update,
+    eval_query, parse_expr,
     parse_program, parse_stmt, parse_value, runtime_for_query_program,
     runtime_for_update_program,
 )
+
+LEAVES = Path(__file__).resolve().parent.parent / "samples" / "leaves.muxq"
 
 RT = Runtime()
 
@@ -229,6 +234,77 @@ class TestApplyUpdate:
         with fails("recursion limit 16 exceeded calling p",
                    RecursionLimitExceeded):
             apply_update(rt, {}, (), prog.main)
+
+
+def child_step(forest, label=None):
+    """``forest/label``, or ``forest/*`` for None, as a list comprehension
+    over each tree's children (an atom has none)."""
+    return tuple([c for t in forest if isinstance(t, Node) for c in t.children
+                  if label is None or isinstance(c, Node) and c.label == label])
+
+
+def random_tree(rng, size):
+    """A ``Tree`` of ``leaves.muxq`` with at least ``size`` nodes, atoms
+    counted: a random leaf is expanded to a node of one to four trees."""
+    kids, nodes = [None], 3
+    while nodes < size:
+        k = rng.choice([i for i, c in enumerate(kids) if c is None])
+        n = rng.randint(1, 4)
+        kids[k] = range(len(kids), len(kids) + n)
+        kids += [None] * n
+        nodes += 3 * n - 1
+
+    def build(i):
+        if kids[i] is None:
+            return Node("tree", (Node("leaf", (StrVal(f"w{i}"),)),))
+        return Node("tree", (Node("node", tuple(build(j) for j in kids[i])),))
+    return build(0)
+
+
+def reference_leaves(tree):
+    """``leaves($x)`` of ``leaves.muxq``: ``tree``'s own leaf, then the
+    leaves of each tree under its node, in order."""
+    [inner] = tree.children
+    if inner.label == "leaf":
+        return [inner]
+    return [leaf for sub in inner.children for leaf in reference_leaves(sub)]
+
+
+class TestChildSteps:
+    """``e/n`` and ``e/*`` (a ``for`` whose body projects its own variable)
+    agree with a comprehension over the children of each tree of ``e``,
+    on forests of elements, of atoms, of both, and on ``()``."""
+
+    X = parse_value('r[a[b[],"s"],c[a[]],a[true]],a[d[a[]]],"t",false,'
+                    'q[a[],b[],a[c[]]]')
+
+    @pytest.mark.parametrize("text, expected", [
+        ("$x/a", lambda x: child_step(x, "a")),
+        ("$x/*", lambda x: child_step(x)),
+        ("$x/a/*", lambda x: child_step(child_step(x, "a"))),
+        ("$x/*/a", lambda x: child_step(child_step(x), "a")),
+        ("($x, $x)/a", lambda x: child_step(x + x, "a")),
+        ("($x, $x)/*", lambda x: child_step(x + x)),
+        ("for $y in $x return $y/child::a", lambda x: child_step(x, "a"))])
+    def test_steps_match_the_reference(self, text, expected):
+        for x in (self.X, self.X[:1], self.X[2:4], parse_value('"s"'),
+                  parse_value("true"), ()):
+            assert run(text, {"x": x}) == expected(x)
+
+    def test_a_body_projecting_another_variable_repeats_it(self):
+        env = {"x": parse_value("a[],b[],c[]"),
+               "z": parse_value("p[a[],b[],a[d[]]]")}
+        got = run("for $y in $x return $z/child::a", env)
+        assert got == child_step(env["z"], "a") * 3
+        assert got == parse_value("a[],a[d[]]") * 3
+
+    def test_leaves_on_a_generated_tree(self):
+        prog, _ = parse_program(LEAVES.read_text())
+        rt = runtime_for_query_program(prog)
+        tree = random_tree(random.Random(1), 1600)
+        got = eval_query(rt, {"t": (tree,)}, parse_expr("leaves($t)"))
+        assert got == tuple(reference_leaves(tree))
+        assert len(got) > 300
 
 
 class TestLongChains:

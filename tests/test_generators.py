@@ -4,11 +4,14 @@ well-typedness of generated terms."""
 import random
 
 from fluxq import (
-    EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, GenConfig, Multiplicity, gen_env,
+    Concat, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, GenConfig, Multiplicity,
+    Runtime, SeqStmt, apply_update, eval_query, expr_str, gen_env,
     gen_sub_env, gen_subtype_of, gen_type, gen_typed_expr, gen_typed_stmt,
-    subtype, synth_expr, synth_stmt, parse_type,
+    member, parse_expr, parse_stmt, stmt_str, subtype, synth_expr,
+    synth_stmt, parse_type, values_upto,
 )
 from fluxq.diagnostics import GenerationError
+from fluxq.suites import fixture_signature
 
 E = EMPTY_SIGNATURE
 CFG = GenConfig(seed=5)
@@ -95,3 +98,54 @@ class TestTypedGeneration:
             except GenerationError:
                 continue
             synth_stmt(EMPTY_DECLS, E, {}, Multiplicity.PLURAL, t, s)
+
+
+class TestFlatLists:
+    """The generators draw ``,`` and ``;`` lists of two items only; a flat
+    list of three to five generated items evaluates into its synthesized
+    type and prints back to itself."""
+
+    SIG = fixture_signature(CFG)
+
+    def draws(self, seed, item):
+        """Forty lists of three to five items, each drawn by ``item``;
+        a draw that fails is drawn again."""
+        rng = random.Random(seed)
+        lists = []
+        while len(lists) < 40:
+            try:
+                lists.append(item(rng, rng.randint(3, 5)))
+            except GenerationError:
+                continue
+        return lists
+
+    def test_concat_of_generated_items(self):
+        def items(rng, k):
+            return Concat(tuple(gen_typed_expr(rng, CFG, EMPTY_DECLS, self.SIG,
+                                               {}) for _ in range(k)))
+
+        for e in self.draws(33, items):
+            t = synth_expr(EMPTY_DECLS, self.SIG, {}, e)
+            assert member(self.SIG, eval_query(Runtime(), {}, e), t)
+            assert parse_expr(expr_str(e)) == e
+
+    def test_seq_of_generated_items(self):
+        plural = Multiplicity.PLURAL
+
+        def items(rng, k):
+            focus = gen_type(rng, CFG, size=5)
+            steps, t = [], focus
+            for _ in range(k):
+                steps.append(gen_typed_stmt(rng, CFG, EMPTY_DECLS, self.SIG,
+                                            {}, plural, t))
+                t = synth_stmt(EMPTY_DECLS, self.SIG, {}, plural, t, steps[-1])
+            return focus, SeqStmt(tuple(steps))
+
+        ran = 0
+        for focus, s in self.draws(34, items):
+            t = synth_stmt(EMPTY_DECLS, self.SIG, {}, plural, focus, s)
+            for v in sorted(values_upto(self.SIG, focus, 2, 2), key=repr)[:3]:
+                assert member(self.SIG, apply_update(Runtime(), {}, v, s), t)
+                ran += 1
+            assert parse_stmt(stmt_str(s)) == s
+        assert ran > 40

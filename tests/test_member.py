@@ -4,8 +4,11 @@
 that enumerates every forest within bounds and filters by ``member``."""
 
 import re
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from fluxq.enumeration import _closure
 from fluxq.types import Empty, Or, Seq, Star
 from fluxq.values import max_width, witness
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
 LIST_SIG = Signature({"X": parse_type("nil[] | cons[a[], X]")})
 
@@ -191,14 +195,28 @@ class TestMemberAutomaton:
         assert not member(sig, outside, Var("A"))
 
     def test_shared_children_stay_linear(self):
-        # v_{k+1} = a[v_k, v_k] unfolds to 2^60 trees but has 61 nodes
-        sig = Signature({"A": parse_type("a[A*]"),
-                         "B": parse_type("a[(B, B)?]")})
-        v = ()
-        for _ in range(60):
-            v = (Node("a", v + v),)
-        assert member(sig, v, Var("A")) and member(sig, v, Var("B"))
-        assert not member(sig, v, parse_type("a[a[a[]*]*]"))
+        # v_{k+1} = a[v_k, v_k] unfolds to 2^60 trees but has 61 nodes.
+        # Without the memo on child tuples ``member`` walks every tree and
+        # never returns, so the calls run in a child process that a timeout
+        # stops: that regression fails here instead of stalling the suite.
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from fluxq import Node, Signature, Var, member, parse_type\n"
+            "sig = Signature({'A': parse_type('a[A*]'),\n"
+            "                 'B': parse_type('a[(B, B)?]')})\n"
+            "v = ()\n"
+            "for _ in range(60):\n"
+            "    v = (Node('a', v + v),)\n"
+            "print(member(sig, v, Var('A')), member(sig, v, Var('B')),\n"
+            "      member(sig, v, parse_type('a[a[a[]*]*]')))\n")
+        try:
+            run = subprocess.run([sys.executable, "-c", script, str(SRC)],
+                                 capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("member of a 61-node shared value ran past 60 s")
+        assert (run.returncode, run.stdout) == (0, "True True False\n"), (
+            run.stderr)
 
     def test_step_tables_belong_to_one_signature(self):
         s1 = Signature({"X": parse_type("a[]")})
