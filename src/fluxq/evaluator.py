@@ -164,7 +164,7 @@ class _Compiler(tuple):
     def LabelFilter(self, node):
         label, source = node.label, self.compile(node.source)
         return lambda env, depth: tuple(
-            t for t in source(env, depth) if t.label == label)
+            [t for t in source(env, depth) if t.label == label])
 
     def For(self, node):
         var, source, body = node.var, self.compile(node.source), node.body

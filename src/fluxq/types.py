@@ -434,8 +434,9 @@ class Signature:
     ``repr``.
 
     A signature also owns the tables that ``subtyping`` and ``values``
-    derive from it: nullability and linear form by type, the step row of
-    each state (a set of alternatives, see ``union``), one canonical object
+    derive from it: nullability, linear form and top-level atoms by type
+    (``atoms``), the step row of each state (a set of alternatives, see
+    ``union``) and its lighter summary (``summary``), one canonical object
     per state, and the state of each type that a call starts from or a row
     names as a content (``state``).  Each entry is a pure function of the
     signature and its key, so the tables fill as checks run and are never
@@ -443,7 +444,7 @@ class Signature:
     copy starts with them empty."""
 
     __slots__ = ("_defs", "_declared", "_nullable", "_linear_forms",
-                 "_steps", "_states", "_type_states")
+                 "_atoms", "_steps", "_summaries", "_states", "_type_states")
 
     def __init__(self, defs: Mapping[str, Type] | Iterable[tuple[str, Type]] = (),
                  declared: Mapping[str, Declared] | None = None):
@@ -453,12 +454,15 @@ class Signature:
             items = list(defs)
         object.__setattr__(self, "_defs", dict(items))
         object.__setattr__(self, "_declared", dict(declared or ()))
-        # type -> bool, type -> ((atom, continuation), ...),
-        # state -> (accepts, step row), state -> its canonical object, and
-        # type -> the canonical object of its state
+        # type -> bool, type -> ((atom, continuation), ...), type -> its
+        # top-level atoms, state -> (accepts, step row), state -> (accepts,
+        # head labels, alternatives, star alphabets), state -> its canonical
+        # object, and type -> the canonical object of its state
         object.__setattr__(self, "_nullable", {})
         object.__setattr__(self, "_linear_forms", {})
+        object.__setattr__(self, "_atoms", {})
         object.__setattr__(self, "_steps", {})
+        object.__setattr__(self, "_summaries", {})
         object.__setattr__(self, "_states", {})
         object.__setattr__(self, "_type_states", {})
 
@@ -580,6 +584,38 @@ class Signature:
         table[t] = out
         return out
 
+    def atoms(self, t: Type) -> frozenset[Atom]:
+        """The atoms of ``t`` at its top level, reached through ``|``,
+        ``,``, ``*`` and unfolded variables but not into element content:
+        each tree of a value of ``t`` is a value of one of them."""
+        out = self._atoms.get(t)
+        if out is None:
+            out = self._atoms[t] = self._leaves((t,), True) - {EMPTY}
+        return out
+
+    def _leaves(self, types: Iterable[Type], deep: bool) -> frozenset[Type]:
+        """The nodes reached from ``types`` through ``|`` and unfolded
+        variables, and through ``,`` and ``*`` too if ``deep``, that are
+        none of those, each node walked once."""
+        out: set[Type] = set()
+        seen: set[Type] = set()
+        stack = list(types)
+        while stack:
+            t = stack.pop()
+            if t in seen:
+                continue
+            seen.add(t)
+            cls = t.__class__
+            if cls is Or or (deep and cls is Seq):
+                stack += (t.left, t.right)
+            elif cls is Var:
+                stack.append(self.definition(t.name))
+            elif deep and cls is Star:
+                stack.append(t.inner)
+            else:
+                out.add(t)
+        return frozenset(out)
+
     def state(self, t: Type) -> frozenset[Type]:
         """The state of the one type ``t``, ``union((t,))``, as the one
         canonical object the signature keeps for that set (``_states``).
@@ -607,23 +643,48 @@ class Signature:
         cached = self._steps.get(state)
         if cached is not None:
             return cached
-        states = self._states
-
-        def canonical(s: frozenset[Type]) -> frozenset[Type]:
-            return states.setdefault(s, s)
-
+        states, nullable, state_of = self._states, self.nullable, self.state
         groups: dict[object, dict[tuple[Type, Type], None]] = {}
         # identity hashes order a set by address; serials order it the same
         # in every process, and so the goals and witnesses read off the row
-        for u in sorted(state, key=_serial_of):
+        for u in state if len(state) == 1 else sorted(state, key=_serial_of):
             for a, k in self.linear_form(u):
                 groups.setdefault(a.label, {})[a.content, k] = None
-        row = {key: (tuple((self.state(c), k) for c, k in pairs),
-                     canonical(union(k for _, k in pairs)),
-                     canonical(union(k for c, k in pairs if self.nullable(c))))
-               for key, pairs in groups.items()}
-        out = (any(self.nullable(u) for u in state), row)
-        self._steps[canonical(state)] = out
+        row: dict[object, Step] = {}
+        for label, pairs in groups.items():
+            # the continuations' union, and the leaf's (those whose content
+            # accepts ()), from each continuation's canonical state
+            cands, conts, leaves = [], None, None
+            for c, k in pairs:
+                ks = state_of(k)
+                cands.append((state_of(c), k))
+                conts = ks if conts is None else conts | ks
+                if nullable(c):
+                    leaves = ks if leaves is None else leaves | ks
+            leaves = leaves or frozenset()
+            row[label] = (tuple(cands), states.setdefault(conts, conts),
+                          states.setdefault(leaves, leaves))
+        out = (any(map(nullable, state)), row)
+        self._steps[states.setdefault(state, state)] = out
+        return out
+
+    def summary(self, state: frozenset[Type]) -> tuple[
+            bool, frozenset, frozenset[Type], tuple[frozenset[Type], ...]]:
+        """What ``subtyping`` reads of ``state`` before it needs a step row:
+        whether some member is nullable; the labels that head its members,
+        which are the keys of its row; its alternatives, the members with
+        top-level variables unfolded (and ``|`` flattened); and, for each
+        alternative ``u*``, the alternatives of ``u``.  No row is built."""
+        cached = self._summaries.get(state)
+        if cached is not None:
+            return cached
+        labels = frozenset([a.label for u in state
+                            for a, _ in self.linear_form(u)])
+        alternatives = self._leaves(state, False)
+        stars = tuple([self._leaves((u.inner,), False)
+                       for u in alternatives if u.__class__ is Star])
+        out = (any(map(self.nullable, state)), labels, alternatives, stars)
+        self._summaries[self._states.setdefault(state, state)] = out
         return out
 
 
@@ -758,10 +819,9 @@ def map_atoms(sig: Signature, t: Type, f: Callable[[Atom], Type]) -> Type:
 
 def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:
     """Atoms reachable at the top level of ``t``, unfolding variables: the
-    atoms ``map_atoms`` visits.  Does not enter element content."""
-    found: set[Atom] = set()
-    map_atoms(sig, t, lambda atom: found.add(atom) or atom)
-    return frozenset(found)
+    atoms ``map_atoms`` visits (``Signature.atoms``).  Does not enter
+    element content."""
+    return sig.atoms(t)
 
 
 # --- typing environments ----------------------------------------------------

@@ -158,6 +158,32 @@ class TestSyntacticAtoms:
             syntactic_atoms(EMPTY_SIGNATURE, Var("Nope"))
 
 
+class TestSummary:
+    """``Signature.summary``: what ``subtyping`` reads of a state before it
+    needs its step row."""
+
+    def test_summary_of_a_state(self):
+        sig = sig_of(X="a[X*] | b[]")
+        state = sig.state(parse_type("X | c[]* | ()"))
+        accepts, labels, alternatives, stars = sig.summary(state)
+        assert accepts and labels == {"a", "b", "c"}
+        assert alternatives == {parse_type(t)
+                                for t in ("a[X*]", "b[]", "c[]*", "()")}
+        assert stars == (frozenset([parse_type("c[]")]),)
+        assert sig.summary(state) is sig._summaries[state]
+        assert not sig._steps
+
+    def test_star_alphabets_unfold_variables(self):
+        sig = sig_of(X="a[X*] | b[]")
+        accepts, labels, alternatives, stars = sig.summary(
+            sig.state(parse_type("(X | c[])*,d[] | e[]")))
+        assert not accepts and labels == {"a", "b", "c", "d", "e"}
+        assert stars == ()
+        _, _, _, stars = sig.summary(sig.state(parse_type("(X | c[])* | e[]")))
+        assert stars == (frozenset(parse_type(t)
+                                   for t in ("a[X*]", "b[]", "c[]")),)
+
+
 class TestImmutability:
     def test_signature_rejects_mutation(self):
         with pytest.raises(AttributeError):
@@ -409,8 +435,10 @@ class TestSignatureValue:
     def test_copy_deepcopy_and_pickle_start_with_empty_tables(self):
         sig = sig_of(X="a[X*] | b[]", Y="c[X]")
         assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
+        assert syntactic_atoms(sig, Var("Y"))
         assert (sig._linear_forms and sig._steps and sig._nullable
-                and sig._states and sig._type_states)
+                and sig._states and sig._type_states and sig._summaries
+                and sig._atoms)
         for twin in (copy.copy(sig), copy.deepcopy(sig),
                      pickle.loads(pickle.dumps(sig))):
             assert type(twin) is Signature and twin is not sig
@@ -419,7 +447,8 @@ class TestSignatureValue:
             assert list(twin.items()) == list(sig.items())
             assert not (twin._linear_forms or twin._steps
                         or twin._nullable or twin._states
-                        or twin._type_states)
+                        or twin._type_states or twin._summaries
+                        or twin._atoms)
             assert subtype(twin, Var("Y"), parse_type("c[b[]|a[X*]]"))
 
     def test_filled_tables_leave_equality_hash_and_repr(self):
