@@ -30,7 +30,7 @@ _EXPORTS = {
     "types": "Atom BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE "
              "EMPTY_DECLS ForestBinding GlobalDecls Or Seq Signature Star "
              "STRING StringAtom TreeBinding Type TypeEnv Var "
-             "check_signature passes syntactic_atoms "
+             "check_signature passes "
              "BoolLit Call Children Concat Elem EmptySeq For FunctionDecl "
              "If LabelFilter Let QueryExpr QueryProgram StrLit VarRef "
              "Delete IfStmt Insert LetStmt Nav ProcCall ProcedureDecl "

@@ -208,14 +208,13 @@ def cmd_run_update(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .suites import GenConfig, run_suites
-    labels, sig = ("a", "b", "c"), None
+    cfg, sig = GenConfig(depth=args.max_depth, width=args.max_width,
+                         seed=args.seed, cases=args.cases), None
     if args.file:
         # a variable with no value is reported by the suite that looks for
         # one, types-inhabited-at-small-bounds, with the other suites
         prog, sig = _load(args, leave="signature/uninhabited")
-        labels = _labels_in(sig, prog)
-    cfg = GenConfig(labels=labels, depth=args.max_depth, width=args.max_width,
-                    seed=args.seed, cases=args.cases)
+        cfg = cfg._replace(labels=_labels_in(sig, prog))
     report = run_suites(cfg, sig or None)
     print(json.dumps(report.to_json(), indent=2) if args.json
           else report.summary())
@@ -244,13 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "regular-expression types for XML forests.")
     top.add_argument("--json", action="store_true",
                      help="machine-readable output")
+    # the defaults restate ``GenConfig``'s and the evaluator's, since
+    # ``import fluxq.cli`` loads neither module; a test checks they agree
     top.add_argument("--max-depth", type=natural, default=3, metavar="N",
-                     help="value enumeration depth bound (default 3)")
+                     help="value enumeration depth bound "
+                          "(default %(default)s)")
     top.add_argument("--max-width", type=natural, default=3, metavar="N",
-                     help="forest length bound for enumeration (default 3)")
+                     help="forest length bound for enumeration "
+                          "(default %(default)s)")
     top.add_argument("--recursion-limit", type=natural, default=256,
                      metavar="N",
-                     help="call depth limit for evaluation (default 256)")
+                     help="call depth limit for evaluation "
+                          "(default %(default)s)")
     sub = top.add_subparsers(dest="command", required=True)
 
     typed = argparse.ArgumentParser(add_help=False)
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "label universe")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=natural, default=100, metavar="N",
-                   help="cases per random suite (default 100)")
+                   help="cases per random suite (default %(default)s)")
     p.set_defaults(func=cmd_oracle)
 
     return top

@@ -564,7 +564,7 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
     return _parse_whole(text, filename, _Parser.parse_type, "type")
 
 
-def parse_value(text: str, filename: str = "<value>") -> Forest:
+def parse_value(text: str) -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
     elements, so its depth is not bounded by Python's recursion.  A label
     and its ``[``, a text-only element and a run of empty elements are

@@ -1,68 +1,24 @@
 """Structural subtyping: language inclusion of regular-expression types.
 
 ``subtype(sig, t1, t2)`` decides whether every value of ``t1`` is a value of
-``t2``.  The decision works on goals of the form ``t ⊆ u1 | ... | un``:
+``t2``, and ``refute`` gives a value of ``t1`` outside ``t2`` when there is
+one.  Both work on goals ``t ⊆ rights``, where ``rights`` is a set of
+alternatives (a state, see ``types.union``), and a goal meets, in order:
 
-* decompose the left side into its head atoms with continuations
-  (a linear form, unfolding variables at the top);
-* for a head ``n[c]`` with continuation ``k``, gather the right sides'
-  same-label heads ``n[c_j]`` with continuations ``k_j``; ``bool`` and
-  ``string`` are heads too, each labelled by its atom class and with
-  content ``()`` (``types.Signature.steps``).  The goal
-  holds iff, for every subset S of them, ``c`` is included in the contents
-  chosen by S or ``k`` is included in the continuations of the complement
-  (the product decomposition for unions of concatenations, after Hosoya,
-  Vouillon & Pierce).  The first disjunct is upward-closed in S and the
-  second downward-closed, so the search grows sets one index at a time and
-  stops growing a set as soon as its contents cover ``c``: all its supersets
-  cover too.  Only sets that do not cover are extended, and each of those
-  must have its complement's continuations cover ``k``.  A union that is
-  covered by one alternative therefore costs one check per alternative,
-  not one per subset;
-* goals already on the path are assumed to hold (coinduction), which
-  makes recursive signatures terminate; refuted goals are memoized with
-  why they failed, so ``refute`` can show a counterexample.
-  The path is an explicit stack of goal frames run by one loop, not
-  Python's call stack, so a proof's path may be as long as memory allows.
-
-The signature's tables settle many goals with no subgoal (``_settled``):
-a goal holds when its left type is one of the right's alternatives or has
-no heads, and fails when the left is nullable and the right is not, or
-when the left's first head has a label that heads no member of the right.
-Those refusals read a light summary of the right side
-(``Signature.summary``), not its step row, which is built only where a
-call walks it or the engine opens a frame.  At ``subtype``'s entry, after
-the refusals, two exact sufficient rules give a "yes" with no row:
-
-* R1 (alternatives): every alternative of ``t1`` (its ``|`` members, with
-  top-level variables unfolded) is an alternative of ``t2``; the values of
-  a type are the union of its alternatives' values.
-* R2 (prime type): ``t2`` has an alternative ``u*`` such that every
-  top-level atom of ``t1`` (reached through ``,``, ``|``, ``*`` and
-  unfolded variables, not into element content) is an alternative of
-  ``u``.  Every value of ``t1`` is a forest whose trees each belong to one
-  of its top-level atoms, so to ``u``, and the forest is in ``u*``: the
-  bound ``t <: prime(t)*`` of the XQuery formal semantics.  The stars of
-  ``t2`` may not be pooled: ``a[],b[]`` is not a subtype of
-  ``a[]*|b[]*``.
-
-For a head whose label has exactly one candidate ``(c', k')``, the product
-decomposition has two subgoals to decide, Q(∅) = ``k ⊆ k'`` and P({0}) =
-``c ⊆ c'``: P(∅) and Q({0}) fail because every type is inhabited, so the
-head holds iff both hold.  ``subtype`` therefore walks the left's linear
-form with no per-call state, and answers from the tables alone when a head
-has no step or a subgoal is refuted, or when every head has one candidate
-and both its subgoals hold.  Over the 66,049 pairs of types of AST size at
-most 5 on labels ``a`` and ``b``, the top goal settles 46,663 calls, the
-rules 328 more (68 by R1, 260 by R2) and the walk 15,886; the other 3,172
-enter ``_Inclusion``, which settles its goals by the same table rules
-where it issues them: a settled goal opens no frame, and a refuted one is
-recorded with the reason its frame would have given.  Those calls open
-6,428 frames.  The rules run once per call, at its entry, and never
-inside the engine: they are sound, and the engine is complete.
-``refute`` always enters the engine, since it builds its witness from the
-reasons the engine records for the goals it refutes, with values from
-``values.inhabitants``.
+* membership: it holds when ``t`` is one of ``rights``, tested in line
+  wherever a goal is issued;
+* the table rules (``_settled``), which settle it from the signature's
+  tables with no subgoal and no step row;
+* at ``subtype``'s entry only, for the call's own goal: R1 (alternatives)
+  and R2 (prime type), two exact sufficient rules, then a walk over the
+  left side's heads that settles each head with one same-label candidate
+  by its two subgoals (``subtype``);
+* the engine (``_Inclusion``): the product decomposition for unions of
+  concatenations (after Hosoya, Vouillon & Pierce), coinductive, run over
+  an explicit stack of goal frames.  It records why each goal its frames
+  refute failed.  ``refute`` builds its counterexample from those reasons,
+  and from the table rules for a goal they refuse, with values from
+  ``values.inhabitants``.
 
 Each call keeps its own path and verdicts: the goals assumed on the path
 and the goals proven or refuted.  What depends on the signature alone
@@ -96,30 +52,39 @@ _BOTTOM = (None,) * 14  # the frame the first goal returns to
 
 
 class _Inclusion:
-    """One inclusion check; holds the per-invocation verdicts and reads and
-    fills the signature's derived tables.
+    """One inclusion check, by the product decomposition; holds the
+    per-invocation verdicts and reads and fills the signature's tables.
+
+    A goal ``t ⊆ rights`` is decomposed by the linear form of ``t``: its
+    head atoms with their continuations, variables unfolded at the top.
+    For a head ``n[c]`` with continuation ``k``, the step row of ``rights``
+    gives the same-label heads ``n[c_j]`` with continuations ``k_j`` (the
+    candidates; ``bool`` and ``string`` are heads too, each labelled by its
+    atom class and with content ``()``).  The head holds iff, for every
+    subset S of the candidates, P(S) = ``c ⊆ ∪{c_j : j ∈ S}`` or Q(S) =
+    ``k ⊆ ∪{k_j : j ∉ S}`` holds.  P is upward-closed in S and Q
+    downward-closed, so the search grows sets one index at a time and stops
+    growing a set once P holds; each set where P fails needs Q.  A union
+    covered by one alternative costs one check per alternative, not one per
+    subset.
 
     Goals on the path (the stack of open goals) are assumed to hold
-    (coinduction).  A completed goal is cached: refuted goals
-    unconditionally (a failure under optimistic assumptions is a genuine
-    failure), proven goals only when their proof never reached back into
-    the path, tracked by the lowest path depth a subproof touched.  When
-    ``check`` returns, ``goals``, ``longest`` and ``leaned`` count the goals
-    it issued, the longest path one was issued from, and the goals that
-    held by an assumption.  ``refuted`` keeps why each refuted goal failed,
-    recorded as it fails: None when ``t`` is nullable and ``rights`` is
-    not, else the head and continuation of ``t`` it failed at, with None
-    (no same-label head on the right) or the set S of candidates whose
-    goals P(S) and Q(S) both failed (P(∅) and Q(all) fail unissued).
+    (coinduction), which makes recursive signatures terminate.  A completed
+    goal is cached: refuted goals unconditionally (a failure under
+    optimistic assumptions is a genuine failure), proven goals only when
+    their proof never reached back into the path, tracked by the lowest
+    path depth a subproof touched.  When ``check`` returns, ``goals``,
+    ``longest`` and ``leaned`` count the goals it issued, the longest path
+    one was issued from, and the goals that held by an assumption.
 
-    A goal opens a frame, and enters the path, only if it is not an
-    alternative of ``rights`` (tested inline, before any call), ``_settled``
-    leaves it open and it misses the caches; only then is the step row of
-    ``rights`` fetched, or built.  A goal the tables settle is answered
-    where it is issued: a refusal is recorded with the reason its frame
-    would have given, None for nullability and (first head, None) for a
-    label that heads no member of ``rights``; a goal that holds is not
-    recorded, since the tables settle it again at once."""
+    A goal opens a frame, and enters the path, only if membership and
+    ``_settled`` leave it open and it misses the caches; only then is the
+    step row of ``rights`` fetched, or built.  ``refuted`` keeps why each
+    goal whose frame closed failed: the head and continuation of ``t`` it
+    failed at, with None (no same-label head on the right) or the set S of
+    candidates whose goals P(S) and Q(S) both failed (P(∅) and Q(all) fail
+    unissued).  A goal the tables settle leaves no record, whatever its
+    outcome: they settle it again at once."""
 
     __slots__ = ("sig", "path_depth", "proven", "refuted", "pending",
                  "goals", "longest", "leaned")
@@ -148,7 +113,6 @@ class _Inclusion:
         sig, path, pending = self.sig, self.path_depth, self.pending
         proven, refuted = self.proven, self.refuted
         step_rows, linear_forms = sig._steps, sig._linear_forms
-        summaries, nullables = sig._summaries, sig._nullable
         frames: list[tuple] = [_BOTTOM]
         goals = leaned = 0
         longest = len(path)
@@ -160,11 +124,6 @@ class _Inclusion:
             ok = True if t in rights else _settled(sig, t, rights)
             if ok is not None:
                 sub = _SELF_CONTAINED
-                if not ok:  # the reason its frame would give: None for
-                    # nullability, else its first head, with no candidate
-                    refuted[goal] = ((linear_forms[t][0], None)
-                                     if summaries[rights][0]
-                                     or not nullables[t] else None)
             # an empty table is not asked: each lookup hashes the goal's type
             elif path and (sub := path.get(goal)) is not None:
                 ok = True
@@ -233,7 +192,7 @@ class _Inclusion:
                 if not ok:
                     while len(pending) > mark:
                         pending.popitem()
-                    refuted[key] = (pairs[i - 1], chosen) if i else None
+                    refuted[key] = (pairs[i - 1], chosen)
                     sub = _SELF_CONTAINED
                 elif low >= depth:
                     proven.add(key)
@@ -248,17 +207,24 @@ class _Inclusion:
 
 
 def _settled(sig: Signature, t: Type, rights: frozenset[Type]) -> bool | None:
-    """``t ⊆ rights``, for a ``t`` that is not an alternative of ``rights``
-    (the caller tests that first: the goal then holds at once), as far as
-    the signature's tables settle it with no subgoal and no step row: False
-    when ``t`` is nullable and ``rights`` is not, True when ``t`` has no
-    heads (so it is ``()`` under a nullable ``rights``), False when the
-    first head of ``t`` has a label that heads no member of ``rights`` (its
-    goal fails for every subset, since every type is inhabited), None
-    (open) otherwise.  The rules are tried in that order, which fixes the
-    reason the engine records for a refusal; they read the summary of
-    ``rights`` (``Signature.summary``), not its row.  ``subtype`` runs the
-    same rules in line for its top goal."""
+    """The table rules: ``t ⊆ rights`` as far as the signature's tables
+    settle it with no subgoal and no step row, or None (open).  They are
+    tried in this order, which fixes the reason ``refute`` gives for a
+    refusal:
+
+    * False when ``t`` is nullable and ``rights`` is not: ``()`` is a value
+      of ``t`` outside ``rights``;
+    * True when ``t`` has no heads: its one value, ``()``, is then in
+      ``rights``;
+    * False when the first head of ``t`` has a label that heads no member
+      of ``rights``: the head's goal fails for every subset of candidates,
+      since every type is inhabited.
+
+    They read the summary of ``rights`` (``Signature.summary``), not its
+    row; a goal they leave open has its summary and the linear form of
+    ``t`` in the tables.  Precondition: ``t`` is not an alternative of
+    ``rights``.  Every caller tests that first, in line, and the goal then
+    holds at once."""
     summary = sig._summaries.get(rights) or sig.summary(rights)
     nullables = sig._nullable
     if not summary[0] and (
@@ -279,10 +245,9 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
 
     Most calls are answered here from the signature's tables, without
     entering ``_Inclusion``.  The call holds if ``t1`` is an alternative of
-    ``t2``; else the top goal is settled by ``_settled``'s rules, run here
-    in line so that the summary of ``t2`` they read serves the next two.
-    If it stays open, two exact sufficient rules read the summaries, and a
-    "yes" they give builds no step row:
+    ``t2``; else ``_settled`` may settle it.  If it stays open, two exact
+    sufficient rules read the summary of ``t2`` that ``_settled`` filled,
+    and a "yes" they give builds no step row:
 
     * R1 (alternatives): every alternative of ``t1`` is one of ``t2``.  The
       values of a type are the union of its alternatives' values.
@@ -309,20 +274,10 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
     rights = sig._type_states.get(t2) or sig.state(t2)
     if t1 in rights:
         return True
-    # the top goal, as ``_settled`` settles it, with the summary kept
-    accepts, labels, alternatives, stars = (
-        sig._summaries.get(rights) or sig.summary(rights))
-    nullables = sig._nullable
-    if not accepts and (
-            nullables[t1] if t1 in nullables else sig.nullable(t1)):
-        return False
-    heads = sig._linear_forms.get(t1)
-    if heads is None:
-        heads = sig.linear_form(t1)
-    if not heads:
-        return True
-    if heads[0][0].label not in labels:
-        return False
+    ok = _settled(sig, t1, rights)
+    if ok is not None:
+        return ok
+    _, _, alternatives, stars = sig._summaries[rights]  # filled by _settled
     if t1.__class__ is not Or and t1.__class__ is not Var:
         if t1 in alternatives:  # t1 is its one alternative
             return True
@@ -338,7 +293,7 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
             if atoms <= alphabet:
                 return True
     row, ok = (sig._steps.get(rights) or sig.steps(rights))[1], True
-    for head, cont in heads:
+    for head, cont in sig._linear_forms[t1]:
         step = row.get(head.label)
         if step is None:
             return False
@@ -363,7 +318,8 @@ def subtype(sig: Signature, t1: Type, t2: Type) -> bool:
 def refute(sig: Signature, t1: Type, t2: Type) -> Forest | None:
     """None if ``subtype(sig, t1, t2)`` holds, else a value of ``t1`` outside
     ``t2``, found at no bound, from the reasons ``_Inclusion`` records for
-    its refuted goals (after Hosoya, Vouillon & Pierce):
+    the goals its frames refute, and the first reason of ``_settled`` for
+    the goals the tables refuse (after Hosoya, Vouillon & Pierce):
 
     * a nullable left side with a right side that is not ends the forest;
     * a head with no same-label head on the right gives a value of the
@@ -386,7 +342,11 @@ def refute(sig: Signature, t1: Type, t2: Type) -> Forest | None:
     trees: list = []
     open_: list[tuple] = []  # (trees, label, Q(S) or None, continuation)
     while True:
-        why = None if goal is None else inc.refuted[goal]
+        why = inc.refuted.get(goal, False) if goal else None
+        if why is False:  # the tables refused it: ``_settled``'s first reason
+            t, rights = goal
+            why = (None if sig.nullable(t) and not sig.summary(rights)[0]
+                   else (sig.linear_form(t)[0], None))
         if why is None:  # the forest ends here, with () or a whole value
             if not open_:
                 return tuple(trees)

@@ -42,7 +42,7 @@ from .types import (
     IfStmt, Insert, LabelFilter, Let, LetStmt, Nav, Or, QueryExpr, Rename,
     Seq, SeqStmt, Signature, Skip, Snapshot, Star, STRING, StringAtom,
     StrLit, Test, TreeBinding, Type, TypeEnv, UpdateStmt, Var, VarRef,
-    passes, syntactic_atoms,
+    passes,
 )
 from .updates import Multiplicity, synth_iter, synth_stmt
 from .values import BoolVal, Forest, Node, StrVal, max_width, member, witness
@@ -364,7 +364,7 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     if mult is Multiplicity.PLURAL:
         if isinstance(t, Empty) and roll < 0.85:
             return Insert(_expr_candidate(rng, cfg, decls, sig, env, 2, False))
-        atoms = sorted(syntactic_atoms(sig, t), key=repr)
+        atoms = sorted(sig.atoms(t), key=repr)
         focus = rng.choice(atoms) if atoms else BOOL
         body = _stmt_candidate(rng, cfg, decls, sig, env,
                                Multiplicity.SINGULAR, focus, budget - 1)
@@ -521,8 +521,8 @@ def suite_atoms_compatible(cfg: GenConfig, sig: Signature) -> SuiteResult:
     def case(rng: random.Random) -> list[str]:
         t = gen_type(rng, cfg, sig=sig)
         t_sub = gen_subtype_of(rng, sig, t)
-        upper = syntactic_atoms(sig, t)
-        for atom in syntactic_atoms(sig, t_sub):
+        upper = sig.atoms(t)
+        for atom in sig.atoms(t_sub):
             if not any(subtype(sig, atom, top) for top in upper):
                 return [f"atom {type_str(atom)} of subtype {type_str(t_sub)} "
                         f"is below no atom of {type_str(t)}"]
@@ -693,7 +693,7 @@ def _update_term(rng, cfg, sig, env):
 
 
 def _iter_body(rng, cfg, sig, env, source):
-    atoms = sorted(syntactic_atoms(sig, source), key=repr)
+    atoms = sorted(sig.atoms(source), key=repr)
     return gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, env, Multiplicity.SINGULAR,
                           atoms[0] if atoms else BOOL, budget=2)
 
@@ -912,7 +912,7 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
         values = sorted(values_upto(sig, t, cfg.depth, cfg.width), key=repr)[:4]
         if not values:
             return REDRAW
-        atoms = sorted(syntactic_atoms(sig, t), key=repr)
+        atoms = sorted(sig.atoms(t), key=repr)
         for v in values:
             try:
                 if apply_update(rt, {}, v, Skip()) != v:

@@ -817,13 +817,6 @@ def map_atoms(sig: Signature, t: Type, f: Callable[[Atom], Type]) -> Type:
     return go(t)
 
 
-def syntactic_atoms(sig: Signature, t: Type) -> frozenset[Atom]:
-    """Atoms reachable at the top level of ``t``, unfolding variables: the
-    atoms ``map_atoms`` visits (``Signature.atoms``).  Does not enter
-    element content."""
-    return sig.atoms(t)
-
-
 # --- typing environments ----------------------------------------------------
 
 

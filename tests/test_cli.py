@@ -1009,6 +1009,19 @@ class TestNumericFlags:
         assert main(["--recursion-limit", "0", "eval", LEAVES]) == 1
         assert "recursion limit 0 exceeded" in capsys.readouterr().err
 
+    def test_defaults_are_the_library_defaults(self, monkeypatch, capsys):
+        # the parser restates the defaults of ``GenConfig`` and of the
+        # evaluator's recursion limit, whose modules ``import fluxq.cli``
+        # does not load
+        from fluxq.evaluator import DEFAULT_RECURSION_LIMIT
+        configs = []
+        monkeypatch.setattr(suites, "run_suites", lambda cfg, sig: (
+            configs.append(cfg) or suites.SuiteReport([])))
+        assert main(["oracle"]) == 0
+        assert configs == [suites.GenConfig()]
+        args = build_parser().parse_args(["oracle"])
+        assert args.recursion_limit == DEFAULT_RECURSION_LIMIT
+
 
 class TestBindings:
     """A ``--var`` or ``--tree`` spec needs a name and an ``=``."""

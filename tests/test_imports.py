@@ -53,7 +53,7 @@ EXPORTS = """
     synth_for subtype SuiteReport SuiteResult run_suites Atom
     BOOL BoolAtom Element Empty EMPTY EMPTY_SIGNATURE EMPTY_DECLS
     ForestBinding GlobalDecls Or Seq Signature Star STRING StringAtom
-    TreeBinding Type TypeEnv Var check_signature passes syntactic_atoms
+    TreeBinding Type TypeEnv Var check_signature passes
     expr_str program_str signature_str stmt_str Delete IfStmt Insert LetStmt
     Multiplicity Nav ProcCall ProcedureDecl Rename SeqStmt Skip Snapshot
     Test UpdateProgram UpdateStmt check_program check_stmt

@@ -22,8 +22,7 @@ from fluxq import (
     Signature, Skip, Snapshot, SourceSpan, Star, STRING, StringAtom,
     StrLit, StrVal, TreeBinding, UndeclaredVariable,
     UpdateProgram, Var, VarRef, check_signature, member,
-    parse_type, parse_value, refute, subtype, syntactic_atoms, types_upto,
-    values_upto,
+    parse_type, parse_value, refute, subtype, types_upto, values_upto,
 )
 from fluxq import types, updates
 from fluxq.types import Struct, Type, _Node, union
@@ -138,24 +137,24 @@ class TestUnfold:
 
 class TestSyntacticAtoms:
     def test_sequence_of_atoms(self):
-        atoms = syntactic_atoms(EMPTY_SIGNATURE, parse_type("b[]*,c[]?"))
+        atoms = EMPTY_SIGNATURE.atoms(parse_type("b[]*,c[]?"))
         assert atoms == {Element("b", EMPTY), Element("c", EMPTY)}
 
     def test_empty_type_has_no_atoms(self):
-        assert syntactic_atoms(EMPTY_SIGNATURE, EMPTY) == frozenset()
+        assert EMPTY_SIGNATURE.atoms(EMPTY) == frozenset()
 
     def test_recursive_signature_stops_at_element_content(self):
-        atoms = syntactic_atoms(LIST_SIG, Var("X"))
+        atoms = LIST_SIG.atoms(Var("X"))
         assert atoms == {Element("nil", EMPTY),
                          Element("cons", Seq(Element("a", EMPTY), Var("X")))}
 
     def test_base_atoms(self):
-        atoms = syntactic_atoms(EMPTY_SIGNATURE, parse_type("bool,string"))
+        atoms = EMPTY_SIGNATURE.atoms(parse_type("bool,string"))
         assert atoms == {BOOL, STRING}
 
     def test_undeclared_variable_raises(self):
         with pytest.raises(UndeclaredVariable):
-            syntactic_atoms(EMPTY_SIGNATURE, Var("Nope"))
+            EMPTY_SIGNATURE.atoms(Var("Nope"))
 
 
 class TestSummary:
@@ -435,7 +434,7 @@ class TestSignatureValue:
     def test_copy_deepcopy_and_pickle_start_with_empty_tables(self):
         sig = sig_of(X="a[X*] | b[]", Y="c[X]")
         assert subtype(sig, Var("Y"), parse_type("c[b[]|a[X*]]"))
-        assert syntactic_atoms(sig, Var("Y"))
+        assert sig.atoms(Var("Y"))
         assert (sig._linear_forms and sig._steps and sig._nullable
                 and sig._states and sig._type_states and sig._summaries
                 and sig._atoms)
@@ -462,24 +461,33 @@ class TestSignatureValue:
         assert (hash(sig), repr(sig)) == before == (hash(fresh), repr(fresh))
 
     def test_step_rows_name_canonical_states(self):
-        # every state a row names, and every key, is the one object the
-        # signature keeps for its set, so a lookup that follows a row
-        # finds its key by identity
+        # every row key, and every state a row names, is the one object the
+        # signature keeps for its set, so a lookup that follows a row finds
+        # its key by identity; that holds in any order of calls, though a
+        # canonical state need not be named by a row
+        def named(sig):
+            out = list(sig._steps)
+            for _, row in sig._steps.values():
+                for starts, nexts, leaf in row.values():
+                    out += [start for start, _ in starts] + [nexts, leaf]
+            assert all(sig._states[state] is state for state in out)
+            return out
+
         sig = sig_of(Tree="tree[leaf[string] | node[Tree*]]")
         doc = parse_value('tree[node[tree[leaf["a"]],tree[leaf["b"]]]]')
         assert member(sig, doc, Var("Tree"))
         assert subtype(sig, parse_type("tree[leaf[string]]"), Var("Tree"))
-        named = list(sig._steps)
-        for _, row in sig._steps.values():
-            for starts, nexts, leaf in row.values():
-                named += [start for start, _ in starts] + [nexts, leaf]
         states = sig._states
-        assert len(named) > len(states)
-        assert all(states[state] is state for state in named)
-        assert {id(state) for state in named} == set(map(id, states.values()))
+        assert len(named(sig)) > len(states)
         twin = frozenset([STRING])
         assert states[twin] is not twin
         assert sig.steps(twin) is sig._steps[twin]
+        # the tables refuse a[] <: b[]|c[] from the right side's summary
+        fresh = Signature()
+        assert not subtype(fresh, parse_type("a[]"), parse_type("b[]|c[]"))
+        right = fresh.state(parse_type("b[]|c[]"))
+        assert list(fresh._summaries) == [right] and not named(fresh)
+        assert fresh._states[right] is right
 
     def test_a_type_has_one_canonical_state(self):
         # ``subtype``, ``member`` and ``refute`` enter through ``state``:
