@@ -7,8 +7,11 @@ single tree's ``label`` as the checker does (``types.passes``), and
 iteration maps a singular update over a forest, concatenating the results.
 
 Each ``eval_query`` or ``apply_update`` call compiles its program to closures
-once, then runs them; a function or procedure body is compiled on its first
-call, and each call site keeps the compiled body after its first call.  A
+once, then runs them.  What no environment changes is settled when
+compiling: a call site resolves its callee and arity, and a constructor whose
+parts are all closed (``()``, a literal, ``n[e]``, ``e, e``) is built once
+and shared, as trees are immutable.  A function or procedure body is
+compiled on its first call, and each call site keeps it.  A
 ``,`` or ``;`` list runs as one loop over its items.  A ``for`` loop copies
 its environment once and rebinds its variable in the copy for each tree; no
 closure keeps an environment after it returns.  A child step ``e/n`` or
@@ -65,6 +68,20 @@ def _fail(message: str) -> NoReturn:
     raise EvalError(message)
 
 
+def _too_deep(limit: int, name: str) -> NoReturn:
+    raise RecursionLimitExceeded(
+        f"recursion limit {limit} exceeded calling {name}")
+
+
+def _closed(value: Forest) -> Callable:
+    """A closed constructor's closure, returning the one ``value``; it keeps
+    it as ``.value``, so a constructor of closed parts is closed too."""
+    def run(env, depth):
+        return value
+    run.value = value
+    return run
+
+
 class _Compiler(tuple):
     """One evaluation's runtime and compiled bodies, by kind and name.  A
     method named after a node class compiles it to a closure taking ``(env,
@@ -72,7 +89,9 @@ class _Compiler(tuple):
     A ``Concat`` or ``SeqStmt`` compiles each of its items.  A ``For``
     whose body is ``Children(v)`` or ``LabelFilter(Children(v), n)`` of its
     own variable ``v`` compiles to one comprehension, not a loop over the
-    body; a ``Call`` keeps the body it looked up on its first call."""
+    body.  A ``Call`` resolves its callee and arity here and keeps the body
+    it finds on its first call; a closed constructor compiles to
+    ``_closed`` of its value."""
 
     __slots__ = ()
 
@@ -101,44 +120,70 @@ class _Compiler(tuple):
         kind = "function" if type(node) is Call else "procedure"
         name, args = node.name, [self.compile(a) for a in node.args]
         decl = getattr(decls, kind + "s").get(name)  # .functions or .procedures
-        params = [p for p, _ in decl.params] if decl is not None else []
+        if decl is None or len(decl.params) != len(args):
+            def fail(env, depth, *v):  # what a call raises, in its order
+                for arg in args:
+                    arg(env, depth)
+                if decl is None:
+                    _fail(f"undeclared {kind} {name}")
+                if depth + 1 > limit:
+                    _too_deep(limit, name)
+                _fail(f"{name} expects {len(decl.params)} argument(s), got "
+                      f"{len(args)}")
+            return fail
         key, body = (kind, name), None
+        binds = [(param, arg) for (param, _), arg in zip(decl.params, args)]
 
-        def call(env, depth, *v):
+        def compiled():  # on this call site's first call
             nonlocal body
-            values = [arg(env, depth) for arg in args]
-            if decl is None:
-                _fail(f"undeclared {kind} {name}")
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = self.compile(decl.body)
+            return body
+
+        if kind == "function":
+            def call(env, depth):  # the arguments go straight into ``inner``
+                inner = {}
+                for param, arg in binds:
+                    inner[param] = arg(env, depth)
+                if depth + 1 > limit:
+                    _too_deep(limit, name)
+                return (body or compiled())(inner, depth + 1)
+            return call
+
+        def run(env, depth, v):  # a procedure's: the focus is passed on
+            inner = {}
+            for param, arg in binds:
+                inner[param] = arg(env, depth)
             if depth + 1 > limit:
-                raise RecursionLimitExceeded(
-                    f"recursion limit {limit} exceeded calling {name}")
-            if len(params) != len(values):
-                _fail(f"{name} expects {len(params)} argument(s), got "
-                      f"{len(values)}")
-            if body is None:  # this call site's first call
-                body = bodies.get(key)
-                if body is None:
-                    body = bodies[key] = self.compile(decl.body)
-            return body(dict(zip(params, values)), depth + 1, *v)
-        return call
+                _too_deep(limit, name)
+            return (body or compiled())(inner, depth + 1, v)
+        return run
 
     def StrLit(self, node):  # and BoolLit
-        value = ((TRUE if node.value else FALSE) if type(node) is BoolLit
-                 else StrVal(node.value),)
-        return lambda env, depth: value
+        return _closed(((TRUE if node.value else FALSE) if type(node) is BoolLit
+                        else StrVal(node.value),))
 
-    def Delete(self, node, run=lambda env, depth, *v: ()):  # and EmptySeq
+    def EmptySeq(self, node):
+        return _closed(())
+
+    def Delete(self, node, run=lambda env, depth, v: ()):
         return run
 
     def Skip(self, node, run=lambda env, depth, v: v):
         return run
 
-    LetStmt, IfStmt, ProcCall, BoolLit, EmptySeq = Let, If, Call, StrLit, Delete
+    LetStmt, IfStmt, ProcCall, BoolLit = Let, If, Call, StrLit
 
     def VarRef(self, node):
         name = node.name
-        return lambda env, depth: (
-            env[name] if name in env else _fail(f"unbound variable ${name}"))
+
+        def read(env, depth):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable ${name}") from None
+        return read
 
     def Children(self, node):
         name, variable = node.var, self.compile(VarRef(node.var))
@@ -149,6 +194,8 @@ class _Compiler(tuple):
 
     def Concat(self, node):
         parts = [self.compile(item) for item in node.items]
+        if all(hasattr(part, "value") for part in parts):
+            return _closed(tuple([t for part in parts for t in part.value]))
 
         def concat(env, depth):
             out: list[Tree] = []
@@ -159,6 +206,8 @@ class _Compiler(tuple):
 
     def Elem(self, node):
         label, content = node.label, self.compile(node.content)
+        if hasattr(content, "value"):
+            return _closed((Node(label, content.value),))
         return lambda env, depth: (Node(label, content(env, depth)),)
 
     def LabelFilter(self, node):

@@ -383,14 +383,18 @@ def union(types: Iterable[Type]) -> frozenset[Type]:
     """The canonical set of alternatives of a union of ``types``, with
     ``|`` flattened into the set, so ``{u|v}`` and ``{u, v}`` are one key.
     Such a set is a subtype goal's right-hand side and a state of the
-    membership automaton."""
+    membership automaton.  Each ``|`` node is walked once, so a shared
+    subterm (``t | t``, nested) costs one visit, not one per path."""
     out: set[Type] = set()
+    seen: set[Type] = set()
     stack = list(types)
     while stack:
         t = stack.pop()
         if t.__class__ is Or:
-            stack.append(t.left)
-            stack.append(t.right)
+            if t not in seen:
+                seen.add(t)
+                stack.append(t.left)
+                stack.append(t.right)
         else:
             out.add(t)
     return frozenset(out)

@@ -694,6 +694,20 @@ class TestDeepInput:
         assert main(["run-update", LEAFUPD, "--input", value]) == 2
         self.assert_depth_error(capsys)
 
+    def test_recursive_update_depth(self):
+        # a fresh process under the default recursion limit runs ``leafupd``
+        # on a tree 122 ``node``s deep and fails at 123 (CPython 3.10-3.12);
+        # one more Python frame per call level would fail at 115
+        def tree(leaf, depth=115):
+            return ("tree[node[" * depth + f'tree[leaf["{leaf}"]]'
+                    + "]]" * depth)
+        run = subprocess.run(
+            [sys.executable, "-m", "fluxq.cli", "run-update", LEAFUPD,
+             "--input", tree("a")], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, tree("pruned") + "\n", "")
+
     def test_run_update_long_flat_value(self, tmp_path, capsys):
         f = tmp_path / "flat.flux"
         f.write_text("update skip : (a[]|b[])* => (a[]|b[])*\n")

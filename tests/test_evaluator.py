@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    Concat, Elem, EmptySeq, EvalError, Insert, Nav, Node,
-    RecursionLimitExceeded, Runtime, SeqStmt, StrVal, apply_update,
-    eval_query, parse_expr,
-    parse_program, parse_stmt, parse_value, runtime_for_query_program,
+    EMPTY, Concat, Elem, EmptySeq, EvalError, FunctionDecl, GlobalDecls,
+    Insert, Nav, Node, ProcedureDecl, RecursionLimitExceeded, Runtime,
+    SeqStmt, StrVal, apply_update, eval_query, parse_expr, parse_program,
+    parse_stmt, parse_value, runtime_for_query_program,
     runtime_for_update_program,
 )
+from fluxq.evaluator import _Compiler
+from fluxq.printer import value_str
 
 LEAVES = Path(__file__).resolve().parent.parent / "samples" / "leaves.muxq"
 
@@ -351,6 +353,93 @@ class TestScoping:
         first = eval_query(rt, env, prog.main)
         assert first == parse_value('leaf["u"],leaf["v"]')
         assert eval_query(rt, env, prog.main) == first
+
+
+class TestCallSites:
+    """A call site binds each argument to its parameter by position.  The
+    declarations are built in code, since the parser reads a ``,`` after a
+    parameter's type as a concatenation, so a list of two or more
+    parameters cannot be written in a program's text."""
+
+    BODIES = {"f0": ((), "k[]", "insert k[]"),
+              "f1": (("x",), "w[$x]", "insert w[$x]"),
+              "f3": (("x", "y", "z"), "$z, $x, $y", "insert ($z, $x, $y)")}
+    CASES = (("f0()", "k[]"), ("f1(a[])", "w[a[]]"),
+             ("f3(a[], b[], c[])", "c[],a[],b[]"))
+    ENV = {"u": parse_value("a[]")}
+    FUNCTIONS = Runtime(GlobalDecls(functions={
+        name: FunctionDecl(name, tuple((p, EMPTY) for p in params), EMPTY,
+                           parse_expr(body))
+        for name, (params, body, _) in BODIES.items()}))
+    PROCEDURES = Runtime(GlobalDecls(procedures={
+        name: ProcedureDecl(name, tuple((p, EMPTY) for p in params), EMPTY,
+                            EMPTY, parse_stmt(body))
+        for name, (params, _, body) in BODIES.items()}))
+
+    def test_functions_bind_by_position(self):
+        for text, expected in self.CASES + (
+                ("f3($u, f1($u), f0())", "k[],a[],w[a[]]"),):
+            got = eval_query(self.FUNCTIONS, self.ENV, parse_expr(text))
+            assert got == parse_value(expected), text
+
+    def test_procedures_bind_by_position(self):
+        for text, expected in self.CASES + (
+                ("f3($u, w[$u], k[])", "k[],a[],w[a[]]"),):
+            got = apply_update(self.PROCEDURES, self.ENV, (), parse_stmt(text))
+            assert got == parse_value(expected), text
+
+    def test_arguments_run_left_to_right(self):
+        with fails("unbound variable $p"):
+            eval_query(self.FUNCTIONS, {}, parse_expr("f3($p, $q, $r)"))
+        with fails("undeclared function p"):
+            apply_update(self.PROCEDURES, {}, (),
+                         parse_stmt("f3(p(), q(), r())"))
+
+    def test_a_recursive_procedure_passes_its_focus_through(self):
+        # ``mark`` hands the children of each ``a`` to itself as its whole
+        # focus, with its two arguments swapped at each level
+        body = parse_stmt("iter[ a?children[mark($t, $s)]"
+                          "    ; b?children[(delete; insert $s)] ]")
+        mark = ProcedureDecl("mark", (("s", EMPTY), ("t", EMPTY)),
+                             EMPTY, EMPTY, body)
+        rt = Runtime(GlobalDecls(procedures={"mark": mark}))
+        got = apply_update(rt, {}, parse_value('b["x"],a[b[],a[b[],c[]]],a[]'),
+                           parse_stmt('mark("1", "2")'))
+        assert got == parse_value('b["1"],a[b["2"],a[b["1"],c[]]],a[]')
+
+
+class TestClosedConstructors:
+    """A constructor whose parts are all closed is built once per compile,
+    and every evaluation returns that one value."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("()", "()"), ('"s"', '"s"'), ("true", "true"), ("false", "false"),
+        ("n[]", "n[]"), ('n[a[], "s"]', 'n[a[], "s"]'),
+        ("(a[], b[])", "a[], b[]"),
+        ('(n[a[], ("s", ())], (), true, m[k[]])', 'n[a[], "s"], true, m[k[]]')])
+    def test_a_closed_constructor_is_its_value(self, text, value):
+        compiled = _Compiler((RT, {})).compile(parse_expr(text))
+        assert compiled.value == parse_value(value)
+        assert compiled({}, 0) is compiled.value
+
+    @pytest.mark.parametrize("text", [
+        "$u", "n[$u]", "(a[], $u)", "n[m[], ($u, k[])]", "f()",
+        "let $v = a[] in n[]", "if true then a[] else b[]",
+        "for $v in $u return n[]", "$u/child", "$u::a"])
+    def test_an_open_expression_is_not_folded(self, text):
+        compiled = _Compiler((RT, {})).compile(parse_expr(text))
+        assert not hasattr(compiled, "value")
+
+    def test_a_constructor_over_a_variable_is_built_per_binding(self):
+        env = {"x": parse_value("p[a[],b[]]")}
+        assert run("for $y in $x/child return (n[$y], ($y, k[]))", env) == (
+            parse_value("n[a[]],a[],k[],n[b[]],b[],k[]"))
+
+    def test_a_closed_insertion_is_one_shared_tree(self):
+        n = 50
+        got = apply('iter[b? right[insert n[a[], "s"]]]', ",".join(["b[]"] * n))
+        assert value_str(got) == ",".join(['b[],n[a[],"s"]'] * n)
+        assert all(got[k] is got[1] for k in range(1, 2 * n, 2))
 
 
 class TestEffectLaws:

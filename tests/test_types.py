@@ -183,6 +183,32 @@ class TestSummary:
                                    for t in ("a[X*]", "b[]", "c[]")),)
 
 
+class TestUnion:
+    def test_a_shared_alternative_is_walked_once(self):
+        # T_{k+1} = T_k | T_k has 2^40 paths to b[] but 41 nodes.  A
+        # ``union`` that walked every path would never return, so the calls
+        # run in a child process that a timeout stops.
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from fluxq import Or, Signature, member, parse_type, parse_value,"
+            " subtype\n"
+            "t = b = parse_type('b[]')\n"
+            "for _ in range(40):\n"
+            "    t = Or(t, t)\n"
+            "sig = Signature()\n"
+            "print(sig.state(t) == {b}, subtype(sig, t, parse_type('b[]*')),\n"
+            "      member(sig, parse_value('b[]'), t),\n"
+            "      member(sig, parse_value('a[]'), t))\n")
+        try:
+            run = subprocess.run([sys.executable, "-c", script, str(SRC)],
+                                 capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("union of a 41-node shared type ran past 60 s")
+        assert (run.returncode, run.stdout) == (
+            0, "True True True False\n"), run.stderr
+
+
 class TestImmutability:
     def test_signature_rejects_mutation(self):
         with pytest.raises(AttributeError):
