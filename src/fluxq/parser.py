@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer and recursive-descent parsers.
+"""Concrete syntax: the lexer and the parsers.
 
 Types:        ``()  bool  string  n[t]  n[]  t,t  t|t  t*  t+  t?  X``
               (postfix quantifiers bind tightest, then ``,``, then ``|``;
@@ -11,22 +11,24 @@ Statements:   ``skip  s;s  if e then s else s  let $x = e in s  insert e
               delete  rename n  snapshot $x in s  n?s  *?s  bool?s
               string?s  left[s]  right[s]  children[s]  iter[s]  p(e,...)``;
               ``?`` binds tighter than ``;``; ``(s)`` groups.
-Programs:     ``type X = t`` entries, ``declare function f($x:t,...) : t
-              { e };`` and ``declare procedure p($x:t,...) : t => t { s };``
-              declarations, ended by ``query e : t`` or
-              ``update s : t1 => t2``.
+Programs:     ``type X = t`` entries, ``declare function f($x:t, $y:t) : t
+              { e };`` and ``declare procedure p($x:t, ...) : t => t { s };``
+              declarations (a ``,`` before a ``$`` ends a parameter's type),
+              ended by ``query e : t`` or ``update s : t1 => t2``.
 
-Values are read by one loop over the lexemes with a stack of the open
-elements, so a value of any depth parses; types, expressions and
-statements are parsed by recursive descent.  A value lexeme is a program
-lexeme, except that a word may run on, with no blank: as a text-only
-element ``n["w"]``, as a run of up to 256 empty elements ``n[],m[],...``,
-split with one ``str.split``, or as the ``[`` that opens its element.  The
-cap bounds the backtracking state ``sre`` keeps for each repeat (Python
-3.10 has no possessive ``*+``), so a long flat forest is read as many runs.
-Each distinct empty or text-only element is built once and shared.  A
-compound lexeme whose label is no label fails where reading it lexeme by
-lexeme would, so blanks and comments change no value and no error.
+A type is read by one loop over its postfix items, which folds each ``,``
+run and then the ``|`` run into right-nested binary nodes: a level of
+nesting costs two frames (``parse_type``, ``parse_type_primary``), and a
+level of query parentheses four, as expressions and statements are read by
+recursive descent; a ``,``, ``|`` or ``;`` list costs none.  A value is
+read by one loop over its lexemes with a stack of the open elements, so
+any depth parses.  A value lexeme may run on, with no blank: as ``n["w"]``,
+as a run of up to 256 empty elements ``n[],m[],...`` (split with one
+``str.split``; the cap bounds the backtracking state ``sre`` keeps per
+repeat, as Python 3.10 has no possessive ``*+``), or as ``n[``.  Each
+distinct ``n[]`` or ``n["w"]`` is built once and shared.  A compound lexeme
+whose label is no label fails where reading it lexeme by lexeme would, so
+blanks and comments change no value and no error.
 
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
@@ -65,8 +67,8 @@ KEYWORDS = frozenset({
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
-_PUNCT = {p: p for p in ("::", "=>", "(", ")", "[", "]", "{", "}", ",", "|",
-                          "*", "+", "?", "=", ";", ":", "/")}
+_FIXED = {k: k for k in (*KEYWORDS, "::", "=>", "(", ")", "[", "]", "{", "}",
+                         ",", "|", "*", "+", "?", "=", ";", ":", "/")}
 
 # One lexeme per match, and every character is in one: blanks, a comment,
 # a word, two-character punctuation, a variable, a string literal, or any
@@ -85,10 +87,9 @@ _BLANK = " \t\r\n#"
 
 @cache
 def _value_lexeme_re() -> re.Pattern:
-    """``parse_value``'s lexemes: those of ``_LEXEME_RE``, but a word may run
-    on as a text-only element, a run of empty elements capped at 256, or a
-    ``[`` (see the module docstring).  Compiled on first use, as ``check``
-    reads no value."""
+    """``parse_value``'s lexemes: ``_LEXEME_RE``'s, but a word may run on
+    (see the module docstring).  Compiled on first use, as ``check`` reads
+    no value."""
     return re.compile(_LEXEME_RE.pattern.replace(
         r"|\w+|", r'|\w+(?:\[' + _STRING_BODY
         + r'"\]|\[\](?:,\w+\[\]){0,255}|\[)?|', 1), re.DOTALL)
@@ -131,14 +132,13 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
     end = 0
     for lexeme in _LEXEME_RE.findall(text):
         start, end = end, end + len(lexeme)
-        kind = _PUNCT.get(lexeme)
+        kind = _FIXED.get(lexeme)
         if kind is None:
             c = lexeme[0]
             if c in _BLANK:
                 continue
             if c.isalpha() or c == "_":
-                kind = (lexeme if lexeme in KEYWORDS
-                        else "TYPEVAR" if c.isupper() else "IDENT")
+                kind = "TYPEVAR" if c.isupper() else "IDENT"
             elif c == "$":
                 if not lexeme[1:2].isalpha():
                     raise _lex_error(text, "expected variable name after $", start)
@@ -216,20 +216,14 @@ class _Parser:
 
     def parse_list(self, parse_item, op: str, node):
         """``a op b op c``, parsed with a loop so long lists cannot exhaust
-        the stack: a list of one item is that item; a type list folds to
-        ``node(a, node(b, c))``, and any other is ``node((a, b, c))``, whose
-        span covers the list."""
+        the stack: a list of one item is that item, and any other is
+        ``node((a, b, c))``, whose span covers the list."""
         start, first = self.pos, parse_item()
         if self.kinds[self.pos] != op:
             return first
         items = [first]
         while self.accept(op):
             items.append(parse_item())
-        if issubclass(node, Type):
-            out = items.pop()
-            for item in reversed(items):
-                out = node(item, out)
-            return out
         return node(tuple(items), span=self.span_from(start))
 
     def _fresh_var(self) -> str:
@@ -239,25 +233,29 @@ class _Parser:
     # -- types -----------------------------------------------------------
 
     def parse_type(self) -> Type:
-        return self.parse_list(self.parse_type_seq, "|", Or)
-
-    def parse_type_seq(self) -> Type:
-        return self.parse_list(self.parse_type_postfix, ",", Seq)
-
-    def parse_type_postfix(self) -> Type:
-        mark = len(self._top)
-        t = self.parse_type_primary()
-        while (op := self.kinds[self.pos]) in {"*", "+", "?"}:
+        """Postfix items separated by ``,`` and ``|``, read in one loop (see
+        the module docstring); a ``,`` before a ``$`` variable ends it."""
+        alts: list[Type] = []
+        items: list[Type] = []
+        while True:
+            mark = len(self._top)
+            t = self.parse_type_primary()
+            while (op := self.kinds[self.pos]) in {"*", "+", "?"}:
+                self.pos += 1
+                if op == "*":
+                    t = Star(t)
+                elif op == "+":
+                    t = plus(t)
+                    # ``t, t*`` holds the top-level uses of ``t`` twice
+                    self._top += self._top[mark:]
+                else:
+                    t = optional(t)
+            items.append(t)
+            if op != "," or self.kinds[self.pos + 1] == "VAR":
+                alts.append(_chain(Seq, items))
+                if op != "|":
+                    return _chain(Or, alts)
             self.pos += 1
-            if op == "*":
-                t = Star(t)
-            elif op == "+":
-                t = plus(t)
-                # ``t, t*`` holds the top-level uses of ``t`` twice
-                self._top += self._top[mark:]
-            else:
-                t = optional(t)
-        return t
 
     def parse_type_primary(self) -> Type:
         tok = self.pos
@@ -299,19 +297,42 @@ class _Parser:
     def parse_expr_single(self) -> QueryExpr:
         tok = self.pos
         kind = self.kinds[tok]
-        if kind != "let" and kind != "for" and kind != "if":
-            return self.parse_expr_path()
-        self.pos = tok + 1
-        if kind == "let":
-            return self.parse_let(tok, self.parse_expr_single, Let)
-        if kind == "for":
-            var = self.expect("VAR", "a variable")
-            self.expect("in")
-            source = self.parse_expr_single()
-            self.expect("return")
-            body = self.parse_expr_single()
-            return For(var, source, body, span=self.span_from(tok))
-        return self.parse_if(tok, self.parse_expr_single, If)
+        if kind == "let" or kind == "for" or kind == "if":
+            self.pos = tok + 1
+            if kind == "let":
+                return self.parse_let(tok, self.parse_expr_single, Let)
+            if kind == "for":
+                var = self.expect("VAR", "a variable")
+                self.expect("in")
+                source = self.parse_expr_single()
+                self.expect("return")
+                body = self.parse_expr_single()
+                return For(var, source, body, span=self.span_from(tok))
+            return self.parse_if(tok, self.parse_expr_single, If)
+        # a primary and its ``::n``, ``/child``, ``/*`` and ``/n`` steps
+        e = self.parse_expr_primary()
+        while (kind := self.kinds[self.pos]) == "::" or kind == "/":
+            self.pos += 1
+            if kind == "::":
+                label = self.expect("IDENT", "a label")
+                e = LabelFilter(e, label, span=self.span_from(tok))
+            elif self.accept("child"):
+                if not isinstance(e, VarRef):
+                    raise self.error_at(
+                        self.pos, "child projection applies to a variable")
+                e = Children(e.name, span=self.span_from(tok))
+            elif self.accept("*"):
+                fresh = self._fresh_var()
+                span = self.span_from(tok)
+                e = For(fresh, e, Children(fresh, span=span), span=span)
+            else:
+                label = self.expect("IDENT", "a label")
+                fresh = self._fresh_var()
+                span = self.span_from(tok)
+                e = For(fresh, e,
+                        LabelFilter(Children(fresh, span=span), label,
+                                    span=span), span=span)
+        return e
 
     # ``let`` and ``if`` after the keyword at ``tok``, as expressions or as
     # statements: ``body`` and ``branch`` parse the parts, ``node`` builds
@@ -329,34 +350,6 @@ class _Parser:
         then = branch()
         self.expect("else")
         return node(cond, then, branch(), span=self.span_from(tok))
-
-    def parse_expr_path(self) -> QueryExpr:
-        start = self.pos
-        e = self.parse_expr_primary()
-        while True:
-            kind = self.kinds[self.pos]
-            if kind != "::" and kind != "/":
-                return e
-            self.pos += 1
-            if kind == "::":
-                label = self.expect("IDENT", "a label")
-                e = LabelFilter(e, label, span=self.span_from(start))
-            elif self.accept("child"):
-                if not isinstance(e, VarRef):
-                    raise self.error_at(
-                        self.pos, "child projection applies to a variable")
-                e = Children(e.name, span=self.span_from(start))
-            elif self.accept("*"):
-                fresh = self._fresh_var()
-                span = self.span_from(start)
-                e = For(fresh, e, Children(fresh, span=span), span=span)
-            else:
-                label = self.expect("IDENT", "a label")
-                fresh = self._fresh_var()
-                span = self.span_from(start)
-                e = For(fresh, e,
-                        LabelFilter(Children(fresh, span=span), label,
-                                    span=span), span=span)
 
     def parse_expr_primary(self) -> QueryExpr:
         tok = self.pos
@@ -453,11 +446,12 @@ class _Parser:
         params: list[tuple[str, Type]] = []
         if self.kinds[self.pos] != ")":
             while True:
+                tok = self.pos
                 name = self.expect("VAR", "a parameter")
                 self.expect(":")
                 t = self.parse_type()
                 if any(name == seen for seen, _ in params):
-                    raise self.error_at(self.pos, f"duplicate parameter ${name}")
+                    raise self.error_at(tok, f"duplicate parameter ${name}")
                 params.append((name, t))
                 if not self.accept(","):
                     break
@@ -537,6 +531,14 @@ class _Parser:
         return _signature(decls)
 
 
+def _chain(node, items: list[Type]) -> Type:
+    """``node(a, node(b, c))`` of ``items == [a, b, c]``, emptying it."""
+    out = items.pop()
+    while items:
+        out = node(items.pop(), out)
+    return out
+
+
 def _signature(decls: dict[str, tuple[Type, Declared]]) -> Signature:
     return Signature([(name, t) for name, (t, _) in decls.items()],
                      {name: text for name, (_, text) in decls.items()})
@@ -566,10 +568,8 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
 
 def parse_value(text: str) -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
-    elements, so its depth is not bounded by Python's recursion.  A label
-    and its ``[``, a text-only element and a run of empty elements are
-    each one lexeme, and each distinct ``n[]`` or ``n["w"]`` in the text is
-    one ``Node`` shared by all its occurrences."""
+    elements (see the module docstring), so any depth parses and each
+    distinct ``n[]`` or ``n["w"]`` is one ``Node`` shared by its uses."""
     lexemes = _value_lexeme_re().findall(text)
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []

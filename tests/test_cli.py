@@ -228,6 +228,59 @@ class TestDuplicateDeclarations:
         assert capsys.readouterr().out.strip() == "a[]"
 
 
+class TestSeveralParameters:
+    """Functions and procedures of two and three parameters, written as
+    text: a ``,`` before a ``$`` variable ends a parameter's type, and
+    every command reads, checks and runs them."""
+
+    PICK = ("declare function f($x : a[]|b[], $y : c[], d[]?, "
+               "$z : e[]*) : (a[]|b[]), e[]* { $x, $z };\n")
+    QUERIES = {
+        "two": ("declare function swap($x : a[], $y : b[]*) : b[]*, a[] "
+                "{ $y, $x };\nquery swap(a[], (b[], b[])) : b[]*, a[]\n",
+                "b[]*,a[]", "b[],b[],a[]"),
+        "three": (PICK + "query f(a[], (c[], d[]), (e[], e[])) "
+                  ": (a[]|b[]), e[]*\n", "(a[]|b[]),e[]*", "a[],e[],e[]"),
+    }
+    UPDATES = {
+        "two": ("declare procedure put($x : a[], $y : b[]) : () => b[], a[] "
+                "{ insert ($y, $x) };\n"
+                "update put(a[], b[]) : () => b[], a[]\n", "b[],a[]",
+                "b[],a[]"),
+        "three": (PICK + "declare procedure wrap($x : a[], $y : b[]?, "
+                  "$z : e[]*) : () => w[(a[]|b[]), e[]*, b[]?] "
+                  "{ insert w[f($x, c[], $z), $y] };\n"
+                  "update wrap(a[], (), (e[], e[])) "
+                  ": () => w[(a[]|b[]), e[]*, b[]?]\n",
+                  "w[(a[]|b[]),e[]*,b[]?]", "w[a[],e[],e[]]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_query_programs(self, name, tmp_path, capsys):
+        text, typed, value = self.QUERIES[name]
+        f = tmp_path / "q.muxq"
+        f.write_text(text)
+        for command, out in (("check", typed), ("type", typed),
+                             ("eval", value)):
+            assert main([command, str(f)]) == 0, command
+            assert capsys.readouterr() == (out + "\n", ""), command
+
+    @pytest.mark.parametrize("name", sorted(UPDATES))
+    def test_update_programs(self, name, tmp_path, capsys):
+        text, typed, value = self.UPDATES[name]
+        f = tmp_path / "u.flux"
+        f.write_text(text)
+        for argv, out in ((["check"], typed), (["type"], typed),
+                          (["run-update", "--input", "()"], value)):
+            assert main([argv[0], str(f), *argv[1:]]) == 0, argv
+            assert capsys.readouterr() == (out + "\n", ""), argv
+
+    def test_three_parameters_parse_back_from_printed_text(self):
+        prog, sig = parse_program(self.QUERIES["three"][0])
+        assert [p for p, _ in prog.functions[0].params] == ["x", "y", "z"]
+        assert parse_program(printer.program_str(prog, sig)) == (prog, sig)
+
+
 class TestType:
     def test_prints_synthesized_update_type(self, capsys):
         assert main(["type", INSERT_AFTER]) == 0
@@ -680,9 +733,41 @@ class TestDeepInput:
         assert err == ""
 
     def test_subtype_deep_type(self, capsys):
-        deep = "a[" * 400 + "]" * 400
+        # past the parser's limit of about 494 levels (see below)
+        deep = "a[" * 1000 + "]" * 1000
         assert main(["subtype", deep, deep]) == 2
         self.assert_depth_error(capsys)
+
+    @staticmethod
+    def fresh_cli(*argv):
+        run = subprocess.run(
+            [sys.executable, "-m", "fluxq.cli", *argv], capture_output=True,
+            text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        return run.returncode, run.stdout, run.stderr
+
+    def test_type_nesting_depth(self):
+        # a fresh process under the default recursion limit reads a type
+        # 494 elements deep and fails at 495 (CPython 3.11.7): a level costs
+        # two frames, ``parse_type`` and ``parse_type_primary``
+        def deep(depth):
+            return "a[" * depth + "]" * depth
+        assert self.fresh_cli("subtype", deep(490), deep(490)) == (
+            0, "subtype\n", "")
+        code, out, err = self.fresh_cli("subtype", deep(500), deep(500))
+        assert (code, out) == (2, "") and "(limit/depth)" in err
+
+    def test_query_parentheses_depth(self, tmp_path):
+        # a fresh process checks ``a[], (a[], (…))`` with 246 levels of
+        # parentheses and fails at 247 (CPython 3.11.7): a level costs four
+        # frames, ``parse_expr``, ``parse_list``, ``parse_expr_single`` and
+        # ``parse_expr_primary``
+        f = tmp_path / "nested.muxq"
+        for depth, expected in ((240, 0), (250, 2)):
+            f.write_text("query " + "a[], (" * depth + "a[]" + ")" * depth
+                         + " : a[]*\n")
+            code, out, err = self.fresh_cli("check", str(f))
+            assert code == expected, depth
+        assert out == "" and "(limit/depth)" in err
 
     def test_deep_recursive_update(self, capsys):
         # each call level of ``leafupd`` takes several Python frames, so a

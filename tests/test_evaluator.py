@@ -356,10 +356,9 @@ class TestScoping:
 
 
 class TestCallSites:
-    """A call site binds each argument to its parameter by position.  The
-    declarations are built in code, since the parser reads a ``,`` after a
-    parameter's type as a concatenation, so a list of two or more
-    parameters cannot be written in a program's text."""
+    """A call site binds each argument to its parameter by position, for
+    declarations built in code and for the same declarations written as a
+    program's text."""
 
     BODIES = {"f0": ((), "k[]", "insert k[]"),
               "f1": (("x",), "w[$x]", "insert w[$x]"),
@@ -387,6 +386,28 @@ class TestCallSites:
                 ("f3($u, w[$u], k[])", "k[],a[],w[a[]]"),):
             got = apply_update(self.PROCEDURES, self.ENV, (), parse_stmt(text))
             assert got == parse_value(expected), text
+
+    def test_declarations_written_as_text(self):
+        # the declarations of ``BODIES`` as a program's text: a ``,`` before
+        # a ``$`` variable ends a parameter's type
+        def header(params):
+            return ", ".join(f"${p} : ()" for p in params)
+        text = "".join(
+            f"declare function {name}({header(params)}) : () {{ {body} }};\n"
+            f"declare procedure {name}({header(params)}) : () => () "
+            f"{{ {stmt} }};\n"
+            for name, (params, body, stmt) in self.BODIES.items())
+        prog, _ = parse_program(text + "update skip : () => ()")
+        assert prog.functions == tuple(self.FUNCTIONS.decls.functions.values())
+        assert prog.procedures == tuple(
+            self.PROCEDURES.decls.procedures.values())
+        rt = runtime_for_update_program(prog)
+        for call, expected in self.CASES + (
+                ("f3($u, f1($u), f0())", "k[],a[],w[a[]]"),):
+            assert eval_query(rt, self.ENV, parse_expr(call)) == parse_value(
+                expected), call
+            assert apply_update(rt, self.ENV, (), parse_stmt(call)) == (
+                parse_value(expected)), call
 
     def test_arguments_run_left_to_right(self):
         with fails("unbound variable $p"):

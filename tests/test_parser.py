@@ -28,7 +28,10 @@ from fluxq.suites import GenConfig, gen_env, gen_type, gen_typed_expr, gen_typed
 from fluxq.parser import (
     _LEXEME_RE, _Parser, _is_label, _unescape, parse_env_bindings,
 )
-from fluxq.types import EMPTY_SIGNATURE, EMPTY_DECLS, Or, Seq
+from fluxq.types import (
+    EMPTY_SIGNATURE, EMPTY_DECLS, EmptySeq, FunctionDecl, Or, ProcedureDecl,
+    Seq, Skip,
+)
 from fluxq.printer import expr_str, program_str, stmt_str
 from fluxq.updates import Multiplicity
 
@@ -541,6 +544,50 @@ class TestProgramSyntax:
         sig = parse_signature("type L = a[]*\ntype M = m[L]")
         assert list(sig) == ["L", "M"]
 
+    def test_several_parameters(self):
+        # a ``,`` before a ``$`` variable ends a parameter's type; any other
+        # ``,`` is a concatenation, as in one parameter's ``a[], b[]``
+        a, b, c = (parse_type(f"{n}[]") for n in "abc")
+        for params, expected in (
+                ("$x : a[], b[]", (("x", Seq(a, b)),)),
+                ("$x : a[], $y : b[] | c[]", (("x", a), ("y", Or(b, c)))),
+                ("$x : a[]|b[], $y : c[], a[]?, $z : b[]*",
+                 (("x", Or(a, b)), ("y", Seq(c, Or(a, EMPTY))),
+                  ("z", Star(b))))):
+            prog, _ = parse_program(
+                f"declare function f({params}) : () {{ () }};\nquery () : ()")
+            assert prog.functions[0].params == expected, params
+            prog, _ = parse_program(
+                f"declare procedure p({params}) : () => () {{ skip }};\n"
+                "update skip : () => ()")
+            assert prog.procedures[0].params == expected, params
+
+    @pytest.mark.parametrize("params, message", [
+        ("$x :", "unexpected ')' in type at offset 23 (line 1, column 24); "
+         "expected a type"),
+        ("$x : a[],", "unexpected ')' in type at offset 28 (line 1, "
+         "column 29); expected a type"),
+        ("$x : a[], $x : b[]",
+         "duplicate parameter $x at offset 29 (line 1, column 30)"),
+        ("$x : a[], $y",
+         "unexpected ')' at offset 31 (line 1, column 32); expected :"),
+        ("$x : a[] $y : b[]",
+         "unexpected 'y' at offset 28 (line 1, column 29); expected )"),
+    ])
+    def test_malformed_parameter_lists(self, params, message):
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"declare function f({params}) : a[] {{ $x }};\n"
+                          "query a[] : a[]")
+        assert str(exc.value) == message
+
+    def test_comma_before_a_variable_ends_a_type(self):
+        # no type begins with ``$``: the ``,`` is left to the caller
+        with pytest.raises(ParseError) as exc:
+            parse_type("a[], $x")
+        assert str(exc.value) == (
+            "unexpected ',' at offset 3 (line 1, column 4); "
+            "expected end of type")
+
 
 class TestTokenPositions:
     """Every lexical error carries the offset, line and column of its
@@ -906,6 +953,30 @@ class TestRoundTrips:
                 continue
             done += 1
             assert parse_stmt(stmt_str(s)) == s
+
+    def test_random_headers_round_trip(self):
+        # functions and procedures of 0-3 parameters whose types, drawn by
+        # ``gen_type``, may have a top-level ``|`` or ``,``
+        cfg = GenConfig(seed=14)
+        rng = random.Random(14)
+
+        def params():
+            return tuple((f"x{i}", gen_type(rng, cfg))
+                         for i in range(rng.randint(0, 3)))
+
+        for _ in range(100):
+            functions = tuple(
+                FunctionDecl(f"f{i}", params(), gen_type(rng, cfg), EmptySeq())
+                for i in range(2))
+            procedures = tuple(
+                ProcedureDecl(f"p{i}", params(), gen_type(rng, cfg),
+                              gen_type(rng, cfg), Skip())
+                for i in range(2))
+            for prog in (
+                    QueryProgram(functions, EmptySeq(), gen_type(rng, cfg)),
+                    UpdateProgram(functions, procedures, Skip(),
+                                  gen_type(rng, cfg), gen_type(rng, cfg))):
+                assert parse_program(program_str(prog))[0] == prog
 
     def test_random_types_round_trip(self):
         cfg = GenConfig(seed=13)
