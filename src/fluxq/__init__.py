@@ -4,8 +4,10 @@ interpreter, and bounded enumeration oracles for validating the type
 system's metatheory at small scale.
 
 The public names below are imported on first access (PEP 562), each from
-its home module, so ``import fluxq.cli`` loads only the modules its
-commands run and not, say, the random suites."""
+its home module, so ``import fluxq`` loads no submodule, ``from fluxq
+import subtype`` loads ``subtyping`` and what it imports, and ``import
+fluxq.cli`` loads only the modules its commands run and not, say, the
+random suites.  ``dir(fluxq)`` and ``__all__`` list every public name."""
 
 import sys as _sys
 
@@ -37,7 +39,7 @@ _EXPORTS = {
              "Rename SeqStmt Skip Snapshot Test UpdateProgram UpdateStmt",
     "updates": "Multiplicity check_program check_stmt check_update_program "
                "synth_iter synth_stmt",
-    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree member witness",
+    "values": "BoolVal FALSE Forest Node StrVal TRUE Tree member",
 }
 # public name -> the module that defines it; a module is its own home
 _HOME = {name: module for module, names in _EXPORTS.items()

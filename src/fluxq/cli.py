@@ -307,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``fluxq`` on ``argv`` and return the exit code; never raises."""
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)

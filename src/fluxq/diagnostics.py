@@ -2,7 +2,12 @@
 record that is not a tree node; the parsed text, which resolves a parsed
 node's offsets to a span when the span is read, so lines and columns are
 looked up only for what is reported; and the exceptions the package
-raises."""
+raises.
+
+Every parsed node but a type has a span; the checkers read it only when
+they make a diagnostic from it, so a passing ``check`` builds no newline
+table.  A copy or pickle of a node holds its resolved ``SourceSpan``, with
+no reference to the text."""
 
 from __future__ import annotations
 

@@ -3,8 +3,9 @@
 The values of a type, like the types themselves, are infinitely many, so
 ``values_upto`` and ``types_upto`` take explicit finite bounds and compute
 the corresponding finite restriction, exhaustively.  One value of a type at
-no bound is ``values.witness``, and one outside another is
-``subtyping.refute``.
+no bound is given by ``values.inhabitants``, and one outside another by
+``subtyping.refute``.  The module imports only ``types`` and ``values``,
+and only ``fluxq oracle`` loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def _closure(parts: frozenset[tuple], bound: int) -> frozenset[tuple]:
     Built one length at a time: the members of length n are those of
     length n - k, each followed by a part of length k.  So nothing longer
     than the bound is ever formed, and the cost follows the closure's
-    members and the parts that fit, not their product."""
+    members and the parts that fit, not their product: ``a[string**]**``
+    at depth 2 and width 3 gives its 3,616 values in milliseconds."""
     by_length: dict[int, list[tuple]] = {}
     for part in parts:
         if 0 < len(part) <= bound:

@@ -47,7 +47,8 @@ DEFAULT_RECURSION_LIMIT = 256
 
 class Runtime(NamedTuple):
     """A program's declarations, whose bodies calls run, and the limit on
-    the depth of nested calls."""
+    the depth of nested calls.  A call runs only a declared body: there
+    are no builtins."""
 
     decls: GlobalDecls = EMPTY_DECLS
     recursion_limit: int = DEFAULT_RECURSION_LIMIT

@@ -7,6 +7,8 @@ quantifiers bind tightest, then ``,``, then ``|``; ``t | ()`` prints as
 loop, and values with an explicit stack.  A ``,`` or ``;`` list of
 expressions or statements prints each of its items at item precedence, so
 a nested list keeps its parentheses.  Each prints at any length or depth.
+``import fluxq.printer`` loads ``diagnostics``, ``types`` and ``values``,
+and no checker.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ right-hand side's summary and step row (``Signature.summary`` and
 ``Signature.steps``), the top-level atoms of each left side
 (``Signature.atoms``), and the canonical state of each type
 (``Signature.state``), through which ``subtype`` enters with its right
-side.  No verdict outlives its call.  The functions here stay
-safe to call concurrently: each table entry is a deterministic function of
-its signature and key, so two calls that race to fill one store equal
-values.
+side.  Goal keys are the nodes themselves: types are interned, so a key
+hashes and compares by identity.  No verdict outlives its call.  The
+functions here stay safe to call concurrently: each table entry is a
+deterministic function of its signature and key, so two calls that race
+to fill one store equal values.
 
 Types are assumed well-formed and inhabited, and nothing here re-checks
 that: ``sig`` has passed ``check_signature``, which rejects a variable

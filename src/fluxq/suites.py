@@ -45,7 +45,7 @@ from .types import (
     passes,
 )
 from .updates import Multiplicity, synth_iter, synth_stmt
-from .values import BoolVal, Forest, Node, StrVal, max_width, member, witness
+from .values import BoolVal, Forest, Node, StrVal, inhabitants, max_width, member
 
 
 class SuiteResult(NamedTuple):
@@ -130,9 +130,10 @@ def _raised(exc: Exception) -> str:
 def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
               n: int | None = None, uncounted: Iterable[str] = ()) -> SuiteResult:
     """Run one random suite: call ``case`` on the stream seeded from the
-    suite's name and tally its first ``n`` outcomes (default ``cfg.cases``).
-    ``case`` draws one case and returns its outcome, or ``REDRAW`` when the
-    draw misses the property's precondition (not counted)."""
+    suite's name, so renaming a suite changes what it draws, and tally its
+    first ``n`` outcomes (default ``cfg.cases``).  ``case`` draws one case
+    and returns its outcome, or ``REDRAW`` when the draw misses the
+    property's precondition (not counted)."""
     rng = _suite_rng(cfg, name)
     draws = (case(rng) for _ in count())
     counted = (outcome for outcome in draws if outcome is not REDRAW)
@@ -551,8 +552,10 @@ def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteRe
 def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """Every declared variable has a value, whatever the draws reach, and
     so has every drawn type."""
+    witness = inhabitants(sig)
+
     def uninhabited(t: Type) -> bool:
-        value = witness(sig, t)
+        value = witness(t)
         return value is None or not member(sig, value, t)
 
     def case(rng: random.Random) -> list[str]:
@@ -562,7 +565,7 @@ def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
         small = greedy_shrink(t, uninhabited, shrink_type)
         return [f"no inhabitant found for {type_str(small)}"]
     declared = [f"no inhabitant found for {name}" for name in sig
-                if witness(sig, Var(name)) is None]
+                if witness(Var(name)) is None]
     return run_cases(cfg, "types-inhabited-at-small-bounds", case,
                      uncounted=declared)
 

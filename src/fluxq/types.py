@@ -445,7 +445,8 @@ class Signature:
     names as a content (``state``).  Each entry is a pure function of the
     signature and its key, so the tables fill as checks run and are never
     invalidated; they are outside equality, the hash and ``repr``, and a
-    copy starts with them empty."""
+    copy starts with them empty.  They are freed with the signature, and
+    ``EMPTY_SIGNATURE``'s last as long as the process."""
 
     __slots__ = ("_defs", "_declared", "_nullable", "_linear_forms",
                  "_atoms", "_steps", "_summaries", "_states", "_type_states")
@@ -735,7 +736,8 @@ def nodes(t: Type) -> Iterator[Type]:
 def check_signature(sig: Signature) -> list[Diagnostic]:
     """Well-formedness diagnostics: undeclared references, unguarded
     definitions and, in a signature with neither, variables with no value
-    (as ``X`` has none under ``X = cons[X]``).
+    (as ``X`` has none under ``X = cons[X]``), found by the least fixpoint
+    of ``values.inhabitants``.
 
     One diagnostic per violation, at the spans the parser recorded
     (``Declared``): for each definition its undeclared variable uses, then
@@ -967,7 +969,8 @@ class Test(UpdateStmt):
 
 
 # the ``?`` tests written as a keyword, each admitting its atom class; any
-# other test (a label or ``*``) admits the label it is written as
+# other test (a label or ``*``) admits the label it is written as.  The
+# parser reads this table and the printer inverts it
 TEST_KEYWORDS = {"bool": BoolAtom, "string": StringAtom}
 
 

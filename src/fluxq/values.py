@@ -22,8 +22,8 @@ flat value reads the tables and allocates nothing.
 
 ``inhabitants`` gives one value of each type at no bound, or None for a
 type with none: ``check_signature`` reports a variable with no value by
-it, ``witness`` is one such value, and ``subtyping.refute`` builds its
-counterexamples from them.
+it, ``suites.suite_types_inhabited`` draws types and checks the value
+of each, and ``subtyping.refute`` builds its counterexamples from them.
 """
 
 from __future__ import annotations
@@ -207,8 +207,3 @@ def inhabitants(sig: Signature) -> Callable[[Type], Forest | None]:
                     known[name] = value
                     grew = True
     return build
-
-
-def witness(sig: Signature, t: Type) -> Forest | None:
-    """One value of ``t``, or None if ``t`` has none (see ``inhabitants``)."""
-    return inhabitants(sig)(t)

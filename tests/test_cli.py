@@ -585,10 +585,10 @@ class TestOracle:
     def test_raising_set_up_is_reported(self, monkeypatch, capsys):
         # a suite that raises before its cases are drawn reports the
         # exception as its one failure, under its own name
-        def broken(sig, t):
+        def broken(sig):
             raise RuntimeError("no witness")
 
-        monkeypatch.setattr(suites, "witness", broken)
+        monkeypatch.setattr(suites, "inhabitants", broken)
         assert main(["--json", "oracle", "--cases", "2"]) == 1
         out, err = capsys.readouterr()
         assert err == ""
@@ -756,18 +756,44 @@ class TestDeepInput:
         code, out, err = self.fresh_cli("subtype", deep(500), deep(500))
         assert (code, out) == (2, "") and "(limit/depth)" in err
 
-    def test_query_parentheses_depth(self, tmp_path):
-        # a fresh process checks ``a[], (a[], (…))`` with 246 levels of
-        # parentheses and fails at 247 (CPython 3.11.7): a level costs four
-        # frames, ``parse_expr``, ``parse_list``, ``parse_expr_single`` and
-        # ``parse_expr_primary``
-        f = tmp_path / "nested.muxq"
-        for depth, expected in ((240, 0), (250, 2)):
-            f.write_text("query " + "a[], (" * depth + "a[]" + ")" * depth
-                         + " : a[]*\n")
+    DEPTH_FORMS = {
+        "parentheses": lambda n: (
+            "query " + "a[], (" * n + "a[]" + ")" * n + " : a[]*"),
+        "element": lambda n: (
+            "query " + "a[" * n + "]" * n + " : " + "a[" * n + "]" * n),
+        "group": lambda n: (
+            "update " + "skip; (" * n + "skip" + ")" * n + " : a[] => a[]"),
+        "left": lambda n: (
+            "update " + "left[" * n + "skip" + "]" * n + " : a[] => a[]"),
+        "let": lambda n: "query " + "let $x = a[] in " * n + "$x : a[]",
+        "if": lambda n: "query " + "if true then a[] else " * n + "a[] : a[]",
+        "for": lambda n: "query " + "for $x in a[] return " * n + "$x : a[]",
+        "iter": lambda n: (
+            "type A = a[A*]\nupdate " + "iter[children[" * n + "skip"
+            + "]]" * n + " : A* => A*"),
+    }
+
+    @pytest.mark.parametrize("form, passes, fails", [
+        *((form, 480, 500) for form in (
+            "parentheses", "element", "group", "left", "let", "if")),
+        ("for", 190, 210),
+        ("iter", 115, 130),
+    ])
+    def test_program_text_depth(self, tmp_path, form, passes, fails):
+        # a fresh process under the default recursion limit (CPython
+        # 3.11.7) checks program text 493 levels deep and fails at 494: a
+        # level costs the parser two frames, as a type level does.  The
+        # checker types ``for`` and ``iter`` by ``map_atoms``, at five
+        # frames or more a level, so a ``for`` chain fails from 198 levels
+        # and ``iter[children[…]]`` over ``A`` from 124
+        f = tmp_path / ("nested.flux" if form in ("group", "left", "iter")
+                        else "nested.muxq")
+        for depth, expected in ((passes, 0), (fails, 2)):
+            f.write_text(self.DEPTH_FORMS[form](depth) + "\n")
             code, out, err = self.fresh_cli("check", str(f))
             assert code == expected, depth
         assert out == "" and "(limit/depth)" in err
+        assert "Traceback" not in err
 
     def test_deep_recursive_update(self, capsys):
         # each call level of ``leafupd`` takes several Python frames, so a

@@ -38,10 +38,11 @@ PRINTER_MODULES = ["fluxq", "fluxq.diagnostics", "fluxq.printer",
 # the private names one module may import from another, by importer
 SHARED_PRIVATE = {("updates", "queries"): {"_arguments", "_ascribe",
                                            "_condition", "_fail"}}
-# the public names of ``fluxq`` (``atom_subtype`` left the list; it is
-# ``subtype`` itself)
+# the public names of ``fluxq`` (``atom_subtype`` left the list, as it is
+# ``subtype`` itself, and so did ``witness``, as ``values.inhabitants(sig)``
+# gives the same value)
 EXPORTS = """
-    Diagnostic SourceSpan refute types_upto values_upto witness EvalError
+    Diagnostic SourceSpan refute types_upto values_upto EvalError
     FluxqError GenerationError ParseError RecursionLimitExceeded
     TypeCheckFailure UndeclaredVariable Runtime ValueEnv apply_update
     eval_query runtime_for_query_program runtime_for_update_program
@@ -186,7 +187,7 @@ def test_names_resolve_to_their_home_modules():
     from fluxq import diagnostics, parser, subtyping, suites, types, values
     assert fluxq.subtype is subtyping.subtype
     assert fluxq.refute is subtyping.refute
-    assert fluxq.witness is values.witness
+    assert fluxq.member is values.member
     assert fluxq.ParseError is diagnostics.ParseError
     assert fluxq.parse_type is parser.parse_type
     assert fluxq.run_suites is suites.run_suites

@@ -19,7 +19,7 @@ from fluxq import (
 )
 from fluxq.enumeration import _closure
 from fluxq.types import Empty, Or, Seq, Star
-from fluxq.values import max_width, witness
+from fluxq.values import inhabitants, max_width
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TREE_SIG = Signature({"Tree": parse_type("tree[leaf[string] | node[Tree*]]")})
@@ -329,25 +329,28 @@ class TestValuesUpto:
 
 
 class TestWitness:
+    """``inhabitants(sig)`` gives each type one value, or None."""
+
     @pytest.mark.parametrize("text", [
         "()", "bool", "string", "a[b[c[d[e[]]]]]", "a[]*,(b[bool]|c[])",
     ])
     def test_closed_types(self, text):
         t = parse_type(text)
-        assert member(EMPTY_SIGNATURE, witness(EMPTY_SIGNATURE, t), t)
+        assert member(EMPTY_SIGNATURE, inhabitants(EMPTY_SIGNATURE)(t), t)
 
     def test_recursive_signatures(self):
         sig = Signature({"X": parse_type("cons[X]"),
                          "Y": parse_type("y[X] | y[Y, Z]"),
                          "Z": parse_type("z[Y] | ()")})
-        assert witness(sig, Var("X")) is None
-        assert witness(sig, parse_type("a[X]|X*")) == ()
-        assert witness(sig, Var("Y")) is None
-        assert witness(sig, Var("Z")) == ()
+        witness = inhabitants(sig)
+        assert witness(Var("X")) is None
+        assert witness(parse_type("a[X]|X*")) == ()
+        assert witness(Var("Y")) is None
+        assert witness(Var("Z")) == ()
         for t in (Var("Tree"), parse_type("Tree, Tree")):
-            assert member(TREE_SIG, witness(TREE_SIG, t), t)
-        assert witness(LIST_SIG, Var("X")) == parse_value("nil[]")
+            assert member(TREE_SIG, inhabitants(TREE_SIG)(t), t)
+        assert inhabitants(LIST_SIG)(Var("X")) == parse_value("nil[]")
         # P is defined first but inhabited only once Q is
         later = Signature({"P": parse_type("p[P] | p[Q]"),
                            "Q": parse_type("q[]")})
-        assert witness(later, Var("P")) == parse_value("p[q[]]")
+        assert inhabitants(later)(Var("P")) == parse_value("p[q[]]")

@@ -395,6 +395,13 @@ class TestExprSyntax:
         parse_expr("$x/child")
         with pytest.raises(ParseError):
             parse_expr("(a[])/child")
+        # the error points at the projected expression's first token
+        for text in ("query a[]/child : ()", "query (a[], b[])/child"):
+            with pytest.raises(ParseError) as exc:
+                parse_program(text)
+            assert str(exc.value) == ("child projection applies to a "
+                                      "variable at offset 6 (line 1, column 7)")
+            assert exc.value.offset == 6
 
     def test_label_sugar_expands_to_for(self):
         e = parse_expr("$x/leaf")
