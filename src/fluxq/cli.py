@@ -41,8 +41,9 @@ from .values import member
 
 def _read(path: str, fd: int | None = None) -> str:
     """The text of ``path``, or of the open descriptor ``fd`` that ``path``
-    then names, read unbuffered, line ends as in text mode; a file that
-    cannot be read or is not UTF-8 ends the run with exit 2."""
+    then names, read unbuffered, without one leading byte-order mark, line
+    ends as in text mode; a file that cannot be read or is not UTF-8 ends
+    the run with exit 2."""
     try:
         with open(path if fd is None else fd, "rb", buffering=0,
                   closefd=fd is None) as handle:
@@ -53,7 +54,7 @@ def _read(path: str, fd: int | None = None) -> str:
     except UnicodeDecodeError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _input_text(spec: str) -> str:
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "label universe")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=natural, default=100, metavar="N",
-                   help="cases per random suite (default %(default)s)")
+                   help="cases per random suite (default %(default)s); "
+                        "subtype-reflexive draws at least 1000")
     p.set_defaults(func=cmd_oracle)
 
     return top

@@ -2,10 +2,17 @@
 laws behind them, checked at desk scale, and the seeded random generators
 that draw their cases.
 
-Generated terms are verified: ``gen_subtype_of`` re-checks its output with
-``subtype``, and ``gen_typed_expr`` and ``gen_typed_stmt`` type every
-candidate, retrying until one checks (or raising GenerationError).  Fixing
-the seed reproduces the same sequence of instances.
+Narrowings and queries are drawn sound by construction: ``gen_subtype_of``
+only shrinks a type and ``gen_typed_expr`` draws only constructs that type.
+Neither asks ``subtype`` or ``synth_expr`` to approve a draw, so code that
+wrongly rejects a draw fails a suite instead of choosing the inputs it gets
+right; ``tests/test_generators.py`` (``TestNarrowing``,
+``TestTypedGeneration``) checks that the draws are sound.  Statements still
+filter: ``gen_typed_stmt`` types every candidate and retries until one
+checks (or raises GenerationError), since an ``iter`` body is drawn for one
+atom of its focus but typed against all of them.  A suite redraws a term
+only on GenerationError, so a drawn term that fails to type is a failure.
+Fixing the seed reproduces the same sequence of instances.
 
 Infinite claims (language equalities, subtype closure) are checked on the
 values enumerated within explicit depth and width bounds; each "yes" of the
@@ -229,14 +236,12 @@ def _narrow(rng: random.Random, sig: Signature, t: Type) -> Type:
 
 
 def gen_subtype_of(rng: random.Random, sig: Signature, t: Type) -> Type:
-    """A random subtype of ``t`` (possibly ``t`` itself), verified."""
-    if rng.random() < 0.2:
-        return t
-    for _ in range(_RETRIES):
-        candidate = _narrow(rng, sig, t)
-        if subtype(sig, candidate, t):
-            return candidate
-    return t
+    """A random subtype of ``t`` (possibly ``t`` itself), sound by
+    construction: ``_narrow`` only shrinks.  ``subtype`` never sees the
+    draw, so a decision that refuses a true pair cannot steer the suites to
+    pairs it gets right; ``tests/test_generators.py::TestNarrowing`` checks
+    the narrowings against ``subtype`` and the enumerated values."""
+    return t if rng.random() < 0.2 else _narrow(rng, sig, t)
 
 
 def gen_env(rng: random.Random, cfg: GenConfig,
@@ -267,11 +272,11 @@ def gen_sub_env(rng: random.Random, sig: Signature,
     return out
 
 
-def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
-                    sig: Signature, env: TypeEnv, budget: int,
-                    robust: bool) -> QueryExpr:
-    """One candidate expression; ``robust`` restricts to constructs that
-    typecheck under any atom binding for the in-scope tree variables."""
+def _expr_candidate(rng: random.Random, cfg: GenConfig, env: TypeEnv,
+                    budget: int, robust: bool) -> QueryExpr:
+    """A random expression that types under ``env``; ``robust`` restricts
+    to constructs that typecheck under any atom binding for the in-scope
+    tree variables."""
     leaves: list[QueryExpr] = [EmptySeq(), StrLit(rng.choice(("", "a", "hi"))),
                                BoolLit(rng.random() < 0.5)]
     names = list(env)
@@ -280,7 +285,7 @@ def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     if budget <= 0:
         return rng.choice(leaves)
     roll = rng.random()
-    sub = lambda b=budget - 1: _expr_candidate(rng, cfg, decls, sig, env, b, robust)
+    sub = lambda b=budget - 1: _expr_candidate(rng, cfg, env, b, robust)
     if roll < 0.25:
         return rng.choice(leaves)
     if roll < 0.4:
@@ -293,7 +298,7 @@ def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
         var = f"x{budget}"
         bound = sub()
         inner_env = {**env, var: ForestBinding(EMPTY)}  # placeholder kind
-        body = _expr_candidate(rng, cfg, decls, sig, inner_env, budget - 1, robust)
+        body = _expr_candidate(rng, cfg, inner_env, budget - 1, robust)
         return Let(var, bound, body)
     if roll < 0.78:
         return If(BoolLit(rng.random() < 0.5), sub(), sub())
@@ -301,7 +306,7 @@ def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
         var = f"t{budget}"
         source = sub()
         inner_env = {**env, var: TreeBinding(BOOL)}  # placeholder kind
-        body = _expr_candidate(rng, cfg, decls, sig, inner_env, budget - 2, True)
+        body = _expr_candidate(rng, cfg, inner_env, budget - 2, True)
         return For(var, source, body)
     tree_elems = [n for n, b in env.items()
                   if isinstance(b, TreeBinding) and isinstance(b.atom, Element)]
@@ -313,16 +318,14 @@ def _expr_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
 def gen_typed_expr(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
                    sig: Signature, env: TypeEnv,
                    budget: int = 4) -> QueryExpr:
-    """A random expression that typechecks under the given inputs."""
-    for _ in range(_RETRIES):
-        candidate = _expr_candidate(rng, cfg, decls, sig, env, budget, False)
-        try:
-            synth_expr(decls, sig, env, candidate)
-            return candidate
-        except TypeCheckFailure:
-            continue
-    raise GenerationError(
-        f"no well-typed expression found in {_RETRIES} attempts")
+    """A random expression that typechecks under ``env``, sound by
+    construction: ``_expr_candidate`` projects children only from a tree
+    variable of ``env`` bound to an element, and every other construct it
+    draws types under any binding.  ``synth_expr`` never sees the draw, so
+    a checker that rejects a well-typed query fails the suites instead of
+    steering them; ``tests/test_generators.py::TestTypedGeneration`` types
+    the draws."""
+    return _expr_candidate(rng, cfg, env, budget, False)
 
 
 def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
@@ -353,7 +356,7 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
                                              mult, t, budget - 1))
     if roll < 0.55:
         var = f"l{budget}"
-        bound = _expr_candidate(rng, cfg, decls, sig, env, 2, False)
+        bound = _expr_candidate(rng, cfg, env, 2, False)
         inner = {**env, var: ForestBinding(EMPTY)}
         return LetStmt(var, bound, _stmt_candidate(rng, cfg, decls, sig, inner,
                                                    mult, t, budget - 1))
@@ -364,7 +367,7 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
         return Nav(direction, body)
     if mult is Multiplicity.PLURAL:
         if isinstance(t, Empty) and roll < 0.85:
-            return Insert(_expr_candidate(rng, cfg, decls, sig, env, 2, False))
+            return Insert(_expr_candidate(rng, cfg, env, 2, False))
         atoms = sorted(sig.atoms(t), key=repr)
         focus = rng.choice(atoms) if atoms else BOOL
         body = _stmt_candidate(rng, cfg, decls, sig, env,
@@ -393,7 +396,13 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
 def gen_typed_stmt(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
                    sig: Signature, env: TypeEnv, mult: Multiplicity, t: Type,
                    budget: int = 4) -> UpdateStmt:
-    """A random statement that typechecks at the given multiplicity/focus."""
+    """A random statement that typechecks at the given multiplicity/focus.
+
+    The one generator that filters: it retries until ``synth_stmt`` types a
+    candidate (or raises GenerationError), because an ``iter`` body is drawn
+    for one atom of the focus but typed against every atom, and a
+    ``rename`` or ``children[...]`` body fails on a ``bool`` or ``string``
+    atom.  ``TestTypedGeneration::test_stmts_typecheck`` types the draws."""
     assert mult is Multiplicity.PLURAL or isinstance(t, Atom)
     for _ in range(_RETRIES):
         candidate = _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget)
@@ -762,9 +771,9 @@ def downward_monotonicity(lang: Language, cfg: GenConfig,
         env = gen_env(rng, cfg, sig)
         try:
             term, t = lang.term(rng, cfg, sig, env)
-            original = lang.synth(sig, env, t, term)
-        except (GenerationError, TypeCheckFailure):
+        except GenerationError:
             return REDRAW
+        original = lang.synth(sig, env, t, term)
         shrunk_env = gen_sub_env(rng, sig, env)
         narrower = None if t is None else gen_subtype_of(rng, sig, t)
         problem = _narrowing_problem(
@@ -874,9 +883,9 @@ def soundness(lang: Language, cfg: GenConfig,
         env = lang.closed_env(rng, cfg, sig)
         try:
             term, t = lang.term(rng, cfg, sig, env)
-            synthesized = lang.synth(sig, env, t, term)
-        except (GenerationError, TypeCheckFailure):
+        except GenerationError:
             return REDRAW
+        synthesized = lang.synth(sig, env, t, term)
         runs = _conforming_envs(sig, env, t, cfg.depth, cfg.width)
         if not runs:
             return REDRAW
@@ -910,7 +919,7 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
             mid_t = synth_stmt(EMPTY_DECLS, sig, {}, Multiplicity.PLURAL, t, s1)
             s2 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
                                 Multiplicity.PLURAL, mid_t)
-        except (GenerationError, TypeCheckFailure):
+        except GenerationError:  # s1 failing to type is a failure, not a redraw
             return REDRAW
         values = sorted(values_upto(sig, t, cfg.depth, cfg.width), key=repr)[:4]
         if not values:

@@ -51,6 +51,18 @@ class TestCheck:
         assert main(["check", LEAVES]) == 0
         assert capsys.readouterr().out.strip() == "leaf[string]*"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        f = tmp_path / "bom.muxq"
+        f.write_bytes(b"\xef\xbb\xbf" + Path(LEAVES).read_bytes())
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr() == ("leaf[string]*\n", "")
+        # one mark is read as one; a second is text
+        f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        assert main(["check", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: unexpected character '\\ufeff' at offset 0 "
+            "(line 1, column 1)\n")
+
     def test_failing_program_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.muxq"
         bad.write_text("query true : string\n")
@@ -506,6 +518,15 @@ class TestRunUpdateInputFile:
         assert len(f.read_bytes()) > 128 * 1024
         assert main(["run-update", LEAFUPD, "--input", f"@{f}"]) == 0
         assert capsys.readouterr() == (self.forest("pruned") + "\n", "")
+
+    def test_input_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        f = tmp_path / "input.txt"
+        f.write_text(INPUTS["leafupd.flux"] + "\n")
+        assert main(["run-update", LEAFUPD, "--input", f"@{f}"]) == 0
+        plain = capsys.readouterr()
+        f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        assert main(["run-update", LEAFUPD, "--input", f"@{f}"]) == 0
+        assert capsys.readouterr() == plain
 
     def run_on_stdin(self, **stdin):
         return subprocess.run(

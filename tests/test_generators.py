@@ -1,5 +1,10 @@
 """Random generators: reproducibility, soundness of narrowing, and
-well-typedness of generated terms."""
+well-typedness of generated terms.
+
+``gen_subtype_of`` and ``gen_typed_expr`` return their draws unchecked, so
+``TestNarrowing`` and ``TestTypedGeneration`` are what pins their soundness:
+every narrowing is a subtype, by ``subtype`` and by its enumerated values,
+and every drawn query types."""
 
 import random
 
@@ -12,9 +17,11 @@ from fluxq import (
 )
 from fluxq.diagnostics import GenerationError
 from fluxq.suites import fixture_signature
+from fluxq.types import Var, nodes
 
 E = EMPTY_SIGNATURE
 CFG = GenConfig(seed=5)
+FIX = fixture_signature(CFG)
 
 
 class TestReproducibility:
@@ -29,21 +36,28 @@ class TestReproducibility:
             out = []
             for _ in range(30):
                 env = gen_env(rng, CFG, E)
-                try:
-                    out.append(gen_typed_expr(rng, CFG, EMPTY_DECLS, E, env))
-                except GenerationError:
-                    out.append(None)
+                out.append(gen_typed_expr(rng, CFG, EMPTY_DECLS, E, env))
             return out
         assert stream(4) == stream(4)
 
 
 class TestNarrowing:
     def test_outputs_are_subtypes(self):
-        rng = random.Random(21)
-        for _ in range(400):
-            t = gen_type(rng, CFG)
-            narrowed = gen_subtype_of(rng, E, t)
-            assert subtype(E, narrowed, t)
+        """Each narrowing is a subtype by the decision and by its values
+        within depth 3 and width 2 (at width 3, ``a[c[bool*]*]*`` alone
+        has about 4.7e10 values), over the empty signature and over the
+        fixture signature, where some narrowings unfold a variable."""
+        for sig, least_unfolded in ((E, 0), (FIX, 20)):
+            rng = random.Random(21)
+            unfolded = 0
+            for _ in range(1000):
+                t = gen_type(rng, CFG, sig=sig)
+                narrowed = gen_subtype_of(rng, sig, t)
+                assert subtype(sig, narrowed, t), (narrowed, t)
+                assert (values_upto(sig, narrowed, 3, 2)
+                        <= values_upto(sig, t, 3, 2)), (narrowed, t)
+                unfolded += _has_var(t) and not _has_var(narrowed)
+            assert unfolded >= least_unfolded
 
     def test_empty_narrows_to_itself(self):
         rng = random.Random(22)
@@ -79,14 +93,25 @@ class TestNarrowing:
 
 class TestTypedGeneration:
     def test_exprs_typecheck(self):
-        rng = random.Random(31)
-        for _ in range(150):
-            env = gen_env(rng, CFG, E)
-            try:
-                e = gen_typed_expr(rng, CFG, EMPTY_DECLS, E, env)
-            except GenerationError:
-                continue
-            synth_expr(EMPTY_DECLS, E, env, e)  # must not raise
+        """Every drawn query types under its environment, over the empty
+        signature and over the fixture signature.  Many draws project
+        ``$v/child`` from a tree variable, and over the fixture signature
+        some hold a ``for`` and a variable whose type names a signature
+        variable, which typing unfolds."""
+        for sig, least_unfolding in ((E, 0), (FIX, 10)):
+            rng = random.Random(31)
+            children = unfolding = 0
+            for _ in range(1000):
+                env = gen_env(rng, CFG, sig)
+                e = gen_typed_expr(rng, CFG, EMPTY_DECLS, sig, env)
+                synth_expr(EMPTY_DECLS, sig, env, e)  # must not raise
+                text = expr_str(e)
+                children += "/child" in text
+                unfolding += "for $" in text and any(
+                    _has_var(b.type) and f"${name}" in text
+                    for name, b in env.items())
+            assert children >= 50
+            assert unfolding >= least_unfolding
 
     def test_stmts_typecheck(self):
         rng = random.Random(32)
@@ -105,10 +130,10 @@ class TestFlatLists:
     list of three to five generated items evaluates into its synthesized
     type and prints back to itself."""
 
-    SIG = fixture_signature(CFG)
+    SIG = FIX
 
     def draws(self, seed, item):
-        """Forty lists of three to five items, each drawn by ``item``;
+        """Forty lists of three to five statements, each drawn by ``item``;
         a draw that fails is drawn again."""
         rng = random.Random(seed)
         lists = []
@@ -120,11 +145,10 @@ class TestFlatLists:
         return lists
 
     def test_concat_of_generated_items(self):
-        def items(rng, k):
-            return Concat(tuple(gen_typed_expr(rng, CFG, EMPTY_DECLS, self.SIG,
-                                               {}) for _ in range(k)))
-
-        for e in self.draws(33, items):
+        rng = random.Random(33)
+        for _ in range(40):
+            e = Concat(tuple(gen_typed_expr(rng, CFG, EMPTY_DECLS, self.SIG, {})
+                             for _ in range(rng.randint(3, 5))))
             t = synth_expr(EMPTY_DECLS, self.SIG, {}, e)
             assert member(self.SIG, eval_query(Runtime(), {}, e), t)
             assert parse_expr(expr_str(e)) == e
@@ -149,3 +173,7 @@ class TestFlatLists:
                 ran += 1
             assert parse_stmt(stmt_str(s)) == s
         assert ran > 40
+
+
+def _has_var(t) -> bool:
+    return any(isinstance(node, Var) for node in nodes(t))

@@ -840,10 +840,7 @@ class TestListNodes:
         rng = random.Random(12)
         for _ in range(400):
             env = gen_env(rng, cfg, EMPTY_SIGNATURE)
-            try:
-                e = gen_typed_expr(rng, cfg, EMPTY_DECLS, EMPTY_SIGNATURE, env)
-            except Exception:
-                continue
+            e = gen_typed_expr(rng, cfg, EMPTY_DECLS, EMPTY_SIGNATURE, env)
             if type(e) is Concat and type(e.items[-1]) is Concat:
                 break
         else:
@@ -937,14 +934,9 @@ class TestRoundTrips:
     def test_random_exprs_round_trip(self):
         cfg = GenConfig(seed=11, cases=0)
         rng = random.Random(11)
-        done = 0
-        while done < 400:
+        for _ in range(400):
             env = gen_env(rng, cfg, EMPTY_SIGNATURE)
-            try:
-                e = gen_typed_expr(rng, cfg, EMPTY_DECLS, EMPTY_SIGNATURE, env)
-            except Exception:
-                continue
-            done += 1
+            e = gen_typed_expr(rng, cfg, EMPTY_DECLS, EMPTY_SIGNATURE, env)
             assert parse_expr(expr_str(e)) == e
 
     def test_random_stmts_round_trip(self):

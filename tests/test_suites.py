@@ -8,10 +8,11 @@ from itertools import cycle
 import pytest
 
 from fluxq import (
-    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, GenConfig, Or, parse_type,
+    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, For, GenConfig, Or, parse_type,
     parse_value, run_suites, subtype,
 )
 from fluxq import suites
+from fluxq.diagnostics import Diagnostic, TypeCheckFailure
 from fluxq.suites import (
     REDRAW, SKIP, SuiteReport, commutation_case, fixture_signature,
     greedy_shrink, run_cases, shrink_type, shrink_type_pair,
@@ -171,6 +172,32 @@ class TestMemberRespectsSubtyping:
         assert result.cases == 10 and len(result.failures) >= 3
         assert all(" is not a value of supertype " in f
                    for f in result.failures)
+
+
+class TestDrawsAreNotApprovedByTheCodeUnderTest:
+    """The narrowing and query generators do not ask ``subtype`` or
+    ``synth_expr`` to approve their draws, so code that wrongly rejects a
+    draw fails its suite instead of choosing the inputs it gets right."""
+
+    def test_incomplete_subtype_breaks_a_chain(self, monkeypatch):
+        monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: t1 == t2)
+        cfg = GenConfig(seed=42, cases=20)
+        result = suites.suite_subtype_transitive(cfg, fixture_signature(cfg))
+        assert result.cases == 20 and len(result.failures) >= 5
+        assert all(f.startswith("chain broke: ") for f in result.failures)
+
+    def test_checker_that_rejects_a_query_is_reported(self, monkeypatch):
+        synth_expr = suites.synth_expr
+
+        def no_for(decls, sig, env, e):
+            if isinstance(e, For):
+                raise TypeCheckFailure(Diagnostic("no for", "probe/for"))
+            return synth_expr(decls, sig, env, e)
+
+        monkeypatch.setattr(suites, "synth_expr", no_for)
+        cfg = GenConfig(seed=42, cases=20)
+        result = suites.deterministic(suites.QUERY, cfg, fixture_signature(cfg))
+        assert result.failures == ["raised TypeCheckFailure: no for"]
 
 
 class TestRaisingSuite:
