@@ -14,7 +14,7 @@ import sys as _sys
 # each public name's home module, by module
 _EXPORTS = {
     "diagnostics": "Diagnostic SourceSpan EvalError FluxqError "
-                   "GenerationError ParseError RecursionLimitExceeded "
+                   "ParseError RecursionLimitExceeded "
                    "TypeCheckFailure UndeclaredVariable",
     "enumeration": "types_upto values_upto",
     "evaluator": "Runtime ValueEnv apply_update eval_query "

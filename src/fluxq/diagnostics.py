@@ -120,7 +120,3 @@ class EvalError(FluxqError):
 
 class RecursionLimitExceeded(EvalError):
     """Call depth exceeded the configured recursion limit."""
-
-
-class GenerationError(FluxqError):
-    """A random generator could not produce a valid instance within its retry budget."""

@@ -2,17 +2,17 @@
 laws behind them, checked at desk scale, and the seeded random generators
 that draw their cases.
 
-Narrowings and queries are drawn sound by construction: ``gen_subtype_of``
-only shrinks a type and ``gen_typed_expr`` draws only constructs that type.
-Neither asks ``subtype`` or ``synth_expr`` to approve a draw, so code that
-wrongly rejects a draw fails a suite instead of choosing the inputs it gets
-right; ``tests/test_generators.py`` (``TestNarrowing``,
-``TestTypedGeneration``) checks that the draws are sound.  Statements still
-filter: ``gen_typed_stmt`` types every candidate and retries until one
-checks (or raises GenerationError), since an ``iter`` body is drawn for one
-atom of its focus but typed against all of them.  A suite redraws a term
-only on GenerationError, so a drawn term that fails to type is a failure.
-Fixing the seed reproduces the same sequence of instances.
+Every draw is sound by construction: ``gen_subtype_of`` only shrinks a
+type, ``gen_typed_expr`` draws only constructs that type, and
+``gen_typed_stmt`` draws a focus-dependent statement only where the focus
+is known to admit it and an ``iter`` body only in a form that types at
+every atom of its focus.  No generator asks ``subtype``, ``synth_expr`` or
+``synth_stmt`` to choose, retry or discard a draw, so code that wrongly
+rejects a draw fails a suite instead of choosing the inputs it gets right,
+and a drawn term that fails to type is a reported failure;
+``tests/test_generators.py`` (``TestNarrowing``, ``TestTypedGeneration``)
+checks that the draws are sound.  Fixing the seed reproduces the same
+sequence of instances.
 
 Infinite claims (language equalities, subtype closure) are checked on the
 values enumerated within explicit depth and width bounds; each "yes" of the
@@ -36,7 +36,7 @@ from functools import partial
 from itertools import chain, count, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .diagnostics import EvalError, GenerationError, TypeCheckFailure
+from .diagnostics import EvalError, TypeCheckFailure
 from .enumeration import types_upto, values_upto
 from .evaluator import Runtime, apply_update, eval_query
 from .parser import parse_type
@@ -56,12 +56,14 @@ from .values import BoolVal, Forest, Node, StrVal, inhabitants, max_width, membe
 
 
 class SuiteResult(NamedTuple):
-    """One suite's tally, as ``tally`` builds it."""
+    """One suite's tally, as ``tally`` builds it.  ``skipped`` is always 0:
+    no suite skips a case, and ``--json oracle`` keeps the key its schema
+    fixes."""
 
     name: str
     cases: int
     failures: list[str]
-    skipped: int
+    skipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -69,8 +71,7 @@ class SuiteResult(NamedTuple):
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        extra = f", {self.skipped} skipped" if self.skipped else ""
-        out = f"{status} {self.name} ({self.cases} cases{extra})"
+        out = f"{status} {self.name} ({self.cases} cases)"
         if self.failures:
             out += f"\n  first failure: {self.failures[0]}"
         return out
@@ -99,27 +100,19 @@ def _suite_rng(cfg: GenConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
 
 
-SKIP = object()
 REDRAW = object()
 
 
-def tally(name: str, outcomes: Iterable[list[str] | object],
+def tally(name: str, outcomes: Iterable[list[str]],
           uncounted: Iterable[str] = ()) -> SuiteResult:
     """The one way a suite is counted.  Each outcome is one case: its
-    failure messages (empty when the property holds), or ``SKIP`` when no
-    case could be generated (counted as skipped).  ``uncounted`` are the
+    failure messages, empty when the property holds.  ``uncounted`` are the
     failures of checks on the whole suite, which are not cases; they are
     listed first.  A case that raises is one failure, naming the
     exception, and the suite's last case: the other suites still run."""
-    cases = skipped = 0
-    failures = list(uncounted)
-    for outcome in _raising_fails(outcomes):
-        if outcome is SKIP:
-            skipped += 1
-        else:
-            cases += 1
-            failures.extend(outcome)
-    return SuiteResult(name, cases, failures, skipped)
+    counted = list(_raising_fails(outcomes))
+    return SuiteResult(name, len(counted),
+                       [*uncounted, *chain.from_iterable(counted)])
 
 
 def _raising_fails(outcomes: Iterable) -> Iterator:
@@ -150,7 +143,6 @@ def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object]
 
 # -- seeded random generators ----------------------------------------------
 
-_RETRIES = 32
 MAX_SIZE = 7      # AST-node budget for random types
 MAX_NESTING = 2   # element nesting in random types
 
@@ -328,9 +320,13 @@ def gen_typed_expr(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     return _expr_candidate(rng, cfg, env, budget, False)
 
 
-def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
-                    sig: Signature, env: TypeEnv, mult: Multiplicity, t: Type,
+def _stmt_candidate(rng: random.Random, cfg: GenConfig, sig: Signature,
+                    env: TypeEnv, mult: Multiplicity, t: Type | None,
                     budget: int) -> UpdateStmt:
+    """A random statement that types at multiplicity ``mult`` on the focus
+    type ``t``, or on every focus when ``t`` is None.  ``rename``,
+    ``children[...]``, ``insert`` and ``?`` tests are drawn only where the
+    focus is known to admit them; everything else types at any focus."""
     simple: list[UpdateStmt] = [Skip(), Delete()]
     if budget <= 0:
         return rng.choice(simple)
@@ -338,46 +334,39 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     if roll < 0.15:
         return rng.choice(simple)
     if roll < 0.25:
-        first = _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1)
-        try:
-            mid = synth_stmt(decls, sig, env, mult, t, first)
-        except TypeCheckFailure:
-            return first
-        second = _stmt_candidate(rng, cfg, decls, sig, env, mult, mid, budget - 1)
+        first = _stmt_candidate(rng, cfg, sig, env, mult, t, budget - 1)
+        second = _stmt_candidate(rng, cfg, sig, env, mult,
+                                 _focus_after(first, t), budget - 1)
         return SeqStmt((first, second))
     if roll < 0.35:
         return IfStmt(BoolLit(rng.random() < 0.5),
-                      _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1),
-                      _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1))
+                      _stmt_candidate(rng, cfg, sig, env, mult, t, budget - 1),
+                      _stmt_candidate(rng, cfg, sig, env, mult, t, budget - 1))
     if roll < 0.45:
         var = f"s{budget}"
-        inner = {**env, var: ForestBinding(t)}
-        return Snapshot(var, _stmt_candidate(rng, cfg, decls, sig, inner,
-                                             mult, t, budget - 1))
+        inner = {**env, var: ForestBinding(EMPTY)}  # placeholder type
+        return Snapshot(var, _stmt_candidate(rng, cfg, sig, inner, mult, t,
+                                             budget - 1))
     if roll < 0.55:
         var = f"l{budget}"
         bound = _expr_candidate(rng, cfg, env, 2, False)
         inner = {**env, var: ForestBinding(EMPTY)}
-        return LetStmt(var, bound, _stmt_candidate(rng, cfg, decls, sig, inner,
-                                                   mult, t, budget - 1))
+        return LetStmt(var, bound, _stmt_candidate(rng, cfg, sig, inner, mult,
+                                                   t, budget - 1))
     if roll < 0.7:
-        body = _stmt_candidate(rng, cfg, decls, sig, env, Multiplicity.PLURAL,
-                               EMPTY, budget - 1)
+        body = _stmt_candidate(rng, cfg, sig, env, Multiplicity.PLURAL, EMPTY,
+                               budget - 1)
         direction = "left" if rng.random() < 0.5 else "right"
         return Nav(direction, body)
     if mult is Multiplicity.PLURAL:
         if isinstance(t, Empty) and roll < 0.85:
             return Insert(_expr_candidate(rng, cfg, env, 2, False))
-        atoms = sorted(sig.atoms(t), key=repr)
-        focus = rng.choice(atoms) if atoms else BOOL
-        body = _stmt_candidate(rng, cfg, decls, sig, env,
-                               Multiplicity.SINGULAR, focus, budget - 1)
-        return Nav("iter", body)
+        return Nav("iter", _iter_body(rng, cfg, sig, env, t, budget - 1))
     # singular focus
     if isinstance(t, Element) and roll < 0.8:
         if rng.random() < 0.5:
             return Rename(rng.choice(cfg.labels))
-        body = _stmt_candidate(rng, cfg, decls, sig, env, Multiplicity.PLURAL,
+        body = _stmt_candidate(rng, cfg, sig, env, Multiplicity.PLURAL,
                                t.content, budget - 1)
         return Nav("children", body)
     if isinstance(t, Atom):
@@ -386,33 +375,58 @@ def _stmt_candidate(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
             tests.append(t.label)
         test = rng.choice(tests)
         if passes(t.label, test):
-            body = _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget - 1)
+            body = _stmt_candidate(rng, cfg, sig, env, mult, t, budget - 1)
         else:
             body = rng.choice(simple)
         return Test(test, body)
     return rng.choice(simple)
 
 
-def gen_typed_stmt(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
-                   sig: Signature, env: TypeEnv, mult: Multiplicity, t: Type,
-                   budget: int = 4) -> UpdateStmt:
-    """A random statement that typechecks at the given multiplicity/focus.
+def _focus_after(s: UpdateStmt, t: Type | None) -> Type | None:
+    """The focus type ``s`` leaves on the focus type ``t`` when no judgment
+    is needed to tell: ``skip`` keeps it and ``delete`` empties it; None
+    (unknown) after any other statement."""
+    if isinstance(s, Skip):
+        return t
+    return EMPTY if isinstance(s, Delete) else None
 
-    The one generator that filters: it retries until ``synth_stmt`` types a
-    candidate (or raises GenerationError), because an ``iter`` body is drawn
-    for one atom of the focus but typed against every atom, and a
-    ``rename`` or ``children[...]`` body fails on a ``bool`` or ``string``
-    atom.  ``TestTypedGeneration::test_stmts_typecheck`` types the draws."""
+
+def _iter_body(rng: random.Random, cfg: GenConfig, sig: Signature,
+               env: TypeEnv, source: Type | None,
+               budget: int = 2) -> UpdateStmt:
+    """A singular statement that types at every atom of ``source`` (of any
+    source when it is None), so that ``iter`` over ``source`` types: drawn
+    for the source's only atom; or under the ``?`` test of an atom whose
+    label heads no other atom of the source, so that the other atoms skip
+    it; or else for an unknown atom."""
+    atoms = [] if source is None else sorted(sig.atoms(source), key=repr)
+    single = Multiplicity.SINGULAR
+    if len(atoms) == 1:
+        return _stmt_candidate(rng, cfg, sig, env, single, atoms[0], budget)
+    labels = [atom.label for atom in atoms]
+    alone = [atom for atom in atoms if labels.count(atom.label) == 1]
+    if not alone:
+        return _stmt_candidate(rng, cfg, sig, env, single, None, budget)
+    atom = rng.choice(alone)
+    return Test(atom.label,
+                _stmt_candidate(rng, cfg, sig, env, single, atom, budget))
+
+
+def gen_typed_stmt(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
+                   sig: Signature, env: TypeEnv, mult: Multiplicity,
+                   t: Type | None, budget: int = 4) -> UpdateStmt:
+    """A random statement that typechecks at the given multiplicity on the
+    focus type ``t`` (on every focus when ``t`` is None), typed by
+    construction: ``_stmt_candidate`` draws a focus-dependent statement only
+    where the focus is known to admit it, draws the second of ``s1; s2``
+    for the focus ``s1`` leaves when ``skip`` or ``delete`` tell it and for
+    an unknown focus otherwise, and draws an ``iter`` body by
+    ``_iter_body``'s rule.  ``synth_stmt`` never sees the draw, so a checker
+    that rejects a well-typed update fails the suites instead of steering
+    them; ``tests/test_generators.py::TestTypedGeneration`` types the
+    draws."""
     assert mult is Multiplicity.PLURAL or isinstance(t, Atom)
-    for _ in range(_RETRIES):
-        candidate = _stmt_candidate(rng, cfg, decls, sig, env, mult, t, budget)
-        try:
-            synth_stmt(decls, sig, env, mult, t, candidate)
-            return candidate
-        except TypeCheckFailure:
-            continue
-    raise GenerationError(
-        f"no well-typed statement found in {_RETRIES} attempts")
+    return _stmt_candidate(rng, cfg, sig, env, mult, t, budget)
 
 
 # -- greedy shrinking ---------------------------------------------------
@@ -704,12 +718,6 @@ def _update_term(rng, cfg, sig, env):
                           Multiplicity.PLURAL, t), t
 
 
-def _iter_body(rng, cfg, sig, env, source):
-    atoms = sorted(sig.atoms(source), key=repr)
-    return gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, env, Multiplicity.SINGULAR,
-                          atoms[0] if atoms else BOOL, budget=2)
-
-
 QUERY = Language(
     "query", "for-iteration", gen_env,
     term=lambda rng, cfg, sig, env: (
@@ -739,12 +747,9 @@ UPDATE = Language(
 def deterministic(lang: Language, cfg: GenConfig,
                   sig: Signature) -> SuiteResult:
     """Synthesizing one term twice gives one type."""
-    def case(rng: random.Random) -> list[str] | object:
+    def case(rng: random.Random) -> list[str]:
         env = lang.closed_env(rng, cfg, sig)
-        try:
-            term, t = lang.term(rng, cfg, sig, env)
-        except GenerationError:
-            return SKIP
+        term, t = lang.term(rng, cfg, sig, env)
         if lang.synth(sig, env, t, term) == lang.synth(sig, env, t, term):
             return []
         return [f"synthesis not deterministic on {lang.show(term)}"]
@@ -767,12 +772,9 @@ def downward_monotonicity(lang: Language, cfg: GenConfig,
                           sig: Signature) -> SuiteResult:
     """Shrinking the environment, the input type and an iteration's source
     type keeps synthesis defined and shrinks its result."""
-    def case(rng: random.Random) -> list[str] | object:
+    def case(rng: random.Random) -> list[str]:
         env = gen_env(rng, cfg, sig)
-        try:
-            term, t = lang.term(rng, cfg, sig, env)
-        except GenerationError:
-            return REDRAW
+        term, t = lang.term(rng, cfg, sig, env)
         original = lang.synth(sig, env, t, term)
         shrunk_env = gen_sub_env(rng, sig, env)
         narrower = None if t is None else gen_subtype_of(rng, sig, t)
@@ -783,11 +785,8 @@ def downward_monotonicity(lang: Language, cfg: GenConfig,
                      f" from {type_str(narrower)} <: {type_str(t)}")
             return [f"{lang.show(term)} under a shrunken environment{where}: {problem}"]
         source = gen_type(rng, cfg, size=5, sig=sig)
-        try:
-            body = lang.body(rng, cfg, sig, env, source)
-            base = lang.iterate(sig, env, source, body)
-        except (GenerationError, TypeCheckFailure):
-            return []  # no iteration to narrow; the term was checked
+        body = lang.body(rng, cfg, sig, env, source)
+        base = lang.iterate(sig, env, source, body)
         narrower = gen_subtype_of(rng, sig, source)
         problem = _narrowing_problem(
             sig, lambda: lang.iterate(sig, shrunk_env, narrower, body), base)
@@ -805,16 +804,13 @@ def homomorphism(lang: Language, cfg: GenConfig,
     fixture signature."""
     fix = fixture_signature(cfg)
 
-    def case(rng: random.Random) -> list[str] | object:
+    def case(rng: random.Random) -> list[str]:
         env = gen_env(rng, cfg, fix)
         t1 = gen_type(rng, cfg, size=4, sig=fix)
         t2 = gen_type(rng, cfg, size=4, sig=fix)
-        try:
-            body = lang.body(rng, cfg, fix, env, Or(t1, t2))
-            h = lambda t: lang.iterate(fix, env, t, body)
-            left_1, left_2 = h(t1), h(t2)
-        except (GenerationError, TypeCheckFailure):
-            return REDRAW
+        body = lang.body(rng, cfg, fix, env, Or(t1, t2))
+        h = lambda t: lang.iterate(fix, env, t, body)
+        left_1, left_2 = h(t1), h(t2)
         checks = [
             (h(Seq(t1, t2)), Seq(left_1, left_2), "concatenation"),
             (h(Or(t1, t2)), Or(left_1, left_2), "alternation"),
@@ -881,10 +877,7 @@ def soundness(lang: Language, cfg: GenConfig,
 
     def case(rng: random.Random) -> list[str] | object:
         env = lang.closed_env(rng, cfg, sig)
-        try:
-            term, t = lang.term(rng, cfg, sig, env)
-        except GenerationError:
-            return REDRAW
+        term, t = lang.term(rng, cfg, sig, env)
         synthesized = lang.synth(sig, env, t, term)
         runs = _conforming_envs(sig, env, t, cfg.depth, cfg.width)
         if not runs:
@@ -913,18 +906,13 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
     def case(rng: random.Random) -> list[str] | object:
         t = gen_type(rng, cfg, size=5, sig=sig)
-        try:
-            s1 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
-                                Multiplicity.PLURAL, t)
-            mid_t = synth_stmt(EMPTY_DECLS, sig, {}, Multiplicity.PLURAL, t, s1)
-            s2 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
-                                Multiplicity.PLURAL, mid_t)
-        except GenerationError:  # s1 failing to type is a failure, not a redraw
-            return REDRAW
+        s1 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
+                            Multiplicity.PLURAL, t)
+        s2 = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
+                            Multiplicity.PLURAL, _focus_after(s1, t))
         values = sorted(values_upto(sig, t, cfg.depth, cfg.width), key=repr)[:4]
         if not values:
             return REDRAW
-        atoms = sorted(sig.atoms(t), key=repr)
         for v in values:
             try:
                 if apply_update(rt, {}, v, Skip()) != v:
@@ -933,17 +921,8 @@ def suite_evaluator_laws(cfg: GenConfig, sig: Signature) -> SuiteResult:
                 staged = apply_update(rt, {}, apply_update(rt, {}, v, s1), s2)
                 if composed != staged:
                     return [f"sequencing is not composition on {value_str(v)}"]
-                if not atoms:
-                    continue
-                try:
-                    body = gen_typed_stmt(rng, cfg, EMPTY_DECLS, sig, {},
-                                          Multiplicity.SINGULAR, atoms[0],
-                                          budget=1)
-                    cut = rng.randint(0, len(v))
-                    synth_iter(EMPTY_DECLS, sig, {}, t, body)
-                except (GenerationError, TypeCheckFailure):
-                    continue  # no body typed over all of t: no law to check
-                it = Nav("iter", body)
+                it = Nav("iter", _iter_body(rng, cfg, sig, {}, t, budget=1))
+                cut = rng.randint(0, len(v))
                 whole = apply_update(rt, {}, v, it)
                 parts = (apply_update(rt, {}, v[:cut], it)
                          + apply_update(rt, {}, v[cut:], it))

@@ -1,21 +1,20 @@
 """Random generators: reproducibility, soundness of narrowing, and
 well-typedness of generated terms.
 
-``gen_subtype_of`` and ``gen_typed_expr`` return their draws unchecked, so
-``TestNarrowing`` and ``TestTypedGeneration`` are what pins their soundness:
-every narrowing is a subtype, by ``subtype`` and by its enumerated values,
-and every drawn query types."""
+``gen_subtype_of``, ``gen_typed_expr`` and ``gen_typed_stmt`` return their
+draws unchecked, so ``TestNarrowing`` and ``TestTypedGeneration`` are what
+pins their soundness: every narrowing is a subtype, by ``subtype`` and by
+its enumerated values, and every drawn query and update types."""
 
 import random
 
 from fluxq import (
-    Concat, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, GenConfig, Multiplicity,
-    Runtime, SeqStmt, apply_update, eval_query, expr_str, gen_env,
-    gen_sub_env, gen_subtype_of, gen_type, gen_typed_expr, gen_typed_stmt,
-    member, parse_expr, parse_stmt, stmt_str, subtype, synth_expr,
-    synth_stmt, parse_type, values_upto,
+    Concat, EMPTY, EMPTY_DECLS, EMPTY_SIGNATURE, GenConfig, Insert,
+    Multiplicity, Nav, Rename, Runtime, SeqStmt, apply_update, eval_query,
+    expr_str, gen_env, gen_sub_env, gen_subtype_of, gen_type, gen_typed_expr,
+    gen_typed_stmt, member, parse_expr, parse_stmt, stmt_str, subtype,
+    synth_expr, synth_stmt, parse_type, values_upto,
 )
-from fluxq.diagnostics import GenerationError
 from fluxq.suites import fixture_signature
 from fluxq.types import Var, nodes
 
@@ -114,15 +113,24 @@ class TestTypedGeneration:
             assert unfolding >= least_unfolding
 
     def test_stmts_typecheck(self):
-        rng = random.Random(32)
-        for _ in range(150):
-            t = gen_type(rng, CFG, size=5)
-            try:
-                s = gen_typed_stmt(rng, CFG, EMPTY_DECLS, E, {},
+        """Every drawn update types at its focus, over the empty signature
+        and over the fixture signature.  Many draws hold a ``rename`` or a
+        ``children[...]`` inside an ``iter``, whose body types only at some
+        atoms, and an ``insert``, which types only at ``()``."""
+        for sig in (E, FIX):
+            rng = random.Random(32)
+            renamed = children = inserted = 0
+            for _ in range(1000):
+                t = gen_type(rng, CFG, size=5, sig=sig)
+                s = gen_typed_stmt(rng, CFG, EMPTY_DECLS, sig, {},
                                    Multiplicity.PLURAL, t)
-            except GenerationError:
-                continue
-            synth_stmt(EMPTY_DECLS, E, {}, Multiplicity.PLURAL, t, s)
+                synth_stmt(EMPTY_DECLS, sig, {}, Multiplicity.PLURAL, t, s)
+                inner = [x for x, inside in _parts(s) if inside]
+                renamed += any(isinstance(x, Rename) for x in inner)
+                children += any(isinstance(x, Nav) and x.direction ==
+                                "children" for x in inner)
+                inserted += any(isinstance(x, Insert) for x, _ in _parts(s))
+            assert renamed >= 10 and children >= 10 and inserted >= 50
 
 
 class TestFlatLists:
@@ -133,16 +141,10 @@ class TestFlatLists:
     SIG = FIX
 
     def draws(self, seed, item):
-        """Forty lists of three to five statements, each drawn by ``item``;
-        a draw that fails is drawn again."""
+        """Forty lists of three to five statements, each drawn by
+        ``item``."""
         rng = random.Random(seed)
-        lists = []
-        while len(lists) < 40:
-            try:
-                lists.append(item(rng, rng.randint(3, 5)))
-            except GenerationError:
-                continue
-        return lists
+        return [item(rng, rng.randint(3, 5)) for _ in range(40)]
 
     def test_concat_of_generated_items(self):
         rng = random.Random(33)
@@ -177,3 +179,13 @@ class TestFlatLists:
 
 def _has_var(t) -> bool:
     return any(isinstance(node, Var) for node in nodes(t))
+
+
+def _parts(s, inside=False):
+    """Each statement of ``s`` with whether it lies in an ``iter`` body."""
+    yield s, inside
+    inside = inside or isinstance(s, Nav) and s.direction == "iter"
+    for part in (s.items if isinstance(s, SeqStmt) else
+                 [getattr(s, f) for f in ("then", "els", "body")
+                  if hasattr(s, f)]):
+        yield from _parts(part, inside)

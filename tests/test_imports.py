@@ -43,7 +43,7 @@ SHARED_PRIVATE = {("updates", "queries"): {"_arguments", "_ascribe",
 # gives the same value)
 EXPORTS = """
     Diagnostic SourceSpan refute types_upto values_upto EvalError
-    FluxqError GenerationError ParseError RecursionLimitExceeded
+    FluxqError ParseError RecursionLimitExceeded
     TypeCheckFailure UndeclaredVariable Runtime ValueEnv apply_update
     eval_query runtime_for_query_program runtime_for_update_program
     GenConfig gen_env gen_sub_env gen_subtype_of gen_type gen_typed_expr

@@ -1,20 +1,22 @@
 """The property-suite harness itself: everything green at a small case
 count, plus the shrinking machinery."""
 
+import ast
 import hashlib
 import random
 from itertools import cycle
+from pathlib import Path
 
 import pytest
 
 from fluxq import (
-    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, For, GenConfig, Or, parse_type,
-    parse_value, run_suites, subtype,
+    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, For, GenConfig, Nav, Or,
+    Rename, SeqStmt, parse_type, parse_value, run_suites, subtype,
 )
 from fluxq import suites
 from fluxq.diagnostics import Diagnostic, TypeCheckFailure
 from fluxq.suites import (
-    REDRAW, SKIP, SuiteReport, commutation_case, fixture_signature,
+    REDRAW, SuiteReport, commutation_case, fixture_signature,
     greedy_shrink, run_cases, shrink_type, shrink_type_pair,
     suite_evaluator_laws, tally,
 )
@@ -42,17 +44,17 @@ class TestRunSuites:
 
 
 class TestRunCases:
-    def test_skips_count_towards_n_and_redraws_do_not(self):
-        outcomes = iter([SKIP, REDRAW, ["bad"], [], REDRAW, SKIP, [], []])
-        res = run_cases(GenConfig(cases=5), "probe", lambda rng: next(outcomes))
-        assert (res.cases, res.skipped, res.failures) == (3, 2, ["bad"])
+    def test_redraws_do_not_count_towards_n(self):
+        outcomes = iter([REDRAW, ["bad"], [], REDRAW, [], []])
+        res = run_cases(GenConfig(cases=3), "probe", lambda rng: next(outcomes))
+        assert (res.cases, res.skipped, res.failures) == (3, 0, ["bad"])
         assert next(outcomes) == []
 
 
 class TestTally:
     def test_counts_each_outcome_once(self):
-        res = tally("probe", iter([[], SKIP, ["x", "y"], []]), ["whole"])
-        assert tuple(res) == ("probe", 3, ["whole", "x", "y"], 1)
+        res = tally("probe", iter([[], ["x", "y"], []]), ["whole"])
+        assert tuple(res) == ("probe", 3, ["whole", "x", "y"], 0)
         assert not res.ok
 
     def test_uncounted_failures_come_first(self):
@@ -67,9 +69,9 @@ class TestTally:
         assert res.failures == [] and res.ok
 
     def test_json_key_order(self):
-        report = SuiteReport([tally("probe", [SKIP, ["bad"]])])
+        report = SuiteReport([tally("probe", [["bad"]])])
         assert report.to_json() == {"ok": False, "suites": [
-            {"name": "probe", "cases": 1, "failures": ["bad"], "skipped": 1}]}
+            {"name": "probe", "cases": 1, "failures": ["bad"], "skipped": 0}]}
         assert list(report.to_json()["suites"][0]) == [
             "name", "cases", "failures", "skipped"]
 
@@ -175,9 +177,74 @@ class TestMemberRespectsSubtyping:
 
 
 class TestDrawsAreNotApprovedByTheCodeUnderTest:
-    """The narrowing and query generators do not ask ``subtype`` or
-    ``synth_expr`` to approve their draws, so code that wrongly rejects a
-    draw fails its suite instead of choosing the inputs it gets right."""
+    """No generator asks ``subtype``, ``synth_expr`` or ``synth_stmt`` to
+    approve its draws, so code that wrongly rejects a draw fails its suite
+    instead of choosing the inputs it gets right."""
+
+    # a name is a generator's if it starts with ``gen_``, or is one of these
+    # or a ``_*_candidate``
+    GENERATORS = ("_narrow", "_iter_body", "_update_term")
+    JUDGMENTS = {"synth_expr", "synth_stmt", "synth_for", "synth_iter",
+                 "subtype", "member"}
+
+    def test_no_generator_calls_a_judgment(self):
+        tree = ast.parse(Path(suites.__file__).read_text())
+        generators = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                      and (f.name.startswith("gen_") or f.name in self.GENERATORS
+                           or f.name.startswith("_")
+                           and f.name.endswith("_candidate"))]
+        assert {"gen_subtype_of", "gen_typed_expr", "gen_typed_stmt",
+                "_expr_candidate", "_stmt_candidate", *self.GENERATORS} <= {
+                    f.name for f in generators}
+        named = {(f.name, node.id) for f in generators
+                 for node in ast.walk(f) if isinstance(node, ast.Name)
+                 and node.id in self.JUDGMENTS}
+        assert named == set()
+
+    def test_only_inputs_out_of_bounds_are_discarded(self, monkeypatch):
+        # no draw is discarded for failing to type; at the defaults one
+        # update-soundness input type, (b[],string),c[],List, has no value
+        # within width 3, and its case is drawn again
+        discarded: dict[str, int] = {}
+        run_cases = suites.run_cases
+
+        def counting(cfg, name, case, *args, **kwargs):
+            def counted(rng):
+                outcome = case(rng)
+                if outcome is REDRAW:
+                    discarded[name] = discarded.get(name, 0) + 1
+                return outcome
+            return run_cases(cfg, name, counted, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "run_cases", counting)
+        assert run_suites(GenConfig()).ok
+        assert discarded == {"update-soundness": 1}
+
+    def test_checker_that_rejects_an_update_is_reported(self, monkeypatch):
+        synth_stmt = suites.synth_stmt
+
+        def renames_in_iter(s, inside=False) -> bool:
+            if isinstance(s, Rename):
+                return inside
+            inside = inside or isinstance(s, Nav) and s.direction == "iter"
+            parts = (s.items if isinstance(s, SeqStmt) else
+                     [getattr(s, f) for f in ("then", "els", "body")
+                      if hasattr(s, f)])
+            return any(renames_in_iter(part, inside) for part in parts)
+
+        def no_rename_in_iter(decls, sig, env, mult, t, s):
+            if renames_in_iter(s):
+                raise TypeCheckFailure(Diagnostic("no rename in iter",
+                                                  "probe/iter"))
+            return synth_stmt(decls, sig, env, mult, t, s)
+
+        monkeypatch.setattr(suites, "synth_stmt", no_rename_in_iter)
+        # the 35th term of the default 100 is the first with such a rename
+        cfg = GenConfig(seed=42)
+        result = suites.deterministic(suites.UPDATE, cfg,
+                                      fixture_signature(cfg))
+        assert (result.cases, result.failures) == (
+            35, ["raised TypeCheckFailure: no rename in iter"])
 
     def test_incomplete_subtype_breaks_a_chain(self, monkeypatch):
         monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: t1 == t2)
@@ -205,12 +272,11 @@ class TestRaisingSuite:
     def test_the_failing_case_ends_its_suite(self):
         def outcomes():
             yield []
-            yield SKIP
             raise ValueError("bad draw")
 
         res = tally("probe", outcomes(), ["whole"])
         assert tuple(res) == ("probe", 2, ["whole",
-                                           "raised ValueError: bad draw"], 1)
+                                           "raised ValueError: bad draw"], 0)
 
 
 class _Recording(random.Random):
@@ -247,11 +313,11 @@ PINNED_STREAMS = {
     "for-iteration-homomorphic": (651, "445d24c348f03eb7"),
     "filter-total": (225, "2817dfcbd3baa1b7"),
     "query-soundness": (472, "3192152f6a99a7ea"),
-    "update-synthesis-deterministic": (298, "95897d163f85a572"),
-    "update-downward-monotone": (871, "122f52f0366514b5"),
-    "iter-homomorphic": (556, "d5600308b25f22b6"),
-    "update-soundness": (363, "8225f80a9945477e"),
-    "evaluator-laws": (674, "e3e295d3e633c7fa"),
+    "update-synthesis-deterministic": (340, "ab941f52ccf1ef41"),
+    "update-downward-monotone": (697, "6c47f8fa301d5b61"),
+    "iter-homomorphic": (581, "b1b653bd8c176dcd"),
+    "update-soundness": (373, "5178bec428b41de3"),
+    "evaluator-laws": (561, "339ab205fae4af16"),
 }
 
 
@@ -293,12 +359,11 @@ class TestSoundnessReports:
             "(), c[c[$v0]::a] mapped $v0 = () to c[], outside its "
             "synthesized type (),c[]"]),
         ("update-soundness", [
-            'if true then iter[let $l2 = (c[], ("a", ())) in left[skip]] '
-            'else '
-            "iter[a?skip] mapped () to (), outside its synthesized type "
-            "((),()|(),string)*|((),()|string)*",
-            "iter[a?skip; string?skip] mapped false to false, outside its "
-            "synthesized type bool"]),
+            "if true then iter[right[delete]; delete] else iter[bool?skip] "
+            "mapped () to (), outside its synthesized type "
+            "((),())?*|((),()|string)*",
+            "iter[delete] mapped b[] to (), outside its synthesized type "
+            "()"]),
     ], ids=["query", "update"])
     def test_result_outside_the_synthesized_type(self, monkeypatch, name,
                                                  failures):
