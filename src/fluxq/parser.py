@@ -29,7 +29,9 @@ elements, so any depth parses.  A value lexeme may run on, with no blank:
 as ``n["w"]``, as a run of up to 256 empty elements ``n[],m[],...`` (split
 with one ``str.split``; the cap bounds the backtracking state ``sre``
 keeps per repeat, as Python 3.10 has no possessive ``*+``), or as ``n[``.
-Each distinct ``n[]`` or ``n["w"]`` is built once and shared.  A compound
+Each distinct ``n[]`` or ``n["w"]`` is built once and shared, and each
+distinct ``n[`` is checked once: a table of those read before, keyword
+labels never among them, makes a repeated open one lookup.  A compound
 lexeme whose label is no label fails where reading it lexeme by lexeme
 would, so blanks and comments change no value and no error.
 
@@ -91,9 +93,9 @@ _BLANK = " \t\r\n#"
 @cache
 def _value_lexeme_re() -> re.Pattern:
     """``parse_value``'s lexemes: ``_LEXEME_RE``'s, but a word may run on
-    (see the module docstring).  Compiled on first use, as ``check`` reads
-    no value."""
-    return re.compile(_LEXEME_RE.pattern.replace(
+    (see the module docstring), and ``]`` and ``,``, the most common, are
+    tried first.  Compiled on first use, as ``check`` reads no value."""
+    return re.compile(r"[],]|" + _LEXEME_RE.pattern.replace(
         r"|\w+|", r'|\w+(?:\[' + _STRING_BODY
         + r'"\]|\[\](?:,\w+\[\]){0,255}|\[)?|', 1), re.DOTALL)
 
@@ -572,12 +574,14 @@ def parse_value(text: str) -> Forest:
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
     leaves: dict[str, Node] = {}  # ``n[]`` or ``n["w"]`` text -> its one node
+    opens: dict[str, str] = {}  # an ``n[`` read before, with ``n`` a label -> n
     # the next lexeme must be: _ITEM a tree or ``()``, _OPEN one of those or
     # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
     # _AFTER a ``,``, a ``]`` or the end
     want = _ITEM
-    within = 0  # offset of the error in the ``at``-th lexeme
-    for at, lexeme in enumerate(lexemes):
+    within = 0  # offset of the error in the failing lexeme
+    rest = iter(lexemes)
+    for lexeme in rest:
         # blanks and comments are looked for only where nothing else fits
         if want is _AFTER:
             if lexeme == ",":
@@ -599,11 +603,16 @@ def parse_value(text: str) -> Forest:
             if lexeme == ")":
                 want = _AFTER
             elif lexeme[0] not in _BLANK:
-                at = paren
                 break
             continue
         elif lexeme != "]" or want is _ITEM:
             # a tree or ``()``
+            label = opens.get(lexeme)
+            if label is not None:
+                stack.append((label, trees))
+                trees = []
+                want = _OPEN
+                continue
             if lexeme in leaves:
                 # an empty or text-only element read before
                 trees.append(leaves[lexeme])
@@ -618,7 +627,6 @@ def parse_value(text: str) -> Forest:
                     trees.append(TRUE if lexeme == "true" else FALSE)
                     want = _AFTER
                 elif lexeme == "(":
-                    paren = at
                     want = _PAREN
                 elif c not in _BLANK:
                     break
@@ -631,6 +639,7 @@ def parse_value(text: str) -> Forest:
             if last == "[":
                 label = lexeme[:-1]
                 if label not in KEYWORDS:
+                    opens[lexeme] = label
                     stack.append((label, trees))
                     trees = []
                     want = _OPEN
@@ -679,10 +688,14 @@ def parse_value(text: str) -> Forest:
     else:
         if want is _AFTER and not stack:
             return tuple(trees)
-        at = paren if want is _PAREN else len(lexemes)
-    # report the token at the error's offset (the end of input past the
-    # last), unless tokenizing finds a lexing error, which wins as in every
-    # parser here
+        lexeme = None  # the end of input
+    # the failing lexeme's index, the end of input's past the last; after
+    # a ``(`` only blanks are read, and the error is at the ``(``
+    at = len(lexemes) - sum(1 for _ in rest) - (lexeme is not None)
+    if want is _PAREN:
+        at = at - 1 - lexemes[at - 1::-1].index("(")
+    # report the token at the error's offset, unless tokenizing finds a
+    # lexing error, which wins as in every parser here
     p = _Parser(text)
     tok = bisect_left(p.starts, sum(map(len, lexemes[:at])) + within)
     if want is _BRACKET:

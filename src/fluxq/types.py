@@ -48,23 +48,28 @@ from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable
 # fields: ``Struct.__init__`` for up to five, and ``Type.__new__`` for up to
 # two.  In their code field ``i`` is the parameter ``_f{i}``, set through
 # the global ``_set_f{i}``; the copy renames the parameter to the field.
+# The span slot is written only when a span is given, so the trees and
+# nodes built in code, which have none, leave it unwritten (read as None).
 
 
 def _init0(self, *, span=None):
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
 def _init1(self, _f0, *, span=None):
     _set_f0(self, _f0)
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
 def _init2(self, _f0, _f1, *, span=None):
     _set_f0(self, _f0)
     _set_f1(self, _f1)
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
@@ -72,7 +77,8 @@ def _init3(self, _f0, _f1, _f2, *, span=None):
     _set_f0(self, _f0)
     _set_f1(self, _f1)
     _set_f2(self, _f2)
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
@@ -81,7 +87,8 @@ def _init4(self, _f0, _f1, _f2, _f3, *, span=None):
     _set_f1(self, _f1)
     _set_f2(self, _f2)
     _set_f3(self, _f3)
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
@@ -91,7 +98,8 @@ def _init5(self, _f0, _f1, _f2, _f3, _f4, *, span=None):
     _set_f2(self, _f2)
     _set_f3(self, _f3)
     _set_f4(self, _f4)
-    _set_span(self, span)
+    if span is not None:
+        _set_span(self, span)
     _set_hash(self, None)
 
 
@@ -190,8 +198,9 @@ class Struct(_Node):
     cached in ``_hash`` on first use) are written once here, read
     ``_fields``, and keep their own stack, so no tree is too deep or long
     for them.  ``span`` is not a field, so equality, the hash and ``repr``
-    ignore it.  Types are not ``Struct``s: they are interned, carry no span
-    and compare by identity (``Type``)."""
+    ignore it; its slot is written only when a span is given, and an
+    unwritten one reads as None.  Types are not ``Struct``s: they are
+    interned, carry no span and compare by identity (``Type``)."""
 
     __slots__ = ("_span", "_hash")
     _constructors = (_init0, _init1, _init2, _init3, _init4, _init5)
@@ -199,7 +208,7 @@ class Struct(_Node):
     @property
     def span(self) -> SourceSpan | None:
         """None, a ``SourceSpan``, or the parser's record resolved to one."""
-        return _resolve_span(self._span)
+        return _resolve_span(getattr(self, "_span", None))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,10 +1,12 @@
 """XML forest values, semantic membership ``v : t``, and inhabitants.
 
 A forest is a tuple of trees; a tree is a boolean, a string, or a labeled
-node with a child forest.  Trees are immutable, so they may be shared: a
-forest from ``parse_value`` holds one node per distinct empty or text-only
-element (``n[]`` or ``n["w"]``) in its text.  Nothing may depend on a tree's identity, beyond
-``member``'s memo keyed by the identity of child tuples.
+node with a child forest.  A tree has no source position, so building one
+writes its fields and its unset hash, and no span.  Trees are immutable,
+so they may be shared: a forest from ``parse_value`` holds one node per
+distinct empty or text-only element (``n[]`` or ``n["w"]``) in its text.
+Nothing may depend on a tree's identity, beyond ``member``'s memo keyed by
+the identity of child tuples.
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives
@@ -15,10 +17,12 @@ which finds the canonical state the row names by identity.  A label that
 heads no alternative fails at once and adds nothing to the row.  Element
 content is matched with an explicit stack, so a value of any depth is
 decided, and one memo per call, keyed by a child tuple's identity and its
-start state, decides a shared child tuple once; a lone leaf child, the
-common text-only element, is matched in place.  The stack and the memo
-are built at the first element whose content needs them, so a call on a
-flat value reads the tables and allocates nothing.
+start state, decides a shared child tuple once.  An element with one
+candidate content reads and records its entry under one key, and one with
+several reads an entry per candidate; under one candidate, a lone leaf
+child, the common text-only element, is matched in place.  The stack and
+the memo are built at the first element whose content needs them, so a
+call on a flat value reads the tables and allocates nothing.
 
 ``inhabitants`` gives one value of each type at no bound, or None for a
 type with none: ``check_signature`` reports a variable with no value by
@@ -122,14 +126,23 @@ def member(sig: Signature, v: Forest, t: Type) -> bool:
             children = tree.children
             if not children:
                 state = step[2]
-            elif (len(children) == 1 and not children[0].children
-                  and len(step[0]) == 1):
-                # one candidate and one leaf child: match it in place
+            elif len(step[0]) == 1:
                 start = step[0][0][0]
-                inner = (table.get(start) or sig.steps(start))[1].get(
-                    children[0].label)
-                ok = inner is not None and (
-                    table.get(inner[2]) or sig.steps(inner[2]))[0]
+                if len(children) == 1 and not children[0].children:
+                    # one leaf child: match it in place
+                    inner = (table.get(start) or sig.steps(start))[1].get(
+                        children[0].label)
+                    ok = inner is not None and (
+                        table.get(inner[2]) or sig.steps(inner[2]))[0]
+                else:
+                    if memo is None:
+                        memo, stack = {}, []
+                    key = (id(children), start)
+                    ok = memo.get(key)
+                    if ok is None:  # match the children, then come back
+                        stack.append((f, i, state, step, key))
+                        f, i, state, n = children, 0, start, len(children)
+                        continue
                 state = step[1] if ok else _DEAD
             else:
                 if memo is None:

@@ -828,9 +828,9 @@ class TestDeepInput:
 
     def test_recursive_update_depth(self):
         # a fresh process under the default recursion limit runs ``leafupd``
-        # on a tree 122 ``node``s deep and fails at 123 (CPython 3.10-3.12);
-        # one more Python frame per call level would fail at 115
-        def tree(leaf, depth=115):
+        # on a tree 163 ``node``s deep and fails at 164 (CPython 3.11), at
+        # six Python frames per call level; a seventh would fail at about 140
+        def tree(leaf, depth=155):
             return ("tree[node[" * depth + f'tree[leaf["{leaf}"]]'
                     + "]]" * depth)
         run = subprocess.run(

@@ -202,6 +202,20 @@ class TestApplyUpdate:
             apply("children[skip]", '"w"')
         with fails("children[...] applied to (), not a single element"):
             apply("children[skip]", "()")
+        # ``children[iter[s]]`` runs as one closure, with the same errors
+        for value in ('"w"', "true", "()", "a[],b[]"):
+            with fails(f"children[...] applied to {value}, not a single "
+                       f"element"):
+                apply("children[iter[skip]]", value)
+
+    @pytest.mark.parametrize("test, admitted", [
+        ("*", "a[]"), ("bool", "true"), ("string", '"w"'), ("a", "a[]"),
+    ])
+    def test_each_test_admits_its_trees(self, test, admitted):
+        for value in ("a[]", "b[]", '"w"', "true"):
+            expected = () if value == admitted or (
+                test == "*" and value == "b[]") else parse_value(value)
+            assert apply(f"{test}?delete", value) == expected, value
 
     def test_test_on_a_forest_fails(self):
         with fails("test applied to a forest of length 2"):

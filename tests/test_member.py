@@ -218,6 +218,34 @@ class TestMemberAutomaton:
         assert (run.returncode, run.stdout) == (0, "True True False\n"), (
             run.stderr)
 
+    # ``a``'s two candidates start ``b``'s one candidate content at one
+    # state, so ``b[kids]`` is met again under the second candidate
+    TWO_A = "a[b[string,string],x[]] | a[b[string,string],y[]]"
+
+    @pytest.mark.parametrize("text, outer, second, holds", [
+        (TWO_A, "a", BoolVal(True), False),
+        (TWO_A, "a", StrVal("v"), True),
+        ("b[string,string]*", None, StrVal("v"), True),
+    ])
+    def test_one_candidate_children_are_read_once(self, text, outer, second,
+                                                  holds):
+        class Counted(StrVal):
+            # ``member`` reads a tree's label once per visit
+            __slots__ = ()
+            reads = 0
+
+            @property
+            def label(self):
+                Counted.reads += 1
+                return StringAtom
+
+        kids = (Counted("w"), second)
+        v = (Node("b", kids), Node("b", kids))
+        if outer:
+            v = (Node(outer, (v[0], Node("y", ()))),)
+        assert member(EMPTY_SIGNATURE, v, parse_type(text)) is holds
+        assert Counted.reads == 1  # the memo answers the second time
+
     def test_step_tables_belong_to_one_signature(self):
         s1 = Signature({"X": parse_type("a[]")})
         s2 = Signature({"X": parse_type("b[]")})

@@ -273,6 +273,14 @@ class TestValueSyntax:
         ('a["x\\q"]', "bad string escape", 5, 1, 6, ()),
         ('a["x"', "unexpected end of input", 5, 1, 6, ("]",)),
         ('x[a["y"],false["z"]]', "unexpected '['", 14, 1, 15, ("]",)),
+        # a label with its ``[`` read before, from the table of those
+        ("x[a[]],x[let[]]", "unexpected 'let' in value", 9, 1, 10,
+         ("a value",)),
+        ("x[a[]],x[", "unexpected end of input in value", 9, 1, 10,
+         ("a value",)),
+        ("x[a[]],x[(", "unexpected '(' in value", 9, 1, 10, ("a value",)),
+        ("x[a[]], x[ ( # c\n ]", "unexpected '(' in value", 11, 1, 12,
+         ("a value",)),
     ])
     def test_value_errors(self, text, message, offset, line, col, expected):
         # a lexing error anywhere in the text wins over an earlier syntax error
@@ -296,6 +304,9 @@ class TestValueSyntax:
         ('a [ "x" ]', (Node("a", (StrVal("x"),)),)),
         ('a[ "x"]', (Node("a", (StrVal("x"),)),)),
         ('a["x" ]', (Node("a", (StrVal("x"),)),)),
+        # a label with its ``[`` read before, then a blank or a comment
+        ("x[a[]],x[ ]", (Node("x", (Node("a", ()),)), Node("x", ()))),
+        ("x[a[]],x[# c\n]", (Node("x", (Node("a", ()),)), Node("x", ()))),
     ])
     def test_value_layout(self, text, value):
         assert parse_value(text) == value
