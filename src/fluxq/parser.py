@@ -29,11 +29,22 @@ elements, so any depth parses.  A value lexeme may run on, with no blank:
 as ``n["w"]``, as a run of up to 256 empty elements ``n[],m[],...`` (split
 with one ``str.split``; the cap bounds the backtracking state ``sre``
 keeps per repeat, as Python 3.10 has no possessive ``*+``), or as ``n[``.
-Each distinct ``n[]`` or ``n["w"]`` is built once and shared, and each
-distinct ``n[`` is checked once: a table of those read before, keyword
+Each distinct ``n[]`` or ``n["w"]`` lexeme is built once and shared, and
+each distinct ``n[`` is checked once: a table of those read before, keyword
 labels never among them, makes a repeated open one lookup.  A compound
 lexeme whose label is no label fails where reading it lexeme by lexeme
 would, so blanks and comments change no value and no error.
+
+A ``]`` shares the element it closes too.  A table that lives for one
+``parse_value`` call keys each node a ``]`` built by its label, its width
+and the identities of its first and last child, and the stored node is
+reused if its middle children are the same objects as well; else the new
+node takes the key.  So a miss costs O(1) at any width, and a subtree
+that repeats is one object, however blanks and comments split its
+lexemes, if its children are and no node took its key in between.  A
+string literal standing alone is a new ``StrVal`` each time, so an
+element holding one is not shared; ``n[ ]`` and ``n[()]`` are the node of
+``n[]``.  Two calls share no node.
 
 The derived type forms normalize while parsing (``t+`` to ``t,t*``, ``t?``
 to ``t|()``, ``n[]`` to ``n[()]``), and ``e/n`` and ``e/*`` elaborate to
@@ -51,6 +62,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import cache
+from operator import is_
 
 from .diagnostics import ParseError, SourceText
 from .types import (
@@ -568,12 +580,17 @@ def parse_type(text: str, filename: str = "<type>") -> Type:
 
 def parse_value(text: str) -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
-    elements (see the module docstring), so any depth parses and each
-    distinct ``n[]`` or ``n["w"]`` is one ``Node`` shared by its uses."""
+    elements (see the module docstring), so any depth parses; each
+    distinct ``n[]`` or ``n["w"]``, and each repeated subtree, is one
+    ``Node`` shared by its uses."""
     lexemes = _value_lexeme_re().findall(text)
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
     leaves: dict[str, Node] = {}  # ``n[]`` or ``n["w"]`` text -> its one node
+    # (label, width, id of first child, id of last child) -> the node a
+    # ``]`` closed last under that key; every child of a stored node lives
+    # as long as the table, so no id is reused while it is looked up
+    closed: dict[tuple[str, int, int, int], Node] = {}
     opens: dict[str, str] = {}  # an ``n[`` read before, with ``n`` a label -> n
     # the next lexeme must be: _ITEM a tree or ``()``, _OPEN one of those or
     # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
@@ -680,9 +697,20 @@ def parse_value(text: str) -> Forest:
                 within += len(label)
                 want = _AFTER
             break
-        # a ``]`` closes the innermost element
+        # a ``]`` closes the innermost element, reusing a node from
+        # ``closed`` if all its children are these
         label, parent = stack.pop()
-        parent.append(Node(label, tuple(trees)))
+        if trees:
+            key = (label, len(trees), id(trees[0]), id(trees[-1]))
+            tree = closed.get(key)
+            if tree is None or len(trees) > 2 and not all(
+                    map(is_, tree.children, trees)):
+                closed[key] = tree = Node(label, tuple(trees))
+        else:  # ``n[ ]`` or ``n[()]``: the node of ``n[]``
+            tree = leaves.get(label + "[]")
+            if tree is None:
+                leaves[label + "[]"] = tree = Node(label, ())
+        parent.append(tree)
         trees = parent
         want = _AFTER
     else:

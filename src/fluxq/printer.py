@@ -100,7 +100,9 @@ def escape_string(s: str) -> str:
 
 def value_str(v: Forest) -> str:
     """The concrete syntax of ``v``, built with an explicit stack of the
-    open elements, so a value of any depth prints."""
+    open elements, so a value of any depth prints.  An empty or text-only
+    element (``n[]`` or ``n["w"]``) is written as one part, and pushes
+    nothing on the stack."""
     if not v:
         return "()"
     parts: list[str] = []
@@ -110,12 +112,17 @@ def value_str(v: Forest) -> str:
         t = f[i]
         cls = t.__class__
         if cls is Node:
-            if t.children:
+            children = t.children
+            if not children:
+                parts.append(f"{t.label}[]")
+            elif len(children) == 1 and children[0].__class__ is StrVal:
+                parts.append(
+                    f'{t.label}["{escape_string(children[0].value)}"]')
+            else:
                 parts.append(f"{t.label}[")
                 stack.append((f, i + 1))
-                f, i = t.children, 0
+                f, i = children, 0
                 continue
-            parts.append(f"{t.label}[]")
         elif cls is StrVal:
             parts.append(f'"{escape_string(t.value)}"')
         else:

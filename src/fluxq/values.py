@@ -4,9 +4,10 @@ A forest is a tuple of trees; a tree is a boolean, a string, or a labeled
 node with a child forest.  A tree has no source position, so building one
 writes its fields and its unset hash, and no span.  Trees are immutable,
 so they may be shared: a forest from ``parse_value`` holds one node per
-distinct empty or text-only element (``n[]`` or ``n["w"]``) in its text.
-Nothing may depend on a tree's identity, beyond ``member``'s memo keyed by
-the identity of child tuples.
+distinct empty or text-only element (``n[]`` or ``n["w"]``) in its text,
+and one per repeated subtree (see ``parser``).  Nothing may depend on a
+tree's identity, beyond ``member``'s memo keyed by the identity of child
+tuples, which therefore decides a repeated parsed subtree once.
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives

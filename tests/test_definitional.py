@@ -17,15 +17,16 @@ from fluxq import (
     BoolAtom, BoolLit, BoolVal, Call, Children, Concat, Delete, Elem,
     EmptySeq, EvalError, For, GenConfig, If, IfStmt, Insert, LabelFilter,
     Let, LetStmt, Nav, Node, ProcCall, Rename, Runtime, SeqStmt, Signature,
-    Skip, Snapshot, StrLit, StrVal, StringAtom, TreeBinding, VarRef,
-    apply_update, eval_query, parse_program, parse_type, parse_value,
-    runtime_for_update_program,
+    Skip, Snapshot, StrLit, StrVal, StringAtom, TreeBinding, UpdateProgram,
+    VarRef, apply_update, check_program, eval_query, parse_program,
+    parse_type, parse_value, runtime_for_update_program, value_str,
 )
 from fluxq import Test as Guard  # not collected as a test class
 from fluxq.suites import QUERY, UPDATE, _conforming_envs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 RT = Runtime()
+TREE = parse_type("Tree")
 CALL_LIMIT = RT.recursion_limit
 
 
@@ -187,13 +188,63 @@ def random_tree(rng, budget):
     return Node("tree", (Node("node", kids),))
 
 
+def shared(forest):
+    """``forest`` read back from its text, so that its repeated subtrees
+    are shared as ``parse_value`` shares them; some are."""
+    v = parse_value(value_str(forest))
+    nodes, stack = [], list(v)
+    while stack:
+        t = stack.pop()
+        nodes.append(id(t))
+        stack += t.children
+    assert len(set(nodes)) < len(nodes)
+    return v
+
+
+# Element constructors whose content reads a variable that a loop, a call
+# or a ``snapshot`` under ``iter`` binds anew for each tree, so each tree
+# needs a node of its own.  Each query runs on ``$x``, one ``Tree``.
+REBINDING = (
+    "query for $t in $x/node return for $y in $t/child return w[$y]"
+    " : w[Tree]*",
+    "query for $y in $x/node/* return w[$y/leaf, $y]"
+    " : w[leaf[string]*, Tree]*",
+    "declare function wrap($z : Tree) : w[Tree] { w[$z] };\n"
+    "query for $y in $x/node/* return wrap($y) : w[Tree]*",
+    "declare function up($z : Tree) : w[leaf[string]*]* {\n"
+    "  w[$z/leaf], for $y in $z/node/* return up($y)\n};\n"
+    "query up($x) : w[leaf[string]*]*",
+    "update iter[snapshot $y in right[insert w[$y]]]"
+    " : Tree* => (Tree, w[Tree])*",
+    "update iter[children[iter[snapshot $y in node?children[right[insert"
+    " w[$y]]]]]] : Tree* => tree[leaf[string] | node[Tree*, w[node[Tree*]]]]*",
+)
+
+
+def rebinding_runs(forests):
+    """The ``REBINDING`` programs on the trees and forests of
+    ``forests``."""
+    for text in REBINDING:
+        prog, sig = parse_program(
+            "type Tree = tree[leaf[string] | node[Tree*]]\n" + text)
+        assert check_program(sig, prog, {"x": TreeBinding(TREE)})[1] == []
+        if isinstance(prog, UpdateProgram):
+            yield prog, [({}, f) for f in forests]
+        else:
+            yield prog, [({"x": (t,)}, None) for f in forests for t in f]
+
+
 def sample_runs():
     """Each sample's programs with inputs: conforming values of its input
     type or free variables, and seeded ``Tree`` documents for the two
-    recursive samples, the query as ``leaves($x)``."""
+    recursive samples, the query as ``leaves($x)``, built node by node and
+    read back from their text, with repeated subtrees shared; then the
+    ``REBINDING`` programs on those documents."""
     rng = random.Random(7)
     trees = [random_tree(rng, size) for size in (1, 20, 60, 200) * 3]
     forests = [tuple(trees[i:i + 3]) for i in range(0, len(trees), 3)]
+    forests += [shared(f) for f in forests[1:]]
+    trees = [t for f in forests for t in f]
     for name in ("insert_after.flux", "leafupd.flux", "leaves.muxq",
                  "children.muxq"):
         text = (SAMPLES / name).read_text(encoding="utf-8")
@@ -214,6 +265,7 @@ def sample_runs():
             'leaves(tree[node[tree[leaf["u"]], tree[leaf["v"]]]])',
             "leaves($x)"), name)
         yield prog, [({"x": (t,)}, None) for t in trees]
+    yield from rebinding_runs(forests)
 
 
 def drawn_runs(lang):

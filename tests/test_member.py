@@ -246,6 +246,27 @@ class TestMemberAutomaton:
         assert member(EMPTY_SIGNATURE, v, parse_type(text)) is holds
         assert Counted.reads == 1  # the memo answers the second time
 
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_repeated_parsed_subtrees_are_read_once(self, k):
+        # ``parse_value`` shares the k equal ``r`` elements, so the memo on
+        # child tuples decides their children once: the step rows are asked
+        # for each of ``z``, ``z`` and ``y`` once, not k times
+        v = parse_value(",".join(["r[z[],z[],y[]]"] * k))
+        sig, t = Signature(), parse_type("(r[z[]*, y[]] | q[])*")
+        assert member(sig, v, t)  # fills the step rows
+        reads = {"z": 0, "y": 0}
+
+        class Row(dict):
+            def get(self, label, default=None):
+                if label in reads:
+                    reads[label] += 1
+                return dict.get(self, label, default)
+
+        for state, (nullable, row) in list(sig._steps.items()):
+            sig._steps[state] = (nullable, Row(row))
+        assert member(sig, v, t)
+        assert reads == {"z": 2, "y": 1}
+
     def test_step_tables_belong_to_one_signature(self):
         s1 = Signature({"X": parse_type("a[]")})
         s2 = Signature({"X": parse_type("b[]")})

@@ -333,6 +333,63 @@ class TestValueSyntax:
         v = parse_value('leaf["w"],leaf["v"],leaf["w"]')
         assert v[0] is v[2] and v[0] is not v[1]
 
+    def test_repeated_subtrees_share_a_node(self):
+        # blanks and comments split the second ``x`` into other lexemes
+        v = parse_value('x[a[b[],c["w"]],d[]],y[],'
+                        'x[ a[ b[ ] , # note\n c["w"] ],d[]\t],'
+                        'z[x[a[b[],c["w"]],d[]]]')
+        assert v[0] is v[2] is v[3].children[0]
+        assert v[0] == Node("x", (
+            Node("a", (Node("b", ()), Node("c", (StrVal("w"),)))),
+            Node("d", ())))
+        v = parse_value("n[m[k[]],m[k[]],m[k[]],m[(),k[]]],"
+                        "n[m[k[]],m[k[]],m[k[]],m[k[]]]")
+        m = v[0].children[0]
+        assert v[0] is v[1] and all(t is m for t in v[0].children)
+
+    def test_colliding_subtrees_keep_their_children(self):
+        # each ``x`` has the label, width and first and last child of the
+        # one closed before it, and another middle child
+        text = ("x[a[],b[],c[]],x[a[],d[],c[]],"
+                "x[a[],y[b[]],c[]],x[a[],y[d[]],c[]]")
+        v = parse_value(text)
+        a, c = Node("a", ()), Node("c", ())
+        assert v == (Node("x", (a, Node("b", ()), c)),
+                     Node("x", (a, Node("d", ()), c)),
+                     Node("x", (a, Node("y", (Node("b", ()),)), c)),
+                     Node("x", (a, Node("y", (Node("d", ()),)), c)))
+        assert v == reference_parse_value(text)
+        # the key keeps the last node closed under it, so the two ``x``
+        # again are nodes of their own, whose ``y`` is shared
+        v = parse_value(text + ",x[a[],b[],c[]],x[a[],y[d[]],c[]]")
+        assert v[4] == v[0] and v[5] == v[3] and v[5] is not v[3]
+        assert v[5].children[1] is v[3].children[1]
+
+    def test_calls_share_no_node(self):
+        text = 'x[a[],b["w"]],x[a[],b["w"]]'
+        v, w = parse_value(text), parse_value(text)
+        assert v == w and v[0] is v[1] and w[0] is w[1]
+        assert v[0] is not w[0]
+        assert not any(s is t for s, t in zip(v[0].children, w[0].children))
+
+    def test_text_of_small_values_is_pinned(self):
+        # the text of every value of depth <= 4 and width <= 3 of each type
+        # of AST size <= 4 over a and b, of depth <= 3 and width <= 3 of a
+        # forest type with text-only elements, and of text-only elements
+        # holding each escaped character, as the printer gave it when it
+        # pushed every element with children on its stack
+        texts = set()
+        for t in types_upto(4, ("a", "b")):
+            texts.update(map(value_str, values_upto(EMPTY_SIGNATURE, t, 4, 3)))
+        texts.update(map(value_str, values_upto(EMPTY_SIGNATURE, parse_type(
+            "(a[string] | b[a[string]*, bool] | string)*"), 3, 3)))
+        texts = sorted(texts) + [
+            value_str((Node("a", (StrVal(s),)), StrVal(s)))
+            for s in ('"', "\\", "\n", "\t", 'x"\\\n\ty')]
+        assert len(texts) == 6214
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "9f8b28bfba5a64d4b229588b3bf526d3df6e19accbb4231530f8e8ea7de9a45e")
+
     def test_long_run_stays_small(self):
         text = ",".join(["a[]"] * 50000)
         v, peak = traced_peak(parse_value, text)
@@ -362,6 +419,10 @@ class TestValueReaderAgainstReference:
         ("", "(a[string] | b[a[string]*, c[]] | string | bool)*", 3, 3),
         ("", "x[(leaf[string] | y[])*], (leaf[string] | z[bool])?", 3, 3),
         ("type Tree = tree[leaf[string] | node[Tree*]]", "Tree*", 5, 2),
+        # repeated subtrees, and ones that agree in label, width and first
+        # and last child but not in the middle one
+        ("", "(x[a[], (b[] | y[c[] | ()]), a[]] | z[x[a[], y[c[]]?, a[]]*])*",
+         3, 3),
     )
     SEPARATORS = ("", "", "", " ", "\n", "\t", "\r\n", " # c\n")
     CORPUS = (
@@ -371,6 +432,9 @@ class TestValueReaderAgainstReference:
         'n[_A["v"],a["\\"\\\\"],"s",true,()]',
         'a [ "x" ] , b[ "y" ] # c\n, c[(),d["e"]]',
         'a[],b["x"],c[],c[],b["x"]',
+        'x[a[],b["v"],c[]],x[a[],b["w"],c[]],x[a[],b["v"],c[]],'
+        'x[ a[],b["v"],c[]]',
+        'n[m[k[],"s"],m[k[],"s"]],n[m[ k[] ,"s"],m[k[],"s"]],n[m[k[],"s"]]',
     )
 
     @staticmethod
