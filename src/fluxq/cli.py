@@ -66,25 +66,24 @@ def _input_text(spec: str) -> str:
     return _read(spec[1:]) if spec.startswith("@") else spec
 
 
-def _check_signature(sig: Signature, as_json: bool,
-                     leave: str | None = None) -> None:
-    """Report an ill-formed signature and end the run with exit 1; the
-    diagnostics of rule ``leave`` are left to the caller."""
-    diags = [d for d in check_signature(sig) if d.rule != leave]
+def _check_signature(sig: Signature, as_json: bool) -> None:
+    """Report an ill-formed signature and end the run with exit 1."""
+    diags = check_signature(sig)
     if diags:
         raise SystemExit(_report(None, diags, as_json))
 
 
-def _load(args, kind: type = object, leave: str | None = None) -> tuple:
+def _load(args, kind: type = object) -> tuple:
     """The program of ``args.file`` and its checked signature: the one way
-    a subcommand takes in a program.  A program that is not a ``kind``
-    ends the run with exit 2.  ``leave`` is as in ``_check_signature``."""
+    a subcommand takes in a program, ``oracle FILE`` included.  A program
+    that is not a ``kind`` ends the run with exit 2, and an ill-formed
+    signature, an uninhabited variable too, with exit 1."""
     prog, sig = parse_program(_read(args.file), args.file)
     if not isinstance(prog, kind):
         what = "a query" if kind is QueryProgram else "an update"
         print(f"{args.command} expects {what} program", file=sys.stderr)
         raise SystemExit(2)
-    _check_signature(sig, args.json, leave)
+    _check_signature(sig, args.json)
     return prog, sig
 
 
@@ -212,9 +211,7 @@ def cmd_oracle(args) -> int:
     cfg, sig = GenConfig(depth=args.max_depth, width=args.max_width,
                          seed=args.seed, cases=args.cases), None
     if args.file:
-        # a variable with no value is reported by the suite that looks for
-        # one, types-inhabited-at-small-bounds, with the other suites
-        prog, sig = _load(args, leave="signature/uninhabited")
+        prog, sig = _load(args)
         cfg = cfg._replace(labels=_labels_in(sig, prog))
     report = run_suites(cfg, sig or None)
     print(json.dumps(report.to_json(), indent=2) if args.json

@@ -81,17 +81,19 @@ def values_upto(sig: Signature, t: Type, depth: int,
     return frozenset(v for v in gen(t, depth) if len(v) <= width)
 
 
-def types_upto(size: int, labels: tuple[str, ...]) -> list[Type]:
-    """All types of AST size ≤ ``size`` built from ``()`` and the given labels.
+def types_upto(size: int, labels: tuple[str, ...],
+               leaves: tuple[Type, ...] = (EMPTY,)) -> list[Type]:
+    """All types of AST size ≤ ``size`` built from the ``leaves`` and the
+    given labels, smallest first.
 
-    Size counts constructor nodes: ``()`` is 1, ``n[t]`` is 1 + size(t),
-    ``|``/``,`` are 1 + both sides, ``*`` is 1 + inner.
+    Size counts constructor nodes: each leaf is 1, ``n[t]`` is 1 + size(t),
+    ``|``/``,`` are 1 + both sides, ``*`` is 1 + inner.  The leaves come
+    first, in their order; the default, ``()`` alone, gives the types of
+    the exhaustive oracles.
     """
     by_size: dict[int, list[Type]] = {0: []}
     for s in range(1, size + 1):
-        out: list[Type] = []
-        if s == 1:
-            out.append(EMPTY)
+        out: list[Type] = list(leaves) if s == 1 else []
         for inner in by_size.get(s - 1, []):
             for lab in labels:
                 out.append(Element(lab, inner))

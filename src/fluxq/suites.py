@@ -17,16 +17,20 @@ sequence of instances.
 Infinite claims (language equalities, subtype closure) are checked on the
 values enumerated within explicit depth and width bounds; each "yes" of the
 subtype decision is checked as an inclusion of enumerated values, each "no"
-by the witness ``refute`` gives, at any bound.  Failures carry the smallest
-counterexample found by greedy shrinking.
+by the witness ``refute`` gives, at any bound.  Three suites,
+``member-respects-subtyping``, ``types-inhabited-at-small-bounds`` and
+``subtype-reflexive``, first check every input of a small scope, the types
+of small AST size (``small_types``) or every pair of them, smallest first,
+before their random draws.  A failure in the scope is thus reported at a
+smallest input; one that only a draw finds is reported as drawn.
 
 The typing properties are written once for both core languages: a
 ``Language`` record (``QUERY``, ``UPDATE``) draws, types, runs and prints
 terms and iteration bodies, and ``deterministic``, ``downward_monotonicity``,
 ``homomorphism`` and ``soundness`` each take one.  Every suite is counted
 by ``tally``.  Each random suite is a case function that ``run_cases``
-calls on a stream seeded from the suite's name; a suite that shrinks checks
-and shrinks with one predicate.
+calls on a stream seeded from the suite's name; a suite with a small scope
+checks its scope and its draws with one function.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import chain, count, islice, product, starmap
+from math import isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagnostics import EvalError, TypeCheckFailure
@@ -128,17 +133,20 @@ def _raised(exc: Exception) -> str:
 
 
 def run_cases(cfg: GenConfig, name: str, case: Callable[[random.Random], object],
-              n: int | None = None, uncounted: Iterable[str] = ()) -> SuiteResult:
-    """Run one random suite: call ``case`` on the stream seeded from the
-    suite's name, so renaming a suite changes what it draws, and tally its
-    first ``n`` outcomes (default ``cfg.cases``).  ``case`` draws one case
-    and returns its outcome, or ``REDRAW`` when the draw misses the
-    property's precondition (not counted)."""
+              n: int | None = None,
+              scope: Iterable[list[str]] = ()) -> SuiteResult:
+    """Run one random suite: tally the outcomes of ``scope``, the suite's
+    small scope checked input by input, then call ``case`` on the stream
+    seeded from the suite's name, so renaming a suite changes what it
+    draws, and tally its first ``n`` outcomes (default ``cfg.cases``).
+    ``case`` draws one case and returns its outcome, or ``REDRAW`` when the
+    draw misses the property's precondition (not counted).  The scope draws
+    nothing, so it leaves the stream as it is."""
     rng = _suite_rng(cfg, name)
     draws = (case(rng) for _ in count())
     counted = (outcome for outcome in draws if outcome is not REDRAW)
-    return tally(name, islice(counted, cfg.cases if n is None else n),
-                 uncounted)
+    return tally(name, chain(scope,
+                             islice(counted, cfg.cases if n is None else n)))
 
 
 # -- seeded random generators ----------------------------------------------
@@ -429,58 +437,27 @@ def gen_typed_stmt(rng: random.Random, cfg: GenConfig, decls: GlobalDecls,
     return _stmt_candidate(rng, cfg, sig, env, mult, t, budget)
 
 
-# -- greedy shrinking ---------------------------------------------------
+# -- the small scope ---------------------------------------------------
+
+SCOPE_SIZE = 3        # AST size bound of a one-type suite's small scope
+PAIR_SCOPE_SIZE = 2   # AST size bound of each type of a scope pair
+SCOPE_CAP = 1000      # the most inputs a small scope holds
 
 
-def shrink_type(t: Type) -> Iterator[Type]:
-    """One-step-smaller candidates for ``t``."""
-    if not isinstance(t, Empty):
-        yield EMPTY
-    if isinstance(t, (Or, Seq)):
-        yield t.left
-        yield t.right
-        for c in shrink_type(t.left):
-            yield type(t)(c, t.right)
-        for c in shrink_type(t.right):
-            yield type(t)(t.left, c)
-    elif isinstance(t, Star):
-        yield t.inner
-        for c in shrink_type(t.inner):
-            yield Star(c)
-    elif isinstance(t, Element):
-        for c in shrink_type(t.content):
-            yield Element(t.label, c)
-
-
-def greedy_shrink(value, fails: Callable, candidates: Callable) -> object:
-    """Repeatedly replace ``value`` by any one-step candidate that still
-    fails, until none does."""
-    changed = True
-    budget = 500
-    while changed and budget > 0:
-        changed = False
-        for c in candidates(value):
-            budget -= 1
-            try:
-                still = fails(c)
-            except Exception:
-                still = False
-            if still:
-                value = c
-                changed = True
-                break
-    return value
-
-
-def shrink_type_pair(pair: tuple[Type, Type],
-                     fails: Callable[[tuple[Type, Type]], bool]) -> tuple[Type, Type]:
-    def candidates(p):
-        t1, t2 = p
-        for c in shrink_type(t1):
-            yield (c, t2)
-        for c in shrink_type(t2):
-            yield (t1, c)
-    return greedy_shrink(pair, fails, candidates)  # type: ignore[return-value]
+def small_types(cfg: GenConfig, sig: Signature, size: int,
+                cap: int = SCOPE_CAP) -> list[Type]:
+    """The first ``cap`` types of AST size ≤ ``size``, in ``types_upto``'s
+    order, over the configured labels, with ``()``, ``bool``, ``string``
+    and the variables of ``sig`` as the size-1 leaves.  A size is
+    enumerated only while the smaller ones give fewer than ``cap`` types,
+    so at most about ``cap`` types per label and ``cap`` squared more are
+    built, however many variables ``sig`` declares."""
+    leaves = (EMPTY, BOOL, STRING, *map(Var, sig))
+    for bound in range(1, size + 1):
+        types = types_upto(bound, cfg.labels, leaves)
+        if len(types) >= cap:
+            break
+    return types[:cap]
 
 
 # -- fixture signature ---------------------------------------------------
@@ -513,32 +490,32 @@ def suite_member_respects_subtyping(cfg: GenConfig, sig: Signature) -> SuiteResu
     subtype of ``t2`` yet close to one, so that a "yes" given to a pair
     that is not a subtype pair is seen (a nullable left side whose other
     values fit, say).  For the rest "yes" is the answer due, and
-    ``member`` is checked on many inclusions."""
-    def outside(pair: tuple[Type, Type]) -> tuple[Forest, str] | None:
-        """A bounded value of the subtype that the supertype's values lack,
-        or else one that ``member`` rejects, with which of the two."""
-        t1, t2 = pair
+    ``member`` is checked on many inclusions.  The draws come after the
+    small scope: every pair of the first ``isqrt(SCOPE_CAP)`` types of
+    size ≤ ``PAIR_SCOPE_SIZE``."""
+    def check(t1: Type, t2: Type) -> list[str]:
+        """Empty, or the failure of a bounded value of ``t1`` that the
+        values of ``t2`` lack, or else that ``member`` rejects."""
         if not subtype(sig, t1, t2):
-            return None
+            return []
         values = values_upto(sig, t1, cfg.depth, cfg.width)
-        lacked = _first(values - values_upto(sig, t2, cfg.depth, cfg.width))
-        if lacked is not None:
-            return lacked, "a value"
-        rejected = next((v for v in sorted(values, key=repr)[:20]
-                         if not member(sig, v, t2)), None)
-        return None if rejected is None else (rejected, "a member")
+        value = _first(values - values_upto(sig, t2, cfg.depth, cfg.width))
+        what = "a value"
+        if value is None:
+            value, what = next((v for v in sorted(values, key=repr)[:20]
+                                if not member(sig, v, t2)), None), "a member"
+        if value is None:
+            return []
+        return [f"value {value_str(value)} of {type_str(t1)} "
+                f"is not {what} of supertype {type_str(t2)}"]
 
     def case(rng: random.Random) -> list[str]:
         t2 = gen_type(rng, cfg, sig=sig)
         above = Or(t2, gen_type(rng, cfg, 1)) if rng.random() < 0.5 else t2
-        t1 = gen_subtype_of(rng, sig, above)
-        if outside((t1, t2)) is None:
-            return []
-        small = shrink_type_pair((t1, t2), lambda p: outside(p) is not None)
-        value, what = outside(small)
-        return [f"value {value_str(value)} of {type_str(small[0])} "
-                f"is not {what} of supertype {type_str(small[1])}"]
-    return run_cases(cfg, "member-respects-subtyping", case)
+        return check(gen_subtype_of(rng, sig, above), t2)
+    pairs = small_types(cfg, sig, PAIR_SCOPE_SIZE, isqrt(SCOPE_CAP))
+    return run_cases(cfg, "member-respects-subtyping", case,
+                     scope=starmap(check, product(pairs, repeat=2)))
 
 
 def suite_atoms_compatible(cfg: GenConfig, sig: Signature) -> SuiteResult:
@@ -573,24 +550,20 @@ def suite_member_recursive_regression(cfg: GenConfig, sig: Signature) -> SuiteRe
 
 
 def suite_types_inhabited(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    """Every declared variable has a value, whatever the draws reach, and
-    so has every drawn type."""
+    """Every small type has a value that ``member`` accepts, and so has
+    every drawn type.  Each declared variable is a leaf of the small scope,
+    so a variable with no value is among the first failures, whatever the
+    draws reach."""
     witness = inhabitants(sig)
 
-    def uninhabited(t: Type) -> bool:
+    def check(t: Type) -> list[str]:
         value = witness(t)
-        return value is None or not member(sig, value, t)
-
-    def case(rng: random.Random) -> list[str]:
-        t = gen_type(rng, cfg, sig=sig)
-        if not uninhabited(t):
+        if value is not None and member(sig, value, t):
             return []
-        small = greedy_shrink(t, uninhabited, shrink_type)
-        return [f"no inhabitant found for {type_str(small)}"]
-    declared = [f"no inhabitant found for {name}" for name in sig
-                if witness(Var(name)) is None]
-    return run_cases(cfg, "types-inhabited-at-small-bounds", case,
-                     uncounted=declared)
+        return [f"no inhabitant found for {type_str(t)}"]
+    return run_cases(cfg, "types-inhabited-at-small-bounds",
+                     lambda rng: check(gen_type(rng, cfg, sig=sig)),
+                     scope=map(check, small_types(cfg, sig, SCOPE_SIZE)))
 
 
 # -- subtyping suites -----------------------------------------------------
@@ -637,16 +610,12 @@ def oracle_agreement(cfg: GenConfig, sig: Signature) -> SuiteResult:
 
 
 def suite_subtype_reflexive(cfg: GenConfig, sig: Signature) -> SuiteResult:
-    def irreflexive(t: Type) -> bool:
-        return not subtype(sig, t, t)
-
-    def case(rng: random.Random) -> list[str]:
-        t = gen_type(rng, cfg, sig=sig)
-        if not irreflexive(t):
-            return []
-        return [f"{type_str(greedy_shrink(t, irreflexive, shrink_type))} "
-                f"not <: itself"]
-    return run_cases(cfg, "subtype-reflexive", case, max(cfg.cases, 1000))
+    def check(t: Type) -> list[str]:
+        return [] if subtype(sig, t, t) else [f"{type_str(t)} not <: itself"]
+    return run_cases(cfg, "subtype-reflexive",
+                     lambda rng: check(gen_type(rng, cfg, sig=sig)),
+                     max(cfg.cases, 1000),
+                     map(check, small_types(cfg, sig, SCOPE_SIZE)))
 
 
 def suite_subtype_transitive(cfg: GenConfig, sig: Signature) -> SuiteResult:

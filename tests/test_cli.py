@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -577,15 +578,18 @@ class TestOracle:
             assert main(["oracle", str(f), "--cases", cases]) == 0
 
     def test_vacuous_recursion_has_no_inhabitant(self, tmp_path, capsys):
+        # the signature is checked at the boundary, as ``check`` checks it,
+        # and no suite runs
         f = tmp_path / "vacuous.muxq"
         f.write_text("type X = cons[X]\nquery () : X*\n")
         assert main(["--json", "oracle", str(f), "--cases", "100"]) == 1
         report = json.loads(capsys.readouterr().out)
-        failed = {s["name"]: s["failures"] for s in report["suites"]
-                  if s["failures"]}
-        assert set(failed) == {"types-inhabited-at-small-bounds"}
-        assert set(failed["types-inhabited-at-small-bounds"]) == {
-            "no inhabitant found for X"}
+        assert (report["status"], report["type"]) == ("error", None)
+        assert [(d["rule"], d["message"]) for d in report["diagnostics"]] == [
+            ("signature/uninhabited", "type variable X has no value: its "
+             "definition admits only infinite trees")]
+        assert main(["--json", "check", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out) == report
 
     def test_raising_suite_is_reported(self, monkeypatch, capsys):
         # a suite whose case raises is one failure, and the other suites
@@ -622,13 +626,30 @@ class TestOracle:
     def test_vacuous_recursion_is_found_at_one_case(self, tmp_path, capsys):
         # each declared variable is checked, whatever the one draw reaches
         f = tmp_path / "vacuous.muxq"
-        f.write_text("type X = cons[X]\nquery () : X*\n")
-        assert main(["--json", "oracle", str(f), "--cases", "1"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        failed = {s["name"]: s["failures"] for s in report["suites"]
-                  if s["failures"]}
-        assert failed == {"types-inhabited-at-small-bounds": [
-            "no inhabitant found for X"]}
+        f.write_text("type A = a[]\ntype X = cons[X]\nquery () : A*\n")
+        assert main(["oracle", str(f), "--cases", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("type variable X has no value: its definition "
+                            "admits only infinite trees "
+                            "[signature/uninhabited]\n")
+
+    def test_many_declarations_stay_bounded(self, tmp_path, capsys):
+        # 50 declarations and 51 labels: the small scope stops at its cap
+        # of 1,000 types; the run takes about 1 s with Python 3.11 on two
+        # vCPUs, where the 8.2 million cases of the uncapped scope take 18 s
+        decls = ["type T0 = t0[]"] + [f"type T{i} = t{i}[T{i - 1}] | b[]"
+                                      for i in range(1, 50)]
+        f = tmp_path / "many.muxq"
+        f.write_text("\n".join(decls) + "\nquery () : T49*\n")
+        start = time.perf_counter()
+        assert main(["--json", "oracle", str(f), "--cases", "100"]) == 0
+        assert time.perf_counter() - start < 10
+        cases = {s["name"]: s["cases"] for s in
+                 json.loads(capsys.readouterr().out)["suites"]}
+        assert (cases["types-inhabited-at-small-bounds"],
+                cases["subtype-reflexive"],
+                cases["member-respects-subtyping"]) == (1100, 2000, 1061)
 
     def test_json_report(self, capsys):
         assert main(["--json", "oracle", "--cases", "3"]) == 0

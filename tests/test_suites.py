@@ -1,5 +1,5 @@
 """The property-suite harness itself: everything green at a small case
-count, plus the shrinking machinery."""
+count, plus the small scope that three suites check before their draws."""
 
 import ast
 import hashlib
@@ -10,16 +10,17 @@ from pathlib import Path
 import pytest
 
 from fluxq import (
-    BOOL, EMPTY, EMPTY_SIGNATURE, EvalError, For, GenConfig, Nav, Or,
-    Rename, SeqStmt, parse_type, parse_value, run_suites, subtype,
+    BOOL, EMPTY, EMPTY_SIGNATURE, Element, EvalError, For, GenConfig, Nav, Or,
+    Rename, SeqStmt, Signature, Star, Var, parse_type, parse_value,
+    run_suites, type_str,
 )
 from fluxq import suites
 from fluxq.diagnostics import Diagnostic, TypeCheckFailure
 from fluxq.suites import (
-    REDRAW, SuiteReport, commutation_case, fixture_signature,
-    greedy_shrink, run_cases, shrink_type, shrink_type_pair,
-    suite_evaluator_laws, tally,
+    PAIR_SCOPE_SIZE, REDRAW, SCOPE_SIZE, SuiteReport, commutation_case,
+    fixture_signature, run_cases, small_types, suite_evaluator_laws, tally,
 )
+from fluxq.types import nodes
 
 
 class TestRunSuites:
@@ -50,6 +51,15 @@ class TestRunCases:
         assert (res.cases, res.skipped, res.failures) == (3, 0, ["bad"])
         assert next(outcomes) == []
 
+    def test_scope_comes_first_and_draws_nothing(self):
+        # the draws after a scope are the draws of the suite without one
+        case = lambda rng: [f"drawn {rng.random()}"]
+        res = run_cases(GenConfig(cases=2), "probe", case,
+                        scope=iter([[], ["small"]]))
+        alone = run_cases(GenConfig(cases=2), "probe", case)
+        assert (res.cases, alone.cases) == (4, 2)
+        assert res.failures == ["small", *alone.failures]
+
 
 class TestTally:
     def test_counts_each_outcome_once(self):
@@ -58,9 +68,8 @@ class TestTally:
         assert not res.ok
 
     def test_uncounted_failures_come_first(self):
-        res = run_cases(GenConfig(cases=2), "probe", lambda rng: ["drawn"],
-                        uncounted=["declared"])
-        assert (res.cases, res.failures) == (2, ["declared", "drawn", "drawn"])
+        res = tally("probe", iter([["drawn"], ["drawn"]]), ["whole"])
+        assert (res.cases, res.failures) == (2, ["whole", "drawn", "drawn"])
 
     def test_results_cannot_be_reassigned(self):
         res = tally("probe", [[]])
@@ -144,6 +153,20 @@ class TestOracleCertificate:
 
 
 class TestMemberRespectsSubtyping:
+    """The suite checks the 625 pairs of its small scope, then its draws;
+    ``drawn`` splits a result's failures at the scope's."""
+
+    @staticmethod
+    def drawn(cfg) -> tuple[int, list[str], list[str]]:
+        """The cases, the scope's failures and the draws' failures."""
+        scope = suites.suite_member_respects_subtyping(
+            cfg._replace(cases=0), fixture_signature(cfg))
+        result = suites.suite_member_respects_subtyping(
+            cfg, fixture_signature(cfg))
+        assert result.failures[:len(scope.failures)] == scope.failures
+        return (result.cases, scope.failures,
+                result.failures[len(scope.failures):])
+
     def test_judged_by_values_not_by_member(self, monkeypatch):
         # a drawn pair that is no subtype pair, which ``subtype`` accepts
         # and so does a ``member`` that reads the same broken tables, is
@@ -157,23 +180,22 @@ class TestMemberRespectsSubtyping:
                             lambda rng, sig, t: Or(t, BOOL))
         monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: True)
         monkeypatch.setattr(suites, "member", lambda sig, v, t: True)
-        cfg = GenConfig(cases=5, seed=1)
-        result = suites.suite_member_respects_subtyping(
-            cfg, fixture_signature(cfg))
-        assert result.cases == 5 and len(result.failures) == 5
+        cases, scope, random = self.drawn(GenConfig(cases=5, seed=1))
+        assert cases == 625 + 5 and len(random) == 5
         assert all(" is not a value of supertype " in f
-                   for f in result.failures)
+                   for f in scope + random)
 
     def test_sees_a_wrong_yes_on_pairs_drawn_apart(self, monkeypatch):
         # with the real draws, a ``subtype`` that says "yes" to every pair
         # is refuted on pairs whose left type is drawn apart from the right
         monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: True)
-        cfg = GenConfig(cases=10, seed=1)
-        result = suites.suite_member_respects_subtyping(
-            cfg, fixture_signature(cfg))
-        assert result.cases == 10 and len(result.failures) >= 3
+        cases, scope, random = self.drawn(GenConfig(cases=10, seed=1))
+        assert cases == 625 + 10 and len(random) >= 3
         assert all(" is not a value of supertype " in f
-                   for f in result.failures)
+                   for f in scope + random)
+        # the scope's first failure is its first pair that is no subtype
+        # pair: () against bool
+        assert scope[0] == "value () of () is not a value of supertype bool"
 
 
 class TestDrawsAreNotApprovedByTheCodeUnderTest:
@@ -373,29 +395,50 @@ class TestSoundnessReports:
         assert result.failures == failures
 
 
-class TestShrinking:
-    def test_shrinks_non_subtype_pair_to_local_minimum(self):
-        big = (parse_type("(a[],a[])|b[]"), parse_type("a[]|b[]"))
-        def fails(p):
-            return not subtype(EMPTY_SIGNATURE, p[0], p[1])
-        small = shrink_type_pair(big, fails)
-        assert fails(small)
-        # local minimality: no one-step-smaller pair still fails
-        def candidates(p):
-            t1, t2 = p
-            for c in shrink_type(t1):
-                yield (c, t2)
-            for c in shrink_type(t2):
-                yield (t1, c)
-        assert not any(fails(c) for c in candidates(small))
+class TestSmallScope:
+    """Three suites check every type of AST size 3 or less, or every pair
+    of types of size 2 or less, before their draws, smallest first."""
 
-    def test_greedy_shrink_respects_predicate(self):
-        t = parse_type("a[b[]|c[]]*")
-        def fails(candidate):
-            return not isinstance(candidate, type(EMPTY))
-        result = greedy_shrink(t, fails, shrink_type)
-        assert fails(result)
-        assert not any(fails(c) for c in shrink_type(result))
+    CFG = GenConfig()
+
+    def test_first_failure_is_the_smallest(self, monkeypatch):
+        # a ``subtype`` that refuses every left type holding a star fails
+        # reflexivity first at the smallest such type
+        real = suites.subtype
+        monkeypatch.setattr(suites, "subtype", lambda sig, t1, t2: (
+            not any(isinstance(n, Star) for n in nodes(t1))
+            and real(sig, t1, t2)))
+        result = suites.suite_subtype_reflexive(
+            self.CFG, fixture_signature(self.CFG))
+        assert result.failures[0] == "()* not <: itself"
+
+    def test_uninhabited_variable_is_the_first_failure(self):
+        # run without the CLI, whose boundary check rejects the signature
+        vacuous = Signature({"X": Element("cons", Var("X"))})
+        report = run_suites(GenConfig(cases=5), vacuous)
+        inhabited = {r.name: r for r in report.results}[
+            "types-inhabited-at-small-bounds"]
+        assert inhabited.failures[0] == "no inhabitant found for X"
+
+    def test_scope_is_pinned(self):
+        # the scope ``fluxq oracle`` builds: (), bool, string, List and
+        # Tree, then elements and stars over them, then the rest of size 3
+        sig = fixture_signature(self.CFG)
+        texts = [type_str(t) for t in small_types(self.CFG, sig, SCOPE_SIZE)]
+        assert texts[:6] == ["()", "bool", "string", "List", "Tree", "a[]"]
+        assert len(texts) == 155
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "96379b18baa0594d5b7eb4e5ad8751cf855647fdef4823ffe94a32227a17eaac")
+        pairs = small_types(self.CFG, sig, PAIR_SCOPE_SIZE)
+        assert [type_str(t) for t in pairs] == texts[:25]
+
+    def test_scope_is_capped(self):
+        # many declarations: the scope keeps the first types in order
+        sig = Signature({f"X{i}": Element("a", EMPTY) for i in range(50)})
+        types = small_types(self.CFG, sig, SCOPE_SIZE)
+        assert len(types) == suites.SCOPE_CAP
+        assert types[3:53] == [Var(f"X{i}") for i in range(50)]
+        assert len(small_types(self.CFG, sig, PAIR_SCOPE_SIZE, 31)) == 31
 
 
 class TestCommutationCase:
