@@ -6,20 +6,21 @@ of two types), ``eval`` (run a query program), ``run-update`` (apply an
 update program to a value of its declared input type), and ``oracle`` (run
 the bounded property suites).  Exit codes: 0 success; 1 a check or suite
 failure; 2 a usage error, an unreadable file, a closed stdout, a parse error,
-or a type, program or recursive evaluation nested past Python's recursion
-limit (``limit/depth``).  Values of any depth are processed.
+a type, program or recursive evaluation nested past Python's recursion
+limit (``limit/depth``), or a run out of memory (``limit/memory``).  Values
+of any depth are processed.
 
 Importing the module loads what ``check``, ``type`` and ``subtype`` run,
-ten modules of the package; the evaluator (``eval``, ``run-update``) and
-the random suites with their bounded enumeration (``oracle``) are
-imported by their commands.
+ten modules of the package, and neither ``json`` nor ``typing``: ``json``
+is imported where ``--json`` output is printed.  The evaluator (``eval``,
+``run-update``) and the random suites with their bounded enumeration
+(``oracle``, which alone loads ``typing``) are imported by their commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -107,6 +108,7 @@ def _report(program_type: str | None, diagnostics: list[Diagnostic],
             as_json: bool) -> int:
     ok = not diagnostics
     if as_json:
+        import json
         print(json.dumps({"status": "ok" if ok else "error",
                           "type": program_type if ok else None,
                           "diagnostics": [_diagnostic_json(d)
@@ -121,8 +123,11 @@ def _report(program_type: str | None, diagnostics: list[Diagnostic],
 
 
 def _print_value(value, as_json: bool) -> int:
-    print(json.dumps({"value": value_str(value)}) if as_json
-          else value_str(value))
+    if as_json:
+        import json
+        print(json.dumps({"value": value_str(value)}))
+    else:
+        print(value_str(value))
     return 0
 
 
@@ -178,6 +183,7 @@ def cmd_subtype(args) -> int:
     check_type_declared(sig, t2)
     result = subtype(sig, t1, t2)
     if args.json:
+        import json
         print(json.dumps({"left": type_str(t1), "right": type_str(t2),
                           "subtype": result}))
     else:
@@ -214,8 +220,11 @@ def cmd_oracle(args) -> int:
         prog, sig = _load(args)
         cfg = cfg._replace(labels=_labels_in(sig, prog))
     report = run_suites(cfg, sig or None)
-    print(json.dumps(report.to_json(), indent=2) if args.json
-          else report.summary())
+    if args.json:
+        import json
+        print(json.dumps(report.to_json(), indent=2))
+    else:
+        print(report.summary())
     return 0 if report.ok else 1
 
 
@@ -326,6 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested or sequenced too deeply to process "
               "(limit/depth)", file=sys.stderr)
+        return 2
+    except MemoryError:  # a constant line: formatting it allocates little
+        print("error: out of memory processing the input (limit/memory)",
+              file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,8 @@
 record that is not a tree node; the parsed text, which resolves a parsed
 node's offsets to a span when the span is read, so lines and columns are
 looked up only for what is reported; and the exceptions the package
-raises.
+raises.  Every such record is a plain ``collections.namedtuple``, so
+``import fluxq.cli`` loads no ``typing``.
 
 Every parsed node but a type has a span; the checkers read it only when
 they make a diagnostic from it, so a passing ``check`` builds no newline
@@ -13,17 +14,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import NamedTuple
+from collections import namedtuple
 
-
-class _SpanFields(NamedTuple):
-    file: str
-    begin: int
-    end: int
-    begin_line: int
-    begin_col: int
-    end_line: int
-    end_col: int
+_SpanFields = namedtuple("_SpanFields", ("file", "begin", "end", "begin_line",
+                                         "begin_col", "end_line", "end_col"))
 
 
 class SourceSpan(_SpanFields):
@@ -61,18 +55,22 @@ class SourceText:
                           *self.line_col(end))
 
 
-class Diagnostic(NamedTuple):
-    """An error: fluxq reports no other kind of diagnostic."""
+Diagnostic = namedtuple("Diagnostic", ("message", "rule", "span"),
+                        defaults=(None,))
+Diagnostic.__doc__ = """An error: fluxq reports no other kind of diagnostic.
+Its ``message`` and ``rule`` (which judgment or rule rejected the
+construct) are strings, and its ``span`` a ``SourceSpan`` or None."""
 
-    message: str
-    rule: str  # which judgment or rule rejected the construct
-    span: SourceSpan | None = None
 
-    def render(self) -> str:
-        loc = ""
-        if self.span:
-            loc = f"{self.span.file}:{self.span.begin_line}:{self.span.begin_col}: "
-        return f"{loc}error: {self.message} [{self.rule}]"
+def _render(self) -> str:
+    """``Diagnostic.render``: the one line ``check`` prints for it."""
+    loc = ""
+    if self.span:
+        loc = f"{self.span.file}:{self.span.begin_line}:{self.span.begin_col}: "
+    return f"{loc}error: {self.message} [{self.rule}]"
+
+
+Diagnostic.render = _render
 
 
 class FluxqError(Exception):

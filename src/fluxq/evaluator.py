@@ -33,7 +33,8 @@ typechecker bug.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, NoReturn
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 
 from .diagnostics import EvalError, RecursionLimitExceeded
 from .printer import value_str
@@ -50,13 +51,12 @@ ValueEnv = Mapping[str, Forest]
 DEFAULT_RECURSION_LIMIT = 256
 
 
-class Runtime(NamedTuple):
-    """A program's declarations, whose bodies calls run, and the limit on
-    the depth of nested calls.  A call runs only a declared body: there
-    are no builtins."""
-
-    decls: GlobalDecls = EMPTY_DECLS
-    recursion_limit: int = DEFAULT_RECURSION_LIMIT
+Runtime = namedtuple("Runtime", ("decls", "recursion_limit"),
+                     defaults=(EMPTY_DECLS, DEFAULT_RECURSION_LIMIT))
+Runtime.__doc__ = """A program's declarations (``decls``, a ``GlobalDecls``),
+whose bodies calls run, and the limit on the depth of nested calls
+(``recursion_limit``).  A call runs only a declared body: there are no
+builtins."""
 
 
 def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
@@ -70,11 +70,11 @@ def runtime_for_query_program(prog: QueryProgram | UpdateProgram, *,
 runtime_for_update_program = runtime_for_query_program
 
 
-def _fail(message: str) -> NoReturn:
+def _fail(message: str):
     raise EvalError(message)
 
 
-def _too_deep(limit: int, name: str) -> NoReturn:
+def _too_deep(limit: int, name: str):
     raise RecursionLimitExceeded(
         f"recursion limit {limit} exceeded calling {name}")
 

@@ -11,7 +11,7 @@ tests can compare them structurally.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .diagnostics import Diagnostic, SourceSpan, TypeCheckFailure
 from .printer import type_str

@@ -577,16 +577,19 @@ def _first(values: Iterable[Forest]) -> Forest | None:
 
 def oracle_agreement(cfg: GenConfig, sig: Signature) -> SuiteResult:
     """Exhaustive, over all type pairs up to AST size 4 on the first two
-    labels, then over two worked pairs against a right side whose two
+    labels, then over three worked pairs against a right side whose two
     same-label alternatives cross in content and continuation (no type of
-    size 4 has two such alternatives): every "yes" of the subtype decision is an inclusion
-    of the values enumerated within ``cfg``'s depth and width bounds,
-    exact within them, and every "no" is certified at any bound by
-    ``refute``'s witness, a member of the left type and not of the
-    right."""
+    size 4 has two such alternatives): two refusals, and one inclusion
+    that no single alternative gives, so a decision that refuses every
+    head with two or more candidates fails it.  Every "yes" of the subtype
+    decision is an inclusion of the values enumerated within ``cfg``'s
+    depth and width bounds, exact within them, and every "no" is
+    certified at any bound by ``refute``'s witness, a member of the left
+    type and not of the right."""
     corpus = types_upto(4, cfg.labels[:2])
     crossing = parse_type("a[b[]],d[] | a[c[]],e[]")
-    worked = [(parse_type(t), crossing) for t in ("a[b[]],e[]", "a[c[]],d[]")]
+    worked = [(parse_type(t), crossing)
+              for t in ("a[b[]],e[]", "a[c[]],d[]", "a[b[]],(d[]|d[])")]
     values = {t: values_upto(sig, t, cfg.depth, cfg.width)
               for t in chain(corpus, *worked)}
 

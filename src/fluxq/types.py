@@ -26,7 +26,8 @@ and the hash are identity's; a type has no span.  Every other node
 structural ``Struct``, whose equality, hash and ``repr`` come from its
 fields; its span is not a field, so golden tests and round-trips compare
 pure structure, and a parsed node's span is resolved only when read.
-Every other record, such as ``GlobalDecls``, is a ``NamedTuple``.
+Every other record, such as ``GlobalDecls``, is a ``collections``
+named tuple.
 
 The query and update syntax lives here too, with ``program_decls``, so the
 parser, the interpreter and the printers load no typechecker.
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import builtins
 import weakref
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import partial
 from itertools import count
 from operator import attrgetter
 from types import FunctionType, MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .diagnostics import Diagnostic, SourceSpan, UndeclaredVariable
 
@@ -425,17 +427,14 @@ Step = tuple[tuple[tuple[frozenset[Type], Type], ...], frozenset[Type],
              frozenset[Type]]
 
 
-class Declared(NamedTuple):
-    """What the parser read of a ``type X = t`` declaration, which
-    ``check_signature`` reports at: the declaration's span, every variable
-    use written in ``t`` with its span, in written order, and the uses at
-    the top level (outside element content), those of a ``t+`` repeated as
-    its ``t, t*`` repeats them, each span recorded as a node records it
-    (resolved in a copy of its ``Signature``)."""
-
-    span: tuple
-    uses: tuple[tuple[str, tuple], ...]
-    top: tuple[tuple[str, tuple], ...]
+Declared = namedtuple("Declared", ("span", "uses", "top"))
+Declared.__doc__ = """What the parser read of a ``type X = t`` declaration,
+which ``check_signature`` reports at: the declaration's ``span``, every
+variable use written in ``t`` with its span, in written order (``uses``,
+``(name, span)`` pairs), and the uses at the top level (``top``, outside
+element content), those of a ``t+`` repeated as its ``t, t*`` repeats
+them, each span recorded as a node records it (resolved in a copy of its
+``Signature``)."""
 
 
 class Signature:
@@ -851,7 +850,7 @@ class ForestBinding(Struct):
     __slots__ = ("type",)
 
 
-Binding = Union[TreeBinding, ForestBinding]
+Binding = TreeBinding | ForestBinding
 
 # Ordered map from variable name to binding; extended functionally.
 TypeEnv = Mapping[str, Binding]
@@ -1006,14 +1005,13 @@ class UpdateProgram(Struct):
     __slots__ = ("functions", "procedures", "main", "input", "output")
 
 
-class GlobalDecls(NamedTuple):
-    """A program's ``FunctionDecl`` and ``ProcedureDecl`` nodes by name, in
-    separate namespaces, as ``program_decls`` resolves them.  The checker
-    types calls against their headers; the interpreter runs their
-    bodies."""
-
-    functions: Mapping[str, FunctionDecl] = MappingProxyType({})
-    procedures: Mapping[str, ProcedureDecl] = MappingProxyType({})
+GlobalDecls = namedtuple("GlobalDecls", ("functions", "procedures"),
+                         defaults=(MappingProxyType({}), MappingProxyType({})))
+GlobalDecls.__doc__ = """A program's ``FunctionDecl`` and ``ProcedureDecl``
+nodes by name, in separate namespaces (``functions`` and ``procedures``,
+each a mapping, empty by default), as ``program_decls`` resolves them.
+The checker types calls against their headers; the interpreter runs their
+bodies."""
 
 
 EMPTY_DECLS = GlobalDecls()

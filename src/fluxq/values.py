@@ -33,7 +33,7 @@ of each, and ``subtyping.refute`` builds its counterexamples from them.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .types import (
     BoolAtom, Element, Or, Seq, Signature, Step, StringAtom, Struct, Type,
@@ -84,7 +84,7 @@ class Node(Struct):
         return f"Node(label={self.label!r}, children={self.children!r})"
 
 
-Tree = Union[BoolVal, StrVal, Node]
+Tree = BoolVal | StrVal | Node
 Forest = tuple[Tree, ...]
 
 TRUE = BoolVal(True)

@@ -659,7 +659,7 @@ class TestOracle:
             "name", "cases", "failures", "skipped"]
         # the exhaustive suite counts its pairs, not the case count
         assert {s["name"]: s["cases"] for s in report["suites"]}[
-            "subtype-agrees-with-oracle"] == 3602
+            "subtype-agrees-with-oracle"] == 3603
         # each suite's random stream is seeded from its name
         assert [s["name"] for s in report["suites"]] == [
             "member-respects-subtyping", "atoms-compatible-under-subtyping",
@@ -924,6 +924,21 @@ class TestClosedStdout:
             err = child.stderr.read().decode()
         assert child.returncode == 2
         assert err == ""
+
+
+class TestOutOfMemory:
+    """A run that runs out of memory ends with exit 2 and one constant
+    ``limit/memory`` line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_memory_error_exits_two(self, monkeypatch, capsys, flags):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("fluxq.cli.check_program", exhausted)
+        assert main([*flags, "check", LEAVES]) == 2
+        assert capsys.readouterr() == (
+            "", "error: out of memory processing the input (limit/memory)\n")
 
 
 class TestUsage:

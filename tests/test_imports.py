@@ -1,12 +1,13 @@
 """What a cold ``fluxq`` process imports.  ``import fluxq.cli`` loads the
-modules that ``check`` runs and no others, compiles no source, and
-``fluxq`` resolves its public names on first access.  Each probe runs in a
-fresh ``python -S`` interpreter, so no site hook preloads a module.  No
-module of the package takes a private name from another, but for the
-checker helpers that ``updates`` shares with ``queries``."""
+modules that ``check`` runs and no others, neither ``json`` nor
+``typing`` among them, compiles no source, and ``fluxq`` resolves its
+public names on first access.  Each probe runs in a fresh ``python -S``
+interpreter, so no site hook preloads a module, and prints what it found
+as a Python literal, so the probe itself loads nothing.  No module of the
+package takes a private name from another, but for the checker helpers
+that ``updates`` shares with ``queries``."""
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ CHECK_ARGS = {"leaves.muxq": [], "children.muxq": ["--tree", "x=a[b[]*,c[]?]"],
               "insert_after.flux": [], "leafupd.flux": []}
 # what ``check`` does not run
 UNUSED = ("fluxq.suites", "fluxq.evaluator", "fluxq.enumeration", "random")
+# what only ``--json`` output and the ``oracle`` suites use
+LATE = ("json", "typing")
 # the package's modules that ``import fluxq.cli`` loads
 CHECK_MODULES = ["fluxq", "fluxq.cli", "fluxq.diagnostics", "fluxq.parser",
                  "fluxq.printer", "fluxq.queries", "fluxq.subtyping",
@@ -64,22 +67,33 @@ EXPORTS = """
 
 
 def probe(script: str, *args: str):
-    """The JSON that ``script`` prints, run by ``python -S`` with ``src``
-    first on ``sys.path``."""
+    """The literal that ``script`` prints last, run by ``python -S`` with
+    ``src`` first on ``sys.path``."""
     run = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{script}",
          *args], capture_output=True, text=True, timeout=60, cwd=ROOT)
     assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
+    return ast.literal_eval(run.stdout.splitlines()[-1])
+
+
+def modules_after(module: str) -> list[str]:
+    """Every module loaded after a fresh ``import module``, sorted."""
+    return probe(f"import {module}\nprint(repr(sorted(sys.modules)))")
 
 
 def test_cli_import_leaves_out_what_check_does_not_run():
-    loaded = probe("import json\nimport fluxq.cli\n"
-                   "print(json.dumps(sorted(sys.modules)))")
+    loaded = modules_after("fluxq.cli")
     assert not set(UNUSED) & set(loaded), sorted(set(UNUSED) & set(loaded))
     # ``check_signature`` finds inhabitants in ``values``, not ``enumeration``
     assert [m for m in loaded if m.split(".")[0] == "fluxq"] == CHECK_MODULES
+
+
+@pytest.mark.parametrize("module", ["fluxq.cli", "fluxq.evaluator"])
+def test_import_loads_neither_json_nor_typing(module):
+    loaded = modules_after(module)
+    assert module in loaded
+    assert not set(LATE) & set(loaded), sorted(set(LATE) & set(loaded))
 
 
 def test_cli_runs_as_a_module_without_site():
@@ -93,9 +107,7 @@ def test_cli_runs_as_a_module_without_site():
 
 def loaded_by(module: str) -> list[str]:
     """The ``fluxq`` modules a fresh ``import module`` loads, sorted."""
-    loaded = probe(f"import json\nimport {module}\n"
-                   "print(json.dumps(sorted(sys.modules)))")
-    return [m for m in loaded if m.split(".")[0] == "fluxq"]
+    return [m for m in modules_after(module) if m.split(".")[0] == "fluxq"]
 
 
 def test_parser_loads_only_the_syntax():
@@ -115,33 +127,49 @@ def test_parser_interpreter_and_unparser_load_no_checker(module):
 
 
 def test_enumeration_does_not_load_subtyping():
-    loaded = probe("import json\nimport fluxq.enumeration\n"
-                   "print(json.dumps(sorted(sys.modules)))")
+    loaded = modules_after("fluxq.enumeration")
     assert "fluxq.enumeration" in loaded
     assert "fluxq.subtyping" not in loaded
 
 
-@pytest.mark.parametrize("sample", sorted(CHECK_ARGS))
-def test_check_loads_no_module_after_the_import(sample):
-    script = """\
-import contextlib, io, json
+# runs ``main`` on the arguments after the flags that ``sys.argv[1]``
+# lists, and prints its exit code, its output and the modules it loaded
+CHECK_SCRIPT = """\
+import contextlib, io
 import fluxq.cli
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = fluxq.cli.main(["--json", "check", *sys.argv[1:]])
-status = json.loads(out.getvalue())["status"]
-print(json.dumps([code, status, sorted(
-    m for m in set(sys.modules) - before if m.split(".")[0] == "fluxq")]))
+    code = fluxq.cli.main([*sys.argv[1].split(), "check", *sys.argv[2:]])
+print(repr([code, out.getvalue(), sorted(set(sys.modules) - before)]))
 """
-    code, status, new = probe(script, str(SAMPLES / sample),
-                              *CHECK_ARGS[sample])
-    assert (code, status) == (0, "ok")
-    assert new == []
+
+
+def run_check(flags: str, sample: str) -> tuple[int, str, list[str]]:
+    """``check`` of ``sample`` after ``import fluxq.cli``, in a fresh
+    process: its exit code, its output and the modules it loaded."""
+    return probe(CHECK_SCRIPT, flags, str(SAMPLES / sample),
+                 *CHECK_ARGS[sample])
+
+
+@pytest.mark.parametrize("sample", sorted(CHECK_ARGS))
+def test_check_loads_no_module_after_the_import(sample):
+    code, out, new = run_check("", sample)
+    assert code == 0 and out.endswith("\n"), out
+    assert not set(LATE) & set(new), sorted(set(LATE) & set(new))
+    assert [m for m in new if m.split(".")[0] == "fluxq"] == []
+
+
+@pytest.mark.parametrize("sample", sorted(CHECK_ARGS))
+def test_json_check_loads_json_and_no_other_fluxq_module(sample):
+    code, out, new = run_check("--json", sample)
+    assert code == 0 and '"status": "ok"' in out, out
+    assert "json" in new and "typing" not in new
+    assert [m for m in new if m.split(".")[0] == "fluxq"] == []
 
 
 def test_cli_import_compiles_nothing_in_fluxq():
     script = """\
-import builtins, json
+import builtins
 calls = []
 
 def watch(name):
@@ -157,14 +185,13 @@ def watch(name):
 for name in ("compile", "exec", "eval"):
     watch(name)
 import fluxq.cli
-print(json.dumps(calls))
+print(repr(calls))
 """
     assert probe(script) == []
 
 
 def test_every_public_name_resolves_lazily():
     script = f"""\
-import json
 import fluxq
 first = sorted(n for n in vars(fluxq) if not n.startswith("_"))
 names = {EXPORTS!r}
@@ -174,7 +201,7 @@ for name in names:
         exec(f"from fluxq import {{name}}")
     except ImportError:
         missing.append(name)
-print(json.dumps([first, missing, sorted(set(names) - set(dir(fluxq)))]))
+print(repr([first, missing, sorted(set(names) - set(dir(fluxq)))]))
 """
     first, missing, undirected = probe(script)
     # only the module's own names are there before the first access
