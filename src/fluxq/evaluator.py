@@ -20,6 +20,26 @@ own variable, runs as one comprehension over the children of each tree of
 ``e``, with no environment: the variable holds one tree, and an atom has no
 children.
 
+A body sees only its parameters (and a procedure its focus), so the
+callee, the argument forests and the focus fix a call's result.  Each
+callee has one call memo per evaluation, kept in ``bodies`` beside its
+compiled body, so all its call sites share it.  The memo's key is the
+identity of each argument forest's single tree, or of the forest itself
+when its length is not 1, and likewise of a procedure's focus.  So each
+shared subtree of the input (see ``values``) is evaluated once, and the
+one result it gives is shared in the output too, where ``member``'s memo
+decides it once.  An entry holds the call depth it was made at, and its
+argument and focus forests, so that no object it is keyed on is freed,
+and its id reused, while the evaluation runs.  Only a call that returned
+is stored, and its entry answers only at that depth or a shallower one,
+where the call would return the same again: so the call-depth limit and
+every ``EvalError`` fire exactly where they would without the memo.  The
+lookup is inline in the call's closure and adds no frame; a hit runs no
+frames at all, so Python's own recursion limit can be reached later than
+without it, never sooner.  ``eval_query`` and ``apply_update`` empty the
+memos when they return, since a recursive callee's closures hold its memo
+in a reference cycle, which only the cyclic collector would free.
+
 A ``?`` test of a label or an atom kind compiles to one comparison of
 the tree's ``label``, and ``*`` to ``passes``.  ``children[iter[s]]``
 compiles to one closure that maps ``s`` over the element's children, so a
@@ -89,17 +109,19 @@ def _closed(value: Forest) -> Callable:
 
 
 class _Compiler(tuple):
-    """One evaluation's runtime and compiled bodies, by kind and name.  A
-    method named after a node class compiles it to a closure taking ``(env,
-    depth)`` and a statement's focus; ``depth`` counts the calls running.
-    A ``Concat`` or ``SeqStmt`` compiles each of its items.  A ``For``
-    whose body is ``Children(v)`` or ``LabelFilter(Children(v), n)`` of its
-    own variable ``v`` compiles to one comprehension, not a loop over the
-    body.  A ``Test`` of a label compares it, and a ``Nav`` ``children``
-    whose body is a ``Nav`` ``iter`` compiles to one closure, not two.
-    A ``Call`` resolves its callee and arity here and keeps the body
-    it finds on its first call; a closed constructor compiles to
-    ``_closed`` of its value."""
+    """One evaluation's runtime and compiled bodies with their call
+    memos, by kind and name.  A method named after a node class compiles
+    it to a closure taking ``(env, depth)`` and a statement's focus;
+    ``depth`` counts the calls running.  A ``Concat`` or ``SeqStmt``
+    compiles each of its items.  A ``For`` whose body is ``Children(v)``
+    or ``LabelFilter(Children(v), n)`` of its own variable ``v`` compiles
+    to one comprehension, not a loop over the body.  A ``Test`` of a label
+    compares it, and a ``Nav`` ``children`` whose body is a ``Nav``
+    ``iter`` compiles to one closure, not two.  A ``Call`` resolves its
+    callee and arity here, and on its first call takes the body and call
+    memo ``bodies[(kind, name)]``; a memo entry, under the tuple of the
+    key's ids, is the caller's depth, the result and the forests keyed
+    on.  A closed constructor compiles to ``_closed`` of its value."""
 
     __slots__ = ()
 
@@ -139,33 +161,41 @@ class _Compiler(tuple):
                 _fail(f"{name} expects {len(decl.params)} argument(s), got "
                       f"{len(args)}")
             return fail
-        key, body = (kind, name), None
+        key, body, memo = (kind, name), None, None
         binds = [(param, arg) for (param, _), arg in zip(decl.params, args)]
 
-        def compiled():  # on this call site's first call
-            nonlocal body
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = self.compile(decl.body)
-            return body
+        def compiled():  # on this call site's first call; returns the memo
+            nonlocal body, memo
+            if key not in bodies:
+                bodies[key] = self.compile(decl.body), {}
+            body, memo = bodies[key]
+            return memo
 
         if kind == "function":
             def call(env, depth):  # the arguments go straight into ``inner``
-                inner = {}
+                inner, ids = {}, ()
                 for param, arg in binds:
-                    inner[param] = arg(env, depth)
+                    a = inner[param] = arg(env, depth)
+                    ids += id(a[0]) if len(a) == 1 else id(a),
                 if depth + 1 > limit:
                     _too_deep(limit, name)
-                return (body or compiled())(inner, depth + 1)
+                hit = (memo if body else compiled()).get(ids)
+                if hit is None or hit[0] < depth:  # ``inner`` keeps the keys
+                    hit = memo[ids] = depth, body(inner, depth + 1), inner
+                return hit[1]
             return call
 
         def run(env, depth, v):  # a procedure's: the focus is passed on
-            inner = {}
+            inner, ids = {}, (id(v[0]) if len(v) == 1 else id(v),)
             for param, arg in binds:
-                inner[param] = arg(env, depth)
+                a = inner[param] = arg(env, depth)
+                ids += id(a[0]) if len(a) == 1 else id(a),
             if depth + 1 > limit:
                 _too_deep(limit, name)
-            return (body or compiled())(inner, depth + 1, v)
+            hit = (memo if body else compiled()).get(ids)
+            if hit is None or hit[0] < depth:
+                hit = memo[ids] = depth, body(inner, depth + 1, v), inner, v
+            return hit[1]
         return run
 
     def StrLit(self, node):  # and BoolLit
@@ -322,9 +352,19 @@ _RULES = {cls: getattr(_Compiler, cls.__name__)
 
 def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr) -> Forest:
     """Evaluate ``e`` to a forest under ``env``."""
-    return _Compiler((rt, {})).compile(e)(env, 0)
+    bodies = {}
+    try:
+        return _Compiler((rt, bodies)).compile(e)(env, 0)
+    finally:  # a recursive callee's closures hold its memo in a cycle
+        for _, memo in bodies.values():
+            memo.clear()
 
 
 def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt) -> Forest:
     """Apply ``s`` to the focused value ``v`` and return the updated value."""
-    return _Compiler((rt, {})).compile(s)(env, 0, v)
+    bodies = {}
+    try:
+        return _Compiler((rt, bodies)).compile(s)(env, 0, v)
+    finally:  # as in ``eval_query``
+        for _, memo in bodies.values():
+            memo.clear()

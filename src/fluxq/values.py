@@ -6,8 +6,11 @@ writes its fields and its unset hash, and no span.  Trees are immutable,
 so they may be shared: a forest from ``parse_value`` holds one node per
 distinct empty or text-only element (``n[]`` or ``n["w"]``) in its text,
 and one per repeated subtree (see ``parser``).  Nothing may depend on a
-tree's identity, beyond ``member``'s memo keyed by the identity of child
-tuples, which therefore decides a repeated parsed subtree once.
+tree's identity, beyond two memos: ``member``'s, keyed by the identity of
+child tuples, which therefore decides a repeated parsed subtree once, and
+the evaluator's call memo, keyed by the identity of argument and focus
+trees, which runs a call on a repeated subtree once and shares its result
+in the output (see ``evaluator``).
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives

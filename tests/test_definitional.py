@@ -27,7 +27,6 @@ from fluxq.suites import QUERY, UPDATE, _conforming_envs
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 RT = Runtime()
 TREE = parse_type("Tree")
-CALL_LIMIT = RT.recursion_limit
 
 
 class Stuck(Exception):
@@ -55,27 +54,28 @@ def element(v):
     return tree
 
 
-def call(decls, depth, e, env):
+def call(decls, calls, e, env):
     """The declaration ``e`` calls and its parameters bound to the
-    arguments, each evaluated in the caller's ``env``."""
+    arguments, each evaluated in the caller's ``env``; ``calls`` counts
+    the nested calls still allowed, the call limit at the top."""
     table = decls["functions" if type(e) is Call else "procedures"]
-    args = [evaluate(decls, depth, a, env) for a in e.args]
+    args = [evaluate(decls, calls, a, env) for a in e.args]
     d = table.get(e.name)
-    if d is None or depth + 1 > CALL_LIMIT or len(d.params) != len(args):
+    if d is None or calls < 1 or len(d.params) != len(args):
         raise Stuck
     return d, {name: a for (name, _), a in zip(d.params, args)}
 
 
-def evaluate(decls, depth, e, env):
+def evaluate(decls, calls, e, env):
     """The forest ``e`` denotes under ``env``."""
     kind = type(e)
     if kind is EmptySeq:
         return ()
     if kind is Concat:
         return tuple(t for item in e.items
-                     for t in evaluate(decls, depth, item, env))
+                     for t in evaluate(decls, calls, item, env))
     if kind is Elem:
-        return (Node(e.label, evaluate(decls, depth, e.content, env)),)
+        return (Node(e.label, evaluate(decls, calls, e.content, env)),)
     if kind is StrLit:
         return (StrVal(e.value),)
     if kind is BoolLit:
@@ -85,31 +85,31 @@ def evaluate(decls, depth, e, env):
             raise Stuck
         return env[e.name]
     if kind is Let:
-        bound = evaluate(decls, depth, e.bound, env)
-        return evaluate(decls, depth, e.body, {**env, e.var: bound})
+        bound = evaluate(decls, calls, e.bound, env)
+        return evaluate(decls, calls, e.body, {**env, e.var: bound})
     if kind is If:
-        return evaluate(decls, depth, choose(decls, depth, e, env), env)
+        return evaluate(decls, calls, choose(decls, calls, e, env), env)
     if kind is Children:  # ``$x/child``: the children of one tree
         if e.var not in env:
             raise Stuck
         tree = single(env[e.var])
         return tree.children if isinstance(tree, Node) else ()
     if kind is LabelFilter:  # ``e::n``
-        return tuple(t for t in evaluate(decls, depth, e.source, env)
+        return tuple(t for t in evaluate(decls, calls, e.source, env)
                      if isinstance(t, Node) and t.label == e.label)
     if kind is For:
-        return tuple(t for tree in evaluate(decls, depth, e.source, env)
-                     for t in evaluate(decls, depth, e.body,
+        return tuple(t for tree in evaluate(decls, calls, e.source, env)
+                     for t in evaluate(decls, calls, e.body,
                                        {**env, e.var: (tree,)}))
     if kind is Call:
-        d, inner = call(decls, depth, e, env)
-        return evaluate(decls, depth + 1, d.body, inner)
+        d, inner = call(decls, calls, e, env)
+        return evaluate(decls, calls - 1, d.body, inner)
     raise AssertionError(f"no rule for {kind.__name__}")
 
 
-def choose(decls, depth, e, env):
+def choose(decls, calls, e, env):
     """The branch of an ``if`` its condition, one boolean, selects."""
-    cond = single(evaluate(decls, depth, e.cond, env))
+    cond = single(evaluate(decls, calls, e.cond, env))
     if not isinstance(cond, BoolVal):
         raise Stuck
     return e.then if cond.value else e.els
@@ -124,48 +124,48 @@ def admits(test, tree):
     return isinstance(tree, Node) and test in ("*", tree.label)
 
 
-def update(decls, depth, s, env, v):
+def update(decls, calls, s, env, v):
     """The forest ``s`` makes of the focus ``v`` under ``env``."""
     kind = type(s)
     if kind is Skip:
         return v
     if kind is SeqStmt:
         for item in s.items:
-            v = update(decls, depth, item, env, v)
+            v = update(decls, calls, item, env, v)
         return v
     if kind is IfStmt:
-        return update(decls, depth, choose(decls, depth, s, env), env, v)
+        return update(decls, calls, choose(decls, calls, s, env), env, v)
     if kind is LetStmt:
-        bound = evaluate(decls, depth, s.bound, env)
-        return update(decls, depth, s.body, {**env, s.var: bound}, v)
+        bound = evaluate(decls, calls, s.bound, env)
+        return update(decls, calls, s.body, {**env, s.var: bound}, v)
     if kind is ProcCall:
-        d, inner = call(decls, depth, s, env)
-        return update(decls, depth + 1, d.body, inner, v)
+        d, inner = call(decls, calls, s, env)
+        return update(decls, calls - 1, d.body, inner, v)
     if kind is Insert:  # into an empty focus
         if v != ():
             raise Stuck
-        return evaluate(decls, depth, s.expr, env)
+        return evaluate(decls, calls, s.expr, env)
     if kind is Delete:
         return ()
     if kind is Rename:
         return (Node(s.label, element(v).children),)
     if kind is Snapshot:
-        return update(decls, depth, s.body, {**env, s.var: v}, v)
+        return update(decls, calls, s.body, {**env, s.var: v}, v)
     if kind is Guard:  # the identity unless the one tree passes
         if admits(s.test, single(v)):
-            return update(decls, depth, s.body, env, v)
+            return update(decls, calls, s.body, env, v)
         return v
     if kind is Nav and s.direction == "left":  # a forest before the focus
-        return update(decls, depth, s.body, env, ()) + v
+        return update(decls, calls, s.body, env, ()) + v
     if kind is Nav and s.direction == "right":
-        return v + update(decls, depth, s.body, env, ())
+        return v + update(decls, calls, s.body, env, ())
     if kind is Nav and s.direction == "children":
         tree = element(v)
         return (Node(tree.label,
-                     update(decls, depth, s.body, env, tree.children)),)
+                     update(decls, calls, s.body, env, tree.children)),)
     if kind is Nav and s.direction == "iter":
         return tuple(t for tree in v
-                     for t in update(decls, depth, s.body, env, (tree,)))
+                     for t in update(decls, calls, s.body, env, (tree,)))
     raise AssertionError(f"no rule for {kind.__name__}")
 
 
@@ -234,38 +234,53 @@ def rebinding_runs(forests):
             yield prog, [({"x": (t,)}, None) for f in forests for t in f]
 
 
-def sample_runs():
-    """Each sample's programs with inputs: conforming values of its input
-    type or free variables, and seeded ``Tree`` documents for the two
-    recursive samples, the query as ``leaves($x)``, built node by node and
-    read back from their text, with repeated subtrees shared; then the
-    ``REBINDING`` programs on those documents."""
+def twice(t):
+    """A tree holding ``t`` and, one call deeper, ``t`` again."""
+    return Node("tree", (Node("node", (
+        t, Node("tree", (Node("node", (t,)),)))),))
+
+
+def documents():
+    """Seeded ``Tree`` forests for the two recursive samples, built node
+    by node; then all but the first, and ``twice`` of each tree of the
+    second, read back from their text, with repeated subtrees shared."""
     rng = random.Random(7)
     trees = [random_tree(rng, size) for size in (1, 20, 60, 200) * 3]
-    forests = [tuple(trees[i:i + 3]) for i in range(0, len(trees), 3)]
-    forests += [shared(f) for f in forests[1:]]
-    trees = [t for f in forests for t in f]
+    built = [tuple(trees[i:i + 3]) for i in range(0, len(trees), 3)]
+    return built, [shared(f) for f in built[1:]] + [
+        shared(tuple(twice(t) for t in built[1]))]
+
+
+def recursive_runs(forests):
+    """``leafupd.flux`` on ``forests``, and the query of ``leaves.muxq`` as
+    ``leaves($x)`` on their trees."""
+    text = (SAMPLES / "leafupd.flux").read_text(encoding="utf-8")
+    yield parse_program(text)[0], [({}, f) for f in forests]
+    text = (SAMPLES / "leaves.muxq").read_text(encoding="utf-8").replace(
+        'leaves(tree[node[tree[leaf["u"]], tree[leaf["v"]]]])', "leaves($x)")
+    yield parse_program(text)[0], [({"x": (t,)}, None)
+                                   for f in forests for t in f]
+
+
+def sample_runs():
+    """Each sample's programs with inputs: conforming values of its input
+    type or free variables; then the two recursive samples and the
+    ``REBINDING`` programs on the seeded documents of ``documents``."""
     for name in ("insert_after.flux", "leafupd.flux", "leaves.muxq",
                  "children.muxq"):
         text = (SAMPLES / name).read_text(encoding="utf-8")
         prog, sig = parse_program(text, name)
         if name.endswith(".flux"):
-            runs = [({}, v) for _, v in _conforming_envs(
+            yield prog, [({}, v) for _, v in _conforming_envs(
                 sig, {}, prog.input, 3, 3)]
-            if name == "leafupd.flux":
-                runs += [({}, f) for f in forests]
-            yield prog, runs
-            continue
-        if name == "children.muxq":  # ``$x`` as its header binds it
+        elif name == "children.muxq":  # ``$x`` as its header binds it
             env = {"x": TreeBinding(parse_type("a[b[]*,c[]?]"))}
             yield prog, _conforming_envs(sig, env, None, 3, 3)
-            continue
-        yield prog, [({}, None)]
-        prog, _ = parse_program(text.replace(
-            'leaves(tree[node[tree[leaf["u"]], tree[leaf["v"]]]])',
-            "leaves($x)"), name)
-        yield prog, [({"x": (t,)}, None) for t in trees]
-    yield from rebinding_runs(forests)
+        else:
+            yield prog, [({}, None)]
+    built, shared_forests = documents()
+    yield from recursive_runs(built + shared_forests)
+    yield from rebinding_runs(built + shared_forests)
 
 
 def drawn_runs(lang):
@@ -279,22 +294,28 @@ def drawn_runs(lang):
         yield term, _conforming_envs(sig, env, t, cfg.depth, cfg.width)
 
 
+def decls_of(prog):
+    """The interpreter's declarations of ``prog``."""
+    return {"functions": first_of(prog.functions),
+            "procedures": first_of(getattr(prog, "procedures", ()))}
+
+
 def outcomes(rt, decls, term, venv, v):
-    """The evaluator's outcome and the interpreter's: of a query when
-    ``v`` is None, else of an update of the focus ``v``."""
+    """The evaluator's outcome and the interpreter's under the call limit
+    of ``rt``: of a query when ``v`` is None, else of an update of the
+    focus ``v``."""
+    calls = rt.recursion_limit
     if v is None:
         return (outcome(lambda: eval_query(rt, venv, term)),
-                outcome(lambda: evaluate(decls, 0, term, venv)))
+                outcome(lambda: evaluate(decls, calls, term, venv)))
     return (outcome(lambda: apply_update(rt, venv, v, term)),
-            outcome(lambda: update(decls, 0, term, venv, v)))
+            outcome(lambda: update(decls, calls, term, venv, v)))
 
 
 def test_evaluator_agrees_with_the_definitional_interpreter():
     runs = []
     for prog, inputs in sample_runs():
-        decls = {"functions": first_of(prog.functions),
-                 "procedures": first_of(getattr(prog, "procedures", ()))}
-        rt = runtime_for_update_program(prog)
+        rt, decls = runtime_for_update_program(prog), decls_of(prog)
         runs += [(rt, decls, prog.main, venv, v) for venv, v in inputs]
     no_decls = {"functions": {}, "procedures": {}}
     for lang in (QUERY, UPDATE):
@@ -305,3 +326,23 @@ def test_evaluator_agrees_with_the_definitional_interpreter():
         got, want = outcomes(*run)
         # every program is well typed and every input conforms
         assert got == want and want is not Stuck, run[2:]
+
+
+def test_outcomes_agree_under_small_call_limits():
+    # the shared documents hold repeated subtrees at different call depths
+    # (their trees take 1 to 7 nested calls), so the evaluator's call memo
+    # could answer a call that the limit refuses; at each limit some runs
+    # end stuck and some do not
+    _, forests = documents()
+    runs = list(recursive_runs(forests)) + [
+        (prog, inputs) for prog, inputs in rebinding_runs(forests)
+        if prog.functions]
+    for limit in (2, 3, 5, 6):
+        stuck = set()
+        for prog, inputs in runs:
+            rt = runtime_for_update_program(prog, recursion_limit=limit)
+            for venv, v in inputs:
+                got, want = outcomes(rt, decls_of(prog), prog.main, venv, v)
+                assert got == want, (limit, prog.main, venv, v)
+                stuck.add(want is Stuck)
+        assert stuck == {True, False}, limit

@@ -1,8 +1,10 @@
 """Reference interpreter: query evaluation, update application, and runtime
 error behavior."""
 
+import gc
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,11 @@ import pytest
 from fluxq import (
     EMPTY, Concat, Elem, EmptySeq, EvalError, FunctionDecl, GlobalDecls,
     Insert, Nav, Node, ProcedureDecl, RecursionLimitExceeded, Runtime,
-    SeqStmt, StrVal, apply_update, eval_query, parse_expr, parse_program,
-    parse_stmt, parse_value, runtime_for_query_program,
+    SeqStmt, StrVal, apply_update, eval_query, member, parse_expr,
+    parse_program, parse_stmt, parse_value, runtime_for_query_program,
     runtime_for_update_program,
 )
+from fluxq.cli import main
 from fluxq.evaluator import _Compiler
 from fluxq.printer import value_str
 
@@ -498,3 +501,88 @@ class TestDeterminism:
         env = {"x": parse_value("a[b[],c[]]")}
         e = "for $y in $x/child return ($y, b[])"
         assert run(e, env) == run(e, env)
+
+
+class TestCallMemo:
+    """A call whose argument forests, and a procedure's focus, hold the
+    trees of an earlier successful call of its callee, made at the same
+    call depth or deeper, returns that call's result (see the
+    ``evaluator`` docstring)."""
+
+    LEAFUPD = LEAVES.parent / "leafupd.flux"
+
+    def test_the_recursion_limit_is_exact(self, capsys):
+        # ``d`` holds ``t`` four calls deeper than the run of ``t`` itself,
+        # which needs two: an entry kept from depth 0 must not answer
+        # there, where the call below it exceeds limit 5
+        t = 'tree[node[tree[leaf["a"]]]]'
+        d = t
+        for _ in range(4):
+            d = f"tree[node[{d}]]"
+        args = ["run-update", str(self.LEAFUPD), "--input", f"{t},{d}"]
+        assert main(["--recursion-limit", "5"] + args) == 1
+        assert capsys.readouterr() == (
+            "", "error: recursion limit 5 exceeded calling leafupd\n")
+        assert main(["--recursion-limit", "6"] + args) == 0
+        assert capsys.readouterr().out == (
+            f"{t},{d}\n".replace('"a"', '"pruned"'))
+
+    def test_entries_keep_their_key_forests(self, tmp_path, capsys):
+        # each ``($z, $z)`` is a new forest of two trees, keyed by its own
+        # identity: its entry keeps it, so no later forest takes its id
+        f = tmp_path / "pair.muxq"
+        f.write_text(
+            "type Tree = tree[leaf[string] | node[Tree*]]\n"
+            "declare function pair($p : Tree*) : (leaf[string] | node[Tree*])*"
+            " { $p/* };\n"
+            "query for $z in $x/node/* return pair(($z, $z))"
+            " : (leaf[string] | node[Tree*])*\n")
+        x = ",".join(f'tree[leaf["{w}"]]' for w in "abcd")
+        assert main(["eval", str(f), "--env", f"x=tree[node[{x}]]"]) == 0
+        assert capsys.readouterr().out == ",".join(
+            f'leaf["{w}"],leaf["{w}"]' for w in "abcd") + "\n"
+
+    def test_entries_are_freed_on_return(self):
+        # a recursive callee's closures hold its memo in a reference cycle,
+        # so unless the memo is emptied on return, its entries keep the
+        # forests they are keyed on until the cyclic collector runs
+        leaves, _ = parse_program(LEAVES.read_text(encoding="utf-8").replace(
+            'leaves(tree[node[tree[leaf["u"]], tree[leaf["v"]]]])',
+            "leaves($x)"))
+        leafupd, _ = parse_program(self.LEAFUPD.read_text(encoding="utf-8"))
+        x = parse_value('tree[node[tree[leaf["u"]],tree[leaf["v"]]]]')
+        gc.disable()
+        try:
+            before = sys.getrefcount(x), sys.getrefcount(x[0])
+            eval_query(runtime_for_query_program(leaves), {"x": x},
+                       leaves.main)
+            apply_update(runtime_for_update_program(leafupd), {}, x,
+                         leafupd.main)
+            assert (sys.getrefcount(x), sys.getrefcount(x[0])) == before
+        finally:
+            gc.enable()
+
+    def test_shared_input_gives_shared_output(self):
+        prog, sig = parse_program(self.LEAFUPD.read_text(encoding="utf-8"))
+        [t] = parse_value('tree[node[tree[leaf["a"]],tree[leaf["b"]]]]')
+        out = apply_update(runtime_for_update_program(prog), {}, (t, t),
+                           prog.main)
+        assert out[0] is out[1]
+        assert value_str(out) == ",".join(
+            ['tree[node[tree[leaf["pruned"]],tree[leaf["pruned"]]]]'] * 2)
+        # so ``member``'s memo decides the second tree's content from the
+        # first's: the step rows are asked for ``node`` and ``leaf`` as
+        # often as for one tree
+        assert member(sig, out, prog.output)  # fills the step rows
+        reads = {"node": 0, "leaf": 0}
+
+        class Row(dict):
+            def get(self, label, default=None):
+                if label in reads:
+                    reads[label] += 1
+                return dict.get(self, label, default)
+
+        for state, (nullable, row) in list(sig._steps.items()):
+            sig._steps[state] = (nullable, Row(row))
+        assert member(sig, out, prog.output)
+        assert reads == {"node": 1, "leaf": 2}
