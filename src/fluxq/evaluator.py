@@ -25,20 +25,26 @@ callee, the argument forests and the focus fix a call's result.  Each
 callee has one call memo per evaluation, kept in ``bodies`` beside its
 compiled body, so all its call sites share it.  The memo's key is the
 identity of each argument forest's single tree, or of the forest itself
-when its length is not 1, and likewise of a procedure's focus.  So each
-shared subtree of the input (see ``values``) is evaluated once, and the
-one result it gives is shared in the output too, where ``member``'s memo
-decides it once.  An entry holds the call depth it was made at, and its
-argument and focus forests, so that no object it is keyed on is freed,
-and its id reused, while the evaluation runs.  Only a call that returned
-is stored, and its entry answers only at that depth or a shallower one,
-where the call would return the same again: so the call-depth limit and
+when its length is not 1, and likewise of a procedure's focus.  The
+first call on a key stores only a mark, the entry ``(-1,)``, and keeps
+no tree alive; the second stores its result.  So a call on a subtree
+that occurs once, the common case, pays a key, a lookup and a mark, and
+its result and arguments are freed as without the memo, while a shared
+subtree of the input (see ``values``) is evaluated at most twice, and
+its one stored result is shared in the output too, where ``member``'s
+memo decides it once.  An entry with a result holds the call depth it
+was made at, and its argument and focus forests, so that no object it is
+keyed on is freed, and its id reused, while the evaluation runs; a mark
+left by a freed key at worst makes a new tree with its id store its
+result.  Only a call that returned is stored, and its entry answers only
+at that depth or a shallower one, where the call would return the same
+again (a mark, at depth -1, answers none): so the call-depth limit and
 every ``EvalError`` fire exactly where they would without the memo.  The
 lookup is inline in the call's closure and adds no frame; a hit runs no
 frames at all, so Python's own recursion limit can be reached later than
-without it, never sooner.  ``eval_query`` and ``apply_update`` empty the
-memos when they return, since a recursive callee's closures hold its memo
-in a reference cycle, which only the cyclic collector would free.
+without it, never sooner.  The memos are emptied when the evaluation
+returns, since a recursive callee's closures hold its memo in a
+reference cycle, which only the cyclic collector would free.
 
 A ``?`` test of a label or an atom kind compiles to one comparison of
 the tree's ``label``, and ``*`` to ``passes``.  ``children[iter[s]]``
@@ -119,9 +125,11 @@ class _Compiler(tuple):
     compares it, and a ``Nav`` ``children`` whose body is a ``Nav``
     ``iter`` compiles to one closure, not two.  A ``Call`` resolves its
     callee and arity here, and on its first call takes the body and call
-    memo ``bodies[(kind, name)]``; a memo entry, under the tuple of the
-    key's ids, is the caller's depth, the result and the forests keyed
-    on.  A closed constructor compiles to ``_closed`` of its value."""
+    memo ``bodies[(kind, name)]``; a memo entry, under the key's ids
+    packed into one int (each id is below ``2**64``, and a callee's calls
+    all pack as many), is the mark ``(-1,)`` after the first call, and
+    then the caller's depth, the result and the forests keyed on.  A closed
+    constructor compiles to ``_closed`` of its value."""
 
     __slots__ = ()
 
@@ -173,28 +181,32 @@ class _Compiler(tuple):
 
         if kind == "function":
             def call(env, depth):  # the arguments go straight into ``inner``
-                inner, ids = {}, ()
+                inner, ids = {}, 0
                 for param, arg in binds:
                     a = inner[param] = arg(env, depth)
-                    ids += id(a[0]) if len(a) == 1 else id(a),
+                    ids = ids << 64 | (id(a[0]) if len(a) == 1 else id(a))
                 if depth + 1 > limit:
                     _too_deep(limit, name)
                 hit = (memo if body else compiled()).get(ids)
-                if hit is None or hit[0] < depth:  # ``inner`` keeps the keys
-                    hit = memo[ids] = depth, body(inner, depth + 1), inner
+                if hit is None or hit[0] < depth:  # ``inner`` keeps the keyed trees
+                    out = body(inner, depth + 1)
+                    memo[ids] = (depth, out, inner) if hit else (-1,)
+                    return out
                 return hit[1]
             return call
 
         def run(env, depth, v):  # a procedure's: the focus is passed on
-            inner, ids = {}, (id(v[0]) if len(v) == 1 else id(v),)
+            inner, ids = {}, id(v[0]) if len(v) == 1 else id(v)
             for param, arg in binds:
                 a = inner[param] = arg(env, depth)
-                ids += id(a[0]) if len(a) == 1 else id(a),
+                ids = ids << 64 | (id(a[0]) if len(a) == 1 else id(a))
             if depth + 1 > limit:
                 _too_deep(limit, name)
             hit = (memo if body else compiled()).get(ids)
             if hit is None or hit[0] < depth:
-                hit = memo[ids] = depth, body(inner, depth + 1, v), inner, v
+                out = body(inner, depth + 1, v)
+                memo[ids] = (depth, out, inner, v) if hit else (-1,)
+                return out
             return hit[1]
         return run
 
@@ -350,21 +362,22 @@ _RULES = {cls: getattr(_Compiler, cls.__name__)
           for cls in QueryExpr.__subclasses__() + UpdateStmt.__subclasses__()}
 
 
-def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr) -> Forest:
-    """Evaluate ``e`` to a forest under ``env``."""
+def _run(rt: Runtime, node: QueryExpr | UpdateStmt, *args) -> Forest:
+    """``node`` compiled and run on ``args``, with its call memos emptied
+    on return: a recursive callee's closures hold its memo in a cycle."""
     bodies = {}
     try:
-        return _Compiler((rt, bodies)).compile(e)(env, 0)
-    finally:  # a recursive callee's closures hold its memo in a cycle
+        return _Compiler((rt, bodies)).compile(node)(*args)
+    finally:
         for _, memo in bodies.values():
             memo.clear()
+
+
+def eval_query(rt: Runtime, env: ValueEnv, e: QueryExpr) -> Forest:
+    """Evaluate ``e`` to a forest under ``env``."""
+    return _run(rt, e, env, 0)
 
 
 def apply_update(rt: Runtime, env: ValueEnv, v: Forest, s: UpdateStmt) -> Forest:
     """Apply ``s`` to the focused value ``v`` and return the updated value."""
-    bodies = {}
-    try:
-        return _Compiler((rt, bodies)).compile(s)(env, 0, v)
-    finally:  # as in ``eval_query``
-        for _, memo in bodies.values():
-            memo.clear()
+    return _run(rt, s, env, 0, v)

@@ -9,8 +9,8 @@ and one per repeated subtree (see ``parser``).  Nothing may depend on a
 tree's identity, beyond two memos: ``member``'s, keyed by the identity of
 child tuples, which therefore decides a repeated parsed subtree once, and
 the evaluator's call memo, keyed by the identity of argument and focus
-trees, which runs a call on a repeated subtree once and shares its result
-in the output (see ``evaluator``).
+trees, which runs a call on a repeated subtree at most twice and shares
+the result it stores in the output (see ``evaluator``).
 
 ``member`` runs a lazy deterministic automaton on the signature's tables,
 the ones ``subtype`` uses.  A state is a set of alternatives

@@ -234,21 +234,21 @@ def rebinding_runs(forests):
             yield prog, [({"x": (t,)}, None) for f in forests for t in f]
 
 
-def twice(t):
-    """A tree holding ``t`` and, one call deeper, ``t`` again."""
+def thrice(t):
+    """A tree holding ``t`` twice and, one call deeper, ``t`` again."""
     return Node("tree", (Node("node", (
-        t, Node("tree", (Node("node", (t,)),)))),))
+        t, t, Node("tree", (Node("node", (t,)),)))),))
 
 
 def documents():
     """Seeded ``Tree`` forests for the two recursive samples, built node
-    by node; then all but the first, and ``twice`` of each tree of the
+    by node; then all but the first, and ``thrice`` of each tree of the
     second, read back from their text, with repeated subtrees shared."""
     rng = random.Random(7)
     trees = [random_tree(rng, size) for size in (1, 20, 60, 200) * 3]
     built = [tuple(trees[i:i + 3]) for i in range(0, len(trees), 3)]
     return built, [shared(f) for f in built[1:]] + [
-        shared(tuple(twice(t) for t in built[1]))]
+        shared(tuple(thrice(t) for t in built[1]))]
 
 
 def recursive_runs(forests):

@@ -506,26 +506,26 @@ class TestDeterminism:
 class TestCallMemo:
     """A call whose argument forests, and a procedure's focus, hold the
     trees of an earlier successful call of its callee, made at the same
-    call depth or deeper, returns that call's result (see the
-    ``evaluator`` docstring)."""
+    call depth or deeper, returns that call's result, once an earlier call
+    on those trees has left its mark (see the ``evaluator`` docstring)."""
 
     LEAFUPD = LEAVES.parent / "leafupd.flux"
 
     def test_the_recursion_limit_is_exact(self, capsys):
-        # ``d`` holds ``t`` four calls deeper than the run of ``t`` itself,
-        # which needs two: an entry kept from depth 0 must not answer
-        # there, where the call below it exceeds limit 5
+        # ``d`` holds ``t`` four calls deeper than the runs of ``t`` itself,
+        # which need two: the entry the second run stores at depth 0 must
+        # not answer there, where the call below it exceeds limit 5
         t = 'tree[node[tree[leaf["a"]]]]'
         d = t
         for _ in range(4):
             d = f"tree[node[{d}]]"
-        args = ["run-update", str(self.LEAFUPD), "--input", f"{t},{d}"]
+        args = ["run-update", str(self.LEAFUPD), "--input", f"{t},{t},{d}"]
         assert main(["--recursion-limit", "5"] + args) == 1
         assert capsys.readouterr() == (
             "", "error: recursion limit 5 exceeded calling leafupd\n")
         assert main(["--recursion-limit", "6"] + args) == 0
         assert capsys.readouterr().out == (
-            f"{t},{d}\n".replace('"a"', '"pruned"'))
+            f"{t},{t},{d}\n".replace('"a"', '"pruned"'))
 
     def test_entries_keep_their_key_forests(self, tmp_path, capsys):
         # each ``($z, $z)`` is a new forest of two trees, keyed by its own
@@ -544,35 +544,39 @@ class TestCallMemo:
 
     def test_entries_are_freed_on_return(self):
         # a recursive callee's closures hold its memo in a reference cycle,
-        # so unless the memo is emptied on return, its entries keep the
-        # forests they are keyed on until the cyclic collector runs
+        # so unless the memo is emptied on return, the entry that the
+        # second call on ``u`` stores keeps the forest holding ``u`` until
+        # the cyclic collector runs
         leaves, _ = parse_program(LEAVES.read_text(encoding="utf-8").replace(
             'leaves(tree[node[tree[leaf["u"]], tree[leaf["v"]]]])',
             "leaves($x)"))
         leafupd, _ = parse_program(self.LEAFUPD.read_text(encoding="utf-8"))
-        x = parse_value('tree[node[tree[leaf["u"]],tree[leaf["v"]]]]')
+        x = parse_value('tree[node[tree[leaf["u"]],tree[leaf["u"]]]]')
+        [u, _] = x[0].children[0].children
         gc.disable()
         try:
-            before = sys.getrefcount(x), sys.getrefcount(x[0])
+            before = sys.getrefcount(x), sys.getrefcount(u)
             eval_query(runtime_for_query_program(leaves), {"x": x},
                        leaves.main)
             apply_update(runtime_for_update_program(leafupd), {}, x,
                          leafupd.main)
-            assert (sys.getrefcount(x), sys.getrefcount(x[0])) == before
+            assert (sys.getrefcount(x), sys.getrefcount(u)) == before
         finally:
             gc.enable()
 
     def test_shared_input_gives_shared_output(self):
+        # the first call on ``t`` leaves a mark, the second stores its
+        # result, and the third returns it
         prog, sig = parse_program(self.LEAFUPD.read_text(encoding="utf-8"))
         [t] = parse_value('tree[node[tree[leaf["a"]],tree[leaf["b"]]]]')
-        out = apply_update(runtime_for_update_program(prog), {}, (t, t),
+        out = apply_update(runtime_for_update_program(prog), {}, (t, t, t),
                            prog.main)
-        assert out[0] is out[1]
+        assert out[0] is not out[1] and out[1] is out[2]
         assert value_str(out) == ",".join(
-            ['tree[node[tree[leaf["pruned"]],tree[leaf["pruned"]]]]'] * 2)
-        # so ``member``'s memo decides the second tree's content from the
-        # first's: the step rows are asked for ``node`` and ``leaf`` as
-        # often as for one tree
+            ['tree[node[tree[leaf["pruned"]],tree[leaf["pruned"]]]]'] * 3)
+        # so ``member``'s memo decides the third tree's content from the
+        # second's: the step rows are asked for ``node`` and ``leaf`` as
+        # often as for two trees
         assert member(sig, out, prog.output)  # fills the step rows
         reads = {"node": 0, "leaf": 0}
 
@@ -585,4 +589,4 @@ class TestCallMemo:
         for state, (nullable, row) in list(sig._steps.items()):
             sig._steps[state] = (nullable, Row(row))
         assert member(sig, out, prog.output)
-        assert reads == {"node": 1, "leaf": 2}
+        assert reads == {"node": 2, "leaf": 4}
