@@ -11,10 +11,11 @@ limit (``limit/depth``), or a run out of memory (``limit/memory``).  Values
 of any depth are processed.
 
 Importing the module loads what ``check``, ``type`` and ``subtype`` run,
-ten modules of the package, and neither ``json`` nor ``typing``: ``json``
-is imported where ``--json`` output is printed.  The evaluator (``eval``,
+ten modules of the package, and neither ``json`` nor ``typing``: one
+function, ``_print_json``, imports ``json`` and prints every ``--json``
+document, and no command loads ``typing``.  The evaluator (``eval``,
 ``run-update``) and the random suites with their bounded enumeration
-(``oracle``, which alone loads ``typing``) are imported by their commands.
+(``oracle``) are imported by their commands.
 """
 
 from __future__ import annotations
@@ -99,21 +100,23 @@ def _labels_in(sig: Signature, prog) -> tuple[str, ...]:
     return tuple(sorted(labels)) or ("a", "b")
 
 
-def _diagnostic_json(d: Diagnostic) -> dict:
-    return {"severity": "error", "message": d.message, "rule": d.rule,
-            "span": None if d.span is None else d.span._asdict()}
+def _print_json(data, indent: int | None = None) -> None:
+    """Print one ``--json`` document: the one place ``json`` is imported."""
+    import json
+    print(json.dumps(data, indent=indent))
 
 
 def _report(program_type: str | None, diagnostics: list[Diagnostic],
             as_json: bool) -> int:
     ok = not diagnostics
     if as_json:
-        import json
-        print(json.dumps({"status": "ok" if ok else "error",
-                          "type": program_type if ok else None,
-                          "diagnostics": [_diagnostic_json(d)
-                                          for d in diagnostics]},
-                         indent=2))
+        _print_json({"status": "ok" if ok else "error",
+                     "type": program_type if ok else None,
+                     "diagnostics": [
+                         {"severity": "error", "message": d.message,
+                          "rule": d.rule,
+                          "span": None if d.span is None else d.span._asdict()}
+                         for d in diagnostics]}, indent=2)
     else:
         for d in diagnostics:
             print(d.render(), file=sys.stderr)
@@ -124,8 +127,7 @@ def _report(program_type: str | None, diagnostics: list[Diagnostic],
 
 def _print_value(value, as_json: bool) -> int:
     if as_json:
-        import json
-        print(json.dumps({"value": value_str(value)}))
+        _print_json({"value": value_str(value)})
     else:
         print(value_str(value))
     return 0
@@ -183,9 +185,8 @@ def cmd_subtype(args) -> int:
     check_type_declared(sig, t2)
     result = subtype(sig, t1, t2)
     if args.json:
-        import json
-        print(json.dumps({"left": type_str(t1), "right": type_str(t2),
-                          "subtype": result}))
+        _print_json({"left": type_str(t1), "right": type_str(t2),
+                     "subtype": result})
     else:
         print("subtype" if result else "not a subtype")
     return 0 if result else 1
@@ -221,8 +222,7 @@ def cmd_oracle(args) -> int:
         cfg = cfg._replace(labels=_labels_in(sig, prog))
     report = run_suites(cfg, sig or None)
     if args.json:
-        import json
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json(), indent=2)
     else:
         print(report.summary())
     return 0 if report.ok else 1

@@ -31,9 +31,11 @@ with one ``str.split``; the cap bounds the backtracking state ``sre``
 keeps per repeat, as Python 3.10 has no possessive ``*+``), or as ``n[``.
 Each distinct ``n[]`` or ``n["w"]`` lexeme is built once and shared, and
 each distinct ``n[`` is checked once: a table of those read before, keyword
-labels never among them, makes a repeated open one lookup.  A compound
-lexeme whose label is no label fails where reading it lexeme by lexeme
-would, so blanks and comments change no value and no error.
+labels never among them, makes a repeated open one lookup.  The loop only
+reads valid values: when it fails, ``_Parser.value_error`` reads the text
+again token by token, with a count of the open elements, and raises the
+first error, so a compound lexeme fails where its tokens do, and blanks
+and comments change no value and no error.
 
 A ``]`` shares the element it closes too.  A table that lives for one
 ``parse_value`` call keys each node a ``]`` built by its label, its width
@@ -60,7 +62,6 @@ only ``diagnostics``, ``types`` and ``values``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from functools import cache
 from operator import is_
 
@@ -542,6 +543,39 @@ class _Parser:
             self.parse_type_decl(decls)
         return _signature(decls)
 
+    def value_error(self) -> None:
+        """Raise the first error of the text read as a value token by token,
+        with a count of the open elements: the error ``parse_value``
+        reports when its loop over lexemes fails.  A lexing error anywhere
+        comes first, as in every parser here, and a compound lexeme fails
+        at the token where it goes wrong.  Reading a whole value without an
+        error is a fault of that loop."""
+        kinds, depth = self.kinds, 0
+        while True:
+            # an item is wanted, or a ``]`` right after a ``[``
+            pos = self.pos
+            kind = kinds[pos]
+            self.pos = pos + 1
+            if kind == "IDENT":
+                self.expect("[")
+                depth += 1
+                continue
+            if kind == "(" and kinds[pos + 1] == ")":
+                self.pos += 1
+            elif kind == "]" and kinds[pos - 1] == "[":
+                depth -= 1
+            elif kind not in ("STRING", "true", "false"):
+                # after a ``(``, the error is at the ``(``
+                self.unexpected(pos, " in value", ("a value",))
+            # after an item: a ``,``, or a ``]`` while an element is open,
+            # or else the end
+            while depth and not self.accept(","):
+                self.expect("]")
+                depth -= 1
+            if not depth and not self.accept(","):
+                self.expect("EOF", "end of value")
+                raise AssertionError("parse_value rejected a value")
+
 
 def _chain(node, items: list[Type]) -> Type:
     """``node(a, node(b, c))`` of ``items == [a, b, c]``, emptying it."""
@@ -582,8 +616,8 @@ def parse_value(text: str) -> Forest:
     """A forest, read in one loop over the lexemes with a stack of the open
     elements (see the module docstring), so any depth parses; each
     distinct ``n[]`` or ``n["w"]``, and each repeated subtree, is one
-    ``Node`` shared by its uses."""
-    lexemes = _value_lexeme_re().findall(text)
+    ``Node`` shared by its uses.  Text that is no value raises the
+    ``ParseError`` of ``_Parser.value_error``."""
     stack: list[tuple[str, list[Tree]]] = []  # open labels, trees before each
     trees: list[Tree] = []
     leaves: dict[str, Node] = {}  # ``n[]`` or ``n["w"]`` text -> its one node
@@ -596,9 +630,7 @@ def parse_value(text: str) -> Forest:
     # ``]``, _BRACKET the ``[`` after a label, _PAREN the ``)`` of ``()``,
     # _AFTER a ``,``, a ``]`` or the end
     want = _ITEM
-    within = 0  # offset of the error in the failing lexeme
-    rest = iter(lexemes)
-    for lexeme in rest:
+    for lexeme in _value_lexeme_re().findall(text):
         # blanks and comments are looked for only where nothing else fits
         if want is _AFTER:
             if lexeme == ",":
@@ -685,18 +717,7 @@ def parse_value(text: str) -> Forest:
                     trees += map(leaves.__getitem__, items)
                     want = _AFTER
                     continue
-                # the first item that is no leaf fails at its label
-                for item in items:
-                    label = item[:-2]
-                    if not _is_label(label):
-                        break
-                    within += len(item) + 1
-            # the lexeme fails at that label, or, as ``true`` or ``false``
-            # read as atoms, at the ``[`` after it
-            if label == "true" or label == "false":
-                within += len(label)
-                want = _AFTER
-            break
+            break  # a keyword or no label: ``value_error`` says where
         # a ``]`` closes the innermost element, reusing a node from
         # ``closed`` if all its children are these
         label, parent = stack.pop()
@@ -716,21 +737,7 @@ def parse_value(text: str) -> Forest:
     else:
         if want is _AFTER and not stack:
             return tuple(trees)
-        lexeme = None  # the end of input
-    # the failing lexeme's index, the end of input's past the last; after
-    # a ``(`` only blanks are read, and the error is at the ``(``
-    at = len(lexemes) - sum(1 for _ in rest) - (lexeme is not None)
-    if want is _PAREN:
-        at = at - 1 - lexemes[at - 1::-1].index("(")
-    # report the token at the error's offset, unless tokenizing finds a
-    # lexing error, which wins as in every parser here
-    p = _Parser(text)
-    tok = bisect_left(p.starts, sum(map(len, lexemes[:at])) + within)
-    if want is _BRACKET:
-        p.unexpected(tok, "", ("[",))
-    if want is _AFTER:
-        p.unexpected(tok, "", ("]" if stack else "end of value",))
-    p.unexpected(tok, " in value", ("a value",))
+    _Parser(text).value_error()
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> QueryExpr:

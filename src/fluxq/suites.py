@@ -36,10 +36,11 @@ checks its scope and its draws with one function.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, count, islice, product, starmap
 from math import isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagnostics import EvalError, TypeCheckFailure
 from .enumeration import types_upto, values_upto
@@ -60,15 +61,14 @@ from .updates import Multiplicity, synth_iter, synth_stmt
 from .values import BoolVal, Forest, Node, StrVal, inhabitants, max_width, member
 
 
-class SuiteResult(NamedTuple):
-    """One suite's tally, as ``tally`` builds it.  ``skipped`` is always 0:
-    no suite skips a case, and ``--json oracle`` keeps the key its schema
-    fixes."""
+class SuiteResult(namedtuple("_SuiteResultFields",
+                             ("name", "cases", "failures", "skipped"),
+                             defaults=(0,))):
+    """One suite's tally, as ``tally`` builds it: its ``name``, its
+    ``cases`` and its ``failures``.  ``skipped`` is always 0: no suite
+    skips a case, and ``--json oracle`` keeps the key its schema fixes."""
 
-    name: str
-    cases: int
-    failures: list[str]
-    skipped: int = 0
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -82,8 +82,10 @@ class SuiteResult(NamedTuple):
         return out
 
 
-class SuiteReport(NamedTuple):
-    results: list[SuiteResult]
+class SuiteReport(namedtuple("_SuiteReportFields", ("results",))):
+    """The ``SuiteResult`` of every suite ``run_suites`` ran, in its order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -155,15 +157,15 @@ MAX_SIZE = 7      # AST-node budget for random types
 MAX_NESTING = 2   # element nesting in random types
 
 
-class GenConfig(NamedTuple):
-    """Bounds and seed shared by the random suites.  The bounds must not be
+class GenConfig(namedtuple("_GenConfigFields",
+                           ("labels", "depth", "width", "seed", "cases"),
+                           defaults=(("a", "b", "c"), 3, 3, 42, 100))):
+    """Bounds and seed shared by the random suites: the element ``labels``,
+    the value enumeration ``depth`` and ``width`` bounds, the ``seed`` and
+    the default ``cases`` per property suite.  The bounds must not be
     negative; ``fluxq`` checks its flags for that when it parses them."""
 
-    labels: tuple[str, ...] = ("a", "b", "c")
-    depth: int = 3           # value enumeration depth bound
-    width: int = 3           # value enumeration width bound
-    seed: int = 42
-    cases: int = 100         # default cases per property suite
+    __slots__ = ()
 
 
 def gen_atom(rng: random.Random, cfg: GenConfig, size: int,
@@ -664,24 +666,23 @@ def suite_test_semantic(cfg: GenConfig, sig: Signature) -> SuiteResult:
 # -- typing properties, written once for both languages --------------------
 
 
-class Language(NamedTuple):
+class Language(namedtuple("_LanguageFields", (
+        "name", "iteration", "closed_env", "term", "synth", "run", "show",
+        "body", "iterate"))):
     """What the typing properties need from one core language.
 
-    ``term`` draws a well-typed term under an environment and returns it
-    with its input type (None for a query, which has no input); ``synth``
-    types it and ``run`` evaluates it on an input value.  ``body`` draws an
-    iteration body over a source type and ``iterate`` types the iteration:
-    ``for`` in the query core, ``iter`` in the update core."""
+    ``name`` prefixes its suites' names and ``iteration`` its homomorphism
+    suite's.  ``closed_env(rng, cfg, sig)`` draws the environment of a
+    closed suite.  ``term(rng, cfg, sig, env)`` draws a well-typed term
+    under an environment and returns it with its input type (None for a
+    query, which has no input); ``synth(sig, env, input type, term)`` types
+    it, ``run(rt, value env, input value, term)`` evaluates it on an input
+    value, and ``show`` prints it.  ``body(rng, cfg, sig, env, source
+    type)`` draws an iteration body over a source type and ``iterate(sig,
+    env, source type, body)`` types the iteration: ``for`` in the query
+    core, ``iter`` in the update core."""
 
-    name: str                # suite-name prefix
-    iteration: str           # the homomorphism suite's name prefix
-    closed_env: Callable     # (rng, cfg, sig) -> environment of a closed suite
-    term: Callable           # (rng, cfg, sig, env) -> (term, input type)
-    synth: Callable          # (sig, env, input type, term) -> Type
-    run: Callable            # (rt, value env, input value, term) -> Forest
-    show: Callable           # term -> str
-    body: Callable           # (rng, cfg, sig, env, source type) -> body
-    iterate: Callable        # (sig, env, source type, body) -> Type
+    __slots__ = ()
 
 
 def _update_term(rng, cfg, sig, env):

@@ -371,6 +371,11 @@ class TestSubtype:
         out = json.loads(capsys.readouterr().out)
         assert out == {"left": "()", "right": "a[]*", "subtype": True}
 
+    def test_json_document_is_one_line_in_order(self, capsys):
+        assert main(["--json", "subtype", "a[]*", "()"]) == 1
+        assert capsys.readouterr().out == (
+            '{"left": "a[]*", "right": "()", "subtype": false}\n')
+
     def test_bad_type_text_exits_two(self, capsys):
         assert main(["subtype", "a[", "b[]"]) == 2
 
@@ -383,6 +388,13 @@ class TestEval:
     def test_closed_program(self, capsys):
         assert main(["eval", LEAVES]) == 0
         assert capsys.readouterr().out.strip() == 'leaf["u"],leaf["v"]'
+
+    def test_json_value(self, capsys):
+        # one line: the value as the plain output prints it
+        assert main(["--json", "eval", LEAVES]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"value": "leaf[\\"u\\"],leaf[\\"v\\"]"}\n'
+        assert json.loads(out) == {"value": 'leaf["u"],leaf["v"]'}
 
     def test_env_bindings(self, tmp_path, capsys):
         f = tmp_path / "q.muxq"
@@ -435,6 +447,12 @@ class TestRunUpdate:
         assert main(["run-update", INSERT_AFTER, "--input",
                      "a[b[],b[],c[]],d[]"]) == 0
         assert capsys.readouterr().out.strip() == "a[b[],c[],b[],c[],c[]],d[]"
+
+    def test_json_value(self, capsys):
+        assert main(["--json", "run-update", INSERT_AFTER, "--input",
+                     INPUTS["insert_after.flux"]]) == 0
+        assert capsys.readouterr().out == (
+            '{"value": "a[b[],c[],b[],c[],c[]],d[]"}\n')
 
     def test_recursive_procedure(self, capsys):
         assert main(["run-update", LEAFUPD, "--input",

@@ -22,7 +22,7 @@ CHECK_ARGS = {"leaves.muxq": [], "children.muxq": ["--tree", "x=a[b[]*,c[]?]"],
               "insert_after.flux": [], "leafupd.flux": []}
 # what ``check`` does not run
 UNUSED = ("fluxq.suites", "fluxq.evaluator", "fluxq.enumeration", "random")
-# what only ``--json`` output and the ``oracle`` suites use
+# what only ``--json`` output uses, and what no command uses
 LATE = ("json", "typing")
 # the package's modules that ``import fluxq.cli`` loads
 CHECK_MODULES = ["fluxq", "fluxq.cli", "fluxq.diagnostics", "fluxq.parser",
@@ -89,7 +89,8 @@ def test_cli_import_leaves_out_what_check_does_not_run():
     assert [m for m in loaded if m.split(".")[0] == "fluxq"] == CHECK_MODULES
 
 
-@pytest.mark.parametrize("module", ["fluxq.cli", "fluxq.evaluator"])
+@pytest.mark.parametrize("module", ["fluxq.cli", "fluxq.evaluator",
+                                    "fluxq.suites"])
 def test_import_loads_neither_json_nor_typing(module):
     loaded = modules_after(module)
     assert module in loaded
@@ -165,6 +166,17 @@ def test_json_check_loads_json_and_no_other_fluxq_module(sample):
     assert code == 0 and '"status": "ok"' in out, out
     assert "json" in new and "typing" not in new
     assert [m for m in new if m.split(".")[0] == "fluxq"] == []
+
+
+def test_json_oracle_loads_json_and_no_typing():
+    script = """\
+import contextlib, io
+import fluxq.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fluxq.cli.main(["--json", "oracle", "--cases", "1"])
+print(repr([code, "json" in sys.modules, "typing" in sys.modules]))
+"""
+    assert probe(script) == [0, True, False]
 
 
 def test_cli_import_compiles_nothing_in_fluxq():

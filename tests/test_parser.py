@@ -294,6 +294,12 @@ class TestValueSyntax:
         assert (err.offset, err.line, err.column, err.expected) == (
             offset, line, col, expected)
 
+    def test_value_error_on_a_value_is_a_fault(self):
+        # ``parse_value`` calls ``value_error`` only when its loop fails, so
+        # a text that reads as a value there is the loop's fault
+        with pytest.raises(AssertionError, match="parse_value rejected"):
+            _Parser('a[b[],"w"],(),x[ ]').value_error()
+
     @pytest.mark.parametrize("text, value", [
         ("( )", ()),
         ("a [ ]", (Node("a", ()),)),

@@ -1,7 +1,7 @@
 """The package's records are plain ``collections`` named tuples: each keeps
 its fields, defaults, docstring and methods on a ``tuple`` base, and
-copies and pickles as a named tuple does.  The type aliases accept the
-classes they name."""
+copies and pickles as a named tuple does; the suite records too, which
+``oracle`` loads.  The type aliases accept the classes they name."""
 
 import copy
 import pickle
@@ -17,8 +17,9 @@ from fluxq import (
     GlobalDecls, Node, Runtime, SourceSpan, StrVal, TreeBinding,
     parse_program,
 )
-from fluxq import types, values
+from fluxq import suites, types, values
 from fluxq.evaluator import DEFAULT_RECURSION_LIMIT
+from fluxq.suites import GenConfig, Language, SuiteReport, SuiteResult
 from fluxq.types import Declared, program_decls
 
 LEAVES = Path(__file__).resolve().parent.parent / "samples" / "leaves.muxq"
@@ -38,8 +39,23 @@ RECORDS = [
     (Runtime, ("decls", "recursion_limit"),
      {"decls": EMPTY_DECLS, "recursion_limit": DEFAULT_RECURSION_LIMIT},
      Runtime(DECLS, 7)),
+    (SuiteResult, ("name", "cases", "failures", "skipped"), {"skipped": 0},
+     SuiteResult("probe", 2, ["bad"])),
+    (SuiteReport, ("results",), {},
+     SuiteReport([SuiteResult("probe", 2, ["bad"])])),
+    (GenConfig, ("labels", "depth", "width", "seed", "cases"),
+     {"labels": ("a", "b", "c"), "depth": 3, "width": 3, "seed": 42,
+      "cases": 100}, GenConfig(("a", "b"), 2, 1, 7, 5)),
+    # module-level functions, so that the record pickles
+    (Language, ("name", "iteration", "closed_env", "term", "synth", "run",
+                "show", "body", "iterate"), {},
+     Language("update", "iter", suites.gen_env, suites.gen_typed_stmt,
+              suites.synth_stmt, suites.apply_update, suites.stmt_str,
+              suites.gen_typed_stmt, suites.synth_iter)),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
+# the records with methods or a class docstring subclass their field tuple
+SUBCLASSED = [SourceSpan, SuiteResult, SuiteReport, GenConfig, Language]
 
 
 @pytest.mark.parametrize("cls, fields, defaults, record", RECORDS, ids=IDS)
@@ -75,9 +91,16 @@ def test_pickle_and_deepcopy_round_trip(cls, fields, defaults, record):
 
 
 @pytest.mark.parametrize("cls", [Diagnostic, Declared, GlobalDecls, Runtime,
-                                 SourceSpan.__bases__[0]])
+                                 *(cls.__bases__[0] for cls in SUBCLASSED)])
 def test_records_stand_on_tuple(cls):
     assert cls.__bases__ == (tuple,)
+
+
+@pytest.mark.parametrize("cls", SUBCLASSED, ids=lambda cls: cls.__name__)
+def test_subclasses_add_no_field_and_no_dict(cls):
+    record = next(row[-1] for row in RECORDS if row[0] is cls)
+    assert cls.__bases__[0]._fields == cls._fields
+    assert not hasattr(record, "__dict__")
 
 
 def test_span_subclasses_its_fields_and_checks_its_order():
